@@ -415,15 +415,16 @@ impl BigUint {
 
     /// `(self * other) % m` via multiply-then-divide, on any modulus: the
     /// reference oracle the Montgomery kernel is differentially tested
-    /// against.
+    /// against. Oracle surface, not API: hidden from the docs.
+    #[doc(hidden)]
     pub fn mulmod_div(&self, other: &BigUint, m: &BigUint) -> BigUint {
         self.mul(other).rem(m)
     }
 
     /// `self^exp mod m`; panics if `m` is zero. Odd moduli run
     /// square-and-multiply in the Montgomery domain (one conversion in and
-    /// out, division-free in between); even moduli fall back to
-    /// [`BigUint::modpow_div`].
+    /// out, division-free in between); even moduli fall back to the
+    /// division path.
     pub fn modpow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         assert!(!m.is_zero(), "modulus is zero");
         match crate::montgomery::Montgomery::new(m) {
@@ -433,7 +434,9 @@ impl BigUint {
     }
 
     /// `self^exp mod m` by square-and-multiply over `mul` + `rem`, on any
-    /// modulus: the division-path reference oracle.
+    /// modulus: the division-path reference oracle. Oracle surface, not
+    /// API: hidden from the docs.
+    #[doc(hidden)]
     pub fn modpow_div(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         assert!(!m.is_zero(), "modulus is zero");
         if m.is_one() {

@@ -1,8 +1,17 @@
-//! Stackful fibers (x86_64): the continuations behind
-//! [`super::PooledExec`], with a thread-per-task fallback shim for targets
-//! without the context-switch assembly.
+//! Stackful fibers (Linux x86_64): the continuations behind
+//! [`super::PooledExec`], with a thread-per-task fallback shim elsewhere.
+//!
+//! The gate is the readiness reactor's (`super::reactor`), not merely the
+//! context-switch assembly's: a fiber that waits on a socket must be able
+//! to park on a reactor, so fibers exist only where the reactor does and
+//! no target is left on which a fiber could pin its worker in a socket
+//! wait.
 
-#[cfg(all(target_arch = "x86_64", not(miri)))]
+/// True on targets where [`super::PooledExec`] runs tasks as fibers.
+pub(in crate::exec) const AVAILABLE: bool =
+    cfg!(all(target_os = "linux", target_arch = "x86_64", not(miri)));
+
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 mod imp {
     //! Minimal stackful coroutines: a fiber is a heap stack plus a saved
     //! stack pointer. Switching saves the six SysV callee-saved registers
@@ -205,10 +214,10 @@ mod imp {
     }
 }
 
-#[cfg(any(not(target_arch = "x86_64"), miri))]
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
 mod imp {
-    //! Fallback for targets without the context-switch assembly: the
-    //! pooled executor degrades to thread-per-task (see
+    //! Fallback for targets without fibers: the pooled executor degrades
+    //! to thread-per-task (see
     //! [`crate::exec::PooledExec`]), so no fiber is ever constructed.
 
     use super::super::TaskLocals;

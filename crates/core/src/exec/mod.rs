@@ -55,8 +55,14 @@
 //! `TaskLocals` record carried by the task itself and installed into a
 //! thread-local by whichever worker is currently running it.
 
+// Fibers exist on Linux x86_64 only; elsewhere the pool runs each task on a
+// thread of its own and the scheduler behind these three modules is
+// compiled but unreachable.
+#[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64", not(miri))), allow(dead_code))]
 mod deque;
+#[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64", not(miri))), allow(dead_code))]
 pub(crate) mod fiber;
+#[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64", not(miri))), allow(dead_code))]
 mod pooled;
 pub mod reactor;
 mod sim;
@@ -71,7 +77,7 @@ use crate::error::Result;
 use crate::flush::Flushable;
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -141,14 +147,6 @@ pub trait Exec: Send + Sync + 'static {
     /// Release tasks held at a start barrier, if the executor has one.
     fn release(&self) {}
 
-    /// Note that the current task is entering a region that blocks the
-    /// underlying OS thread outside the park protocol (socket I/O). Pooled
-    /// executors use this to keep the worker pool from starving.
-    fn enter_blocking(&self) {}
-
-    /// Exit a region entered with [`Exec::enter_blocking`].
-    fn exit_blocking(&self) {}
-
     /// Ask the executor to wind down once all tasks finish. Idempotent;
     /// no-op for executors without retained resources.
     fn shutdown(&self) {}
@@ -161,8 +159,9 @@ pub trait Exec: Send + Sync + 'static {
 
     /// The readiness reactor owned by this executor, if it can park tasks
     /// on socket readiness (currently only [`PooledExec`] on
-    /// Linux/x86_64). Callers that get `None` fall back to blocking the
-    /// OS thread under [`blocking_region`].
+    /// Linux/x86_64, the one configuration that runs tasks as fibers).
+    /// Callers that get `None` are on an OS thread of their own and wait
+    /// by blocking it.
     fn reactor(&self) -> Option<Arc<reactor::Reactor>> {
         None
     }
@@ -225,8 +224,9 @@ impl WorkerStats {
 pub struct SchedulerStats {
     /// Configured steady-state worker count (the number of slots).
     pub target_workers: usize,
-    /// Worker threads currently alive, including `blocking_region`
-    /// compensation workers.
+    /// Worker threads currently alive. Workers start lazily (one per
+    /// spawn until the pool is full) and own their slot until the pool
+    /// shuts down, so this climbs to `target_workers` and stays there.
     pub current_workers: usize,
     /// Fibers ever pushed to the global injector (spawns, cross-worker and
     /// foreign-thread unparks, deque overflow spills).
@@ -234,16 +234,10 @@ pub struct SchedulerStats {
     /// Fibers sitting in the injector at snapshot time.
     pub injector_depth: usize,
     /// Unparked fibers routed through the injector because the waker was
-    /// not a slot-owning worker of this pool.
+    /// not a worker of this pool.
     pub foreign_unparks: u64,
-    /// Tasks currently inside a [`blocking_region`] (the pool's
-    /// `external` gauge). Snapshotted under the same central-lock
-    /// acquisition as `current_workers`, so `blocked_workers <=
-    /// current_workers` holds in every snapshot — `exit_blocking`'s
-    /// surplus-worker retirement can never be observed halfway.
-    pub blocked_workers: usize,
-    /// Readiness-reactor counters, when the pool has instantiated one
-    /// (see [`reactor::Reactor`]); `None` under the thread net backend.
+    /// Readiness-reactor counters, once a fiber of this pool has waited
+    /// on a socket (see [`reactor::Reactor`]); `None` until then.
     pub reactor: Option<reactor::ReactorStats>,
     /// Per-slot worker counters, indexed by slot.
     pub workers: Vec<WorkerStats>,
@@ -273,7 +267,7 @@ pub(crate) struct TaskLocals {
     pub(crate) name: String,
     /// True for KPN process tasks, false for foreign threads.
     pub(crate) is_process: bool,
-    /// The executor running this task (for `blocking_region` and pooled
+    /// The executor running this task (for [`current_exec`] and pooled
     /// self-identification). Weak to avoid an `Arc` cycle.
     pub(crate) exec: Weak<dyn Exec>,
     /// Buffered sinks owned by this task: flushed before every blocking
@@ -350,27 +344,6 @@ pub(crate) fn install_process_locals(name: &str) {
     set_current(Some(TaskLocals::new(name, true, exec)));
 }
 
-/// Run `f`, telling the current task's executor that the region blocks the
-/// OS thread outside the park protocol (socket reads, condvar waits on
-/// foreign state). Pooled executors temporarily enlarge their worker pool
-/// so fibers keep running; other executors run `f` directly.
-pub fn blocking_region<T>(f: impl FnOnce() -> T) -> T {
-    let exec = with_current(|l| l.exec.clone()).upgrade();
-    struct Guard(Option<Arc<dyn Exec>>);
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            if let Some(e) = &self.0 {
-                e.exit_blocking();
-            }
-        }
-    }
-    let guard = Guard(exec);
-    if let Some(e) = &guard.0 {
-        e.enter_blocking();
-    }
-    f()
-}
-
 /// The executor running the current task — the process's executor on KPN
 /// tasks, the thread-mode default executor on foreign threads, `None`
 /// once the owning executor has shut down.
@@ -382,56 +355,30 @@ pub fn current_exec() -> Option<Arc<dyn Exec>> {
 // NetBackend: how remote-channel waits block
 // ---------------------------------------------------------------------------
 
-/// How the net layer waits on a socket that isn't ready.
+/// How a remote-channel wait on a socket that isn't ready blocks.
 ///
-/// This is a *wait mechanism* choice, not a semantic one: per-channel
-/// FIFO histories — the thing Kahn determinacy lives in — are identical
-/// under both backends (DESIGN.md §5j).
+/// This is a *report*, not a choice: the net layer picks the mechanism per
+/// wait from the calling context (a pooled fiber parks on its pool's
+/// [`reactor::Reactor`]; an OS thread — thread executor, sim, foreign
+/// threads — blocks in one plain syscall). Per-channel FIFO histories —
+/// the thing Kahn determinacy lives in — are identical either way
+/// (DESIGN.md §5j).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetBackend {
-    /// Block the OS thread, compensated through [`blocking_region`]
-    /// (the paper's shape; today's default).
+    /// The waiting OS thread blocks in the kernel (the paper's shape).
     Threads,
-    /// Park the calling fiber on socket readiness via the pool's
-    /// [`reactor::Reactor`]; contexts without a reactor (foreign
-    /// threads, thread/sim executors, non-Linux) fall back per-wait to
-    /// `Threads` behavior.
+    /// The waiting fiber parks on socket readiness; its worker moves on.
     Reactor,
 }
 
-/// Process-wide backend override: 0 = unset (env decides), 1 = threads,
-/// 2 = reactor. See [`set_net_backend`].
-static NET_BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// The `KPN_NET_BACKEND` env parse, read once per process.
-static NET_BACKEND_ENV: std::sync::OnceLock<NetBackend> = std::sync::OnceLock::new();
-
-/// The net backend in effect: a [`set_net_backend`] override if present,
-/// else `KPN_NET_BACKEND` (`threads` | `reactor`, default `threads`).
+/// What a remote wait made by a process of a default-config network
+/// ([`crate::NetworkConfig::default`]) does: `Reactor` when that network
+/// runs on the pooled executor on a target with fibers, else `Threads`.
 pub fn net_backend() -> NetBackend {
-    match NET_BACKEND.load(Ordering::Relaxed) {
-        1 => NetBackend::Threads,
-        2 => NetBackend::Reactor,
-        _ => *NET_BACKEND_ENV.get_or_init(|| {
-            match std::env::var("KPN_NET_BACKEND") {
-                Ok(v) if v.trim().eq_ignore_ascii_case("reactor") => NetBackend::Reactor,
-                _ => NetBackend::Threads,
-            }
-        }),
+    match crate::NetworkConfig::from_env().mode {
+        ExecMode::Pooled { .. } if fiber::AVAILABLE => NetBackend::Reactor,
+        _ => NetBackend::Threads,
     }
-}
-
-/// Install (or with `None` clear) a process-wide net-backend override,
-/// outranking `KPN_NET_BACKEND`. Takes effect for transports created
-/// after the call; [`crate::NetworkConfig`]'s `net_backend` builder and
-/// tests drive this.
-pub fn set_net_backend(backend: Option<NetBackend>) {
-    let v = match backend {
-        None => 0,
-        Some(NetBackend::Threads) => 1,
-        Some(NetBackend::Reactor) => 2,
-    };
-    NET_BACKEND.store(v, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -464,50 +411,24 @@ impl std::fmt::Debug for ExecMode {
 }
 
 impl Default for ExecMode {
-    /// Reads `KPN_EXEC` and `KPN_WORKERS` so existing programs can be
-    /// switched to the pooled executor without code changes; defaults to
-    /// [`ExecMode::Thread`] (see [`ExecMode::from_env`]).
+    /// The mode of [`crate::NetworkConfig::default`]: `KPN_EXEC` when set,
+    /// else [`ExecMode::Thread`].
     fn default() -> Self {
-        Self::from_env()
+        crate::NetworkConfig::from_env().mode
     }
 }
 
 impl ExecMode {
-    /// Parse the `KPN_EXEC` / `KPN_WORKERS` environment variables.
-    ///
-    /// `KPN_EXEC` selects the executor (`thread`, `pooled`, `pooled:N`);
-    /// `KPN_WORKERS=N` sets the pooled worker count and, when `KPN_EXEC`
-    /// is unset, implies `pooled`. Precedence, strongest first: an
-    /// explicit [`crate::NetworkConfig::workers`] call (which bypasses
-    /// this parser entirely) > `KPN_WORKERS` > `KPN_EXEC=pooled:N` >
-    /// `available_parallelism()`. An explicit `KPN_EXEC=thread` wins over
-    /// `KPN_WORKERS` — naming the executor outranks tuning one.
-    pub fn from_env() -> ExecMode {
-        let workers_env = std::env::var("KPN_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok());
-        match std::env::var("KPN_EXEC") {
-            Ok(v) => {
-                let v = v.trim();
-                if v.eq_ignore_ascii_case("pooled") {
-                    ExecMode::Pooled {
-                        workers: workers_env.unwrap_or(0),
-                    }
-                } else if let Some(n) = v
-                    .strip_prefix("pooled:")
-                    .and_then(|n| n.parse::<usize>().ok())
-                {
-                    ExecMode::Pooled {
-                        workers: workers_env.unwrap_or(n),
-                    }
-                } else {
-                    ExecMode::Thread
-                }
-            }
-            Err(_) => match workers_env {
-                Some(n) => ExecMode::Pooled { workers: n },
-                None => ExecMode::Thread,
-            },
+    /// Parse a `KPN_EXEC` value: `thread`, `pooled` (one worker per
+    /// hardware thread) or `pooled:N`. Anything else is `thread`.
+    pub(crate) fn parse(v: &str) -> ExecMode {
+        let v = v.trim();
+        if v.eq_ignore_ascii_case("pooled") {
+            ExecMode::Pooled { workers: 0 }
+        } else if let Some(workers) = v.strip_prefix("pooled:").and_then(|n| n.parse().ok()) {
+            ExecMode::Pooled { workers }
+        } else {
+            ExecMode::Thread
         }
     }
 
@@ -531,14 +452,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exec_mode_env_parsing() {
-        // Not exercised via the env vars themselves (tests run in
-        // parallel); from_env falls back to Thread when both are unset,
-        // and the parser is trivial enough to exercise through the enum.
+    fn exec_mode_parses_kpn_exec_values() {
+        assert!(matches!(ExecMode::parse("thread"), ExecMode::Thread));
+        assert!(matches!(ExecMode::parse("bogus"), ExecMode::Thread));
         assert!(matches!(
-            ExecMode::Pooled { workers: 3 },
+            ExecMode::parse(" Pooled "),
+            ExecMode::Pooled { workers: 0 }
+        ));
+        assert!(matches!(
+            ExecMode::parse("pooled:3"),
             ExecMode::Pooled { workers: 3 }
         ));
+        assert!(matches!(ExecMode::parse("pooled:x"), ExecMode::Thread));
     }
 
     #[test]
@@ -565,10 +490,5 @@ mod tests {
         assert_eq!(t.hot_hits, 5);
         assert_eq!(t.stolen_fibers, 2);
         assert_eq!(t.max_queue_depth, 7, "depth aggregates by max, not sum");
-    }
-
-    #[test]
-    fn blocking_region_on_foreign_thread_is_direct() {
-        assert_eq!(blocking_region(|| 41 + 1), 42);
     }
 }

@@ -24,16 +24,16 @@
 //!    LIFO for the owner, stolen FIFO from the top by idle workers.
 //!    Overflow spills to the injector.
 //! 3. **Injector** — a global `VecDeque` under the central mutex, fed by
-//!    `spawn`, by unparks from threads that are not slot-owning workers of
-//!    this pool, and by deque overflow. Workers poll it on a fair tick
+//!    `spawn`, by unparks from threads that are not workers of this pool,
+//!    and by deque overflow. Workers poll it on a fair tick
 //!    (every [`FAIR_TICK`]-th dispatch, and before stealing) so injected
 //!    work cannot starve behind a busy local queue.
 //!
 //! An idle worker steals: it sweeps the other workers' deques (taking half
 //! the victim's queue on success, oldest first), then their hot slots.
 //! Hot-slot theft matters for liveness, not just throughput — a fiber
-//! sitting in the hot slot of a worker that is stuck in a syscall must be
-//! runnable by someone else.
+//! sitting in the hot slot of a worker that is busy in a long-running
+//! fiber must be runnable by someone else.
 //!
 //! ## Sleep/wake protocol
 //!
@@ -65,7 +65,7 @@ use crate::error::Result;
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
@@ -88,16 +88,13 @@ const DEQUE_CAPACITY: usize = 256;
 const INJECTOR_BATCH: usize = 16;
 
 thread_local! {
-    /// `(pool address, slot index)` for pool-worker threads; slot is
-    /// `usize::MAX` for compensation workers that own no slot. Lets
-    /// `unpark_all` detect "the waker is a slot-owning worker of this very
-    /// pool" without any lock.
+    /// `(pool address, slot index)` for pool-worker threads. Lets
+    /// `unpark_all` detect "the waker is a worker of this very pool"
+    /// without any lock.
     static WORKER_ID: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
-/// Cumulative per-slot counters; relaxed atomics, observation only. The
-/// counters belong to the *slot*: a compensation worker that later claims
-/// slot `i` continues slot `i`'s series.
+/// Cumulative per-slot counters; relaxed atomics, observation only.
 #[derive(Default)]
 struct WorkerCounters {
     fiber_switches: AtomicU64,
@@ -131,16 +128,14 @@ impl WorkerCounters {
 }
 
 /// One worker's scheduling state. Slots are fixed at pool creation
-/// (`target` of them); worker threads claim and release them, so the
-/// compensation workers spawned around `blocking_region` run slotless
-/// (injector + steal only) until a slot frees up.
+/// (`target` of them) and worker `i` owns slot `i` from the spawn that
+/// started it until the pool shuts down.
 struct WorkerSlot {
     deque: WorkDeque<fiber::Fiber>,
     /// LIFO hot slot: a raw `Box<Fiber>` pointer, null when empty. Filled
     /// only by the owning worker; drained by the owner *or* by thieves
     /// (atomic swap either way, so ownership transfer is race-free).
     hot: AtomicPtr<fiber::Fiber>,
-    occupied: AtomicBool,
     stats: WorkerCounters,
 }
 
@@ -149,7 +144,6 @@ impl WorkerSlot {
         WorkerSlot {
             deque: WorkDeque::new(DEQUE_CAPACITY),
             hot: AtomicPtr::new(std::ptr::null_mut()),
-            occupied: AtomicBool::new(false),
             stats: WorkerCounters::default(),
         }
     }
@@ -217,10 +211,8 @@ struct PoolState {
     injector: VecDeque<Box<fiber::Fiber>>,
     /// Tasks spawned and not yet finished (runnable, running, or parked).
     alive: usize,
-    /// Worker threads in existence (slotted + slotless).
+    /// Worker threads in existence; worker `i` owns slot `i`.
     workers: usize,
-    /// Workers currently inside a `blocking_region`.
-    external: usize,
     /// Workers asleep on `work_cv` (authoritative; `parked_hint` is the
     /// lock-free shadow producers read).
     parked: usize,
@@ -235,8 +227,11 @@ struct PoolState {
 /// of worker threads, each with its own work-stealing run queue (see the
 /// module docs for the scheduling architecture). A blocked channel
 /// operation parks the fiber — the worker moves on to the next runnable
-/// task — so graph size is bounded by memory, not by OS thread limits. On
-/// targets without the context-switch assembly (non-x86_64) it degrades to
+/// task — so graph size is bounded by memory, not by OS thread limits. A
+/// fiber that waits on a socket parks the same way, on the pool's
+/// [`reactor::Reactor`], so no fiber ever holds its worker in a syscall
+/// wait and the pool never needs more than `target` threads. On targets
+/// without fibers (anything but Linux x86_64) it degrades to
 /// thread-per-task.
 pub struct PooledExec {
     /// Steady-state worker count (== number of slots).
@@ -258,8 +253,8 @@ pub struct PooledExec {
     buckets: [PoolBucket; BUCKETS],
     idle_hooks: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
     /// Readiness reactor, created lazily on the first [`Exec::reactor`]
-    /// call (i.e. only when the net layer actually selects the reactor
-    /// backend). `Some(None)` caches "unavailable on this platform".
+    /// call (i.e. the first time one of this pool's fibers waits on a
+    /// socket). `Some(None)` caches "the kernel refused an epoll fd".
     reactor: OnceLock<Option<Arc<reactor::Reactor>>>,
     self_ref: OnceLock<Weak<dyn Exec>>,
     self_pool: OnceLock<Weak<PooledExec>>,
@@ -282,7 +277,6 @@ impl PooledExec {
                 injector: VecDeque::new(),
                 alive: 0,
                 workers: 0,
-                external: 0,
                 parked: 0,
                 ticking: false,
                 shutdown: false,
@@ -319,7 +313,7 @@ impl PooledExec {
             })
     }
 
-    fn spawn_worker(&self) {
+    fn spawn_worker(&self, slot: usize) {
         let pool = self
             .self_pool
             .get()
@@ -327,63 +321,20 @@ impl PooledExec {
             .expect("pool alive while spawning workers");
         std::thread::Builder::new()
             .name("kpn-pool-worker".into())
-            .spawn(move || pool.worker_loop())
+            .spawn(move || pool.worker_loop(slot))
             .expect("spawn pool worker");
     }
 
-    fn claim_slot(&self) -> Option<usize> {
-        (0..self.slots.len()).find(|&i| {
-            self.slots[i]
-                .occupied
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        })
-    }
-
-    /// Spill a retiring worker's local queues into the injector (caller
-    /// holds the central lock and owns slot `i`).
-    fn drain_slot_locked(&self, st: &mut PoolState, i: usize) {
-        let slot = &self.slots[i];
-        while let Some(f) = slot.deque.pop() {
-            st.injector.push_back(f);
-            st.injector_pushes += 1;
-        }
-        if let Some(f) = slot.take_hot() {
-            st.injector.push_back(f);
-            st.injector_pushes += 1;
-        }
-    }
-
-    fn release_slot(&self, i: usize) {
-        // Queues were drained under the central lock in park_worker; a
-        // later claimant starts clean.
-        self.slots[i].occupied.store(false, Ordering::Release);
-    }
-
-    fn worker_loop(self: Arc<Self>) {
+    fn worker_loop(self: Arc<Self>, slot: usize) {
         let mut worker_ctx: usize = 0;
         fiber::set_worker_ctx(&mut worker_ctx as *mut usize);
-        let addr = Arc::as_ptr(&self) as usize;
-        let mut slot = self.claim_slot();
-        WORKER_ID.with(|c| c.set(Some((addr, slot.unwrap_or(usize::MAX)))));
+        WORKER_ID.with(|c| c.set(Some((Arc::as_ptr(&self) as usize, slot))));
         let mut hot_streak: u32 = 0;
         let mut tick: u64 = 0;
         loop {
-            if slot.is_none() {
-                // Compensation worker: adopt a slot as soon as one frees.
-                slot = self.claim_slot();
-                if let Some(i) = slot {
-                    WORKER_ID.with(|c| c.set(Some((addr, i))));
-                }
-            }
             if let Some(f) = self.find_work(slot, &mut hot_streak, &mut tick) {
                 self.run_fiber(f, slot, &mut worker_ctx);
-                continue;
-            }
-            if self.park_worker(slot) {
-                if let Some(i) = slot {
-                    self.release_slot(i);
-                }
+            } else if self.park_worker(slot) {
                 WORKER_ID.with(|c| c.set(None));
                 return;
             }
@@ -395,17 +346,12 @@ impl PooledExec {
     /// so no source starves.
     fn find_work(
         &self,
-        slot: Option<usize>,
+        slot: usize,
         hot_streak: &mut u32,
         tick: &mut u64,
     ) -> Option<Box<fiber::Fiber>> {
         *tick += 1;
-        let Some(idx) = slot else {
-            // Slotless compensation worker: nowhere local to queue, so
-            // take from the injector or steal a single fiber.
-            return self.pop_injector(None).or_else(|| self.steal_work(None));
-        };
-        let me = &self.slots[idx];
+        let me = &self.slots[slot];
         let fair = tick.is_multiple_of(FAIR_TICK);
         if !fair && *hot_streak < HOT_BUDGET {
             if let Some(f) = me.take_hot() {
@@ -444,35 +390,28 @@ impl PooledExec {
         self.steal_work(slot)
     }
 
-    /// Pop one fiber from the injector; slotted callers also move a batch
-    /// into their own deque to amortize the central lock.
-    fn pop_injector(&self, slot: Option<usize>) -> Option<Box<fiber::Fiber>> {
+    /// Pop one fiber from the injector, moving a batch more into the
+    /// caller's own deque to amortize the central lock.
+    fn pop_injector(&self, slot: usize) -> Option<Box<fiber::Fiber>> {
+        let me = &self.slots[slot];
         let mut st = self.central.lock();
         let first = st.injector.pop_front()?;
         let mut taken = 1u64;
-        if let Some(i) = slot {
-            let me = &self.slots[i];
-            let batch = (st.injector.len() / self.slots.len().max(1)).min(INJECTOR_BATCH);
-            for _ in 0..batch {
-                let Some(f) = st.injector.pop_front() else { break };
-                match me.deque.push(f) {
-                    Ok(()) => taken += 1,
-                    Err(f) => {
-                        st.injector.push_front(f);
-                        break;
-                    }
+        let batch = (st.injector.len() / self.slots.len()).min(INJECTOR_BATCH);
+        for _ in 0..batch {
+            let Some(f) = st.injector.pop_front() else { break };
+            match me.deque.push(f) {
+                Ok(()) => taken += 1,
+                Err(f) => {
+                    st.injector.push_front(f);
+                    break;
                 }
             }
-            me.note_depth();
         }
+        me.note_depth();
         let notify = !st.injector.is_empty() && st.parked > 0;
         drop(st);
-        if let Some(i) = slot {
-            self.slots[i]
-                .stats
-                .injector_pops
-                .fetch_add(taken, Ordering::Relaxed);
-        }
+        me.stats.injector_pops.fetch_add(taken, Ordering::Relaxed);
         if notify && self.searching.load(Ordering::SeqCst) == 0 {
             // Leftover global work and sleeping workers: hand one of them
             // the remainder.
@@ -484,9 +423,9 @@ impl PooledExec {
     /// Steal sweep over the other workers: deques first (half the victim's
     /// queue), hot slots as a last resort. `Retry` outcomes re-run the
     /// sweep; `Empty` everywhere ends it.
-    fn steal_work(&self, slot: Option<usize>) -> Option<Box<fiber::Fiber>> {
-        if self.slots.len() <= 1 && slot.is_some() {
-            return None; // sole slot owner: nobody to steal from
+    fn steal_work(&self, slot: usize) -> Option<Box<fiber::Fiber>> {
+        if self.slots.len() <= 1 {
+            return None; // sole worker: nobody to steal from
         }
         self.searching.fetch_add(1, Ordering::SeqCst);
         let got = self.steal_sweep(slot);
@@ -498,50 +437,38 @@ impl PooledExec {
         got
     }
 
-    fn steal_sweep(&self, slot: Option<usize>) -> Option<Box<fiber::Fiber>> {
+    fn steal_sweep(&self, slot: usize) -> Option<Box<fiber::Fiber>> {
         let n = self.slots.len();
-        let start = slot.map(|i| i + 1).unwrap_or(0);
+        let me = &self.slots[slot];
+        let victims = || (1..n).map(|k| &self.slots[(slot + k) % n]);
         loop {
             let mut retry = false;
-            for k in 0..n {
-                let v = (start + k) % n;
-                if Some(v) == slot {
-                    continue;
-                }
-                if let Some(i) = slot {
-                    self.slots[i]
-                        .stats
-                        .steal_attempts
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                let victim = &self.slots[v];
+            for victim in victims() {
+                me.stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
                 match victim.deque.steal() {
                     Steal::Success(first) => {
+                        // Steal half the victim's remaining queue in one
+                        // sweep; a fiber at a time would just bounce the
+                        // imbalance back and forth.
                         let mut extra = 0u64;
-                        if let Some(i) = slot {
-                            // Steal half the victim's remaining queue in
-                            // one sweep; a fiber at a time would just
-                            // bounce the imbalance back and forth.
-                            let me = &self.slots[i];
-                            let want = victim.deque.len().div_ceil(2);
-                            for _ in 0..want {
-                                match victim.deque.steal() {
-                                    Steal::Success(f) => {
-                                        extra += 1;
-                                        if let Err(f) = me.deque.push(f) {
-                                            self.inject(vec![f]);
-                                            break;
-                                        }
+                        let want = victim.deque.len().div_ceil(2);
+                        for _ in 0..want {
+                            match victim.deque.steal() {
+                                Steal::Success(f) => {
+                                    extra += 1;
+                                    if let Err(f) = me.deque.push(f) {
+                                        self.inject(vec![f]);
+                                        break;
                                     }
-                                    _ => break,
                                 }
+                                _ => break,
                             }
-                            me.note_depth();
-                            me.stats.steal_successes.fetch_add(1, Ordering::Relaxed);
-                            me.stats
-                                .stolen_fibers
-                                .fetch_add(1 + extra, Ordering::Relaxed);
                         }
+                        me.note_depth();
+                        me.stats.steal_successes.fetch_add(1, Ordering::Relaxed);
+                        me.stats
+                            .stolen_fibers
+                            .fetch_add(1 + extra, Ordering::Relaxed);
                         return Some(first);
                     }
                     Steal::Retry => retry = true,
@@ -550,18 +477,12 @@ impl PooledExec {
             }
             // Second pass: hot slots. Last resort because taking one
             // robs its owner of a cache-warm dispatch — but a hot fiber
-            // whose owner is stuck in a syscall must stay runnable.
-            for k in 0..n {
-                let v = (start + k) % n;
-                if Some(v) == slot {
-                    continue;
-                }
-                if let Some(f) = self.slots[v].take_hot() {
-                    if let Some(i) = slot {
-                        let me = &self.slots[i];
-                        me.stats.steal_successes.fetch_add(1, Ordering::Relaxed);
-                        me.stats.stolen_fibers.fetch_add(1, Ordering::Relaxed);
-                    }
+            // whose owner is busy in a long-running fiber must stay
+            // runnable.
+            for victim in victims() {
+                if let Some(f) = victim.take_hot() {
+                    me.stats.steal_successes.fetch_add(1, Ordering::Relaxed);
+                    me.stats.stolen_fibers.fetch_add(1, Ordering::Relaxed);
                     return Some(f);
                 }
             }
@@ -572,14 +493,12 @@ impl PooledExec {
         }
     }
 
-    fn run_fiber(&self, mut f: Box<fiber::Fiber>, slot: Option<usize>, worker_ctx: &mut usize) {
+    fn run_fiber(&self, mut f: Box<fiber::Fiber>, slot: usize, worker_ctx: &mut usize) {
         self.busy.fetch_add(1, Ordering::SeqCst);
-        if let Some(i) = slot {
-            self.slots[i]
-                .stats
-                .fiber_switches
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.slots[slot]
+            .stats
+            .fiber_switches
+            .fetch_add(1, Ordering::Relaxed);
         let prev = set_current(Some(f.locals.clone()));
         f.run(worker_ctx);
         set_current(prev);
@@ -621,19 +540,14 @@ impl PooledExec {
         self.busy.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Queue `f` on the caller's own deque (spilling to the injector when
-    /// full), or on the injector if the caller has no slot.
-    fn enqueue_local(&self, slot: Option<usize>, f: Box<fiber::Fiber>) {
-        match slot {
-            Some(i) => {
-                let me = &self.slots[i];
-                if let Err(f) = me.deque.push(f) {
-                    self.inject(vec![f]);
-                } else {
-                    me.note_depth();
-                }
-            }
-            None => self.inject(vec![f]),
+    /// Queue `f` on the caller's own deque, spilling to the injector when
+    /// full.
+    fn enqueue_local(&self, slot: usize, f: Box<fiber::Fiber>) {
+        let me = &self.slots[slot];
+        if let Err(f) = me.deque.push(f) {
+            self.inject(vec![f]);
+        } else {
+            me.note_depth();
         }
     }
 
@@ -686,10 +600,10 @@ impl PooledExec {
                 .any(|s| !s.deque.is_empty() || s.hot_occupied())
     }
 
-    /// No work anywhere: retire if surplus, tick the monitor if quiescent,
-    /// otherwise sleep until notified. Returns `true` when the worker
-    /// should exit.
-    fn park_worker(&self, slot: Option<usize>) -> bool {
+    /// No work anywhere: tick the monitor if quiescent, then sleep until
+    /// notified. Returns `true` when the worker should exit (pool shut
+    /// down and drained).
+    fn park_worker(&self, slot: usize) -> bool {
         // Socket readiness first: anything ready becomes queued work that
         // the quiescence check and the Dekker rescan below will see.
         self.poll_reactor();
@@ -698,28 +612,11 @@ impl PooledExec {
             st.workers -= 1;
             return true;
         }
-        if st.workers - st.external > self.target {
-            // Surplus worker left over from a blocking region: retire,
-            // spilling any local work first.
-            if let Some(i) = slot {
-                self.drain_slot_locked(&mut st, i);
-            }
-            st.workers -= 1;
-            let more =
-                st.parked > 0 && (st.workers - st.external > self.target || !st.injector.is_empty());
-            drop(st);
-            if more {
-                self.work_cv.notify_one();
-            }
-            return true;
-        }
-        // Quiescent (every non-external task parked): run idle hooks —
-        // this is where the deadlock monitor's tick comes from, since
-        // parked fibers cannot honor timeouts.
-        let quiesce = self.busy.load(Ordering::SeqCst) <= st.external
-            && st.alive > 0
-            && !st.ticking
-            && !st.shutdown;
+        // Quiescent (every task parked): run idle hooks — this is where
+        // the deadlock monitor's tick comes from, since parked fibers
+        // cannot honor timeouts.
+        let quiesce =
+            self.busy.load(Ordering::SeqCst) == 0 && st.alive > 0 && !st.ticking && !st.shutdown;
         if quiesce {
             st.ticking = true;
             drop(st);
@@ -743,9 +640,8 @@ impl PooledExec {
             self.parked_hint.fetch_sub(1, Ordering::SeqCst);
             return false;
         }
-        if let Some(i) = slot {
-            self.slots[i].stats.parks.fetch_add(1, Ordering::Relaxed);
-        }
+        let stats = &self.slots[slot].stats;
+        stats.parks.fetch_add(1, Ordering::Relaxed);
         if quiesce || self.reactor_ref().is_some() {
             // Keep polling while the pool looks deadlock-candidate so the
             // monitor ticks even if no event arrives — and whenever a
@@ -757,14 +653,12 @@ impl PooledExec {
         }
         st.parked -= 1;
         self.parked_hint.fetch_sub(1, Ordering::SeqCst);
-        if let Some(i) = slot {
-            self.slots[i].stats.unparks.fetch_add(1, Ordering::Relaxed);
-        }
+        stats.unparks.fetch_add(1, Ordering::Relaxed);
         false
     }
 
-    /// The reactor, if one has been instantiated (only the net layer's
-    /// reactor backend does that, via [`Exec::reactor`]).
+    /// The reactor, if one has been instantiated (the net layer does that
+    /// through [`Exec::reactor`] when a fiber first waits on a socket).
     fn reactor_ref(&self) -> Option<&Arc<reactor::Reactor>> {
         self.reactor.get().and_then(|o| o.as_ref())
     }
@@ -790,15 +684,14 @@ impl PooledExec {
     }
 
     /// Route freshly unparked fibers to a run queue. When the waker is a
-    /// slot-owning worker of this pool, the first fiber takes its hot slot
-    /// (it is the consumer of data the waker just produced — the warmest
-    /// possible dispatch) and the rest go to its deque. Anything else —
-    /// foreign threads, other pools' fibers, slotless workers — goes
-    /// through the injector.
+    /// worker of this pool, the first fiber takes its hot slot (it is the
+    /// consumer of data the waker just produced — the warmest possible
+    /// dispatch) and the rest go to its deque. Anything else — foreign
+    /// threads, other pools' fibers — goes through the injector.
     fn dispatch_unparked(&self, fibers: Vec<Box<fiber::Fiber>>) {
-        let my_slot = WORKER_ID.with(|c| c.get()).and_then(|(pool, i)| {
-            (pool == self as *const PooledExec as usize && i != usize::MAX).then_some(i)
-        });
+        let my_slot = WORKER_ID
+            .with(|c| c.get())
+            .and_then(|(pool, i)| (pool == self as *const PooledExec as usize).then_some(i));
         match my_slot {
             Some(i) => {
                 let me = &self.slots[i];
@@ -839,7 +732,7 @@ impl PooledExec {
 }
 
 impl Exec for PooledExec {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
     fn spawn(&self, name: &str, body: Box<dyn FnOnce() + Send>) {
         let locals = TaskLocals::new(
             name,
@@ -851,21 +744,22 @@ impl Exec for PooledExec {
         st.alive += 1;
         st.injector.push_back(f);
         st.injector_pushes += 1;
-        let grow = st.workers - st.external < self.target && !st.shutdown;
-        if grow {
+        // Workers start lazily, one per spawn, until every slot is owned.
+        let grow = (st.workers < self.target && !st.shutdown).then_some(st.workers);
+        if grow.is_some() {
             st.workers += 1;
         }
         let notify = st.parked > 0;
         drop(st);
-        if grow {
-            self.spawn_worker();
+        if let Some(slot) = grow {
+            self.spawn_worker(slot);
         }
         if notify && self.searching.load(Ordering::SeqCst) == 0 {
             self.work_cv.notify_one();
         }
     }
 
-    #[cfg(any(not(target_arch = "x86_64"), miri))]
+    #[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
     fn spawn(&self, name: &str, body: Box<dyn FnOnce() + Send>) {
         // Thread-per-task fallback: parking uses the thread-waiter path.
         let locals = TaskLocals::new(
@@ -959,35 +853,6 @@ impl Exec for PooledExec {
         self.idle_hooks.lock().push(hook);
     }
 
-    fn enter_blocking(&self) {
-        if self.is_own_fiber() {
-            let mut st = self.central.lock();
-            st.external += 1;
-            // Keep `target` workers available for fibers while this one
-            // sits in a syscall.
-            if st.workers - st.external < self.target && !st.shutdown {
-                st.workers += 1;
-                drop(st);
-                self.spawn_worker();
-            }
-        }
-    }
-
-    fn exit_blocking(&self) {
-        if self.is_own_fiber() {
-            let mut st = self.central.lock();
-            st.external -= 1;
-            // The compensation worker spawned for this region is now
-            // surplus; wake a sleeper so it notices and retires instead of
-            // lingering until the next unrelated wakeup.
-            let surplus = st.workers - st.external > self.target && st.parked > 0;
-            drop(st);
-            if surplus {
-                self.work_cv.notify_one();
-            }
-        }
-    }
-
     fn shutdown(&self) {
         let mut st = self.central.lock();
         st.shutdown = true;
@@ -996,19 +861,13 @@ impl Exec for PooledExec {
     }
 
     fn scheduler_stats(&self) -> Option<SchedulerStats> {
-        // `workers` and `external` move together under the central lock
-        // (enter/exit_blocking, surplus retirement), so they must be read
-        // in ONE acquisition: snapshotting them separately could observe
-        // a retirement halfway and report more blocked workers than
-        // alive ones.
-        let (injector_pushes, injector_depth, foreign_unparks, current_workers, blocked_workers) = {
+        let (injector_pushes, injector_depth, foreign_unparks, current_workers) = {
             let st = self.central.lock();
             (
                 st.injector_pushes,
                 st.injector.len(),
                 st.foreign_unparks,
                 st.workers,
-                st.external,
             )
         };
         let workers = self
@@ -1025,7 +884,6 @@ impl Exec for PooledExec {
             injector_pushes,
             injector_depth,
             foreign_unparks,
-            blocked_workers,
             reactor: self.reactor_ref().map(|r| r.stats()),
             workers,
         })
@@ -1038,7 +896,6 @@ impl Exec for PooledExec {
 
 #[cfg(test)]
 mod tests {
-    use super::super::blocking_region;
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::time::Instant;
@@ -1147,60 +1004,9 @@ mod tests {
         ex.shutdown();
     }
 
-    #[test]
-    fn blocking_region_runs_closure_everywhere() {
-        // Foreign thread: direct execution.
-        assert_eq!(blocking_region(|| 41 + 1), 42);
-        // Pooled fiber: worker pool must not deadlock even with one worker.
-        let ex = PooledExec::new(1);
-        let done = Arc::new(AtomicUsize::new(0));
-        let d = done.clone();
-        ex.spawn(
-            "blocker",
-            Box::new(move || {
-                let v = blocking_region(|| 7);
-                d.store(v, Ordering::SeqCst);
-            }),
-        );
-        wait_until(30, "blocking region completes", || {
-            done.load(Ordering::SeqCst) == 7
-        });
-        ex.shutdown();
-    }
-
-    // The remaining tests need real fibers (compensation workers and
-    // scheduler counters do not exist on the thread-per-task fallback).
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    #[test]
-    fn blocking_pool_size_returns_to_target() {
-        let ex = PooledExec::new(2);
-        for round in 0..4 {
-            let done = Arc::new(AtomicUsize::new(0));
-            const BLOCKERS: usize = 4;
-            for b in 0..BLOCKERS {
-                let d = done.clone();
-                ex.spawn(
-                    &format!("blocker{round}-{b}"),
-                    Box::new(move || {
-                        blocking_region(|| std::thread::sleep(Duration::from_millis(5)));
-                        d.fetch_add(1, Ordering::SeqCst);
-                    }),
-                );
-            }
-            wait_until(30, "round of blocking regions", || {
-                done.load(Ordering::SeqCst) == BLOCKERS
-            });
-        }
-        // Every compensation worker must retire once its blocked fiber
-        // resumed: the pool settles back to exactly the configured size.
-        wait_until(30, "pool shrinks back to target", || {
-            let s = ex.scheduler_stats().unwrap();
-            s.current_workers == s.target_workers
-        });
-        ex.shutdown();
-    }
-
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    // The remaining tests need real fibers (scheduler counters do not
+    // exist on the thread-per-task fallback).
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
     #[test]
     fn scheduler_stats_expose_per_worker_counters() {
         let ex = PooledExec::new(2);
@@ -1235,7 +1041,7 @@ mod tests {
         ex.shutdown();
     }
 
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
     #[test]
     fn scheduler_counters_conserve_dispatches() {
         // Conservation of fibers over a fully drained seeded run on four

@@ -1,15 +1,16 @@
 //! Socket-readiness reactor for the pooled executor.
 //!
-//! The thread backend maps every blocked remote-channel operation onto a
-//! compensated OS thread (`blocking_region`): correct, but 10k blocked
-//! remote channels cost 10k threads while 10k blocked *local* channels
-//! cost none. This module is the other half of that asymmetry: an
-//! epoll-based readiness queue owned by a [`super::PooledExec`], so a
-//! remote wait can park its *fiber* through the ordinary
-//! `park_token`/`park` protocol and be woken when the socket becomes
-//! readable or writable. Determinacy is untouched — a reactor wakeup is
-//! just an `unpark_all` on the waiter's key, indistinguishable from any
-//! other wake site (DESIGN.md §5j).
+//! A fiber that blocked in a socket syscall would pin its worker, and 10k
+//! blocked remote channels must not cost more than 10k blocked *local*
+//! channels do. This module is what makes them equal: an epoll-based
+//! readiness queue owned by a [`super::PooledExec`], so a remote wait made
+//! from one of its fibers parks the *fiber* through the ordinary
+//! `park_token`/`park` protocol and is woken when the socket becomes
+//! readable or writable (the net layer's `rio` module does the asking —
+//! waits made from plain OS threads never come here, they block).
+//! Determinacy is untouched — a reactor wakeup is just an `unpark_all` on
+//! the waiter's key, indistinguishable from any other wake site
+//! (DESIGN.md §5j).
 //!
 //! The reactor never blocks and owns no thread. Workers drain it from the
 //! scheduler loop (the pre-sleep path and the fair tick), with the same
@@ -27,8 +28,9 @@
 //! are unparked when it expires.
 //!
 //! Everything is `#[cfg]`-gated to Linux/x86_64 outside Miri — the same
-//! gate as the fiber context switch. Elsewhere [`Reactor::new`] returns
-//! `None` and the net layer stays on the thread backend.
+//! gate as the fibers themselves. Elsewhere [`Reactor::new`] returns
+//! `None`, the pooled executor runs thread-per-task, and every wait
+//! blocks its own thread.
 
 /// Cumulative reactor counters, surfaced through
 /// [`super::SchedulerStats::reactor`] and from there through
@@ -164,7 +166,7 @@ mod imp {
 
     impl Reactor {
         /// Create a reactor, or `None` if the kernel refuses an epoll
-        /// instance (the caller falls back to the thread backend).
+        /// instance (waits then block the calling worker).
         pub fn new() -> Option<Arc<Reactor>> {
             let epfd =
                 unsafe { sys::syscall4(sys::SYS_EPOLL_CREATE1, sys::EPOLL_CLOEXEC, 0, 0, 0) };
@@ -197,17 +199,6 @@ mod imp {
             }
         }
 
-        /// Add `fd` to the epoll set, disarmed (no interest yet).
-        pub fn attach(&self, fd: i32) -> io::Result<()> {
-            let r = self.ctl(sys::EPOLL_CTL_ADD, fd, 0, 0);
-            if r < 0 {
-                return Err(io::Error::from_raw_os_error(-r as i32));
-            }
-            self.attached.fetch_add(1, Ordering::Relaxed);
-            self.registrations.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        }
-
         /// Remove `fd` from the epoll set. Must run before the fd closes.
         pub fn detach(&self, fd: i32) {
             if self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0) >= 0 {
@@ -215,8 +206,10 @@ mod imp {
             }
         }
 
-        /// Arm a one-shot readiness watch on an attached `fd`, delivering
-        /// `key` when it fires. Callers MUST take their park token
+        /// Arm a one-shot readiness watch on `fd` (adding it to the epoll
+        /// set on its first wait), delivering `key` when it fires; the fd
+        /// stays in the set, disarmed, until [`Reactor::detach`]. Callers
+        /// MUST take their park token
         /// *before* arming: one-shot delivery consumed before the token
         /// exists would be a lost wakeup, while any delivery after
         /// `park_token` invalidates the token and the park returns
@@ -228,8 +221,7 @@ mod imp {
             } | sys::EPOLLONESHOT;
             let mut r = self.ctl(sys::EPOLL_CTL_MOD, fd, events, key as u64);
             if r == -sys::ENOENT {
-                // Not attached (or detached by a racing teardown): attach
-                // armed in one step.
+                // First wait on this fd: attach it armed, in one step.
                 r = self.ctl(sys::EPOLL_CTL_ADD, fd, events, key as u64);
                 if r >= 0 {
                     self.attached.fetch_add(1, Ordering::Relaxed);
@@ -245,12 +237,6 @@ mod imp {
         /// Arrange for `unpark_all(key)` no earlier than `deadline`.
         pub fn add_timer(&self, deadline: Instant, key: usize) {
             self.timers.lock().push(Reverse((deadline, key)));
-        }
-
-        /// True when any fd or timer is outstanding: workers must keep
-        /// polling (1 ms naps) rather than sleep indefinitely.
-        pub fn has_work(&self) -> bool {
-            self.attached.load(Ordering::Relaxed) > 0 || !self.timers.lock().is_empty()
         }
 
         /// Drain ready events and expired timers without blocking,
@@ -329,8 +315,9 @@ mod imp {
         }
     }
 
-    /// Blocking readiness wait on one fd, for contexts that cannot park a
-    /// fiber (foreign threads, the sink linger thread). `poll(2)`, so no
+    /// Blocking readiness wait on one fd, for OS threads operating on an
+    /// fd a fiber already switched to non-blocking (the sink watchdog, a
+    /// linger thread). `poll(2)`, so no
     /// registration state; returns `Ok(true)` when ready, `Ok(false)` on
     /// timeout or `EINTR` (callers loop on a deadline).
     pub fn poll_fd(fd: i32, interest: Interest, timeout: Option<Duration>) -> io::Result<bool> {
@@ -381,8 +368,7 @@ mod imp {
         fn oneshot_arm_delivers_key_once() {
             let r = Reactor::new().expect("epoll available on linux");
             let (mut w, rd) = pair();
-            r.attach(rd.as_raw_fd()).unwrap();
-            assert!(r.poll().is_empty(), "disarmed fd must not fire");
+            assert!(r.poll().is_empty(), "nothing armed yet");
             r.arm(rd.as_raw_fd(), 0x1234, Interest::Read).unwrap();
             assert!(r.poll().is_empty(), "no data yet");
             w.write_all(b"x").unwrap();
@@ -406,12 +392,10 @@ mod imp {
             let now = Instant::now();
             r.add_timer(now + Duration::from_millis(30), 2);
             r.add_timer(now + Duration::from_millis(5), 1);
-            assert!(r.has_work());
             std::thread::sleep(Duration::from_millis(10));
             assert_eq!(r.poll(), vec![1]);
             std::thread::sleep(Duration::from_millis(25));
             assert_eq!(r.poll(), vec![2]);
-            assert!(!r.has_work());
             let s = r.stats();
             assert_eq!(s.timer_wakeups, 2);
             assert!(s.polls >= 2);
@@ -436,14 +420,13 @@ mod imp {
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
 mod imp {
-    use super::{Interest, ReactorStats};
-    use std::io;
+    use super::ReactorStats;
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
-    /// Stub reactor for platforms without the epoll backend (and Miri):
-    /// [`Reactor::new`] yields `None`, so no instance ever exists and the
-    /// net layer keeps today's thread-backend behavior.
+    /// Stub reactor for platforms without epoll and fibers (and Miri):
+    /// [`Reactor::new`] yields `None`, so no instance ever exists and
+    /// every wait blocks its own thread.
     #[derive(Debug)]
     pub struct Reactor {
         _never: std::convert::Infallible,
@@ -456,27 +439,7 @@ mod imp {
         }
 
         /// Unreachable (no instance can exist).
-        pub fn attach(&self, _fd: i32) -> io::Result<()> {
-            match self._never {}
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn detach(&self, _fd: i32) {
-            match self._never {}
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn arm(&self, _fd: i32, _key: usize, _interest: Interest) -> io::Result<()> {
-            match self._never {}
-        }
-
-        /// Unreachable (no instance can exist).
         pub fn add_timer(&self, _deadline: Instant, _key: usize) {
-            match self._never {}
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn has_work(&self) -> bool {
             match self._never {}
         }
 
@@ -490,14 +453,8 @@ mod imp {
             match self._never {}
         }
     }
-
-    /// Readiness waits degrade to "assume ready" off-Linux; the caller's
-    /// subsequent blocking I/O provides the actual wait. Only reachable
-    /// if a caller opts into readiness waits without a reactor, which the
-    /// net layer never does off-Linux.
-    pub fn poll_fd(_fd: i32, _interest: Interest, _timeout: Option<Duration>) -> io::Result<bool> {
-        Ok(true)
-    }
 }
 
-pub use imp::{poll_fd, Reactor};
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+pub use imp::poll_fd;
+pub use imp::Reactor;

@@ -20,6 +20,11 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 /// Configuration for a [`Network`].
+///
+/// [`Default`] is [`NetworkConfig::from_env`]: three fields take their
+/// default from the environment (`KPN_EXEC`, `KPN_LINT`, `KPN_SYNTH`), so
+/// an existing program can be switched per run without a code change. A
+/// field set in code always wins — the variables only shape the default.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Capacity (bytes) for channels created without an explicit size.
@@ -32,22 +37,17 @@ pub struct NetworkConfig {
     /// Which executor runs the processes: one OS thread per process
     /// (paper-faithful default), a fixed worker pool multiplexing many
     /// processes, or the deterministic simulation scheduler. Defaults from
-    /// the `KPN_EXEC` environment variable (see [`ExecMode::from_env`]).
+    /// `KPN_EXEC` (`thread` | `pooled` | `pooled:N`; unset means
+    /// [`ExecMode::Thread`]).
     pub mode: ExecMode,
     /// Record every local channel's byte history for the determinacy
     /// oracle ([`Network::histories`]).
     pub record_history: bool,
     /// Enforcement level of the static lint pass run before
-    /// [`Network::start`] and after every dynamic spawn. Defaults from the
-    /// `KPN_LINT` environment variable (see [`LintLevel::from_env`];
-    /// unset means [`LintLevel::Warn`]).
+    /// [`Network::start`] and after every dynamic spawn. Defaults from
+    /// `KPN_LINT` (`off` | `warn` | `deny`; unset means
+    /// [`LintLevel::Warn`]).
     pub lint: LintLevel,
-    /// How the net layer waits on sockets for this process: `None` leaves
-    /// the ambient choice (`KPN_NET_BACKEND` or a prior override) alone;
-    /// `Some` installs a process-wide override at network construction
-    /// (see [`crate::exec::set_net_backend`] — the backend is resolved
-    /// per transport, so it is inherently process-global state).
-    pub net_backend: Option<crate::exec::NetBackend>,
     /// Apply statically synthesized channel capacities at start: the lint
     /// pass's [`crate::Fix::SetCapacity`] suggestions (L003 cycle sums,
     /// and L006 SDF schedule bounds when `kpn-lint`'s pass is installed)
@@ -55,44 +55,39 @@ pub struct NetworkConfig {
     /// runs, so statically-sized regions never enter the runtime
     /// detect-deadlock-and-grow loop. Capacities only ever grow — channel
     /// histories are unaffected (Kahn determinacy is capacity-blind).
-    /// Defaults from the `KPN_SYNTH` environment variable (any value but
-    /// `0` enables it); off when unset.
+    /// Defaults from `KPN_SYNTH` (any value but `0` enables it); off when
+    /// unset.
     pub synthesize_capacities: bool,
 }
 
 impl Default for NetworkConfig {
     fn default() -> Self {
-        NetworkConfig {
-            default_capacity: DEFAULT_CAPACITY,
-            deadlock_policy: DeadlockPolicy::default(),
-            monitor_timing: MonitorTiming::default(),
-            mode: ExecMode::default(),
-            record_history: false,
-            lint: LintLevel::default(),
-            net_backend: None,
-            synthesize_capacities: std::env::var_os("KPN_SYNTH").is_some_and(|v| v != "0"),
-        }
+        Self::from_env()
     }
 }
 
 impl NetworkConfig {
-    /// Run the network on the pooled executor with `n` worker threads
-    /// (0 means `available_parallelism()`). An explicit call here outranks
-    /// both the `KPN_WORKERS` and `KPN_EXEC` environment variables, which
-    /// only shape the [`Default`] mode.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.mode = ExecMode::Pooled { workers: n };
-        self
+    /// The default configuration, with `mode`, `lint` and
+    /// `synthesize_capacities` taken from `KPN_EXEC`, `KPN_LINT` and
+    /// `KPN_SYNTH` — the one place the runtime's configuration reads the
+    /// environment.
+    pub fn from_env() -> Self {
+        let var = |name| std::env::var(name).ok();
+        NetworkConfig {
+            default_capacity: DEFAULT_CAPACITY,
+            deadlock_policy: DeadlockPolicy::default(),
+            monitor_timing: MonitorTiming::default(),
+            mode: var("KPN_EXEC").map_or(ExecMode::Thread, |v| ExecMode::parse(&v)),
+            record_history: false,
+            lint: var("KPN_LINT").map_or(LintLevel::Warn, |v| LintLevel::parse(&v)),
+            synthesize_capacities: var("KPN_SYNTH").is_some_and(|v| v != "0"),
+        }
     }
 
-    /// Select how remote-channel waits block for networks in this process
-    /// (installed at construction; outranks `KPN_NET_BACKEND`). The
-    /// reactor backend parks fibers on socket readiness instead of
-    /// spending a compensated OS thread per blocked remote channel; it
-    /// takes effect on executors that own a reactor ([`crate::PooledExec`]
-    /// on Linux/x86_64) and falls back to thread blocking elsewhere.
-    pub fn net_backend(mut self, backend: crate::exec::NetBackend) -> Self {
-        self.net_backend = Some(backend);
+    /// Run the network on the pooled executor with `n` worker threads
+    /// (0 means `available_parallelism()`), whatever `KPN_EXEC` says.
+    pub fn workers(mut self, n: usize) -> Self {
+        self.mode = ExecMode::Pooled { workers: n };
         self
     }
 
@@ -344,9 +339,6 @@ impl Network {
 
     /// A network with an explicit configuration.
     pub fn with_config(config: NetworkConfig) -> Self {
-        if let Some(backend) = config.net_backend {
-            crate::exec::set_net_backend(Some(backend));
-        }
         // Under sim the monitor needs no settling delay: only one task
         // executes at a time, so no concurrent activity can race a
         // deadlock verdict. Its tick also runs from the scheduler's idle

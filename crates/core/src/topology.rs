@@ -35,11 +35,12 @@ use std::sync::{Arc, Weak};
 // ---------------------------------------------------------------------------
 
 /// How lint findings are enforced by a [`crate::Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LintLevel {
     /// No lint pass runs.
     Off,
     /// Findings are printed to stderr; execution proceeds.
+    #[default]
     Warn,
     /// Findings block `start()` (and dynamic spawns) with
     /// [`crate::Error::Lint`].
@@ -47,24 +48,14 @@ pub enum LintLevel {
 }
 
 impl LintLevel {
-    /// Resolves the level from the `KPN_LINT` environment variable
-    /// (`off` / `warn` / `deny`, case-insensitive), defaulting to
-    /// [`LintLevel::Warn`].
-    pub fn from_env() -> Self {
-        match std::env::var("KPN_LINT") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "off" | "0" | "none" => LintLevel::Off,
-                "deny" | "error" => LintLevel::Deny,
-                _ => LintLevel::Warn,
-            },
-            Err(_) => LintLevel::Warn,
+    /// Parse a `KPN_LINT` value (`off` / `warn` / `deny`,
+    /// case-insensitive); anything unrecognized is [`LintLevel::Warn`].
+    pub(crate) fn parse(v: &str) -> Self {
+        match v.trim().to_ascii_lowercase().as_str() {
+            "off" | "0" | "none" => LintLevel::Off,
+            "deny" | "error" => LintLevel::Deny,
+            _ => LintLevel::Warn,
         }
-    }
-}
-
-impl Default for LintLevel {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -1188,10 +1179,11 @@ mod tests {
     }
 
     #[test]
-    fn lint_level_from_env_values() {
-        // Not using set_var (process-global); just exercise the parser via
-        // default when unset.
-        let lvl = LintLevel::from_env();
-        assert!(matches!(lvl, LintLevel::Warn | LintLevel::Deny | LintLevel::Off));
+    fn lint_level_parses_kpn_lint_values() {
+        assert_eq!(LintLevel::parse("off"), LintLevel::Off);
+        assert_eq!(LintLevel::parse("0"), LintLevel::Off);
+        assert_eq!(LintLevel::parse(" DENY "), LintLevel::Deny);
+        assert_eq!(LintLevel::parse("warn"), LintLevel::Warn);
+        assert_eq!(LintLevel::parse("bogus"), LintLevel::Warn);
     }
 }

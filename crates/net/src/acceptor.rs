@@ -22,7 +22,7 @@
 use crate::frame::{read_hello_token, CONN_CONTROL, CONN_HELLO, TAG_STOP};
 use crate::transport::{NetProfile, Transport};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use kpn_core::{blocking_region, Error, Exec, Result};
+use kpn_core::{Error, Exec, Result};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
@@ -58,9 +58,8 @@ pub(crate) struct PendingConn {
 
 impl PendingConn {
     /// Waits for the data connection (`timeout` of `None` waits forever,
-    /// until the registration is dropped). Parks the calling fiber on the
-    /// reactor backend; otherwise blocks the thread the way the plain
-    /// `rx.recv()` path always has (compensated when unbounded).
+    /// until the registration is dropped). A pooled fiber parks; an OS
+    /// thread blocks in the plain `rx.recv()`.
     pub(crate) fn recv_wait(
         &self,
         timeout: Option<Duration>,
@@ -98,12 +97,8 @@ impl PendingConn {
             out
         } else {
             match timeout {
-                // Bounded waits are short recovery polls whose callers sit
-                // inside a blocking_region already — don't re-compensate.
                 Some(t) => self.rx.recv_timeout(t),
-                None => {
-                    blocking_region(|| self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected))
-                }
+                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
             }
         }
     }

@@ -446,6 +446,15 @@ impl Node {
     }
 }
 
+impl Drop for Node {
+    /// A dropped node stops listening: the accept loop is poked awake,
+    /// sees the closed flag and exits, dropping the listening socket with
+    /// it. Data connections already handed to endpoints live on.
+    fn drop(&mut self) {
+        self.acceptor.close();
+    }
+}
+
 impl std::fmt::Debug for Node {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Node")

@@ -268,7 +268,7 @@ impl SinkCore {
         let mut attempt: u32 = 0;
         let transport = loop {
             match factory.connect(addr, token) {
-                Ok(t) => break crate::rio::maybe_wrap(t),
+                Ok(t) => break crate::rio::wrap(t),
                 Err(e) if policy.enabled && link_failure(&e) && !budget.exhausted() => {
                     let delay = policy.backoff(attempt, &mut rng);
                     attempt = attempt.saturating_add(1);
@@ -441,7 +441,7 @@ impl SinkCore {
             guard.attempt();
             attempt = attempt.saturating_add(1);
             let transport = match self.factory.connect(&self.addr, self.token) {
-                Ok(t) => crate::rio::maybe_wrap(t),
+                Ok(t) => crate::rio::wrap(t),
                 Err(e) if link_failure(&e) => continue,
                 Err(e) => return Err(e),
             };
@@ -573,25 +573,6 @@ impl SinkCore {
         // Reading acks can block: publish this task's buffered output
         // first (same deadlock-safety rule as local channels).
         kpn_core::flush::flush_before_block();
-        // An event-driven transport parks the *fiber* on readiness inside
-        // its own read path, so this wait occupies no OS thread and needs
-        // no compensation. A blocking transport holds an OS thread, not
-        // just a task: tell the executor so a pooled worker is compensated
-        // for while we sit in `read`. (`conn == None` means the first step
-        // goes straight to `recover`, whose fresh transport matches the
-        // backend — decide by the backend in that case.)
-        let event_driven = match self.conn.as_ref() {
-            Some(c) => c.get_ref().is_event_driven(),
-            None => crate::rio::parking_context().is_some(),
-        };
-        if event_driven {
-            self.wait_acked_inner(target, marker_wait)
-        } else {
-            kpn_core::exec::blocking_region(|| self.wait_acked_inner(target, marker_wait))
-        }
-    }
-
-    fn wait_acked_inner(&mut self, target: u64, marker_wait: bool) -> Result<()> {
         let mut tmp = [0u8; 256];
         loop {
             if self.acked >= target {
@@ -1011,8 +992,8 @@ impl RemoteSource {
         token: u64,
     ) -> Self {
         // Accepted connections arrive unwrapped (the acceptor's factory
-        // knows nothing about executors); attach the reactor here.
-        let transport = crate::rio::maybe_wrap(transport);
+        // knows nothing about executors); make their waits fiber-aware.
+        let transport = crate::rio::wrap(transport);
         if let Some(i) = &interruptor {
             i.attach_transport(&*transport);
         }
@@ -1253,7 +1234,7 @@ impl RemoteSource {
             match pending.recv_wait(Some(RECOVERY_POLL)) {
                 Ok(transport) => {
                     guard.attempt();
-                    let transport = crate::rio::maybe_wrap(transport);
+                    let transport = crate::rio::wrap(transport);
                     let _ = transport.set_op_timeout(self.policy.op_timeout);
                     if let Some(i) = &self.interruptor {
                         i.attach_transport(&*transport);
@@ -1302,18 +1283,6 @@ impl RemoteSource {
             self.token, self.expected
         ))
     }
-
-    fn read_loop(&mut self, buf: &mut [u8]) -> Result<SourceRead> {
-        loop {
-            match self.try_read(buf) {
-                Ok(r) => return Ok(r),
-                Err(e) if self.policy.enabled && !self.closed && link_failure(&e) => {
-                    self.recover()?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
 }
 
 impl Source for RemoteSource {
@@ -1322,16 +1291,14 @@ impl Source for RemoteSource {
         // buffered output first (same deadlock-safety rule as local
         // channels — see `kpn_core::flush`).
         kpn_core::flush::flush_before_block();
-        if self.stream.get_ref().is_event_driven() {
-            // Event-driven transport: a wait parks this *fiber* on socket
-            // readiness and the worker thread moves on — no OS thread is
-            // held, so no blocking region is needed (or wanted: it would
-            // spawn a compensation thread for a wait that costs none).
-            self.read_loop(buf)
-        } else {
-            // Blocking transport: the wait occupies a worker thread; enter
-            // a blocking region so a pooled executor backfills it.
-            kpn_core::exec::blocking_region(|| self.read_loop(buf))
+        loop {
+            match self.try_read(buf) {
+                Ok(r) => return Ok(r),
+                Err(e) if self.policy.enabled && !self.closed && link_failure(&e) => {
+                    self.recover()?;
+                }
+                Err(e) => return Err(e),
+            }
         }
     }
 
@@ -1389,9 +1356,8 @@ impl Source for PendingSource {
     fn read(&mut self, _buf: &mut [u8]) -> Result<SourceRead> {
         // Waiting for a connection is a blocking read: flush first so the
         // peer (who may need our buffered output to make progress before
-        // connecting back) can proceed. `recv_wait` parks the fiber on the
-        // reactor backend; otherwise it blocks inside a blocking region so
-        // a pooled executor keeps its worker count whole.
+        // connecting back) can proceed. `recv_wait` parks a fiber and
+        // blocks an OS thread.
         kpn_core::flush::flush_before_block();
         match self.pending.recv_wait(None) {
             Ok(transport) => {

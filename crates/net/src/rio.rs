@@ -1,21 +1,36 @@
-//! Reactor-backed I/O: the event-driven net backend's transport wrapper.
+//! Socket waits that follow the caller.
 //!
-//! Under the thread backend every blocked remote-channel operation pins a
-//! compensated OS thread inside `blocking_region` — 10k blocked remote
-//! channels cost 10k threads. [`ReactorIo`] removes that cost: it puts
-//! the socket in permanent non-blocking mode and emulates blocking
-//! semantics *internally* — an operation that would block parks the
-//! calling fiber through the ordinary `Exec::park_token`/`park` protocol
-//! with interest registered on the pool's
-//! [`Reactor`](kpn_core::exec::reactor::Reactor), and retries when the
-//! worker loop drains the readiness queue and unparks it.
+//! The rule, evaluated per wait from the calling context and from nothing
+//! else: **a remote wait made from a pooled fiber parks that fiber on its
+//! pool's reactor; a wait made from an OS thread (thread executor, sim,
+//! foreign / client / linger threads) blocks that thread in one plain
+//! blocking syscall.** A blocked remote channel therefore costs a parked
+//! fiber on the pooled executor and — exactly as in the paper (§4) — a
+//! blocked thread on the thread executor, and no option, environment
+//! variable or config field takes part in the choice.
+//!
+//! [`ReactorIo`] is the transport wrapper that implements it. Every
+//! fd-backed transport is wrapped (on Linux x86_64, the one target with
+//! fibers). The wrapper starts out transparent: the fd stays in blocking
+//! mode and every operation is the inner transport's single syscall. The
+//! first time a *fiber* operates on it — even if the endpoint was
+//! connected on a control thread and moved into a process later — the fd
+//! is switched to non-blocking for good and blocking semantics are
+//! emulated here instead: an operation that would block parks the fiber
+//! through the ordinary `Exec::park_token`/`park` protocol with interest
+//! registered on the pool's
+//! [`Reactor`](kpn_core::exec::reactor::Reactor), and retries when a
+//! worker drains the readiness queue and unparks it. An OS thread that
+//! later touches a switched fd (the sink watchdog, a linger thread) waits
+//! in `poll(2)` instead of parking.
 //!
 //! Because blocking semantics are preserved at the [`Transport`] surface
-//! (complete reads/writes or a synthesized `TimedOut`, exactly what a
-//! kernel op timeout yields), everything above — `BufReader`/`BufWriter`
-//! framing, the ack parser, the reconnection state machines, and
+//! in both states (complete reads/writes or a `TimedOut`/`WouldBlock`
+//! after the op timeout, exactly what a kernel timeout yields), everything
+//! above — `BufReader`/`BufWriter` framing, the ack parser, the
+//! reconnection state machines, and
 //! [`FaultyTransport`](crate::transport::FaultyTransport) fault schedules
-//! wrapped *underneath* this layer — runs unchanged under both backends.
+//! wrapped *underneath* this layer — is the same code whoever waits.
 //!
 //! ## The lost-wakeup ordering
 //!
@@ -28,34 +43,25 @@
 //! fiber path ignores park timeouts by design); timers are never
 //! cancelled, so a stale timer is just a spurious unpark on a dead
 //! generation.
-//!
-//! Contexts that cannot park a fiber — foreign threads (the sink linger
-//! thread), thread/sim executors, a pool whose reactor failed to
-//! initialize — fall back per-wait to `poll(2)` under `blocking_region`,
-//! which is precisely the thread backend's cost model.
 
 use crate::transport::Transport;
 use kpn_core::exec::reactor::Reactor;
-use kpn_core::{Exec, NetBackend};
+use kpn_core::Exec;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// The executor and reactor to park through, when — and only when — the
-/// reactor backend is selected *and* the current task runs on an executor
-/// that owns a reactor. `None` means "behave like the thread backend for
-/// this wait".
+/// calling task runs on an executor that owns a reactor (a pooled fiber).
+/// `None` means the caller is an OS thread of its own and waits by
+/// blocking it.
 pub(crate) fn parking_context() -> Option<(Arc<dyn Exec>, Arc<Reactor>)> {
-    if kpn_core::exec::net_backend() != NetBackend::Reactor {
-        return None;
-    }
     let exec = kpn_core::exec::current_exec()?;
     let reactor = exec.reactor()?;
     Some((exec, reactor))
 }
 
-/// Fiber-aware sleep: parks the calling fiber on a reactor timer when
-/// reactor parking is active (so 1k concurrently backing-off writers do
-/// not spawn 1k compensation threads), else a plain thread sleep.
+/// Sleep that follows the caller: a fiber parks on a reactor timer (so 1k
+/// concurrently backing-off writers hold no worker), an OS thread sleeps.
 pub(crate) fn sleep(d: Duration) {
     if d.is_zero() {
         return;
@@ -78,14 +84,15 @@ pub(crate) fn sleep(d: Duration) {
     }
 }
 
-/// Wrap `t` in a [`ReactorIo`] when the reactor backend is selected and
-/// the transport is socket-backed; otherwise return it unchanged. The
-/// wrapper goes *outside* any [`FaultyTransport`] so seeded chaos
-/// schedules keep stepping on every attempt under both backends.
-pub(crate) fn maybe_wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
+/// Wrap a socket-backed `t` in a [`ReactorIo`]; transports without an fd
+/// (and every transport off Linux x86_64, where no fiber exists to park)
+/// are returned unchanged. The wrapper goes *outside* any
+/// [`FaultyTransport`](crate::transport::FaultyTransport) so seeded chaos
+/// schedules keep stepping on every attempt whoever waits.
+pub(crate) fn wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
     #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
     {
-        imp::maybe_wrap(t)
+        imp::wrap(t)
     }
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
     {
@@ -97,9 +104,8 @@ pub(crate) fn maybe_wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
 mod imp {
     use super::parking_context;
     use crate::transport::Transport;
-    use kpn_core::blocking_region;
     use kpn_core::exec::reactor::{poll_fd, Interest, Reactor};
-    use kpn_core::NetBackend;
+    use kpn_core::Exec;
     use parking_lot::Mutex;
     use std::io::{Read, Write};
     use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -107,111 +113,115 @@ mod imp {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    pub(super) fn maybe_wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
-        if kpn_core::exec::net_backend() != NetBackend::Reactor || t.is_event_driven() {
-            return t;
-        }
+    pub(super) fn wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
         let Some(fd) = t.raw_fd() else {
             return t;
         };
-        if t.set_nonblocking(true).is_err() {
-            return t;
-        }
         Box::new(ReactorIo {
             inner: t,
             fd,
             key: Box::new(0),
             op_timeout: Mutex::new(None),
             passthrough: AtomicBool::new(false),
+            parking: AtomicBool::new(false),
             attached: Mutex::new(None),
         })
     }
 
-    /// A transport whose fd lives permanently in non-blocking mode;
-    /// would-block operations park the fiber on readiness (see the module
-    /// docs). Blocking semantics are emulated at this surface, so callers
-    /// above see complete operations or `TimedOut` — never `WouldBlock`,
-    /// unless they opted into passthrough via `set_nonblocking(true)`.
+    /// A transport whose waits follow the caller (see the module docs).
+    /// Callers above see complete operations or a timeout — never a bare
+    /// would-block, unless they opted into it via `set_nonblocking(true)`.
     pub(super) struct ReactorIo {
         inner: Box<dyn Transport>,
         fd: i32,
         /// Stable heap address used as this endpoint's park key (the
         /// `ReactorIo` itself moves when the owning endpoint does).
         key: Box<u8>,
-        /// Mirror of the endpoint's op timeout: non-blocking fds never
-        /// surface kernel timeouts, so this layer synthesizes them.
+        /// Mirror of the endpoint's op timeout: a non-blocking fd never
+        /// surfaces kernel timeouts, so once `parking` this layer
+        /// synthesizes them.
         op_timeout: Mutex<Option<Duration>>,
-        /// `set_nonblocking(true)` from above (ack draining) switches to
-        /// passthrough: surface `WouldBlock` instead of waiting.
+        /// `set_nonblocking(true)` from above (ack draining): surface
+        /// `WouldBlock` instead of waiting.
         passthrough: AtomicBool,
-        /// The reactor this fd is attached to, for re-attach after an
-        /// executor change and detach-before-close on drop.
+        /// Set by the first fiber that operates on this transport: the fd
+        /// is non-blocking from then on and waits are emulated here.
+        /// Until then every operation is the inner transport's.
+        parking: AtomicBool,
+        /// The reactor this fd last waited on, for moving the registration
+        /// after an executor change and detach-before-close on drop.
         attached: Mutex<Option<Arc<Reactor>>>,
     }
+
+    type Parker = (Arc<dyn Exec>, Arc<Reactor>);
 
     impl ReactorIo {
         fn key(&self) -> usize {
             std::ptr::addr_of!(*self.key) as usize
         }
 
-        fn deadline(&self) -> Option<Instant> {
-            self.op_timeout.lock().map(|d| Instant::now() + d)
-        }
-
-        fn ensure_attached(&self, reactor: &Arc<Reactor>) -> std::io::Result<()> {
+        /// Arms the fd on `reactor`, first moving its registration over if
+        /// it last waited on another pool's.
+        fn arm(&self, reactor: &Arc<Reactor>, interest: Interest) -> std::io::Result<()> {
             let mut att = self.attached.lock();
-            match &*att {
-                Some(r) if Arc::ptr_eq(r, reactor) => Ok(()),
-                _ => {
-                    if let Some(old) = att.take() {
-                        old.detach(self.fd);
-                    }
-                    reactor.attach(self.fd)?;
-                    *att = Some(reactor.clone());
-                    Ok(())
+            if !att.as_ref().is_some_and(|r| Arc::ptr_eq(r, reactor)) {
+                if let Some(old) = att.replace(reactor.clone()) {
+                    old.detach(self.fd);
                 }
             }
+            reactor.arm(self.fd, self.key(), interest)
         }
 
         /// Wait until `fd` reports readiness for `interest` (or a timer /
-        /// spurious wakeup; the caller's retry loop re-checks). Parks the
-        /// fiber when possible, else blocks this thread compensated.
-        fn wait_ready(&self, interest: Interest, deadline: Option<Instant>) -> std::io::Result<()> {
-            if let Some((exec, reactor)) = parking_context() {
-                if self.ensure_attached(&reactor).is_ok() {
-                    let key = self.key();
-                    // Token BEFORE arm: see the module docs on one-shot
-                    // delivery ordering.
-                    let token = exec.park_token(key);
-                    if reactor.arm(self.fd, key, interest).is_ok() {
-                        let timeout = deadline.map(|dl| {
-                            reactor.add_timer(dl, key);
-                            dl.saturating_duration_since(Instant::now())
-                        });
-                        let _ = exec.park(key, token, timeout);
-                        return Ok(());
-                    }
+        /// spurious wakeup; the caller's retry loop re-checks). A fiber
+        /// parks; an OS thread on an fd some fiber already switched blocks
+        /// in `poll(2)`.
+        fn wait_ready(
+            &self,
+            parker: &Option<Parker>,
+            interest: Interest,
+            deadline: Option<Instant>,
+        ) -> std::io::Result<()> {
+            if let Some((exec, reactor)) = parker {
+                let key = self.key();
+                // Token BEFORE arm: see the module docs on one-shot
+                // delivery ordering.
+                let token = exec.park_token(key);
+                if self.arm(reactor, interest).is_ok() {
+                    let timeout = deadline.map(|dl| {
+                        reactor.add_timer(dl, key);
+                        dl.saturating_duration_since(Instant::now())
+                    });
+                    let _ = exec.park(key, token, timeout);
+                    return Ok(());
                 }
             }
-            // No parkable context (foreign thread, thread/sim executor,
-            // reactor unavailable): block this OS thread, compensated.
-            blocking_region(|| {
-                let timeout = deadline.map(|dl| dl.saturating_duration_since(Instant::now()));
-                poll_fd(self.fd, interest, timeout).map(|_| ())
-            })
+            let timeout = deadline.map(|dl| dl.saturating_duration_since(Instant::now()));
+            poll_fd(self.fd, interest, timeout).map(|_| ())
         }
 
         /// Drives one *logical* operation to completion. `op` is invoked
         /// with `retry = false` exactly once (the attempt that charges a
         /// fault-injecting transport's schedule) and with `retry = true`
         /// after each readiness wakeup — see [`Transport::retry_read`] for
-        /// why the distinction keeps chaos schedules backend-identical.
+        /// why the distinction keeps chaos schedules identical whoever
+        /// waits.
         fn run<T>(
             &mut self,
             interest: Interest,
             mut op: impl FnMut(&mut Box<dyn Transport>, bool) -> std::io::Result<T>,
         ) -> std::io::Result<T> {
-            let deadline = self.deadline();
+            let parker = parking_context();
+            if !self.parking.load(Ordering::Relaxed) {
+                if parker.is_none() {
+                    // An OS thread on a blocking fd: one plain syscall.
+                    return op(&mut self.inner, false);
+                }
+                // First fiber on this fd: non-blocking from here on.
+                self.inner.set_nonblocking(true)?;
+                self.parking.store(true, Ordering::Relaxed);
+            }
+            let deadline = self.op_timeout.lock().map(|d| Instant::now() + d);
             let mut retry = false;
             loop {
                 match op(&mut self.inner, std::mem::replace(&mut retry, true)) {
@@ -226,7 +236,7 @@ mod imp {
                         if deadline.is_some_and(|dl| Instant::now() >= dl) {
                             return Err(std::io::Error::from(std::io::ErrorKind::TimedOut));
                         }
-                        self.wait_ready(interest, deadline)?;
+                        self.wait_ready(&parker, interest, deadline)?;
                     }
                     r => return r,
                 }
@@ -257,9 +267,9 @@ mod imp {
             })
         }
         fn flush(&mut self) -> std::io::Result<()> {
-            // `flush` never advances fault schedules, so retries need no
-            // special path.
-            self.run(Interest::Write, |t, _| t.flush())
+            // Sockets have no userspace buffer below this layer: flushing
+            // never waits (and never advances a fault schedule).
+            self.inner.flush()
         }
     }
 
@@ -275,28 +285,23 @@ mod imp {
         }
         fn set_op_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
             *self.op_timeout.lock() = timeout;
-            // Push it down too: FaultyTransport mirrors the timeout for
-            // its stall emulation (kernel timeouts on a non-blocking fd
-            // are inert, so this costs nothing on a raw TcpTransport).
+            // Always pushed down as well: the kernel enforces it while the
+            // fd still blocks, and FaultyTransport mirrors it for its
+            // stall emulation.
             self.inner.set_op_timeout(timeout)
         }
         fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-            // The fd never leaves non-blocking mode; this only toggles
-            // whether WouldBlock surfaces to the caller.
             self.passthrough.store(nonblocking, Ordering::Relaxed);
-            Ok(())
+            if self.parking.load(Ordering::Relaxed) {
+                // The fd never leaves non-blocking mode again; the flag
+                // alone decides whether WouldBlock surfaces.
+                Ok(())
+            } else {
+                self.inner.set_nonblocking(nonblocking)
+            }
         }
         fn raw_fd(&self) -> Option<i32> {
             Some(self.fd)
-        }
-        fn try_read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.inner.read(buf)
-        }
-        fn try_write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.inner.write(buf)
-        }
-        fn is_event_driven(&self) -> bool {
-            true
         }
     }
 

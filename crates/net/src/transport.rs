@@ -54,55 +54,27 @@ pub trait Transport: Read + Write + Send {
     /// waiting for more).
     fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()>;
     /// The raw OS file descriptor backing this transport, for readiness
-    /// registration with the reactor net backend (see `rio`). `None` when
-    /// the transport is not socket-backed; readiness parking then
-    /// degrades to thread blocking.
+    /// registration with a pooled executor's reactor (see `rio`). `None`
+    /// when the transport is not socket-backed; it is then used as is and
+    /// every wait blocks the calling thread.
     fn raw_fd(&self) -> Option<i32> {
         None
     }
-    /// One non-blocking read attempt: `WouldBlock` instead of waiting.
-    /// The default toggles `set_nonblocking` around a plain read;
-    /// transports that are already non-blocking override it with a direct
-    /// attempt.
-    fn try_read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.set_nonblocking(true)?;
-        let r = self.read(buf);
-        let restore = self.set_nonblocking(false);
-        let n = r?;
-        restore?;
-        Ok(n)
-    }
-    /// One non-blocking write attempt; see [`Transport::try_read`].
-    fn try_write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.set_nonblocking(true)?;
-        let r = self.write(buf);
-        let restore = self.set_nonblocking(false);
-        let n = r?;
-        restore?;
-        Ok(n)
-    }
     /// Re-attempts a read the caller has *already* started: identical to
     /// a plain `read`, except fault-injecting transports do not advance
-    /// their schedule. The event-driven wrapper charges one fault step on
-    /// the first attempt of each logical operation and retries through
-    /// this after every readiness wakeup — so a blocking read (one call,
-    /// one step) and a park-and-retry read (one charged call plus any
-    /// number of retries) consume fault schedules at exactly the same op
-    /// counts, which the chaos determinacy oracle compares across
-    /// backends.
+    /// their schedule. The fiber-parking wrapper (`rio`) charges one fault
+    /// step on the first attempt of each logical operation and retries
+    /// through this after every readiness wakeup — so a blocking read (one
+    /// call, one step) and a park-and-retry read (one charged call plus
+    /// any number of retries) consume fault schedules at exactly the same
+    /// op counts, which the chaos determinacy oracle compares across
+    /// executors.
     fn retry_read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         self.read(buf)
     }
     /// Write-side counterpart of [`Transport::retry_read`].
     fn retry_write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         self.write(buf)
-    }
-    /// True when waits on this transport park the calling *task* on
-    /// socket readiness instead of blocking the OS thread. Endpoints skip
-    /// `blocking_region` compensation around operations on such
-    /// transports — that is the whole point of the reactor backend.
-    fn is_event_driven(&self) -> bool {
-        false
     }
 }
 
@@ -472,17 +444,6 @@ impl Transport for FaultyTransport {
     fn raw_fd(&self) -> Option<i32> {
         self.inner.raw_fd()
     }
-    fn try_read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        // One fault-schedule step per attempt — the same cadence as a
-        // blocking read, so chaos plans fire at the same op counts under
-        // both net backends.
-        self.step()?;
-        self.inner.try_read(buf)
-    }
-    fn try_write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.step()?;
-        self.inner.try_write(buf)
-    }
     fn retry_read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         // A retry of a logical op that was charged on its first attempt:
         // keep the dead-connection semantics but leave the fault schedule
@@ -497,9 +458,6 @@ impl Transport for FaultyTransport {
             return Err(std::io::Error::from(std::io::ErrorKind::ConnectionReset));
         }
         self.inner.retry_write(buf)
-    }
-    fn is_event_driven(&self) -> bool {
-        self.inner.is_event_driven()
     }
 }
 
@@ -760,23 +718,16 @@ pub fn notify_probe() {
 /// condvar-based replacement for the probe's former fixed-interval sleep.
 /// Returns `true` if woken by an event.
 pub fn probe_wait(timeout: Duration) -> bool {
-    // A condvar wait pins an OS thread; announce it so a pooled executor
-    // running the probe as a task backfills the occupied worker.
-    kpn_core::exec::blocking_region(|| {
-        let w = waker();
-        let mut events = w.events.lock();
-        let before = *events;
-        if *events != before {
-            return true;
+    let w = waker();
+    let mut events = w.events.lock();
+    let before = *events;
+    let deadline = Instant::now() + timeout;
+    while *events == before {
+        if w.cond.wait_until(&mut events, deadline).timed_out() {
+            return *events != before;
         }
-        let deadline = Instant::now() + timeout;
-        while *events == before {
-            if w.cond.wait_until(&mut events, deadline).timed_out() {
-                return *events != before;
-            }
-        }
-        true
-    })
+    }
+    true
 }
 
 /// Classification of an I/O error for the recovery logic: `true` means

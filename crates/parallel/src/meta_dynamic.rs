@@ -26,9 +26,10 @@ use crate::task::TaskTypeRegistry;
 use kpn_codec::{ObjectReader, ObjectWriter};
 use kpn_core::stdlib::{Cons, Duplicate, Sequence};
 use kpn_core::{
-    ChannelReader, ChannelWriter, DataReader, DataWriter, Error, Iterative, Network, Process,
+    ChannelReader, ChannelWriter, DataReader, DataWriter, Error, Exec, Iterative, Network, Process,
     ProcessCtx, Result,
 };
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -92,6 +93,81 @@ impl Iterative for Direct {
     }
 }
 
+/// The arrival-order queue between a [`Turnstile`]'s pumps and the
+/// turnstile itself. The turnstile waits through its executor's
+/// `park_token`/`park` protocol, like a channel read — a pooled fiber
+/// parks instead of pinning its worker, so the pumps it is waiting for can
+/// run even on a one-worker pool.
+struct Merge {
+    exec: Arc<dyn Exec>,
+    state: Mutex<MergeState>,
+}
+
+struct MergeState {
+    queue: VecDeque<(usize, Vec<u8>)>,
+    /// The turnstile is parked (or about to be): the next push wakes it.
+    waiting: bool,
+    /// Pumps still running; the merged stream ends when it reaches zero.
+    pumps: usize,
+    /// The turnstile is gone: pumps retire instead of queueing.
+    closed: bool,
+}
+
+impl Merge {
+    fn key(&self) -> usize {
+        self as *const Merge as usize
+    }
+
+    /// Queues one arrival; `false` once the turnstile is gone.
+    fn push(&self, item: (usize, Vec<u8>)) -> bool {
+        let mut st = self.state.lock();
+        if st.closed {
+            return false;
+        }
+        st.queue.push_back(item);
+        let wake = std::mem::take(&mut st.waiting);
+        drop(st);
+        if wake {
+            self.exec.unpark_all(self.key());
+        }
+        true
+    }
+
+    /// The next arrival, or `None` once every pump has ended.
+    fn pop(&self) -> Result<Option<(usize, Vec<u8>)>> {
+        loop {
+            let mut st = self.state.lock();
+            if let Some(item) = st.queue.pop_front() {
+                return Ok(Some(item));
+            }
+            if st.pumps == 0 {
+                return Ok(None);
+            }
+            st.waiting = true;
+            let token = self.exec.park_token(self.key());
+            drop(st);
+            self.exec.park(self.key(), token, None)?;
+        }
+    }
+
+    /// Marks one end of the queue gone (a pump ended, or the turnstile
+    /// did) and wakes the other.
+    fn hang_up(&self, update: impl FnOnce(&mut MergeState)) {
+        update(&mut self.state.lock());
+        self.exec.unpark_all(self.key());
+    }
+}
+
+/// A pump's handle on the queue; dropping it (return, error or panic)
+/// counts the pump out.
+struct PumpEnd(Arc<Merge>);
+
+impl Drop for PumpEnd {
+    fn drop(&mut self) {
+        self.0.hang_up(|st| st.pumps -= 1);
+    }
+}
+
 /// Figure 18's `t`: merges worker results in arrival order and reports
 /// that order on the index stream. Internally one pump process per input
 /// feeds a shared queue — the queue's arrival order is the sanctioned
@@ -100,7 +176,15 @@ pub struct Turnstile {
     inputs: Option<Vec<ChannelReader>>,
     data_out: ObjectWriter,
     index_out: DataWriter,
-    merged: Option<crossbeam::channel::Receiver<(usize, Vec<u8>)>>,
+    merged: Option<Arc<Merge>>,
+}
+
+impl Drop for Turnstile {
+    fn drop(&mut self) {
+        if let Some(merge) = &self.merged {
+            merge.hang_up(|st| st.closed = true);
+        }
+    }
 }
 
 impl Turnstile {
@@ -127,9 +211,17 @@ impl Iterative for Turnstile {
 
     fn on_start(&mut self, ctx: &ProcessCtx) -> Result<()> {
         let inputs = self.inputs.take().expect("started twice");
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, Vec<u8>)>();
+        let merge = Arc::new(Merge {
+            exec: kpn_core::exec::current_exec().expect("process runs on a live executor"),
+            state: Mutex::new(MergeState {
+                queue: VecDeque::new(),
+                waiting: false,
+                pumps: inputs.len(),
+                closed: false,
+            }),
+        });
         for (w, input) in inputs.into_iter().enumerate() {
-            let tx = tx.clone();
+            let tx = PumpEnd(merge.clone());
             ctx.spawn(Box::new(kpn_core::FnProcess::new(
                 format!("turnstile-pump-{w}"),
                 move |_| {
@@ -137,7 +229,7 @@ impl Iterative for Turnstile {
                     loop {
                         match reader.read_raw() {
                             Ok(record) => {
-                                if tx.send((w, record)).is_err() {
+                                if !tx.0.push((w, record)) {
                                     // Turnstile gone (downstream closed):
                                     // retire; dropping `reader` cancels the
                                     // worker upstream.
@@ -151,19 +243,19 @@ impl Iterative for Turnstile {
                 },
             )));
         }
-        self.merged = Some(rx);
+        self.merged = Some(merge);
         Ok(())
     }
 
     fn step(&mut self, _ctx: &ProcessCtx) -> Result<()> {
-        let rx = self.merged.as_ref().expect("on_start ran");
-        match rx.recv() {
-            Ok((w, record)) => {
+        let merge = self.merged.as_ref().expect("on_start ran");
+        match merge.pop()? {
+            Some((w, record)) => {
                 self.index_out.write_i64(w as i64)?;
                 self.data_out.write_raw(&record)
             }
             // All pumps ended: every worker stream hit EOF.
-            Err(_) => Err(Error::Eof),
+            None => Err(Error::Eof),
         }
     }
 }

@@ -6,7 +6,7 @@
 //! fence shows up as a data race or a lost wakeup, not as a failed
 //! assertion in calm tests.
 
-use kpn::core::{blocking_region, Exec, PooledExec};
+use kpn::core::{Exec, PooledExec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -126,91 +126,5 @@ fn foreign_thread_unparks_race_worker_sleep() {
         done.load(Ordering::SeqCst) == FIBERS
     });
     waker.join().unwrap();
-    ex.shutdown();
-}
-
-/// Blocking regions churning the worker set while other fibers keep
-/// parking and unparking: compensation workers spawn, steal leftover work,
-/// adopt freed slots, and retire — all while the run queues stay live.
-/// (x86_64 only: compensation workers exist only with real fibers.)
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[test]
-fn blocking_churn_with_live_queues() {
-    const BLOCKERS: usize = 6;
-    const WORKERS_TASKS: usize = 200;
-    let ex = PooledExec::new(2);
-    let done = Arc::new(AtomicUsize::new(0));
-    for i in 0..BLOCKERS {
-        let d = done.clone();
-        ex.spawn(
-            &format!("blocker{i}"),
-            Box::new(move || {
-                for _ in 0..5 {
-                    blocking_region(|| std::thread::sleep(Duration::from_millis(2)));
-                }
-                d.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-    }
-    for i in 0..WORKERS_TASKS {
-        let d = done.clone();
-        ex.spawn(
-            &format!("task{i}"),
-            Box::new(move || {
-                d.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-    }
-    wait_until(60, "blockers and tasks all finish", || {
-        done.load(Ordering::SeqCst) == BLOCKERS + WORKERS_TASKS
-    });
-    // The compensation workers must have retired.
-    wait_until(30, "pool back at configured size", || {
-        let s = ex.scheduler_stats().expect("pooled stats");
-        s.current_workers == s.target_workers
-    });
-    ex.shutdown();
-}
-
-/// The `blocked_workers` gauge and `current_workers` must be snapshotted
-/// under one lock: a sampler racing blocking-region churn must never see
-/// more blocked workers than workers alive (`enter_blocking` both marks
-/// the blocker external *and* guarantees a compensation worker under the
-/// same central lock, so the invariant holds at every instant — a torn
-/// two-lock snapshot was the only way to violate it).
-/// (x86_64 only: blocking regions compensate only with real fibers.)
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[test]
-fn blocked_gauge_never_exceeds_alive_workers() {
-    const BLOCKERS: usize = 8;
-    const ROUNDS: usize = 40;
-    let ex = PooledExec::new(2);
-    let done = Arc::new(AtomicUsize::new(0));
-    for i in 0..BLOCKERS {
-        let d = done.clone();
-        ex.spawn(
-            &format!("churn{i}"),
-            Box::new(move || {
-                for _ in 0..ROUNDS {
-                    blocking_region(|| std::thread::sleep(Duration::from_micros(300)));
-                }
-                d.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-    }
-    // Sample as fast as possible while the churn runs; every snapshot
-    // must satisfy the invariant.
-    let mut samples = 0u64;
-    while done.load(Ordering::SeqCst) < BLOCKERS {
-        let s = ex.scheduler_stats().expect("pooled stats");
-        assert!(
-            s.blocked_workers <= s.current_workers,
-            "torn snapshot: {} blocked > {} alive after {samples} samples",
-            s.blocked_workers,
-            s.current_workers,
-        );
-        samples += 1;
-    }
-    assert!(samples > 0);
     ex.shutdown();
 }

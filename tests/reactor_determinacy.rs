@@ -1,33 +1,31 @@
-//! Cross-backend chaos determinacy: the event-driven net backend changes
-//! *how* a remote endpoint waits (parked fiber vs blocked thread), and
-//! Kahn determinacy says that must be invisible — under a pinned fault
-//! seed the channel histories have to come out bit-identical whichever
-//! backend ran them. The `Transport::retry_read`/`retry_write` cadence
+//! Cross-executor chaos determinacy: the wait mechanism follows the
+//! caller (a remote wait made from a pooled fiber parks on the pool's
+//! reactor, one made from an OS thread blocks it), and Kahn determinacy
+//! says that must be invisible — under a pinned fault seed the channel
+//! histories have to come out bit-identical whichever executor ran the
+//! relay processes. The `Transport::retry_read`/`retry_write` cadence
 //! contract is what makes this hold with fault injection in the stack:
-//! one logical operation charges one fault-schedule step under both
-//! backends, so a pinned seed's faults land on the same operations.
+//! one logical operation charges one fault-schedule step whether it is a
+//! single blocking syscall or a park-and-retry loop, so a pinned seed's
+//! faults land on the same operations.
 //!
-//! The thread-backend leg runs on the default thread-per-process
-//! executor (the configuration the chaos suite pins in CI); the reactor
-//! leg runs the deployed networks on the pooled executor so readiness
-//! parking is the real code path, not the foreign-thread fallback.
-//!
-//! The backend override is process-global, so these tests serialize on a
-//! lock (they never run concurrently in a normal invocation anyway: one
-//! is ignored, one is not).
+//! Each run builds its own relay — client → `Identity` on "server" 0 →
+//! `Identity` on "server" 1 → client, every hop a remote channel — out of
+//! three acceptors and two networks whose executor is set explicitly in
+//! their `NetworkConfig`. Nothing here touches the environment or any
+//! process-wide state, so the tests run with the default test-thread
+//! count, in any order, next to each other.
 
 #![cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 
-use kpn::core::exec::set_net_backend;
-use kpn::core::NetBackend;
-use kpn::net::chaos::{chaos_policy, relay_history, ChaosCluster};
-use kpn::net::FaultProfile;
-use std::sync::Mutex;
-
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
+use kpn::core::stdlib::Identity;
+use kpn::core::{DataReader, DataWriter, Error, ExecMode, LintLevel, Network, NetworkConfig};
+use kpn::net::chaos::{chaos_policy, ChaosGuard};
+use kpn::net::{remote_reader, remote_writer, Acceptor, FaultProfile, NetProfile};
 
 /// Same pinned seeds as `chaos_reconnect.rs` (CI's chaos job).
 const SEEDS: [u64; 3] = [0x5EED_0001, 0x5EED_0002, 0x5EED_0003];
+const ROUND_TRIPS: i64 = 48;
 
 fn profile() -> FaultProfile {
     FaultProfile {
@@ -38,67 +36,106 @@ fn profile() -> FaultProfile {
     }
 }
 
-/// One seeded relay run. Reconnect budgets are charged in nominal wait
-/// time (see `ReconnectPolicy::budget`), so a loaded machine performs
-/// exactly as many recovery attempts as an idle one and a run either
-/// completes or fails identically regardless of wall-clock load — no
-/// retry loop papering over early budget exhaustion.
-fn seeded_history(backend: NetBackend, seed: u64) -> Vec<i64> {
-    let cluster = ChaosCluster::with_faults(2, seed, profile(), chaos_policy()).unwrap();
-    let history = relay_history(&cluster, 48)
-        .unwrap_or_else(|e| panic!("relay under {backend:?} seed {seed:#x} failed: {e}"));
-    assert!(
-        cluster.injected() > 0,
-        "seed {seed:#x} injected no faults under {backend:?}"
-    );
-    history
+fn network(mode: &ExecMode) -> Network {
+    Network::with_config(NetworkConfig {
+        mode: mode.clone(),
+        lint: LintLevel::Off, // the endpoints are remote: nothing local to lint
+        ..NetworkConfig::default()
+    })
 }
 
-/// Relay histories under `backend`: the fault-free baseline plus one run
-/// per seed, all of which must already agree within the backend.
-fn histories(backend: NetBackend, seeds: &[u64]) -> Vec<Vec<i64>> {
-    set_net_backend(Some(backend));
+/// One ping-pong relay run with both `Identity` processes on `mode`,
+/// fault-free (`seed == None`) or under that seed's schedule. Reconnect
+/// budgets are charged in nominal wait time (see `ReconnectPolicy::budget`),
+/// so a loaded machine performs exactly as many recovery attempts as an
+/// idle one and a run either completes or fails identically regardless of
+/// wall-clock load.
+fn relay_history(mode: &ExecMode, seed: Option<u64>) -> Vec<i64> {
+    let mut guard = seed.map(|s| ChaosGuard::new(s, profile(), chaos_policy()));
+    let net_profile = guard
+        .as_ref()
+        .map_or_else(NetProfile::default, ChaosGuard::net_profile);
+    let mut bind = || {
+        let acceptor = Acceptor::bind_with("127.0.0.1:0", net_profile.clone()).unwrap();
+        if let Some(g) = guard.as_mut() {
+            g.cover(acceptor.local_addr().to_string());
+        }
+        acceptor
+    };
+    let (client, s0, s1) = (bind(), bind(), bind());
+    let (t_in, t_mid, t_back) = (0xD37E_0001u64, 0xD37E_0002, 0xD37E_0003);
+    let connect = |to: &Acceptor, token| {
+        remote_writer(&to.local_addr().to_string(), token)
+            .unwrap_or_else(|e| panic!("connect under {mode:?} seed {seed:x?}: {e}"))
+    };
+    // Every endpoint is made here, on the test thread, and moved into the
+    // process that uses it — on the pooled leg the first fiber to touch
+    // one switches it to parking.
+    let (n0, n1) = (network(mode), network(mode));
+    n0.add(Identity::new(remote_reader(&s0, t_in), connect(&s1, t_mid)));
+    n1.add(Identity::new(
+        remote_reader(&s1, t_mid),
+        connect(&client, t_back),
+    ));
+    let mut w = DataWriter::new(connect(&s0, t_in));
+    let mut r = DataReader::new(remote_reader(&client, t_back));
+    n0.start();
+    n1.start();
+
+    let fail = |e: Error| -> ! { panic!("relay under {mode:?} seed {seed:x?} failed: {e}") };
     let mut out = Vec::new();
-    let plain = ChaosCluster::plain(2).unwrap();
-    out.push(relay_history(&plain, 48).unwrap());
-    for &seed in seeds {
-        out.push(seeded_history(backend, seed));
+    for i in 0..ROUND_TRIPS {
+        w.write_i64(i).unwrap_or_else(|e| fail(e));
+        out.push(r.read_i64().unwrap_or_else(|e| fail(e)));
     }
-    set_net_backend(None);
+    drop(w); // sends Close; the relay winds down by exhaustion
+    match r.read_i64() {
+        Err(Error::Eof) => {}
+        other => panic!("relay under {mode:?} seed {seed:x?} did not end cleanly: {other:?}"),
+    }
+    n0.join().unwrap_or_else(|e| fail(e));
+    n1.join().unwrap_or_else(|e| fail(e));
+    if let Some(g) = &guard {
+        assert!(
+            g.injected() > 0,
+            "seed {seed:x?} injected no faults under {mode:?}"
+        );
+    }
     out
 }
 
-fn assert_backends_agree(seeds: &[u64]) {
-    let threads = histories(NetBackend::Threads, seeds);
-    // Pooled networks for the reactor leg (the deployed graphs read the
-    // executor mode from the environment per network start).
-    std::env::set_var("KPN_WORKERS", "2");
-    let reactor = histories(NetBackend::Reactor, seeds);
-    std::env::remove_var("KPN_WORKERS");
-    for (i, h) in threads.iter().enumerate() {
+/// The fault-free baseline plus one run per seed, all on `mode`.
+fn histories(mode: ExecMode, seeds: &[u64]) -> Vec<Vec<i64>> {
+    std::iter::once(None)
+        .chain(seeds.iter().copied().map(Some))
+        .map(|seed| relay_history(&mode, seed))
+        .collect()
+}
+
+fn assert_executors_agree(seeds: &[u64]) {
+    let thread = histories(ExecMode::Thread, seeds);
+    let pooled = histories(ExecMode::Pooled { workers: 2 }, seeds);
+    for (i, h) in thread.iter().enumerate() {
         assert_eq!(
-            h, &threads[0],
-            "thread backend broke determinacy on run {i}"
+            h, &thread[0],
+            "thread executor broke determinacy on run {i}"
         );
     }
     assert_eq!(
-        threads, reactor,
-        "histories diverge between thread and reactor backends"
+        thread, pooled,
+        "histories diverge between blocked-thread and parked-fiber waits"
     );
 }
 
 #[test]
-fn relay_histories_identical_across_backends() {
-    let _g = BACKEND_LOCK.lock().unwrap();
-    // The kpn-net unit suite's pinned seed; the full 0x5EED set stays
-    // in the ignored variant, which CI's chaos job runs with the whole
-    // machine to itself.
-    assert_backends_agree(&[0xC0FFEE]);
+fn relay_histories_identical_across_executors() {
+    // The kpn-net unit suite's pinned seed; the full 0x5EED set stays in
+    // the ignored variant, which CI's chaos job runs.
+    assert_executors_agree(&[0xC0FFEE]);
 }
 
 #[test]
 #[ignore = "chaos: run with --ignored"]
-fn relay_histories_identical_across_backends_all_seeds() {
-    let _g = BACKEND_LOCK.lock().unwrap();
-    assert_backends_agree(&SEEDS);
+fn relay_histories_identical_across_executors_all_seeds() {
+    assert_executors_agree(&SEEDS);
 }
