@@ -25,13 +25,13 @@
 
 use crate::buffer::RingBuffer;
 use crate::error::{Error, Result};
-use crate::flush::{self, Flushable};
 use crate::exec::Exec;
+use crate::flush::{self, Flushable, Publish};
 use crate::monitor::{BlockGuard, BlockKind, ChannelIoStats, Monitor, MonitoredChannel};
 use crate::sim::HistoryRecorder;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Default channel capacity in bytes, analogous to the default buffer size
@@ -77,6 +77,20 @@ pub trait Sink: Send {
     /// Gracefully ends the stream: the reader drains remaining data, then
     /// sees EOF.
     fn close(&mut self);
+    /// True when the reader of this stream is waiting for bytes the writer
+    /// has not made visible yet — the question the `Iterative` step boundary
+    /// asks before publishing a private chunk (see [`crate::flush`]). The
+    /// default `true` means "unknown": a transport that cannot see its
+    /// reader (a socket) is flushed at every step boundary.
+    fn reader_waiting(&self) -> bool {
+        true
+    }
+    /// The most bytes this transport accepts before a write blocks, when it
+    /// has such a bound. A private write buffer stacked on the transport is
+    /// never larger (see [`ChannelWriter::ensure_buffered`]).
+    fn capacity(&self) -> Option<usize> {
+        None
+    }
     /// Ends the stream with a continuation: the reader drains remaining
     /// data, then continues reading from `upstream` (writer retirement,
     /// Figures 9/10). Only local sinks support this.
@@ -114,6 +128,21 @@ struct BufState {
 pub(crate) struct Shared {
     id: u64,
     state: Mutex<BufState>,
+    /// The answer to [`Sink::reader_waiting`]. The reader sets it under the
+    /// state lock each time it is about to park on an empty buffer; the
+    /// writer clears it when it *issues* the wake, not when the reader
+    /// resumes — for the whole wake latency the reader is already taken
+    /// care of, and every step boundary inside that window may keep
+    /// batching. Also set, for good, when the reader closes or the channel
+    /// is poisoned, so the writer's next step boundary flushes into the
+    /// error instead of producing a chunk's worth of tokens for nobody.
+    ///
+    /// `Relaxed` throughout: the flag publishes no data (the bytes travel
+    /// under the state lock, and so do both stores); it is a hint about
+    /// *when* to flush. A stale `false` costs the reader one more producer
+    /// step, a stale `true` costs one early flush, and publish-before-wait
+    /// never consults it.
+    reader_waiting: AtomicBool,
     monitor: Option<Arc<Monitor>>,
     /// The executor every blocking operation on this channel parks through
     /// — the single scheduling seam (thread, pooled, or sim; see
@@ -146,6 +175,7 @@ impl Shared {
                 read_blocks: 0,
                 peak_occupancy: 0,
             }),
+            reader_waiting: AtomicBool::new(false),
             monitor,
             exec,
             recorder,
@@ -198,6 +228,9 @@ impl Shared {
             if !pred(&st) {
                 break;
             }
+            if side == BlockKind::Read {
+                self.reader_waiting.store(true, Ordering::Relaxed);
+            }
             // The token is read under the state lock with the predicate
             // still true: any wake that happens after we release the lock
             // bumps the generation, and `park` returns immediately on a
@@ -225,6 +258,37 @@ impl Shared {
             BlockKind::Write => st.write_waiters -= 1,
         }
         res
+    }
+
+    /// The one place a task waits on this channel, in the order that keeps
+    /// private buffers invisible to Kahn semantics and to the monitor:
+    /// publish, register, park.
+    fn block(&self, side: BlockKind, pred: impl Fn(&BufState) -> bool) -> Result<()> {
+        // Publish-before-wait (see `crate::flush`): a token stranded in a
+        // private chunk here could be exactly the one the rest of the
+        // network is waiting for, and the monitor cannot see it either. A
+        // reader must publish all its output; so must a writer — its
+        // *other* outputs are as invisible as a reader's (the sink being
+        // flushed into this channel is mid-flush and skips itself). The
+        // flush can block, so it comes before the registration: a task
+        // registers as blocked once.
+        flush::flush_before_block();
+        match &self.monitor {
+            Some(m) => {
+                // Register with the monitor *before* re-checking the
+                // predicate inside `park_while`: if our registration
+                // completes an all-blocked picture and detection grows
+                // this channel, the re-check sees the new capacity.
+                let _guard = BlockGuard::enter(m, side, self.id)?;
+                // The timeout is the monitor's detection fallback; the
+                // clamp keeps a zero tick from busy-spinning (executors
+                // that cannot honor timeouts tick via idle hooks
+                // instead).
+                let tick = m.timing().tick.max(std::time::Duration::from_millis(1));
+                self.park_while(side, Some(tick), pred)
+            }
+            None => self.park_while(side, None, pred),
+        }
     }
 }
 
@@ -305,6 +369,7 @@ impl MonitoredChannel for Shared {
     fn poison(&self) {
         let mut st = self.state.lock();
         st.poisoned = true;
+        self.reader_waiting.store(true, Ordering::Relaxed);
         // Wake only the sides that actually have parked tasks: poisoning
         // an idle channel (the common case when a whole network aborts)
         // costs two flag reads instead of two broadcast wakeups.
@@ -354,25 +419,9 @@ impl LocalSink {
             }
             st.write_blocks += 1;
             drop(st);
-            let pred =
-                |st: &BufState| st.buf.is_full() && !st.read_closed && !st.poisoned;
-            match &sh.monitor {
-                Some(m) => {
-                    // Register with the monitor *before* re-checking the
-                    // predicate inside `park_while`: if our registration
-                    // completes an all-blocked picture and detection grows
-                    // this channel, the re-check sees the new capacity.
-                    let guard = BlockGuard::enter(m, BlockKind::Write, sh.id)?;
-                    // The timeout is the monitor's detection fallback; the
-                    // clamp keeps a zero tick from busy-spinning (executors
-                    // that cannot honor timeouts tick via idle hooks
-                    // instead).
-                    let tick = m.timing().tick.max(std::time::Duration::from_millis(1));
-                    sh.park_while(BlockKind::Write, Some(tick), pred)?;
-                    drop(guard);
-                }
-                None => sh.park_while(BlockKind::Write, None, pred)?,
-            }
+            sh.block(BlockKind::Write, |st| {
+                st.buf.is_full() && !st.read_closed && !st.poisoned
+            })?;
         }
     }
 }
@@ -411,12 +460,23 @@ impl Sink for LocalSink {
             st.bytes_written += n as u64;
             st.peak_occupancy = st.peak_occupancy.max(st.buf.len());
             let wake = n > 0 && st.read_waiters > 0;
+            if wake {
+                sh.reader_waiting.store(false, Ordering::Relaxed);
+            }
             drop(st);
             if wake {
                 sh.wake_readers();
             }
         }
         Ok(())
+    }
+
+    fn reader_waiting(&self) -> bool {
+        self.shared.reader_waiting.load(Ordering::Relaxed)
+    }
+
+    fn capacity(&self) -> Option<usize> {
+        Some(self.shared.state.lock().buf.capacity())
     }
 
     fn close(&mut self) {
@@ -495,24 +555,9 @@ impl Source for LocalSource {
             }
             st.read_blocks += 1;
             drop(st);
-            // Deadlock-safe flush (see `crate::flush`): before parking, make
-            // every buffered byte this thread has written visible. A token
-            // stranded in a private buffer here could be exactly the one the
-            // producer of *this* channel is waiting for, and the monitor
-            // cannot see it either — without this hook, buffering would turn
-            // live networks into falsely "true" deadlocks.
-            flush::flush_before_block();
-            let pred =
-                |st: &BufState| st.buf.is_empty() && !st.write_closed && !st.poisoned;
-            match &sh.monitor {
-                Some(m) => {
-                    let guard = BlockGuard::enter(m, BlockKind::Read, sh.id)?;
-                    let tick = m.timing().tick.max(std::time::Duration::from_millis(1));
-                    sh.park_while(BlockKind::Read, Some(tick), pred)?;
-                    drop(guard);
-                }
-                None => sh.park_while(BlockKind::Read, None, pred)?,
-            }
+            sh.block(BlockKind::Read, |st| {
+                st.buf.is_empty() && !st.write_closed && !st.poisoned
+            })?;
         }
     }
 
@@ -524,6 +569,7 @@ impl Source for LocalSource {
         let (cont, wake) = {
             let mut st = self.shared.state.lock();
             st.read_closed = true;
+            self.shared.reader_waiting.store(true, Ordering::Relaxed);
             (st.continuation.take(), st.write_waiters > 0)
         };
         if wake {
@@ -574,8 +620,6 @@ struct BufCore {
     buf: Vec<u8>,
     cap: usize,
     inner: Option<Box<dyn Sink>>,
-    /// Flush-registry token of the thread that last wrote (the owner).
-    owner: u64,
     /// First error seen by a flush whose caller could not consume it (a
     /// read-path auto-flush). Sticky: surfaced on every later operation,
     /// reproducing §3.4's "exception on the next write".
@@ -586,6 +630,16 @@ struct BufCore {
 /// per-thread flush registries.
 struct BufferedShared {
     state: Mutex<BufCore>,
+    /// Flush-registry token of the task that last wrote (the owner; 0 =
+    /// never written). Outside the lock so that a sweep over a stale
+    /// registration (the sink has since moved to another task) never takes
+    /// it: the owner's own publish-before-wait `try_lock`s, and must only
+    /// ever find the lock held by itself. `Relaxed`: the token publishes
+    /// no data — the owner reads its own store, and a former owner that
+    /// for an instant still reads its old token at worst publishes the
+    /// chunk itself, under the lock (every publish is a write the
+    /// unbuffered execution has already performed).
+    owner: AtomicU64,
 }
 
 impl BufferedShared {
@@ -618,33 +672,42 @@ impl BufferedShared {
 }
 
 impl Flushable for BufferedShared {
-    fn flush_owned(&self, owner: u64) -> Result<()> {
-        // try_lock, not lock: a sink busy on another thread is by definition
-        // not ours to flush (its registry entry here is stale), and blocking
-        // on it from a read path could deadlock two flushing threads.
+    fn flush_owned(&self, owner: u64, which: Publish) -> Result<()> {
+        if self.owner.load(Ordering::Relaxed) != owner {
+            return Ok(()); // stale registration: the sink moved on
+        }
+        // try_lock, not lock: only the owner writes or flushes, so a held
+        // lock means this very task is mid-flush on this sink — the flush
+        // blocked, and publish-before-wait led back here. It is already on
+        // its way out.
         let Some(mut st) = self.state.try_lock() else {
             return Ok(());
         };
-        if st.owner != owner || st.buf.is_empty() {
+        if st.buf.is_empty() {
+            return Ok(());
+        }
+        if which == Publish::Awaited && st.inner.as_ref().is_some_and(|s| !s.reader_waiting()) {
             return Ok(());
         }
         // On error the stash has recorded it for the owner's next write;
-        // read-path callers swallow the return value while
-        // `ProcessCtx::flush_sinks` propagates it.
+        // publish-before-wait swallows the return value while the step
+        // boundary and `ProcessCtx::flush_sinks` propagate it.
         BufferedShared::flush_locked(&mut st)
     }
 }
 
 /// A [`Sink`] adapter that batches small writes into one inner transfer per
-/// [`DEFAULT_STREAM_BUFFER`]-sized chunk. Installed by
+/// chunk (at most [`DEFAULT_STREAM_BUFFER`] bytes, and never more than the
+/// inner transport's own capacity). Installed by
 /// [`ChannelWriter::ensure_buffered`]; typed tokens then cost a `Vec` append
 /// instead of a channel mutex round-trip each.
 ///
-/// Deadlock safety: the sink registers with the owning thread's flush
-/// registry (re-registering lazily when written from a new thread, since
+/// Deadlock safety: the sink registers with the owning task's flush
+/// registry (re-registering lazily when written from a new task, since
 /// processes are built on the main thread and run on their own), and every
-/// blocking read path calls [`flush::flush_before_block`] so buffered bytes
-/// are never invisible to a blocked consumer or to the deadlock monitor.
+/// path on which a task waits calls [`flush::flush_before_block`] first, so
+/// buffered bytes are never invisible to a blocked consumer or to the
+/// deadlock monitor.
 struct BufferedSink {
     shared: Arc<BufferedShared>,
     /// Task token this sink last registered under (0 = never).
@@ -659,9 +722,9 @@ impl BufferedSink {
                     buf: Vec::with_capacity(capacity),
                     cap: capacity.max(1),
                     inner: Some(inner),
-                    owner: 0,
                     stashed: None,
                 }),
+                owner: AtomicU64::new(0),
             }),
             registered_for: 0,
         }
@@ -669,24 +732,23 @@ impl BufferedSink {
 
     /// Registers with the calling task's flush registry and takes
     /// ownership, once per task the sink is written from.
-    fn adopt(&mut self) -> u64 {
+    fn adopt(&mut self) {
         let tok = flush::task_token();
         if self.registered_for != tok {
             self.registered_for = tok;
+            self.shared.owner.store(tok, Ordering::Relaxed);
             flush::register(Arc::downgrade(&self.shared) as std::sync::Weak<dyn Flushable>);
         }
-        tok
     }
 }
 
 impl Sink for BufferedSink {
     fn write_all(&mut self, buf: &[u8]) -> Result<()> {
-        let tok = self.adopt();
+        self.adopt();
         let mut st = self.shared.state.lock();
         if let Some(e) = &st.stashed {
             return Err(replay(e));
         }
-        st.owner = tok;
         if st.buf.len() + buf.len() <= st.cap {
             st.buf.extend_from_slice(buf);
             return Ok(());
@@ -708,10 +770,8 @@ impl Sink for BufferedSink {
     }
 
     fn flush(&mut self) -> Result<()> {
-        let tok = self.adopt();
-        let mut st = self.shared.state.lock();
-        st.owner = tok;
-        BufferedShared::flush_locked(&mut st)
+        self.adopt();
+        BufferedShared::flush_locked(&mut self.shared.state.lock())
     }
 
     fn close(&mut self) {
@@ -841,15 +901,22 @@ impl ChannelWriter {
     /// if the writer is already buffered (wrapping a `DataWriter`'s inner
     /// writer again must not stack buffers) or if `capacity` is zero.
     ///
+    /// The buffer is never larger than the transport's own bound
+    /// ([`Sink::capacity`]): a channel created with `n` bytes of capacity
+    /// holds at most `2n` with its writer's private chunk counted, so the
+    /// bounded-buffer behaviour of §3.5 (blocking writes, artificial
+    /// deadlock, growth) is that of the capacity that was asked for.
+    ///
     /// Buffered bytes become visible on `flush`/`close`/drop, when the
-    /// buffer fills, and — crucially for deadlock safety — automatically
-    /// before any blocking read performed by the owning thread (see
-    /// [`crate::flush`]).
+    /// buffer fills, at an `Iterative` step boundary if the reader is
+    /// waiting, and — crucially for deadlock safety — before the owning
+    /// task waits for anything (see [`crate::flush`]).
     pub fn ensure_buffered(&mut self, capacity: usize) {
         if self.buffered || capacity == 0 {
             return;
         }
         if let Some(inner) = self.sink.take() {
+            let capacity = capacity.min(inner.capacity().unwrap_or(usize::MAX));
             self.sink = Some(Box::new(BufferedSink::new(inner, capacity)));
             self.buffered = true;
         }
@@ -1731,6 +1798,45 @@ mod tests {
         w2.close();
         r2.close();
         w2.close();
+    }
+
+    #[test]
+    fn reader_waiting_is_set_on_park_and_cleared_by_the_wake() {
+        // The flag must go down when the writer *issues* the wake, not when
+        // the reader gets around to resuming: every step boundary inside
+        // the wake latency would otherwise flush (and wake) again.
+        let (mut w, r) = channel();
+        assert!(!w.sink().reader_waiting(), "nobody is parked yet");
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let h = thread::spawn(move || {
+            let mut r = r;
+            let mut buf = [0u8; 1];
+            r.read_exact(&mut buf).unwrap(); // parks
+            go_rx.recv().unwrap(); // stays away from the channel
+            r.read_exact(&mut buf).unwrap(); // parks again
+        });
+        let wait_until_parked = |w: &mut ChannelWriter| {
+            while !w.sink().reader_waiting() {
+                thread::sleep(Duration::from_millis(1));
+            }
+        };
+        wait_until_parked(&mut w);
+        w.write_all(b"x").unwrap();
+        assert!(
+            !w.sink().reader_waiting(),
+            "cleared by the write that woke the reader, whether or not it has resumed"
+        );
+        go_tx.send(()).unwrap();
+        wait_until_parked(&mut w);
+        w.write_all(b"y").unwrap();
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn reader_waiting_after_close_so_the_writer_flushes_into_the_error() {
+        let (mut w, r) = channel();
+        drop(r);
+        assert!(w.sink().reader_waiting());
     }
 
     #[test]

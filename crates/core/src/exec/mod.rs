@@ -270,9 +270,10 @@ pub(crate) struct TaskLocals {
     /// The executor running this task (for [`current_exec`] and pooled
     /// self-identification). Weak to avoid an `Arc` cycle.
     pub(crate) exec: Weak<dyn Exec>,
-    /// Buffered sinks owned by this task: flushed before every blocking
-    /// read (see [`crate::flush`]).
-    pub(crate) sinks: Mutex<Vec<Weak<dyn Flushable>>>,
+    /// Buffered sinks owned by this task: published before the task waits
+    /// for anything (see [`crate::flush`]). An immutable list replaced on
+    /// registration, so a sweep shares it without copying.
+    pub(crate) sinks: Mutex<Arc<Vec<Weak<dyn Flushable>>>>,
 }
 
 impl TaskLocals {
@@ -282,7 +283,7 @@ impl TaskLocals {
             name: name.to_string(),
             is_process,
             exec,
-            sinks: Mutex::new(Vec::new()),
+            sinks: Mutex::new(Arc::new(Vec::new())),
         })
     }
 }

@@ -1,51 +1,87 @@
-//! Deadlock-safe auto-flush for privately buffered sinks.
+//! When privately buffered output becomes visible.
 //!
 //! Buffered typed streams ([`crate::DataWriter`], and the buffered sink it
 //! installs via [`crate::ChannelWriter::ensure_buffered`]) hold written bytes
-//! in a private buffer so that a burst of small typed tokens costs one
-//! channel transfer instead of one mutex round-trip each. That private buffer
-//! creates a correctness hazard unique to process networks: a token sitting
-//! in an unflushed buffer while its producer blocks on a *read* is invisible
-//! both to the consumer (who may need exactly that token to make progress)
-//! and to the deadlock monitor (§3.5), which would then misclassify a live
-//! network as truly deadlocked — or simply hang under `DeadlockPolicy::Ignore`.
+//! in a private chunk so that a burst of small typed tokens costs one
+//! channel transfer instead of one mutex round-trip each. *When* those bytes
+//! cross into the channel is not part of any channel history — buffering
+//! delays writes, it never reorders them within a channel — so the runtime
+//! is free to choose the moment, subject to two obligations: nobody may wait
+//! forever for a byte that sits in a private chunk, and the deadlock monitor
+//! (§3.5) must never inspect a stalled network whose channels hide data.
 //!
-//! The rule that restores Kahn semantics is simple: **a process must make all
-//! of its buffered output visible before it parks on a blocking read**. With
-//! that rule, the externally observable channel histories are identical to
-//! the unbuffered execution — per-channel token order is unchanged (buffering
-//! only delays writes, never reorders them within a channel), and at every
-//! blocking read the process has published everything it would have published
-//! unbuffered. Determinacy (Kahn) and artificial-deadlock accounting (Parks)
-//! are therefore preserved.
+//! ## The rule
 //!
-//! Mechanically, every buffered sink registers itself with a *task-local*
-//! registry carried by the current task's identity record (under
-//! the pooled executor one OS thread runs many tasks, so a thread-local
-//! registry would conflate sinks across processes; under thread-per-process
-//! a task *is* a thread and the behavior is the paper's). The blocking paths
-//! of the local channel transport (and the remote transports in `kpn-net`)
-//! call [`flush_before_block`] just before parking, which walks the current
-//! task's registry and flushes every sink the task owns. Ownership follows
-//! the *last writer task*: processes are typically constructed on the main
-//! thread and moved to their spawned task, so a sink re-registers lazily
-//! whenever it is written from a new task. Stale registrations on the old
-//! task are skipped by an owner-token check and pruned as their weak
-//! references die.
+//! A task's private chunk is published (written to its channel) when
+//!
+//! 1. the chunk **fills** — it is at most `min(DEFAULT_STREAM_BUFFER,
+//!    channel capacity)` bytes, so a channel never holds more than twice the
+//!    bound it was created with;
+//! 2. the owning task is **about to wait for anything** — a local read on
+//!    an empty channel, a local write on a full one, a remote socket, the
+//!    `Turnstile`'s merge queue: [`flush_before_block`] publishes every
+//!    sink the task owns *before* it registers with the monitor and parks;
+//! 3. the sink **closes** (or is dropped, or retires);
+//! 4. the process **asks**: [`crate::DataWriter::flush`] for one stream,
+//!    [`crate::ProcessCtx::flush_sinks`] for all of the task's; and
+//! 5. at an **`Iterative` step boundary, if the sink's reader is waiting**
+//!    ([`crate::Sink::reader_waiting`]): a reader parked on the channel is
+//!    fed by its producer's next step boundary, so a token becomes visible
+//!    at most one producer step later than under an unconditional per-step
+//!    flush. A reader that is busy is not interrupted, and the chunk keeps
+//!    batching; the batch sizes itself to (wake latency × token rate).
+//!
+//! Clause 2 is what keeps buffering invisible to Kahn determinacy and to
+//! Parks' bounded scheduling. Every publish is a write the unbuffered
+//! execution would already have performed, so it can only block where that
+//! execution could block; and whenever a task is parked — for whatever
+//! reason — every byte it has produced is in a channel where its consumer
+//! and the monitor can see it. A token stranded in a private chunk while
+//! its producer waits could be exactly the one the rest of the network
+//! needs, and the monitor would misclassify the live network as truly
+//! deadlocked (or, for a write-blocked producer with a second output, grow
+//! the wrong channel). Publishing *before* monitor registration matters
+//! too: a flush can itself block on a full channel, and a task must never
+//! register as blocked twice.
+//!
+//! ## Mechanism
+//!
+//! Every buffered sink registers itself with a *task-local* registry
+//! carried by the current task's identity record (under the pooled executor
+//! one OS thread runs many tasks, so a thread-local registry would conflate
+//! sinks across processes; under thread-per-process a task *is* a thread).
+//! Ownership follows the *last writer task*: processes are typically
+//! constructed on the main thread and moved to their spawned task, so a sink
+//! re-registers lazily whenever it is written from a new task. Stale
+//! registrations on the old task are skipped by an owner-token check and
+//! pruned as their weak references die. The registry is an immutable list
+//! replaced on registration, so a sweep shares it instead of copying it —
+//! the step boundary runs one sweep per `Iterative::step` and must not allocate.
 
 use crate::error::Result;
-use std::sync::Weak;
+use std::sync::{Arc, Weak};
+
+/// Which of a task's dirty sinks a sweep publishes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Publish {
+    /// Every dirty sink: the task is about to wait, or asked for "now".
+    All,
+    /// Only sinks whose reader is waiting for them
+    /// ([`crate::Sink::reader_waiting`]): the `Iterative` step boundary.
+    Awaited,
+}
 
 /// A sink with a private buffer that can be flushed by the flush registry.
 ///
-/// Implementations must be cheap to probe when clean and must *never* block
-/// on a lock that another task's flush could hold (use `try_lock` and skip:
-/// a sink mid-write on another task is by definition not owned by us).
+/// Implementations must be cheap to probe when clean or not owned, and must
+/// *never* block on a lock a flush could be holding (use `try_lock` and
+/// skip: a sink mid-flush on this task is already being published).
 pub trait Flushable: Send + Sync {
     /// Flushes the private buffer toward the consumer *if* the sink is
-    /// currently owned by the task with token `owner`. Non-owners and
-    /// clean sinks return `Ok(())` without side effects.
-    fn flush_owned(&self, owner: u64) -> Result<()>;
+    /// currently owned by the task with token `owner` and `which` selects
+    /// it. Non-owners, clean sinks and — under [`Publish::Awaited`] — sinks
+    /// nobody is waiting on return `Ok(())` without side effects.
+    fn flush_owned(&self, owner: u64, which: Publish) -> Result<()>;
 }
 
 /// A small, unique, never-reused identifier for the calling task (a process
@@ -55,45 +91,55 @@ pub fn task_token() -> u64 {
 }
 
 /// Registers a buffered sink with the *calling* task's flush registry.
-/// Dead entries are pruned opportunistically on each registration.
+/// Dead entries are pruned on each registration. The registry is replaced,
+/// not edited: a sweep in progress keeps walking the list it started with.
 pub fn register(sink: Weak<dyn Flushable>) {
     crate::exec::with_current(|locals| {
-        let mut v = locals.sinks.lock();
-        v.retain(|w| w.strong_count() > 0);
+        let mut sinks = locals.sinks.lock();
+        let mut v: Vec<_> = sinks
+            .iter()
+            .filter(|w| w.strong_count() > 0)
+            .cloned()
+            .collect();
         v.push(sink);
+        *sinks = Arc::new(v);
     });
 }
 
-/// Flushes every live buffered sink owned by the calling task, returning
-/// the first error encountered (all sinks are still attempted). This is what
-/// [`crate::ProcessCtx::flush_sinks`] calls after each `Iterative::step`.
-pub fn flush_task_sinks() -> Result<()> {
-    // Snapshot strong handles first: flushing can block (a full channel), and
-    // we must not hold the registry lock across that (a write performed by
-    // a woken process on this task would re-enter `register`).
-    let (me, handles): (u64, Vec<_>) = crate::exec::with_current(|locals| {
-        let mut v = locals.sinks.lock();
-        v.retain(|w| w.strong_count() > 0);
-        (locals.token, v.iter().filter_map(Weak::upgrade).collect())
-    });
+/// Offers every live sink in the calling task's registry the chance to
+/// flush, returning the first error encountered (all sinks are still
+/// attempted).
+fn sweep(which: Publish) -> Result<()> {
+    // The list is shared, not copied, and no lock is held while flushing:
+    // a flush can block (a full channel), and the step boundary runs this
+    // once per `Iterative::step`, so it must not allocate.
+    let (me, sinks) = crate::exec::with_current(|l| (l.token, l.sinks.lock().clone()));
     let mut first_err = None;
-    for h in handles {
-        if let Err(e) = h.flush_owned(me) {
-            if first_err.is_none() {
-                first_err = Some(e);
-            }
+    for sink in sinks.iter().filter_map(Weak::upgrade) {
+        if let Err(e) = sink.flush_owned(me, which) {
+            first_err.get_or_insert(e);
         }
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    first_err.map_or(Ok(()), Err)
 }
 
-/// Best-effort flush used by blocking read paths. Errors are swallowed here:
-/// the failing sink stashes its error and surfaces it on the owner's next
-/// write (§3.4's "exception on the next write" semantics); the *read* that
-/// triggered the flush must still be allowed to proceed and drain data.
+/// Publishes every dirty sink the calling task owns, unconditionally. This
+/// is [`crate::ProcessCtx::flush_sinks`].
+pub fn flush_task_sinks() -> Result<()> {
+    sweep(Publish::All)
+}
+
+/// The `Iterative` step boundary: publishes the calling task's dirty sinks
+/// whose readers are waiting, and leaves the rest batching.
+pub(crate) fn flush_awaited_sinks() -> Result<()> {
+    sweep(Publish::Awaited)
+}
+
+/// Publish-before-wait: every path on which a task may park calls this
+/// first, and before it registers with the deadlock monitor. Errors are
+/// swallowed here: the failing sink stashes its error and surfaces it on
+/// the owner's next write (§3.4's "exception on the next write" semantics);
+/// the operation that triggered the flush must still be allowed to proceed.
 pub fn flush_before_block() {
     let _ = flush_task_sinks();
 }
@@ -111,7 +157,7 @@ mod tests {
     }
 
     impl Flushable for Probe {
-        fn flush_owned(&self, owner: u64) -> Result<()> {
+        fn flush_owned(&self, owner: u64, _which: Publish) -> Result<()> {
             if owner != self.owner {
                 return Ok(());
             }

@@ -24,33 +24,36 @@
 //! ## Buffering and flush semantics
 //!
 //! The typed streams ([`stream::DataWriter`]/[`stream::DataReader`]) and the
-//! codec layer batch small tokens through private buffers (default 4 KiB,
-//! [`channel::DEFAULT_STREAM_BUFFER`]) — the `BufferedOutputStream` layer
-//! Java's implementation got for free. Batching is invisible to program
-//! semantics because of one rule, enforced by the runtime (see [`flush`]):
-//! **all of a task's buffered sinks are flushed automatically before the
-//! task parks on a blocking read**, and again at the end of every
-//! [`process::Iterative::step`].
+//! codec layer batch small tokens through private buffers (at most 4 KiB,
+//! [`channel::DEFAULT_STREAM_BUFFER`], and never more than the channel's
+//! own capacity) — the `BufferedOutputStream` layer Java's implementation
+//! got for free. Batching is invisible to program semantics because of one
+//! rule, enforced by the runtime (see [`flush`]): **all of a task's
+//! buffered output is published before the task waits for anything** — a
+//! read on an empty channel, a write on a full one, a socket. Beyond that,
+//! a chunk is published when it fills, when its sink closes, when the
+//! process asks, and at an [`process::Iterative`] step boundary *if the
+//! reader is waiting for it* — so a parked reader is fed within one
+//! producer step, and a busy one lets the chunk batch.
 //!
 //! Why this preserves the paper's guarantees:
 //!
 //! * **Kahn determinacy (§2).** Buffering delays writes but never reorders
 //!   them within a channel, so each channel's history is a prefix of the
-//!   unbuffered history at all times — and whenever a process blocks on a
-//!   read (the only point where another process's progress depends on it),
-//!   the auto-flush makes the histories equal. The fixed-point the network
-//!   computes is unchanged.
+//!   unbuffered history at all times — and whenever a process is parked
+//!   (the only time another process's progress depends on it), the
+//!   histories are equal. The fixed-point the network computes is
+//!   unchanged.
 //! * **Parks' deadlock detection (§3.5).** The monitor classifies a
 //!   stalled network by inspecting channel occupancy: an artificial
 //!   deadlock has some full channel to grow; a true deadlock has every
 //!   process read-blocked on an *empty* channel. A token hiding in a
-//!   private buffer while its owner read-blocks would make a live network
-//!   look truly deadlocked. Flush-before-block makes private buffers empty
-//!   whenever their owner is read-blocked, so the monitor's view — and its
-//!   [`monitor::ChannelIoStats`] accounting — is exactly as accurate as in
-//!   the unbuffered implementation. Write-blocks need no flush: a
-//!   write-blocked process already has its data visible in the full
-//!   channel, which is precisely what growth resolves.
+//!   private buffer while its owner is blocked would make a live network
+//!   look truly deadlocked, or make the monitor grow a channel that was
+//!   not the problem. Publish-before-wait makes private buffers empty
+//!   whenever their owner is blocked — reading *or* writing — so the
+//!   monitor's view, and its [`monitor::ChannelIoStats`] accounting, is
+//!   exactly as accurate as in the unbuffered implementation.
 //!
 //! Explicit control remains available: [`stream::DataWriter::flush`],
 //! [`process::ProcessCtx::flush_sinks`], and the `unbuffered` constructors

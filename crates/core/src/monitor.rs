@@ -20,7 +20,10 @@
 //! Detection is event-driven: the last thread to block runs it, with a short
 //! settling delay to reject races (a thread may appear blocked an instant
 //! before a notify wakes it). Blocked threads also re-run detection on a
-//! periodic tick as a belt-and-braces fallback.
+//! periodic tick as a belt-and-braces fallback — and as the only path when
+//! the last to "block" registered an external operation
+//! ([`Monitor::external_block`]): it may not wait at all, so it never
+//! settles on its own behalf.
 
 use crate::error::{Error, Result};
 use parking_lot::Mutex;
@@ -119,9 +122,9 @@ pub enum BlockKind {
 /// and the block counters show where backpressure (or starvation) lives.
 ///
 /// Counters account for bytes at the *channel* boundary. Buffered typed
-/// streams batch tokens privately before they cross it, but the auto-flush
-/// rule (see [`crate::flush`]) empties those private buffers whenever the
-/// owning process blocks or finishes a step, so at every point where the
+/// streams batch tokens privately before they cross it, but the
+/// publish-before-wait rule (see [`crate::flush`]) empties a task's private
+/// buffers before it blocks on anything, so at every point where the
 /// monitor inspects a stalled network these counters describe all data in
 /// flight — which is what keeps bounded-capacity scheduling decisions
 /// correct under buffering.
@@ -269,6 +272,9 @@ pub struct Monitor {
     state: Mutex<MonState>,
     policy: DeadlockPolicy,
     timing: MonitorTiming,
+    /// Trace registrations and resolutions on stderr
+    /// ([`crate::NetworkConfig::monitor_debug`]).
+    debug: bool,
     /// Callbacks run when the network aborts, *after* local channels are
     /// poisoned. Used by the distributed layer to interrupt threads
     /// blocked on transports the monitor cannot poison (TCP reads,
@@ -308,10 +314,17 @@ impl Monitor {
 
     /// Creates a monitor with explicit timing knobs.
     pub fn with_timing(policy: DeadlockPolicy, timing: MonitorTiming) -> Arc<Self> {
+        Self::build(policy, timing, false)
+    }
+
+    /// [`Monitor::with_timing`] plus the stderr trace switch the network
+    /// carries in from its configuration.
+    pub(crate) fn build(policy: DeadlockPolicy, timing: MonitorTiming, debug: bool) -> Arc<Self> {
         Arc::new(Monitor {
             state: Mutex::new(MonState::default()),
             policy,
             timing,
+            debug,
             abort_hooks: Mutex::new(Vec::new()),
             scheduler_source: Mutex::new(None),
         })
@@ -420,8 +433,19 @@ impl Monitor {
     /// cannot inspect (a remote transport). The block participates in
     /// all-blocked detection and snapshots, but never satisfies the
     /// true-deadlock verification — remote data may be in flight, so only
-    /// a distributed protocol may abort (§6.2).
+    /// a distributed protocol may abort (§6.2). Callers register around
+    /// every remote operation, whether or not it turns out to wait, so the
+    /// registration itself never starts a settle: an all-blocked picture it
+    /// completes is picked up by the detection tick of a task parked on a
+    /// local channel, if it lasts that long (see `enter_block`).
+    ///
+    /// The task's buffered output is published first
+    /// ([`crate::flush::flush_before_block`]): whoever registers is about to
+    /// wait, and the publish can itself block on a full local channel, which
+    /// must not happen while this registration is held (a task registers as
+    /// blocked once).
     pub fn external_block(&self, kind: BlockKind) -> Result<ExternalBlockGuard<'_>> {
+        crate::flush::flush_before_block();
         self.enter_block(kind, EXTERNAL_CHANNEL)?;
         Ok(ExternalBlockGuard { monitor: self })
     }
@@ -464,7 +488,12 @@ impl Monitor {
     }
 
     /// Registers the current thread as blocked and runs deadlock detection.
-    /// Returns `Err(Deadlocked)` if the network is already aborted.
+    /// Returns `Err(Deadlocked)` if the network is already aborted, and
+    /// `Err(Graph)` — leaving the existing registration alone — if the task
+    /// is registered already: a nested registration would count the task
+    /// as two blocked processes and, after the inner exit, as one forever,
+    /// which the monitor would eventually read as a deadlock with a
+    /// process still running.
     pub(crate) fn enter_block(&self, kind: BlockKind, chan: u64) -> Result<()> {
         let token = thread_token();
         let is_process = is_process_thread();
@@ -473,7 +502,15 @@ impl Monitor {
             if st.aborted {
                 return Err(Error::Deadlocked);
             }
-            let prev = st.blocked.insert(
+            if let Some(outer) = st.blocked.get(&token) {
+                return Err(Error::Graph(format!(
+                    "task {token} registered as blocked ({kind:?} on channel {chan}) while \
+                     already registered ({:?} on channel {}): something waited inside a \
+                     monitor registration",
+                    outer.kind, outer.chan
+                )));
+            }
+            st.blocked.insert(
                 token,
                 BlockInfo {
                     kind,
@@ -481,8 +518,7 @@ impl Monitor {
                     is_process,
                 },
             );
-            debug_assert!(prev.is_none(), "thread blocked twice");
-            if std::env::var_os("KPN_MONITOR_DEBUG").is_some() {
+            if self.debug {
                 eprintln!(
                     "[monitor] enter token={token} chan={chan} kind={kind:?} gen={}",
                     st.generation + 1
@@ -493,7 +529,19 @@ impl Monitor {
             }
             st.generation += 1;
             let gen = st.generation;
-            (self.detect(&mut st), gen)
+            // An external registrant does not act on the picture it
+            // completes. It has not started the operation it registered
+            // for, the monitor cannot check whether that operation will
+            // wait at all, and a settle slept on this thread would keep it
+            // from finding out: with everyone else parked nothing moves
+            // the generation, the settle confirms itself, and a local
+            // channel is doubled for a task that was never stuck — again
+            // at its next operation, until the channel holds its producer's
+            // whole output. If the operation does wait, the detection tick
+            // of the task parked on the full local channel — the only
+            // thing an external block can make growable — finds the same
+            // picture with this task's registration unchanged.
+            (chan != EXTERNAL_CHANNEL && self.detect(&mut st), gen)
         };
         if plan {
             self.settle_and_resolve(gen);
@@ -523,7 +571,7 @@ impl Monitor {
                 st.blocked_processes -= 1;
             }
             st.generation += 1;
-            if std::env::var_os("KPN_MONITOR_DEBUG").is_some() {
+            if self.debug {
                 eprintln!(
                     "[monitor] exit token={token} chan={} gen={}",
                     info.chan, st.generation
@@ -616,8 +664,9 @@ impl Monitor {
         // Fast pre-check: if the current state can not possibly lead to an
         // action (e.g. every blocked read is on an external/remote channel,
         // which only a distributed protocol may resolve), skip the settling
-        // sleep — it would otherwise add latency to every blocking remote
-        // read in small partitions.
+        // sleep — it would otherwise add the settle to every local block,
+        // detection tick and process exit in a small partition whose
+        // other tasks are at their sockets.
         {
             let mut st = self.state.lock();
             if !self.detect(&mut st) {
@@ -702,7 +751,7 @@ impl Monitor {
                     (DeadlockPolicy::Grow { .. }, false) | (DeadlockPolicy::Abort, _)
                         if Self::verify_blocked_semantics(&st) =>
                     {
-                        if std::env::var_os("KPN_MONITOR_DEBUG").is_some() {
+                        if self.debug {
                             let occupancy: Vec<(u64, usize)> = st
                                 .channels
                                 .iter()
@@ -732,7 +781,7 @@ impl Monitor {
         match act {
             Act::None => {}
             Act::Grow(id, ch, max) => {
-                if std::env::var_os("KPN_MONITOR_DEBUG").is_some() {
+                if self.debug {
                     let st = self.state.lock();
                     let chans: Vec<(u64, usize, usize, bool, bool)> = st
                         .channels
@@ -1009,9 +1058,26 @@ mod tests {
         let m = Monitor::new(DeadlockPolicy::default());
         let c = FakeChan::new(8, true);
         m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
-        block_all(&m, &[(7, BlockKind::Write), (EXTERNAL_CHANNEL, BlockKind::Read)]);
+        block_all(&m, &[(EXTERNAL_CHANNEL, BlockKind::Read), (7, BlockKind::Write)]);
         assert!(!m.is_aborted());
         assert_eq!(m.stats().growths, 1);
+    }
+
+    #[test]
+    fn external_registrant_leaves_detection_to_the_parked_writers_tick() {
+        // The external registrant completes the all-blocked picture but has
+        // not started its operation: a settle slept on its thread would
+        // confirm itself and grow the channel behind a task that was never
+        // stuck. The writer parked on the full channel re-runs detection
+        // from its park timeout, and finds the picture if it is still there.
+        let m = Monitor::new(DeadlockPolicy::default());
+        let c = FakeChan::new(8, true);
+        m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
+        block_all(&m, &[(7, BlockKind::Write), (EXTERNAL_CHANNEL, BlockKind::Write)]);
+        assert_eq!(m.stats().growths, 0, "the registrant must not settle for itself");
+        m.tick();
+        assert!(!m.is_aborted());
+        assert_eq!(m.stats().growths, 1, "a picture that lasts is still resolved");
     }
 
     #[test]
@@ -1054,6 +1120,34 @@ mod tests {
         let st = m.state.lock();
         assert!(st.blocked.is_empty());
         assert_eq!(st.blocked_processes, 0);
+    }
+
+    #[test]
+    fn nested_registration_is_refused_and_leaves_the_count_intact() {
+        // Checked in release builds too: a second `enter_block` by a task
+        // that is already registered used to replace the entry and count
+        // the task twice, and the two exits then took it out once.
+        let m = Monitor::new(DeadlockPolicy::Ignore);
+        std::thread::spawn(move || {
+            crate::exec::install_process_locals("nested");
+            m.process_started();
+            m.enter_block(BlockKind::Read, EXTERNAL_CHANNEL).unwrap();
+            assert!(matches!(
+                m.enter_block(BlockKind::Write, 7),
+                Err(Error::Graph(_))
+            ));
+            {
+                let st = m.state.lock();
+                assert_eq!(st.blocked_processes, 1);
+                assert_eq!(st.blocked.values().next().unwrap().chan, EXTERNAL_CHANNEL);
+            }
+            m.exit_block();
+            let st = m.state.lock();
+            assert!(st.blocked.is_empty());
+            assert_eq!(st.blocked_processes, 0);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

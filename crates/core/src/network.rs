@@ -21,10 +21,11 @@ use std::sync::Arc;
 
 /// Configuration for a [`Network`].
 ///
-/// [`Default`] is [`NetworkConfig::from_env`]: three fields take their
-/// default from the environment (`KPN_EXEC`, `KPN_LINT`, `KPN_SYNTH`), so
-/// an existing program can be switched per run without a code change. A
-/// field set in code always wins — the variables only shape the default.
+/// [`Default`] is [`NetworkConfig::from_env`]: four fields take their
+/// default from the environment (`KPN_EXEC`, `KPN_LINT`, `KPN_SYNTH`,
+/// `KPN_MONITOR_DEBUG`), so an existing program can be switched per run
+/// without a code change. A field set in code always wins — the variables
+/// only shape the default.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Capacity (bytes) for channels created without an explicit size.
@@ -58,6 +59,10 @@ pub struct NetworkConfig {
     /// Defaults from `KPN_SYNTH` (any value but `0` enables it); off when
     /// unset.
     pub synthesize_capacities: bool,
+    /// Trace the deadlock monitor on stderr: every block registration and
+    /// exit, every growth, and the blocked set at a true-deadlock verdict.
+    /// Diagnostic only. Defaults from `KPN_MONITOR_DEBUG` (set = on).
+    pub monitor_debug: bool,
 }
 
 impl Default for NetworkConfig {
@@ -67,10 +72,10 @@ impl Default for NetworkConfig {
 }
 
 impl NetworkConfig {
-    /// The default configuration, with `mode`, `lint` and
-    /// `synthesize_capacities` taken from `KPN_EXEC`, `KPN_LINT` and
-    /// `KPN_SYNTH` — the one place the runtime's configuration reads the
-    /// environment.
+    /// The default configuration, with `mode`, `lint`,
+    /// `synthesize_capacities` and `monitor_debug` taken from `KPN_EXEC`,
+    /// `KPN_LINT`, `KPN_SYNTH` and `KPN_MONITOR_DEBUG` — the one place the
+    /// runtime's configuration reads the environment.
     pub fn from_env() -> Self {
         let var = |name| std::env::var(name).ok();
         NetworkConfig {
@@ -81,6 +86,7 @@ impl NetworkConfig {
             record_history: false,
             lint: var("KPN_LINT").map_or(LintLevel::Warn, |v| LintLevel::parse(&v)),
             synthesize_capacities: var("KPN_SYNTH").is_some_and(|v| v != "0"),
+            monitor_debug: std::env::var_os("KPN_MONITOR_DEBUG").is_some(),
         }
     }
 
@@ -348,7 +354,7 @@ impl Network {
         } else {
             config.monitor_timing
         };
-        let monitor = Monitor::with_timing(config.deadlock_policy, timing);
+        let monitor = Monitor::build(config.deadlock_policy, timing, config.monitor_debug);
         let exec = config.mode.build();
         // Executors with their own quiescence detection (sim's idle hook,
         // the pool's all-workers-idle tick) drive the monitor from there;

@@ -73,14 +73,17 @@ impl ProcessCtx {
     }
 
     /// Flushes every buffered sink owned by the calling task (see
-    /// [`crate::flush`]): buffered typed tokens become visible to their
-    /// consumers immediately instead of waiting for a chunk boundary.
+    /// [`crate::flush`]), unconditionally: buffered typed tokens become
+    /// visible to their consumers now instead of when the runtime would
+    /// publish them.
     ///
-    /// The run loop of [`IterativeProcess`] calls this after `on_start` and
-    /// after every `step`, so a conventional one-token-per-step process
-    /// behaves exactly as it did unbuffered. Long-running [`Process`] bodies
-    /// that batch many writes between reads may call it at their own
-    /// batch boundaries; blocking reads also trigger it automatically.
+    /// Nothing needs this for correctness — a task's output is always
+    /// published before the task waits for anything, and the run loop of
+    /// [`IterativeProcess`] feeds a waiting reader at every step boundary.
+    /// It is for a process that wants its output seen *now* although the
+    /// reader is busy (a progress report, a heartbeat), and for
+    /// long-running [`Process`] bodies that batch many writes between
+    /// waits.
     ///
     /// Errors are the first failure among the flushed sinks
     /// ([`crate::Error::WriteClosed`] once a consumer has stopped — the
@@ -170,28 +173,33 @@ impl<T: Iterative> Process for IterativeProcess<T> {
         self.inner.lint_tag()
     }
 
+    /// §3.2's run loop: `on_start`, then `step` until the limit or an
+    /// error, then `on_stop`.
+    ///
+    /// Between steps lies the *step boundary*, where buffered output is
+    /// published **if its reader is waiting for it** (see [`crate::flush`]).
+    /// A reader parked on one of this process's outputs is therefore fed
+    /// by the next boundary — a token is visible at most one step later
+    /// than if every step ended with a flush — while a reader that is busy
+    /// lets the 4 KiB chunk batch. Output is also published whenever a step
+    /// waits for anything, so nothing here is needed for deadlock safety; a
+    /// step that must be seen immediately calls
+    /// [`ProcessCtx::flush_sinks`].
     fn run(mut self: Box<Self>, ctx: &ProcessCtx) -> Result<()> {
         let result: Result<()> = (|| {
             self.inner.on_start(ctx)?;
-            // Flushing at every step boundary keeps buffered typed streams
-            // semantically identical to the unbuffered implementation for
-            // the common one-token-per-step process: each step's output is
-            // visible before the next step begins (§3.2's run loop), and
-            // the monitor's per-channel stats stay in step with execution.
-            ctx.flush_sinks()?;
-            match self.inner.limit() {
-                Some(n) => {
-                    for _ in 0..n {
-                        self.inner.step(ctx)?;
-                        ctx.flush_sinks()?;
-                    }
+            let mut remaining = self.inner.limit();
+            loop {
+                // The step boundary: after `on_start` and after every step,
+                // the last one included.
+                crate::flush::flush_awaited_sinks()?;
+                match remaining.as_mut() {
+                    Some(0) => return Ok(()),
+                    Some(n) => *n -= 1,
+                    None => {}
                 }
-                None => loop {
-                    self.inner.step(ctx)?;
-                    ctx.flush_sinks()?;
-                },
+                self.inner.step(ctx)?;
             }
-            Ok(())
         })();
         self.inner.on_stop();
         match result {

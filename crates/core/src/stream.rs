@@ -8,18 +8,22 @@
 //! `Cons` that copies raw bytes composes transparently with typed producers
 //! and consumers.
 //!
-//! Both typed endpoints are **buffered** (default [`DEFAULT_STREAM_BUFFER`]
-//! bytes), the `Buffered{Output,Input}Stream` layer Java gave the paper for
-//! free: a burst of small typed tokens costs one channel transfer per chunk
-//! instead of one mutex round-trip each. Write-side buffering lives in the
+//! Both typed endpoints are **buffered** (at most [`DEFAULT_STREAM_BUFFER`]
+//! bytes, and never more than the channel's own capacity), the
+//! `Buffered{Output,Input}Stream` layer Java gave the paper for free: a
+//! burst of small typed tokens costs one channel transfer per chunk instead
+//! of one mutex round-trip each. Write-side buffering lives in the
 //! [`ChannelWriter`] itself (via [`ChannelWriter::ensure_buffered`]), so
-//! `into_inner` round-trips are lossless; buffered bytes become visible on
-//! flush/close/drop, when the chunk fills, and automatically before the
-//! owning thread parks on any blocking read — the flush rule that keeps
-//! buffering invisible to Kahn determinacy and to the deadlock monitor (see
-//! [`crate::flush`]). Read-side buffering is plain read-ahead inside
-//! [`DataReader`]; unconsumed read-ahead is pushed back with
-//! [`ChannelReader::unread`] when the reader is unwrapped.
+//! `into_inner` round-trips are lossless. Buffered bytes become visible on
+//! flush/close/drop, when the chunk fills, at an `Iterative` step boundary
+//! if the reader is parked waiting for them, and always before the owning
+//! task waits for anything — the rule that keeps buffering invisible to
+//! Kahn determinacy and to the deadlock monitor (see [`crate::flush`]). A
+//! token written in one step of an `Iterative` process is therefore in
+//! front of a waiting reader by the end of the next step at the latest;
+//! [`DataWriter::flush`] forces it out now. Read-side buffering is plain
+//! read-ahead inside [`DataReader`]; unconsumed read-ahead is pushed back
+//! with [`ChannelReader::unread`] when the reader is unwrapped.
 //!
 //! For full object graphs (`ObjectOutputStream` analogue) see `kpn-codec`,
 //! which provides a serde-based binary format over any `io::Write`/`Read` —
@@ -39,15 +43,16 @@ pub struct DataWriter {
 }
 
 impl DataWriter {
-    /// Wraps a channel writer, installing a [`DEFAULT_STREAM_BUFFER`]-sized
-    /// write buffer (no-op if the writer is already buffered).
+    /// Wraps a channel writer, installing a write buffer of
+    /// [`DEFAULT_STREAM_BUFFER`] bytes or the channel's capacity, whichever
+    /// is smaller (no-op if the writer is already buffered).
     pub fn new(inner: ChannelWriter) -> Self {
         Self::with_buffer_capacity(inner, DEFAULT_STREAM_BUFFER)
     }
 
-    /// Wraps a channel writer with an explicit buffer capacity. A capacity
-    /// of zero leaves the writer unbuffered (every token is a channel
-    /// transfer, the pre-buffering behaviour).
+    /// Wraps a channel writer with an explicit buffer capacity (capped by
+    /// the channel's own). A capacity of zero leaves the writer unbuffered
+    /// (every token is a channel transfer, the pre-buffering behaviour).
     pub fn with_buffer_capacity(mut inner: ChannelWriter, capacity: usize) -> Self {
         inner.declare_framing(crate::topology::StreamFraming::Data);
         inner.ensure_buffered(capacity);

@@ -23,7 +23,7 @@ use crate::node::Node;
 use crate::spec::{ChannelSpec, GraphSpec, InputSpec, OutputSpec, ProcessSpec};
 use kpn_core::{ChannelReader, ChannelWriter, Error, Network, Result, DEFAULT_CAPACITY};
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Partition id of the deploying client.
 pub const CLIENT: usize = usize::MAX;
@@ -80,7 +80,8 @@ pub struct Deployment {
     pub readers: HashMap<ChanId, ChannelReader>,
     /// Endpoints claimed with [`GraphBuilder::claim_writer`].
     pub writers: HashMap<ChanId, ChannelWriter>,
-    /// Handles to the servers that received partitions.
+    /// Handles to the servers that received partitions, in the order they
+    /// were shipped (readers before the partitions that write to them).
     pub servers: Vec<ServerHandle>,
 }
 
@@ -380,6 +381,8 @@ impl GraphBuilder {
             /// Cut channel: reader at `reader_partition` listens on token.
             Cut { reader_partition: usize, token: u64 },
         }
+        // (writer partition, reader partition) of every cut channel.
+        let mut cuts = Vec::new();
         let mut placements = Vec::with_capacity(self.channels.len());
         let mut local_counts: HashMap<usize, usize> = HashMap::new();
         for ch in &self.channels {
@@ -397,6 +400,7 @@ impl GraphBuilder {
                     reader_partition: cons,
                     token: fresh_token(),
                 });
+                cuts.push((prod, cons));
             }
         }
 
@@ -482,15 +486,28 @@ impl GraphBuilder {
             }
         }
 
-        // Ship server partitions (order does not matter: connections for
-        // not-yet-registered endpoints are parked at the acceptors).
+        // Ship server partitions readers first: a partition goes out once
+        // every server partition reading one of its cut channels has gone
+        // (cycles and ties break towards the lower id). Any order is
+        // correct — a connection for an endpoint that is not registered
+        // yet is parked at the acceptor — but a partition starts running
+        // the moment it arrives, and a producer shipped ahead of its
+        // consumers streams into socket buffers and holds a core while the
+        // rest of the graph is still being shipped: how long set-up takes
+        // would depend on the order, and a `HashMap`'s is drawn per run.
+        let mut pending: BTreeSet<usize> = specs.keys().copied().filter(|p| *p != CLIENT).collect();
         let mut used_servers = Vec::new();
-        for (partition, spec) in specs.iter() {
-            if *partition == CLIENT {
-                continue;
-            }
-            servers[*partition].run_graph(spec.clone())?;
-            used_servers.push(servers[*partition].clone());
+        while let Some(&lowest) = pending.first() {
+            let feeds_pending =
+                |p: usize| cuts.iter().any(|&(w, r)| w == p && pending.contains(&r));
+            let next = pending
+                .iter()
+                .copied()
+                .find(|&p| !feeds_pending(p))
+                .unwrap_or(lowest);
+            pending.remove(&next);
+            servers[next].run_graph(specs[&next].clone())?;
+            used_servers.push(servers[next].clone());
         }
 
         // Start the client partition.
@@ -556,6 +573,35 @@ mod tests {
         let mut r = DataReader::new(dep.readers.remove(&c).unwrap());
         for i in 0..10 {
             assert_eq!(r.read_i64().unwrap(), i * 7);
+        }
+        assert!(r.read_i64().is_err());
+        drop(r);
+        dep.join().unwrap();
+    }
+
+    #[test]
+    fn partitions_ship_readers_first() {
+        let client = Node::serve("127.0.0.1:0").unwrap();
+        let (_s0, h0) = spawn_server();
+        let (_s1, h1) = spawn_server();
+        let (_s2, h2) = spawn_server();
+        let mut b = GraphBuilder::new();
+        let [a, c, out] = [b.channel(), b.channel(), b.channel()];
+        // The pipeline runs 1 -> 0 -> 2, so partition ids say nothing.
+        b.add(1, "Sequence", &(0i64, Some(10u64)), &[], &[a])
+            .unwrap();
+        b.add(0, "Scale", &7i64, &[a], &[c]).unwrap();
+        b.add(2, "Scale", &3i64, &[c], &[out]).unwrap();
+        b.claim_reader(out).unwrap();
+        let mut dep = b
+            .deploy(&client, &[h0.clone(), h1.clone(), h2.clone()])
+            .unwrap();
+        let shipped: Vec<_> = dep.servers.iter().map(|s| s.addr().to_string()).collect();
+        let want: Vec<_> = [&h2, &h0, &h1].map(|h| h.addr().to_string()).into();
+        assert_eq!(shipped, want);
+        let mut r = DataReader::new(dep.readers.remove(&out).unwrap());
+        for i in 0..10 {
+            assert_eq!(r.read_i64().unwrap(), i * 21);
         }
         assert!(r.read_i64().is_err());
         drop(r);

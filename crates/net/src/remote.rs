@@ -571,7 +571,9 @@ impl SinkCore {
             return Ok(());
         }
         // Reading acks can block: publish this task's buffered output
-        // first (same deadlock-safety rule as local channels).
+        // first (same publish-before-wait rule as local channels). Under a
+        // `MonitoredSink` the registration has already published and this
+        // finds nothing; a bare `RemoteSink` has no one else to do it.
         kpn_core::flush::flush_before_block();
         let mut tmp = [0u8; 256];
         loop {
@@ -1288,8 +1290,11 @@ impl RemoteSource {
 impl Source for RemoteSource {
     fn read(&mut self, buf: &mut [u8]) -> Result<SourceRead> {
         // A socket read can block indefinitely: publish this task's
-        // buffered output first (same deadlock-safety rule as local
-        // channels — see `kpn_core::flush`).
+        // buffered output first (the publish-before-wait rule of
+        // `kpn_core::flush`). Under a `MonitoredSource` the registration
+        // has already published — it must, a flush may not block inside a
+        // registration — and this finds nothing; a bare remote reader has
+        // no one else to do it.
         kpn_core::flush::flush_before_block();
         loop {
             match self.try_read(buf) {
@@ -1354,10 +1359,11 @@ impl PendingSource {
 
 impl Source for PendingSource {
     fn read(&mut self, _buf: &mut [u8]) -> Result<SourceRead> {
-        // Waiting for a connection is a blocking read: flush first so the
+        // Waiting for a connection is a blocking read: publish first so the
         // peer (who may need our buffered output to make progress before
-        // connecting back) can proceed. `recv_wait` parks a fiber and
-        // blocks an OS thread.
+        // connecting back) can proceed — a no-op under a `MonitoredSource`,
+        // as in `RemoteSource::read`. `recv_wait` parks a fiber and blocks
+        // an OS thread.
         kpn_core::flush::flush_before_block();
         match self.pending.recv_wait(None) {
             Ok(transport) => {
@@ -1400,6 +1406,9 @@ struct MonitoredSource {
 
 impl Source for MonitoredSource {
     fn read(&mut self, buf: &mut [u8]) -> Result<SourceRead> {
+        // `external_block` publishes the task's buffered output before it
+        // registers, so nothing below can block on a local channel (and
+        // register a second time) while the guard is held.
         let _guard = self.monitor.external_block(BlockKind::Read)?;
         match self.inner.read(buf)? {
             0 => Ok(SourceRead::End),
@@ -1692,5 +1701,70 @@ mod tests {
         h.join().unwrap();
         assert_eq!(got, expect);
         remove_profile(&addr);
+    }
+
+    /// A partition whose only outlet is a socket: `Sequence -> L -> Scale ->`
+    /// a monitored remote writer, drained by the test thread.
+    fn drive_partition(tokens: u64) -> kpn_core::MonitorStats {
+        use kpn_core::stdlib::{Scale, Sequence};
+        let b = node();
+        let token = fresh_token();
+        let reader = remote_reader(&b, token);
+        let net = kpn_core::Network::new();
+        let (w0, r0) = net.channel();
+        let out = remote_writer(&b.local_addr().to_string(), token).unwrap();
+        net.add(Sequence::new(0, tokens, w0));
+        net.add(Scale::new(3, r0, monitored_writer(out, net.monitor().clone())));
+        net.start();
+        let mut dr = DataReader::new(reader);
+        for i in 0..tokens as i64 {
+            assert_eq!(dr.read_i64().unwrap(), 3 * i);
+        }
+        assert!(dr.read_i64().is_err());
+        net.join().unwrap().monitor
+    }
+
+    #[test]
+    fn a_remote_writer_that_never_waits_grows_nothing_behind_it() {
+        // `Sequence` is parked on the full `L` nearly all the time, and
+        // `Scale` registers with the monitor around every socket write, so
+        // every token completes an all-blocked picture with nobody stuck.
+        // When the registrant slept the settle itself, each one confirmed
+        // itself and `L` doubled until it held all of `Sequence`'s output.
+        let stats = drive_partition(20_000);
+        assert_eq!(stats.capacity_grows, 0, "{:?}", stats.growth_log);
+        assert_eq!(stats.true_deadlocks, 0);
+    }
+
+    #[test]
+    fn a_remote_reader_that_does_wait_still_gets_the_local_channel_grown() {
+        // The distributed artificial deadlock: the producer must put 64
+        // bytes into a 32-byte `L` before it sends the byte its consumer is
+        // waiting for on the socket, and the consumer reads `L` only after
+        // that byte. The consumer's registration completes the picture and
+        // leaves it alone; the producer's detection tick grows `L`.
+        let b = node();
+        let token = fresh_token();
+        let net = kpn_core::Network::new();
+        let monitor = net.monitor().clone();
+        let (mut l_w, mut l_r) = net.channel_with_capacity(32);
+        let go_r = monitored_reader(remote_reader(&b, token), monitor.clone());
+        let go_w = remote_writer(&b.local_addr().to_string(), token).unwrap();
+        let mut go_w = monitored_writer(go_w, monitor);
+        net.add_fn("producer", move |_| {
+            l_w.write_all(&[7u8; 64])?;
+            go_w.write_all(&[1])
+        });
+        net.add_fn("consumer", move |_| {
+            let mut go_r = go_r;
+            let (mut go, mut data) = ([0u8; 1], [0u8; 64]);
+            go_r.read_exact(&mut go)?;
+            l_r.read_exact(&mut data)?;
+            assert_eq!(data, [7u8; 64]);
+            Ok(())
+        });
+        let stats = net.run().unwrap().monitor;
+        assert!(stats.capacity_grows >= 1, "{:?}", stats.growth_log);
+        assert_eq!(stats.true_deadlocks, 0);
     }
 }

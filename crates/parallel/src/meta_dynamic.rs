@@ -135,6 +135,16 @@ impl Merge {
 
     /// The next arrival, or `None` once every pump has ended.
     fn pop(&self) -> Result<Option<(usize, Vec<u8>)>> {
+        if self.state.lock().queue.is_empty() {
+            // About to wait on something that is not a channel (only this
+            // call takes arrivals out, so an empty queue here is the one
+            // case that parks below): publish the turnstile's buffered
+            // output first, as every channel wait does. The index token of
+            // the last arrival may be all that `Direct` needs to hand a
+            // worker its next task — and the workers are who fills this
+            // queue. Not under the lock: a flush can block.
+            kpn_core::flush::flush_before_block();
+        }
         loop {
             let mut st = self.state.lock();
             if let Some(item) = st.queue.pop_front() {
@@ -448,6 +458,51 @@ mod tests {
         net.run().unwrap();
         let r = results.lock().clone();
         r
+    }
+
+    #[test]
+    fn merge_pop_publishes_buffered_output_before_it_parks() {
+        // The `factor_2node` hang in one deterministic test: the turnstile
+        // has written an index token nobody is parked on (so no step
+        // boundary publishes it) and goes to wait for the next arrival —
+        // which only comes once `Direct` has seen that token.
+        struct Recording(Arc<Mutex<Vec<u8>>>);
+        impl kpn_core::Sink for Recording {
+            fn write_all(&mut self, buf: &[u8]) -> Result<()> {
+                self.0.lock().extend_from_slice(buf);
+                Ok(())
+            }
+            fn close(&mut self) {}
+            fn reader_waiting(&self) -> bool {
+                false
+            }
+        }
+        let merge = Arc::new(Merge {
+            exec: kpn_core::exec::current_exec().expect("thread executor"),
+            state: Mutex::new(MergeState {
+                queue: VecDeque::new(),
+                waiting: false,
+                pumps: 1,
+                closed: false,
+            }),
+        });
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (m, sink) = (merge.clone(), Recording(seen.clone()));
+        let turnstile = std::thread::spawn(move || {
+            let mut index_out = DataWriter::new(ChannelWriter::from_sink(Box::new(sink)));
+            index_out.write_i64(3).unwrap();
+            let arrival = m.pop().unwrap();
+            drop(index_out);
+            arrival
+        });
+        // `waiting` goes up under the lock, after the publish and before
+        // the park: once it is up, the token must be out.
+        while !merge.state.lock().waiting {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(*seen.lock(), 3i64.to_be_bytes());
+        assert!(merge.push((0, vec![9])));
+        assert_eq!(turnstile.join().unwrap(), Some((0, vec![9])));
     }
 
     #[test]

@@ -1,19 +1,28 @@
-//! Regression tests for buffered typed streams and the deadlock-safe
-//! flush rule (see `kpn-core`'s crate docs, "Buffering and flush
-//! semantics").
+//! Regression tests for buffered typed streams and the rule that decides
+//! when their private chunks become visible (see `kpn-core`'s crate docs,
+//! "Buffering and flush semantics", and `kpn_core::flush`).
 //!
 //! The invariant under test: batching writes through a private buffer must
 //! never change what a network computes or how the deadlock monitor
 //! classifies a stall. The dangerous case is a token sitting in an
-//! unflushed buffer while its owner parks on a blocking read — without
-//! the auto-flush, the consumer starves and the monitor sees a false true
-//! deadlock. These tests pin that behaviour at capacities small enough
-//! (≤ 64 bytes) to force constant blocking and channel growth.
+//! unflushed buffer while its owner waits for something — without
+//! publish-before-wait, the consumer starves and the monitor sees a false
+//! true deadlock (or grows the wrong channel). These tests pin that
+//! behaviour at capacities small enough (≤ 64 bytes) to force constant
+//! blocking and channel growth, and pin the step-boundary rule itself:
+//! a chunk batches while its reader is busy, a waiting reader is fed
+//! within one producer step, and a chunk never outgrows its channel.
 
 use kpn::core::graphs::{
     first_primes, hamming, hamming_reference, primes_reference, GraphOptions,
 };
-use kpn::core::{DataReader, DataWriter, Error, Network};
+use kpn::core::{
+    channel_with_capacity, ChannelWriter, DataReader, DataWriter, Error, ExecMode, Iterative,
+    Network, NetworkConfig, ProcessCtx, Result, SchedulePolicy, SimScheduler, Sink,
+    DEFAULT_STREAM_BUFFER,
+};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn opts(capacity: usize) -> GraphOptions {
@@ -112,11 +121,16 @@ fn true_deadlock_still_detected_under_buffered_streams() {
 }
 
 /// Buffered and unbuffered endpoints produce byte-identical histories —
-/// the Kahn determinacy argument for the batching layer, checked directly.
+/// the Kahn determinacy argument for the batching layer, checked directly,
+/// on every executor (when a chunk is published differs on each: the
+/// reader-waiting flag is set and cleared on the park path).
 #[test]
 fn buffered_and_unbuffered_histories_agree() {
-    fn run(buffered: bool) -> Vec<i64> {
-        let net = Network::new();
+    fn run(buffered: bool, mode: ExecMode) -> Vec<i64> {
+        let net = Network::with_config(NetworkConfig {
+            mode,
+            ..Default::default()
+        });
         let (w, r) = net.channel_with_capacity(32);
         net.add_fn("src", move |_| {
             let mut dw = if buffered {
@@ -146,7 +160,14 @@ fn buffered_and_unbuffered_histories_agree() {
         let v = out.lock().unwrap().clone();
         v
     }
-    assert_eq!(run(true), run(false));
+    let sim = || ExecMode::Sim(SimScheduler::new(SchedulePolicy::RandomWalk { seed: 7 }));
+    let expect: Vec<i64> = (0..500).map(|i| i * 3).collect();
+    for buffered in [true, false] {
+        assert_eq!(run(buffered, ExecMode::Thread), expect, "thread");
+        assert_eq!(run(buffered, ExecMode::Pooled { workers: 1 }), expect, "pooled:1");
+        assert_eq!(run(buffered, ExecMode::Pooled { workers: 2 }), expect, "pooled:2");
+        assert_eq!(run(buffered, sim()), expect, "sim");
+    }
 }
 
 /// Mixed-size payloads across the buffer boundary: blocks larger than the
@@ -175,4 +196,186 @@ fn large_blocks_interleave_with_small_tokens() {
         Ok(())
     });
     net.run().unwrap();
+}
+
+/// A transport that counts what reaches it and answers
+/// [`Sink::reader_waiting`] with a fixed value.
+struct CountingSink {
+    transfers: Arc<AtomicUsize>,
+    bytes: Arc<AtomicUsize>,
+    reader_waiting: bool,
+}
+
+impl Sink for CountingSink {
+    fn write_all(&mut self, buf: &[u8]) -> Result<()> {
+        self.transfers.fetch_add(1, Ordering::SeqCst);
+        self.bytes.fetch_add(buf.len(), Ordering::SeqCst);
+        Ok(())
+    }
+    fn close(&mut self) {}
+    fn reader_waiting(&self) -> bool {
+        self.reader_waiting
+    }
+}
+
+/// One `write_i64` per step, `limit` steps.
+struct TokenPerStep {
+    out: DataWriter,
+    limit: u64,
+    next: i64,
+}
+
+impl Iterative for TokenPerStep {
+    fn limit(&self) -> Option<u64> {
+        Some(self.limit)
+    }
+    fn step(&mut self, _ctx: &ProcessCtx) -> Result<()> {
+        self.out.write_i64(self.next)?;
+        self.next += 1;
+        Ok(())
+    }
+}
+
+/// The step boundary publishes a chunk only if its reader waits: with a
+/// reader that never does, `N` one-token steps reach the transport as
+/// `⌈8N / chunk⌉` transfers; with one that always does (the default, and
+/// what a socket answers), as `N`.
+#[test]
+fn step_boundary_batches_unless_the_reader_waits() {
+    const N: u64 = 1000;
+    for (reader_waiting, expect) in [
+        (false, (8 * N as usize).div_ceil(DEFAULT_STREAM_BUFFER)),
+        (true, N as usize),
+    ] {
+        let (transfers, bytes) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let sink = CountingSink {
+            transfers: transfers.clone(),
+            bytes: bytes.clone(),
+            reader_waiting,
+        };
+        let net = Network::new();
+        net.add(TokenPerStep {
+            out: DataWriter::new(ChannelWriter::from_sink(Box::new(sink))),
+            limit: N,
+            next: 0,
+        });
+        net.run().unwrap();
+        assert_eq!(bytes.load(Ordering::SeqCst), 8 * N as usize);
+        assert_eq!(
+            transfers.load(Ordering::SeqCst),
+            expect,
+            "reader_waiting = {reader_waiting}"
+        );
+    }
+}
+
+/// The bound that replaces "visible at the end of the step": a reader
+/// parked on a slow producer's output is fed at the producer's next step
+/// boundary, so token `i` — written in step `i` — is in the reader's hands
+/// before step `i + 2` is over. (It usually arrives during step `i + 1`,
+/// as it did when every step flushed; the assertion allows the one extra
+/// step the rule allows, which also leaves a whole step of slack for the
+/// reader's wake-up.) Without the rule nothing would arrive before the
+/// chunk fills or the producer ends.
+#[test]
+fn parked_reader_is_fed_within_one_producer_step() {
+    const N: u64 = 25;
+    const STEP: Duration = Duration::from_millis(20);
+    struct Slow {
+        inner: TokenPerStep,
+        started: Arc<AtomicU64>,
+    }
+    impl Iterative for Slow {
+        fn limit(&self) -> Option<u64> {
+            self.inner.limit()
+        }
+        fn step(&mut self, ctx: &ProcessCtx) -> Result<()> {
+            self.started.fetch_add(1, Ordering::SeqCst);
+            self.inner.step(ctx)?;
+            std::thread::sleep(STEP);
+            Ok(())
+        }
+    }
+    let started = Arc::new(AtomicU64::new(0));
+    let net = Network::new();
+    let (w, r) = net.channel();
+    net.add(Slow {
+        inner: TokenPerStep {
+            out: DataWriter::new(w),
+            limit: N,
+            next: 0,
+        },
+        started: started.clone(),
+    });
+    net.start();
+    let mut r = DataReader::new(r);
+    for i in 0..N {
+        assert_eq!(r.read_i64().unwrap(), i as i64);
+        let begun = started.load(Ordering::SeqCst);
+        assert!(
+            begun <= i + 3,
+            "token {i} arrived only after the producer began step {}",
+            begun - 1
+        );
+    }
+    assert!(matches!(r.read_i64(), Err(Error::Eof)));
+    net.join().unwrap();
+}
+
+/// A task blocked *writing* publishes its other outputs first. The
+/// producer's token for `a` sits in a private chunk while it fills `b`; the
+/// consumer wants `a` first. Unpublished, that is an all-blocked network
+/// the monitor can only resolve by growing `b` until the producer's whole
+/// output fits.
+#[test]
+fn write_blocked_task_publishes_its_other_outputs() {
+    let net = Network::new();
+    let (aw, ar) = net.channel_with_capacity(64);
+    let (bw, br) = net.channel_with_capacity(16);
+    net.add_fn("producer", move |_| {
+        let mut a = DataWriter::new(aw);
+        let mut b = DataWriter::new(bw);
+        a.write_i64(7)?;
+        for i in 0..100i64 {
+            b.write_i64(i)?;
+        }
+        Ok(())
+    });
+    net.add_fn("consumer", move |_| {
+        let mut a = DataReader::new(ar);
+        let mut b = DataReader::new(br);
+        assert_eq!(a.read_i64()?, 7);
+        for i in 0..100i64 {
+            assert_eq!(b.read_i64()?, i);
+        }
+        Ok(())
+    });
+    let report = net.run().unwrap();
+    assert_eq!(report.monitor.capacity_grows, 0);
+}
+
+/// The private chunk is never larger than the channel under it: five
+/// tokens into a 32-byte channel make the first four visible with no flush
+/// at all. (A flat 4 KiB chunk would hold all forty bytes, and a
+/// `channel_with_capacity(32)` would silently be a 4 KiB channel.)
+#[test]
+fn private_chunk_never_exceeds_the_channel_capacity() {
+    let (w, mut r) = channel_with_capacity(32);
+    let mut w = DataWriter::new(w);
+    for i in 0..5i64 {
+        w.write_i64(i).unwrap();
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut visible = [0u8; 32];
+        r.read_exact(&mut visible).unwrap();
+        tx.send(visible).unwrap();
+        r
+    });
+    let visible = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the first 32 bytes overflowed the chunk into the channel");
+    let expect: Vec<u8> = (0..4i64).flat_map(i64::to_be_bytes).collect();
+    assert_eq!(&visible[..], &expect[..]);
+    drop(reader.join().unwrap());
 }
