@@ -33,6 +33,7 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 /// Default channel capacity in bytes, analogous to the default buffer size
 /// of Java piped streams ("the default buffer capacities for Java streams
@@ -65,6 +66,20 @@ pub trait Source: Send {
     fn close(&mut self);
 }
 
+/// What a [`Sink`] knows about the reader at the far end of its stream (the
+/// answer to [`Sink::reader_waiting`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReaderState {
+    /// The reader is parked on this stream: publish, it is waiting for it.
+    Waiting,
+    /// The reader is running (or already being woken): keep batching, it
+    /// will ask when it runs dry.
+    Busy,
+    /// The transport cannot see its reader (a socket, a wrapper around
+    /// one, any foreign sink).
+    Unseen,
+}
+
 /// A blocking byte sink: the write end of a channel.
 pub trait Sink: Send {
     /// Blocks until every byte has been accepted. Fails with
@@ -77,13 +92,15 @@ pub trait Sink: Send {
     /// Gracefully ends the stream: the reader drains remaining data, then
     /// sees EOF.
     fn close(&mut self);
-    /// True when the reader of this stream is waiting for bytes the writer
-    /// has not made visible yet — the question the `Iterative` step boundary
-    /// asks before publishing a private chunk (see [`crate::flush`]). The
-    /// default `true` means "unknown": a transport that cannot see its
-    /// reader (a socket) is flushed at every step boundary.
-    fn reader_waiting(&self) -> bool {
-        true
+    /// Whether the reader of this stream is waiting for bytes the writer has
+    /// not made visible yet — the question the `Iterative` step boundary
+    /// asks before publishing a private chunk (see [`crate::flush`], clause
+    /// 5). The default, [`ReaderState::Unseen`], is the answer of a transport
+    /// that cannot see its reader (a socket): such a sink is published at a
+    /// step boundary unless its previous publish returned less than that
+    /// publish's own duration ago.
+    fn reader_waiting(&self) -> ReaderState {
+        ReaderState::Unseen
     }
     /// The most bytes this transport accepts before a write blocks, when it
     /// has such a bound. A private write buffer stacked on the transport is
@@ -471,8 +488,12 @@ impl Sink for LocalSink {
         Ok(())
     }
 
-    fn reader_waiting(&self) -> bool {
-        self.shared.reader_waiting.load(Ordering::Relaxed)
+    fn reader_waiting(&self) -> ReaderState {
+        if self.shared.reader_waiting.load(Ordering::Relaxed) {
+            ReaderState::Waiting
+        } else {
+            ReaderState::Busy
+        }
     }
 
     fn capacity(&self) -> Option<usize> {
@@ -624,6 +645,45 @@ struct BufCore {
     /// read-path auto-flush). Sticky: surfaced on every later operation,
     /// reproducing §3.4's "exception on the next write".
     stashed: Option<Error>,
+    /// Set, when a task adopts the sink, if the inner sink cannot see its
+    /// reader ([`ReaderState::Unseen`]): its publishes are timed. A local
+    /// channel has none and never reads a clock.
+    pace: Option<Pace>,
+}
+
+/// The self-clocking of a sink that cannot see its reader (clause 5 of
+/// [`crate::flush`]): at a step boundary it keeps batching while less time
+/// has passed since its last publish returned than that publish took.
+struct Pace {
+    /// The owning task's executor, for its clock ([`Exec::now`]).
+    exec: Arc<dyn Exec>,
+    /// When the last publish returned and how long it took, end to end.
+    /// Both zero until the owning task's first, which is therefore
+    /// unconditional.
+    returned: Duration,
+    took: Duration,
+}
+
+impl Pace {
+    fn new(exec: Arc<dyn Exec>) -> Self {
+        Pace {
+            exec,
+            returned: Duration::ZERO,
+            took: Duration::ZERO,
+        }
+    }
+
+    /// Records a publish that began at `started` and has just returned.
+    fn published(&mut self, started: Duration) {
+        self.returned = self.exec.now();
+        self.took = self.returned.saturating_sub(started);
+    }
+
+    /// The step boundary's question: is the last publish still younger
+    /// than it was long?
+    fn keeps_batching(&self) -> bool {
+        self.exec.now().saturating_sub(self.returned) < self.took
+    }
 }
 
 /// Shared state of a [`BufferedSink`], also reachable (weakly) from the
@@ -661,8 +721,14 @@ impl BufferedShared {
         if st.buf.is_empty() {
             return Ok(());
         }
+        // A paced sink has the whole of each publish timed: monitor
+        // registration, framing, the syscall, any back-pressure stall.
+        let started = st.pace.as_ref().map(|p| p.exec.now());
         let res = inner.write_all(&st.buf).and_then(|()| inner.flush());
         st.buf.clear();
+        if let (Some(pace), Some(started)) = (st.pace.as_mut(), started) {
+            pace.published(started);
+        }
         if let Err(e) = res {
             st.stashed = Some(replay(&e));
             return Err(e);
@@ -686,8 +752,15 @@ impl Flushable for BufferedShared {
         if st.buf.is_empty() {
             return Ok(());
         }
-        if which == Publish::Awaited && st.inner.as_ref().is_some_and(|s| !s.reader_waiting()) {
-            return Ok(());
+        if which == Publish::StepBoundary {
+            let keep_batching = match st.inner.as_ref().map(|s| s.reader_waiting()) {
+                Some(ReaderState::Busy) => true,
+                Some(ReaderState::Unseen) => st.pace.as_ref().is_some_and(Pace::keeps_batching),
+                Some(ReaderState::Waiting) | None => false,
+            };
+            if keep_batching {
+                return Ok(());
+            }
         }
         // On error the stash has recorded it for the owner's next write;
         // publish-before-wait swallows the return value while the step
@@ -723,6 +796,7 @@ impl BufferedSink {
                     cap: capacity.max(1),
                     inner: Some(inner),
                     stashed: None,
+                    pace: None,
                 }),
                 owner: AtomicU64::new(0),
             }),
@@ -735,10 +809,28 @@ impl BufferedSink {
     fn adopt(&mut self) {
         let tok = flush::task_token();
         if self.registered_for != tok {
-            self.registered_for = tok;
-            self.shared.owner.store(tok, Ordering::Relaxed);
-            flush::register(Arc::downgrade(&self.shared) as std::sync::Weak<dyn Flushable>);
+            self.change_owner(tok);
         }
+    }
+
+    /// Out of line: `adopt` runs on every write, this once per owner.
+    #[cold]
+    fn change_owner(&mut self, tok: u64) {
+        self.registered_for = tok;
+        self.shared.owner.store(tok, Ordering::Relaxed);
+        let mut st = self.shared.state.lock();
+        let unseen = st
+            .inner
+            .as_ref()
+            .is_some_and(|s| s.reader_waiting() == ReaderState::Unseen);
+        // Paced on this task's clock from here on, starting over.
+        st.pace = if unseen {
+            crate::exec::current_exec().map(Pace::new)
+        } else {
+            None
+        };
+        drop(st);
+        flush::register(Arc::downgrade(&self.shared) as std::sync::Weak<dyn Flushable>);
     }
 }
 
@@ -908,9 +1000,10 @@ impl ChannelWriter {
     /// deadlock, growth) is that of the capacity that was asked for.
     ///
     /// Buffered bytes become visible on `flush`/`close`/drop, when the
-    /// buffer fills, at an `Iterative` step boundary if the reader is
-    /// waiting, and — crucially for deadlock safety — before the owning
-    /// task waits for anything (see [`crate::flush`]).
+    /// buffer fills, at an `Iterative` step boundary unless the reader is
+    /// busy or the transport has just been written to, and — crucially for
+    /// deadlock safety — before the owning task waits for anything (see
+    /// [`crate::flush`]).
     pub fn ensure_buffered(&mut self, capacity: usize) {
         if self.buffered || capacity == 0 {
             return;
@@ -1806,7 +1899,11 @@ mod tests {
         // the reader gets around to resuming: every step boundary inside
         // the wake latency would otherwise flush (and wake) again.
         let (mut w, r) = channel();
-        assert!(!w.sink().reader_waiting(), "nobody is parked yet");
+        assert_eq!(
+            w.sink().reader_waiting(),
+            ReaderState::Busy,
+            "nobody is parked yet"
+        );
         let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
         let h = thread::spawn(move || {
             let mut r = r;
@@ -1816,14 +1913,14 @@ mod tests {
             r.read_exact(&mut buf).unwrap(); // parks again
         });
         let wait_until_parked = |w: &mut ChannelWriter| {
-            while !w.sink().reader_waiting() {
+            while w.sink().reader_waiting() != ReaderState::Waiting {
                 thread::sleep(Duration::from_millis(1));
             }
         };
         wait_until_parked(&mut w);
         w.write_all(b"x").unwrap();
         assert!(
-            !w.sink().reader_waiting(),
+            w.sink().reader_waiting() == ReaderState::Busy,
             "cleared by the write that woke the reader, whether or not it has resumed"
         );
         go_tx.send(()).unwrap();
@@ -1836,7 +1933,7 @@ mod tests {
     fn reader_waiting_after_close_so_the_writer_flushes_into_the_error() {
         let (mut w, r) = channel();
         drop(r);
-        assert!(w.sink().reader_waiting());
+        assert_eq!(w.sink().reader_waiting(), ReaderState::Waiting);
     }
 
     #[test]

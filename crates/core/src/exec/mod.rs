@@ -78,8 +78,8 @@ use crate::flush::Flushable;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::{Duration, Instant};
 
 /// Monotonic source of task tokens and park generations. Starting at 1
 /// keeps 0 free as an always-stale sentinel.
@@ -165,6 +165,21 @@ pub trait Exec: Send + Sync + 'static {
     fn reactor(&self) -> Option<Arc<reactor::Reactor>> {
         None
     }
+
+    /// The time on this executor's clock, from a fixed arbitrary origin:
+    /// the monotonic clock for executors that run in real time, logical
+    /// time for the simulation. The token path reads time nowhere else —
+    /// the step boundary measures what a publish costs with it (see
+    /// [`crate::flush`], clause 5) — so what an executor answers here
+    /// decides how that rule behaves under it.
+    fn now(&self) -> Duration {
+        monotonic()
+    }
+}
+
+fn monotonic() -> Duration {
+    static ORIGIN: OnceLock<Instant> = OnceLock::new();
+    ORIGIN.get_or_init(Instant::now).elapsed()
 }
 
 // ---------------------------------------------------------------------------

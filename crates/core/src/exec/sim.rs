@@ -93,4 +93,12 @@ impl Exec for SimExec {
     fn release(&self) {
         self.sched.release();
     }
+
+    fn now(&self) -> Duration {
+        // Logical time: it stands still while a task runs, so a publish
+        // takes none and nothing is ever inside the window one opens —
+        // every schedule sees the step boundary publish, and replays
+        // bit-for-bit.
+        Duration::ZERO
+    }
 }

@@ -24,12 +24,43 @@
 //! 3. the sink **closes** (or is dropped, or retires);
 //! 4. the process **asks**: [`crate::DataWriter::flush`] for one stream,
 //!    [`crate::ProcessCtx::flush_sinks`] for all of the task's; and
-//! 5. at an **`Iterative` step boundary, if the sink's reader is waiting**
-//!    ([`crate::Sink::reader_waiting`]): a reader parked on the channel is
-//!    fed by its producer's next step boundary, so a token becomes visible
-//!    at most one producer step later than under an unconditional per-step
-//!    flush. A reader that is busy is not interrupted, and the chunk keeps
-//!    batching; the batch sizes itself to (wake latency × token rate).
+//! 5. at an **`Iterative` step boundary**, by what the sink knows of its
+//!    reader ([`crate::Sink::reader_waiting`]):
+//!    * the reader is **waiting** — published: a reader parked on the
+//!      channel is fed by its producer's next step boundary, so a token
+//!      becomes visible at most one producer step later than under an
+//!      unconditional per-step flush;
+//!    * the reader is **busy** — not published: it is not interrupted, the
+//!      chunk keeps batching, and the batch sizes itself to (wake latency ×
+//!      token rate);
+//!    * the reader **cannot be seen** (a socket, a wrapper around one, any
+//!      foreign [`crate::Sink`]) — published *unless the sink's previous
+//!      publish returned less than that publish's own duration ago*. The
+//!      writer times each publish of such a sink end to end (monitor
+//!      registration, framing, the syscall, any back-pressure stall) on
+//!      the clock of the executor its task runs on
+//!      ([`crate::exec::Exec::now`]), and at later boundaries compares
+//!      "time since it returned" with "time it took". The first publish
+//!      after a task takes the sink over is unconditional.
+//!
+//! The third case is self-clocked: there is no window to configure, only
+//! the one the transport just measured. Output for an unseen reader stays
+//! private at a boundary for at most as long as the last publish cost, so
+//! the rule **at most doubles a delay the transport itself just imposed**
+//! (a 5 µs frame is followed by at most 5 µs of batching, a 50 ms
+//! back-pressure stall by at most 50 ms), and at step boundaries a writer
+//! spends at most half its time publishing. A process whose steps are
+//! longer than its publishes — a §5.2 `Worker`, a relay `Identity` — finds
+//! the window closed at every boundary and publishes at each, exactly as
+//! under "a socket is flushed at every boundary"; a streaming `Scale`,
+//! whose steps are a fraction of a frame's cost, ends up sending tens of
+//! tokens per frame, as the paper's `BufferedOutputStream` in front of its
+//! `RemoteOutputStream` did (§4.2). Clauses 1–4 do not look at the clock:
+//! a full chunk, a wait, a close and an explicit flush publish whatever the
+//! window says. Under the simulation executor logical time stands still
+//! while a task runs, a publish takes none, and the window is always
+//! closed: an unseen reader is published at every boundary and every
+//! schedule replays bit-for-bit.
 //!
 //! Clause 2 is what keeps buffering invisible to Kahn determinacy and to
 //! Parks' bounded scheduling. Every publish is a write the unbuffered
@@ -66,9 +97,10 @@ use std::sync::{Arc, Weak};
 pub enum Publish {
     /// Every dirty sink: the task is about to wait, or asked for "now".
     All,
-    /// Only sinks whose reader is waiting for them
-    /// ([`crate::Sink::reader_waiting`]): the `Iterative` step boundary.
-    Awaited,
+    /// The `Iterative` step boundary: a sink whose reader waits, and one
+    /// whose reader cannot be seen once as long has passed since its last
+    /// publish as that publish took (clause 5 of the module docs).
+    StepBoundary,
 }
 
 /// A sink with a private buffer that can be flushed by the flush registry.
@@ -79,8 +111,9 @@ pub enum Publish {
 pub trait Flushable: Send + Sync {
     /// Flushes the private buffer toward the consumer *if* the sink is
     /// currently owned by the task with token `owner` and `which` selects
-    /// it. Non-owners, clean sinks and — under [`Publish::Awaited`] — sinks
-    /// nobody is waiting on return `Ok(())` without side effects.
+    /// it. Non-owners, clean sinks and — under [`Publish::StepBoundary`] —
+    /// sinks that clause 5 leaves batching return `Ok(())` without side
+    /// effects.
     fn flush_owned(&self, owner: u64, which: Publish) -> Result<()>;
 }
 
@@ -130,9 +163,9 @@ pub fn flush_task_sinks() -> Result<()> {
 }
 
 /// The `Iterative` step boundary: publishes the calling task's dirty sinks
-/// whose readers are waiting, and leaves the rest batching.
-pub(crate) fn flush_awaited_sinks() -> Result<()> {
-    sweep(Publish::Awaited)
+/// that clause 5 selects, and leaves the rest batching.
+pub(crate) fn flush_at_step_boundary() -> Result<()> {
+    sweep(Publish::StepBoundary)
 }
 
 /// Publish-before-wait: every path on which a task may park calls this

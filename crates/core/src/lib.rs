@@ -34,7 +34,10 @@
 //! a chunk is published when it fills, when its sink closes, when the
 //! process asks, and at an [`process::Iterative`] step boundary *if the
 //! reader is waiting for it* — so a parked reader is fed within one
-//! producer step, and a busy one lets the chunk batch.
+//! producer step, and a busy one lets the chunk batch. A reader the writer
+//! cannot see (the far end of a socket) is published to at a step boundary
+//! unless the previous publish returned less than its own duration ago, so
+//! its output is delayed by at most what the transport just cost.
 //!
 //! Why this preserves the paper's guarantees:
 //!
@@ -76,7 +79,7 @@ pub mod stream;
 pub mod topology;
 
 pub use channel::{
-    channel, channel_with_capacity, Channel, ChannelReader, ChannelWriter, Sink, Source,
+    channel, channel_with_capacity, Channel, ChannelReader, ChannelWriter, ReaderState, Sink, Source,
     SourceRead, DEFAULT_CAPACITY, DEFAULT_STREAM_BUFFER,
 };
 pub use error::{Error, Result};

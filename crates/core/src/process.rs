@@ -79,11 +79,12 @@ impl ProcessCtx {
     ///
     /// Nothing needs this for correctness — a task's output is always
     /// published before the task waits for anything, and the run loop of
-    /// [`IterativeProcess`] feeds a waiting reader at every step boundary.
-    /// It is for a process that wants its output seen *now* although the
-    /// reader is busy (a progress report, a heartbeat), and for
-    /// long-running [`Process`] bodies that batch many writes between
-    /// waits.
+    /// [`IterativeProcess`] feeds a waiting reader at every step boundary
+    /// (a remote reader within one publish-duration of the previous
+    /// publish). It is for a process that wants its output seen *now*
+    /// although the reader is busy or a frame has just been sent (a
+    /// progress report, a heartbeat), and for long-running [`Process`]
+    /// bodies that batch many writes between waits.
     ///
     /// Errors are the first failure among the flushed sinks
     /// ([`crate::Error::WriteClosed`] once a consumer has stopped — the
@@ -181,9 +182,12 @@ impl<T: Iterative> Process for IterativeProcess<T> {
     /// A reader parked on one of this process's outputs is therefore fed
     /// by the next boundary — a token is visible at most one step later
     /// than if every step ended with a flush — while a reader that is busy
-    /// lets the 4 KiB chunk batch. Output is also published whenever a step
-    /// waits for anything, so nothing here is needed for deadlock safety; a
-    /// step that must be seen immediately calls
+    /// lets the 4 KiB chunk batch. Output for a reader that cannot be seen
+    /// (a remote channel) is published unless the previous publish returned
+    /// less than its own duration ago: steps longer than a publish publish
+    /// every time, shorter ones share a frame. Output is also published
+    /// whenever a step waits for anything, so nothing here is needed for
+    /// deadlock safety; a step that must be seen immediately calls
     /// [`ProcessCtx::flush_sinks`].
     fn run(mut self: Box<Self>, ctx: &ProcessCtx) -> Result<()> {
         let result: Result<()> = (|| {
@@ -192,7 +196,7 @@ impl<T: Iterative> Process for IterativeProcess<T> {
             loop {
                 // The step boundary: after `on_start` and after every step,
                 // the last one included.
-                crate::flush::flush_awaited_sinks()?;
+                crate::flush::flush_at_step_boundary()?;
                 match remaining.as_mut() {
                     Some(0) => return Ok(()),
                     Some(n) => *n -= 1,

@@ -16,12 +16,15 @@
 //! [`ChannelWriter`] itself (via [`ChannelWriter::ensure_buffered`]), so
 //! `into_inner` round-trips are lossless. Buffered bytes become visible on
 //! flush/close/drop, when the chunk fills, at an `Iterative` step boundary
-//! if the reader is parked waiting for them, and always before the owning
-//! task waits for anything — the rule that keeps buffering invisible to
-//! Kahn determinacy and to the deadlock monitor (see [`crate::flush`]). A
-//! token written in one step of an `Iterative` process is therefore in
-//! front of a waiting reader by the end of the next step at the latest;
-//! [`DataWriter::flush`] forces it out now. Read-side buffering is plain
+//! if the reader is parked waiting for them (or cannot be seen and the
+//! transport's last publish is at least its own duration old), and always
+//! before the owning task waits for anything — the rule that keeps
+//! buffering invisible to Kahn determinacy and to the deadlock monitor (see
+//! [`crate::flush`]). A token written in one step of an `Iterative` process
+//! is therefore in front of a waiting local reader by the end of the next
+//! step at the latest, and on its way to a remote one within one
+//! publish-duration of the previous publish; [`DataWriter::flush`] forces
+//! it out now. Read-side buffering is plain
 //! read-ahead inside [`DataReader`]; unconsumed read-ahead is pushed back
 //! with [`ChannelReader::unread`] when the reader is unwrapped.
 //!

@@ -686,9 +686,12 @@ impl SinkCore {
         }
         // Flush on the frame boundary: every `write_all` a raw (unwrapped)
         // writer performs is immediately visible to the remote reader, so
-        // deadlock safety never depends on socket-side buffering. Batched
-        // callers sit behind a stream-layer buffer that already delivers
-        // chunk-sized `write_all`s here.
+        // deadlock safety never depends on socket-side buffering. Batching
+        // happens above: a typed stream's private chunk decides how many
+        // tokens one `write_all` here carries, and for a sink like this
+        // one, which cannot see its reader, that layer times each call
+        // and shares a frame between the steps that fit in as long again
+        // (`kpn_core::flush`, clause 5).
         let r = match self.conn.as_mut() {
             Some(conn) => conn.flush().map_err(Error::Io),
             None => Err(Error::WriteClosed),
@@ -797,6 +800,14 @@ fn pump_loop() {
 /// socket runs with `TCP_NODELAY`: batching is decided by our explicit
 /// flush-on-frame-boundary, not by Nagle's timer. Payload bytes are
 /// framed in place — no per-frame allocation.
+///
+/// One `write_all` is one frame, flushed. The sink keeps the default
+/// [`Sink::reader_waiting`] answer — it cannot see its reader — so how
+/// many tokens a frame carries is decided by the typed stream's buffer
+/// above it: at an `Iterative` step boundary that buffer publishes unless
+/// its previous publish (this sink's `write_all` + `flush`, timed end to
+/// end) returned less than its own duration ago (`kpn_core::flush`,
+/// clause 5). A raw writer with no such buffer gets a frame per call.
 ///
 /// With a [`ReconnectPolicy`] enabled (via the address's installed
 /// [`NetProfile`]), the sink retains unacknowledged frames and survives
@@ -1490,6 +1501,7 @@ mod tests {
     use super::*;
     use crate::transport::{install_profile, remove_profile, TcpFactory};
     use kpn_core::{DataReader, DataWriter};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn node() -> Arc<Acceptor> {
@@ -1703,16 +1715,89 @@ mod tests {
         remove_profile(&addr);
     }
 
+    /// TCP whose writer-side connections count the `write`s they make:
+    /// behind [`RemoteSink`]'s `BufWriter` one flushed frame, header and
+    /// payload, is one of them.
+    struct CountingFactory(Arc<AtomicUsize>);
+
+    struct CountedTransport {
+        inner: Box<dyn Transport>,
+        writes: Arc<AtomicUsize>,
+    }
+
+    impl TransportFactory for CountingFactory {
+        fn connect(&self, addr: &str, token: u64) -> Result<Box<dyn Transport>> {
+            Ok(Box::new(CountedTransport {
+                inner: TcpFactory.connect(addr, token)?,
+                writes: self.0.clone(),
+            }))
+        }
+        fn wrap_accepted(&self, stream: TcpStream, token: u64) -> Box<dyn Transport> {
+            TcpFactory.wrap_accepted(stream, token)
+        }
+    }
+
+    impl Read for CountedTransport {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.inner.read(buf)
+        }
+    }
+
+    impl Write for CountedTransport {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.fetch_add(1, Ordering::SeqCst);
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl Transport for CountedTransport {
+        fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+            self.inner.shutdown(how)
+        }
+        fn peer_addr(&self) -> io::Result<SocketAddr> {
+            self.inner.peer_addr()
+        }
+        fn shutdown_handle(&self) -> Option<TcpStream> {
+            self.inner.shutdown_handle()
+        }
+        fn set_op_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+            self.inner.set_op_timeout(timeout)
+        }
+        fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+            self.inner.set_nonblocking(nonblocking)
+        }
+        fn raw_fd(&self) -> Option<i32> {
+            self.inner.raw_fd()
+        }
+        fn retry_write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.inner.retry_write(buf)
+        }
+    }
+
     /// A partition whose only outlet is a socket: `Sequence -> L -> Scale ->`
-    /// a monitored remote writer, drained by the test thread.
-    fn drive_partition(tokens: u64) -> kpn_core::MonitorStats {
+    /// a monitored remote writer, drained by the test thread. Returns the
+    /// monitor's view and how many writes the writer's socket saw.
+    fn drive_partition_over(
+        tokens: u64,
+        policy: ReconnectPolicy,
+    ) -> (kpn_core::MonitorStats, usize) {
         use kpn_core::stdlib::{Scale, Sequence};
-        let b = node();
+        let writes = Arc::new(AtomicUsize::new(0));
+        let profile = NetProfile {
+            factory: Arc::new(CountingFactory(writes.clone())),
+            policy,
+        };
+        let b = Acceptor::bind_with("127.0.0.1:0", profile.clone()).unwrap();
+        let addr = b.local_addr().to_string();
+        install_profile(addr.clone(), profile);
         let token = fresh_token();
         let reader = remote_reader(&b, token);
         let net = kpn_core::Network::new();
         let (w0, r0) = net.channel();
-        let out = remote_writer(&b.local_addr().to_string(), token).unwrap();
+        let out = remote_writer(&addr, token).unwrap();
         net.add(Sequence::new(0, tokens, w0));
         net.add(Scale::new(3, r0, monitored_writer(out, net.monitor().clone())));
         net.start();
@@ -1721,7 +1806,31 @@ mod tests {
             assert_eq!(dr.read_i64().unwrap(), 3 * i);
         }
         assert!(dr.read_i64().is_err());
-        net.join().unwrap().monitor
+        let stats = net.join().unwrap().monitor;
+        remove_profile(&addr);
+        (stats, writes.load(Ordering::SeqCst))
+    }
+
+    fn drive_partition(tokens: u64) -> kpn_core::MonitorStats {
+        drive_partition_over(tokens, ReconnectPolicy::default()).0
+    }
+
+    #[test]
+    fn a_streaming_writer_shares_frames_between_steps() {
+        // `Scale`'s steps are a fraction of what a frame costs to send, so
+        // each publish opens a window many steps long (`kpn_core::flush`,
+        // clause 5) and the next frame carries them all: the history is
+        // exact and the socket sees tens of tokens per write, where a flush
+        // at every step boundary sent one frame per token.
+        const TOKENS: u64 = 100_000;
+        for policy in [ReconnectPolicy::default(), ReconnectPolicy::resilient()] {
+            let (stats, writes) = drive_partition_over(TOKENS, policy.clone());
+            assert!(
+                writes < TOKENS as usize / 10,
+                "{writes} socket writes for {TOKENS} tokens ({policy:?})"
+            );
+            assert_eq!(stats.capacity_grows, 0, "{:?}", stats.growth_log);
+        }
     }
 
     #[test]

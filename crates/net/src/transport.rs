@@ -692,42 +692,55 @@ impl Drop for RecoveryGuard {
     }
 }
 
+/// An event counter probes sleep on: [`ProbeWaker::wait`] returns early when
+/// [`ProbeWaker::notify`] is called during it.
 struct ProbeWaker {
     events: Mutex<u64>,
     cond: Condvar,
 }
 
-fn waker() -> &'static ProbeWaker {
-    static WAKER: OnceLock<ProbeWaker> = OnceLock::new();
-    WAKER.get_or_init(|| ProbeWaker {
-        events: Mutex::new(0),
-        cond: Condvar::new(),
-    })
+impl ProbeWaker {
+    const fn new() -> Self {
+        ProbeWaker {
+            events: Mutex::new(0),
+            cond: Condvar::new(),
+        }
+    }
+
+    fn notify(&self) {
+        *self.events.lock() += 1;
+        self.cond.notify_all();
+    }
+
+    /// Returns `true` if woken by an event, `false` once `timeout` elapsed.
+    fn wait(&self, timeout: Duration) -> bool {
+        let mut events = self.events.lock();
+        let before = *events;
+        let deadline = Instant::now() + timeout;
+        while *events == before {
+            if self.cond.wait_until(&mut events, deadline).timed_out() {
+                return *events != before;
+            }
+        }
+        true
+    }
 }
+
+/// The process-wide waker every transport recovery transition notifies.
+static PROBE_WAKER: ProbeWaker = ProbeWaker::new();
 
 /// Wakes any probe blocked in [`probe_wait`]; called on every transport
 /// recovery transition (and usable by tests to force an immediate
 /// re-poll).
 pub fn notify_probe() {
-    let w = waker();
-    *w.events.lock() += 1;
-    w.cond.notify_all();
+    PROBE_WAKER.notify();
 }
 
 /// Blocks until a transport event fires or `timeout` elapses — the
 /// condvar-based replacement for the probe's former fixed-interval sleep.
 /// Returns `true` if woken by an event.
 pub fn probe_wait(timeout: Duration) -> bool {
-    let w = waker();
-    let mut events = w.events.lock();
-    let before = *events;
-    let deadline = Instant::now() + timeout;
-    while *events == before {
-        if w.cond.wait_until(&mut events, deadline).timed_out() {
-            return *events != before;
-        }
-    }
-    true
+    PROBE_WAKER.wait(timeout)
 }
 
 /// Classification of an I/O error for the recovery logic: `true` means
@@ -826,12 +839,21 @@ mod tests {
 
     #[test]
     fn probe_wait_times_out_and_wakes() {
-        assert!(!probe_wait(Duration::from_millis(10)));
-        let h = std::thread::spawn(|| {
-            std::thread::sleep(Duration::from_millis(20));
-            notify_probe();
+        // A waker of its own: the process-wide one is notified by every
+        // recovery test running beside this one.
+        let waker = ProbeWaker::new();
+        assert!(!waker.wait(Duration::from_millis(10)));
+        let woken = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Until the wait has returned, so one of these lands in it.
+                while !woken.load(Ordering::SeqCst) {
+                    waker.notify();
+                    std::thread::yield_now();
+                }
+            });
+            assert!(waker.wait(Duration::from_secs(5)));
+            woken.store(true, Ordering::SeqCst);
         });
-        assert!(probe_wait(Duration::from_secs(5)));
-        h.join().unwrap();
     }
 }

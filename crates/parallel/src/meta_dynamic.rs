@@ -473,8 +473,8 @@ mod tests {
                 Ok(())
             }
             fn close(&mut self) {}
-            fn reader_waiting(&self) -> bool {
-                false
+            fn reader_waiting(&self) -> kpn_core::ReaderState {
+                kpn_core::ReaderState::Busy
             }
         }
         let merge = Arc::new(Merge {

@@ -11,18 +11,20 @@
 //! behaviour at capacities small enough (≤ 64 bytes) to force constant
 //! blocking and channel growth, and pin the step-boundary rule itself:
 //! a chunk batches while its reader is busy, a waiting reader is fed
-//! within one producer step, and a chunk never outgrows its channel.
+//! within one producer step, a reader that cannot be seen waits at most as
+//! long again as the last publish took, and a chunk never outgrows its
+//! channel.
 
 use kpn::core::graphs::{
     first_primes, hamming, hamming_reference, primes_reference, GraphOptions,
 };
 use kpn::core::{
-    channel_with_capacity, ChannelWriter, DataReader, DataWriter, Error, ExecMode, Iterative,
-    Network, NetworkConfig, ProcessCtx, Result, SchedulePolicy, SimScheduler, Sink,
-    DEFAULT_STREAM_BUFFER,
+    channel_with_capacity, check_determinacy, run_sim, ChannelWriter, DataReader, DataWriter,
+    Error, ExecMode, HistoryCheck, Iterative, Network, NetworkConfig, ProcessCtx, ReaderState,
+    Result, SchedulePolicy, SimScheduler, Sink, DEFAULT_STREAM_BUFFER,
 };
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn opts(capacity: usize) -> GraphOptions {
@@ -198,31 +200,85 @@ fn large_blocks_interleave_with_small_tokens() {
     net.run().unwrap();
 }
 
-/// A transport that counts what reaches it and answers
-/// [`Sink::reader_waiting`] with a fixed value.
-struct CountingSink {
-    transfers: Arc<AtomicUsize>,
-    bytes: Arc<AtomicUsize>,
-    reader_waiting: bool,
+/// One `write_all` as a [`Transport`] saw it.
+struct Transfer {
+    bytes: usize,
+    /// Steps the producer had begun when the transfer started.
+    begun: u64,
+    entered: Instant,
+    left: Instant,
 }
 
-impl Sink for CountingSink {
+/// A transport that logs what reaches it, answers
+/// [`Sink::reader_waiting`] with a fixed value, and takes as long over its
+/// `n`-th transfer as `delay(n)` says.
+struct Transport {
+    log: Arc<Mutex<Vec<Transfer>>>,
+    reader: ReaderState,
+    delay: fn(usize) -> Duration,
+    begun: Arc<AtomicU64>,
+}
+
+impl Transport {
+    fn new(reader: ReaderState, delay: fn(usize) -> Duration) -> Self {
+        Transport {
+            log: Arc::default(),
+            reader,
+            delay,
+            begun: Arc::default(),
+        }
+    }
+}
+
+impl Sink for Transport {
     fn write_all(&mut self, buf: &[u8]) -> Result<()> {
-        self.transfers.fetch_add(1, Ordering::SeqCst);
-        self.bytes.fetch_add(buf.len(), Ordering::SeqCst);
+        let entered = Instant::now();
+        let begun = self.begun.load(Ordering::SeqCst);
+        let delay = (self.delay)(self.log.lock().unwrap().len());
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+        self.log.lock().unwrap().push(Transfer {
+            bytes: buf.len(),
+            begun,
+            entered,
+            left: Instant::now(),
+        });
         Ok(())
     }
     fn close(&mut self) {}
-    fn reader_waiting(&self) -> bool {
-        self.reader_waiting
+    fn reader_waiting(&self) -> ReaderState {
+        self.reader
     }
 }
 
-/// One `write_i64` per step, `limit` steps.
+/// One `write_i64` per step, `limit` steps, each `pace` long; counts the
+/// steps it has begun.
 struct TokenPerStep {
     out: DataWriter,
     limit: u64,
     next: i64,
+    pace: Duration,
+    begun: Arc<AtomicU64>,
+}
+
+impl TokenPerStep {
+    fn new(out: ChannelWriter, limit: u64, pace: Duration, begun: Arc<AtomicU64>) -> Self {
+        TokenPerStep {
+            out: DataWriter::new(out),
+            limit,
+            next: 0,
+            pace,
+            begun,
+        }
+    }
+
+    /// Writing into `transport`, which gets to see the step counter.
+    fn into_transport(transport: Transport, limit: u64, pace: Duration) -> Self {
+        let begun = transport.begun.clone();
+        let out = ChannelWriter::from_sink(Box::new(transport));
+        TokenPerStep::new(out, limit, pace, begun)
+    }
 }
 
 impl Iterative for TokenPerStep {
@@ -230,43 +286,47 @@ impl Iterative for TokenPerStep {
         Some(self.limit)
     }
     fn step(&mut self, _ctx: &ProcessCtx) -> Result<()> {
+        self.begun.fetch_add(1, Ordering::SeqCst);
         self.out.write_i64(self.next)?;
         self.next += 1;
+        if !self.pace.is_zero() {
+            std::thread::sleep(self.pace);
+        }
         Ok(())
     }
 }
 
-/// The step boundary publishes a chunk only if its reader waits: with a
-/// reader that never does, `N` one-token steps reach the transport as
-/// `⌈8N / chunk⌉` transfers; with one that always does (the default, and
-/// what a socket answers), as `N`.
+/// Fewest transfers `n` 8-byte tokens can take: the chunk fills.
+fn full_chunks(n: u64) -> usize {
+    (8 * n as usize).div_ceil(DEFAULT_STREAM_BUFFER)
+}
+
+/// The step boundary's three answers. `N` one-token steps reach a
+/// transport whose reader waits as `N` transfers; one whose reader is busy
+/// as `⌈8N / chunk⌉`; and one that cannot see its reader and takes 200 µs
+/// over a transfer as a handful — each publish opens a window as long as
+/// it took, and hundreds of near-empty steps fit in that — but never as
+/// fewer than the chunk allows.
 #[test]
 fn step_boundary_batches_unless_the_reader_waits() {
     const N: u64 = 1000;
-    for (reader_waiting, expect) in [
-        (false, (8 * N as usize).div_ceil(DEFAULT_STREAM_BUFFER)),
-        (true, N as usize),
-    ] {
-        let (transfers, bytes) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
-        let sink = CountingSink {
-            transfers: transfers.clone(),
-            bytes: bytes.clone(),
-            reader_waiting,
-        };
+    let run = |reader: ReaderState, delay: fn(usize) -> Duration| {
+        let transport = Transport::new(reader, delay);
+        let log = transport.log.clone();
         let net = Network::new();
-        net.add(TokenPerStep {
-            out: DataWriter::new(ChannelWriter::from_sink(Box::new(sink))),
-            limit: N,
-            next: 0,
-        });
+        net.add(TokenPerStep::into_transport(transport, N, Duration::ZERO));
         net.run().unwrap();
-        assert_eq!(bytes.load(Ordering::SeqCst), 8 * N as usize);
-        assert_eq!(
-            transfers.load(Ordering::SeqCst),
-            expect,
-            "reader_waiting = {reader_waiting}"
-        );
-    }
+        let log = log.lock().unwrap();
+        assert_eq!(log.iter().map(|t| t.bytes).sum::<usize>(), 8 * N as usize);
+        log.len()
+    };
+    assert_eq!(run(ReaderState::Waiting, |_| Duration::ZERO), N as usize);
+    assert_eq!(run(ReaderState::Busy, |_| Duration::ZERO), full_chunks(N));
+    let unseen = run(ReaderState::Unseen, |_| Duration::from_micros(200));
+    assert!(
+        (full_chunks(N)..N as usize / 10).contains(&unseen),
+        "{unseen} transfers for an unseen reader behind a 200 µs transport"
+    );
 }
 
 /// The bound that replaces "visible at the end of the step": a reader
@@ -280,38 +340,20 @@ fn step_boundary_batches_unless_the_reader_waits() {
 #[test]
 fn parked_reader_is_fed_within_one_producer_step() {
     const N: u64 = 25;
-    const STEP: Duration = Duration::from_millis(20);
-    struct Slow {
-        inner: TokenPerStep,
-        started: Arc<AtomicU64>,
-    }
-    impl Iterative for Slow {
-        fn limit(&self) -> Option<u64> {
-            self.inner.limit()
-        }
-        fn step(&mut self, ctx: &ProcessCtx) -> Result<()> {
-            self.started.fetch_add(1, Ordering::SeqCst);
-            self.inner.step(ctx)?;
-            std::thread::sleep(STEP);
-            Ok(())
-        }
-    }
-    let started = Arc::new(AtomicU64::new(0));
+    let begun = Arc::new(AtomicU64::new(0));
     let net = Network::new();
     let (w, r) = net.channel();
-    net.add(Slow {
-        inner: TokenPerStep {
-            out: DataWriter::new(w),
-            limit: N,
-            next: 0,
-        },
-        started: started.clone(),
-    });
+    net.add(TokenPerStep::new(
+        w,
+        N,
+        Duration::from_millis(20),
+        begun.clone(),
+    ));
     net.start();
     let mut r = DataReader::new(r);
     for i in 0..N {
         assert_eq!(r.read_i64().unwrap(), i as i64);
-        let begun = started.load(Ordering::SeqCst);
+        let begun = begun.load(Ordering::SeqCst);
         assert!(
             begun <= i + 3,
             "token {i} arrived only after the producer began step {}",
@@ -320,6 +362,130 @@ fn parked_reader_is_fed_within_one_producer_step() {
     }
     assert!(matches!(r.read_i64(), Err(Error::Eof)));
     net.join().unwrap();
+}
+
+/// The same bound for a reader nobody can see: steps longer than a publish
+/// find its window closed at every boundary, so a transport with instant
+/// writes under 2 ms steps gets every token in a transfer of its own, the
+/// boundary after the step that wrote it — what a socket got when it was
+/// flushed at every boundary.
+#[test]
+fn long_steps_publish_to_an_unseen_reader_every_time() {
+    const N: u64 = 25;
+    let transport = Transport::new(ReaderState::Unseen, |_| Duration::ZERO);
+    let log = transport.log.clone();
+    let net = Network::new();
+    net.add(TokenPerStep::into_transport(
+        transport,
+        N,
+        Duration::from_millis(2),
+    ));
+    net.run().unwrap();
+    let log = log.lock().unwrap();
+    assert_eq!(log.len(), N as usize, "one transfer per step");
+    for (i, t) in log.iter().enumerate() {
+        assert_eq!(t.bytes, 8);
+        assert!(
+            t.begun <= i as u64 + 3,
+            "token {i} left only after step {} began",
+            t.begun - 1
+        );
+    }
+}
+
+/// The doubling bound. One publish stalls for 50 ms (back-pressure); the
+/// tokens of the 1 ms steps that follow stay private for as long as that
+/// publish took and no longer, then leave in one transfer — the delay the
+/// transport imposed is at most doubled — and that transfer having been
+/// quick, every later token leaves at its own boundary again.
+#[test]
+fn an_unseen_reader_waits_at_most_as_long_again_as_the_last_publish_took() {
+    const N: u64 = 150;
+    const STALLED: usize = 4;
+    const STEP: Duration = Duration::from_millis(1);
+    let transport = Transport::new(ReaderState::Unseen, |n| {
+        if n == STALLED {
+            Duration::from_millis(50)
+        } else {
+            Duration::ZERO
+        }
+    });
+    let log = transport.log.clone();
+    let net = Network::new();
+    net.add(TokenPerStep::into_transport(transport, N, STEP));
+    net.run().unwrap();
+    let log = log.lock().unwrap();
+    assert_eq!(log.iter().map(|t| t.bytes).sum::<usize>(), 8 * N as usize);
+    let (stalled, next) = (&log[STALLED], &log[STALLED + 1]);
+    let took = stalled.left - stalled.entered;
+    let private = next.entered - stalled.left;
+    // The window is what the writer measured — a hair more than `took` —
+    // and ends at a boundary, up to a step (and its sleep's overshoot) on.
+    assert!(
+        private <= took + 10 * STEP,
+        "output stayed private for {private:?} after a publish that took {took:?}"
+    );
+    assert!(
+        next.bytes >= 8 * 20,
+        "the {}-byte transfer after the stall shows no batching: the window never opened",
+        next.bytes
+    );
+    for (i, t) in log.iter().enumerate().skip(STALLED + 2) {
+        assert!(
+            t.bytes <= 16,
+            "transfer {i}, after the quick one that followed the stall, carried {} bytes",
+            t.bytes
+        );
+    }
+}
+
+/// Under the simulation logical time stands still while a task runs, so a
+/// publish takes none and the window it opens is empty: the transport that
+/// got a handful of transfers above gets one per step in every schedule,
+/// whatever its `write_all` costs in wall-clock time, and the local
+/// channel beside it carries the same history each time.
+#[test]
+fn an_unseen_reader_is_published_every_step_under_sim() {
+    const N: u64 = 40;
+    /// A step feeds an unseen transport and a 32-byte local channel, so
+    /// the producer parks every few steps and schedules have room to differ.
+    struct Both {
+        remote: TokenPerStep,
+        local: DataWriter,
+    }
+    impl Iterative for Both {
+        fn limit(&self) -> Option<u64> {
+            self.remote.limit()
+        }
+        fn step(&mut self, ctx: &ProcessCtx) -> Result<()> {
+            self.local.write_i64(self.remote.next)?;
+            self.remote.step(ctx)
+        }
+    }
+    let explored = check_determinacy(
+        (0..12).map(|seed| SchedulePolicy::RandomWalk { seed }),
+        HistoryCheck::Exact,
+        |policy| {
+            let transport = Transport::new(ReaderState::Unseen, |_| Duration::from_micros(200));
+            let log = transport.log.clone();
+            let run = run_sim(policy, |net| {
+                let (w, r) = net.channel_with_capacity(32);
+                net.add(Both {
+                    remote: TokenPerStep::into_transport(transport, N, Duration::ZERO),
+                    local: DataWriter::new(w),
+                });
+                net.add_fn("drain", move |_| {
+                    let mut r = DataReader::new(r);
+                    while r.read_i64().is_ok() {}
+                    Ok(())
+                });
+            })?;
+            assert_eq!(log.lock().unwrap().len(), N as usize, "{}", run.trace);
+            Ok(run)
+        },
+    )
+    .unwrap();
+    assert!(explored > 1, "only one schedule explored");
 }
 
 /// A task blocked *writing* publishes its other outputs first. The

@@ -45,10 +45,16 @@ fn table2_shape_dynamic_does_not_stall() {
 
 #[test]
 fn table2_shape_dynamic_beats_static_in_heterogeneous_pool() {
+    // The claim is a shape, not a race between two single sleep-throttled
+    // runs: compare each schema's best of three (noise only ever adds
+    // time), taken alternately so a disturbance lands on both.
     let cfg = cfg();
     for n in [8usize, 16] {
-        let st = measure(&cfg, Schema::Static, n).minutes;
-        let dy = measure(&cfg, Schema::Dynamic, n).minutes;
+        let (mut st, mut dy) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..3 {
+            st = st.min(measure(&cfg, Schema::Static, n).minutes);
+            dy = dy.min(measure(&cfg, Schema::Dynamic, n).minutes);
+        }
         assert!(
             dy < st,
             "dynamic ({dy:.2}) must beat static ({st:.2}) at {n} workers"
