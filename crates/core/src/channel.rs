@@ -27,8 +27,9 @@ use crate::buffer::RingBuffer;
 use crate::error::{Error, Result};
 use crate::exec::Exec;
 use crate::flush::{self, Flushable, Publish};
-use crate::monitor::{BlockGuard, BlockKind, ChannelIoStats, Monitor, MonitoredChannel};
+use crate::monitor::{BlockGuard, BlockKind, ChannelIoStats, Look, Monitor, MonitoredChannel};
 use crate::sim::HistoryRecorder;
+use crate::topology::{EndpointShape, ProcessTag, SideState, StreamFraming};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -138,6 +139,22 @@ struct BufState {
     write_blocks: u64,
     read_blocks: u64,
     peak_occupancy: usize,
+    // Lint metadata of the two sides, declared through the endpoints
+    // (`EndpointTopo`) and read by `look`. Never affects data flow.
+    writer: EndpointShape,
+    reader: EndpointShape,
+}
+
+impl BufState {
+    fn io_stats(&self) -> ChannelIoStats {
+        ChannelIoStats {
+            bytes_written: self.bytes_written,
+            write_blocks: self.write_blocks,
+            read_blocks: self.read_blocks,
+            peak_occupancy: self.peak_occupancy,
+            capacity: self.buf.capacity(),
+        }
+    }
 }
 
 /// Shared state of a local channel. Registered with the network's deadlock
@@ -191,6 +208,8 @@ impl Shared {
                 write_blocks: 0,
                 read_blocks: 0,
                 peak_occupancy: 0,
+                writer: EndpointShape::open(),
+                reader: EndpointShape::open(),
             }),
             reader_waiting: AtomicBool::new(false),
             monitor,
@@ -311,42 +330,25 @@ impl Shared {
 
 impl Drop for Shared {
     fn drop(&mut self) {
-        // Preserve this channel's final counters in the monitor's report.
+        // Leave the monitor's table; the final counters stay in its report.
         if let Some(m) = &self.monitor {
-            let st = self.state.get_mut();
-            m.channel_retired(
-                self.id,
-                ChannelIoStats {
-                    bytes_written: st.bytes_written,
-                    write_blocks: st.write_blocks,
-                    read_blocks: st.read_blocks,
-                    peak_occupancy: st.peak_occupancy,
-                    capacity: st.buf.capacity(),
-                },
-            );
+            m.channel_retired(self.id, self.state.get_mut().io_stats());
         }
     }
 }
 
 impl MonitoredChannel for Shared {
-    fn capacity(&self) -> usize {
-        self.state.lock().buf.capacity()
-    }
-
-    fn is_full(&self) -> bool {
-        self.state.lock().buf.is_full()
-    }
-
-    fn buffered(&self) -> usize {
-        self.state.lock().buf.len()
-    }
-
-    fn is_write_closed(&self) -> bool {
-        self.state.lock().write_closed
-    }
-
-    fn is_read_closed(&self) -> bool {
-        self.state.lock().read_closed
+    fn look(&self) -> Look {
+        let st = self.state.lock();
+        Look {
+            stats: st.io_stats(),
+            buffered: st.buf.len(),
+            full: st.buf.is_full(),
+            write_closed: st.write_closed,
+            read_closed: st.read_closed,
+            writer: st.writer.clone(),
+            reader: st.reader.clone(),
+        }
     }
 
     fn grow_if_full(&self, max: Option<usize>) -> Option<(usize, usize)> {
@@ -399,16 +401,44 @@ impl MonitoredChannel for Shared {
             self.wake_writers();
         }
     }
+}
 
-    fn io_stats(&self) -> ChannelIoStats {
-        let st = self.state.lock();
-        ChannelIoStats {
-            bytes_written: st.bytes_written,
-            write_blocks: st.write_blocks,
-            read_blocks: st.read_blocks,
-            peak_occupancy: st.peak_occupancy,
-            capacity: st.buf.capacity(),
+/// An endpoint's link back to the local channel it was created as one side
+/// of: where its lint declarations are kept. Weak, so that an endpoint
+/// whose transport was closed or replaced does not keep the buffer alive.
+struct EndpointTopo {
+    chan: Weak<Shared>,
+    side: BlockKind,
+}
+
+impl EndpointTopo {
+    /// Edits this side's lint metadata, if the channel is still there.
+    fn declare(&self, edit: impl FnOnce(&mut EndpointShape)) {
+        if let Some(shared) = self.chan.upgrade() {
+            let mut st = shared.state.lock();
+            edit(match self.side {
+                BlockKind::Write => &mut st.writer,
+                BlockKind::Read => &mut st.reader,
+            });
         }
+    }
+
+    fn mark(&self, state: SideState) {
+        self.declare(|e| e.mark(state));
+    }
+
+    fn attach(&self, tag: &ProcessTag) {
+        self.declare(|e| {
+            e.state = SideState::Attached;
+            e.process = Some(tag.id());
+        });
+    }
+
+    fn declare_item(&self, name: &'static str, size: usize) {
+        self.declare(|e| {
+            e.item_type = Some(name);
+            e.item_size = Some(size);
+        });
     }
 }
 
@@ -929,10 +959,10 @@ pub struct ChannelWriter {
     sink: Option<Box<dyn Sink>>,
     /// True when `sink` is a [`BufferedSink`]; prevents double-wrapping.
     buffered: bool,
-    /// Back-link into the owning network's topology registry, when this
-    /// endpoint was created through a [`crate::Network`]. Pure metadata for
-    /// the lint pass; never affects data flow.
-    topo: Option<crate::topology::EndpointTopo>,
+    /// Back-link to the local channel this endpoint was created as one side
+    /// of, if it was. Pure metadata for the lint pass; never affects data
+    /// flow.
+    topo: Option<EndpointTopo>,
 }
 
 impl ChannelWriter {
@@ -948,7 +978,7 @@ impl ChannelWriter {
     /// Declares that this endpoint is owned by the process identified by
     /// `tag`. Called by the stdlib process constructors; custom processes
     /// may do the same (see [`crate::Process::lint_tag`]). Metadata only.
-    pub fn attach(&self, tag: &crate::topology::ProcessTag) {
+    pub fn attach(&self, tag: &ProcessTag) {
         tag.note_attachment();
         if let Some(t) = &self.topo {
             t.attach(tag);
@@ -960,7 +990,7 @@ impl ChannelWriter {
     /// L001 dangling-endpoint lint.
     pub fn declare_external(&self) {
         if let Some(t) = &self.topo {
-            t.mark(crate::topology::SideState::External);
+            t.mark(SideState::External);
         }
     }
 
@@ -974,9 +1004,9 @@ impl ChannelWriter {
 
     /// Declares the stream framing installed over this endpoint (typed data
     /// stream vs. length-prefixed object stream), for the L002 lint.
-    pub fn declare_framing(&self, framing: crate::topology::StreamFraming) {
+    pub fn declare_framing(&self, framing: StreamFraming) {
         if let Some(t) = &self.topo {
-            t.declare_framing(framing);
+            t.declare(|e| e.framing = Some(framing));
         }
     }
 
@@ -984,7 +1014,7 @@ impl ChannelWriter {
     /// balance-equation lint.
     pub fn declare_rate(&self, rate: u64) {
         if let Some(t) = &self.topo {
-            t.declare_rate(rate);
+            t.declare(|e| e.rate = Some(rate));
         }
     }
 
@@ -1041,7 +1071,7 @@ impl ChannelWriter {
         if let Some(mut s) = self.sink.take() {
             s.close();
             if let Some(t) = &self.topo {
-                t.mark(crate::topology::SideState::Closed);
+                t.mark(SideState::Closed);
             }
         }
     }
@@ -1056,10 +1086,10 @@ impl ChannelWriter {
                 // bytes: both this write side and the consumed upstream read
                 // side survive as a splice, not a dangle.
                 if let Some(t) = &self.topo {
-                    t.mark(crate::topology::SideState::Spliced);
+                    t.mark(SideState::Spliced);
                 }
                 if let Some(t) = &upstream.topo {
-                    t.mark(crate::topology::SideState::Spliced);
+                    t.mark(SideState::Spliced);
                 }
                 s.retire(upstream)
             }
@@ -1115,10 +1145,10 @@ impl std::fmt::Debug for ChannelWriter {
 /// Dropping it closes the stream: writers fail on their next write.
 pub struct ChannelReader {
     sources: VecDeque<Box<dyn Source>>,
-    /// Back-link into the owning network's topology registry, when this
-    /// endpoint was created through a [`crate::Network`]. Pure metadata for
-    /// the lint pass; never affects data flow.
-    topo: Option<crate::topology::EndpointTopo>,
+    /// Back-link to the local channel this endpoint was created as one side
+    /// of, if it was. Pure metadata for the lint pass; never affects data
+    /// flow.
+    topo: Option<EndpointTopo>,
 }
 
 impl ChannelReader {
@@ -1143,7 +1173,7 @@ impl ChannelReader {
     /// Declares that this endpoint is owned by the process identified by
     /// `tag`. Called by the stdlib process constructors; custom processes
     /// may do the same (see [`crate::Process::lint_tag`]). Metadata only.
-    pub fn attach(&self, tag: &crate::topology::ProcessTag) {
+    pub fn attach(&self, tag: &ProcessTag) {
         tag.note_attachment();
         if let Some(t) = &self.topo {
             t.attach(tag);
@@ -1155,7 +1185,7 @@ impl ChannelReader {
     /// L001 dangling-endpoint lint.
     pub fn declare_external(&self) {
         if let Some(t) = &self.topo {
-            t.mark(crate::topology::SideState::External);
+            t.mark(SideState::External);
         }
     }
 
@@ -1169,9 +1199,9 @@ impl ChannelReader {
 
     /// Declares the stream framing installed over this endpoint (typed data
     /// stream vs. length-prefixed object stream), for the L002 lint.
-    pub fn declare_framing(&self, framing: crate::topology::StreamFraming) {
+    pub fn declare_framing(&self, framing: StreamFraming) {
         if let Some(t) = &self.topo {
-            t.declare_framing(framing);
+            t.declare(|e| e.framing = Some(framing));
         }
     }
 
@@ -1179,7 +1209,7 @@ impl ChannelReader {
     /// balance-equation lint.
     pub fn declare_rate(&self, rate: u64) {
         if let Some(t) = &self.topo {
-            t.declare_rate(rate);
+            t.declare(|e| e.rate = Some(rate));
         }
     }
 
@@ -1228,7 +1258,7 @@ impl ChannelReader {
     /// reaches the end of its current data, it continues with `tail`.
     pub fn append(&mut self, tail: ChannelReader) {
         if let Some(t) = &tail.topo {
-            t.mark(crate::topology::SideState::Spliced);
+            t.mark(SideState::Spliced);
         }
         self.sources.extend(tail.into_sources());
     }
@@ -1253,7 +1283,7 @@ impl ChannelReader {
             s.close();
         }
         if let Some(t) = &self.topo {
-            t.mark(crate::topology::SideState::Closed);
+            t.mark(SideState::Closed);
         }
     }
 
@@ -1301,42 +1331,30 @@ pub fn channel_with(
     monitor: Option<Arc<Monitor>>,
 ) -> (ChannelWriter, ChannelReader) {
     let exec = crate::exec::default_exec().clone() as Arc<dyn Exec>;
-    channel_with_parts(capacity, monitor, exec, None, None)
+    channel_with_parts(capacity, monitor, exec, None)
 }
 
 /// Full-control constructor used by [`crate::Network`]: monitor plus the
-/// network's executor, the history recorder of deterministic mode, and the
-/// topology registry feeding the lint pass.
+/// network's executor and the history recorder of deterministic mode.
 pub(crate) fn channel_with_parts(
     capacity: usize,
     monitor: Option<Arc<Monitor>>,
     exec: Arc<dyn Exec>,
     recorder: Option<Arc<HistoryRecorder>>,
-    topo: Option<Arc<crate::topology::Topology>>,
 ) -> (ChannelWriter, ChannelReader) {
     let recorder = recorder.map(|r| {
         let slot = r.register();
         (r, slot)
     });
-    let shared = Shared::new(capacity, monitor.clone(), exec, recorder);
-    if let Some(m) = &monitor {
-        let weak: Weak<dyn MonitoredChannel> = {
-            let w: Weak<Shared> = Arc::downgrade(&shared);
-            w
-        };
-        m.register_channel(shared.id, weak);
-    }
-    if let Some(t) = &topo {
-        let weak: Weak<dyn MonitoredChannel> = {
-            let w: Weak<Shared> = Arc::downgrade(&shared);
-            w
-        };
-        t.register_channel(shared.id, weak);
+    let shared = Shared::new(capacity, monitor, exec, recorder);
+    // The one registration: the monitor's table is where the channel
+    // report, the topology snapshot, verification and abort find it.
+    if let Some(m) = &shared.monitor {
+        m.register_channel(shared.id, Arc::downgrade(&shared) as Weak<dyn MonitoredChannel>);
     }
     let endpoint = |side| {
-        topo.as_ref().map(|t| crate::topology::EndpointTopo {
-            topo: t.clone(),
-            channel: shared.id,
+        Some(EndpointTopo {
+            chan: Arc::downgrade(&shared),
             side,
         })
     };
@@ -1344,12 +1362,12 @@ pub(crate) fn channel_with_parts(
         shared: shared.clone(),
         closed: false,
     }));
-    writer.topo = endpoint(crate::topology::Side::Write);
+    writer.topo = endpoint(BlockKind::Write);
     let mut reader = ChannelReader::from_source(Box::new(LocalSource {
         shared: shared.clone(),
         closed: false,
     }));
-    reader.topo = endpoint(crate::topology::Side::Read);
+    reader.topo = endpoint(BlockKind::Read);
     (writer, reader)
 }
 

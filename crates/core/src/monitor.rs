@@ -9,25 +9,38 @@
 //!
 //! The monitor implements Parks' procedure:
 //!
-//! 1. detect that *every* live process thread in the network is blocked;
-//! 2. if at least one of them is blocked **writing** to a full channel, the
-//!    deadlock is artificial — grow the capacity of the *smallest* full
-//!    channel with a blocked writer and wake it;
+//! 1. detect that *every* live process in the network is blocked;
+//! 2. if one of them is blocked **writing** to a full channel, the deadlock
+//!    is artificial — grow the capacity of the *smallest* full channel with
+//!    a blocked writer and wake it;
 //! 3. if all of them are blocked **reading**, the deadlock is true — no
 //!    finite buffer assignment can help; the network is aborted (every
 //!    blocked operation fails with [`Error::Deadlocked`]).
 //!
-//! Detection is event-driven: the last thread to block runs it, with a short
-//! settling delay to reject races (a thread may appear blocked an instant
-//! before a notify wakes it). Blocked threads also re-run detection on a
-//! periodic tick as a belt-and-braces fallback — and as the only path when
-//! the last to "block" registered an external operation
-//! ([`Monitor::external_block`]): it may not wait at all, so it never
-//! settles on its own behalf.
+//! It is one of each (DESIGN.md §4c states the rule): one **table** of the
+//! network's live channels (`MonState::channels` — the channel report, the
+//! topology snapshot, abort and verification all read it); one **look** per
+//! channel (`MonitoredChannel::look`, every field under one acquisition of
+//! the channel's lock); one **verdict** (`verdict`, a pure function of the
+//! blocked set and the looks), evaluated before the settling delay and
+//! again after it, and acted on only if both evaluations agree and nothing
+//! registered or left in between.
+//!
+//! Detection is event-driven: the last task to block evaluates, and a
+//! process that exits does. Parked tasks re-evaluate on a periodic tick as
+//! the fallback — and as the only path when the last to "block" registered
+//! an external operation ([`Monitor::external_block`]): it may not wait at
+//! all, so it never settles on its own behalf.
+//!
+//! Lock order: the monitor's state lock before a channel's, never the
+//! reverse. A strong channel handle upgraded from the table is never
+//! dropped under the state lock — it may have become the last one, and
+//! the channel's drop re-enters the monitor to leave the table.
 
 use crate::error::{Error, Result};
+use crate::topology::EndpointShape;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -142,21 +155,48 @@ pub struct ChannelIoStats {
     pub capacity: usize,
 }
 
-/// Channel-side operations the monitor needs. Implemented by the local
-/// channel's shared state.
+/// One consistent look at a channel: everything the monitor, the channel
+/// report and the topology snapshot read from it, taken under a single
+/// acquisition of the channel's lock.
+#[derive(Debug, Clone)]
+pub(crate) struct Look {
+    /// The I/O counters and the current capacity. `bytes_written` is the
+    /// channel's progress counter.
+    pub(crate) stats: ChannelIoStats,
+    /// Bytes currently buffered.
+    pub(crate) buffered: usize,
+    /// The buffer is at capacity (writers must block).
+    pub(crate) full: bool,
+    /// The write end has been closed: the reader is about to see EOF.
+    pub(crate) write_closed: bool,
+    /// The read end has been closed: the writer is about to fail.
+    pub(crate) read_closed: bool,
+    /// Lint metadata of the write side.
+    pub(crate) writer: EndpointShape,
+    /// Lint metadata of the read side.
+    pub(crate) reader: EndpointShape,
+}
+
+impl Look {
+    /// Whether a task registered as blocked on this channel can really be
+    /// waiting: a reader needs it empty with its writer open, a writer
+    /// needs it full with its reader open. A registration the look does not
+    /// confirm belongs to a task that is about to run — it registered and
+    /// has not re-checked its channel yet, or its wake (data, space, the
+    /// EOF or `WriteClosed` of a termination cascade) is in flight.
+    fn confirms(&self, kind: BlockKind) -> bool {
+        match kind {
+            BlockKind::Read => self.buffered == 0 && !self.write_closed,
+            BlockKind::Write => self.full && !self.read_closed,
+        }
+    }
+}
+
+/// What the monitor asks of a channel: one look and three actions.
+/// Implemented by the local channel's shared state.
 pub(crate) trait MonitoredChannel: Send + Sync {
-    /// Current capacity in bytes.
-    fn capacity(&self) -> usize;
-    /// True when the buffer is at capacity (writers must block).
-    fn is_full(&self) -> bool;
-    /// Bytes currently buffered (diagnostics).
-    fn buffered(&self) -> usize;
-    /// True when the write end has been closed (reader is about to see
-    /// EOF, so a registered read-block on this channel is not a deadlock).
-    fn is_write_closed(&self) -> bool;
-    /// True when the read end has been closed (writer is about to fail,
-    /// so a registered write-block on this channel is not a deadlock).
-    fn is_read_closed(&self) -> bool;
+    /// The channel's state, read under one acquisition of its lock.
+    fn look(&self) -> Look;
     /// If the channel is full, grow it (respecting `max`) and wake writers.
     /// Returns `(old, new)` capacities when growth happened.
     fn grow_if_full(&self, max: Option<usize>) -> Option<(usize, usize)>;
@@ -167,9 +207,12 @@ pub(crate) trait MonitoredChannel: Send + Sync {
     /// Mark the channel poisoned and wake everyone; all subsequent and
     /// pending operations fail with [`Error::Deadlocked`].
     fn poison(&self);
-    /// Point-in-time I/O counters.
-    fn io_stats(&self) -> ChannelIoStats;
 }
+
+/// Strong handles upgraded from the table, with their channel ids. Built
+/// under the monitor's state lock and always carried out of it: whoever
+/// holds one looks at, acts on and drops the handles with the lock released.
+pub(crate) type Held = Vec<(u64, Arc<dyn MonitoredChannel>)>;
 
 /// Counters exposed for tests, benches and EXPERIMENTS.md.
 #[derive(Debug, Default, Clone)]
@@ -231,10 +274,14 @@ impl MonitorSnapshot {
 }
 
 /// Sentinel channel id for blocks on channels the monitor cannot inspect
-/// (remote transports). Such blocks count toward all-blocked detection but
-/// always fail semantic verification, so they can never cause a *local*
-/// true-deadlock abort — exactly right, since data may be in flight on the
-/// network (§6.2 leaves resolution to a distributed protocol).
+/// (remote transports). Such a block counts toward the all-blocked
+/// condition, and there is no look to confirm or refute it. It may
+/// therefore *permit growth* — a full local channel behind a socket is
+/// grown whether or not the remote wait is real, which costs memory at
+/// worst — and never *permits abort*: with an external block in the picture
+/// no verdict is a true deadlock, capped growth included, since data may be
+/// in flight on the network (§6.2 leaves resolution to a distributed
+/// protocol).
 pub const EXTERNAL_CHANNEL: u64 = 0;
 
 #[derive(Debug, Clone, Copy)]
@@ -255,15 +302,95 @@ struct MonState {
     blocked: HashMap<u64, BlockInfo>,
     /// Number of blocked entries with `is_process == true`.
     blocked_processes: usize,
-    /// Bumped on every block/unblock/process event; used by the settling
-    /// double-check to detect concurrent activity.
+    /// Bumped on every block/unblock/process event; a verdict is acted on
+    /// only at the generation it was detected at.
     generation: u64,
-    channels: HashMap<u64, Weak<dyn MonitoredChannel>>,
+    /// The table: every live channel of the network, keyed by id — ids are
+    /// handed out at creation, so this is creation order. A channel enters
+    /// when it is created and leaves from its own drop
+    /// ([`Monitor::channel_retired`]); nothing else holds a handle.
+    channels: BTreeMap<u64, Weak<dyn MonitoredChannel>>,
     /// Final counters of channels that have been dropped, so reports cover
     /// the network's whole life.
     retired: Vec<(u64, ChannelIoStats)>,
     aborted: bool,
     stats: MonitorStats,
+}
+
+impl MonState {
+    /// True when every live process is blocked (candidate deadlock).
+    fn all_blocked(&self) -> bool {
+        !self.aborted && self.live > 0 && self.blocked_processes >= self.live
+    }
+
+    /// Strong handles of the live channels, in creation order.
+    fn live_channels(&self) -> Held {
+        let live = self.channels.iter();
+        live.filter_map(|(id, w)| Some((*id, w.upgrade()?))).collect()
+    }
+}
+
+/// What the procedure decides for one picture of the network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Not stuck, not provably stuck, or not the monitor's to resolve.
+    Nothing,
+    /// Artificial deadlock: grow this channel.
+    Grow(u64),
+    /// True deadlock: abort the network.
+    TrueDeadlock,
+}
+
+/// Parks' decision, as a function of the blocked set and a look at the
+/// channel of each registration (`look`; `None` for a channel that has left
+/// the table). It stops looking at the first registration that settles the
+/// matter — the usual case, a task that has been woken and has not run yet.
+/// A channel with both its reader and its writer registered is looked at
+/// twice and looks the same both times: a registered task moves no data.
+///
+/// Nothing is decided unless every live process is blocked and every
+/// registration on a local channel is confirmed by that channel's look
+/// ([`Look::confirms`]; a channel that has left the table confirms
+/// nothing). Then the smallest-capacity full channel with a blocked writer
+/// is grown — capacity ties break on channel id, so the choice is a
+/// function of network state alone, which the sim scheduler's replay
+/// guarantee needs — unless it is already at the policy's maximum. With
+/// nothing to grow the deadlock is true, except that a block on
+/// [`EXTERNAL_CHANNEL`] may permit a growth and never an abort.
+fn verdict(
+    st: &MonState,
+    policy: DeadlockPolicy,
+    mut look: impl FnMut(u64) -> Option<Look>,
+) -> Verdict {
+    if policy == DeadlockPolicy::Ignore || !st.all_blocked() {
+        return Verdict::Nothing;
+    }
+    let mut external = false;
+    let mut smallest: Option<(usize, u64)> = None;
+    for b in st.blocked.values() {
+        if b.chan == EXTERNAL_CHANNEL {
+            external = true;
+            continue;
+        }
+        match look(b.chan) {
+            Some(look) if look.confirms(b.kind) => {
+                if b.kind == BlockKind::Write {
+                    let this = (look.stats.capacity, b.chan);
+                    smallest = Some(smallest.map_or(this, |s| s.min(this)));
+                }
+            }
+            _ => return Verdict::Nothing,
+        }
+    }
+    match (policy, smallest) {
+        (DeadlockPolicy::Grow { max_capacity }, Some((capacity, id)))
+            if max_capacity.is_none_or(|max| capacity < max) =>
+        {
+            Verdict::Grow(id)
+        }
+        _ if external => Verdict::Nothing,
+        _ => Verdict::TrueDeadlock,
+    }
 }
 
 /// The per-network deadlock monitor. One instance is shared by every channel
@@ -272,7 +399,7 @@ pub struct Monitor {
     state: Mutex<MonState>,
     policy: DeadlockPolicy,
     timing: MonitorTiming,
-    /// Trace registrations and resolutions on stderr
+    /// Whether [`Monitor::trace`] prints
     /// ([`crate::NetworkConfig::monitor_debug`]).
     debug: bool,
     /// Callbacks run when the network aborts, *after* local channels are
@@ -334,10 +461,7 @@ impl Monitor {
     /// [`crate::Network`] when the executor keeps them). The closure is
     /// called outside the monitor's state lock, so it may itself lock
     /// executor state.
-    pub fn set_scheduler_source(
-        &self,
-        source: Box<dyn Fn() -> Option<crate::exec::SchedulerStats> + Send + Sync>,
-    ) {
+    pub(crate) fn set_scheduler_source(&self, source: SchedulerSource) {
         *self.scheduler_source.lock() = Some(source);
     }
 
@@ -391,15 +515,28 @@ impl Monitor {
     /// the final counters of already-dropped ones, so the report covers
     /// the network's entire execution.
     pub fn channel_report(&self) -> Vec<(u64, ChannelIoStats)> {
-        let st = self.state.lock();
-        let mut out: Vec<(u64, ChannelIoStats)> = st
-            .channels
-            .iter()
-            .filter_map(|(id, w)| w.upgrade().map(|ch| (*id, ch.io_stats())))
-            .chain(st.retired.iter().cloned())
-            .collect();
+        // One lock for both halves, so a channel is in exactly one of them.
+        let (live, mut out) = {
+            let st = self.state.lock();
+            (st.live_channels(), st.retired.clone())
+        };
+        out.extend(live.iter().map(|(id, ch)| (*id, ch.look().stats)));
         out.sort_by_key(|(id, _)| *id);
         out
+    }
+
+    /// Strong handles of the network's live channels, in creation order —
+    /// the table, for its other readers (topology snapshot, capacity fixes).
+    pub(crate) fn live_channels(&self) -> Held {
+        self.state.lock().live_channels()
+    }
+
+    /// The one stderr trace: registrations, verdicts and what was done
+    /// about them.
+    fn trace(&self, event: impl FnOnce() -> String) {
+        if self.debug {
+            eprintln!("[monitor] {}", event());
+        }
     }
 
     /// A point-in-time view for the distributed deadlock probe.
@@ -455,12 +592,14 @@ impl Monitor {
         self.state.lock().aborted
     }
 
+    /// Enters a newly created channel into the table.
     pub(crate) fn register_channel(&self, id: u64, chan: Weak<dyn MonitoredChannel>) {
-        let mut st = self.state.lock();
-        st.channels.insert(id, chan);
+        self.state.lock().channels.insert(id, chan);
     }
 
-    /// Records the final counters of a dropped channel.
+    /// Takes a dropped channel out of the table and keeps its final
+    /// counters. Called from the channel's own drop, which is why no strong
+    /// handle may be dropped under the state lock.
     pub(crate) fn channel_retired(&self, id: u64, stats: ChannelIoStats) {
         let mut st = self.state.lock();
         st.channels.remove(&id);
@@ -476,15 +615,12 @@ impl Monitor {
 
     /// A process thread left the network (finished or failed).
     pub(crate) fn process_finished(&self) {
-        let plan = {
-            let mut st = self.state.lock();
-            st.live -= 1;
-            st.generation += 1;
-            // The departing process may have been the only runnable one;
-            // the remainder might now be fully blocked.
-            self.plan_if_all_blocked(&mut st)
-        };
-        self.execute(plan);
+        let mut st = self.state.lock();
+        st.live -= 1;
+        st.generation += 1;
+        // The departing process may have been the only runnable one; the
+        // remainder might now be fully blocked.
+        self.resolve_if_all_blocked(st);
     }
 
     /// Registers the current thread as blocked and runs deadlock detection.
@@ -497,54 +633,47 @@ impl Monitor {
     pub(crate) fn enter_block(&self, kind: BlockKind, chan: u64) -> Result<()> {
         let token = thread_token();
         let is_process = is_process_thread();
-        let (plan, gen) = {
-            let mut st = self.state.lock();
-            if st.aborted {
-                return Err(Error::Deadlocked);
-            }
-            if let Some(outer) = st.blocked.get(&token) {
-                return Err(Error::Graph(format!(
-                    "task {token} registered as blocked ({kind:?} on channel {chan}) while \
-                     already registered ({:?} on channel {}): something waited inside a \
-                     monitor registration",
-                    outer.kind, outer.chan
-                )));
-            }
-            st.blocked.insert(
-                token,
-                BlockInfo {
-                    kind,
-                    chan,
-                    is_process,
-                },
-            );
-            if self.debug {
-                eprintln!(
-                    "[monitor] enter token={token} chan={chan} kind={kind:?} gen={}",
-                    st.generation + 1
-                );
-            }
-            if is_process {
-                st.blocked_processes += 1;
-            }
-            st.generation += 1;
+        let mut st = self.state.lock();
+        if st.aborted {
+            return Err(Error::Deadlocked);
+        }
+        if let Some(outer) = st.blocked.get(&token) {
+            return Err(Error::Graph(format!(
+                "task {token} registered as blocked ({kind:?} on channel {chan}) while \
+                 already registered ({:?} on channel {}): something waited inside a \
+                 monitor registration",
+                outer.kind, outer.chan
+            )));
+        }
+        st.blocked.insert(
+            token,
+            BlockInfo {
+                kind,
+                chan,
+                is_process,
+            },
+        );
+        if is_process {
+            st.blocked_processes += 1;
+        }
+        st.generation += 1;
+        self.trace(|| {
             let gen = st.generation;
-            // An external registrant does not act on the picture it
-            // completes. It has not started the operation it registered
-            // for, the monitor cannot check whether that operation will
-            // wait at all, and a settle slept on this thread would keep it
-            // from finding out: with everyone else parked nothing moves
-            // the generation, the settle confirms itself, and a local
-            // channel is doubled for a task that was never stuck — again
-            // at its next operation, until the channel holds its producer's
-            // whole output. If the operation does wait, the detection tick
-            // of the task parked on the full local channel — the only
-            // thing an external block can make growable — finds the same
-            // picture with this task's registration unchanged.
-            (chan != EXTERNAL_CHANNEL && self.detect(&mut st), gen)
-        };
-        if plan {
-            self.settle_and_resolve(gen);
+            format!("enter token={token} chan={chan} kind={kind:?} gen={gen}")
+        });
+        // An external registrant does not act on the picture it completes.
+        // It has not started the operation it registered for, the monitor
+        // cannot check whether that operation will wait at all, and a
+        // settle slept on this thread would keep it from finding out: with
+        // everyone else parked nothing moves the generation, the settle
+        // confirms itself, and a local channel is doubled for a task that
+        // was never stuck — again at its next operation, until the channel
+        // holds its producer's whole output. If the operation does wait,
+        // the detection tick of the task parked on the full local channel —
+        // the only thing an external block can make growable — finds the
+        // same picture with this task's registration unchanged.
+        if chan != EXTERNAL_CHANNEL {
+            self.resolve_if_all_blocked(st);
         }
         Ok(())
     }
@@ -553,13 +682,7 @@ impl Monitor {
     /// (periodic fallback; the thread stays registered, so this does not
     /// bump the generation and cannot destabilize a concurrent settle).
     pub(crate) fn tick(&self) {
-        let (detected, gen) = {
-            let mut st = self.state.lock();
-            (self.detect(&mut st), st.generation)
-        };
-        if detected {
-            self.settle_and_resolve(gen);
-        }
+        self.resolve_if_all_blocked(self.state.lock());
     }
 
     /// Unregisters the current thread.
@@ -571,279 +694,120 @@ impl Monitor {
                 st.blocked_processes -= 1;
             }
             st.generation += 1;
-            if self.debug {
-                eprintln!(
-                    "[monitor] exit token={token} chan={} gen={}",
-                    info.chan, st.generation
-                );
-            }
+            self.trace(|| format!("exit token={token} chan={} gen={}", info.chan, st.generation));
         }
     }
 
     /// Aborts the network: poisons every registered channel so all pending
     /// and future operations fail with [`Error::Deadlocked`].
     pub fn abort(&self) {
-        let chans: Vec<Arc<dyn MonitoredChannel>> = {
+        self.abort_at(None);
+    }
+
+    /// The one abort routine. A true-deadlock verdict passes the generation
+    /// it was reached at: it is counted, and carried out only if nothing
+    /// has registered or left since.
+    fn abort_at(&self, verdict_at: Option<u64>) {
+        let live = {
             let mut st = self.state.lock();
+            if let Some(gen) = verdict_at {
+                if st.generation != gen {
+                    return;
+                }
+                st.stats.true_deadlocks += 1;
+                self.trace(|| format!("abort: true deadlock at gen={gen}"));
+            }
             st.aborted = true;
             st.generation += 1;
-            st.channels.values().filter_map(Weak::upgrade).collect()
+            st.live_channels()
         };
-        for c in chans {
-            c.poison();
+        for (_, ch) in &live {
+            ch.poison();
         }
+        drop(live);
         self.run_abort_hooks();
     }
 
-    /// True when every live process thread is blocked (candidate deadlock).
-    fn detect(&self, st: &mut MonState) -> bool {
-        !st.aborted && st.live > 0 && st.blocked_processes >= st.live
-    }
-
-    /// Semantic confirmation for a *growth* decision: every blocked entry
-    /// on a locally-inspectable channel must be consistent with a real
-    /// block (reads on empty-and-open channels, writes on full-and-open
-    /// ones). This rejects the single-core race where a *runnable* reader
-    /// is still registered while the settle delay elapses, and — the
-    /// `!is_read_closed` clause — the termination-cascade race where a
-    /// writer parked on a channel whose reader just died has its
-    /// `WriteClosed` wake still in flight: the network looks all-blocked
-    /// for an instant, but the cascade is about to unwedge it and growing
-    /// any channel now would be pure buffer inflation. Only blocks on the
-    /// [`EXTERNAL_CHANNEL`] sentinel pass unverified (a distributed
-    /// artificial deadlock may still need a local channel to grow); local
-    /// channels stay registered until both endpoints are gone, so a
-    /// blocked entry always finds its channel here.
-    fn verify_for_growth(st: &MonState) -> bool {
-        st.blocked.values().all(|b| {
-            match st.channels.get(&b.chan).and_then(Weak::upgrade) {
-                Some(ch) => match b.kind {
-                    BlockKind::Read => ch.buffered() == 0 && !ch.is_write_closed(),
-                    BlockKind::Write => ch.is_full() && !ch.is_read_closed(),
-                },
-                // Remote (never locally registered) channel: introspection
-                // impossible; do not veto the growth.
-                None => b.chan == EXTERNAL_CHANNEL,
-            }
-        })
-    }
-
-    /// Semantic confirmation for a true-deadlock declaration: every
-    /// read-blocked channel must actually be empty and every write-blocked
-    /// channel actually full. This closes the race where the *detecting*
-    /// thread registered as blocked but has not yet re-checked its channel
-    /// (its pending progress cannot bump the generation, so the settling
-    /// delay alone would not catch it).
-    fn verify_blocked_semantics(st: &MonState) -> bool {
-        st.blocked.values().all(|b| {
-            match st.channels.get(&b.chan).and_then(Weak::upgrade) {
-                Some(ch) => match b.kind {
-                    BlockKind::Read => ch.buffered() == 0 && !ch.is_write_closed(),
-                    BlockKind::Write => ch.is_full() && !ch.is_read_closed(),
-                },
-                // Unknown channel: cannot verify, be conservative.
-                None => false,
-            }
-        })
-    }
-
-    fn plan_if_all_blocked(&self, st: &mut MonState) -> bool {
-        self.detect(st)
-    }
-
-    fn execute(&self, detected: bool) {
-        if detected {
-            let gen = self.state.lock().generation;
+    /// Runs the procedure from this thread if `st` shows every live process
+    /// blocked.
+    fn resolve_if_all_blocked(&self, st: parking_lot::MutexGuard<'_, MonState>) {
+        let (all_blocked, gen) = (st.all_blocked(), st.generation);
+        drop(st);
+        if all_blocked {
             self.settle_and_resolve(gen);
         }
     }
 
-    /// Confirms the all-blocked state is stable across a short delay, then
-    /// resolves per policy. Called without any locks held.
-    fn settle_and_resolve(&self, gen_at_detect: u64) {
-        // Fast pre-check: if the current state can not possibly lead to an
-        // action (e.g. every blocked read is on an external/remote channel,
-        // which only a distributed protocol may resolve), skip the settling
-        // sleep — it would otherwise add the settle to every local block,
-        // detection tick and process exit in a small partition whose
-        // other tasks are at their sockets.
-        {
-            let mut st = self.state.lock();
-            if !self.detect(&mut st) {
-                return;
-            }
-            let growable = st.blocked.values().any(|b| {
-                b.kind == BlockKind::Write
-                    && st
-                        .channels
-                        .get(&b.chan)
-                        .and_then(Weak::upgrade)
-                        .map(|ch| ch.is_full())
-                        .unwrap_or(false)
+    /// One evaluation: under the state lock, decide from a look at the
+    /// channels the blocked set names. Returns the verdict, the generation
+    /// it holds at, and the handles the looks were taken through — out of
+    /// the lock, like every [`Held`].
+    fn evaluate(&self) -> (Verdict, u64, Held) {
+        let st = self.state.lock();
+        let mut held = Held::new();
+        let verdict = verdict(&st, self.policy, |chan| {
+            let ch = st.channels.get(&chan)?.upgrade()?;
+            let look = ch.look();
+            held.push((chan, ch));
+            Some(look)
+        });
+        if verdict != Verdict::Nothing {
+            self.trace(|| {
+                // A second look, for the trace only.
+                let looks: Vec<_> = held
+                    .iter()
+                    .map(|(id, ch)| {
+                        let l = ch.look();
+                        (id, l.buffered, l.stats.capacity, l.read_closed, l.write_closed)
+                    })
+                    .collect();
+                format!(
+                    "verdict {verdict:?} live={} gen={} blocked={:?} looks(id,buf,cap,rc,wc)={looks:?}",
+                    st.live, st.generation, st.blocked
+                )
             });
-            match self.policy {
-                DeadlockPolicy::Ignore => return,
-                DeadlockPolicy::Grow { .. } if growable => {
-                    if !Self::verify_for_growth(&st) {
-                        return;
-                    }
-                }
-                _ => {
-                    if !Self::verify_blocked_semantics(&st) {
-                        return;
-                    }
-                }
-            }
+        }
+        (verdict, st.generation, held)
+    }
+
+    /// Evaluates, lets the picture settle, evaluates again, and acts if
+    /// the two verdicts agree at the generation of the detection. Called
+    /// without any locks held.
+    fn settle_and_resolve(&self, gen_at_detect: u64) {
+        // A picture that allows no action is not worth the settle: the
+        // sleep would otherwise be added to every local block, detection
+        // tick and process exit in a small partition whose other tasks are
+        // at their sockets.
+        let (before, ..) = self.evaluate();
+        if before == Verdict::Nothing {
+            return;
         }
         if !self.timing.settle.is_zero() {
             std::thread::sleep(self.timing.settle);
         }
-        // Decide under the lock; act on channels after releasing it
-        // (channel poison/grow takes the channel lock — never hold both).
-        enum Act {
-            None,
-            Grow(u64, Arc<dyn MonitoredChannel>, Option<usize>),
-            Abort(Vec<Arc<dyn MonitoredChannel>>),
+        let (after, gen, held) = self.evaluate();
+        if after != before || gen != gen_at_detect {
+            return;
         }
-        let act = {
-            let mut st = self.state.lock();
-            if st.generation != gen_at_detect || !self.detect(&mut st) {
-                Act::None
-            } else {
-                let any_writer = st.blocked.values().any(|b| b.kind == BlockKind::Write);
-                match (self.policy, any_writer) {
-                    (DeadlockPolicy::Ignore, _) => Act::None,
-                    (DeadlockPolicy::Grow { max_capacity }, true)
-                        if Self::verify_for_growth(&st) =>
-                    {
-                        // Artificial deadlock: grow the smallest-capacity
-                        // *full* channel that has a blocked writer (Parks'
-                        // procedure). Stale blocked entries can reference
-                        // channels that have since drained; skip those.
-                        // Capacity ties break on channel id so the choice
-                        // does not depend on HashMap iteration order — the
-                        // sim scheduler's replay guarantee needs growth
-                        // decisions to be a function of network state alone.
-                        let mut best: Option<(usize, u64, Arc<dyn MonitoredChannel>)> = None;
-                        for info in st.blocked.values() {
-                            if info.kind != BlockKind::Write {
-                                continue;
-                            }
-                            if let Some(ch) = st.channels.get(&info.chan).and_then(Weak::upgrade) {
-                                if !ch.is_full() {
-                                    continue;
-                                }
-                                let cap = ch.capacity();
-                                let better = best
-                                    .as_ref()
-                                    .map(|(c, id, _)| (cap, info.chan) < (*c, *id))
-                                    .unwrap_or(true);
-                                if better {
-                                    best = Some((cap, info.chan, ch));
-                                }
-                            }
-                        }
-                        match best {
-                            Some((_, id, ch)) => Act::Grow(id, ch, max_capacity),
-                            None => Act::None,
-                        }
-                    }
-                    (DeadlockPolicy::Grow { .. }, false) | (DeadlockPolicy::Abort, _)
-                        if Self::verify_blocked_semantics(&st) =>
-                    {
-                        if self.debug {
-                            let occupancy: Vec<(u64, usize)> = st
-                                .channels
-                                .iter()
-                                .filter_map(|(id, w)| w.upgrade().map(|c| (*id, c.buffered())))
-                                .collect();
-                            eprintln!(
-                                "[monitor] true deadlock: live={} gen={} gen_at_detect={} blocked={:?} occupancy={:?}",
-                                st.live,
-                                st.generation,
-                                gen_at_detect,
-                                st.blocked.values().collect::<Vec<_>>(),
-                                occupancy,
-                            );
-                        }
-                        st.aborted = true;
-                        st.stats.true_deadlocks += 1;
-                        st.generation += 1;
-                        Act::Abort(st.channels.values().filter_map(Weak::upgrade).collect())
-                    }
-                    // All-read-blocked but some blocked channel still holds
-                    // data (or is unverifiable): a reader is about to make
-                    // progress — not a deadlock. A later tick retries.
-                    _ => Act::None,
-                }
-            }
-        };
-        match act {
-            Act::None => {}
-            Act::Grow(id, ch, max) => {
-                if self.debug {
-                    let st = self.state.lock();
-                    let chans: Vec<(u64, usize, usize, bool, bool)> = st
-                        .channels
-                        .iter()
-                        .filter_map(|(cid, w)| {
-                            w.upgrade().map(|c| {
-                                (*cid, c.buffered(), c.capacity(), c.is_read_closed(), c.is_write_closed())
-                            })
-                        })
-                        .collect();
-                    eprintln!(
-                        "[monitor] GROW ch={id} live={} blocked={:?} chans(id,buf,cap,rc,wc)={:?}",
-                        st.live,
-                        st.blocked.values().collect::<Vec<_>>(),
-                        chans
-                    );
-                }
-                if let Some((old, new)) = ch.grow_if_full(max) {
+        match (after, self.policy) {
+            (Verdict::TrueDeadlock, _) => self.abort_at(Some(gen)),
+            (Verdict::Grow(id), DeadlockPolicy::Grow { max_capacity }) => {
+                let grown = held
+                    .iter()
+                    .find(|(held_id, _)| *held_id == id)
+                    .and_then(|(_, ch)| ch.grow_if_full(max_capacity));
+                // `None`: the channel drained between the look and the
+                // action. If everyone is still blocked a later tick retries.
+                if let Some((old, new)) = grown {
                     let mut st = self.state.lock();
                     st.stats.growths += 1;
                     st.stats.capacity_grows += 1;
                     st.stats.growth_log.push((id, old, new));
                     st.generation += 1;
-                } else {
-                    // The channel drained between detection and action, or
-                    // growth is capped; if everyone is still blocked a
-                    // subsequent tick will retry (possibly picking another
-                    // channel, or declaring true deadlock if capped).
-                    let capped = max.map(|m| ch.capacity() >= m).unwrap_or(false);
-                    if capped {
-                        // All writable channels at max: treat as true
-                        // deadlock to avoid spinning forever.
-                        let still = {
-                            let mut st = self.state.lock();
-                            if self.detect(&mut st) {
-                                st.aborted = true;
-                                st.stats.true_deadlocks += 1;
-                                Some(
-                                    st.channels
-                                        .values()
-                                        .filter_map(Weak::upgrade)
-                                        .collect::<Vec<_>>(),
-                                )
-                            } else {
-                                None
-                            }
-                        };
-                        if let Some(chans) = still {
-                            for c in chans {
-                                c.poison();
-                            }
-                            self.run_abort_hooks();
-                        }
-                    }
+                    self.trace(|| format!("GROW ch={id} {old}->{new} gen={}", st.generation));
                 }
             }
-            Act::Abort(chans) => {
-                for c in chans {
-                    c.poison();
-                }
-                self.run_abort_hooks();
-            }
+            _ => {}
         }
     }
 }
@@ -910,24 +874,25 @@ mod tests {
         }
     }
 
+    /// A look at an open channel with nothing declared about its sides.
+    fn look(capacity: usize, buffered: usize, full: bool) -> Look {
+        Look {
+            stats: ChannelIoStats {
+                capacity,
+                ..Default::default()
+            },
+            buffered,
+            full,
+            write_closed: false,
+            read_closed: false,
+            writer: EndpointShape::open(),
+            reader: EndpointShape::open(),
+        }
+    }
+
     impl MonitoredChannel for FakeChan {
-        fn capacity(&self) -> usize {
-            *self.cap.lock()
-        }
-        fn is_full(&self) -> bool {
-            *self.full.lock()
-        }
-        fn buffered(&self) -> usize {
-            0
-        }
-        fn is_write_closed(&self) -> bool {
-            false
-        }
-        fn is_read_closed(&self) -> bool {
-            false
-        }
-        fn io_stats(&self) -> ChannelIoStats {
-            ChannelIoStats::default()
+        fn look(&self) -> Look {
+            look(*self.cap.lock(), 0, *self.full.lock())
         }
         fn grow_if_full(&self, max: Option<usize>) -> Option<(usize, usize)> {
             let mut cap = self.cap.lock();
@@ -1092,6 +1057,145 @@ mod tests {
         // deadlock and poisons the channel.
         assert!(m.is_aborted());
         assert!(*c.poisoned.lock());
+    }
+
+    #[test]
+    fn capped_growth_beside_an_external_block_is_not_a_true_deadlock() {
+        // The channel cannot grow, and the task at its socket may be about
+        // to make room: the capped verdict passes the same verification as
+        // any other true deadlock, which an external block never does.
+        let m = Monitor::new(DeadlockPolicy::Grow {
+            max_capacity: Some(8),
+        });
+        let c = FakeChan::new(8, true);
+        m.register_channel(1, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
+        block_all(&m, &[(EXTERNAL_CHANNEL, BlockKind::Read), (1, BlockKind::Write)]);
+        m.tick();
+        assert!(!m.is_aborted());
+        assert!(!*c.poisoned.lock());
+        assert_eq!(*c.cap.lock(), 8);
+        assert_eq!(m.stats().true_deadlocks, 0);
+    }
+
+    #[test]
+    fn both_true_deadlock_verdicts_count_once_and_bump_the_generation() {
+        let capped = DeadlockPolicy::Grow {
+            max_capacity: Some(8),
+        };
+        for (policy, full, kind) in [
+            (DeadlockPolicy::default(), false, BlockKind::Read),
+            (capped, true, BlockKind::Write),
+        ] {
+            let m = Monitor::new(policy);
+            let c = FakeChan::new(8, full);
+            m.register_channel(1, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
+            block_all(&m, &[(1, kind)]);
+            let snap = m.snapshot();
+            assert!(snap.aborted && *c.poisoned.lock(), "{policy:?}");
+            assert_eq!(snap.stats.true_deadlocks, 1, "{policy:?}");
+            assert_eq!(snap.generation, 3, "started, blocked, aborted: {policy:?}");
+            m.tick();
+            assert_eq!(m.stats().true_deadlocks, 1, "an aborted network is not judged again");
+        }
+    }
+
+    #[test]
+    fn verdict_table() {
+        use BlockKind::{Read, Write};
+        use Verdict::{Grow, Nothing, TrueDeadlock};
+        const EXT: u64 = EXTERNAL_CHANNEL;
+        let grow = DeadlockPolicy::default();
+        let capped = |max| DeadlockPolicy::Grow {
+            max_capacity: Some(max),
+        };
+        let abort = DeadlockPolicy::Abort;
+        let empty = |cap| look(cap, 0, false);
+        let full = |cap| look(cap, cap, true);
+        let some = |cap| look(cap, 1, false);
+        let eof = |cap| Look {
+            write_closed: true,
+            ..empty(cap)
+        };
+        let cut = |cap| Look {
+            read_closed: true,
+            ..full(cap)
+        };
+        // (policy, live processes, blocked (channel, kind, is a process),
+        //  looks by channel id, expected)
+        type Case = (
+            DeadlockPolicy,
+            usize,
+            Vec<(u64, BlockKind, bool)>,
+            Vec<(u64, Look)>,
+            Verdict,
+        );
+        let cases: Vec<Case> = vec![
+            // The scenarios of the tests above, as pictures.
+            (grow, 2, vec![(1, Read, true), (1, Read, true)], vec![(1, empty(16))], TrueDeadlock),
+            (grow, 2, vec![(1, Write, true), (2, Write, true)], vec![(1, full(8)), (2, full(64))], Grow(1)),
+            (grow, 2, vec![(7, Write, true), (9, Read, true)], vec![(7, full(8)), (9, empty(8))], Grow(7)),
+            (grow, 2, vec![(7, Write, true), (9, Read, true)], vec![(7, full(8))], Nothing),
+            (grow, 2, vec![(EXT, Read, true), (7, Write, true)], vec![(7, full(8))], Grow(7)),
+            (grow, 2, vec![(7, Write, true), (EXT, Write, true)], vec![(7, full(8))], Grow(7)),
+            (capped(8), 1, vec![(1, Write, true)], vec![(1, full(8))], TrueDeadlock),
+            (capped(8), 2, vec![(EXT, Read, true), (1, Write, true)], vec![(1, full(8))], Nothing),
+            (grow, 1, vec![(1, Read, false)], vec![(1, empty(8))], Nothing),
+            (DeadlockPolicy::Ignore, 1, vec![(1, Write, true)], vec![(1, full(8))], Nothing),
+            // Policy boundaries.
+            (abort, 2, vec![(1, Write, true), (2, Read, true)], vec![(1, full(8)), (2, empty(8))], TrueDeadlock),
+            (abort, 2, vec![(EXT, Read, true), (1, Write, true)], vec![(1, full(8))], Nothing),
+            (DeadlockPolicy::Ignore, 1, vec![(1, Read, true)], vec![(1, empty(8))], Nothing),
+            (capped(16), 1, vec![(1, Write, true)], vec![(1, full(8))], Grow(1)),
+            (capped(8), 2, vec![(1, Write, true), (2, Write, true)], vec![(1, full(8)), (2, full(64))], TrueDeadlock),
+            (capped(64), 2, vec![(1, Write, true), (2, Write, true)], vec![(1, full(64)), (2, full(8))], Grow(2)),
+            // Capacity ties break on the channel id.
+            (grow, 2, vec![(9, Write, true), (7, Write, true)], vec![(9, full(8)), (7, full(8))], Grow(7)),
+            // A registration its channel's look does not confirm: the task
+            // is about to run, so nothing is decided.
+            (grow, 1, vec![(1, Read, true)], vec![(1, eof(8))], Nothing),
+            (grow, 1, vec![(1, Read, true)], vec![(1, some(8))], Nothing),
+            (grow, 1, vec![(1, Write, true)], vec![(1, cut(8))], Nothing),
+            (grow, 1, vec![(1, Write, true)], vec![(1, some(8))], Nothing),
+            (abort, 1, vec![(1, Write, true)], vec![(1, cut(8))], Nothing),
+            (grow, 2, vec![(1, Write, true), (2, Read, true)], vec![(1, full(8)), (2, eof(8))], Nothing),
+            (grow, 2, vec![(1, Write, true), (2, Write, true)], vec![(1, full(8)), (2, cut(8))], Nothing),
+            // A channel that has left the table confirms nothing.
+            (grow, 1, vec![(1, Read, true)], vec![], Nothing),
+            (abort, 1, vec![(1, Write, true)], vec![], Nothing),
+            // External blocks alone: not the local monitor's to resolve.
+            (grow, 2, vec![(EXT, Read, true), (EXT, Write, true)], vec![], Nothing),
+            (abort, 1, vec![(EXT, Read, true)], vec![], Nothing),
+            (grow, 2, vec![(EXT, Write, true), (1, Read, true)], vec![(1, empty(8))], Nothing),
+            // Foreign threads are in the picture but not in the count.
+            (grow, 1, vec![(1, Read, true), (2, Read, false)], vec![(1, empty(8)), (2, empty(8))], TrueDeadlock),
+            (grow, 1, vec![(1, Read, true), (2, Read, false)], vec![(1, empty(8)), (2, some(8))], Nothing),
+            (grow, 2, vec![(1, Read, true), (2, Read, false)], vec![(1, empty(8)), (2, empty(8))], Nothing),
+            (grow, 0, vec![(1, Read, false)], vec![(1, empty(8))], Nothing),
+            // Somebody is still running.
+            (grow, 2, vec![(1, Write, true)], vec![(1, full(8))], Nothing),
+        ];
+        for (n, (policy, live, blocked, looks, expected)) in cases.into_iter().enumerate() {
+            let mut st = MonState {
+                live,
+                ..Default::default()
+            };
+            for (token, (chan, kind, is_process)) in blocked.into_iter().enumerate() {
+                st.blocked_processes += is_process as usize;
+                st.blocked.insert(
+                    token as u64,
+                    BlockInfo {
+                        kind,
+                        chan,
+                        is_process,
+                    },
+                );
+            }
+            let looks: HashMap<u64, Look> = looks.into_iter().collect();
+            let look = |chan| looks.get(&chan).cloned();
+            assert_eq!(verdict(&st, policy, look), expected, "case {n}");
+            st.aborted = true;
+            assert_eq!(verdict(&st, policy, look), Nothing, "case {n}, aborted");
+        }
     }
 
     #[test]

@@ -60,8 +60,10 @@ pub struct NetworkConfig {
     /// unset.
     pub synthesize_capacities: bool,
     /// Trace the deadlock monitor on stderr: every block registration and
-    /// exit, every growth, and the blocked set at a true-deadlock verdict.
-    /// Diagnostic only. Defaults from `KPN_MONITOR_DEBUG` (set = on).
+    /// exit, every verdict that could lead to an action (with the blocked
+    /// set and the channel looks it was reached from), every growth and
+    /// true-deadlock abort. Diagnostic only. Defaults from
+    /// `KPN_MONITOR_DEBUG` (set = on).
     pub monitor_debug: bool,
 }
 
@@ -124,8 +126,13 @@ struct NetworkInner {
 }
 
 impl NetworkInner {
+    /// The declared processes plus one look at every live channel.
+    fn snapshot(&self) -> TopologySnapshot {
+        self.topology.snapshot(&self.monitor.live_channels())
+    }
+
     fn lint(&self, scope: LintScope) -> Vec<Diagnostic> {
-        crate::topology::run_lint(&self.topology.snapshot(), scope)
+        crate::topology::run_lint(&self.snapshot(), scope)
     }
 
     /// Applies the configured lint level to a scope. `Ok(())` means
@@ -173,7 +180,7 @@ impl NetworkInner {
             .into_iter()
             .flat_map(|d| d.fixes)
             .collect();
-        self.topology.apply_fixes(&fixes)
+        crate::topology::apply_fixes(&fixes, &self.monitor.live_channels())
     }
 }
 
@@ -231,7 +238,6 @@ impl NetworkHandle {
             Some(self.inner.monitor.clone()),
             self.inner.exec.clone(),
             self.inner.recorder.clone(),
-            Some(self.inner.topology.clone()),
         ))
     }
 
@@ -484,7 +490,7 @@ impl Network {
     /// A consistent snapshot of the network's topology metadata, as seen by
     /// the lint pass.
     pub fn topology_snapshot(&self) -> TopologySnapshot {
-        self.handle.inner.topology.snapshot()
+        self.handle.inner.snapshot()
     }
 
     /// Waits for every process — including dynamically spawned ones — to
@@ -831,6 +837,40 @@ mod tests {
         let report = net.run_report();
         assert_eq!(report.errors.len(), 1);
         assert!(report.errors[0].1.to_string().contains("intentional"));
+    }
+
+    #[test]
+    fn one_table_holds_the_live_channels_in_creation_order() {
+        let net = Network::new();
+        let mut ends: Vec<_> = (0..8).map(|_| Some(net.channel())).collect();
+        let ids: Vec<u64> = net.channel_report().iter().map(|(id, _)| *id).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "creation order: {ids:?}");
+        let table = |net: &Network| -> Vec<u64> {
+            let live = net.monitor().live_channels();
+            live.iter().map(|(id, _)| *id).collect()
+        };
+        let lint = |net: &Network| -> Vec<u64> {
+            let snap = net.topology_snapshot();
+            snap.channels.iter().map(|ch| ch.id).collect()
+        };
+        assert_eq!(table(&net), ids);
+        assert_eq!(lint(&net), ids);
+        // Interleaved drops, one endpoint at a time: a channel leaves the
+        // table when its second endpoint goes, not when something next
+        // looks for it, and the survivors keep their order.
+        let (w5, r5) = ends[5].take().unwrap();
+        let (w1, r1) = ends[1].take().unwrap();
+        drop((w5, r1));
+        assert_eq!(table(&net), ids, "half-dropped channels are live");
+        assert_eq!(lint(&net), ids);
+        drop((r5, w1));
+        let (w6, r6) = ends[6].take().unwrap();
+        drop((r6, w6));
+        let survivors = [ids[0], ids[2], ids[3], ids[4], ids[7]];
+        assert_eq!(table(&net), survivors);
+        assert_eq!(lint(&net), survivors);
+        let report: Vec<u64> = net.channel_report().iter().map(|(id, _)| *id).collect();
+        assert_eq!(report, ids, "the report covers live and retired channels");
     }
 
     #[test]

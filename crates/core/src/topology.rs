@@ -6,8 +6,11 @@
 //! under-provisioned cycle stalls until the monitor grows it (§3.5). This
 //! module is the *static* counterpart of that dynamic machinery: as graph
 //! construction code creates channels and moves endpoints into processes,
-//! the network records a [`TopologySnapshot`] of who holds what, and a
-//! configurable lint pass checks it before [`crate::Network::start`] and
+//! each channel records what has been declared about its two sides
+//! ([`EndpointShape`]) and the network records its declared processes; a
+//! [`TopologySnapshot`] is one look at every live channel — found through
+//! the monitor's table, the only list of them — plus those processes, and
+//! a configurable lint pass checks it before [`crate::Network::start`] and
 //! incrementally after every dynamic reconfiguration.
 //!
 //! The checks that need only the core runtime live here (L001 dangling
@@ -23,12 +26,12 @@
 //! (opaque) endpoints and processes are treated as compatible with
 //! everything, so partially-declared graphs produce no false positives.
 
-use crate::monitor::MonitoredChannel;
+use crate::monitor::Held;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Lint configuration
@@ -284,6 +287,29 @@ pub struct EndpointShape {
     pub rate: Option<u64>,
 }
 
+impl EndpointShape {
+    /// A side nothing has been declared about yet.
+    pub(crate) fn open() -> Self {
+        EndpointShape {
+            state: SideState::Open,
+            process: None,
+            framing: None,
+            item_type: None,
+            item_size: None,
+            rate: None,
+        }
+    }
+
+    /// Moves the side to `state`. Closed and Spliced are terminal: the
+    /// drop-time close of an endpoint consumed by a splice must not repaint
+    /// it as Closed, and nothing resurrects a closed side.
+    pub(crate) fn mark(&mut self, state: SideState) {
+        if self.state != SideState::Closed && self.state != SideState::Spliced {
+            self.state = state;
+        }
+    }
+}
+
 /// What lint knows about one channel.
 #[derive(Debug, Clone)]
 pub struct ChannelShape {
@@ -338,46 +364,6 @@ impl TopologySnapshot {
 // The per-network topology registry
 // ---------------------------------------------------------------------------
 
-#[derive(Clone)]
-struct EndpointInfo {
-    state: SideState,
-    process: Option<u64>,
-    framing: Option<StreamFraming>,
-    item_type: Option<&'static str>,
-    item_size: Option<usize>,
-    rate: Option<u64>,
-}
-
-impl EndpointInfo {
-    fn new() -> Self {
-        EndpointInfo {
-            state: SideState::Open,
-            process: None,
-            framing: None,
-            item_type: None,
-            item_size: None,
-            rate: None,
-        }
-    }
-
-    fn shape(&self) -> EndpointShape {
-        EndpointShape {
-            state: self.state,
-            process: self.process,
-            framing: self.framing,
-            item_type: self.item_type,
-            item_size: self.item_size,
-            rate: self.rate,
-        }
-    }
-}
-
-struct ChanEntry {
-    handle: Weak<dyn MonitoredChannel>,
-    writer: EndpointInfo,
-    reader: EndpointInfo,
-}
-
 struct ProcEntry {
     id: u64,
     name: String,
@@ -386,24 +372,14 @@ struct ProcEntry {
 
 #[derive(Default)]
 struct TopoState {
-    order: Vec<u64>,
-    channels: HashMap<u64, ChanEntry>,
     processes: Vec<ProcEntry>,
     opaque: usize,
 }
 
-/// Which side of a channel an endpoint operation concerns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Side {
-    /// The write end.
-    Write,
-    /// The read end.
-    Read,
-}
-
-/// Per-network registry of channels, endpoint attributions, and declared
-/// processes. Owned by [`crate::Network`]; endpoints carry a weak back-link
-/// so moves, declares, and closes update it from wherever they happen.
+/// Per-network registry of declared processes. Owned by [`crate::Network`].
+/// The other half of a [`TopologySnapshot`] is not kept here: a channel's
+/// per-side lint metadata lives in the channel, and the network's channels
+/// are found through the one table of live channels (the monitor's).
 #[derive(Default)]
 pub(crate) struct Topology {
     state: Mutex<TopoState>,
@@ -412,19 +388,6 @@ pub(crate) struct Topology {
 impl Topology {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Topology::default())
-    }
-
-    pub(crate) fn register_channel(&self, id: u64, handle: Weak<dyn MonitoredChannel>) {
-        let mut st = self.state.lock();
-        st.order.push(id);
-        st.channels.insert(
-            id,
-            ChanEntry {
-                handle,
-                writer: EndpointInfo::new(),
-                reader: EndpointInfo::new(),
-            },
-        );
     }
 
     pub(crate) fn register_process(&self, tag: Option<&ProcessTag>) {
@@ -443,98 +406,21 @@ impl Topology {
         }
     }
 
-    fn with_side(&self, id: u64, side: Side, f: impl FnOnce(&mut EndpointInfo)) {
-        let mut st = self.state.lock();
-        if let Some(e) = st.channels.get_mut(&id) {
-            let info = match side {
-                Side::Write => &mut e.writer,
-                Side::Read => &mut e.reader,
-            };
-            f(info);
-        }
-    }
-
-    pub(crate) fn attach(&self, id: u64, side: Side, tag: &ProcessTag) {
-        self.with_side(id, side, |e| {
-            e.state = SideState::Attached;
-            e.process = Some(tag.id);
-        });
-    }
-
-    pub(crate) fn mark(&self, id: u64, side: Side, state: SideState) {
-        self.with_side(id, side, |e| {
-            // Closed and Spliced are terminal: the drop-time close of an
-            // endpoint consumed by a splice must not repaint it as Closed,
-            // and nothing resurrects a closed side.
-            if e.state != SideState::Closed && e.state != SideState::Spliced {
-                e.state = state;
+    /// Builds a snapshot: one look at each of the network's live channels
+    /// (`live`, in creation order) and the declared processes.
+    pub(crate) fn snapshot(&self, live: &Held) -> TopologySnapshot {
+        let channels = live.iter().map(|(id, ch)| {
+            let look = ch.look();
+            ChannelShape {
+                id: *id,
+                capacity: look.stats.capacity,
+                buffered: look.buffered,
+                writer: look.writer,
+                reader: look.reader,
             }
         });
-    }
-
-    pub(crate) fn declare_framing(&self, id: u64, side: Side, framing: StreamFraming) {
-        self.with_side(id, side, |e| e.framing = Some(framing));
-    }
-
-    pub(crate) fn declare_item(&self, id: u64, side: Side, name: &'static str, size: usize) {
-        self.with_side(id, side, |e| {
-            e.item_type = Some(name);
-            e.item_size = Some(size);
-        });
-    }
-
-    pub(crate) fn declare_rate(&self, id: u64, side: Side, rate: u64) {
-        self.with_side(id, side, |e| e.rate = Some(rate));
-    }
-
-    /// Applies [`Fix::SetCapacity`] edits to the live channels they name:
-    /// each channel grows to at least the suggested capacity (growing is
-    /// monotone — a channel already at or above the suggestion is left
-    /// alone, so applying fixes is idempotent). Returns the number of
-    /// channels that actually grew.
-    pub(crate) fn apply_fixes(&self, fixes: &[Fix]) -> usize {
-        let mut grew = 0;
+        let channels = channels.collect();
         let st = self.state.lock();
-        for fix in fixes {
-            let Fix::SetCapacity {
-                channel, suggested, ..
-            } = fix;
-            if let Some(live) = st.channels.get(channel).and_then(|e| e.handle.upgrade()) {
-                if live.ensure_capacity(*suggested) {
-                    grew += 1;
-                }
-            }
-        }
-        grew
-    }
-
-    /// Builds a consistent snapshot, lazily dropping channels whose shared
-    /// state is gone (both endpoints finished — nothing left to lint).
-    pub(crate) fn snapshot(&self) -> TopologySnapshot {
-        let mut st = self.state.lock();
-        let mut channels = Vec::with_capacity(st.order.len());
-        let mut dead = Vec::new();
-        for &id in &st.order {
-            let Some(entry) = st.channels.get(&id) else {
-                continue;
-            };
-            match entry.handle.upgrade() {
-                Some(live) => channels.push(ChannelShape {
-                    id,
-                    capacity: live.capacity(),
-                    buffered: live.buffered(),
-                    writer: entry.writer.shape(),
-                    reader: entry.reader.shape(),
-                }),
-                None => dead.push(id),
-            }
-        }
-        for id in &dead {
-            st.channels.remove(id);
-        }
-        if !dead.is_empty() {
-            st.order.retain(|id| !dead.contains(id));
-        }
         TopologySnapshot {
             channels,
             processes: st
@@ -551,34 +437,20 @@ impl Topology {
     }
 }
 
-/// Weak back-link carried by channel endpoints created through a network.
-#[derive(Clone)]
-pub(crate) struct EndpointTopo {
-    pub(crate) topo: Arc<Topology>,
-    pub(crate) channel: u64,
-    pub(crate) side: Side,
-}
-
-impl EndpointTopo {
-    pub(crate) fn attach(&self, tag: &ProcessTag) {
-        self.topo.attach(self.channel, self.side, tag);
-    }
-
-    pub(crate) fn mark(&self, state: SideState) {
-        self.topo.mark(self.channel, self.side, state);
-    }
-
-    pub(crate) fn declare_framing(&self, framing: StreamFraming) {
-        self.topo.declare_framing(self.channel, self.side, framing);
-    }
-
-    pub(crate) fn declare_item(&self, name: &'static str, size: usize) {
-        self.topo.declare_item(self.channel, self.side, name, size);
-    }
-
-    pub(crate) fn declare_rate(&self, rate: u64) {
-        self.topo.declare_rate(self.channel, self.side, rate);
-    }
+/// Applies [`Fix::SetCapacity`] edits to the channels of `live` (sorted by
+/// id) they name: each channel grows to at least the suggested capacity
+/// (growing is monotone — a channel already at or above the suggestion is
+/// left alone, so applying fixes is idempotent). Returns the number of
+/// channels that actually grew.
+pub(crate) fn apply_fixes(fixes: &[Fix], live: &Held) -> usize {
+    let grows = |fix: &&Fix| {
+        let Fix::SetCapacity {
+            channel, suggested, ..
+        } = fix;
+        live.binary_search_by_key(channel, |(id, _)| *id)
+            .is_ok_and(|at| live[at].1.ensure_capacity(*suggested))
+    };
+    fixes.iter().filter(grows).count()
 }
 
 // ---------------------------------------------------------------------------

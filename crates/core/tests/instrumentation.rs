@@ -90,3 +90,63 @@ fn growth_log_identifies_the_starved_channel() {
     // It grew from the deliberately tiny 8-byte capacity.
     assert_eq!(report.monitor.growth_log[0].1, 8);
 }
+
+#[test]
+fn reports_and_snapshots_never_freeze_a_network_that_drops_channels() {
+    // A report or snapshot upgrades the table's weak handles; a channel whose
+    // endpoints are dropped meanwhile is then kept alive by that temporary
+    // handle alone, and its drop re-enters the monitor to leave the table.
+    // Dropping the handle under the monitor's lock froze both threads, and
+    // with them every task that blocks or wakes. Both loops must keep
+    // advancing for three seconds.
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::Duration;
+    let net = Network::new();
+    let stop = Arc::new(AtomicBool::new(false));
+    let looks = Arc::new(AtomicU64::new(0));
+    let pairs = Arc::new(AtomicU64::new(0));
+    let reporter = {
+        let (net, stop, looks) = (net.clone(), stop.clone(), looks.clone());
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let report = net.channel_report();
+                let snapshot = net.topology_snapshot();
+                assert!(report.windows(2).all(|w| w[0].0 < w[1].0));
+                assert!(snapshot.channels.windows(2).all(|w| w[0].id < w[1].id));
+                looks.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    };
+    let churner = {
+        let (net, stop, pairs) = (net.clone(), stop.clone(), pairs.clone());
+        std::thread::spawn(move || {
+            // A few channels stay live so that a report always has handles
+            // in hand; the oldest is dropped for each new one. Dropped
+            // channels stay in the report, so the churn is paced to keep
+            // the three seconds' worth small.
+            let mut live = std::collections::VecDeque::new();
+            while !stop.load(Ordering::Relaxed) {
+                live.push_back(net.channel_with_capacity(8));
+                if live.len() > 8 {
+                    live.pop_front();
+                }
+                if pairs.fetch_add(1, Ordering::Relaxed) % 16 == 15 {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            }
+        })
+    };
+    let mut seen = (0, 0);
+    for window in 0..12 {
+        std::thread::sleep(Duration::from_millis(250));
+        let now = (looks.load(Ordering::Relaxed), pairs.load(Ordering::Relaxed));
+        assert!(
+            now.0 > seen.0 && now.1 > seen.1,
+            "frozen in window {window}: {seen:?} -> {now:?} (reports, channel pairs)"
+        );
+        seen = now;
+    }
+    stop.store(true, Ordering::Relaxed);
+    reporter.join().unwrap();
+    churner.join().unwrap();
+}
