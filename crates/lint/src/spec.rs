@@ -3,15 +3,18 @@
 //! A distributed deployment is a set of [`GraphSpec`] partitions, one per
 //! node, wired together by remote endpoint tokens (§4.2: an output's
 //! `Remote { addr, token }` connects to the input listening for the same
-//! `token` on another node's acceptor). Nothing validates that wiring
-//! until every node is up — a mistyped token then presents as a silent
-//! stall, the distributed analogue of the dangling-endpoint defect L001.
-//! [`check_specs`] finds these statically, before anything is shipped.
+//! `token` on another node's acceptor). What is wrong with one partition on
+//! its own is listed by [`GraphSpec::defects`] — the same list a node
+//! refuses a shipped spec by — and [`check_specs`] words it as lint
+//! diagnostics. What no single partition can show is whether the tokens
+//! pair up: nothing validates that until every node is up, and a mistyped
+//! token then presents as a silent stall, the distributed analogue of the
+//! dangling-endpoint defect L001. That pairing is this module's own check.
 
 use std::collections::HashMap;
 
 use kpn_core::{DiagCode, Diagnostic, Fix, DEFAULT_CAPACITY};
-use kpn_net::{GraphSpec, InputSpec, OutputSpec};
+use kpn_net::{GraphSpec, InputSpec, OutputSpec, SpecDefect};
 
 fn diag(code: DiagCode, message: String, process: Option<String>) -> Diagnostic {
     Diagnostic {
@@ -65,13 +68,13 @@ pub fn apply_spec_fixes(spec: &mut GraphSpec, fixes: &[Fix]) -> usize {
 
 /// Statically checks a set of named graph partitions as one deployment.
 ///
-/// Per partition: local channel references must be in bounds, every local
-/// channel must have exactly one producer and one consumer (§1's
-/// single-producer/single-consumer law), channel capacities must be
-/// non-zero, and every process must hold at least one endpoint (L004).
-/// Across partitions: every `OutputSpec::Remote` token must have exactly
-/// one listening `InputSpec::Remote`, and vice versa — an unmatched token
-/// is a remote endpoint that will dangle forever (L001).
+/// Per partition, every [`SpecDefect`]: local channel references must be in
+/// bounds, every local channel must have exactly one producer and one
+/// consumer (§1's single-producer/single-consumer law), channel capacities
+/// must be non-zero (L003), and every process must hold at least one
+/// endpoint (L004). Across partitions: every `OutputSpec::Remote` token
+/// must have exactly one listening `InputSpec::Remote`, and vice versa — an
+/// unmatched token is a remote endpoint that will dangle forever (L001).
 ///
 /// The partition `name` (typically the file name) prefixes each message so
 /// findings can be traced to the spec that caused them.
@@ -83,101 +86,93 @@ pub fn check_specs(specs: &[(String, GraphSpec)]) -> Vec<Diagnostic> {
 
     for (name, spec) in specs {
         let nch = spec.channels.len();
-        let mut producers = vec![0usize; nch];
-        let mut consumers = vec![0usize; nch];
-
-        for (ci, ch) in spec.channels.iter().enumerate() {
-            if ch.capacity == 0 {
-                out.push(Diagnostic {
-                    code: DiagCode::L003,
-                    message: format!(
-                        "{name}: channel {ci} has zero capacity; it can never \
-                         transfer data"
-                    ),
-                    process: None,
-                    channel: Some(ci as u64),
-                    fixes: vec![Fix::SetCapacity {
-                        channel: ci as u64,
-                        current: 0,
-                        suggested: DEFAULT_CAPACITY,
-                    }],
-                });
-            }
-        }
+        let label =
+            |pi: usize| format!("{name}: process {pi} (`{}`)", spec.processes[pi].type_name);
+        let of = |pi: usize| Some(spec.processes[pi].type_name.clone());
+        let verb = |writes: bool| if writes { "writes" } else { "reads" };
+        out.extend(spec.defects().into_iter().map(|defect| match defect {
+            SpecDefect::ZeroCapacity { channel } => Diagnostic {
+                code: DiagCode::L003,
+                message: format!(
+                    "{name}: channel {channel} has zero capacity; it can never \
+                     transfer data"
+                ),
+                process: None,
+                channel: Some(channel as u64),
+                fixes: vec![Fix::SetCapacity {
+                    channel: channel as u64,
+                    current: 0,
+                    suggested: DEFAULT_CAPACITY,
+                }],
+            },
+            SpecDefect::NoEndpoints { process } => diag(
+                DiagCode::L004,
+                format!(
+                    "{} holds no endpoints; it can neither produce nor consume data",
+                    label(process)
+                ),
+                of(process),
+            ),
+            SpecDefect::OutOfRange {
+                process,
+                channel,
+                writes,
+            } => diag(
+                DiagCode::L001,
+                format!(
+                    "{} {} local channel {channel}, but the partition only has {nch} channels",
+                    label(process),
+                    verb(writes)
+                ),
+                of(process),
+            ),
+            SpecDefect::Taken {
+                process,
+                channel,
+                writes,
+            } => diag(
+                DiagCode::L001,
+                format!(
+                    "{} {} local channel {channel}, which already has a {}; a channel needs \
+                     exactly one (two would race)",
+                    label(process),
+                    verb(writes),
+                    if writes { "producer" } else { "consumer" }
+                ),
+                of(process),
+            ),
+            SpecDefect::Open { channel, writes } => diag(
+                DiagCode::L001,
+                if writes {
+                    format!(
+                        "{name}: channel {channel} has 0 producers; a channel needs exactly one \
+                         (its reader blocks forever)"
+                    )
+                } else {
+                    format!(
+                        "{name}: channel {channel} has 0 consumers; a channel needs exactly one \
+                         (its writer stalls once the buffer fills)"
+                    )
+                },
+                None,
+            ),
+            SpecDefect::Unused { channel } => diag(
+                DiagCode::L001,
+                format!("{name}: channel {channel} has 0 producers and 0 consumers; no process references it"),
+                None,
+            ),
+        }));
 
         for (pi, p) in spec.processes.iter().enumerate() {
-            let label = format!("{name}: process {pi} (`{}`)", p.type_name);
-            if p.inputs.is_empty() && p.outputs.is_empty() {
-                out.push(diag(
-                    DiagCode::L004,
-                    format!("{label} holds no endpoints; it can neither produce nor consume data"),
-                    Some(p.type_name.clone()),
-                ));
-            }
             for input in &p.inputs {
-                match input {
-                    InputSpec::Local(i) => {
-                        if *i >= nch {
-                            out.push(diag(
-                                DiagCode::L001,
-                                format!("{label} reads local channel {i}, but the partition only has {nch} channels"),
-                                Some(p.type_name.clone()),
-                            ));
-                        } else {
-                            consumers[*i] += 1;
-                        }
-                    }
-                    InputSpec::Remote { token } => {
-                        let e = remote.entry(*token).or_insert((0, 0, label.clone()));
-                        e.1 += 1;
-                    }
+                if let InputSpec::Remote { token } = input {
+                    remote.entry(*token).or_insert((0, 0, label(pi))).1 += 1;
                 }
             }
             for output in &p.outputs {
-                match output {
-                    OutputSpec::Local(i) => {
-                        if *i >= nch {
-                            out.push(diag(
-                                DiagCode::L001,
-                                format!("{label} writes local channel {i}, but the partition only has {nch} channels"),
-                                Some(p.type_name.clone()),
-                            ));
-                        } else {
-                            producers[*i] += 1;
-                        }
-                    }
-                    OutputSpec::Remote { token, .. } => {
-                        let e = remote.entry(*token).or_insert((0, 0, label.clone()));
-                        e.0 += 1;
-                    }
+                if let OutputSpec::Remote { token, .. } = output {
+                    remote.entry(*token).or_insert((0, 0, label(pi))).0 += 1;
                 }
-            }
-        }
-
-        for ci in 0..nch {
-            if producers[ci] != 1 {
-                out.push(diag(
-                    DiagCode::L001,
-                    format!(
-                        "{name}: channel {ci} has {} producers; a channel needs exactly one \
-                         (its reader {} forever)",
-                        producers[ci],
-                        if producers[ci] == 0 { "blocks" } else { "races" },
-                    ),
-                    None,
-                ));
-            }
-            if consumers[ci] != 1 {
-                out.push(diag(
-                    DiagCode::L001,
-                    format!(
-                        "{name}: channel {ci} has {} consumers; a channel needs exactly one \
-                         (its writer {} once the buffer fills)",
-                        consumers[ci],
-                        if consumers[ci] == 0 { "stalls" } else { "races" },
-                    ),
-                    None,
-                ));
             }
         }
     }

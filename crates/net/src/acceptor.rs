@@ -32,6 +32,18 @@ use std::time::{Duration, Instant};
 
 type ControlHandler = Arc<dyn Fn(TcpStream) + Send + Sync>;
 
+/// How long an accepted connection may take over each read of its preamble
+/// (the connection tag, then a data connection's hello token). The preamble
+/// is read on the accept thread, so until it has arrived nothing else is
+/// accepted — not another node's data connection, not a control session,
+/// not [`Acceptor::close`]'s wake-up: without a bound one peer that
+/// connects and says nothing holds the node's port, and its thread and
+/// listener after the node is dropped, for as long as it likes. A real
+/// peer writes its preamble straight after `connect`. The bound limits the
+/// stall, it does not remove it; the cure is to accept as a reactor task
+/// (ROADMAP item 1(c)).
+const PREAMBLE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Waker bridging the acceptor's dispatch thread to a fiber parked in
 /// [`PendingConn::recv_wait`]: the receiver publishes `(exec, key)` before
 /// parking, the sender takes and unparks it after delivering (or after
@@ -236,16 +248,28 @@ impl Acceptor {
         }
     }
 
-    fn dispatch(self: &Arc<Self>, mut stream: TcpStream) {
+    /// Reads the preamble under [`PREAMBLE_TIMEOUT`]: the tag and, after
+    /// [`CONN_HELLO`], the endpoint token. The timeout is cleared before
+    /// the stream goes to whoever reads the rest (a remote endpoint sets
+    /// its own; a control session waits for its client as long as it takes).
+    fn read_preamble(stream: &mut TcpStream) -> Result<(u8, u64)> {
+        stream.set_read_timeout(Some(PREAMBLE_TIMEOUT))?;
         let mut tag = [0u8; 1];
-        if stream.read_exact(&mut tag).is_err() {
+        stream.read_exact(&mut tag)?;
+        let token = match tag[0] {
+            CONN_HELLO => read_hello_token(stream)?,
+            _ => 0,
+        };
+        stream.set_read_timeout(None)?;
+        Ok((tag[0], token))
+    }
+
+    fn dispatch(self: &Arc<Self>, mut stream: TcpStream) {
+        let Ok((tag, token)) = Self::read_preamble(&mut stream) else {
             return;
-        }
-        match tag[0] {
+        };
+        match tag {
             CONN_HELLO => {
-                let Ok(token) = read_hello_token(&mut stream) else {
-                    return;
-                };
                 let _ = stream.set_nodelay(true);
                 let mut st = self.state.lock();
                 if st.closed {

@@ -1,14 +1,18 @@
 //! Building and partitioning distributed program graphs.
 //!
 //! A [`GraphBuilder`] records a whole program graph — processes, channels,
-//! and a partition assignment — then [`GraphBuilder::deploy`] cuts it:
-//! channels whose endpoints land in the same partition stay local; cut
-//! channels get a fresh endpoint token, the reader side listening at its
-//! node's acceptor, the writer side connecting (§4.2's automatic
-//! connection establishment, driven here by spec construction instead of
-//! `writeReplace`/`readResolve` hooks). Connections between two remote
-//! partitions are always direct — the deploying client never relays data,
-//! which is the invariant Figure 15's redirect protocol exists to protect.
+//! and a partition assignment — and hands it to the one cut in
+//! [`crate::spec`] (DESIGN.md §4d): channels whose endpoints land in the
+//! same partition stay local; cut channels get an endpoint token, the
+//! reader side listening at its node's acceptor, the writer side connecting
+//! (§4.2's automatic connection establishment, driven here by spec
+//! construction instead of `writeReplace`/`readResolve` hooks). Connections
+//! between two remote partitions are always direct — the deploying client
+//! never relays data, which is the invariant Figure 15's redirect protocol
+//! exists to protect. [`GraphBuilder::specs`] is the cut with sequential
+//! tokens and nothing shipped; [`GraphBuilder::deploy`] is the cut with
+//! fresh tokens plus what only a deployer has: the endpoints it keeps, the
+//! order partitions go out in, and a client partition to start.
 //!
 //! The deploying client is itself a partition ([`CLIENT`]): processes
 //! assigned to it run in a local network, and channel ends claimed with
@@ -23,7 +27,7 @@ use crate::node::Node;
 use crate::spec::{ChannelSpec, GraphSpec, InputSpec, OutputSpec, ProcessSpec};
 use kpn_core::{ChannelReader, ChannelWriter, Error, Network, Result, DEFAULT_CAPACITY};
 use serde::Serialize;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Partition id of the deploying client.
 pub const CLIENT: usize = usize::MAX;
@@ -38,35 +42,23 @@ const CLAIMED: usize = usize::MAX - 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChanId(usize);
 
-#[derive(Debug)]
-struct BuilderChannel {
-    capacity: usize,
-    producer: Option<Endpoint>,
-    consumer: Option<Endpoint>,
-}
-
 #[derive(Debug, Clone, Copy)]
 enum Endpoint {
-    /// `(process index, port index)` — port order within the process.
+    /// Port of the process at this index.
     Process(usize),
     /// Claimed by the deploying client as a raw endpoint.
     Claimed,
 }
 
-#[derive(Debug)]
-struct BuilderProcess {
-    partition: usize,
-    type_name: String,
-    params: Vec<u8>,
-    inputs: Vec<ChanId>,
-    outputs: Vec<ChanId>,
-}
-
 /// Records a program graph plus its partition assignment.
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
-    channels: Vec<BuilderChannel>,
-    processes: Vec<BuilderProcess>,
+    /// The graph before any cut: every endpoint `Local`.
+    whole: GraphSpec,
+    /// Partition of each process of `whole`.
+    partitions: Vec<usize>,
+    /// `[consumer, producer]` of each channel of `whole`.
+    ends: Vec<[Option<Endpoint>; 2]>,
     claimed_readers: Vec<ChanId>,
     claimed_writers: Vec<ChanId>,
 }
@@ -110,12 +102,9 @@ impl GraphBuilder {
 
     /// Adds a channel with an explicit capacity.
     pub fn channel_with_capacity(&mut self, capacity: usize) -> ChanId {
-        self.channels.push(BuilderChannel {
-            capacity,
-            producer: None,
-            consumer: None,
-        });
-        ChanId(self.channels.len() - 1)
+        self.whole.channels.push(ChannelSpec { capacity });
+        self.ends.push([None; 2]);
+        ChanId(self.ends.len() - 1)
     }
 
     /// Adds a process to `partition` ([`CLIENT`] or an index into the
@@ -130,20 +119,20 @@ impl GraphBuilder {
         inputs: &[ChanId],
         outputs: &[ChanId],
     ) -> Result<()> {
-        let index = self.processes.len();
+        let index = self.partitions.len();
         for &c in inputs {
             self.claim(c, Endpoint::Process(index), false)?;
         }
         for &c in outputs {
             self.claim(c, Endpoint::Process(index), true)?;
         }
-        self.processes.push(BuilderProcess {
-            partition,
+        self.whole.processes.push(ProcessSpec {
             type_name: type_name.into(),
             params: kpn_codec::to_bytes(params).map_err(Error::from)?,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
+            inputs: inputs.iter().map(|c| InputSpec::Local(c.0)).collect(),
+            outputs: outputs.iter().map(|c| OutputSpec::Local(c.0)).collect(),
         });
+        self.partitions.push(partition);
         Ok(())
     }
 
@@ -164,15 +153,11 @@ impl GraphBuilder {
     }
 
     fn claim(&mut self, c: ChanId, endpoint: Endpoint, producer: bool) -> Result<()> {
-        let ch = self
-            .channels
+        let ends = self
+            .ends
             .get_mut(c.0)
             .ok_or_else(|| Error::Graph(format!("unknown channel {c:?}")))?;
-        let slot = if producer {
-            &mut ch.producer
-        } else {
-            &mut ch.consumer
-        };
+        let slot = &mut ends[producer as usize];
         if slot.is_some() {
             return Err(Error::Graph(format!(
                 "channel {c:?} already has a {}",
@@ -183,20 +168,13 @@ impl GraphBuilder {
         Ok(())
     }
 
-    fn partition_of(&self, e: Endpoint) -> usize {
-        match e {
-            Endpoint::Claimed => CLAIMED,
-            Endpoint::Process(i) => self.processes[i].partition,
-        }
-    }
-
     /// Renders the graph as Graphviz DOT, clustered by partition —
     /// useful to inspect a deployment plan before shipping it.
     pub fn to_dot(&self) -> String {
         use std::fmt::Write;
         let mut out = String::from("digraph kpn {\n  rankdir=LR;\n  node [shape=box];\n");
         // Group processes by partition.
-        let mut partitions: Vec<usize> = self.processes.iter().map(|p| p.partition).collect();
+        let mut partitions = self.partitions.clone();
         partitions.sort_unstable();
         partitions.dedup();
         for part in partitions {
@@ -207,21 +185,21 @@ impl GraphBuilder {
             };
             let _ = writeln!(out, "  subgraph \"cluster_{label}\" {{");
             let _ = writeln!(out, "    label=\"{label}\";");
-            for (i, p) in self.processes.iter().enumerate() {
-                if p.partition == part {
+            for (i, p) in self.whole.processes.iter().enumerate() {
+                if self.partitions[i] == part {
                     let _ = writeln!(out, "    p{i} [label=\"{}\"];", p.type_name);
                 }
             }
             let _ = writeln!(out, "  }}");
         }
-        for (ci, ch) in self.channels.iter().enumerate() {
+        for (ci, &[consumer, producer]) in self.ends.iter().enumerate() {
             let node_of = |e: Option<Endpoint>, suffix: &str| match e {
                 Some(Endpoint::Process(i)) => format!("p{i}"),
                 Some(Endpoint::Claimed) => format!("claimed_{suffix}_{ci}"),
                 None => format!("unconnected_{suffix}_{ci}"),
             };
-            let from = node_of(ch.producer, "w");
-            let to = node_of(ch.consumer, "r");
+            let from = node_of(producer, "w");
+            let to = node_of(consumer, "r");
             if !from.starts_with('p') {
                 let _ = writeln!(out, "  {from} [shape=plaintext, label=\"in\"];");
             }
@@ -254,87 +232,16 @@ impl GraphBuilder {
                     .into(),
             ));
         }
-        for (i, ch) in self.channels.iter().enumerate() {
-            if ch.producer.is_none() || ch.consumer.is_none() {
-                return Err(Error::Graph(format!("channel {i} is not fully connected")));
-            }
-        }
-
-        // Placement mirrors `deploy`: same-partition channels stay local
-        // (indexed per partition), cut channels get an endpoint token.
-        enum Plan {
-            Local { index: usize },
-            Cut { reader_partition: usize, token: u64 },
-        }
-        let mut plans = Vec::with_capacity(self.channels.len());
-        let mut local_counts: HashMap<usize, usize> = HashMap::new();
-        let mut next_token = 1u64;
-        for ch in &self.channels {
-            let prod = self.partition_of(ch.producer.unwrap());
-            let cons = self.partition_of(ch.consumer.unwrap());
-            if prod == cons {
-                let count = local_counts.entry(prod).or_insert(0);
-                plans.push(Plan::Local { index: *count });
-                *count += 1;
-            } else {
-                plans.push(Plan::Cut {
-                    reader_partition: cons,
-                    token: next_token,
-                });
-                next_token += 1;
-            }
-        }
-
-        let mut specs: HashMap<usize, GraphSpec> = HashMap::new();
-        for (ci, ch) in self.channels.iter().enumerate() {
-            if let Plan::Local { .. } = plans[ci] {
-                let partition = self.partition_of(ch.producer.unwrap());
-                specs
-                    .entry(partition)
-                    .or_default()
-                    .channels
-                    .push(ChannelSpec {
-                        capacity: ch.capacity,
-                    });
-            }
-        }
-        for p in &self.processes {
-            let inputs = p
-                .inputs
-                .iter()
-                .map(|c| match plans[c.0] {
-                    Plan::Local { index } => InputSpec::Local(index),
-                    Plan::Cut { token, .. } => InputSpec::Remote { token },
-                })
-                .collect();
-            let outputs = p
-                .outputs
-                .iter()
-                .map(|c| match &plans[c.0] {
-                    Plan::Local { index } => OutputSpec::Local(*index),
-                    Plan::Cut {
-                        reader_partition,
-                        token,
-                    } => OutputSpec::Remote {
-                        addr: addr_of(*reader_partition),
-                        token: *token,
-                    },
-                })
-                .collect();
-            specs
-                .entry(p.partition)
-                .or_default()
-                .processes
-                .push(ProcessSpec {
-                    type_name: p.type_name.clone(),
-                    params: p.params.clone(),
-                    inputs,
-                    outputs,
-                });
-        }
-        let mut out: Vec<(usize, GraphSpec)> = specs.into_iter().collect();
-        out.sort_by_key(|(p, _)| *p);
-        Ok(out)
+        let mut next_token = 0u64;
+        let sequential = || {
+            next_token += 1;
+            next_token
+        };
+        let (specs, _) = self
+            .whole
+            .clone()
+            .cut(|pi| self.partitions[pi], addr_of, sequential)?;
+        Ok(specs)
     }
 
     /// Partitions the graph, ships each server its [`GraphSpec`], starts
@@ -345,27 +252,38 @@ impl GraphBuilder {
     /// compute servers, indexed by the partition ids used in
     /// [`GraphBuilder::add`].
     pub fn deploy(self, node: &Node, servers: &[ServerHandle]) -> Result<Deployment> {
-        // Validate: every channel fully connected, partitions in range.
-        for (i, ch) in self.channels.iter().enumerate() {
-            if ch.producer.is_none() || ch.consumer.is_none() {
-                return Err(Error::Graph(format!("channel {i} is not fully connected")));
-            }
-            if ch.capacity == 0 {
+        let GraphBuilder {
+            mut whole,
+            mut partitions,
+            claimed_readers,
+            claimed_writers,
+            ..
+        } = self;
+        for (p, &partition) in whole.processes.iter().zip(&partitions) {
+            if partition != CLIENT && partition >= servers.len() {
                 return Err(Error::Graph(format!(
-                    "channel {i} has zero capacity: a zero-capacity channel can \
-                     never transfer data"
+                    "process {:?} assigned to unknown partition {partition}",
+                    p.type_name
                 )));
             }
         }
-        for p in &self.processes {
-            if p.partition != CLIENT && p.partition >= servers.len() {
-                return Err(Error::Graph(format!(
-                    "process {:?} assigned to unknown partition {}",
-                    p.type_name, p.partition
-                )));
-            }
+        // The ends the caller keeps are the ports of one more process, in a
+        // partition of its own: the cut then says what each has become.
+        if !claimed_readers.is_empty() || !claimed_writers.is_empty() {
+            whole.processes.push(ProcessSpec {
+                type_name: String::new(),
+                params: Vec::new(),
+                inputs: claimed_readers
+                    .iter()
+                    .map(|c| InputSpec::Local(c.0))
+                    .collect(),
+                outputs: claimed_writers
+                    .iter()
+                    .map(|c| OutputSpec::Local(c.0))
+                    .collect(),
+            });
+            partitions.push(CLAIMED);
         }
-
         let addr_of = |partition: usize| -> String {
             if partition == CLIENT || partition == CLAIMED {
                 node.addr().to_string()
@@ -373,115 +291,27 @@ impl GraphBuilder {
                 servers[partition].addr().to_string()
             }
         };
-
-        // Decide the fate of each channel.
-        enum Placement {
-            /// Internal to `partition`; local channel index there.
-            Local { partition: usize, index: usize },
-            /// Cut channel: reader at `reader_partition` listens on token.
-            Cut { reader_partition: usize, token: u64 },
-        }
-        // (writer partition, reader partition) of every cut channel.
-        let mut cuts = Vec::new();
-        let mut placements = Vec::with_capacity(self.channels.len());
-        let mut local_counts: HashMap<usize, usize> = HashMap::new();
-        for ch in &self.channels {
-            let prod = self.partition_of(ch.producer.unwrap());
-            let cons = self.partition_of(ch.consumer.unwrap());
-            if prod == cons {
-                let count = local_counts.entry(prod).or_insert(0);
-                placements.push(Placement::Local {
-                    partition: prod,
-                    index: *count,
-                });
-                *count += 1;
-            } else {
-                placements.push(Placement::Cut {
-                    reader_partition: cons,
-                    token: fresh_token(),
-                });
-                cuts.push((prod, cons));
-            }
-        }
-
-        // Assemble one GraphSpec per partition (client included).
-        let mut specs: HashMap<usize, GraphSpec> = HashMap::new();
-        for (ci, ch) in self.channels.iter().enumerate() {
-            if let Placement::Local { partition, .. } = placements[ci] {
-                specs
-                    .entry(partition)
-                    .or_default()
-                    .channels
-                    .push(ChannelSpec {
-                        capacity: ch.capacity,
-                    });
-            }
-        }
-        for p in &self.processes {
-            let inputs = p
-                .inputs
-                .iter()
-                .map(|c| match placements[c.0] {
-                    Placement::Local { index, .. } => InputSpec::Local(index),
-                    Placement::Cut { token, .. } => InputSpec::Remote { token },
-                })
-                .collect();
-            let outputs = p
-                .outputs
-                .iter()
-                .map(|c| match &placements[c.0] {
-                    Placement::Local { index, .. } => OutputSpec::Local(*index),
-                    Placement::Cut {
-                        reader_partition,
-                        token,
-                    } => OutputSpec::Remote {
-                        addr: addr_of(*reader_partition),
-                        token: *token,
-                    },
-                })
-                .collect();
-            specs
-                .entry(p.partition)
-                .or_default()
-                .processes
-                .push(ProcessSpec {
-                    type_name: p.type_name.clone(),
-                    params: p.params.clone(),
-                    inputs,
-                    outputs,
-                });
-        }
+        let (specs, cuts) = whole.cut(|pi| partitions[pi], addr_of, fresh_token)?;
+        let mut specs: BTreeMap<usize, GraphSpec> = specs.into_iter().collect();
 
         // Claimed endpoints: cut channels ending (or starting) at the
         // client that have no client-side process.
         let mut readers = HashMap::new();
-        for &c in &self.claimed_readers {
-            match &placements[c.0] {
-                Placement::Cut { token, .. } => {
-                    readers.insert(c, node.remote_reader(*token));
-                }
-                Placement::Local { .. } => {
+        let mut writers = HashMap::new();
+        if let Some(kept) = specs.remove(&CLAIMED).and_then(|mut s| s.processes.pop()) {
+            for (&c, input) in claimed_readers.iter().zip(kept.inputs) {
+                let InputSpec::Remote { token } = input else {
                     return Err(Error::Graph(format!(
                         "claimed reader {c:?} pairs with a claimed writer; \
                          use a local kpn-core channel instead"
                     )));
-                }
+                };
+                readers.insert(c, node.remote_reader(token));
             }
-        }
-        let mut writers = HashMap::new();
-        for &c in &self.claimed_writers {
-            match &placements[c.0] {
-                Placement::Cut {
-                    reader_partition,
-                    token,
-                } => {
-                    writers.insert(c, node.remote_writer(&addr_of(*reader_partition), *token)?);
-                }
-                Placement::Local { .. } => {
-                    return Err(Error::Graph(format!(
-                        "claimed writer {c:?} pairs with a claimed reader; \
-                         use a local kpn-core channel instead"
-                    )));
+            for (&c, output) in claimed_writers.iter().zip(kept.outputs) {
+                // (One left local was refused above, with its reader.)
+                if let OutputSpec::Remote { addr, token } = output {
+                    writers.insert(c, node.remote_writer(&addr, token)?);
                 }
             }
         }
@@ -494,24 +324,25 @@ impl GraphBuilder {
         // the moment it arrives, and a producer shipped ahead of its
         // consumers streams into socket buffers and holds a core while the
         // rest of the graph is still being shipped: how long set-up takes
-        // would depend on the order, and a `HashMap`'s is drawn per run.
-        let mut pending: BTreeSet<usize> = specs.keys().copied().filter(|p| *p != CLIENT).collect();
+        // would depend on the order.
+        let client_spec = specs.remove(&CLIENT).unwrap_or_default();
+        let mut pending: BTreeSet<usize> = specs.keys().copied().collect();
         let mut used_servers = Vec::new();
         while let Some(&lowest) = pending.first() {
             let feeds_pending =
-                |p: usize| cuts.iter().any(|&(w, r)| w == p && pending.contains(&r));
+                |p: usize| cuts.iter().any(|&(w, r, _)| w == p && pending.contains(&r));
             let next = pending
                 .iter()
                 .copied()
                 .find(|&p| !feeds_pending(p))
                 .unwrap_or(lowest);
             pending.remove(&next);
-            servers[next].run_graph(specs[&next].clone())?;
+            let spec = specs.remove(&next).expect("a pending partition has a spec");
+            servers[next].run_graph(spec)?;
             used_servers.push(servers[next].clone());
         }
 
         // Start the client partition.
-        let client_spec = specs.remove(&CLIENT).unwrap_or_default();
         let client_network = node.instantiate(client_spec)?;
 
         Ok(Deployment {
@@ -666,6 +497,20 @@ mod tests {
             Ok(_) => panic!("expected error"),
         };
         assert!(err.contains("not fully connected"));
+    }
+
+    #[test]
+    fn claimed_reader_paired_with_claimed_writer_is_rejected() {
+        let client = Node::serve("127.0.0.1:0").unwrap();
+        let mut b = GraphBuilder::new();
+        let a = b.channel();
+        b.claim_writer(a).unwrap();
+        b.claim_reader(a).unwrap();
+        let err = match b.deploy(&client, &[]) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("expected error"),
+        };
+        assert!(err.contains("pairs with a claimed writer"), "{err}");
     }
 
     #[test]

@@ -113,30 +113,37 @@ impl ServerHandle {
         &self.addr
     }
 
-    fn call(&self, request: &ControlRequest) -> Result<ControlResponse> {
+    /// One request, one reply. `expected` picks out the reply this request
+    /// is answered with; of the others, the server's `Err` is the caller's
+    /// [`Error::Graph`] and anything else a protocol error.
+    fn call<T>(
+        &self,
+        request: &ControlRequest,
+        expected: impl FnOnce(ControlResponse) -> std::result::Result<T, ControlResponse>,
+    ) -> Result<T> {
         let mut stream = TcpStream::connect(&self.addr)
             .map_err(|e| Error::Disconnected(format!("control connect {}: {e}", self.addr)))?;
         stream.set_nodelay(true)?;
         stream.write_all(&[crate::frame::CONN_CONTROL])?;
         send_msg(&mut stream, request)?;
-        recv_msg(&mut stream)
+        match expected(recv_msg(&mut stream)?) {
+            Ok(value) => Ok(value),
+            Err(ControlResponse::Err(e)) => Err(Error::Graph(e)),
+            Err(other) => Err(Error::Graph(format!("unexpected reply {other:?}"))),
+        }
     }
 
     /// Liveness check.
     pub fn ping(&self) -> Result<()> {
-        match self.call(&ControlRequest::Ping)? {
+        self.call(&ControlRequest::Ping, |reply| match reply {
             ControlResponse::Pong => Ok(()),
-            other => Err(Error::Graph(format!("unexpected ping reply {other:?}"))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Ships a partition; returns once the server has it running.
     pub fn run_graph(&self, spec: GraphSpec) -> Result<()> {
-        match self.call(&ControlRequest::RunGraph(spec))? {
-            ControlResponse::Ok => Ok(()),
-            ControlResponse::Err(e) => Err(Error::Graph(e)),
-            other => Err(Error::Graph(format!("unexpected reply {other:?}"))),
-        }
+        self.call(&ControlRequest::RunGraph(spec), done)
     }
 
     /// Runs a registered task to completion, returning its decoded result
@@ -146,62 +153,55 @@ impl ServerHandle {
         type_name: &str,
         params: &P,
     ) -> Result<R> {
-        let params = kpn_codec::to_bytes(params).map_err(Error::from)?;
-        match self.call(&ControlRequest::RunTask {
+        let request = ControlRequest::RunTask {
             type_name: type_name.into(),
-            params,
-        })? {
-            ControlResponse::TaskResult(bytes) => {
-                kpn_codec::from_bytes(&bytes).map_err(Error::from)
-            }
-            ControlResponse::Err(e) => Err(Error::Graph(e)),
-            other => Err(Error::Graph(format!("unexpected reply {other:?}"))),
-        }
+            params: kpn_codec::to_bytes(params).map_err(Error::from)?,
+        };
+        let bytes = self.call(&request, |reply| match reply {
+            ControlResponse::TaskResult(bytes) => Ok(bytes),
+            other => Err(other),
+        })?;
+        kpn_codec::from_bytes(&bytes).map_err(Error::from)
     }
 
     /// Ships a whole graph for the server to decompose and redistribute
     /// across `helpers` (§4).
     pub fn run_graph_redistributed(&self, spec: GraphSpec, helpers: &[&str]) -> Result<()> {
-        match self.call(&ControlRequest::RunGraphRedistributed {
-            spec,
-            helpers: helpers.iter().map(|s| s.to_string()).collect(),
-        })? {
-            ControlResponse::Ok => Ok(()),
-            ControlResponse::Err(e) => Err(Error::Graph(e)),
-            other => Err(Error::Graph(format!("unexpected reply {other:?}"))),
-        }
+        let helpers = helpers.iter().map(|s| s.to_string()).collect();
+        self.call(
+            &ControlRequest::RunGraphRedistributed { spec, helpers },
+            done,
+        )
     }
 
     /// Blocks until every partition shipped to this server has terminated.
     pub fn wait_idle(&self) -> Result<()> {
-        match self.call(&ControlRequest::WaitIdle)? {
-            ControlResponse::Ok => Ok(()),
-            ControlResponse::Err(e) => Err(Error::Graph(e)),
-            other => Err(Error::Graph(format!("unexpected reply {other:?}"))),
-        }
+        self.call(&ControlRequest::WaitIdle, done)
     }
 
     /// Fetches the monitor snapshots of every network on the server.
     pub fn monitor_status(&self) -> Result<Vec<NetworkStatus>> {
-        match self.call(&ControlRequest::MonitorStatus)? {
+        self.call(&ControlRequest::MonitorStatus, |reply| match reply {
             ControlResponse::MonitorStatus(v) => Ok(v),
-            other => Err(Error::Graph(format!("unexpected reply {other:?}"))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Aborts every network on the server (deadlock resolution).
     pub fn abort_networks(&self) -> Result<()> {
-        match self.call(&ControlRequest::AbortNetworks)? {
-            ControlResponse::Ok => Ok(()),
-            other => Err(Error::Graph(format!("unexpected reply {other:?}"))),
-        }
+        self.call(&ControlRequest::AbortNetworks, done)
     }
 
     /// Asks the node to shut down.
     pub fn shutdown(&self) -> Result<()> {
-        match self.call(&ControlRequest::Shutdown)? {
-            ControlResponse::Ok => Ok(()),
-            other => Err(Error::Graph(format!("unexpected reply {other:?}"))),
-        }
+        self.call(&ControlRequest::Shutdown, done)
+    }
+}
+
+/// The reply to a request that returns nothing.
+fn done(reply: ControlResponse) -> std::result::Result<(), ControlResponse> {
+    match reply {
+        ControlResponse::Ok => Ok(()),
+        other => Err(other),
     }
 }

@@ -18,6 +18,8 @@
 //! * [`GraphBuilder`] — whole-graph construction with partition
 //!   assignment; `deploy` cuts channels at partition boundaries and
 //!   triggers the automatic connection establishment of §4.2 (Figure 14).
+//!   The cut, and the check of what makes a [`GraphSpec`] well formed
+//!   ([`GraphSpec::defects`]), each exist once, beside the type.
 //!
 //! ```no_run
 //! use kpn_net::{GraphBuilder, Node, ServerHandle};
@@ -63,7 +65,7 @@ pub use remote::{
     monitored_reader, monitored_writer, remote_reader, remote_reader_interruptible, remote_writer,
     remote_writer_interruptible, Interruptor, PendingSource, RemoteSink, RemoteSource,
 };
-pub use spec::{ChannelSpec, GraphSpec, InputSpec, OutputSpec, ProcessSpec};
+pub use spec::{ChannelSpec, GraphSpec, InputSpec, OutputSpec, ProcessSpec, SpecDefect};
 pub use transport::{
     install_profile, profile_for, recovery_stats, remove_profile, ChaosClock, FaultKind,
     FaultPlan, FaultProfile, FaultyFactory, FaultyTransport, NetProfile, ReconnectPolicy,

@@ -7,9 +7,16 @@
 //! is less than 8K bytes" — our equivalent is [`Node::serve`], a few lines
 //! that bind a port and answer control requests; see the `kpn-server`
 //! example binary.
+//!
+//! A spec arrives off a socket, so nothing here indexes by its numbers
+//! until [`GraphSpec::defects`] has been asked: [`Node::instantiate`]
+//! refuses a malformed spec before it builds a channel, and
+//! [`Node::redistribute`] is the round-robin assignment and the shipping
+//! around the one cut in [`crate::spec`] (DESIGN.md §4d), which checks
+//! first. Either way a malformed spec is a `ControlResponse::Err` to the
+//! client that sent it, never a dead control thread.
 
-use crate::acceptor::fresh_token;
-use crate::acceptor::Acceptor;
+use crate::acceptor::{fresh_token, Acceptor};
 use crate::control::ServerHandle;
 use crate::control::{recv_msg, send_msg, ControlRequest, ControlResponse};
 use crate::registry::ProcessRegistry;
@@ -17,7 +24,7 @@ use crate::remote::{
     monitored_reader, monitored_writer, remote_reader, remote_reader_interruptible, remote_writer,
     remote_writer_interruptible,
 };
-use crate::spec::{ChannelSpec, GraphSpec, InputSpec, OutputSpec};
+use crate::spec::{GraphSpec, InputSpec, OutputSpec};
 use kpn_core::{ChannelReader, ChannelWriter, Error, Network, NetworkConfig, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -156,8 +163,11 @@ impl Node {
     }
 
     /// Instantiates a partition locally and starts it. Returns the running
-    /// [`Network`] (also tracked for [`Node::join_all`]).
+    /// [`Network`] (also tracked for [`Node::join_all`]). A spec that is not
+    /// well formed ([`GraphSpec::defects`]) is refused before anything is
+    /// built.
     pub fn instantiate(&self, spec: GraphSpec) -> Result<Network> {
+        spec.well_formed()?;
         let net = Network::with_config(NetworkConfig::default());
         // Remote endpoints register interruptors so a network abort can
         // wake threads blocked inside TCP reads/writes (which the local
@@ -167,27 +177,17 @@ impl Node {
         // exactly once (channels are single-producer / single-consumer).
         let mut writers: Vec<Option<ChannelWriter>> = Vec::new();
         let mut readers: Vec<Option<ChannelReader>> = Vec::new();
-        for (ci, ch) in spec.channels.iter().enumerate() {
-            let (w, r) = net.try_channel_with_capacity(ch.capacity).map_err(|_| {
-                Error::Graph(format!(
-                    "spec channel {ci} has zero capacity: a zero-capacity channel \
-                     can never transfer data"
-                ))
-            })?;
+        for ch in &spec.channels {
+            let (w, r) = net.try_channel_with_capacity(ch.capacity)?;
             writers.push(Some(w));
             readers.push(Some(r));
         }
-        for (pi, p) in spec.processes.iter().enumerate() {
+        const ONE_HOLDER: &str = "a well-formed spec names each channel end once";
+        for p in &spec.processes {
             let mut ins = Vec::with_capacity(p.inputs.len());
             for input in &p.inputs {
                 ins.push(match input {
-                    InputSpec::Local(i) => {
-                        readers.get_mut(*i).and_then(Option::take).ok_or_else(|| {
-                            Error::Graph(format!(
-                                "process {pi}: channel {i} reader missing or already taken"
-                            ))
-                        })?
-                    }
+                    InputSpec::Local(i) => readers[*i].take().expect(ONE_HOLDER),
                     InputSpec::Remote { token } => {
                         let (reader, interruptor) =
                             remote_reader_interruptible(&self.acceptor, *token);
@@ -199,13 +199,7 @@ impl Node {
             let mut outs = Vec::with_capacity(p.outputs.len());
             for output in &p.outputs {
                 outs.push(match output {
-                    OutputSpec::Local(i) => {
-                        writers.get_mut(*i).and_then(Option::take).ok_or_else(|| {
-                            Error::Graph(format!(
-                                "process {pi}: channel {i} writer missing or already taken"
-                            ))
-                        })?
-                    }
+                    OutputSpec::Local(i) => writers[*i].take().expect(ONE_HOLDER),
                     OutputSpec::Remote { addr, token } => {
                         let (writer, interruptor) = remote_writer_interruptible(addr, *token)?;
                         interruptors.push(interruptor);
@@ -230,17 +224,17 @@ impl Node {
 
     /// §4's decompose-and-redistribute: takes a whole graph partition and
     /// re-partitions it across this node and the given helper servers
-    /// (round-robin by process). Channels that end up spanning hosts are
-    /// cut with fresh endpoint tokens; endpoints that were already remote
-    /// in the incoming spec keep their absolute addresses, so existing
-    /// connections (e.g. back to the original client) are unaffected.
+    /// (round-robin by process) with the same cut a deployer uses
+    /// (`GraphSpec::cut`): channels that end up spanning hosts get fresh
+    /// endpoint tokens; endpoints that were already remote in the incoming
+    /// spec keep their absolute addresses, so existing connections (e.g.
+    /// back to the original client) are unaffected.
     pub fn redistribute(&self, spec: GraphSpec, helpers: &[ServerHandle]) -> Result<()> {
         if helpers.is_empty() {
             self.instantiate(spec)?;
             return Ok(());
         }
         let hosts = helpers.len() + 1; // self is host 0
-        let host_of_process = |pi: usize| pi % hosts;
         let addr_of_host = |h: usize| -> String {
             if h == 0 {
                 self.addr().to_string()
@@ -248,109 +242,15 @@ impl Node {
                 helpers[h - 1].addr().to_string()
             }
         };
-        // Who produces / consumes each local channel?
-        let nch = spec.channels.len();
-        let mut producer_host: Vec<Option<usize>> = vec![None; nch];
-        let mut consumer_host: Vec<Option<usize>> = vec![None; nch];
-        for (pi, p) in spec.processes.iter().enumerate() {
-            for input in &p.inputs {
-                if let InputSpec::Local(c) = input {
-                    consumer_host[*c] = Some(host_of_process(pi));
-                }
-            }
-            for output in &p.outputs {
-                if let OutputSpec::Local(c) = output {
-                    producer_host[*c] = Some(host_of_process(pi));
-                }
-            }
+        let (shares, _) = spec.cut(|pi| pi % hosts, addr_of_host, fresh_token)?;
+        // Ship the helpers' shares, then run our own: process 0 is ours, so
+        // ours is the first.
+        let mut shares = shares.into_iter();
+        let own = shares.next();
+        for (h, share) in shares {
+            helpers[h - 1].run_graph(share)?;
         }
-        // Placement per channel: kept-local index on its host, or a cut.
-        enum Place {
-            Unused,
-            Local { host: usize, index: usize },
-            Cut { reader_host: usize, token: u64 },
-        }
-        let mut local_counts = vec![0usize; hosts];
-        let mut places = Vec::with_capacity(nch);
-        for c in 0..nch {
-            if producer_host[c].is_none() && consumer_host[c].is_none() {
-                // Unused channel (e.g. an endpoint replaced by a remote
-                // descriptor upstream): nothing to place.
-                places.push(Place::Unused);
-                continue;
-            }
-            let (Some(ph), Some(ch)) = (producer_host[c], consumer_host[c]) else {
-                return Err(Error::Graph(format!(
-                    "channel {c} not fully connected in redistributed spec"
-                )));
-            };
-            if ph == ch {
-                places.push(Place::Local {
-                    host: ph,
-                    index: local_counts[ph],
-                });
-                local_counts[ph] += 1;
-            } else {
-                places.push(Place::Cut {
-                    reader_host: ch,
-                    token: fresh_token(),
-                });
-            }
-        }
-        // Assemble one sub-spec per host.
-        let mut subs: Vec<GraphSpec> = (0..hosts).map(|_| GraphSpec::default()).collect();
-        for (c, place) in places.iter().enumerate() {
-            if let Place::Local { host, .. } = place {
-                subs[*host].channels.push(ChannelSpec {
-                    capacity: spec.channels[c].capacity,
-                });
-            }
-        }
-        for (pi, p) in spec.processes.iter().enumerate() {
-            let host = host_of_process(pi);
-            let inputs = p
-                .inputs
-                .iter()
-                .map(|i| match i {
-                    InputSpec::Local(c) => match &places[*c] {
-                        Place::Local { index, .. } => InputSpec::Local(*index),
-                        Place::Cut { token, .. } => InputSpec::Remote { token: *token },
-                        Place::Unused => unreachable!("referenced channel placed"),
-                    },
-                    remote => remote.clone(),
-                })
-                .collect();
-            let outputs = p
-                .outputs
-                .iter()
-                .map(|o| match o {
-                    OutputSpec::Local(c) => match &places[*c] {
-                        Place::Local { index, .. } => OutputSpec::Local(*index),
-                        Place::Cut { reader_host, token } => OutputSpec::Remote {
-                            addr: addr_of_host(*reader_host),
-                            token: *token,
-                        },
-                        Place::Unused => unreachable!("referenced channel placed"),
-                    },
-                    remote => remote.clone(),
-                })
-                .collect();
-            subs[host].processes.push(crate::spec::ProcessSpec {
-                type_name: p.type_name.clone(),
-                params: p.params.clone(),
-                inputs,
-                outputs,
-            });
-        }
-        // Ship the helpers' shares, then run our own.
-        for (h, handle) in helpers.iter().enumerate() {
-            let sub = std::mem::take(&mut subs[h + 1]);
-            if !sub.is_empty() {
-                handle.run_graph(sub)?;
-            }
-        }
-        let own = std::mem::take(&mut subs[0]);
-        if !own.is_empty() {
+        if let Some((_, own)) = own {
             self.instantiate(own)?;
         }
         Ok(())

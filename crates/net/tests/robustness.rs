@@ -3,7 +3,9 @@
 //! take the server down.
 
 use kpn_core::DataReader;
-use kpn_net::{GraphBuilder, Node, ServerHandle};
+use kpn_net::{
+    ChannelSpec, GraphBuilder, GraphSpec, InputSpec, Node, OutputSpec, ProcessSpec, ServerHandle,
+};
 use std::io::Write;
 use std::net::TcpStream;
 
@@ -92,4 +94,89 @@ fn run_task_with_wrong_params_reports_error() {
     assert!(err.to_string().contains("error"), "{err}");
     let still: i64 = handle.run_task("double", &5i64).unwrap();
     assert_eq!(still, 10);
+}
+
+/// Three specs no builder would produce, as a hostile or buggy client could
+/// send them, and what a node answers each with.
+fn malformed_specs() -> Vec<(GraphSpec, &'static str)> {
+    let process = |type_name: &str, inputs, outputs| ProcessSpec {
+        type_name: type_name.into(),
+        params: kpn_codec::to_bytes(&(0i64, Some(1u64))).unwrap(),
+        inputs,
+        outputs,
+    };
+    let one_channel = || vec![ChannelSpec { capacity: 64 }];
+    vec![
+        (
+            // An index past the end of an empty channel list.
+            GraphSpec {
+                channels: vec![],
+                processes: vec![process("Print", vec![InputSpec::Local(7)], vec![])],
+            },
+            "process 0: channel 7 reader missing or already taken",
+        ),
+        (
+            // Two producers of one channel.
+            GraphSpec {
+                channels: one_channel(),
+                processes: vec![
+                    process("Sequence", vec![], vec![OutputSpec::Local(0)]),
+                    process("Sequence", vec![], vec![OutputSpec::Local(0)]),
+                    process("Print", vec![InputSpec::Local(0)], vec![]),
+                ],
+            },
+            "process 1: channel 0 writer missing or already taken",
+        ),
+        (
+            // A producer and nobody to read it.
+            GraphSpec {
+                channels: one_channel(),
+                processes: vec![process("Sequence", vec![], vec![OutputSpec::Local(0)])],
+            },
+            "channel 0 is not fully connected",
+        ),
+    ]
+}
+
+#[test]
+fn a_malformed_spec_is_an_error_on_either_road_into_the_node() {
+    let (node, handle) = server();
+    let (helper, _) = server();
+    let helper = helper.addr().to_string();
+    for (spec, why) in malformed_specs() {
+        // `run_graph` answered the first two in these words before the node
+        // had one check (and ran the third, to no purpose).
+        let direct = handle.run_graph(spec.clone()).unwrap_err();
+        assert!(
+            matches!(&direct, kpn_core::Error::Graph(m) if m.contains(why)),
+            "{direct}"
+        );
+        // `run_graph_redistributed` indexed its tables with the spec's own
+        // numbers: the first spec killed the session's thread (the client
+        // saw `Eof`), the second was run with one producer overwritten.
+        let cut = handle
+            .run_graph_redistributed(spec, &[&helper])
+            .unwrap_err();
+        assert!(
+            matches!(&cut, kpn_core::Error::Graph(m) if m.contains(why)),
+            "{cut}"
+        );
+    }
+
+    // Nothing died: the same node answers, and runs a well-formed graph.
+    handle.ping().unwrap();
+    let mut g = GraphBuilder::new();
+    let a = g.channel();
+    g.add(0, "Sequence", &(0i64, Some(3u64)), &[], &[a])
+        .unwrap();
+    g.claim_reader(a).unwrap();
+    let client = Node::serve("127.0.0.1:0").unwrap();
+    let mut dep = g.deploy(&client, &[handle]).unwrap();
+    let mut r = DataReader::new(dep.readers.remove(&a).unwrap());
+    for i in 0..3 {
+        assert_eq!(r.read_i64().unwrap(), i);
+    }
+    drop(r);
+    dep.join().unwrap();
+    drop(node);
 }
