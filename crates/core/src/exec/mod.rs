@@ -47,6 +47,13 @@
 //! the effects of. Spurious returns are always allowed — callers re-check
 //! their predicate in a loop.
 //!
+//! The protocol is kept in one place, the keyed `WaitTable` below:
+//! [`ThreadExec`] uses its thread half (a condvar wait), [`PooledExec`]
+//! both halves (its fibers are filed under the key, threads that are not
+//! its fibers wait on the condvar). A wait that must end by a deadline
+//! goes through the one timed park, [`Exec::park_until`], and
+//! [`Exec::sleep`] is built on it (DESIGN.md, "How a task waits").
+//!
 //! ## Task identity
 //!
 //! Monitors and the flush registry used to key their bookkeeping by OS
@@ -75,8 +82,9 @@ pub use thread::ThreadExec;
 
 use crate::error::Result;
 use crate::flush::Flushable;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -104,6 +112,107 @@ pub(crate) fn bucket_of(key: usize) -> usize {
     (key >> 4) & (BUCKETS - 1)
 }
 
+/// One key's entry: its generation and who waits on it. An entry exists
+/// from the first `park_token` until nobody waits any more.
+// Fibers circulate as `Box<Fiber>` (see `pooled.rs`).
+#[allow(clippy::vec_box)]
+struct Waiters {
+    gen: u64,
+    /// Fibers filed under the key (only ever [`PooledExec`]'s own).
+    fibers: Vec<Box<fiber::Fiber>>,
+    /// OS threads in a condvar wait on the key.
+    threads: usize,
+}
+
+#[derive(Default)]
+struct Bucket {
+    map: Mutex<HashMap<usize, Waiters>>,
+    /// Shared by the bucket's keys: a thread may wake for another key,
+    /// which the protocol permits.
+    cv: Condvar,
+}
+
+/// The keyed wait table: the generation protocol of the module docs,
+/// once, for both executors that block in real time.
+#[derive(Default)]
+struct WaitTable {
+    buckets: [Bucket; BUCKETS],
+}
+
+impl WaitTable {
+    fn token(&self, key: usize) -> u64 {
+        let mut map = self.buckets[bucket_of(key)].map.lock();
+        map.entry(key)
+            .or_insert_with(|| Waiters {
+                gen: next_id(),
+                fibers: Vec::new(),
+                threads: 0,
+            })
+            .gen
+    }
+
+    /// The thread half: a condvar wait while `token` is current. Returns
+    /// `timed_out`; a stale token returns `false` at once.
+    fn wait(&self, key: usize, token: u64, timeout: Option<Duration>) -> bool {
+        let b = &self.buckets[bucket_of(key)];
+        let mut map = b.map.lock();
+        match map.get_mut(&key) {
+            // Absent means the entry was retired after a newer generation
+            // was handed out and consumed: any token we hold is stale.
+            Some(e) if e.gen == token => e.threads += 1,
+            _ => return false,
+        }
+        let timed_out = match timeout {
+            Some(d) => b.cv.wait_for(&mut map, d).timed_out(),
+            None => {
+                b.cv.wait(&mut map);
+                false
+            }
+        };
+        if let Some(e) = map.get_mut(&key) {
+            e.threads -= 1;
+            if e.threads == 0 && e.fibers.is_empty() {
+                map.remove(&key);
+            }
+        }
+        timed_out
+    }
+
+    /// The fiber half: files `f` under `key` while `token` is current,
+    /// else hands it back (the wake it waits for has already happened).
+    fn file(&self, key: usize, token: u64, f: Box<fiber::Fiber>) -> Option<Box<fiber::Fiber>> {
+        match self.buckets[bucket_of(key)].map.lock().get_mut(&key) {
+            Some(e) if e.gen == token => {
+                e.fibers.push(f);
+                None
+            }
+            _ => Some(f),
+        }
+    }
+
+    /// Invalidates outstanding tokens for `key`, wakes its threads and
+    /// returns its fibers for the caller to schedule.
+    #[allow(clippy::vec_box)]
+    fn wake(&self, key: usize) -> Vec<Box<fiber::Fiber>> {
+        let b = &self.buckets[bucket_of(key)];
+        let mut map = b.map.lock();
+        let Some(e) = map.get_mut(&key) else {
+            // Nobody holds a token that could still match (tokens only
+            // exist between `token` and the end of a wait, and both keep
+            // the entry alive), so there is no one to wake.
+            return Vec::new();
+        };
+        e.gen = next_id();
+        let fibers = std::mem::take(&mut e.fibers);
+        if e.threads > 0 {
+            b.cv.notify_all();
+        } else {
+            map.remove(&key);
+        }
+        fibers
+    }
+}
+
 /// The scheduling seam every channel blocks through.
 ///
 /// Implementations decide what a "task" is (OS thread, sim task, pooled
@@ -125,11 +234,57 @@ pub trait Exec: Send + Sync + 'static {
     /// generation newer than `token`, the timeout elapses, or spuriously.
     ///
     /// Returns `Ok(true)` if the wait timed out, `Ok(false)` otherwise.
-    /// Executors that serialize or pool tasks may ignore `timeout` (they
-    /// drive periodic work through [`Exec::add_idle_hook`] instead).
+    /// Who honours `timeout`: [`ThreadExec`], and [`PooledExec`] for a
+    /// caller that is not one of its fibers (a foreign thread, another
+    /// pool's fiber, any task on a target without fibers). A pooled fiber
+    /// and the simulation ignore it — their periodic work rides on
+    /// [`Exec::add_idle_hook`]; a wait that must end by a deadline on
+    /// every executor is [`Exec::park_until`].
     /// Returns an error if this executor cannot block the calling context
     /// (e.g. a foreign OS thread blocking on a simulation's channel).
     fn park(&self, key: usize, token: u64, timeout: Option<Duration>) -> Result<bool>;
+
+    /// The timed park: [`Exec::park`] that ends by `deadline` for a pooled
+    /// fiber too. Before parking, the deadline is armed as a timer on the
+    /// executor's reactor, if it has one (only [`PooledExec`] does, and
+    /// only where its tasks are fibers); the timer's wake is an ordinary
+    /// `unpark_all(key)`. Take `token` first, as for `park`, and before
+    /// anything else that can deliver the wake (arming a socket).
+    ///
+    /// Call it on the caller's own executor ([`current_exec`]). Returns
+    /// `Ok(true)` once `deadline` has passed; timers are never cancelled,
+    /// so a stale one is a spurious wake.
+    fn park_until(&self, key: usize, token: u64, deadline: Option<Instant>) -> Result<bool> {
+        let Some(deadline) = deadline else {
+            return self.park(key, token, None);
+        };
+        if let Some(reactor) = self.reactor() {
+            reactor.add_timer(deadline, key);
+        }
+        self.park(
+            key,
+            token,
+            Some(deadline.saturating_duration_since(Instant::now())),
+        )?;
+        Ok(Instant::now() >= deadline)
+    }
+
+    /// Let `d` pass while holding nothing but the calling task: on
+    /// [`ThreadExec`] the thread sleeps; a [`PooledExec`] fiber parks on a
+    /// timer of its pool's reactor, so its worker runs other tasks; the
+    /// simulation lets no time pass, its time being logical as
+    /// [`Exec::now`]'s is. [`crate::exec::sleep`] calls this on the caller's
+    /// executor.
+    fn sleep(&self, d: Duration) {
+        let deadline = Instant::now() + d;
+        // A key nobody else waits on: an address in this frame.
+        let here = 0u8;
+        let key = std::ptr::addr_of!(here) as usize;
+        while Instant::now() < deadline {
+            let token = self.park_token(key);
+            let _ = self.park_until(key, token, Some(deadline));
+        }
+    }
 
     /// Wake every task parked on `key` and invalidate outstanding tokens
     /// for it. Callable from any thread.
@@ -180,6 +335,15 @@ pub trait Exec: Send + Sync + 'static {
 fn monotonic() -> Duration {
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
     ORIGIN.get_or_init(Instant::now).elapsed()
+}
+
+/// [`Exec::sleep`] on the executor running the calling task — how library
+/// code lets time pass (back-off, emulated work) without pinning a worker.
+pub fn sleep(d: Duration) {
+    match current_exec() {
+        Some(exec) => exec.sleep(d),
+        None => default_exec().sleep(d),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -466,6 +630,7 @@ impl ExecMode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn exec_mode_parses_kpn_exec_values() {
@@ -506,5 +671,300 @@ mod tests {
         assert_eq!(t.hot_hits, 5);
         assert_eq!(t.stolen_fibers, 2);
         assert_eq!(t.max_queue_depth, 7, "depth aggregates by max, not sum");
+    }
+
+    // The wait table and the timed park: one table of cases, run against
+    // both executors that own a table.
+
+    impl WaitTable {
+        /// Fibers and threads waiting on `key`.
+        fn waiting(&self, key: usize) -> usize {
+            let map = self.buckets[bucket_of(key)].map.lock();
+            map.get(&key).map_or(0, |e| e.fibers.len() + e.threads)
+        }
+
+        fn is_empty(&self) -> bool {
+            self.buckets.iter().all(|b| b.map.lock().is_empty())
+        }
+    }
+
+    type Case = (&'static str, fn(&Arc<dyn Exec>, &WaitTable));
+
+    const CASES: &[Case] = &[
+        ("a stale token returns at once", stale_token_returns_at_once),
+        ("a timeout is reported", timeout_is_reported),
+        (
+            "a timed park ends by its deadline",
+            timed_park_ends_by_its_deadline,
+        ),
+        (
+            "an unpark wakes a parked thread",
+            unpark_wakes_a_parked_thread,
+        ),
+        (
+            "one unpark wakes a task and a thread",
+            one_unpark_wakes_a_task_and_a_thread,
+        ),
+        (
+            "10k handoffs on 64 keys leave no entry",
+            handoffs_leave_no_entry,
+        ),
+    ];
+
+    fn run_cases(exec: Arc<dyn Exec>, waits: &WaitTable) {
+        for (what, case) in CASES {
+            eprintln!("case: {what}");
+            case(&exec, waits);
+            assert!(waits.is_empty(), "{what}: an entry outlived its waiters");
+        }
+    }
+
+    #[test]
+    fn wait_table_cases_on_thread_exec() {
+        let exec = ThreadExec::new();
+        run_cases(exec.clone(), &exec.waits);
+    }
+
+    #[test]
+    fn wait_table_cases_on_pooled_exec() {
+        let exec = PooledExec::new(1);
+        run_cases(exec.clone(), &exec.waits);
+        exec.shutdown();
+    }
+
+    fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !pred() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Runs `body` as a task of `exec` (a fiber on a pool, a thread on the
+    /// thread executor) and returns what it sends.
+    fn on_task<T: Send + 'static>(
+        exec: &Arc<dyn Exec>,
+        body: impl FnOnce(&dyn Exec) -> T + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let e = exec.clone();
+        exec.spawn("case", Box::new(move || tx.send(body(&*e)).unwrap()));
+        rx
+    }
+
+    /// The channel discipline in miniature: park on `key` while `set` is
+    /// false, the token taken under the lock that guards it.
+    fn park_until_set(exec: &dyn Exec, key: usize, set: &Mutex<bool>) {
+        let mut s = set.lock();
+        while !*s {
+            let token = exec.park_token(key);
+            drop(s);
+            exec.park(key, token, None).unwrap();
+            s = set.lock();
+        }
+    }
+
+    /// Parks with `token`, which must be stale: back at once, no timeout.
+    fn park_stale(exec: &dyn Exec, key: usize, token: u64) {
+        let start = Instant::now();
+        let timed_out = exec.park(key, token, Some(Duration::from_secs(5))).unwrap();
+        assert!(!timed_out, "a stale token must return, not time out");
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "a stale token must not wait"
+        );
+    }
+
+    fn stale_token_returns_at_once(exec: &Arc<dyn Exec>, _: &WaitTable) {
+        // The race the generation protocol closes: the wake lands between
+        // `park_token` and `park`.
+        let key = 0x1000;
+        // The wake retired the entry: absent is stale.
+        let token = exec.park_token(key);
+        exec.unpark_all(key);
+        park_stale(&**exec, key, token);
+        // The entry lives on under a newer generation: a helper thread took
+        // a new token on the key after the wake. Checked from this thread
+        // (the thread half) and from a task of the executor (on a pool, the
+        // fiber half).
+        let set = Arc::new(Mutex::new(false));
+        let tokens = Arc::new(AtomicUsize::new(0));
+        let (e, s, t) = (exec.clone(), set.clone(), tokens.clone());
+        let helper = std::thread::spawn(move || {
+            let mut guard = s.lock();
+            while !*guard {
+                let token = e.park_token(key);
+                drop(guard);
+                t.fetch_add(1, Ordering::SeqCst);
+                e.park(key, token, None).unwrap();
+                guard = s.lock();
+            }
+        });
+        wait_until("the helper takes a token", || {
+            tokens.load(Ordering::SeqCst) > 0
+        });
+        let t = tokens.clone();
+        let renewed = move |e: &dyn Exec| {
+            let token = e.park_token(key);
+            let before = t.load(Ordering::SeqCst);
+            e.unpark_all(key);
+            wait_until("the helper takes a new token", || {
+                t.load(Ordering::SeqCst) != before
+            });
+            park_stale(e, key, token);
+        };
+        renewed(&**exec);
+        on_task(exec, renewed)
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap();
+        *set.lock() = true;
+        exec.unpark_all(key);
+        helper.join().unwrap();
+    }
+
+    fn timeout_is_reported(exec: &Arc<dyn Exec>, _: &WaitTable) {
+        let key = 0x2000;
+        let token = exec.park_token(key);
+        let timed_out = exec
+            .park(key, token, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(timed_out, "an un-woken park with a timeout must report it");
+    }
+
+    fn timed_park_ends_by_its_deadline(exec: &Arc<dyn Exec>, _: &WaitTable) {
+        // On a task of the executor: a pooled fiber ignores park timeouts,
+        // so only the reactor timer the timed park arms can end this one.
+        let key = 0x3000;
+        let ended = on_task(exec, move |e| {
+            let start = Instant::now();
+            let token = e.park_token(key);
+            let timed_out = e.park_until(key, token, Some(start + Duration::from_millis(20)));
+            (timed_out.unwrap(), start.elapsed())
+        });
+        let (timed_out, took) = ended.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(timed_out, "the deadline passed, after {took:?}");
+        assert!(
+            took >= Duration::from_millis(20),
+            "woke early, after {took:?}"
+        );
+    }
+
+    fn unpark_wakes_a_parked_thread(exec: &Arc<dyn Exec>, waits: &WaitTable) {
+        let key = 0x4000;
+        let e = exec.clone();
+        let h = std::thread::spawn(move || {
+            let token = e.park_token(key);
+            e.park(key, token, Some(Duration::from_secs(10))).unwrap()
+        });
+        wait_until("the thread parks", || waits.waiting(key) == 1);
+        exec.unpark_all(key);
+        assert!(
+            !h.join().unwrap(),
+            "an explicit wake must not report a timeout"
+        );
+    }
+
+    fn one_unpark_wakes_a_task_and_a_thread(exec: &Arc<dyn Exec>, waits: &WaitTable) {
+        // Both halves on one key: on a pool the task is a filed fiber and
+        // the thread a condvar waiter.
+        let key = 0x5000;
+        let set = Arc::new(Mutex::new(false));
+        let s = set.clone();
+        let task = on_task(exec, move |e| park_until_set(e, key, &s));
+        let (e, s) = (exec.clone(), set.clone());
+        let thread = std::thread::spawn(move || park_until_set(&*e, key, &s));
+        wait_until("a task and a thread wait on the key", || {
+            waits.waiting(key) == 2
+        });
+        *set.lock() = true;
+        exec.unpark_all(key);
+        task.recv_timeout(Duration::from_secs(10)).unwrap();
+        thread.join().unwrap();
+    }
+
+    fn handoffs_leave_no_entry(exec: &Arc<dyn Exec>, _: &WaitTable) {
+        // A task and a thread pass a counter back and forth; the party
+        // waiting for value `n` parks on key `n % 64`.
+        const HOPS: u64 = 10_000;
+        fn key(n: u64) -> usize {
+            0x10_0000 + (n % 64) as usize * 16
+        }
+        fn hand_off(exec: &dyn Exec, count: &Mutex<u64>, parity: u64) {
+            loop {
+                let mut c = count.lock();
+                while *c % 2 != parity && *c < HOPS {
+                    let k = key(*c + 1);
+                    let token = exec.park_token(k);
+                    drop(c);
+                    exec.park(k, token, None).unwrap();
+                    c = count.lock();
+                }
+                if *c >= HOPS {
+                    return;
+                }
+                *c += 1;
+                let k = key(*c);
+                drop(c);
+                exec.unpark_all(k);
+            }
+        }
+        let count = Arc::new(Mutex::new(0u64));
+        let c = count.clone();
+        let task = on_task(exec, move |e| hand_off(e, &c, 0));
+        let (e, c) = (exec.clone(), count.clone());
+        let thread = std::thread::spawn(move || hand_off(&*e, &c, 1));
+        task.recv_timeout(Duration::from_secs(60)).unwrap();
+        thread.join().unwrap();
+        assert_eq!(*count.lock(), HOPS);
+    }
+
+    // The case needs real fibers: elsewhere a pool's tasks are threads.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn sleeping_fibers_hold_no_worker() {
+        // Fifty 20 ms sleeps on one worker overlap; had each held the
+        // worker they would take a second, one after another.
+        let exec: Arc<dyn Exec> = PooledExec::new(1);
+        let start = Instant::now();
+        let done: Vec<_> = (0..50)
+            .map(|_| on_task(&exec, |_| sleep(Duration::from_millis(20))))
+            .collect();
+        for rx in done {
+            rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(200), "50 sleeps took {took:?}");
+        exec.shutdown();
+    }
+
+    #[test]
+    fn a_simulated_sleep_takes_no_time_and_no_decision() {
+        use crate::sim::{run_sim, SchedulePolicy};
+        let run = |nap: Option<Duration>| {
+            run_sim(SchedulePolicy::RandomWalk { seed: 7 }, move |net| {
+                let (mut w, mut r) = net.channel_with_capacity(4);
+                net.add_fn("writer", move |_| {
+                    for i in 0..20u8 {
+                        if let Some(d) = nap {
+                            sleep(d);
+                        }
+                        w.write_all(&[i])?;
+                    }
+                    Ok(())
+                });
+                net.add_fn("reader", move |_| r.read_exact(&mut [0u8; 20]));
+            })
+            .unwrap()
+            .trace
+        };
+        let start = Instant::now();
+        let slept = run(Some(Duration::from_secs(1)));
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "sim slept on the wall clock"
+        );
+        let plain = run(None);
+        assert_eq!(slept.decisions, plain.decisions);
+        assert_eq!(slept.arities, plain.arities);
     }
 }

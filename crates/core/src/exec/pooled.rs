@@ -58,13 +58,13 @@
 
 use super::deque::{Steal, WorkDeque};
 use super::{
-    bucket_of, fiber, next_id, reactor, set_current, weak_dyn, with_current, Exec, SchedulerStats,
-    TaskLocals, WorkerStats, BUCKETS,
+    fiber, reactor, set_current, weak_dyn, with_current, Exec, SchedulerStats, TaskLocals,
+    WaitTable, WorkerStats,
 };
 use crate::error::Result;
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
@@ -184,26 +184,6 @@ impl Drop for WorkerSlot {
     }
 }
 
-struct PoolEntry {
-    gen: u64,
-    fibers: Vec<Box<fiber::Fiber>>,
-    thread_waiters: usize,
-}
-
-struct PoolBucket {
-    map: Mutex<HashMap<usize, PoolEntry>>,
-    cv: Condvar,
-}
-
-impl Default for PoolBucket {
-    fn default() -> Self {
-        PoolBucket {
-            map: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
-        }
-    }
-}
-
 /// State behind the central mutex: the injector plus pool-lifecycle
 /// bookkeeping. Dispatch itself no longer touches this lock — only
 /// spawn/injector traffic, sleeping, and worker lifecycle do.
@@ -228,10 +208,10 @@ struct PoolState {
 /// module docs for the scheduling architecture). A blocked channel
 /// operation parks the fiber — the worker moves on to the next runnable
 /// task — so graph size is bounded by memory, not by OS thread limits. A
-/// fiber that waits on a socket parks the same way, on the pool's
-/// [`reactor::Reactor`], so no fiber ever holds its worker in a syscall
-/// wait and the pool never needs more than `target` threads. On targets
-/// without fibers (anything but Linux x86_64) it degrades to
+/// fiber that waits on a socket or sleeps parks the same way, on the
+/// pool's [`reactor::Reactor`], so no fiber ever holds its worker in a
+/// syscall wait and the pool never needs more than `target` threads. On
+/// targets without fibers (anything but Linux x86_64) it degrades to
 /// thread-per-task.
 pub struct PooledExec {
     /// Steady-state worker count (== number of slots).
@@ -250,11 +230,14 @@ pub struct PooledExec {
     /// Lock-free shadow of `PoolState::parked` for the producer-side
     /// Dekker check.
     parked_hint: AtomicUsize,
-    buckets: [PoolBucket; BUCKETS],
+    /// Both halves: this pool's fibers are filed under their key, every
+    /// other caller waits on the condvar.
+    pub(super) waits: WaitTable,
     idle_hooks: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
     /// Readiness reactor, created lazily on the first [`Exec::reactor`]
     /// call (i.e. the first time one of this pool's fibers waits on a
-    /// socket). `Some(None)` caches "the kernel refused an epoll fd".
+    /// socket or a deadline). `Some(None)` caches "the kernel refused an
+    /// epoll fd".
     reactor: OnceLock<Option<Arc<reactor::Reactor>>>,
     self_ref: OnceLock<Weak<dyn Exec>>,
     self_pool: OnceLock<Weak<PooledExec>>,
@@ -288,7 +271,7 @@ impl PooledExec {
             busy: AtomicUsize::new(0),
             searching: AtomicUsize::new(0),
             parked_hint: AtomicUsize::new(0),
-            buckets: Default::default(),
+            waits: WaitTable::default(),
             idle_hooks: Mutex::new(Vec::new()),
             reactor: OnceLock::new(),
             self_ref: OnceLock::new(),
@@ -519,17 +502,9 @@ impl PooledExec {
             // the token went stale while the fiber was switching out, in
             // which case the wakeup already happened and the fiber goes
             // straight back to a run queue.
-            let mut parked = Some(f);
-            {
-                let mut map = self.buckets[bucket_of(key)].map.lock();
-                if let Some(e) = map.get_mut(&key) {
-                    if e.gen == token {
-                        e.fibers.push(parked.take().unwrap());
-                    }
-                }
-            }
+            let stale = self.waits.file(key, token, f);
             self.busy.fetch_sub(1, Ordering::SeqCst);
-            if let Some(f) = parked {
+            if let Some(f) = stale {
                 self.enqueue_local(slot, f);
                 self.notify_work();
             }
@@ -777,68 +752,25 @@ impl Exec for PooledExec {
     }
 
     fn park_token(&self, key: usize) -> u64 {
-        let mut map = self.buckets[bucket_of(key)].map.lock();
-        map.entry(key)
-            .or_insert_with(|| PoolEntry {
-                gen: next_id(),
-                fibers: Vec::new(),
-                thread_waiters: 0,
-            })
-            .gen
+        self.waits.token(key)
     }
 
     fn park(&self, key: usize, token: u64, timeout: Option<Duration>) -> Result<bool> {
         if self.is_own_fiber() {
-            // Ask the worker to park us once our stack is off the CPU.
-            // Timeouts are not honored on this path; periodic work rides
-            // on the pool's idle hooks instead.
+            // Ask the worker to file us once our stack is off the CPU.
+            // Timeouts are not honored on this path (`park_until` arms a
+            // reactor timer instead); periodic work rides on the pool's
+            // idle hooks.
             fiber::PARK_REQUEST.with(|c| c.set(Some((key, token))));
             fiber::switch_to_worker();
             return Ok(false);
         }
-        // Foreign thread (or another pool's fiber): keyed condvar wait,
-        // same protocol as ThreadExec.
-        let b = &self.buckets[bucket_of(key)];
-        let mut map = b.map.lock();
-        let stale = match map.get(&key) {
-            None => true,
-            Some(e) => e.gen != token,
-        };
-        if stale {
-            return Ok(false);
-        }
-        map.get_mut(&key).unwrap().thread_waiters += 1;
-        let timed_out = match timeout {
-            Some(d) => b.cv.wait_for(&mut map, d).timed_out(),
-            None => {
-                b.cv.wait(&mut map);
-                false
-            }
-        };
-        if let Some(e) = map.get_mut(&key) {
-            e.thread_waiters -= 1;
-            if e.thread_waiters == 0 && e.fibers.is_empty() {
-                map.remove(&key);
-            }
-        }
-        Ok(timed_out)
+        // Foreign thread (or another pool's fiber): the thread half.
+        Ok(self.waits.wait(key, token, timeout))
     }
 
     fn unpark_all(&self, key: usize) {
-        let b = &self.buckets[bucket_of(key)];
-        let mut woken: Vec<Box<fiber::Fiber>> = Vec::new();
-        {
-            let mut map = b.map.lock();
-            if let Some(e) = map.get_mut(&key) {
-                e.gen = next_id();
-                woken = std::mem::take(&mut e.fibers);
-                if e.thread_waiters > 0 {
-                    b.cv.notify_all();
-                } else {
-                    map.remove(&key);
-                }
-            }
-        }
+        let woken = self.waits.wake(key);
         if !woken.is_empty() {
             self.dispatch_unparked(woken);
         }

@@ -24,8 +24,9 @@
 //! stale event (the waiter already gone) is a harmless spurious
 //! `unpark_all` on a dead key. A small timer heap stands in for park
 //! timeouts, which the pooled fiber path deliberately ignores
-//! (idle-driven deadlock detection): timed waits arm a deadline here and
-//! are unparked when it expires.
+//! (idle-driven deadlock detection): the one timed park,
+//! [`super::Exec::park_until`] (and [`super::Exec::sleep`] on it), arms a
+//! deadline here and the waiter is unparked when it expires.
 //!
 //! Everything is `#[cfg]`-gated to Linux/x86_64 outside Miri — the same
 //! gate as the fibers themselves. Elsewhere [`Reactor::new`] returns

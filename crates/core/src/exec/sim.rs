@@ -101,4 +101,10 @@ impl Exec for SimExec {
         // bit-for-bit.
         Duration::ZERO
     }
+
+    fn sleep(&self, _d: Duration) {
+        // Logical time, as in `now`: a sleep lets none pass and is no
+        // scheduling decision, so a run with it has the schedule of the
+        // same run without it, and takes no wall time.
+    }
 }

@@ -1,103 +1,15 @@
-//! [`ThreadExec`]: the paper's execution model — one OS thread per task —
-//! plus the keyed condvar wait table shared with the pooled executor's
-//! foreign-thread park path.
+//! [`ThreadExec`]: the paper's execution model — one OS thread per task,
+//! parked in the thread half of the keyed [`WaitTable`].
 
-use super::{bucket_of, next_id, set_current, weak_dyn, Exec, TaskLocals, BUCKETS};
+use super::{set_current, weak_dyn, Exec, TaskLocals, WaitTable};
 use crate::error::Result;
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
-
-// ---------------------------------------------------------------------------
-// Keyed wait table (shared by ThreadExec and the pooled thread-waiter path)
-// ---------------------------------------------------------------------------
-
-struct WaitEntry {
-    gen: u64,
-    waiters: usize,
-}
-
-struct WaitBucket {
-    map: Mutex<HashMap<usize, WaitEntry>>,
-    cv: Condvar,
-}
-
-impl Default for WaitBucket {
-    fn default() -> Self {
-        WaitBucket {
-            map: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-impl WaitBucket {
-    fn token(&self, key: usize) -> u64 {
-        let mut map = self.map.lock();
-        map.entry(key)
-            .or_insert_with(|| WaitEntry {
-                gen: next_id(),
-                waiters: 0,
-            })
-            .gen
-    }
-
-    /// Condvar wait honoring the generation protocol. Returns `timed_out`.
-    fn wait(&self, key: usize, token: u64, timeout: Option<Duration>) -> bool {
-        let mut map = self.map.lock();
-        let stale = match map.get(&key) {
-            // Absent means the entry was retired after a newer generation
-            // was handed out and consumed: any token we hold is stale.
-            None => true,
-            Some(e) => e.gen != token,
-        };
-        if stale {
-            return false; // spurious return; caller re-checks its predicate
-        }
-        map.get_mut(&key).unwrap().waiters += 1;
-        let timed_out = match timeout {
-            Some(d) => self.cv.wait_for(&mut map, d).timed_out(),
-            None => {
-                self.cv.wait(&mut map);
-                false
-            }
-        };
-        if let Some(e) = map.get_mut(&key) {
-            e.waiters -= 1;
-            if e.waiters == 0 {
-                map.remove(&key);
-            }
-        }
-        timed_out
-    }
-
-    fn wake(&self, key: usize) {
-        let mut map = self.map.lock();
-        if let Some(e) = map.get_mut(&key) {
-            e.gen = next_id();
-            if e.waiters > 0 {
-                // Shared condvar per bucket: waiters on other keys may wake
-                // spuriously, which the protocol permits.
-                self.cv.notify_all();
-            } else {
-                map.remove(&key);
-            }
-        }
-        // Absent entry: nobody holds a token that could still match (tokens
-        // only exist between `park_token` and the end of `wait`, and both
-        // keep the entry alive), so there is no one to wake.
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ThreadExec: one OS thread per task
-// ---------------------------------------------------------------------------
 
 /// The paper's execution model: every spawned task is a dedicated OS
 /// thread; parking is a keyed condvar wait.
 pub struct ThreadExec {
-    buckets: [WaitBucket; BUCKETS],
+    pub(super) waits: WaitTable,
     self_ref: OnceLock<Weak<dyn Exec>>,
 }
 
@@ -105,7 +17,7 @@ impl ThreadExec {
     /// Create a thread-per-process executor.
     pub fn new() -> Arc<Self> {
         let exec = Arc::new(ThreadExec {
-            buckets: Default::default(),
+            waits: WaitTable::default(),
             self_ref: OnceLock::new(),
         });
         let weak = weak_dyn(&exec);
@@ -131,15 +43,16 @@ impl Exec for ThreadExec {
     }
 
     fn park_token(&self, key: usize) -> u64 {
-        self.buckets[bucket_of(key)].token(key)
+        self.waits.token(key)
     }
 
     fn park(&self, key: usize, token: u64, timeout: Option<Duration>) -> Result<bool> {
-        Ok(self.buckets[bucket_of(key)].wait(key, token, timeout))
+        Ok(self.waits.wait(key, token, timeout))
     }
 
     fn unpark_all(&self, key: usize) {
-        self.buckets[bucket_of(key)].wake(key);
+        // A thread table never holds fibers.
+        self.waits.wake(key);
     }
 
     fn yield_point(&self) {}
@@ -148,6 +61,11 @@ impl Exec for ThreadExec {
         // Thread mode has no quiescence observer; periodic work (the
         // monitor tick) rides on park timeouts instead.
     }
+
+    fn sleep(&self, d: Duration) {
+        // The task is the thread: nothing else is held.
+        std::thread::sleep(d);
+    }
 }
 
 /// The process-wide default executor, used by channels created outside any
@@ -155,59 +73,4 @@ impl Exec for ThreadExec {
 pub(crate) fn default_exec() -> &'static Arc<ThreadExec> {
     static DEFAULT: OnceLock<Arc<ThreadExec>> = OnceLock::new();
     DEFAULT.get_or_init(ThreadExec::new)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Instant;
-
-    #[test]
-    fn thread_exec_no_lost_wakeup() {
-        // The race the generation protocol closes: wake lands between
-        // `park_token` and `park`.
-        let exec = ThreadExec::new();
-        let key = 0x1000;
-        let token = exec.park_token(key);
-        exec.unpark_all(key); // invalidates `token` before the park
-        let start = Instant::now();
-        let timed_out = exec.park(key, token, Some(Duration::from_secs(5))).unwrap();
-        assert!(!timed_out, "stale token must return immediately, not wait");
-        assert!(
-            start.elapsed() < Duration::from_secs(1),
-            "park with a stale token should not block"
-        );
-    }
-
-    #[test]
-    fn thread_exec_timeout_reports() {
-        let exec = ThreadExec::new();
-        let key = 0x2000;
-        let token = exec.park_token(key);
-        let timed_out = exec
-            .park(key, token, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert!(timed_out, "un-woken park with timeout must report timeout");
-    }
-
-    #[test]
-    fn thread_exec_unpark_wakes_parked_thread() {
-        let exec = ThreadExec::new();
-        let key = 0x3000;
-        let woke = Arc::new(AtomicBool::new(false));
-        let (e2, w2) = (exec.clone(), woke.clone());
-        let h = std::thread::spawn(move || {
-            let token = e2.park_token(key);
-            let timed_out = e2.park(key, token, Some(Duration::from_secs(10))).unwrap();
-            w2.store(true, Ordering::SeqCst);
-            timed_out
-        });
-        // Give the thread time to park, then wake it.
-        std::thread::sleep(Duration::from_millis(50));
-        exec.unpark_all(key);
-        let timed_out = h.join().unwrap();
-        assert!(woke.load(Ordering::SeqCst));
-        assert!(!timed_out, "explicit wake must not report a timeout");
-    }
 }

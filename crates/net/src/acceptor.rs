@@ -21,7 +21,6 @@
 
 use crate::frame::{read_hello_token, CONN_CONTROL, CONN_HELLO, TAG_STOP};
 use crate::transport::{NetProfile, Transport};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use kpn_core::{Error, Exec, Result};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -44,85 +43,73 @@ type ControlHandler = Arc<dyn Fn(TcpStream) + Send + Sync>;
 /// (ROADMAP item 1(c)).
 const PREAMBLE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Waker bridging the acceptor's dispatch thread to a fiber parked in
-/// [`PendingConn::recv_wait`]: the receiver publishes `(exec, key)` before
-/// parking, the sender takes and unparks it after delivering (or after
-/// dropping the sender on unregister). Crossbeam wakes blocked *threads*
-/// on its own; parked *fibers* need this explicit channel-side nudge.
+/// The one-shot slot a registered endpoint waits on for its data
+/// connection. The acceptor fills it when the connection arrives, or
+/// cancels it when the registration is dropped, and wakes the waiter
+/// through the waiter's own executor: a pooled fiber parks and an OS
+/// thread blocks, on the same path ([`Exec::park_until`]).
+#[derive(Clone, Default)]
+pub(crate) struct PendingConn(Arc<Mutex<Slot>>);
+
 #[derive(Default)]
-pub(crate) struct PendingNotify {
-    waiter: Mutex<Option<(Arc<dyn Exec>, usize)>>,
+struct Slot {
+    conn: Option<Box<dyn Transport>>,
+    cancelled: bool,
+    /// The executor and park key of a task in [`PendingConn::wait`].
+    waiter: Option<(Arc<dyn Exec>, usize)>,
 }
 
-impl PendingNotify {
-    fn wake(&self) {
-        if let Some((exec, key)) = self.waiter.lock().take() {
+impl PendingConn {
+    /// Waits for the data connection: `Ok(Some(_))` once it has arrived,
+    /// `Ok(None)` once `timeout` has passed (`None` waits as long as it
+    /// takes), a `Disconnected` error once the registration is cancelled.
+    pub(crate) fn wait(&self, timeout: Option<Duration>) -> Result<Option<Box<dyn Transport>>> {
+        let exec = kpn_core::exec::current_exec()
+            .ok_or_else(|| Error::Disconnected("no executor to wait on".into()))?;
+        let key = Arc::as_ptr(&self.0) as usize;
+        let deadline = timeout.map(|t| Instant::now() + t);
+        loop {
+            let token = {
+                let mut slot = self.0.lock();
+                if let Some(conn) = slot.conn.take() {
+                    return Ok(Some(conn));
+                }
+                if slot.cancelled {
+                    return Err(Error::Disconnected(
+                        "registration cancelled before its connection arrived".into(),
+                    ));
+                }
+                if deadline.is_some_and(|dl| Instant::now() >= dl) {
+                    slot.waiter = None; // nobody to wake any more
+                    return Ok(None);
+                }
+                slot.waiter = Some((exec.clone(), key));
+                // Under the slot's lock, as a channel takes it under its own.
+                exec.park_token(key)
+            };
+            exec.park_until(key, token, deadline)?;
+        }
+    }
+
+    /// Fills (`Some`) or cancels (`None`) the slot and wakes its waiter.
+    fn settle(&self, conn: Option<Box<dyn Transport>>) {
+        let waiter = {
+            let mut slot = self.0.lock();
+            match conn {
+                Some(conn) => slot.conn = Some(conn),
+                None => slot.cancelled = true,
+            }
+            slot.waiter.take()
+        };
+        if let Some((exec, key)) = waiter {
             exec.unpark_all(key);
         }
     }
 }
 
-/// Receives the transport for one registered endpoint token.
-pub(crate) struct PendingConn {
-    pub(crate) rx: Receiver<Box<dyn Transport>>,
-    notify: Arc<PendingNotify>,
-}
-
-impl PendingConn {
-    /// Waits for the data connection (`timeout` of `None` waits forever,
-    /// until the registration is dropped). A pooled fiber parks; an OS
-    /// thread blocks in the plain `rx.recv()`.
-    pub(crate) fn recv_wait(
-        &self,
-        timeout: Option<Duration>,
-    ) -> std::result::Result<Box<dyn Transport>, RecvTimeoutError> {
-        if let Some((exec, reactor)) = crate::rio::parking_context() {
-            let deadline = timeout.map(|t| Instant::now() + t);
-            let key = Arc::as_ptr(&self.notify) as usize;
-            let out = loop {
-                match self.rx.try_recv() {
-                    Ok(t) => break Ok(t),
-                    Err(TryRecvError::Disconnected) => break Err(RecvTimeoutError::Disconnected),
-                    Err(TryRecvError::Empty) => {}
-                }
-                let now = Instant::now();
-                if deadline.is_some_and(|dl| now >= dl) {
-                    break Err(RecvTimeoutError::Timeout);
-                }
-                let token = exec.park_token(key);
-                *self.notify.waiter.lock() = Some((exec.clone(), key));
-                // Re-check with the waiter published: a send that raced in
-                // before publication is caught here; one that lands after
-                // sees the waiter and unparks (a pre-park unpark just
-                // bumps the token's generation — park returns at once).
-                match self.rx.try_recv() {
-                    Ok(t) => break Ok(t),
-                    Err(TryRecvError::Disconnected) => break Err(RecvTimeoutError::Disconnected),
-                    Err(TryRecvError::Empty) => {}
-                }
-                if let Some(dl) = deadline {
-                    reactor.add_timer(dl, key);
-                }
-                let _ = exec.park(key, token, deadline.map(|dl| dl - now));
-            };
-            self.notify.waiter.lock().take();
-            out
-        } else {
-            match timeout {
-                Some(t) => self.rx.recv_timeout(t),
-                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            }
-        }
-    }
-}
-
-/// A waiting endpoint: the channel that delivers its connection plus the
-/// waker that reaches a fiber parked in [`PendingConn::recv_wait`].
-type Waiter = (Sender<Box<dyn Transport>>, Arc<PendingNotify>);
-
 struct AcceptorState {
     /// Endpoints waiting for their connection.
-    waiting: HashMap<u64, Waiter>,
+    waiting: HashMap<u64, PendingConn>,
     /// Connections that arrived before their endpoint registered.
     parked: HashMap<u64, Box<dyn Transport>>,
     /// Tokens whose endpoint was abandoned: late connections get a `Stop`
@@ -211,21 +198,21 @@ impl Acceptor {
         let _ = TcpStream::connect(self.addr);
     }
 
-    /// Registers an endpoint token; the returned receiver yields the data
+    /// Registers an endpoint token; the returned slot yields the data
     /// connection when (or if it already has) arrived. Re-registering a
     /// token (reader-side reconnect) revives it even if it was marked
     /// dead.
     pub(crate) fn register(&self, token: u64) -> PendingConn {
-        let (tx, rx) = bounded(1);
-        let notify = Arc::new(PendingNotify::default());
+        let pending = PendingConn::default();
         let mut st = self.state.lock();
         st.dead.remove(&token);
-        if let Some(stream) = st.parked.remove(&token) {
-            let _ = tx.send(stream);
-        } else {
-            st.waiting.insert(token, (tx, notify.clone()));
+        match st.parked.remove(&token) {
+            Some(conn) => pending.settle(Some(conn)),
+            None => {
+                st.waiting.insert(token, pending.clone());
+            }
         }
-        PendingConn { rx, notify }
+        pending
     }
 
     /// Removes a registration (endpoint abandoned or deliberately closed).
@@ -240,11 +227,10 @@ impl Acceptor {
             st.dead.insert(token);
             removed
         };
-        // Dropping the sender disconnects the receiver; wake any parked
-        // fiber (outside the state lock) so it observes the disconnect.
-        if let Some((tx, notify)) = removed {
-            drop(tx);
-            notify.wake();
+        // Cancel outside the state lock: the woken endpoint may call back
+        // into the acceptor (re-register).
+        if let Some(pending) = removed {
+            pending.settle(None);
         }
     }
 
@@ -283,15 +269,12 @@ impl Acceptor {
                 }
                 let transport = self.profile.factory.wrap_accepted(stream, token);
                 match st.waiting.remove(&token) {
-                    Some((tx, notify)) => {
-                        // Endpoint dropped meanwhile → transport drops → the
-                        // connector sees a closed socket (WriteClosed).
-                        let _ = tx.send(transport);
+                    Some(pending) => {
                         drop(st);
-                        // Wake a parked fiber with the state lock dropped —
-                        // the woken endpoint may call back into the
-                        // acceptor (re-register) before we'd release it.
-                        notify.wake();
+                        // Endpoint dropped meanwhile → this is the slot's
+                        // last holder → the transport drops with it → the
+                        // connector sees a closed socket (WriteClosed).
+                        pending.settle(Some(transport));
                     }
                     None => {
                         st.parked.insert(token, transport);
@@ -341,4 +324,162 @@ pub(crate) fn connect_data(addr: &str, token: u64) -> Result<TcpStream> {
     stream.set_nodelay(true)?;
     crate::frame::write_hello(&mut stream, token)?;
     Ok(stream)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::remote::remote_reader_interruptible;
+    use kpn_core::exec::PooledExec;
+    use std::sync::mpsc;
+
+    /// Where a case's waiting half runs.
+    enum Waiter {
+        /// A fiber of a one-worker pool.
+        Fiber(Arc<PooledExec>),
+        Thread,
+    }
+
+    impl Waiter {
+        fn run<T: Send + 'static>(
+            &self,
+            body: impl FnOnce() -> T + Send + 'static,
+        ) -> mpsc::Receiver<T> {
+            let (tx, rx) = mpsc::channel();
+            let job = move || tx.send(body()).unwrap();
+            match self {
+                Waiter::Fiber(pool) => {
+                    pool.spawn("waiter", Box::new(job));
+                    // A waiting fiber must not hold the pool's one worker.
+                    let (tx, ran) = mpsc::channel();
+                    pool.spawn("bystander", Box::new(move || tx.send(()).unwrap()));
+                    ran.recv_timeout(Duration::from_secs(10))
+                        .expect("the waiter holds the pool's only worker");
+                }
+                Waiter::Thread => {
+                    std::thread::spawn(job);
+                }
+            }
+            rx
+        }
+    }
+
+    type Case = (&'static str, fn(&Waiter));
+
+    const CASES: &[Case] = &[
+        (
+            "the connection arrives before register",
+            arrives_before_register,
+        ),
+        (
+            "the connection arrives after register",
+            arrives_after_register,
+        ),
+        (
+            "unregister wakes the waiter with an error",
+            unregister_wakes_the_waiter,
+        ),
+        ("a timed wait times out", a_timed_wait_times_out),
+        (
+            "an interrupt wakes a pending reader",
+            an_interrupt_wakes_a_pending_reader,
+        ),
+    ];
+
+    fn run_cases(waiter: Waiter) {
+        for (what, case) in CASES {
+            eprintln!("case: {what}");
+            case(&waiter);
+        }
+        if let Waiter::Fiber(pool) = waiter {
+            pool.shutdown();
+        }
+    }
+
+    #[test]
+    fn pending_conn_cases_with_a_fiber_waiter() {
+        run_cases(Waiter::Fiber(PooledExec::new(1)));
+    }
+
+    #[test]
+    fn pending_conn_cases_with_a_thread_waiter() {
+        run_cases(Waiter::Thread);
+    }
+
+    const LONG: Duration = Duration::from_secs(10);
+
+    fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
+        let deadline = Instant::now() + LONG;
+        while !pred() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// True once a task waits on `token`'s registration.
+    fn waited_on(acc: &Acceptor, token: u64) -> bool {
+        let st = acc.state.lock();
+        st.waiting
+            .get(&token)
+            .is_some_and(|p| p.0.lock().waiter.is_some())
+    }
+
+    fn arrives_before_register(waiter: &Waiter) {
+        let acc = Acceptor::bind("127.0.0.1:0").unwrap();
+        let token = fresh_token();
+        let _peer = connect_data(&acc.local_addr().to_string(), token).unwrap();
+        wait_until("the acceptor parks the connection", || {
+            acc.state.lock().parked.contains_key(&token)
+        });
+        let pending = acc.register(token);
+        let got = waiter.run(move || pending.wait(Some(LONG)).map(|c| c.is_some()));
+        assert!(got.recv_timeout(LONG).unwrap().unwrap());
+    }
+
+    fn arrives_after_register(waiter: &Waiter) {
+        let acc = Acceptor::bind("127.0.0.1:0").unwrap();
+        let token = fresh_token();
+        let pending = acc.register(token);
+        let got = waiter.run(move || pending.wait(None).map(|c| c.is_some()));
+        wait_until("the waiter waits", || waited_on(&acc, token));
+        let _peer = connect_data(&acc.local_addr().to_string(), token).unwrap();
+        assert!(got.recv_timeout(LONG).unwrap().unwrap());
+    }
+
+    fn unregister_wakes_the_waiter(waiter: &Waiter) {
+        let acc = Acceptor::bind("127.0.0.1:0").unwrap();
+        let token = fresh_token();
+        let pending = acc.register(token);
+        let got = waiter.run(move || pending.wait(None).map(|c| c.is_some()));
+        wait_until("the waiter waits", || waited_on(&acc, token));
+        acc.unregister(token);
+        let r = got.recv_timeout(LONG).unwrap();
+        assert!(matches!(r, Err(Error::Disconnected(_))), "{r:?}");
+    }
+
+    fn a_timed_wait_times_out(waiter: &Waiter) {
+        let acc = Acceptor::bind("127.0.0.1:0").unwrap();
+        let pending = acc.register(fresh_token());
+        let got = waiter.run(move || {
+            let start = Instant::now();
+            let r = pending.wait(Some(Duration::from_millis(50)));
+            (r.map(|c| c.is_some()), start.elapsed())
+        });
+        let (r, took) = got.recv_timeout(LONG).unwrap();
+        assert!(!r.unwrap(), "nothing arrived");
+        assert!(
+            took >= Duration::from_millis(50),
+            "gave up early, after {took:?}"
+        );
+    }
+
+    fn an_interrupt_wakes_a_pending_reader(waiter: &Waiter) {
+        let acc = Acceptor::bind("127.0.0.1:0").unwrap();
+        let token = fresh_token();
+        let (mut reader, interruptor) = remote_reader_interruptible(&acc, token);
+        let got = waiter.run(move || reader.read(&mut [0u8; 1]).is_err());
+        wait_until("the reader waits", || waited_on(&acc, token));
+        interruptor.interrupt();
+        assert!(got.recv_timeout(LONG).unwrap(), "the read must fail");
+    }
 }

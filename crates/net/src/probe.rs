@@ -174,7 +174,7 @@ impl ClusterProbe {
         if first.is_empty() || !first.iter().all(NodeStatus::quiescent_blocked) {
             return Ok(false);
         }
-        std::thread::sleep(self.settle);
+        kpn_core::exec::sleep(self.settle);
         let second = self.poll()?;
         if !second.iter().all(NodeStatus::quiescent_blocked) {
             return Ok(false);

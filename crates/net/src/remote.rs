@@ -183,7 +183,7 @@ impl Interruptor {
         }
         if let Some((acc, token)) = pending {
             if let Some(acc) = acc.upgrade() {
-                // Dropping the waiting sender makes the blocked recv fail.
+                // Cancelling the registration fails the pending wait.
                 acc.unregister(token);
             }
         }
@@ -273,7 +273,7 @@ impl SinkCore {
                     let delay = policy.backoff(attempt, &mut rng);
                     attempt = attempt.saturating_add(1);
                     budget.charge(delay);
-                    crate::rio::sleep(delay);
+                    kpn_core::exec::sleep(delay);
                 }
                 Err(e) => return Err(e),
             }
@@ -429,7 +429,7 @@ impl SinkCore {
             if attempt > 0 {
                 let delay = self.policy.backoff(attempt - 1, &mut self.rng);
                 budget.charge(delay);
-                crate::rio::sleep(delay);
+                kpn_core::exec::sleep(delay);
             }
             if budget.exhausted() {
                 return Err(Error::Disconnected(format!(
@@ -779,7 +779,7 @@ fn pump_register(core: &Arc<Mutex<SinkCore>>) {
 /// the lock exactly as if it were performing the recovery itself.
 fn pump_loop() {
     loop {
-        std::thread::sleep(RECOVERY_POLL);
+        kpn_core::exec::sleep(RECOVERY_POLL);
         let sinks: Vec<Arc<Mutex<SinkCore>>> = {
             let mut reg = PUMP_SINKS.lock();
             reg.retain(|w| w.strong_count() > 0);
@@ -1244,8 +1244,8 @@ impl RemoteSource {
             {
                 return Err(Error::Disconnected("aborted while reconnecting".into()));
             }
-            match pending.recv_wait(Some(RECOVERY_POLL)) {
-                Ok(transport) => {
+            match pending.wait(Some(RECOVERY_POLL))? {
+                Some(transport) => {
                     guard.attempt();
                     let transport = crate::rio::wrap(transport);
                     let _ = transport.set_op_timeout(self.policy.op_timeout);
@@ -1274,16 +1274,11 @@ impl RemoteSource {
                         }
                     }
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                None => {
                     budget.charge(RECOVERY_POLL);
                     if budget.exhausted() {
                         return Err(self.budget_error());
                     }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(Error::Disconnected(
-                        "acceptor closed while reconnecting".into(),
-                    ));
                 }
             }
         }
@@ -1373,11 +1368,11 @@ impl Source for PendingSource {
         // Waiting for a connection is a blocking read: publish first so the
         // peer (who may need our buffered output to make progress before
         // connecting back) can proceed — a no-op under a `MonitoredSource`,
-        // as in `RemoteSource::read`. `recv_wait` parks a fiber and blocks
-        // an OS thread.
+        // as in `RemoteSource::read`. The wait parks a fiber and blocks an
+        // OS thread.
         kpn_core::flush::flush_before_block();
-        match self.pending.recv_wait(None) {
-            Ok(transport) => {
+        match self.pending.wait(None)? {
+            Some(transport) => {
                 let policy = self.acceptor.profile().policy.clone();
                 let source = RemoteSource::adopt(
                     transport,
@@ -1390,9 +1385,7 @@ impl Source for PendingSource {
                     source,
                 ))))
             }
-            Err(_) => Err(Error::Disconnected(
-                "acceptor closed before connection arrived".into(),
-            )),
+            None => unreachable!("a wait without a deadline does not time out"),
         }
     }
 

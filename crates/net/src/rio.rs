@@ -35,54 +35,19 @@
 //! ## The lost-wakeup ordering
 //!
 //! The reactor arms fds `EPOLLONESHOT`. The wait sequence is strictly
-//! `park_token` → `arm` → `park`: arming first could let a worker consume
+//! `park_token` → `arm` → park: arming first could let a worker consume
 //! the one-shot event and `unpark_all` a key nobody holds a token for
 //! yet, losing the wakeup. With the token taken first, any delivery after
 //! that point bumps the key's generation and the park returns
-//! immediately. Timeouts ride on the reactor's timer heap (the pooled
-//! fiber path ignores park timeouts by design); timers are never
-//! cancelled, so a stale timer is just a spurious unpark on a dead
-//! generation.
+//! immediately. The park is the timed park,
+//! [`Exec::park_until`](kpn_core::Exec::park_until), which arms the op
+//! timeout as a reactor timer (a pooled fiber ignores park timeouts by
+//! design); timers are never cancelled, so a stale timer is just a
+//! spurious unpark on a dead generation. The other socket-side waits take
+//! no fork of their own: a pending connection is a slot woken through the
+//! waiter's executor, a back-off is `kpn_core::exec::sleep`.
 
 use crate::transport::Transport;
-use kpn_core::exec::reactor::Reactor;
-use kpn_core::Exec;
-use std::sync::Arc;
-use std::time::Duration;
-
-/// The executor and reactor to park through, when — and only when — the
-/// calling task runs on an executor that owns a reactor (a pooled fiber).
-/// `None` means the caller is an OS thread of its own and waits by
-/// blocking it.
-pub(crate) fn parking_context() -> Option<(Arc<dyn Exec>, Arc<Reactor>)> {
-    let exec = kpn_core::exec::current_exec()?;
-    let reactor = exec.reactor()?;
-    Some((exec, reactor))
-}
-
-/// Sleep that follows the caller: a fiber parks on a reactor timer (so 1k
-/// concurrently backing-off writers hold no worker), an OS thread sleeps.
-pub(crate) fn sleep(d: Duration) {
-    if d.is_zero() {
-        return;
-    }
-    if let Some((exec, reactor)) = parking_context() {
-        let cell: u8 = 0;
-        let key = std::ptr::addr_of!(cell) as usize;
-        let deadline = std::time::Instant::now() + d;
-        loop {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let token = exec.park_token(key);
-            reactor.add_timer(deadline, key);
-            let _ = exec.park(key, token, Some(deadline - now));
-        }
-    } else {
-        std::thread::sleep(d);
-    }
-}
 
 /// Wrap a socket-backed `t` in a [`ReactorIo`]; transports without an fd
 /// (and every transport off Linux x86_64, where no fiber exists to park)
@@ -102,7 +67,6 @@ pub(crate) fn wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 mod imp {
-    use super::parking_context;
     use crate::transport::Transport;
     use kpn_core::exec::reactor::{poll_fd, Interest, Reactor};
     use kpn_core::Exec;
@@ -112,6 +76,16 @@ mod imp {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
+
+    /// The executor and reactor to park through, when — and only when —
+    /// the calling task runs on an executor that owns a reactor (a pooled
+    /// fiber). `None` means the caller is an OS thread of its own and
+    /// waits by blocking it.
+    fn parking_context() -> Option<(Arc<dyn Exec>, Arc<Reactor>)> {
+        let exec = kpn_core::exec::current_exec()?;
+        let reactor = exec.reactor()?;
+        Some((exec, reactor))
+    }
 
     pub(super) fn wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
         let Some(fd) = t.raw_fd() else {
@@ -188,11 +162,7 @@ mod imp {
                 // delivery ordering.
                 let token = exec.park_token(key);
                 if self.arm(reactor, interest).is_ok() {
-                    let timeout = deadline.map(|dl| {
-                        reactor.add_timer(dl, key);
-                        dl.saturating_duration_since(Instant::now())
-                    });
-                    let _ = exec.park(key, token, timeout);
+                    let _ = exec.park_until(key, token, deadline);
                     return Ok(());
                 }
             }

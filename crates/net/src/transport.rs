@@ -217,17 +217,19 @@ impl Default for FaultProfile {
 
 /// How fault stalls let time pass.
 ///
-/// [`Wall`](ChaosClock::Wall) (the default) sleeps the faulting thread
-/// for the stall duration — realistic, but wall-clock-bound. `Virtual` is
-/// the **sim-clock mode**: a stall adds its duration (in nanoseconds) to
-/// a shared counter and returns immediately. Fault *points* are already a
-/// pure function of the seed and per-connection op counts; with a virtual
-/// clock the stall *durations* stop depending on real time too, so a
-/// fault schedule composes with the deterministic interleaving schedules
-/// of `kpn_core::sim` without either waiting on the other.
+/// [`Wall`](ChaosClock::Wall) (the default) sleeps the faulting task for
+/// the stall duration on its executor (`kpn_core::exec::sleep`: a pooled
+/// fiber parks, its worker runs on) — realistic, but wall-clock-bound.
+/// `Virtual` is the **sim-clock mode**: a stall adds its duration (in
+/// nanoseconds) to a shared counter and returns immediately. Fault
+/// *points* are already a pure function of the seed and per-connection op
+/// counts; with a virtual clock the stall *durations* stop depending on
+/// real time too, so a fault schedule composes with the deterministic
+/// interleaving schedules of `kpn_core::sim` without either waiting on the
+/// other.
 #[derive(Debug, Clone)]
 pub enum ChaosClock {
-    /// Stalls block the thread with `std::thread::sleep`.
+    /// Stalls sleep the faulting task with `kpn_core::exec::sleep`.
     Wall,
     /// Stalls advance this nanosecond counter instead of sleeping.
     Virtual(Arc<AtomicU64>),
@@ -251,7 +253,7 @@ impl ChaosClock {
     /// bump in virtual mode.
     fn advance(&self, d: Duration) {
         match self {
-            ChaosClock::Wall => std::thread::sleep(d),
+            ChaosClock::Wall => kpn_core::exec::sleep(d),
             ChaosClock::Virtual(n) => {
                 let nanos = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
                 n.fetch_add(nanos, Ordering::Relaxed);

@@ -419,7 +419,7 @@ mod tests {
     impl WorkTask for SleepEcho {
         fn run(self: Box<Self>, env: &TaskEnv) -> Result<TaskEnvelope> {
             let scaled = (self.millis as f64 / env.speed).round() as u64;
-            std::thread::sleep(Duration::from_millis(scaled));
+            kpn_core::exec::sleep(Duration::from_millis(scaled));
             TaskEnvelope::pack("result", &self.seq)
         }
     }

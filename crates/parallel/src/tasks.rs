@@ -67,7 +67,9 @@ pub fn factor_task_stream(
 /// physical CPUs: because the tasks are sleep-bound, one machine can
 /// faithfully emulate many virtual CPUs of different speeds, and the
 /// *scheduling* behaviour under static vs dynamic load balancing — the
-/// object of Table 2 and Figures 19/20 — is preserved exactly.
+/// object of Table 2 and Figures 19/20 — is preserved exactly. The sleep
+/// is the executor's (`kpn_core::exec::sleep`): on a pool it parks the
+/// task, not the pool thread, so one thread emulates many virtual CPUs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SyntheticTask {
     /// Task sequence number (returned in the result envelope).
@@ -80,7 +82,7 @@ impl WorkTask for SyntheticTask {
     fn run(self: Box<Self>, env: &TaskEnv) -> Result<TaskEnvelope> {
         let millis = self.cost_units / env.speed;
         if millis > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(millis / 1000.0));
+            kpn_core::exec::sleep(Duration::from_secs_f64(millis / 1000.0));
         }
         TaskEnvelope::pack(RESULT, &self.seq)
     }
