@@ -26,7 +26,7 @@
 use crate::buffer::RingBuffer;
 use crate::error::{Error, Result};
 use crate::exec::Exec;
-use crate::flush::{self, Flushable, Publish};
+use crate::flush::{self, Flushable, Marks, Publish};
 use crate::monitor::{BlockGuard, BlockKind, ChannelIoStats, Look, Monitor, MonitoredChannel};
 use crate::sim::HistoryRecorder;
 use crate::topology::{EndpointShape, ProcessTag, SideState, StreamFraming};
@@ -79,6 +79,18 @@ pub enum ReaderState {
     /// The transport cannot see its reader (a socket, a wrapper around
     /// one, any foreign sink).
     Unseen,
+}
+
+impl ReaderState {
+    /// A local channel's answer, read from its reader flag (see
+    /// `Shared::reader_waiting`).
+    pub(crate) fn of_local(flag: &AtomicBool) -> Self {
+        if flag.load(Ordering::Relaxed) {
+            ReaderState::Waiting
+        } else {
+            ReaderState::Busy
+        }
+    }
 }
 
 /// A blocking byte sink: the write end of a channel.
@@ -175,8 +187,10 @@ pub(crate) struct Shared {
     /// under the state lock, and so do both stores); it is a hint about
     /// *when* to flush. A stale `false` costs the reader one more producer
     /// step, a stale `true` costs one early flush, and publish-before-wait
-    /// never consults it.
-    reader_waiting: AtomicBool,
+    /// never consults it. Shared with the [`Marks`] of a buffered sink
+    /// stacked on this channel's writer, so that a step boundary reads it
+    /// without touching the sink (and without keeping the channel alive).
+    reader_waiting: Arc<AtomicBool>,
     monitor: Option<Arc<Monitor>>,
     /// The executor every blocking operation on this channel parks through
     /// — the single scheduling seam (thread, pooled, or sim; see
@@ -211,7 +225,7 @@ impl Shared {
                 writer: EndpointShape::open(),
                 reader: EndpointShape::open(),
             }),
-            reader_waiting: AtomicBool::new(false),
+            reader_waiting: Arc::new(AtomicBool::new(false)),
             monitor,
             exec,
             recorder,
@@ -475,7 +489,7 @@ impl LocalSink {
 
 impl Sink for LocalSink {
     fn write_all(&mut self, mut buf: &[u8]) -> Result<()> {
-        let sh = self.shared.clone();
+        let sh = &self.shared;
         // Preemption point: under sim every channel operation is a place
         // the schedule may switch tasks (a no-op on other executors).
         sh.exec.yield_point();
@@ -519,11 +533,7 @@ impl Sink for LocalSink {
     }
 
     fn reader_waiting(&self) -> ReaderState {
-        if self.shared.reader_waiting.load(Ordering::Relaxed) {
-            ReaderState::Waiting
-        } else {
-            ReaderState::Busy
-        }
+        ReaderState::of_local(&self.shared.reader_waiting)
     }
 
     fn capacity(&self) -> Option<usize> {
@@ -581,7 +591,7 @@ struct LocalSource {
 impl Source for LocalSource {
     fn read(&mut self, out: &mut [u8]) -> Result<SourceRead> {
         debug_assert!(!out.is_empty());
-        let sh = self.shared.clone();
+        let sh = &self.shared;
         // Preemption point (see the matching hook in `write_all`).
         sh.exec.yield_point();
         loop {
@@ -717,27 +727,34 @@ impl Pace {
 }
 
 /// Shared state of a [`BufferedSink`], also reachable (weakly) from the
-/// per-thread flush registries.
+/// per-task flush registries.
 struct BufferedShared {
     state: Mutex<BufCore>,
-    /// Flush-registry token of the task that last wrote (the owner; 0 =
-    /// never written). Outside the lock so that a sweep over a stale
-    /// registration (the sink has since moved to another task) never takes
-    /// it: the owner's own publish-before-wait `try_lock`s, and must only
-    /// ever find the lock held by itself. `Relaxed`: the token publishes
-    /// no data — the owner reads its own store, and a former owner that
-    /// for an instant still reads its old token at worst publishes the
-    /// chunk itself, under the lock (every publish is a write the
-    /// unbuffered execution has already performed).
-    owner: AtomicU64,
+    /// What a flush-registry sweep reads without taking `state`: the owner
+    /// (the task that last wrote), whether `state.buf` holds bytes, and the
+    /// local reader's flag. Outside the lock so that a sweep over a stale
+    /// registration (the sink has since moved to another task), a clean
+    /// chunk or a busy local reader never takes it: the owner's own
+    /// publish-before-wait `try_lock`s, and must only ever find the lock
+    /// held by itself.
+    marks: Arc<Marks>,
 }
 
 impl BufferedShared {
+    /// Appends to the private buffer, marking it dirty when it stops being
+    /// empty. Caller holds the lock.
+    fn append(&self, st: &mut BufCore, bytes: &[u8]) {
+        if st.buf.is_empty() && !bytes.is_empty() {
+            self.marks.dirty.store(true, Ordering::Relaxed);
+        }
+        st.buf.extend_from_slice(bytes);
+    }
+
     /// Drains the private buffer into the inner sink and flushes the inner
     /// sink (so remote transports push to the socket too). Caller holds the
     /// lock. Clears the buffer even on error — the bytes are lost exactly as
     /// they would be on an unbuffered failed write to a closed channel.
-    fn flush_locked(st: &mut BufCore) -> Result<()> {
+    fn flush_locked(&self, st: &mut BufCore) -> Result<()> {
         if let Some(e) = &st.stashed {
             return Err(replay(e));
         }
@@ -756,6 +773,7 @@ impl BufferedShared {
         let started = st.pace.as_ref().map(|p| p.exec.now());
         let res = inner.write_all(&st.buf).and_then(|()| inner.flush());
         st.buf.clear();
+        self.marks.dirty.store(false, Ordering::Relaxed);
         if let (Some(pace), Some(started)) = (st.pace.as_mut(), started) {
             pace.published(started);
         }
@@ -768,10 +786,7 @@ impl BufferedShared {
 }
 
 impl Flushable for BufferedShared {
-    fn flush_owned(&self, owner: u64, which: Publish) -> Result<()> {
-        if self.owner.load(Ordering::Relaxed) != owner {
-            return Ok(()); // stale registration: the sink moved on
-        }
+    fn publish(&self, which: Publish) -> Result<()> {
         // try_lock, not lock: only the owner writes or flushes, so a held
         // lock means this very task is mid-flush on this sink — the flush
         // blocked, and publish-before-wait led back here. It is already on
@@ -779,23 +794,30 @@ impl Flushable for BufferedShared {
         let Some(mut st) = self.state.try_lock() else {
             return Ok(());
         };
-        if st.buf.is_empty() {
-            return Ok(());
-        }
         if which == Publish::StepBoundary {
-            let keep_batching = match st.inner.as_ref().map(|s| s.reader_waiting()) {
-                Some(ReaderState::Busy) => true,
-                Some(ReaderState::Unseen) => st.pace.as_ref().is_some_and(Pace::keeps_batching),
-                Some(ReaderState::Waiting) | None => false,
-            };
-            if keep_batching {
+            // A closed sink answers as a closed channel does: publish, into
+            // the error.
+            let reader = st
+                .inner
+                .as_ref()
+                .map_or(ReaderState::Waiting, |s| s.reader_waiting());
+            if !flush::publishes(reader, || {
+                st.pace.as_ref().is_some_and(Pace::keeps_batching)
+            }) {
                 return Ok(());
             }
+        }
+        // The marks said the chunk held bytes; under the lock it can be
+        // empty only if this task is a former owner whose sweep raced the
+        // new owner's publish. Nothing to publish then, and a stashed error
+        // is the new owner's to see, not this task's.
+        if st.buf.is_empty() {
+            return Ok(());
         }
         // On error the stash has recorded it for the owner's next write;
         // publish-before-wait swallows the return value while the step
         // boundary and `ProcessCtx::flush_sinks` propagate it.
-        BufferedShared::flush_locked(&mut st)
+        self.flush_locked(&mut st)
     }
 }
 
@@ -818,7 +840,9 @@ struct BufferedSink {
 }
 
 impl BufferedSink {
-    fn new(inner: Box<dyn Sink>, capacity: usize) -> Self {
+    /// `reader` is the reader flag of the local channel `inner` writes
+    /// into, when it is one ([`Marks::reader`]).
+    fn new(inner: Box<dyn Sink>, capacity: usize, reader: Option<Arc<AtomicBool>>) -> Self {
         BufferedSink {
             shared: Arc::new(BufferedShared {
                 state: Mutex::new(BufCore {
@@ -828,7 +852,7 @@ impl BufferedSink {
                     stashed: None,
                     pace: None,
                 }),
-                owner: AtomicU64::new(0),
+                marks: Marks::new(reader),
             }),
             registered_for: 0,
         }
@@ -847,7 +871,7 @@ impl BufferedSink {
     #[cold]
     fn change_owner(&mut self, tok: u64) {
         self.registered_for = tok;
-        self.shared.owner.store(tok, Ordering::Relaxed);
+        self.shared.marks.owner.store(tok, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
         let unseen = st
             .inner
@@ -860,22 +884,26 @@ impl BufferedSink {
             None
         };
         drop(st);
-        flush::register(Arc::downgrade(&self.shared) as std::sync::Weak<dyn Flushable>);
+        flush::register(
+            Arc::downgrade(&self.shared) as Weak<dyn Flushable>,
+            self.shared.marks.clone(),
+        );
     }
 }
 
 impl Sink for BufferedSink {
     fn write_all(&mut self, buf: &[u8]) -> Result<()> {
         self.adopt();
-        let mut st = self.shared.state.lock();
+        let sh = &*self.shared;
+        let mut st = sh.state.lock();
         if let Some(e) = &st.stashed {
             return Err(replay(e));
         }
         if st.buf.len() + buf.len() <= st.cap {
-            st.buf.extend_from_slice(buf);
+            sh.append(&mut st, buf);
             return Ok(());
         }
-        BufferedShared::flush_locked(&mut st)?;
+        sh.flush_locked(&mut st)?;
         if buf.len() >= st.cap {
             // Oversized writes bypass the buffer: one inner transfer, no copy.
             let inner = st.inner.as_mut().expect("flush_locked verified inner");
@@ -886,19 +914,19 @@ impl Sink for BufferedSink {
             }
             Ok(())
         } else {
-            st.buf.extend_from_slice(buf);
+            sh.append(&mut st, buf);
             Ok(())
         }
     }
 
     fn flush(&mut self) -> Result<()> {
         self.adopt();
-        BufferedShared::flush_locked(&mut self.shared.state.lock())
+        self.shared.flush_locked(&mut self.shared.state.lock())
     }
 
     fn close(&mut self) {
         let mut st = self.shared.state.lock();
-        let _ = BufferedShared::flush_locked(&mut st);
+        let _ = self.shared.flush_locked(&mut st);
         if let Some(mut inner) = st.inner.take() {
             inner.close();
         }
@@ -906,7 +934,7 @@ impl Sink for BufferedSink {
 
     fn retire(self: Box<Self>, upstream: ChannelReader) -> Result<()> {
         let mut st = self.shared.state.lock();
-        BufferedShared::flush_locked(&mut st)?;
+        self.shared.flush_locked(&mut st)?;
         match st.inner.take() {
             Some(inner) => inner.retire(upstream),
             None => {
@@ -959,6 +987,10 @@ pub struct ChannelWriter {
     sink: Option<Box<dyn Sink>>,
     /// True when `sink` is a [`BufferedSink`]; prevents double-wrapping.
     buffered: bool,
+    /// True while `sink` is the `LocalSink` of the channel `topo` links to
+    /// (or a buffer stacked on it): the buffer `ensure_buffered` stacks
+    /// then gets that channel's reader flag for its [`Marks`].
+    local: bool,
     /// Back-link to the local channel this endpoint was created as one side
     /// of, if it was. Pure metadata for the lint pass; never affects data
     /// flow.
@@ -971,6 +1003,7 @@ impl ChannelWriter {
         ChannelWriter {
             sink: Some(sink),
             buffered: false,
+            local: false,
             topo: None,
         }
     }
@@ -1040,7 +1073,11 @@ impl ChannelWriter {
         }
         if let Some(inner) = self.sink.take() {
             let capacity = capacity.min(inner.capacity().unwrap_or(usize::MAX));
-            self.sink = Some(Box::new(BufferedSink::new(inner, capacity)));
+            let reader = match &self.topo {
+                Some(t) if self.local => t.chan.upgrade().map(|sh| sh.reader_waiting.clone()),
+                _ => None,
+            };
+            self.sink = Some(Box::new(BufferedSink::new(inner, capacity, reader)));
             self.buffered = true;
         }
     }
@@ -1106,6 +1143,7 @@ impl ChannelWriter {
     /// [`ensure_buffered`]: ChannelWriter::ensure_buffered
     pub fn replace_sink(&mut self, sink: Box<dyn Sink>) -> Option<Box<dyn Sink>> {
         self.buffered = false;
+        self.local = false;
         self.sink.replace(sink)
     }
 }
@@ -1363,6 +1401,7 @@ pub(crate) fn channel_with_parts(
         closed: false,
     }));
     writer.topo = endpoint(BlockKind::Write);
+    writer.local = true;
     let mut reader = ChannelReader::from_source(Box::new(LocalSource {
         shared: shared.clone(),
         closed: false,
@@ -1952,6 +1991,188 @@ mod tests {
         let (mut w, r) = channel();
         drop(r);
         assert_eq!(w.sink().reader_waiting(), ReaderState::Waiting);
+    }
+
+    /// An unseen transport for the step-boundary table: counts its
+    /// transfers and how often it is asked about its reader, and takes
+    /// `took` over each transfer.
+    struct Unseen {
+        transfers: Arc<AtomicU64>,
+        asked: Arc<AtomicU64>,
+        took: Duration,
+    }
+
+    impl Sink for Unseen {
+        fn write_all(&mut self, _buf: &[u8]) -> Result<()> {
+            thread::sleep(self.took);
+            self.transfers.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        }
+        fn close(&mut self) {}
+        fn reader_waiting(&self) -> ReaderState {
+            self.asked.fetch_add(1, Ordering::SeqCst);
+            ReaderState::Unseen
+        }
+    }
+
+    /// A buffered writer over a fresh local channel, with the channel and
+    /// its (open) reader.
+    fn local_rig() -> (ChannelWriter, Arc<Shared>, ChannelReader) {
+        let (mut w, r) = channel_with_capacity(1024);
+        let shared = w.topo.as_ref().unwrap().chan.upgrade().unwrap();
+        w.ensure_buffered(64);
+        (w, shared, r)
+    }
+
+    /// Whether one step boundary of the calling task published into `sh`
+    /// (a publish into a closed reader fails the boundary instead).
+    fn boundary_publishes_into(sh: &Shared) -> bool {
+        let before = sh.state.lock().bytes_written;
+        let res = flush::StepBoundary::of_current_task().cross();
+        res.is_err() || sh.state.lock().bytes_written > before
+    }
+
+    /// A buffered writer over an [`Unseen`] transport whose transfers take
+    /// `took`, primed with one timed publish so its pace has a window.
+    fn unseen_rig(took: Duration) -> (ChannelWriter, Arc<AtomicU64>, Arc<AtomicU64>) {
+        let (transfers, asked) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let mut w = ChannelWriter::from_sink(Box::new(Unseen {
+            transfers: transfers.clone(),
+            asked: asked.clone(),
+            took,
+        }));
+        w.ensure_buffered(64);
+        w.write_all(b"x").unwrap();
+        w.flush().unwrap();
+        (w, transfers, asked)
+    }
+
+    /// Whether one step boundary published into the unseen transport, and
+    /// whether it asked the sink at all.
+    fn boundary_over_unseen(transfers: &AtomicU64, asked: &AtomicU64) -> (bool, bool) {
+        let (t, a) = (
+            transfers.load(Ordering::SeqCst),
+            asked.load(Ordering::SeqCst),
+        );
+        flush::StepBoundary::of_current_task().cross().unwrap();
+        (
+            transfers.load(Ordering::SeqCst) > t,
+            asked.load(Ordering::SeqCst) > a,
+        )
+    }
+
+    /// The step boundary over one buffered sink per row, each on a task of
+    /// its own. `publishes` is clause 5's answer for the row, which a
+    /// boundary that locks and asks every sink gives as well; `touches`,
+    /// where a transport can tell, is whether the sink was reached at all —
+    /// only to publish, or to ask an unseen reader's pace.
+    #[test]
+    fn step_boundary_decision_table() {
+        type Outcome = (bool, Option<bool>);
+        type Row = (&'static str, Outcome, fn() -> Outcome);
+        let rows: Vec<Row> = vec![
+            ("clean sink, reader waiting", (false, None), || {
+                let (mut w, sh, _r) = local_rig();
+                w.write_all(b"x").unwrap();
+                w.flush().unwrap();
+                sh.reader_waiting.store(true, Ordering::Relaxed);
+                (boundary_publishes_into(&sh), None)
+            }),
+            ("clean sink, reader unseen", (false, Some(false)), || {
+                let (_w, transfers, asked) = unseen_rig(Duration::ZERO);
+                thread::sleep(Duration::from_millis(5));
+                let (published, touched) = boundary_over_unseen(&transfers, &asked);
+                (published, Some(touched))
+            }),
+            ("dirty sink, reader waiting", (true, None), || {
+                let (mut w, sh, _r) = local_rig();
+                w.write_all(b"x").unwrap();
+                sh.reader_waiting.store(true, Ordering::Relaxed);
+                (boundary_publishes_into(&sh), None)
+            }),
+            ("reader busy", (false, None), || {
+                let (mut w, sh, _r) = local_rig();
+                w.write_all(b"x").unwrap();
+                (boundary_publishes_into(&sh), None)
+            }),
+            (
+                "reader unseen, pace window open",
+                (false, Some(true)),
+                || {
+                    let (mut w, transfers, asked) = unseen_rig(Duration::from_millis(50));
+                    w.write_all(b"x").unwrap();
+                    let (published, touched) = boundary_over_unseen(&transfers, &asked);
+                    (published, Some(touched))
+                },
+            ),
+            (
+                "reader unseen, pace window shut",
+                (true, Some(true)),
+                || {
+                    let (mut w, transfers, asked) = unseen_rig(Duration::ZERO);
+                    thread::sleep(Duration::from_millis(5));
+                    w.write_all(b"x").unwrap();
+                    let (published, touched) = boundary_over_unseen(&transfers, &asked);
+                    (published, Some(touched))
+                },
+            ),
+            ("sink now owned by another task", (false, None), || {
+                let (mut w, sh, _r) = local_rig();
+                w.write_all(b"x").unwrap();
+                let w = thread::spawn(move || {
+                    w.write_all(b"y").unwrap();
+                    w
+                })
+                .join()
+                .unwrap();
+                sh.reader_waiting.store(true, Ordering::Relaxed);
+                let published = boundary_publishes_into(&sh);
+                drop(w);
+                (published, None)
+            }),
+            ("sink closed", (false, None), || {
+                let (mut w, sh, _r) = local_rig();
+                w.write_all(b"x").unwrap();
+                sh.reader_waiting.store(true, Ordering::Relaxed);
+                w.close();
+                (boundary_publishes_into(&sh), None)
+            }),
+            (
+                "transport replaced: the old channel's reader does not decide",
+                (false, Some(true)),
+                || {
+                    let (mut w, sh, _r) = local_rig();
+                    let (transfers, asked) =
+                        (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+                    drop(w.replace_sink(Box::new(Unseen {
+                        transfers: transfers.clone(),
+                        asked: asked.clone(),
+                        took: Duration::from_millis(50),
+                    })));
+                    w.ensure_buffered(64);
+                    w.write_all(b"x").unwrap();
+                    w.flush().unwrap();
+                    w.write_all(b"x").unwrap();
+                    sh.reader_waiting.store(true, Ordering::Relaxed);
+                    let (published, touched) = boundary_over_unseen(&transfers, &asked);
+                    (published, Some(touched))
+                },
+            ),
+            (
+                "reader closed: publish into the error",
+                (true, None),
+                || {
+                    let (mut w, sh, r) = local_rig();
+                    w.write_all(b"x").unwrap();
+                    drop(r);
+                    (boundary_publishes_into(&sh), None)
+                },
+            ),
+        ];
+        for (case, expect, row) in rows {
+            let got = thread::spawn(row).join().unwrap();
+            assert_eq!(got, expect, "{case}: (publishes, touches)");
+        }
     }
 
     #[test]

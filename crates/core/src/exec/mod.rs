@@ -81,7 +81,7 @@ pub(crate) use thread::default_exec;
 pub use thread::ThreadExec;
 
 use crate::error::Result;
-use crate::flush::Flushable;
+use crate::flush::Registration;
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -452,7 +452,11 @@ pub(crate) struct TaskLocals {
     /// Buffered sinks owned by this task: published before the task waits
     /// for anything (see [`crate::flush`]). An immutable list replaced on
     /// registration, so a sweep shares it without copying.
-    pub(crate) sinks: Mutex<Arc<Vec<Weak<dyn Flushable>>>>,
+    pub(crate) sinks: Mutex<Arc<Vec<Registration>>>,
+    /// How many sinks this task has registered: a step boundary's snapshot
+    /// of `sinks` is current while this has not moved. Written only by the
+    /// task itself.
+    pub(crate) registered: AtomicU64,
 }
 
 impl TaskLocals {
@@ -463,6 +467,7 @@ impl TaskLocals {
             is_process,
             exec,
             sinks: Mutex::new(Arc::new(Vec::new())),
+            registered: AtomicU64::new(0),
         })
     }
 }

@@ -83,38 +83,141 @@
 //! sinks across processes; under thread-per-process a task *is* a thread).
 //! Ownership follows the *last writer task*: processes are typically
 //! constructed on the main thread and moved to their spawned task, so a sink
-//! re-registers lazily whenever it is written from a new task. Stale
-//! registrations on the old task are skipped by an owner-token check and
-//! pruned as their weak references die. The registry is an immutable list
-//! replaced on registration, so a sweep shares it instead of copying it —
-//! the step boundary runs one sweep per `Iterative::step` and must not allocate.
+//! re-registers lazily whenever it is written from a new task. The registry
+//! is an immutable list replaced on registration, so a sweep shares it
+//! instead of copying it; dead entries are pruned at the next registration.
+//!
+//! A registration carries the sink's `Marks` beside a weak handle to it:
+//! the token of its owner, whether its private chunk holds bytes, and — over
+//! a local channel — that channel's reader flag. The owner keeps them
+//! current under the lock it already holds (the chunk flag changes only on
+//! an empty↔non-empty transition), so a sweep reads them with plain loads
+//! and touches a sink — upgrade, `try_lock` — only to publish it, or, for a
+//! reader it cannot see, to ask the sink's pace. Clause 5 is decided once,
+//! in `publishes`, whichever side supplies its inputs.
+//!
+//! A step boundary is a `StepBoundary`, resolved once per run of an
+//! `Iterative` process: it keeps its task's identity record and registry
+//! snapshot across steps, and takes a new snapshot only when the task's
+//! registration count has moved. A boundary over a busy local reader, or
+//! over nothing to publish, costs a few loads and no atomic
+//! read-modify-write.
 
+use crate::channel::ReaderState;
 use crate::error::Result;
+use crate::exec::TaskLocals;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-/// Which of a task's dirty sinks a sweep publishes.
+/// How a sweep asks a sink to publish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Publish {
-    /// Every dirty sink: the task is about to wait, or asked for "now".
+pub(crate) enum Publish {
+    /// Unconditionally: the task is about to wait, asked for "now", or a
+    /// step boundary has already decided from the sink's [`Marks`].
     All,
-    /// The `Iterative` step boundary: a sink whose reader waits, and one
-    /// whose reader cannot be seen once as long has passed since its last
-    /// publish as that publish took (clause 5 of the module docs).
+    /// A step boundary over a sink whose reader the marks cannot see: the
+    /// sink asks [`publishes`] with its transport's answer and its pace.
     StepBoundary,
 }
 
-/// A sink with a private buffer that can be flushed by the flush registry.
+/// Clause 5 of the rule, decided here and nowhere else: whether a step
+/// boundary publishes a dirty chunk whose reader is in state `reader`.
+/// `keeps_batching` is the sink's pace, asked only for a reader that cannot
+/// be seen.
+pub(crate) fn publishes(reader: ReaderState, keeps_batching: impl FnOnce() -> bool) -> bool {
+    match reader {
+        ReaderState::Waiting => true,
+        ReaderState::Busy => false,
+        ReaderState::Unseen => !keeps_batching(),
+    }
+}
+
+/// A sink with a private buffer that the flush registry can publish.
 ///
-/// Implementations must be cheap to probe when clean or not owned, and must
-/// *never* block on a lock a flush could be holding (use `try_lock` and
-/// skip: a sink mid-flush on this task is already being published).
-pub trait Flushable: Send + Sync {
-    /// Flushes the private buffer toward the consumer *if* the sink is
-    /// currently owned by the task with token `owner` and `which` selects
-    /// it. Non-owners, clean sinks and — under [`Publish::StepBoundary`] —
-    /// sinks that clause 5 leaves batching return `Ok(())` without side
-    /// effects.
-    fn flush_owned(&self, owner: u64, which: Publish) -> Result<()>;
+/// A sweep reaches it only when its [`Marks`] say it belongs to the
+/// sweeping task and holds bytes. Implementations must *never* block on a
+/// lock a flush could be holding (use `try_lock` and skip: a sink mid-flush
+/// on this task is already being published).
+pub(crate) trait Flushable: Send + Sync {
+    /// Publishes the private chunk; under [`Publish::StepBoundary`] only if
+    /// [`publishes`] says so. Returns the publish's error, which the sink
+    /// has also stashed for its owner's next write.
+    fn publish(&self, which: Publish) -> Result<()>;
+}
+
+/// What a sweep reads of a registered sink without touching it. Every load
+/// and store is `Relaxed`: the marks publish no data (the bytes travel
+/// under the sink's lock); they say whether a sweep should take that lock.
+pub(crate) struct Marks {
+    /// Token of the task that last wrote the sink (0 = never written). A
+    /// stale registration — the sink has since moved to another task — is
+    /// skipped on this alone. A former owner that for an instant still
+    /// reads its old token at worst publishes the chunk itself, under the
+    /// lock: every publish is a write the unbuffered execution has already
+    /// performed.
+    pub(crate) owner: AtomicU64,
+    /// The private chunk holds bytes. Stored by the owner, under the sink's
+    /// lock, on the empty↔non-empty transitions only; exact for the owner,
+    /// which reads its own stores.
+    pub(crate) dirty: AtomicBool,
+    /// The `reader_waiting` flag of the local channel the sink writes into,
+    /// when it writes into one: the sink's [`crate::Sink::reader_waiting`]
+    /// answer without asking the sink. `None` for any other transport.
+    pub(crate) reader: Option<Arc<AtomicBool>>,
+}
+
+impl Marks {
+    /// The marks of a sink nobody has written yet.
+    pub(crate) fn new(reader: Option<Arc<AtomicBool>>) -> Arc<Self> {
+        Arc::new(Marks {
+            owner: AtomicU64::new(0),
+            dirty: AtomicBool::new(false),
+            reader,
+        })
+    }
+}
+
+/// One entry of a task's flush registry: a sink and its marks.
+#[derive(Clone)]
+pub(crate) struct Registration {
+    sink: Weak<dyn Flushable>,
+    marks: Arc<Marks>,
+}
+
+impl Registration {
+    /// Offers the sink to task `me`'s sweep.
+    fn publish(&self, me: u64, which: Publish) -> Result<()> {
+        let marks = &*self.marks;
+        if marks.owner.load(Ordering::Relaxed) != me || !marks.dirty.load(Ordering::Relaxed) {
+            return Ok(()); // another task's now, or nothing to publish
+        }
+        let which = match (which, &marks.reader) {
+            (Publish::StepBoundary, Some(flag)) => {
+                // A local reader is never unseen: no pace to ask.
+                if !publishes(ReaderState::of_local(flag), || false) {
+                    return Ok(());
+                }
+                Publish::All
+            }
+            _ => which,
+        };
+        self.sink
+            .upgrade()
+            .map_or(Ok(()), |sink| sink.publish(which))
+    }
+}
+
+/// Offers every registration to task `me`'s sweep, returning the first
+/// error encountered (all sinks are still attempted). No lock is held
+/// while publishing: a publish can block (a full channel).
+fn sweep(sinks: &[Registration], me: u64, which: Publish) -> Result<()> {
+    let mut first_err = None;
+    for r in sinks {
+        if let Err(e) = r.publish(me, which) {
+            first_err.get_or_insert(e);
+        }
+    }
+    first_err.map_or(Ok(()), Err)
 }
 
 /// A small, unique, never-reused identifier for the calling task (a process
@@ -126,46 +229,27 @@ pub fn task_token() -> u64 {
 /// Registers a buffered sink with the *calling* task's flush registry.
 /// Dead entries are pruned on each registration. The registry is replaced,
 /// not edited: a sweep in progress keeps walking the list it started with.
-pub fn register(sink: Weak<dyn Flushable>) {
+pub(crate) fn register(sink: Weak<dyn Flushable>, marks: Arc<Marks>) {
     crate::exec::with_current(|locals| {
         let mut sinks = locals.sinks.lock();
         let mut v: Vec<_> = sinks
             .iter()
-            .filter(|w| w.strong_count() > 0)
+            .filter(|r| r.sink.strong_count() > 0)
             .cloned()
             .collect();
-        v.push(sink);
+        v.push(Registration { sink, marks });
         *sinks = Arc::new(v);
+        // Only this task writes the count: a load and a store do.
+        let n = locals.registered.load(Ordering::Relaxed);
+        locals.registered.store(n + 1, Ordering::Relaxed);
     });
-}
-
-/// Offers every live sink in the calling task's registry the chance to
-/// flush, returning the first error encountered (all sinks are still
-/// attempted).
-fn sweep(which: Publish) -> Result<()> {
-    // The list is shared, not copied, and no lock is held while flushing:
-    // a flush can block (a full channel), and the step boundary runs this
-    // once per `Iterative::step`, so it must not allocate.
-    let (me, sinks) = crate::exec::with_current(|l| (l.token, l.sinks.lock().clone()));
-    let mut first_err = None;
-    for sink in sinks.iter().filter_map(Weak::upgrade) {
-        if let Err(e) = sink.flush_owned(me, which) {
-            first_err.get_or_insert(e);
-        }
-    }
-    first_err.map_or(Ok(()), Err)
 }
 
 /// Publishes every dirty sink the calling task owns, unconditionally. This
 /// is [`crate::ProcessCtx::flush_sinks`].
 pub fn flush_task_sinks() -> Result<()> {
-    sweep(Publish::All)
-}
-
-/// The `Iterative` step boundary: publishes the calling task's dirty sinks
-/// that clause 5 selects, and leaves the rest batching.
-pub(crate) fn flush_at_step_boundary() -> Result<()> {
-    sweep(Publish::StepBoundary)
+    let (me, sinks) = crate::exec::with_current(|l| (l.token, l.sinks.lock().clone()));
+    sweep(&sinks, me, Publish::All)
 }
 
 /// Publish-before-wait: every path on which a task may park calls this
@@ -177,24 +261,89 @@ pub fn flush_before_block() {
     let _ = flush_task_sinks();
 }
 
+/// The `Iterative` step boundary of one task, resolved once:
+/// [`crate::IterativeProcess::run`] holds one across its steps.
+pub(crate) struct StepBoundary {
+    locals: Arc<TaskLocals>,
+    /// The task's registration count when `sinks` was taken.
+    seen: u64,
+    sinks: Arc<Vec<Registration>>,
+}
+
+impl StepBoundary {
+    /// The calling task's boundary.
+    pub(crate) fn of_current_task() -> Self {
+        let locals = crate::exec::with_current(Arc::clone);
+        let seen = locals.registered.load(Ordering::Relaxed);
+        let sinks = locals.sinks.lock().clone();
+        StepBoundary {
+            locals,
+            seen,
+            sinks,
+        }
+    }
+
+    /// Publishes the task's dirty sinks that clause 5 selects, and leaves
+    /// the rest batching. The registry snapshot is renewed only if the task
+    /// has registered a sink since it was taken.
+    pub(crate) fn cross(&mut self) -> Result<()> {
+        let registered = self.locals.registered.load(Ordering::Relaxed);
+        if registered != self.seen {
+            self.sinks = self.locals.sinks.lock().clone();
+            self.seen = registered;
+        }
+        sweep(&self.sinks, self.locals.token, Publish::StepBoundary)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use crate::{DataReader, DataWriter, Error, Iterative, Network, ProcessCtx};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
+    /// A sink that counts how often a sweep reaches it: a sweep upgrades a
+    /// registration's handle only to call `publish` on it, and a real sink
+    /// takes its lock only there.
     struct Probe {
-        owner: u64,
-        flushes: AtomicUsize,
+        reached: AtomicUsize,
         fail: bool,
     }
 
+    impl Probe {
+        /// A probe registered with the calling task, with marks saying it
+        /// is owned by `owner`, holds bytes if `dirty`, and writes into a
+        /// local channel whose reader flag is `reader`.
+        fn register(owner: u64, dirty: bool, reader: Option<Arc<AtomicBool>>) -> Arc<Probe> {
+            Probe::register_failing(owner, dirty, reader, false)
+        }
+
+        fn register_failing(
+            owner: u64,
+            dirty: bool,
+            reader: Option<Arc<AtomicBool>>,
+            fail: bool,
+        ) -> Arc<Probe> {
+            let marks = Marks::new(reader);
+            marks.owner.store(owner, Ordering::Relaxed);
+            marks.dirty.store(dirty, Ordering::Relaxed);
+            let probe = Arc::new(Probe {
+                reached: AtomicUsize::new(0),
+                fail,
+            });
+            register(Arc::downgrade(&probe) as Weak<dyn Flushable>, marks);
+            probe
+        }
+
+        fn reached(&self) -> usize {
+            self.reached.load(Ordering::SeqCst)
+        }
+    }
+
     impl Flushable for Probe {
-        fn flush_owned(&self, owner: u64, _which: Publish) -> Result<()> {
-            if owner != self.owner {
-                return Ok(());
-            }
-            self.flushes.fetch_add(1, Ordering::SeqCst);
+        fn publish(&self, _which: Publish) -> Result<()> {
+            self.reached.fetch_add(1, Ordering::SeqCst);
             if self.fail {
                 return Err(crate::Error::WriteClosed);
             }
@@ -212,46 +361,104 @@ mod tests {
 
     #[test]
     fn flush_skips_foreign_owners_and_drops_dead_entries() {
-        let mine = Arc::new(Probe {
-            owner: task_token(),
-            flushes: AtomicUsize::new(0),
-            fail: false,
-        });
-        let foreign = Arc::new(Probe {
-            owner: task_token() + 1_000_000,
-            flushes: AtomicUsize::new(0),
-            fail: false,
-        });
-        let dead = Arc::new(Probe {
-            owner: task_token(),
-            flushes: AtomicUsize::new(0),
-            fail: false,
-        });
-        register(Arc::downgrade(&mine) as Weak<dyn Flushable>);
-        register(Arc::downgrade(&foreign) as Weak<dyn Flushable>);
-        register(Arc::downgrade(&dead) as Weak<dyn Flushable>);
+        let me = task_token();
+        let mine = Probe::register(me, true, None);
+        let foreign = Probe::register(me + 1_000_000, true, None);
+        let dead = Probe::register(me, true, None);
         drop(dead);
         flush_task_sinks().unwrap();
-        assert_eq!(mine.flushes.load(Ordering::SeqCst), 1);
-        assert_eq!(foreign.flushes.load(Ordering::SeqCst), 0);
+        assert_eq!(mine.reached(), 1);
+        assert_eq!(foreign.reached(), 0);
     }
 
     #[test]
     fn first_error_wins_but_all_sinks_run() {
-        let a = Arc::new(Probe {
-            owner: task_token(),
-            flushes: AtomicUsize::new(0),
-            fail: true,
-        });
-        let b = Arc::new(Probe {
-            owner: task_token(),
-            flushes: AtomicUsize::new(0),
-            fail: false,
-        });
-        register(Arc::downgrade(&a) as Weak<dyn Flushable>);
-        register(Arc::downgrade(&b) as Weak<dyn Flushable>);
+        let a = Probe::register_failing(task_token(), true, None, true);
+        let b = Probe::register(task_token(), true, None);
         assert!(flush_task_sinks().is_err());
-        assert_eq!(a.flushes.load(Ordering::SeqCst), 1);
-        assert_eq!(b.flushes.load(Ordering::SeqCst), 1, "error does not halt the sweep");
+        assert_eq!(a.reached(), 1);
+        assert_eq!(b.reached(), 1, "error does not halt the sweep");
+    }
+
+    /// Ten thousand step boundaries over a dirty sink whose local reader is
+    /// busy, and over a clean one whose reader waits, never reach either:
+    /// no upgrade, no lock. The same boundary reaches the first the moment
+    /// its reader parks.
+    #[test]
+    fn step_boundary_never_reaches_a_busy_or_clean_sink() {
+        let me = task_token();
+        let busy_reader = Arc::new(AtomicBool::new(false));
+        let busy = Probe::register(me, true, Some(busy_reader.clone()));
+        let clean = Probe::register(me, false, Some(Arc::new(AtomicBool::new(true))));
+        let mut boundary = StepBoundary::of_current_task();
+        for _ in 0..10_000 {
+            boundary.cross().unwrap();
+        }
+        assert_eq!(busy.reached(), 0, "a busy reader's sink was touched");
+        assert_eq!(clean.reached(), 0, "a clean sink was touched");
+        busy_reader.store(true, Ordering::Relaxed);
+        boundary.cross().unwrap();
+        assert_eq!(
+            busy.reached(),
+            1,
+            "a waiting reader's sink was not published"
+        );
+    }
+
+    /// A step that wraps a new `DataWriter` mid-run registers a sink the
+    /// boundary's snapshot predates. The task's registration count moves,
+    /// the next boundary takes a new snapshot, and the token is published
+    /// once its reader parks — while the process still runs, not when it
+    /// ends and drops the writer.
+    #[test]
+    fn step_boundary_sees_a_sink_registered_mid_run() {
+        const CREATE_AT: u64 = 3;
+        const LIMIT: u64 = 20_000;
+        struct Late {
+            out: Option<crate::ChannelWriter>,
+            writer: Option<DataWriter>,
+            steps: u64,
+            delivered: Arc<AtomicBool>,
+            stopped_by_reader: Arc<AtomicBool>,
+        }
+        impl Iterative for Late {
+            fn limit(&self) -> Option<u64> {
+                Some(LIMIT)
+            }
+            fn step(&mut self, _ctx: &ProcessCtx) -> Result<()> {
+                self.steps += 1;
+                if self.steps == CREATE_AT {
+                    let mut w = DataWriter::new(self.out.take().unwrap());
+                    w.write_i64(42)?;
+                    self.writer = Some(w);
+                }
+                if self.delivered.load(Ordering::SeqCst) {
+                    self.stopped_by_reader.store(true, Ordering::SeqCst);
+                    return Err(Error::Eof);
+                }
+                crate::exec::sleep(Duration::from_micros(200));
+                Ok(())
+            }
+        }
+        let delivered = Arc::new(AtomicBool::new(false));
+        let stopped_by_reader = Arc::new(AtomicBool::new(false));
+        let net = Network::new();
+        let (w, r) = net.channel();
+        net.add(Late {
+            out: Some(w),
+            writer: None,
+            steps: 0,
+            delivered: delivered.clone(),
+            stopped_by_reader: stopped_by_reader.clone(),
+        });
+        net.start();
+        let mut r = DataReader::new(r);
+        assert_eq!(r.read_i64().unwrap(), 42);
+        delivered.store(true, Ordering::SeqCst);
+        net.join().unwrap();
+        assert!(
+            stopped_by_reader.load(Ordering::SeqCst),
+            "the token arrived only when the process ended: the boundary never saw the new sink"
+        );
     }
 }

@@ -189,14 +189,21 @@ impl<T: Iterative> Process for IterativeProcess<T> {
     /// whenever a step waits for anything, so nothing here is needed for
     /// deadlock safety; a step that must be seen immediately calls
     /// [`ProcessCtx::flush_sinks`].
+    ///
+    /// The boundary is resolved once per run: it keeps the task's registry
+    /// of buffered sinks across steps (renewed only when a step has
+    /// registered a new one) and reads, per sink, its owner, whether it
+    /// holds bytes and — over a local channel — the reader's flag. It
+    /// touches a sink only to publish it or to ask an unseen reader's pace.
     fn run(mut self: Box<Self>, ctx: &ProcessCtx) -> Result<()> {
+        let mut boundary = crate::flush::StepBoundary::of_current_task();
         let result: Result<()> = (|| {
             self.inner.on_start(ctx)?;
             let mut remaining = self.inner.limit();
             loop {
                 // The step boundary: after `on_start` and after every step,
                 // the last one included.
-                crate::flush::flush_at_step_boundary()?;
+                boundary.cross()?;
                 match remaining.as_mut() {
                     Some(0) => return Ok(()),
                     Some(n) => *n -= 1,
