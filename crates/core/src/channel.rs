@@ -146,6 +146,10 @@ struct BufState {
     // same mutex before (and after) every park.
     read_waiters: u32,
     write_waiters: u32,
+    /// The writer's side of `Shared::reader_waiting`, for the monitor's
+    /// look only: set when the writer commits to wait on a full buffer,
+    /// cleared by the read or growth that wakes it.
+    writer_waiting: bool,
     // I/O counters (ChannelIoStats).
     bytes_written: u64,
     write_blocks: u64,
@@ -155,9 +159,22 @@ struct BufState {
     // (`EndpointTopo`) and read by `look`. Never affects data flow.
     writer: EndpointShape,
     reader: EndpointShape,
+    /// The task that declared, or last used, a side declared `External`:
+    /// the owner the monitor must see blocked before it counts a wait on
+    /// the other side (`Look::external_user`). One slot serves both sides:
+    /// a channel with both sides outside the network has no process to
+    /// judge on it.
+    external_user: u64,
 }
 
 impl BufState {
+    fn waiters(&mut self, side: BlockKind) -> &mut u32 {
+        match side {
+            BlockKind::Read => &mut self.read_waiters,
+            BlockKind::Write => &mut self.write_waiters,
+        }
+    }
+
     fn io_stats(&self) -> ChannelIoStats {
         ChannelIoStats {
             bytes_written: self.bytes_written,
@@ -174,14 +191,16 @@ impl BufState {
 pub(crate) struct Shared {
     id: u64,
     state: Mutex<BufState>,
-    /// The answer to [`Sink::reader_waiting`]. The reader sets it under the
-    /// state lock each time it is about to park on an empty buffer; the
-    /// writer clears it when it *issues* the wake, not when the reader
-    /// resumes — for the whole wake latency the reader is already taken
-    /// care of, and every step boundary inside that window may keep
-    /// batching. Also set, for good, when the reader closes or the channel
-    /// is poisoned, so the writer's next step boundary flushes into the
-    /// error instead of producing a chunk's worth of tokens for nobody.
+    /// The answer to [`Sink::reader_waiting`], and the monitor's proof that
+    /// a registered reader is blocked. The reader sets it under the state
+    /// lock once it has committed to wait on an empty buffer; the writer
+    /// clears it when it *issues* the wake, not when the reader resumes —
+    /// for the whole wake latency the reader is already taken care of,
+    /// every step boundary inside that window may keep batching, and the
+    /// monitor does not count a reader that is about to run. Also set, for
+    /// good, when the reader closes or the channel is poisoned, so the
+    /// writer's next step boundary flushes into the error instead of
+    /// producing a chunk's worth of tokens for nobody.
     ///
     /// `Relaxed` throughout: the flag publishes no data (the bytes travel
     /// under the state lock, and so do both stores); it is a hint about
@@ -218,12 +237,14 @@ impl Shared {
                 continuation: None,
                 read_waiters: 0,
                 write_waiters: 0,
+                writer_waiting: false,
                 bytes_written: 0,
                 write_blocks: 0,
                 read_blocks: 0,
                 peak_occupancy: 0,
                 writer: EndpointShape::open(),
                 reader: EndpointShape::open(),
+                external_user: 0,
             }),
             reader_waiting: Arc::new(AtomicBool::new(false)),
             monitor,
@@ -232,87 +253,41 @@ impl Shared {
         })
     }
 
-    /// Park keys, one per side, derived from this allocation's address
+    /// The park key of `side`, derived from this allocation's address
     /// (unique for the channel's lifetime, which is as long as anyone can
-    /// be parked on it).
-    fn read_key(&self) -> usize {
-        self as *const Shared as usize
-    }
-
-    fn write_key(&self) -> usize {
-        self as *const Shared as usize + 8
+    /// be parked on it): the address for readers, 8 past it for writers.
+    fn key(&self, side: BlockKind) -> usize {
+        self as *const Shared as usize + 8 * (side == BlockKind::Write) as usize
     }
 
     /// Wakes every task parked waiting for this channel to become readable.
     fn wake_readers(&self) {
-        self.exec.unpark_all(self.read_key());
+        self.exec.unpark_all(self.key(BlockKind::Read));
     }
 
     /// Wakes every task parked waiting for this channel to become writable.
     fn wake_writers(&self) {
-        self.exec.unpark_all(self.write_key());
+        self.exec.unpark_all(self.key(BlockKind::Write));
     }
 
-    /// The blocking seam: parks the current task while `pred` holds (it is
-    /// evaluated under the state lock). Maintains the side's waiter count;
-    /// timed-out waits re-run the monitor's detection tick. Returns an
-    /// error only when the executor refuses to block this context
-    /// (cross-executor use).
-    fn park_while(
-        &self,
-        side: BlockKind,
-        timeout: Option<std::time::Duration>,
-        pred: impl Fn(&BufState) -> bool,
-    ) -> Result<()> {
-        let key = match side {
-            BlockKind::Read => self.read_key(),
-            BlockKind::Write => self.write_key(),
-        };
-        let mut st = self.state.lock();
-        match side {
-            BlockKind::Read => st.read_waiters += 1,
-            BlockKind::Write => st.write_waiters += 1,
+    /// After the buffer gained room (a read, a growth): clears the writer's
+    /// waiting mark and wakes it, if one is waiting.
+    fn made_room(&self, mut st: parking_lot::MutexGuard<'_, BufState>) {
+        st.writer_waiting = false;
+        let wake = st.write_waiters > 0;
+        drop(st);
+        if wake {
+            self.wake_writers();
         }
-        let mut res = Ok(());
-        loop {
-            if !pred(&st) {
-                break;
-            }
-            if side == BlockKind::Read {
-                self.reader_waiting.store(true, Ordering::Relaxed);
-            }
-            // The token is read under the state lock with the predicate
-            // still true: any wake that happens after we release the lock
-            // bumps the generation, and `park` returns immediately on a
-            // stale token — no lost wakeups, no wait-loop in the executor.
-            let token = self.exec.park_token(key);
-            drop(st);
-            match self.exec.park(key, token, timeout) {
-                Ok(timed_out) => {
-                    if timed_out {
-                        if let Some(m) = &self.monitor {
-                            m.tick();
-                        }
-                    }
-                }
-                Err(e) => {
-                    st = self.state.lock();
-                    res = Err(e);
-                    break;
-                }
-            }
-            st = self.state.lock();
-        }
-        match side {
-            BlockKind::Read => st.read_waiters -= 1,
-            BlockKind::Write => st.write_waiters -= 1,
-        }
-        res
     }
 
-    /// The one place a task waits on this channel, in the order that keeps
+    /// The one place a task waits on this channel, parking it while `pred`
+    /// holds (evaluated under the state lock), in the order that keeps
     /// private buffers invisible to Kahn semantics and to the monitor:
-    /// publish, register, park.
+    /// publish, mark the side waiting, register, park. Timed-out waits
+    /// re-run the monitor's detection tick. Returns an error when the
+    /// network is aborted at registration or the executor refuses to block
+    /// this context (cross-executor use).
     fn block(&self, side: BlockKind, pred: impl Fn(&BufState) -> bool) -> Result<()> {
         // Publish-before-wait (see `crate::flush`): a token stranded in a
         // private chunk here could be exactly the one the rest of the
@@ -323,22 +298,58 @@ impl Shared {
         // flush can block, so it comes before the registration: a task
         // registers as blocked once.
         flush::flush_before_block();
-        match &self.monitor {
-            Some(m) => {
-                // Register with the monitor *before* re-checking the
-                // predicate inside `park_while`: if our registration
-                // completes an all-blocked picture and detection grows
-                // this channel, the re-check sees the new capacity.
-                let _guard = BlockGuard::enter(m, side, self.id)?;
-                // The timeout is the monitor's detection fallback; the
-                // clamp keeps a zero tick from busy-spinning (executors
-                // that cannot honor timeouts tick via idle hooks
-                // instead).
-                let tick = m.timing().tick.max(std::time::Duration::from_millis(1));
-                self.park_while(side, Some(tick), pred)
+        let key = self.key(side);
+        // The timeout is the monitor's detection fallback; the clamp keeps
+        // a zero tick from busy-spinning (executors that cannot honor
+        // timeouts tick via idle hooks instead).
+        let tick = (self.monitor.as_ref()).map(|m| m.timing().tick.max(Duration::from_millis(1)));
+        let mut registration = None;
+        let mut st = self.state.lock();
+        *st.waiters(side) += 1;
+        let res = loop {
+            if !pred(&st) {
+                break Ok(());
             }
-            None => self.park_while(side, None, pred),
-        }
+            // Counted as waiting from here until a wake clears the mark.
+            match side {
+                BlockKind::Read => self.reader_waiting.store(true, Ordering::Relaxed),
+                BlockKind::Write => st.writer_waiting = true,
+            }
+            if let (Some(m), None) = (&self.monitor, &registration) {
+                // Registered with the mark set, and before the re-check:
+                // if the registration completes an all-blocked picture and
+                // detection grows this channel, the re-check sees the new
+                // capacity.
+                drop(st);
+                let entered = BlockGuard::enter(m, side, self.id);
+                st = self.state.lock();
+                match entered {
+                    Ok(guard) => registration = Some(guard),
+                    Err(e) => break Err(e),
+                }
+                continue;
+            }
+            // The token is read under the state lock with the predicate
+            // still true: any wake that happens after we release the lock
+            // bumps the generation, and `park` returns immediately on a
+            // stale token — no lost wakeups, no wait-loop in the executor.
+            let token = self.exec.park_token(key);
+            drop(st);
+            let parked = self.exec.park(key, token, tick);
+            if let (Ok(true), Some(m)) = (&parked, &self.monitor) {
+                m.tick();
+            }
+            st = self.state.lock();
+            if let Err(e) = parked {
+                break Err(e);
+            }
+        };
+        *st.waiters(side) -= 1;
+        drop(st);
+        // Unregistered with the state lock released: the monitor's lock
+        // comes before a channel's.
+        drop(registration);
+        res
     }
 }
 
@@ -357,11 +368,13 @@ impl MonitoredChannel for Shared {
         Look {
             stats: st.io_stats(),
             buffered: st.buf.len(),
-            full: st.buf.is_full(),
             write_closed: st.write_closed,
             read_closed: st.read_closed,
+            reader_waiting: self.reader_waiting.load(Ordering::Relaxed),
+            writer_waiting: st.writer_waiting,
             writer: st.writer.clone(),
             reader: st.reader.clone(),
+            external_user: st.external_user,
         }
     }
 
@@ -376,11 +389,7 @@ impl MonitoredChannel for Shared {
             return None;
         }
         st.buf.grow(new);
-        let wake = st.write_waiters > 0;
-        drop(st);
-        if wake {
-            self.wake_writers();
-        }
+        self.made_room(st);
         Some((old, new))
     }
 
@@ -391,11 +400,7 @@ impl MonitoredChannel for Shared {
             return false;
         }
         st.buf.grow(min);
-        let wake = st.write_waiters > 0;
-        drop(st);
-        if wake {
-            self.wake_writers();
-        }
+        self.made_room(st);
         true
     }
 
@@ -439,6 +444,15 @@ impl EndpointTopo {
 
     fn mark(&self, state: SideState) {
         self.declare(|e| e.mark(state));
+    }
+
+    /// Marks the side driven from outside the network, by the calling task
+    /// until another one uses it (the owner `Look::confirms` asks after).
+    fn external(&self) {
+        self.mark(SideState::External);
+        if let Some(shared) = self.chan.upgrade() {
+            shared.state.lock().external_user = crate::exec::task_token();
+        }
     }
 
     fn attach(&self, tag: &ProcessTag) {
@@ -514,6 +528,9 @@ impl Sink for LocalSink {
                 return Err(Error::WriteClosed);
             }
             let n = st.buf.push(buf);
+            if st.writer.state == SideState::External {
+                st.external_user = crate::exec::task_token();
+            }
             if let Some((rec, slot)) = &sh.recorder {
                 rec.record(*slot, &buf[..n]);
             }
@@ -601,11 +618,10 @@ impl Source for LocalSource {
             }
             if !st.buf.is_empty() {
                 let n = st.buf.pop(out);
-                let wake = st.write_waiters > 0;
-                drop(st);
-                if wake {
-                    sh.wake_writers();
+                if st.reader.state == SideState::External {
+                    st.external_user = crate::exec::task_token();
                 }
+                sh.made_room(st);
                 return Ok(SourceRead::Data(n));
             }
             if st.write_closed {
@@ -1020,10 +1036,12 @@ impl ChannelWriter {
 
     /// Declares that this endpoint is intentionally driven from outside the
     /// network (e.g. a main thread feeding the graph), exempting it from the
-    /// L001 dangling-endpoint lint.
+    /// L001 dangling-endpoint lint. The deadlock monitor then counts the
+    /// process reading this channel as blocked only while the thread that
+    /// declared or last wrote this endpoint is blocked too.
     pub fn declare_external(&self) {
         if let Some(t) = &self.topo {
-            t.mark(SideState::External);
+            t.external();
         }
     }
 
@@ -1220,10 +1238,12 @@ impl ChannelReader {
 
     /// Declares that this endpoint is intentionally driven from outside the
     /// network (e.g. a main thread draining results), exempting it from the
-    /// L001 dangling-endpoint lint.
+    /// L001 dangling-endpoint lint. The deadlock monitor then counts the
+    /// process writing this channel as blocked only while the thread that
+    /// declared or last read this endpoint is blocked too.
     pub fn declare_external(&self) {
         if let Some(t) = &self.topo {
-            t.mark(SideState::External);
+            t.external();
         }
     }
 

@@ -457,6 +457,10 @@ pub(crate) struct TaskLocals {
     /// of `sinks` is current while this has not moved. Written only by the
     /// task itself.
     pub(crate) registered: AtomicU64,
+    /// The deadlock monitor of the network this task is a process of, set
+    /// by the network as the task starts: what a remote endpoint registers
+    /// its waits with ([`current_monitor`]). Unset on foreign threads.
+    pub(crate) monitor: OnceLock<Arc<crate::Monitor>>,
 }
 
 impl TaskLocals {
@@ -468,6 +472,7 @@ impl TaskLocals {
             exec,
             sinks: Mutex::new(Arc::new(Vec::new())),
             registered: AtomicU64::new(0),
+            monitor: OnceLock::new(),
         })
     }
 }
@@ -536,6 +541,14 @@ pub fn current_exec() -> Option<Arc<dyn Exec>> {
     with_current(|l| l.exec.clone()).upgrade()
 }
 
+/// The deadlock monitor of the network the calling task is a process of;
+/// `None` on a thread that is no network's process. A transport the monitor
+/// cannot look into registers its waits with it
+/// ([`crate::Monitor::external_block`]).
+pub fn current_monitor() -> Option<Arc<crate::Monitor>> {
+    with_current(|l| l.monitor.get().cloned())
+}
+
 // ---------------------------------------------------------------------------
 // NetBackend: how remote-channel waits block
 // ---------------------------------------------------------------------------
@@ -547,7 +560,7 @@ pub fn current_exec() -> Option<Arc<dyn Exec>> {
 /// [`reactor::Reactor`]; an OS thread — thread executor, sim, foreign
 /// threads — blocks in one plain syscall). Per-channel FIFO histories —
 /// the thing Kahn determinacy lives in — are identical either way
-/// (DESIGN.md §5j).
+/// (DESIGN.md §4e).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetBackend {
     /// The waiting OS thread blocks in the kernel (the paper's shape).

@@ -10,7 +10,7 @@
 //! waits made from plain OS threads never come here, they block).
 //! Determinacy is untouched — a reactor wakeup is just an `unpark_all` on
 //! the waiter's key, indistinguishable from any other wake site
-//! (DESIGN.md §5j).
+//! (DESIGN.md §4e).
 //!
 //! The reactor never blocks and owns no thread. Workers drain it from the
 //! scheduler loop (the pre-sleep path and the fair tick), with the same
@@ -318,9 +318,11 @@ mod imp {
 
     /// Blocking readiness wait on one fd, for OS threads operating on an
     /// fd a fiber already switched to non-blocking (the sink watchdog, a
-    /// linger thread). `poll(2)`, so no
-    /// registration state; returns `Ok(true)` when ready, `Ok(false)` on
-    /// timeout or `EINTR` (callers loop on a deadline).
+    /// linger thread) — and, with a zero timeout, the check a process on a
+    /// blocking fd makes before an operation, to learn whether it is about
+    /// to wait. `poll(2)`, so no registration state; returns `Ok(true)`
+    /// when ready, `Ok(false)` on timeout or `EINTR` (callers loop on a
+    /// deadline).
     pub fn poll_fd(fd: i32, interest: Interest, timeout: Option<Duration>) -> io::Result<bool> {
         let mut pfd = sys::PollFd {
             fd,

@@ -88,7 +88,7 @@ pub use exec::{
     Exec, ExecMode, NetBackend, PooledExec, SchedulerStats, ThreadExec, WorkerStats,
 };
 pub use monitor::{
-    BlockKind, ChannelIoStats, DeadlockPolicy, ExternalBlockGuard, Monitor, MonitorSnapshot,
+    BlockGuard, BlockKind, ChannelIoStats, DeadlockPolicy, Monitor, MonitorSnapshot,
     MonitorStats, MonitorTiming,
 };
 pub use sim::{

@@ -22,15 +22,17 @@
 //! topology snapshot, abort and verification all read it); one **look** per
 //! channel (`MonitoredChannel::look`, every field under one acquisition of
 //! the channel's lock); one **verdict** (`verdict`, a pure function of the
-//! blocked set and the looks), evaluated before the settling delay and
-//! again after it, and acted on only if both evaluations agree and nothing
-//! registered or left in between.
+//! blocked set and the looks). Every input is logical state, never time: a
+//! registration counts only while its task is parked and not yet woken (the
+//! channel's own waiting flag for that side, in the look), and a verdict is
+//! acted on only if a second evaluation, straight after the first, reaches
+//! it at the same generation with every channel's progress unchanged.
 //!
 //! Detection is event-driven: the last task to block evaluates, and a
 //! process that exits does. Parked tasks re-evaluate on a periodic tick as
-//! the fallback — and as the only path when the last to "block" registered
-//! an external operation ([`Monitor::external_block`]): it may not wait at
-//! all, so it never settles on its own behalf.
+//! the fallback — and as the only path when the last to block is a remote
+//! wait ([`Monitor::external_block`]), which completes a picture but leaves
+//! deciding it to the task parked on the local channel it could make grow.
 //!
 //! Lock order: the monitor's state lock before a channel's, never the
 //! reverse. A strong channel handle upgraded from the table is never
@@ -38,7 +40,7 @@
 //! the channel's drop re-enters the monitor to leave the table.
 
 use crate::error::{Error, Result};
-use crate::topology::EndpointShape;
+use crate::topology::{EndpointShape, SideState};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Weak};
@@ -47,53 +49,33 @@ use std::time::Duration;
 /// Default for [`MonitorTiming::tick`].
 pub(crate) const MONITOR_TICK: Duration = Duration::from_millis(20);
 
-/// Default for [`MonitorTiming::settle`].
-const SETTLE: Duration = Duration::from_millis(2);
-
-/// The monitor's two timing knobs, injectable per network via
-/// [`crate::NetworkConfig::monitor_timing`]. The defaults favour low
-/// steady-state overhead; tests that provoke many deadlocks can shrink
-/// them ([`MonitorTiming::fast`]), and the deterministic simulator runs
-/// with both at zero ([`MonitorTiming::zero`]) because under a serial
-/// scheduler there are no settling races to reject.
+/// The monitor's one timing knob, injectable per network via
+/// [`crate::NetworkConfig::monitor_timing`]: how often a parked task
+/// re-runs detection. It sets how soon a picture nobody else evaluates is
+/// acted on, never what is decided. The default favours low steady-state
+/// overhead; tests that provoke many deadlocks shrink it
+/// ([`MonitorTiming::fast`]). Executors that tick from an idle hook (pooled
+/// fibers, the simulator) ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorTiming {
     /// How long a blocked channel operation waits before re-running
-    /// detection (the belt-and-braces fallback behind the event-driven
-    /// path).
+    /// detection (the fallback behind the event-driven path).
     pub tick: Duration,
-    /// Settling delay used to confirm that an apparent all-blocked state
-    /// is stable before acting on it.
-    pub settle: Duration,
 }
 
 impl Default for MonitorTiming {
     fn default() -> Self {
-        MonitorTiming {
-            tick: MONITOR_TICK,
-            settle: SETTLE,
-        }
+        MonitorTiming { tick: MONITOR_TICK }
     }
 }
 
 impl MonitorTiming {
     /// Aggressive timing for tests that provoke deadlocks on purpose:
-    /// detection latency drops from tens of milliseconds to hundreds of
-    /// microseconds at the cost of more frequent wakeups while blocked.
+    /// detection latency drops from tens of milliseconds to about one, at
+    /// the cost of more frequent wakeups while blocked.
     pub fn fast() -> Self {
         MonitorTiming {
             tick: Duration::from_millis(1),
-            settle: Duration::from_micros(200),
-        }
-    }
-
-    /// No waiting at all. Only sound when channel operations are
-    /// serialized (the sim scheduler), where an all-blocked observation
-    /// cannot be a transient race.
-    pub fn zero() -> Self {
-        MonitorTiming {
-            tick: Duration::ZERO,
-            settle: Duration::ZERO,
         }
     }
 }
@@ -163,32 +145,50 @@ pub(crate) struct Look {
     /// The I/O counters and the current capacity. `bytes_written` is the
     /// channel's progress counter.
     pub(crate) stats: ChannelIoStats,
-    /// Bytes currently buffered.
+    /// Bytes currently buffered; at `stats.capacity` writers must block.
     pub(crate) buffered: usize,
-    /// The buffer is at capacity (writers must block).
-    pub(crate) full: bool,
     /// The write end has been closed: the reader is about to see EOF.
     pub(crate) write_closed: bool,
     /// The read end has been closed: the writer is about to fail.
     pub(crate) read_closed: bool,
+    /// The reader has committed to wait on the empty buffer and nothing
+    /// has woken it since: set under the channel's lock before it parks,
+    /// cleared by the write that wakes it.
+    pub(crate) reader_waiting: bool,
+    /// The same for the writer, on a full buffer: cleared by the read or
+    /// the growth that wakes it.
+    pub(crate) writer_waiting: bool,
     /// Lint metadata of the write side.
     pub(crate) writer: EndpointShape,
     /// Lint metadata of the read side.
     pub(crate) reader: EndpointShape,
+    /// The task that declared, or last used, a side declared
+    /// [`SideState::External`] (0 while neither is).
+    pub(crate) external_user: u64,
 }
 
 impl Look {
-    /// Whether a task registered as blocked on this channel can really be
-    /// waiting: a reader needs it empty with its writer open, a writer
-    /// needs it full with its reader open. A registration the look does not
-    /// confirm belongs to a task that is about to run — it registered and
-    /// has not re-checked its channel yet, or its wake (data, space, the
-    /// EOF or `WriteClosed` of a termination cascade) is in flight.
-    fn confirms(&self, kind: BlockKind) -> bool {
-        match kind {
-            BlockKind::Read => self.buffered == 0 && !self.write_closed,
-            BlockKind::Write => self.full && !self.read_closed,
-        }
+    /// Whether a task registered as blocked on this channel is waiting on
+    /// it: a reader needs it empty with its writer open, a writer needs it
+    /// full with its reader open, and either must be parked and not woken
+    /// since — a task that was woken and has not run yet is not blocked,
+    /// whatever the buffer says. When the other side is driven from outside
+    /// the network (`External`), its owner is not a process the monitor
+    /// counts, so the wait is only confirmed while that owner is itself
+    /// `registered` as blocked; between its calls it is about to make the
+    /// move this task waits for.
+    fn confirms(&self, kind: BlockKind, registered: impl Fn(u64) -> bool) -> bool {
+        let (waits, peer) = match kind {
+            BlockKind::Read => (
+                self.reader_waiting && self.buffered == 0 && !self.write_closed,
+                &self.writer,
+            ),
+            BlockKind::Write => (
+                self.writer_waiting && self.buffered == self.stats.capacity && !self.read_closed,
+                &self.reader,
+            ),
+        };
+        waits && (peer.state != SideState::External || registered(self.external_user))
     }
 }
 
@@ -274,14 +274,14 @@ impl MonitorSnapshot {
 }
 
 /// Sentinel channel id for blocks on channels the monitor cannot inspect
-/// (remote transports). Such a block counts toward the all-blocked
-/// condition, and there is no look to confirm or refute it. It may
-/// therefore *permit growth* — a full local channel behind a socket is
-/// grown whether or not the remote wait is real, which costs memory at
-/// worst — and never *permits abort*: with an external block in the picture
-/// no verdict is a true deadlock, capped growth included, since data may be
-/// in flight on the network (§6.2 leaves resolution to a distributed
-/// protocol).
+/// (remote transports). Such a block is registered only where the transport
+/// actually waits, counts toward the all-blocked condition, and has no look
+/// to confirm or refute it: it counts once a second detection tick finds it
+/// still there. It may then *permit growth* — a full local channel behind a
+/// socket is grown — and never *permits abort*: with an external block in
+/// the picture no verdict is a true deadlock, capped growth included, since
+/// data may be in flight on the network (§6.2 leaves resolution to a
+/// distributed protocol).
 pub const EXTERNAL_CHANNEL: u64 = 0;
 
 #[derive(Debug, Clone, Copy)]
@@ -289,16 +289,20 @@ struct BlockInfo {
     kind: BlockKind,
     chan: u64,
     is_process: bool,
+    /// A detection tick has seen this registration. An external one counts
+    /// only from the next tick on (see [`Monitor::tick`]).
+    ticked: bool,
 }
 
 #[derive(Default)]
 struct MonState {
     /// Live process threads in the network (running or blocked).
     live: usize,
-    /// All threads currently blocked on a monitored channel, keyed by a
-    /// per-thread token. Includes non-process threads (e.g. a test's main
-    /// thread draining the output), which participate in deadlock but not
-    /// in the live count.
+    /// All tasks currently blocked on a monitored channel, keyed by task
+    /// token — not OS thread: a pooled worker runs many tasks, and a task
+    /// may migrate between workers between its enter/exit pair. Includes
+    /// foreign threads (e.g. a test's main thread draining the output),
+    /// which participate in deadlock but not in the live count.
     blocked: HashMap<u64, BlockInfo>,
     /// Number of blocked entries with `is_process == true`.
     blocked_processes: usize,
@@ -365,15 +369,19 @@ fn verdict(
     if policy == DeadlockPolicy::Ignore || !st.all_blocked() {
         return Verdict::Nothing;
     }
+    let registered = |token| st.blocked.contains_key(&token);
     let mut external = false;
     let mut smallest: Option<(usize, u64)> = None;
     for b in st.blocked.values() {
         if b.chan == EXTERNAL_CHANNEL {
+            if !b.ticked {
+                return Verdict::Nothing;
+            }
             external = true;
             continue;
         }
         match look(b.chan) {
-            Some(look) if look.confirms(b.kind) => {
+            Some(look) if look.confirms(b.kind, registered) => {
                 if b.kind == BlockKind::Write {
                     let this = (look.stats.capacity, b.chan);
                     smallest = Some(smallest.map_or(this, |s| s.min(this)));
@@ -390,6 +398,38 @@ fn verdict(
         }
         _ if external => Verdict::Nothing,
         _ => Verdict::TrueDeadlock,
+    }
+}
+
+/// One evaluation: the verdict, the generation it was reached at, and the
+/// progress (counters, occupancy) of every channel it looked at, in the
+/// order it looked. Two are equal when nothing registered, left or moved a
+/// byte between them.
+#[derive(Debug, PartialEq)]
+struct Picture {
+    verdict: Verdict,
+    generation: u64,
+    progress: Vec<(u64, ChannelIoStats, usize)>,
+}
+
+impl Picture {
+    /// [`verdict`] over `st`, recording what each look saw.
+    fn of(
+        st: &MonState,
+        policy: DeadlockPolicy,
+        mut look: impl FnMut(u64) -> Option<Look>,
+    ) -> Self {
+        let mut progress = Vec::new();
+        let verdict = verdict(st, policy, |chan| {
+            let l = look(chan)?;
+            progress.push((chan, l.stats.clone(), l.buffered));
+            Some(l)
+        });
+        Picture {
+            verdict,
+            generation: st.generation,
+            progress,
+        }
     }
 }
 
@@ -419,32 +459,13 @@ pub struct Monitor {
 /// snapshot from the owning network's executor.
 type SchedulerSource = Box<dyn Fn() -> Option<crate::exec::SchedulerStats> + Send + Sync>;
 
-/// The monitor keys its blocked-set by *task*, not OS thread: under the
-/// pooled executor one worker thread runs many tasks (and a task may
-/// migrate between workers between its enter/exit pair), so identity comes
-/// from the executor's task-locals.
-fn thread_token() -> u64 {
-    crate::exec::task_token()
-}
-
-/// True when the caller is a network process task (any executor); foreign
-/// threads touching channels from outside register as external blocks.
-fn is_process_thread() -> bool {
-    crate::exec::is_process_task()
-}
-
 impl Monitor {
     /// Creates a monitor with the given policy and default timing.
     pub fn new(policy: DeadlockPolicy) -> Arc<Self> {
-        Self::with_timing(policy, MonitorTiming::default())
+        Self::build(policy, MonitorTiming::default(), false)
     }
 
-    /// Creates a monitor with explicit timing knobs.
-    pub fn with_timing(policy: DeadlockPolicy, timing: MonitorTiming) -> Arc<Self> {
-        Self::build(policy, timing, false)
-    }
-
-    /// [`Monitor::with_timing`] plus the stderr trace switch the network
+    /// A monitor with the policy, timing and stderr trace switch a network
     /// carries in from its configuration.
     pub(crate) fn build(policy: DeadlockPolicy, timing: MonitorTiming, debug: bool) -> Arc<Self> {
         Arc::new(Monitor {
@@ -470,7 +491,7 @@ impl Monitor {
         self.scheduler_source.lock().as_ref().and_then(|f| f())
     }
 
-    /// The timing knobs this monitor runs with.
+    /// The timing this monitor runs with.
     pub fn timing(&self) -> MonitorTiming {
         self.timing
     }
@@ -566,25 +587,27 @@ impl Monitor {
         snap
     }
 
-    /// Registers the current thread as blocked on a channel the monitor
+    /// Registers the current task as blocked on a channel the monitor
     /// cannot inspect (a remote transport). The block participates in
     /// all-blocked detection and snapshots, but never satisfies the
     /// true-deadlock verification — remote data may be in flight, so only
-    /// a distributed protocol may abort (§6.2). Callers register around
-    /// every remote operation, whether or not it turns out to wait, so the
-    /// registration itself never starts a settle: an all-blocked picture it
-    /// completes is picked up by the detection tick of a task parked on a
-    /// local channel, if it lasts that long (see `enter_block`).
+    /// a distributed protocol may abort (§6.2). Register only around the
+    /// wait itself: `kpn-net`'s transports do so where a socket has said it
+    /// is not ready, with the monitor the network hands each of its tasks
+    /// ([`crate::exec::current_monitor`]). The registration does not
+    /// evaluate the picture it completes: that is left to the detection
+    /// ticks of a task parked on a local channel, the only thing an external
+    /// block can make growable, and the registration counts only from the
+    /// second tick that finds it (see `enter_block` and `tick`).
     ///
     /// The task's buffered output is published first
     /// ([`crate::flush::flush_before_block`]): whoever registers is about to
     /// wait, and the publish can itself block on a full local channel, which
     /// must not happen while this registration is held (a task registers as
     /// blocked once).
-    pub fn external_block(&self, kind: BlockKind) -> Result<ExternalBlockGuard<'_>> {
+    pub fn external_block(self: &Arc<Self>, kind: BlockKind) -> Result<BlockGuard> {
         crate::flush::flush_before_block();
-        self.enter_block(kind, EXTERNAL_CHANNEL)?;
-        Ok(ExternalBlockGuard { monitor: self })
+        BlockGuard::enter(self, kind, EXTERNAL_CHANNEL)
     }
 
     /// True once a true deadlock was declared or the network was aborted.
@@ -620,7 +643,7 @@ impl Monitor {
         st.generation += 1;
         // The departing process may have been the only runnable one; the
         // remainder might now be fully blocked.
-        self.resolve_if_all_blocked(st);
+        self.resolve(st);
     }
 
     /// Registers the current thread as blocked and runs deadlock detection.
@@ -631,8 +654,8 @@ impl Monitor {
     /// which the monitor would eventually read as a deadlock with a
     /// process still running.
     pub(crate) fn enter_block(&self, kind: BlockKind, chan: u64) -> Result<()> {
-        let token = thread_token();
-        let is_process = is_process_thread();
+        let token = crate::exec::task_token();
+        let is_process = crate::exec::is_process_task();
         let mut st = self.state.lock();
         if st.aborted {
             return Err(Error::Deadlocked);
@@ -651,6 +674,7 @@ impl Monitor {
                 kind,
                 chan,
                 is_process,
+                ticked: false,
             },
         );
         if is_process {
@@ -661,33 +685,35 @@ impl Monitor {
             let gen = st.generation;
             format!("enter token={token} chan={chan} kind={kind:?} gen={gen}")
         });
-        // An external registrant does not act on the picture it completes.
-        // It has not started the operation it registered for, the monitor
-        // cannot check whether that operation will wait at all, and a
-        // settle slept on this thread would keep it from finding out: with
-        // everyone else parked nothing moves the generation, the settle
-        // confirms itself, and a local channel is doubled for a task that
-        // was never stuck — again at its next operation, until the channel
-        // holds its producer's whole output. If the operation does wait,
-        // the detection tick of the task parked on the full local channel —
-        // the only thing an external block can make growable — finds the
-        // same picture with this task's registration unchanged.
+        // An external registrant does not act on the picture it completes:
+        // a socket that is not ready this instant may be ready the next,
+        // and no look can tell. If the wait lasts, the detection tick of the
+        // task parked on the full local channel — the only thing an
+        // external block can make growable — finds the same picture with
+        // this task's registration unchanged.
         if chan != EXTERNAL_CHANNEL {
-            self.resolve_if_all_blocked(st);
+            self.resolve(st);
         }
         Ok(())
     }
 
     /// Re-runs detection from a thread that has been blocked for a while
     /// (periodic fallback; the thread stays registered, so this does not
-    /// bump the generation and cannot destabilize a concurrent settle).
+    /// bump the generation and cannot unsettle a concurrent evaluation).
+    /// Then marks every registration as seen by a tick: an external one
+    /// counts from the next tick on, so a socket that was not ready at one
+    /// instant is only taken for a wait once it has stayed so for a
+    /// fallback period — a count of ticks, not a sleep.
     pub(crate) fn tick(&self) {
-        self.resolve_if_all_blocked(self.state.lock());
+        self.resolve(self.state.lock());
+        for b in self.state.lock().blocked.values_mut() {
+            b.ticked = true;
+        }
     }
 
     /// Unregisters the current thread.
     pub(crate) fn exit_block(&self) {
-        let token = thread_token();
+        let token = crate::exec::task_token();
         let mut st = self.state.lock();
         if let Some(info) = st.blocked.remove(&token) {
             if info.is_process {
@@ -728,70 +754,60 @@ impl Monitor {
         self.run_abort_hooks();
     }
 
-    /// Runs the procedure from this thread if `st` shows every live process
-    /// blocked.
-    fn resolve_if_all_blocked(&self, st: parking_lot::MutexGuard<'_, MonState>) {
-        let (all_blocked, gen) = (st.all_blocked(), st.generation);
-        drop(st);
-        if all_blocked {
-            self.settle_and_resolve(gen);
-        }
-    }
-
-    /// One evaluation: under the state lock, decide from a look at the
-    /// channels the blocked set names. Returns the verdict, the generation
-    /// it holds at, and the handles the looks were taken through — out of
-    /// the lock, like every [`Held`].
-    fn evaluate(&self) -> (Verdict, u64, Held) {
-        let st = self.state.lock();
+    /// One evaluation: under the state lock `st`, decide from a look at the
+    /// channels the blocked set names. Returns the picture and the handles
+    /// the looks were taken through — out of the lock, like every [`Held`].
+    fn evaluate(&self, st: parking_lot::MutexGuard<'_, MonState>) -> (Picture, Held) {
         let mut held = Held::new();
-        let verdict = verdict(&st, self.policy, |chan| {
+        let picture = Picture::of(&st, self.policy, |chan| {
             let ch = st.channels.get(&chan)?.upgrade()?;
             let look = ch.look();
             held.push((chan, ch));
             Some(look)
         });
-        if verdict != Verdict::Nothing {
+        if picture.verdict != Verdict::Nothing {
             self.trace(|| {
-                // A second look, for the trace only.
-                let looks: Vec<_> = held
-                    .iter()
-                    .map(|(id, ch)| {
-                        let l = ch.look();
-                        (id, l.buffered, l.stats.capacity, l.read_closed, l.write_closed)
-                    })
-                    .collect();
                 format!(
-                    "verdict {verdict:?} live={} gen={} blocked={:?} looks(id,buf,cap,rc,wc)={looks:?}",
-                    st.live, st.generation, st.blocked
+                    "verdict {:?} live={} gen={} blocked={:?} progress={:?}",
+                    picture.verdict, st.live, st.generation, st.blocked, picture.progress
                 )
             });
         }
-        (verdict, st.generation, held)
+        (picture, held)
     }
 
-    /// Evaluates, lets the picture settle, evaluates again, and acts if
-    /// the two verdicts agree at the generation of the detection. Called
-    /// without any locks held.
-    fn settle_and_resolve(&self, gen_at_detect: u64) {
-        // A picture that allows no action is not worth the settle: the
-        // sleep would otherwise be added to every local block, detection
-        // tick and process exit in a small partition whose other tasks are
-        // at their sockets.
-        let (before, ..) = self.evaluate();
-        if before == Verdict::Nothing {
+    /// Evaluates twice, back to back — first under `st`, the state lock the
+    /// caller holds and no other lock — and acts only if the two pictures
+    /// are equal. The looks of one evaluation are taken one channel at a
+    /// time; a second set identical to the first shows that nothing moved
+    /// while either was taken, so together they are one consistent picture.
+    fn resolve(&self, st: parking_lot::MutexGuard<'_, MonState>) {
+        // Checked before any evaluation, which would otherwise put its
+        // frames on every blocking task's stack: a pooled fiber keeps each
+        // stack page it has touched.
+        if !st.all_blocked() {
             return;
         }
-        if !self.timing.settle.is_zero() {
-            std::thread::sleep(self.timing.settle);
-        }
-        let (after, gen, held) = self.evaluate();
-        if after != before || gen != gen_at_detect {
+        // A picture that allows no action is not worth the second look.
+        let (first, _) = self.evaluate(st);
+        if first.verdict == Verdict::Nothing {
             return;
         }
-        match (after, self.policy) {
-            (Verdict::TrueDeadlock, _) => self.abort_at(Some(gen)),
+        let (then, held) = self.evaluate(self.state.lock());
+        if then != first {
+            return;
+        }
+        match (then.verdict, self.policy) {
+            (Verdict::TrueDeadlock, _) => self.abort_at(Some(then.generation)),
             (Verdict::Grow(id), DeadlockPolicy::Grow { max_capacity }) => {
+                // Like an abort, carried out only if nothing has registered
+                // or left since, and under the state lock (it comes before a
+                // channel's), so that two evaluators cannot both grow on one
+                // picture and the log keeps the order growths happened in.
+                let mut st = self.state.lock();
+                if st.generation != then.generation {
+                    return;
+                }
                 let grown = held
                     .iter()
                     .find(|(held_id, _)| *held_id == id)
@@ -799,7 +815,6 @@ impl Monitor {
                 // `None`: the channel drained between the look and the
                 // action. If everyone is still blocked a later tick retries.
                 if let Some((old, new)) = grown {
-                    let mut st = self.state.lock();
                     st.stats.growths += 1;
                     st.stats.capacity_grows += 1;
                     st.stats.growth_log.push((id, old, new));
@@ -824,31 +839,23 @@ impl std::fmt::Debug for Monitor {
     }
 }
 
-/// RAII guard for an external (remote-transport) block; see
-/// [`Monitor::external_block`].
-pub struct ExternalBlockGuard<'m> {
-    monitor: &'m Monitor,
+/// A task's registration as blocked — on a local channel, or on a remote
+/// transport ([`Monitor::external_block`]). Dropping it unregisters the
+/// task.
+pub struct BlockGuard {
+    monitor: Arc<Monitor>,
 }
 
-impl Drop for ExternalBlockGuard<'_> {
-    fn drop(&mut self) {
-        self.monitor.exit_block();
-    }
-}
-
-/// RAII guard pairing [`Monitor::enter_block`]/[`Monitor::exit_block`].
-pub(crate) struct BlockGuard<'m> {
-    monitor: &'m Monitor,
-}
-
-impl<'m> BlockGuard<'m> {
-    pub(crate) fn enter(monitor: &'m Monitor, kind: BlockKind, chan: u64) -> Result<Self> {
+impl BlockGuard {
+    pub(crate) fn enter(monitor: &Arc<Monitor>, kind: BlockKind, chan: u64) -> Result<Self> {
         monitor.enter_block(kind, chan)?;
-        Ok(BlockGuard { monitor })
+        Ok(BlockGuard {
+            monitor: monitor.clone(),
+        })
     }
 }
 
-impl Drop for BlockGuard<'_> {
+impl Drop for BlockGuard {
     fn drop(&mut self) {
         self.monitor.exit_block();
     }
@@ -874,25 +881,29 @@ mod tests {
         }
     }
 
-    /// A look at an open channel with nothing declared about its sides.
-    fn look(capacity: usize, buffered: usize, full: bool) -> Look {
+    /// A look at an open channel with nothing declared about its sides,
+    /// whose registered tasks (if any) are parked and not woken.
+    fn look(capacity: usize, buffered: usize) -> Look {
         Look {
             stats: ChannelIoStats {
                 capacity,
                 ..Default::default()
             },
             buffered,
-            full,
             write_closed: false,
             read_closed: false,
+            reader_waiting: true,
+            writer_waiting: true,
             writer: EndpointShape::open(),
             reader: EndpointShape::open(),
+            external_user: 0,
         }
     }
 
     impl MonitoredChannel for FakeChan {
         fn look(&self) -> Look {
-            look(*self.cap.lock(), 0, *self.full.lock())
+            let cap = *self.cap.lock();
+            look(cap, if *self.full.lock() { cap } else { 0 })
         }
         fn grow_if_full(&self, max: Option<usize>) -> Option<(usize, usize)> {
             let mut cap = self.cap.lock();
@@ -958,8 +969,6 @@ mod tests {
             .join()
             .unwrap();
         }
-        // Let the settling delay of the final detection elapse.
-        std::thread::sleep(Duration::from_millis(20));
     }
 
     #[test]
@@ -1024,22 +1033,25 @@ mod tests {
         let c = FakeChan::new(8, true);
         m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
         block_all(&m, &[(EXTERNAL_CHANNEL, BlockKind::Read), (7, BlockKind::Write)]);
+        m.tick();
+        m.tick();
         assert!(!m.is_aborted());
         assert_eq!(m.stats().growths, 1);
     }
 
     #[test]
     fn external_registrant_leaves_detection_to_the_parked_writers_tick() {
-        // The external registrant completes the all-blocked picture but has
-        // not started its operation: a settle slept on its thread would
-        // confirm itself and grow the channel behind a task that was never
-        // stuck. The writer parked on the full channel re-runs detection
-        // from its park timeout, and finds the picture if it is still there.
+        // The external registrant completes the all-blocked picture, but its
+        // socket may be ready an instant later and no look can tell. The
+        // writer parked on the full channel re-runs detection from its park
+        // timeout, and acts once a second tick finds the same registration.
         let m = Monitor::new(DeadlockPolicy::default());
         let c = FakeChan::new(8, true);
         m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
         block_all(&m, &[(7, BlockKind::Write), (EXTERNAL_CHANNEL, BlockKind::Write)]);
-        assert_eq!(m.stats().growths, 0, "the registrant must not settle for itself");
+        assert_eq!(m.stats().growths, 0, "the registrant must not decide for itself");
+        m.tick();
+        assert_eq!(m.stats().growths, 0, "one tick has seen the wait for an instant");
         m.tick();
         assert!(!m.is_aborted());
         assert_eq!(m.stats().growths, 1, "a picture that lasts is still resolved");
@@ -1070,6 +1082,7 @@ mod tests {
         let c = FakeChan::new(8, true);
         m.register_channel(1, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
         block_all(&m, &[(EXTERNAL_CHANNEL, BlockKind::Read), (1, BlockKind::Write)]);
+        m.tick();
         m.tick();
         assert!(!m.is_aborted());
         assert!(!*c.poisoned.lock());
@@ -1104,14 +1117,17 @@ mod tests {
         use BlockKind::{Read, Write};
         use Verdict::{Grow, Nothing, TrueDeadlock};
         const EXT: u64 = EXTERNAL_CHANNEL;
+        // An external registration no tick has seen yet; one at `EXT` has
+        // been seen by one.
+        const EXT_FRESH: u64 = u64::MAX;
         let grow = DeadlockPolicy::default();
         let capped = |max| DeadlockPolicy::Grow {
             max_capacity: Some(max),
         };
         let abort = DeadlockPolicy::Abort;
-        let empty = |cap| look(cap, 0, false);
-        let full = |cap| look(cap, cap, true);
-        let some = |cap| look(cap, 1, false);
+        let empty = |cap| look(cap, 0);
+        let full = |cap| look(cap, cap);
+        let some = |cap| look(cap, 1);
         let eof = |cap| Look {
             write_closed: true,
             ..empty(cap)
@@ -1120,8 +1136,42 @@ mod tests {
             read_closed: true,
             ..full(cap)
         };
+        // Woken, and not run yet: the buffer still says "wait".
+        let woken_reader = |cap| Look {
+            reader_waiting: false,
+            ..empty(cap)
+        };
+        let woken_writer = |cap| Look {
+            writer_waiting: false,
+            ..full(cap)
+        };
+        // Written or drained from outside the network, by the task with
+        // this token (blocked entries are tokens 0, 1, … in order).
+        let external = || EndpointShape {
+            state: SideState::External,
+            ..EndpointShape::open()
+        };
+        let fed = |cap, user| Look {
+            writer: external(),
+            external_user: user,
+            ..empty(cap)
+        };
+        let drained = |cap, user| Look {
+            reader: external(),
+            external_user: user,
+            ..full(cap)
+        };
+        // The same look after a byte went through.
+        let moved = |l: Look| Look {
+            stats: ChannelIoStats {
+                bytes_written: l.stats.bytes_written + 1,
+                ..l.stats.clone()
+            },
+            ..l
+        };
         // (policy, live processes, blocked (channel, kind, is a process),
-        //  looks by channel id, expected)
+        //  looks by channel id, expected). A channel listed twice looks the
+        //  second way to the second of the two back-to-back evaluations.
         type Case = (
             DeadlockPolicy,
             usize,
@@ -1162,6 +1212,9 @@ mod tests {
             // A channel that has left the table confirms nothing.
             (grow, 1, vec![(1, Read, true)], vec![], Nothing),
             (abort, 1, vec![(1, Write, true)], vec![], Nothing),
+            // An external block counts from the second tick that finds it.
+            (grow, 2, vec![(EXT_FRESH, Read, true), (7, Write, true)], vec![(7, full(8))], Nothing),
+            (grow, 2, vec![(7, Write, true), (EXT_FRESH, Write, true)], vec![(7, full(8))], Nothing),
             // External blocks alone: not the local monitor's to resolve.
             (grow, 2, vec![(EXT, Read, true), (EXT, Write, true)], vec![], Nothing),
             (abort, 1, vec![(EXT, Read, true)], vec![], Nothing),
@@ -1173,6 +1226,19 @@ mod tests {
             (grow, 0, vec![(1, Read, false)], vec![(1, empty(8))], Nothing),
             // Somebody is still running.
             (grow, 2, vec![(1, Write, true)], vec![(1, full(8))], Nothing),
+            // Registered, then woken: about to run, whatever the buffer says.
+            (grow, 1, vec![(1, Read, true)], vec![(1, woken_reader(8))], Nothing),
+            (grow, 1, vec![(1, Write, true)], vec![(1, woken_writer(8))], Nothing),
+            (grow, 2, vec![(1, Write, true), (2, Write, true)], vec![(1, woken_writer(8)), (2, full(64))], Nothing),
+            // The far side is driven from outside: its owner must be blocked
+            // too, or it is about to make the move this wait is for.
+            (grow, 1, vec![(1, Read, true)], vec![(1, fed(8, 5))], Nothing),
+            (grow, 1, vec![(1, Read, true), (2, Read, false)], vec![(1, fed(8, 1)), (2, empty(8))], TrueDeadlock),
+            (grow, 1, vec![(1, Write, true)], vec![(1, drained(8, 5))], Nothing),
+            (grow, 1, vec![(1, Write, true), (2, Read, false)], vec![(1, drained(8, 1)), (2, empty(8))], Grow(1)),
+            // Progress between the two evaluations: no action.
+            (grow, 2, vec![(1, Write, true), (2, Write, true)], vec![(1, full(8)), (2, full(64)), (2, moved(full(64)))], Nothing),
+            (grow, 1, vec![(1, Read, true)], vec![(1, empty(8)), (1, moved(empty(8)))], Nothing),
         ];
         for (n, (policy, live, blocked, looks, expected)) in cases.into_iter().enumerate() {
             let mut st = MonState {
@@ -1181,20 +1247,41 @@ mod tests {
             };
             for (token, (chan, kind, is_process)) in blocked.into_iter().enumerate() {
                 st.blocked_processes += is_process as usize;
+                let (chan, ticked) = match chan {
+                    EXT_FRESH => (EXT, false),
+                    chan => (chan, true),
+                };
                 st.blocked.insert(
                     token as u64,
                     BlockInfo {
                         kind,
                         chan,
                         is_process,
+                        ticked,
                     },
                 );
             }
-            let looks: HashMap<u64, Look> = looks.into_iter().collect();
-            let look = |chan| looks.get(&chan).cloned();
-            assert_eq!(verdict(&st, policy, look), expected, "case {n}");
+            let (mut first, mut then) = (HashMap::new(), HashMap::new());
+            for (chan, look) in looks {
+                first.entry(chan).or_insert_with(|| look.clone());
+                then.insert(chan, look);
+            }
+            // What `resolve` acts on; `registrations` happen between the
+            // two looks.
+            let decide = |st: &MonState, registrations| {
+                let first = Picture::of(st, policy, |chan| first.get(&chan).cloned());
+                let mut then = Picture::of(st, policy, |chan| then.get(&chan).cloned());
+                then.generation += registrations;
+                if then == first {
+                    then.verdict
+                } else {
+                    Nothing
+                }
+            };
+            assert_eq!(decide(&st, 0), expected, "case {n}");
+            assert_eq!(decide(&st, 1), Nothing, "case {n}, registered between");
             st.aborted = true;
-            assert_eq!(verdict(&st, policy, look), Nothing, "case {n}, aborted");
+            assert_eq!(decide(&st, 0), Nothing, "case {n}, aborted");
         }
     }
 
@@ -1211,7 +1298,6 @@ mod tests {
         .unwrap();
         // ...and a foreign (non-process) thread that blocks.
         m.enter_block(BlockKind::Read, 1).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
         assert!(!m.is_aborted());
         m.exit_block();
     }
@@ -1267,7 +1353,6 @@ mod tests {
         })
         .join()
         .unwrap();
-        std::thread::sleep(Duration::from_millis(10));
         assert!(!m.is_aborted());
         assert_eq!(*c.cap.lock(), 8);
     }

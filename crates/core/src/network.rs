@@ -32,8 +32,9 @@ pub struct NetworkConfig {
     pub default_capacity: usize,
     /// What to do when every process is blocked (§3.5).
     pub deadlock_policy: DeadlockPolicy,
-    /// Deadlock-monitor cadence (tick / settle). Tests shrink this to keep
-    /// wall-clock time down; forced to [`MonitorTiming::zero`] under sim.
+    /// Deadlock-monitor cadence: how often a parked task re-runs detection.
+    /// Tests shrink it to keep wall-clock time down. Pooled fibers and sim
+    /// tasks tick from their executor's idle hook instead.
     pub monitor_timing: MonitorTiming,
     /// Which executor runs the processes: one OS thread per process
     /// (paper-faithful default), a fixed worker pool multiplexing many
@@ -278,6 +279,9 @@ impl NetworkHandle {
         inner.exec.spawn(
             &name,
             Box::new(move || {
+                // The task's monitor, which its remote endpoints register
+                // their waits with (`exec::current_monitor`).
+                crate::exec::with_current(|l| l.monitor.set(task_inner.monitor.clone()).is_ok());
                 let ctx = ProcessCtx::new(NetworkHandle {
                     inner: task_inner.clone(),
                 });
@@ -351,16 +355,11 @@ impl Network {
 
     /// A network with an explicit configuration.
     pub fn with_config(config: NetworkConfig) -> Self {
-        // Under sim the monitor needs no settling delay: only one task
-        // executes at a time, so no concurrent activity can race a
-        // deadlock verdict. Its tick also runs from the scheduler's idle
-        // hook rather than timeouts.
-        let timing = if config.mode.is_sim() {
-            MonitorTiming::zero()
-        } else {
-            config.monitor_timing
-        };
-        let monitor = Monitor::build(config.deadlock_policy, timing, config.monitor_debug);
+        let monitor = Monitor::build(
+            config.deadlock_policy,
+            config.monitor_timing,
+            config.monitor_debug,
+        );
         let exec = config.mode.build();
         // Executors with their own quiescence detection (sim's idle hook,
         // the pool's all-workers-idle tick) drive the monitor from there;

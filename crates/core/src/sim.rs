@@ -27,11 +27,11 @@
 //! Every simulated schedule corresponds to a real-thread execution (one in
 //! which the OS happens to run the chosen task until its next channel
 //! operation), and conversely any observable real execution orders channel
-//! operations some way a decision list can express. The monitor runs with
-//! [`crate::monitor::MonitorTiming::zero`] because its settling delay exists
-//! only to reject concurrent-activity races that serial execution cannot
-//! produce; its verdicts (grow smallest full channel / abort) are reached
-//! through the same code path as the real runtime.
+//! operations some way a decision list can express. The monitor, ticked
+//! from the scheduler's idle hook, reaches its verdicts (grow smallest full
+//! channel / abort) through the same code path as the real runtime, from
+//! the same logical state: so a final channel capacity a real executor
+//! ends at is one some simulated schedule ends at too.
 //!
 //! ## Histories and the determinacy oracle
 //!

@@ -163,41 +163,46 @@ fn sim_growth_logs_and_schedules_are_the_pinned_ones() {
     }
 }
 
-/// Final capacities on the thread and pooled executors, per channel: the
-/// smallest and largest seen in 120 runs on a quiet machine at the pinned
-/// commit. Figure 12 stops when `Collect` has its 200 values, and how far
-/// channels 5 and 7–9 (two scaled streams and the merge's inputs) have got
-/// by then is a race: beside other tests channel 7 was seen to stop at its
-/// initial 16, so for those four only the upper end is pinned.
-const HAMMING_FINALS: [(usize, usize); 10] = [
-    (16, 16),
-    (128, 128),
-    (128, 128),
-    (16, 16),
-    (16, 16),
-    (16, 128),
-    (128, 128),
-    (16, 64),
-    (16, 128),
-    (16, 128),
+/// Final capacities on the thread and pooled executors, per channel: every
+/// value the simulator reaches over random-walk seeds 0..2000, where one
+/// task runs at a time and every verdict is exact. A channel with one value
+/// ends there on every schedule. Where a channel has several, which one a
+/// run ends in depends on the schedule, not on the monitor: how many tokens
+/// a writer has published when the artificial deadlock forms decides which
+/// full channel is the smallest, and Figure 12 stops wherever `Collect`
+/// has its 200 values. Figure 12's channel 4 ends at 16 or 32; channel 5 at
+/// 32, 64 or 128; channel 7, a merge input, at 16, 32 or 64; channels 8
+/// and 9, the merge's other input and its output, at 64 or 128. Figure 13's
+/// channel 2 ends at 128 when `ModRouter` waits on its input while its
+/// ninth value to that channel is still in its private chunk: publishing it
+/// before the wait fills the 64 bytes the merge's missing head needs.
+const HAMMING_FINALS: [&[usize]; 10] = [
+    &[16],
+    &[128],
+    &[128],
+    &[16],
+    &[16, 32],
+    &[32, 64, 128],
+    &[128],
+    &[16, 32, 64],
+    &[64, 128],
+    &[64, 128],
 ];
-const FIG13_FINALS: [(usize, usize); 4] = [(8192, 8192), (8192, 8192), (64, 64), (8192, 8192)];
+const FIG13_FINALS: [&[usize]; 4] = [&[8192], &[8192], &[64, 128], &[8192]];
 
 #[test]
-fn final_capacities_on_real_executors_stay_within_the_pinned_ones() {
-    // On these executors a thread that is descheduled for a whole settle is
-    // still read as blocked (ROADMAP item 2), which doubles one channel once
-    // more than the graph needs: 12 of 150 runs beside other tests at the
-    // pinned commit, never twice on one channel. So each channel must reach
-    // its pinned minimum and may exceed its pinned maximum by one doubling.
+fn final_capacities_on_real_executors_are_the_pinned_ones() {
+    // The monitor counts a registered task only while it is parked and not
+    // woken, and acts only on two agreeing back-to-back looks, so a real
+    // executor ends where some serial schedule does.
     for mode in [ExecMode::Thread, ExecMode::Pooled { workers: 2 }] {
         let (_, finals) = grown(mode.clone(), fig13, &[8192, 8192, 8, 8192]);
-        for (&got, (min, max)) in finals.iter().zip(FIG13_FINALS) {
-            assert!(min <= got && got <= 2 * max, "Figure 13 on {mode:?}: {finals:?}");
+        for (got, pinned) in finals.iter().zip(FIG13_FINALS) {
+            assert!(pinned.contains(got), "Figure 13 on {mode:?}: {finals:?}");
         }
         let (_, finals) = grown(mode.clone(), hamming_16, &[16; 10]);
-        for (&got, (min, max)) in finals.iter().zip(HAMMING_FINALS) {
-            assert!(min <= got && got <= 2 * max, "Figure 12 on {mode:?}: {finals:?}");
+        for (got, pinned) in finals.iter().zip(HAMMING_FINALS) {
+            assert!(pinned.contains(got), "Figure 12 on {mode:?}: {finals:?}");
         }
     }
 }

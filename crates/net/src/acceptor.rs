@@ -21,6 +21,7 @@
 
 use crate::frame::{read_hello_token, CONN_CONTROL, CONN_HELLO, TAG_STOP};
 use crate::transport::{NetProfile, Transport};
+use kpn_core::exec::reactor::Interest;
 use kpn_core::{Error, Exec, Result};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -63,7 +64,13 @@ impl PendingConn {
     /// Waits for the data connection: `Ok(Some(_))` once it has arrived,
     /// `Ok(None)` once `timeout` has passed (`None` waits as long as it
     /// takes), a `Disconnected` error once the registration is cancelled.
+    /// A process that has to wait is registered with its network's monitor
+    /// as blocked reading, for as long as it does.
     pub(crate) fn wait(&self, timeout: Option<Duration>) -> Result<Option<Box<dyn Transport>>> {
+        if let Some(conn) = self.0.lock().conn.take() {
+            return Ok(Some(conn));
+        }
+        let _waiting = crate::rio::waiting(Interest::Read)?;
         let exec = kpn_core::exec::current_exec()
             .ok_or_else(|| Error::Disconnected("no executor to wait on".into()))?;
         let key = Arc::as_ptr(&self.0) as usize;

@@ -62,8 +62,8 @@ pub use node::{Node, TaskFactory, TaskRegistry};
 pub use probe::{probe_deployment, ClusterProbe, NetworkStatus, NodeStatus};
 pub use registry::{decode_params, Factory, ProcessRegistry};
 pub use remote::{
-    monitored_reader, monitored_writer, remote_reader, remote_reader_interruptible, remote_writer,
-    remote_writer_interruptible, Interruptor, PendingSource, RemoteSink, RemoteSource,
+    remote_reader, remote_reader_interruptible, remote_writer, remote_writer_interruptible,
+    Interruptor, PendingSource, RemoteSink, RemoteSource,
 };
 pub use spec::{ChannelSpec, GraphSpec, InputSpec, OutputSpec, ProcessSpec, SpecDefect};
 pub use transport::{

@@ -21,8 +21,7 @@ use crate::control::ServerHandle;
 use crate::control::{recv_msg, send_msg, ControlRequest, ControlResponse};
 use crate::registry::ProcessRegistry;
 use crate::remote::{
-    monitored_reader, monitored_writer, remote_reader, remote_reader_interruptible, remote_writer,
-    remote_writer_interruptible,
+    remote_reader, remote_reader_interruptible, remote_writer, remote_writer_interruptible,
 };
 use crate::spec::{GraphSpec, InputSpec, OutputSpec};
 use kpn_core::{ChannelReader, ChannelWriter, Error, Network, NetworkConfig, Result};
@@ -171,7 +170,8 @@ impl Node {
         let net = Network::with_config(NetworkConfig::default());
         // Remote endpoints register interruptors so a network abort can
         // wake threads blocked inside TCP reads/writes (which the local
-        // deadlock monitor cannot poison).
+        // deadlock monitor cannot poison). Their waits register with the
+        // monitor by themselves, from the processes that make them.
         let mut interruptors: Vec<std::sync::Arc<crate::remote::Interruptor>> = Vec::new();
         // Build the partition-local channels; each endpoint is consumable
         // exactly once (channels are single-producer / single-consumer).
@@ -192,7 +192,7 @@ impl Node {
                         let (reader, interruptor) =
                             remote_reader_interruptible(&self.acceptor, *token);
                         interruptors.push(interruptor);
-                        monitored_reader(reader, net.monitor().clone())
+                        reader
                     }
                 });
             }
@@ -203,7 +203,7 @@ impl Node {
                     OutputSpec::Remote { addr, token } => {
                         let (writer, interruptor) = remote_writer_interruptible(addr, *token)?;
                         interruptors.push(interruptor);
-                        monitored_writer(writer, net.monitor().clone())
+                        writer
                     }
                 });
             }

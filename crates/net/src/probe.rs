@@ -4,16 +4,18 @@
 //! write-blocked on a full local channel — grow it) or *true* (all blocked
 //! reads are on verifiably empty local channels). But threads blocked on
 //! **remote** channel reads are opaque locally: data may be in flight on
-//! the wire, so the local monitor must never abort because of them (they
-//! register as *external* blocks, see [`kpn_core::Monitor::external_block`]).
+//! the wire, so the local monitor must never abort because of them (a
+//! process registers each socket wait that does wait as an *external*
+//! block, see [`kpn_core::Monitor::external_block`]).
 //!
 //! The [`ClusterProbe`] supplies the missing global view: it polls every
 //! node's monitor snapshots over the control protocol and declares a
 //! distributed deadlock when **every** network on **every** node is fully
-//! blocked across two consecutive polls (the settling pass rejects
-//! in-flight-data races the same way the local monitor's settle delay
-//! does). Resolution mirrors the local policy: the operator (or the
-//! probe's `abort_all`) unwinds the cluster.
+//! blocked across two consecutive polls, a `settle` apart, with no
+//! generation moved in between: the second poll rejects data that was on
+//! the wire during the first. (The local monitor needs no such delay: it
+//! sees its channels' state directly.) Resolution mirrors the local
+//! policy: the operator (or the probe's `abort_all`) unwinds the cluster.
 
 use crate::control::ServerHandle;
 use kpn_core::Result;

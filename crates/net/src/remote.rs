@@ -59,6 +59,18 @@
 //! process-wide gauges (see [`crate::transport::recovery_stats`]) that
 //! the cluster probe checks, so a reconnecting channel is never counted
 //! as a blocked one.
+//!
+//! ## What the deadlock monitor sees
+//!
+//! No endpoint is wrapped to meet a monitor. A process's socket wait is
+//! registered with the monitor of the network the process belongs to (the
+//! network hands it to each task it spawns) at the one place the wait
+//! happens: `rio`'s readiness wait, a blocking fd that a zero-timeout poll
+//! found not ready, or a pending connection ([`PendingSource`]). A read or
+//! write that finds its socket ready never registers, so a remote endpoint
+//! is never counted as blocked while it is moving bytes (DESIGN.md §4c).
+//! Off Linux x86_64, with no fibers and no readiness check, a read or
+//! write registers for its whole length instead.
 
 use crate::acceptor::{fresh_token, Acceptor, PendingConn};
 use crate::frame::{
@@ -68,9 +80,8 @@ use crate::transport::{
     error_is_transient, profile_for, NetProfile, ReconnectPolicy, RecoveryGuard, SplitMix64,
     Transport, TransportFactory,
 };
-use kpn_core::{
-    BlockKind, ChannelReader, ChannelWriter, Error, Monitor, Result, Sink, Source, SourceRead,
-};
+use kpn_core::exec::reactor::Interest;
+use kpn_core::{ChannelReader, ChannelWriter, Error, Result, Sink, Source, SourceRead};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -571,9 +582,7 @@ impl SinkCore {
             return Ok(());
         }
         // Reading acks can block: publish this task's buffered output
-        // first (same publish-before-wait rule as local channels). Under a
-        // `MonitoredSink` the registration has already published and this
-        // finds nothing; a bare `RemoteSink` has no one else to do it.
+        // first (same publish-before-wait rule as local channels).
         kpn_core::flush::flush_before_block();
         let mut tmp = [0u8; 256];
         loop {
@@ -909,6 +918,7 @@ impl Sink for RemoteSink {
         if self.closed {
             return Err(Error::WriteClosed);
         }
+        let _waiting = crate::rio::around_operation(Interest::Write)?;
         self.core()?.lock().write_chunks(buf)
     }
 
@@ -1297,15 +1307,18 @@ impl Source for RemoteSource {
     fn read(&mut self, buf: &mut [u8]) -> Result<SourceRead> {
         // A socket read can block indefinitely: publish this task's
         // buffered output first (the publish-before-wait rule of
-        // `kpn_core::flush`). Under a `MonitoredSource` the registration
-        // has already published — it must, a flush may not block inside a
-        // registration — and this finds nothing; a bare remote reader has
-        // no one else to do it.
+        // `kpn_core::flush`). A read that does wait registers with the
+        // monitor in `rio`, which publishes again — it must, a flush may
+        // not block inside a registration — and finds nothing.
         kpn_core::flush::flush_before_block();
         loop {
+            let waiting = crate::rio::around_operation(Interest::Read)?;
             match self.try_read(buf) {
                 Ok(r) => return Ok(r),
                 Err(e) if self.policy.enabled && !self.closed && link_failure(&e) => {
+                    // Unregistered first: the pending connection of a
+                    // recovery registers by itself.
+                    drop(waiting);
                     self.recover()?;
                 }
                 Err(e) => return Err(e),
@@ -1367,9 +1380,8 @@ impl Source for PendingSource {
     fn read(&mut self, _buf: &mut [u8]) -> Result<SourceRead> {
         // Waiting for a connection is a blocking read: publish first so the
         // peer (who may need our buffered output to make progress before
-        // connecting back) can proceed — a no-op under a `MonitoredSource`,
-        // as in `RemoteSource::read`. The wait parks a fiber and blocks an
-        // OS thread.
+        // connecting back) can proceed, as in `RemoteSource::read`. The
+        // wait parks a fiber and blocks an OS thread.
         kpn_core::flush::flush_before_block();
         match self.pending.wait(None)? {
             Some(transport) => {
@@ -1391,64 +1403,6 @@ impl Source for PendingSource {
 
     fn close(&mut self) {
         self.acceptor.unregister(self.token);
-    }
-}
-
-/// Wraps a remote read endpoint so blocking reads register with the
-/// network's deadlock monitor as *external* blocks (§6.2): they count
-/// toward all-blocked detection and cluster snapshots, but can never cause
-/// a local true-deadlock abort, because the monitor cannot see whether
-/// data is in flight on the wire.
-pub fn monitored_reader(inner: ChannelReader, monitor: Arc<Monitor>) -> ChannelReader {
-    ChannelReader::from_source(Box::new(MonitoredSource { inner, monitor }))
-}
-
-struct MonitoredSource {
-    inner: ChannelReader,
-    monitor: Arc<Monitor>,
-}
-
-impl Source for MonitoredSource {
-    fn read(&mut self, buf: &mut [u8]) -> Result<SourceRead> {
-        // `external_block` publishes the task's buffered output before it
-        // registers, so nothing below can block on a local channel (and
-        // register a second time) while the guard is held.
-        let _guard = self.monitor.external_block(BlockKind::Read)?;
-        match self.inner.read(buf)? {
-            0 => Ok(SourceRead::End),
-            n => Ok(SourceRead::Data(n)),
-        }
-    }
-
-    fn close(&mut self) {
-        self.inner.close();
-    }
-}
-
-/// Wraps a remote write endpoint so blocking writes (TCP backpressure)
-/// register with the deadlock monitor as external blocks; see
-/// [`monitored_reader`].
-pub fn monitored_writer(inner: ChannelWriter, monitor: Arc<Monitor>) -> ChannelWriter {
-    ChannelWriter::from_sink(Box::new(MonitoredSink { inner, monitor }))
-}
-
-struct MonitoredSink {
-    inner: ChannelWriter,
-    monitor: Arc<Monitor>,
-}
-
-impl Sink for MonitoredSink {
-    fn write_all(&mut self, buf: &[u8]) -> Result<()> {
-        let _guard = self.monitor.external_block(BlockKind::Write)?;
-        self.inner.write_all(buf)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.inner.flush()
-    }
-
-    fn close(&mut self) {
-        self.inner.close();
     }
 }
 
@@ -1770,9 +1724,35 @@ mod tests {
         }
     }
 
+    /// Three threads that spin until dropped, so the processes beside them
+    /// are descheduled at arbitrary points, mid-registration included.
+    struct BusyLoops(Arc<std::sync::atomic::AtomicBool>, Vec<std::thread::JoinHandle<()>>);
+
+    fn busy_loops() -> BusyLoops {
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let spin = |stop: Arc<std::sync::atomic::AtomicBool>| {
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            })
+        };
+        let threads = (0..3).map(|_| spin(stop.clone())).collect();
+        BusyLoops(stop, threads)
+    }
+
+    impl Drop for BusyLoops {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+            for t in self.1.drain(..) {
+                t.join().unwrap();
+            }
+        }
+    }
+
     /// A partition whose only outlet is a socket: `Sequence -> L -> Scale ->`
-    /// a monitored remote writer, drained by the test thread. Returns the
-    /// monitor's view and how many writes the writer's socket saw.
+    /// a remote writer, drained by the test thread. Returns the monitor's
+    /// view and how many writes the writer's socket saw.
     fn drive_partition_over(
         tokens: u64,
         policy: ReconnectPolicy,
@@ -1792,7 +1772,7 @@ mod tests {
         let (w0, r0) = net.channel();
         let out = remote_writer(&addr, token).unwrap();
         net.add(Sequence::new(0, tokens, w0));
-        net.add(Scale::new(3, r0, monitored_writer(out, net.monitor().clone())));
+        net.add(Scale::new(3, r0, out));
         net.start();
         let mut dr = DataReader::new(reader);
         for i in 0..tokens as i64 {
@@ -1829,10 +1809,12 @@ mod tests {
     #[test]
     fn a_remote_writer_that_never_waits_grows_nothing_behind_it() {
         // `Sequence` is parked on the full `L` nearly all the time, and
-        // `Scale` registers with the monitor around every socket write, so
-        // every token completes an all-blocked picture with nobody stuck.
-        // When the registrant slept the settle itself, each one confirmed
-        // itself and `L` doubled until it held all of `Sequence`'s output.
+        // `Scale` writes to its socket after every step. Counted as blocked
+        // while it writes, `Scale` would complete an all-blocked picture
+        // with nobody stuck at every token — and, descheduled mid-write
+        // beside the busy loops, hold it still — so a write that does not
+        // wait must not register at all.
+        let _load = busy_loops();
         let stats = drive_partition(20_000);
         assert_eq!(stats.capacity_grows, 0, "{:?}", stats.growth_log);
         assert_eq!(stats.true_deadlocks, 0);
@@ -1843,16 +1825,16 @@ mod tests {
         // The distributed artificial deadlock: the producer must put 64
         // bytes into a 32-byte `L` before it sends the byte its consumer is
         // waiting for on the socket, and the consumer reads `L` only after
-        // that byte. The consumer's registration completes the picture and
-        // leaves it alone; the producer's detection tick grows `L`.
+        // that byte. The consumer's wait on its socket registers by itself
+        // and leaves the picture alone; the producer's detection tick grows
+        // `L`.
+        let _load = busy_loops();
         let b = node();
         let token = fresh_token();
         let net = kpn_core::Network::new();
-        let monitor = net.monitor().clone();
         let (mut l_w, mut l_r) = net.channel_with_capacity(32);
-        let go_r = monitored_reader(remote_reader(&b, token), monitor.clone());
-        let go_w = remote_writer(&b.local_addr().to_string(), token).unwrap();
-        let mut go_w = monitored_writer(go_w, monitor);
+        let go_r = remote_reader(&b, token);
+        let mut go_w = remote_writer(&b.local_addr().to_string(), token).unwrap();
         net.add_fn("producer", move |_| {
             l_w.write_all(&[7u8; 64])?;
             go_w.write_all(&[1])

@@ -46,8 +46,22 @@
 //! spurious unpark on a dead generation. The other socket-side waits take
 //! no fork of their own: a pending connection is a slot woken through the
 //! waiter's executor, a back-off is `kpn_core::exec::sleep`.
+//!
+//! ## Where a wait meets the deadlock monitor
+//!
+//! This is also where a process's remote wait is registered with its
+//! network's monitor ([`kpn_core::exec::current_monitor`]) as an external
+//! block — around the readiness wait on a switched fd, and on a blocking fd
+//! only after a zero-timeout `poll(2)` has found it not ready, so an
+//! operation that does not wait never reaches the monitor. (A blocking
+//! write larger than the room that poll found can still wait, unregistered,
+//! for the rest.) Threads that are no network's process register nothing.
+//! Off Linux x86_64 there is neither: a remote endpoint registers around
+//! its whole operation ([`around_operation`]).
 
 use crate::transport::Transport;
+use kpn_core::exec::reactor::Interest;
+use kpn_core::{BlockGuard, BlockKind, Result};
 
 /// Wrap a socket-backed `t` in a [`ReactorIo`]; transports without an fd
 /// (and every transport off Linux x86_64, where no fiber exists to park)
@@ -65,9 +79,36 @@ pub(crate) fn wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
     }
 }
 
+/// Registers the calling task with its network's monitor, if it is a
+/// process of a network, as blocked waiting for `interest`, until the guard
+/// drops. The one place a remote wait meets the monitor.
+pub(crate) fn waiting(interest: Interest) -> Result<Option<BlockGuard>> {
+    let kind = match interest {
+        Interest::Read => BlockKind::Read,
+        Interest::Write => BlockKind::Write,
+    };
+    let monitor = kpn_core::exec::current_monitor();
+    monitor.map(|m| m.external_block(kind)).transpose()
+}
+
+/// The registration around a whole remote operation (a `RemoteSink` write,
+/// a `RemoteSource` read), for targets without fibers: with no
+/// [`ReactorIo`] and no readiness check there, the operation is taken for
+/// a wait. Where `ReactorIo` exists it registers where the wait happens,
+/// and this is `None`.
+pub(crate) fn around_operation(interest: Interest) -> Result<Option<BlockGuard>> {
+    if cfg!(all(target_os = "linux", target_arch = "x86_64", not(miri))) {
+        Ok(None)
+    } else {
+        waiting(interest)
+    }
+}
+
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 mod imp {
+    use super::waiting;
     use crate::transport::Transport;
+    use kpn_core::exec::current_monitor;
     use kpn_core::exec::reactor::{poll_fd, Interest, Reactor};
     use kpn_core::Exec;
     use parking_lot::Mutex;
@@ -149,13 +190,14 @@ mod imp {
         /// Wait until `fd` reports readiness for `interest` (or a timer /
         /// spurious wakeup; the caller's retry loop re-checks). A fiber
         /// parks; an OS thread on an fd some fiber already switched blocks
-        /// in `poll(2)`.
+        /// in `poll(2)`. Either way the task is registered as waiting.
         fn wait_ready(
             &self,
             parker: &Option<Parker>,
             interest: Interest,
             deadline: Option<Instant>,
         ) -> std::io::Result<()> {
+            let _waiting = waiting(interest)?;
             if let Some((exec, reactor)) = parker {
                 let key = self.key();
                 // Token BEFORE arm: see the module docs on one-shot
@@ -184,7 +226,14 @@ mod imp {
             let parker = parking_context();
             if !self.parking.load(Ordering::Relaxed) {
                 if parker.is_none() {
-                    // An OS thread on a blocking fd: one plain syscall.
+                    // An OS thread on a blocking fd: one plain syscall,
+                    // registered as a wait if a process finds its fd not
+                    // ready (a non-blocking drain cannot wait).
+                    let _waiting = match current_monitor() {
+                        Some(_) if self.passthrough.load(Ordering::Relaxed) => None,
+                        Some(_) if poll_fd(self.fd, interest, Some(Duration::ZERO))? => None,
+                        _ => waiting(interest)?,
+                    };
                     return op(&mut self.inner, false);
                 }
                 // First fiber on this fd: non-blocking from here on.
