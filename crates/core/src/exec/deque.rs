@@ -50,9 +50,13 @@ pub(crate) struct WorkDeque<T> {
     _owns: PhantomData<Box<T>>,
 }
 
-// The deque logically owns the boxed items whose pointers sit in its
-// slots; handing them across threads is the whole point.
-unsafe impl<T: Send> Send for WorkDeque<T> {}
+// `Send` needs no impl: `_owns` makes the deque `Send` exactly when a
+// `Box<T>` is.
+// SAFETY: sharing the deque shares no `T`. Items move in and out whole,
+// one `Box` pointer per atomic slot, and each is taken by exactly one
+// thread — the owner's `pop` or the thief whose `top` CAS wins — so no two
+// threads ever reach one item. Handing items between threads needs
+// `T: Send`; `T: Sync` is never called on.
 unsafe impl<T: Send> Sync for WorkDeque<T> {}
 
 impl<T> WorkDeque<T> {
@@ -133,6 +137,11 @@ impl<T> WorkDeque<T> {
                 return None;
             }
         }
+        // SAFETY: index `b` is this owner's alone: with `t < b` a thief
+        // claims only `top`, which the decremented bottom and the fence keep
+        // below `b`; with `t == b` the owner won the CAS a thief must win.
+        // The word is the `Box::into_raw` pointer `push` stored for `b`,
+        // turned back into a `Box` once, here.
         Some(unsafe { Box::from_raw(ptr as *mut T) })
     }
 
@@ -158,6 +167,11 @@ impl<T> WorkDeque<T> {
         {
             return Steal::Retry;
         }
+        // SAFETY: the CAS moved `top` from `t`, so this thief alone claimed
+        // index `t`. The word read before it is what `push` stored for `t`
+        // (made visible by the Acquire load of `bottom`): the owner reuses
+        // slot `t` only once `top` has passed it, which would have failed
+        // the CAS.
         Steal::Success(unsafe { Box::from_raw(ptr as *mut T) })
     }
 }
@@ -169,6 +183,9 @@ impl<T> Drop for WorkDeque<T> {
         let b = self.bottom.load(Ordering::Relaxed);
         for i in t..b {
             let ptr = self.slot(i).load(Ordering::Relaxed);
+            // SAFETY: with `&mut self` no owner or thief runs; indices
+            // `top..bottom` hold the pointers of items pushed and never
+            // taken, each turned back into its `Box` once, here.
             drop(unsafe { Box::from_raw(ptr as *mut T) });
         }
     }

@@ -83,8 +83,13 @@ mod imp {
         }
 
         fn new() -> FiberStack {
+            // SAFETY: the layout's size (STACK_SIZE) is nonzero and its
+            // alignment a power of two, as `alloc` requires; null is
+            // checked next.
             let base = unsafe { std::alloc::alloc(Self::layout()) };
             assert!(!base.is_null(), "fiber stack allocation failed");
+            // SAFETY: `base` is a fresh, non-null, 16-aligned allocation of
+            // STACK_SIZE bytes, so its first eight are ours and u64-aligned.
             unsafe { (base as *mut u64).write(CANARY) };
             FiberStack { base }
         }
@@ -97,6 +102,11 @@ mod imp {
 
     impl Drop for FiberStack {
         fn drop(&mut self) {
+            // SAFETY: `base` came from `alloc` with this same layout and is
+            // freed once, here, by the stack's one owner. Nothing runs on
+            // the stack afterwards: a fiber is resumed only through
+            // `Fiber::run(&mut self)`, which cannot overlap its drop. The
+            // values on a never-finished fiber's stack leak, which is safe.
             unsafe { std::alloc::dealloc(self.base, Self::layout()) }
         }
     }
@@ -111,9 +121,14 @@ mod imp {
         pub(in crate::exec) done: bool,
     }
 
-    // The stack pointer is only dereferenced by the worker currently
-    // running the fiber, and ownership of the Box hands off through
-    // mutex-protected queues.
+    // SAFETY: only the raw stack pointer keeps `Fiber` from being `Send`.
+    // The stack is an allocation the fiber owns outright, and sending a
+    // suspended fiber moves it — every value the task holds — to the next
+    // worker at once, with nothing left shared with the thread it leaves:
+    // the task's runtime state is its `TaskLocals` (an `Arc` the fiber
+    // carries), installed by whichever worker resumes it. One worker at a
+    // time runs a fiber; the `Box` passes between them through the run
+    // queues and the wait table, never shared.
     unsafe impl Send for Fiber {}
 
     impl Fiber {
@@ -133,6 +148,10 @@ mod imp {
             // Seed the stack so the first switch-in pops zeroed registers
             // (r15 = Fiber pointer) and "returns" into fiber_start.
             let ctx = top - 56;
+            // SAFETY: the seven words from `ctx` up to `top` lie inside the
+            // fresh stack (`top` is its 16-aligned end, STACK_SIZE is far
+            // more than 56 bytes) and are 8-aligned; nothing else uses the
+            // stack yet. They are the frame the first switch-in pops.
             unsafe {
                 let p = ctx as *mut usize;
                 p.write(&mut *f as *mut Fiber as usize); // r15
@@ -151,8 +170,17 @@ mod imp {
         /// fiber parks, yields, or finishes.
         pub(in crate::exec) fn run(&mut self, worker_ctx: &mut usize) {
             ACTIVE_FIBER.with(|c| c.set(self as *mut Fiber));
+            // SAFETY: `self.ctx` is the stack pointer this fiber's last
+            // switch-out saved on its own live stack (or the frame `new`
+            // seeded), and `worker_ctx` is a writable slot for the worker's.
+            // The switch saves and restores exactly the SysV callee-saved
+            // registers; the `extern "C"` call has spilled the rest. `&mut
+            // self` keeps every other worker off this fiber until it
+            // switches back.
             unsafe { kpn_core_fiber_switch(worker_ctx as *mut usize, self.ctx) };
             ACTIVE_FIBER.with(|c| c.set(std::ptr::null_mut()));
+            // SAFETY: `base` starts the fiber's live stack allocation and is
+            // u64-aligned; the fiber is switched out, so nothing writes it.
             let canary = unsafe { (self.stack.base as *const u64).read() };
             if canary != CANARY {
                 eprintln!(
@@ -194,6 +222,11 @@ mod imp {
         let f = ACTIVE_FIBER.with(|c| c.get());
         debug_assert!(!f.is_null(), "switch_to_worker outside a fiber");
         let slot = WORKER_CTX.with(|c| c.get());
+        // SAFETY: `f` is the fiber running on this thread, set by
+        // `Fiber::run`, whose frame keeps the fiber alive and untouched
+        // until this switch returns to it; `slot` is that worker's save
+        // slot, holding the context `run` saved. The fiber's saved stack
+        // pointer goes into its own `ctx`, as `run` expects on resumption.
         unsafe { kpn_core_fiber_switch(&mut (*f).ctx, *slot) };
     }
 
@@ -201,6 +234,10 @@ mod imp {
     #[no_mangle]
     extern "C" fn kpn_core_fiber_entry(f: *mut Fiber) -> ! {
         {
+            // SAFETY: `f` is the boxed fiber `Fiber::new` planted in r15.
+            // The worker that switched in holds it alive in `run` and does
+            // not touch it until this fiber switches back, so this is the
+            // one reference in use; it ends before `switch_to_worker`.
             let fiber = unsafe { &mut *f };
             let body = fiber.entry.take().expect("fiber entry body");
             // Never unwind into the assembly trampoline. Process panics are

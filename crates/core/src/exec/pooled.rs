@@ -153,6 +153,9 @@ impl WorkerSlot {
         if p.is_null() {
             None
         } else {
+            // SAFETY: a non-null `hot` is a `Box::into_raw` pointer stored
+            // by `put_hot`; the swap took it out atomically, so this thread
+            // alone owns it now.
             Some(unsafe { Box::from_raw(p) })
         }
     }
@@ -163,6 +166,8 @@ impl WorkerSlot {
         if old.is_null() {
             None
         } else {
+            // SAFETY: as in `take_hot`: the displaced word is a pointer
+            // `put_hot` stored, and the swap handed it to this thread alone.
             Some(unsafe { Box::from_raw(old) })
         }
     }

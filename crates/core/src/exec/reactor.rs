@@ -43,9 +43,7 @@ pub struct ReactorStats {
     /// File descriptors attached at snapshot time.
     pub current_registered: usize,
     /// Park keys woken by socket readiness (real progress signals: data,
-    /// buffer space, hangup). Frozen across probe polls during a true
-    /// deadlock, which is what lets the cluster probe treat it as a
-    /// freshness input.
+    /// buffer space, hangup).
     pub wakeups: u64,
     /// Park keys woken by timer expiry (idle-poll deadlines; *not*
     /// progress — a deadlocked endpoint re-arms these forever).
@@ -125,6 +123,15 @@ mod imp {
 
         /// Four-argument syscall; returns the raw kernel result
         /// (negative errno on failure).
+        ///
+        /// # Safety
+        ///
+        /// `n` must name a syscall and `a..d` be valid arguments for it:
+        /// every pointer among them addresses memory the kernel may read or
+        /// write as that syscall does, live for the whole call.
+        // SAFETY: the asm declares everything `syscall` changes (rax, rcx,
+        // r11) and touches no stack; what the kernel does with the
+        // arguments is the caller's contract above.
         pub unsafe fn syscall4(n: usize, a: usize, b: usize, c: usize, d: usize) -> isize {
             let ret: isize;
             asm!(
@@ -160,16 +167,13 @@ mod imp {
         max_poll_batch: AtomicU64,
     }
 
-    // The epoll fd is used from any worker; all syscalls on it are
-    // thread-safe per the kernel contract.
-    unsafe impl Send for Reactor {}
-    unsafe impl Sync for Reactor {}
-
     impl Reactor {
         /// Create a reactor, or `None` if the kernel refuses an epoll
         /// instance (waits then block the calling worker).
         pub fn new() -> Option<Arc<Reactor>> {
             let epfd =
+                // SAFETY: epoll_create1 takes one flags word and no pointer;
+                // the fd it returns is this reactor's, closed in `Drop`.
                 unsafe { sys::syscall4(sys::SYS_EPOLL_CREATE1, sys::EPOLL_CLOEXEC, 0, 0, 0) };
             if epfd < 0 {
                 return None;
@@ -189,6 +193,10 @@ mod imp {
 
         fn ctl(&self, op: usize, fd: i32, events: u32, data: u64) -> isize {
             let mut ev = sys::EpollEvent { events, data };
+            // SAFETY: epoll_ctl reads one `struct epoll_event` through its
+            // last argument; `ev` is a local in the kernel's x86_64 layout
+            // (`repr(C, packed)`), live for the whole call. `epfd` is open
+            // while `self` is; a closed `fd` is an EBADF, not a memory access.
             unsafe {
                 sys::syscall4(
                     sys::SYS_EPOLL_CTL,
@@ -249,6 +257,10 @@ mod imp {
             if self.attached.load(Ordering::Relaxed) > 0 {
                 const BATCH: usize = 64;
                 let mut events = [sys::EpollEvent { events: 0, data: 0 }; BATCH];
+                // SAFETY: epoll_wait writes at most BATCH (its third
+                // argument) events into `events`, a local array of exactly
+                // BATCH of them in the kernel's layout; timeout 0 returns at
+                // once, so the array outlives the call.
                 let n = unsafe {
                     sys::syscall4(
                         sys::SYS_EPOLL_WAIT,
@@ -302,6 +314,9 @@ mod imp {
 
     impl Drop for Reactor {
         fn drop(&mut self) {
+            // SAFETY: close takes no pointer. `epfd` is the fd `new` created
+            // and only this reactor holds; it is closed once, here, after
+            // which nothing can reach it through `self`.
             unsafe {
                 sys::syscall4(sys::SYS_CLOSE, self.epfd as usize, 0, 0, 0);
             }
@@ -336,6 +351,10 @@ mod imp {
             None => -1,
             Some(d) => d.as_millis().min(i32::MAX as u128) as isize,
         };
+        // SAFETY: poll reads and writes `nfds` (here 1) `struct pollfd`s
+        // through its first argument; `pfd` is a `repr(C)` local, live for
+        // the whole call. A closed `fd` is reported in `revents`, not by
+        // touching other memory.
         let r = unsafe {
             sys::syscall4(
                 sys::SYS_POLL,

@@ -33,6 +33,9 @@
 //! the fallback — and as the only path when the last to block is a remote
 //! wait ([`Monitor::external_block`]), which completes a picture but leaves
 //! deciding it to the task parked on the local channel it could make grow.
+//! A picture with nothing to grow and a remote wait in it is the monitor's
+//! to report, not to act on: [`Monitor::snapshot`] says the network is
+//! stuck on remote waits, and the cluster probe (`kpn-net`) decides.
 //!
 //! Lock order: the monitor's state lock before a channel's, never the
 //! reverse. A strong channel handle upgraded from the table is never
@@ -238,9 +241,9 @@ pub struct MonitorStats {
 }
 
 /// A point-in-time view of a monitor, used by the distributed deadlock
-/// probe (§6.2): a node whose every network is fully blocked — including
-/// threads blocked on *remote* channel reads — is a candidate participant
-/// in a cross-machine deadlock that no local monitor can prove alone.
+/// probe (§6.2): a network [`stuck_on_remote`](Self::stuck_on_remote) is a
+/// candidate participant in a cross-machine deadlock that no local monitor
+/// can prove alone.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorSnapshot {
     /// Monotonic activity counter: bumps on every block, unblock, spawn
@@ -256,32 +259,25 @@ pub struct MonitorSnapshot {
     pub blocked_writes: usize,
     /// Whether the network was aborted.
     pub aborted: bool,
+    /// The monitor's own verdict, from two back-to-back evaluations that
+    /// agree: every live process is blocked, every wait on a local channel
+    /// is confirmed, nothing can grow, and some wait is on a remote
+    /// transport. Only data from another node can move this network.
+    pub stuck_on_remote: bool,
     /// Resolution counters.
     pub stats: MonitorStats,
-}
-
-impl MonitorSnapshot {
-    /// True when the network still has live processes and every one of
-    /// them is blocked.
-    pub fn fully_blocked(&self) -> bool {
-        self.live > 0 && self.blocked_reads + self.blocked_writes >= self.live
-    }
-
-    /// True when the network has finished (no live processes).
-    pub fn finished(&self) -> bool {
-        self.live == 0
-    }
 }
 
 /// Sentinel channel id for blocks on channels the monitor cannot inspect
 /// (remote transports). Such a block is registered only where the transport
 /// actually waits, counts toward the all-blocked condition, and has no look
-/// to confirm or refute it: it counts once a second detection tick finds it
-/// still there. It may then *permit growth* — a full local channel behind a
-/// socket is grown — and never *permits abort*: with an external block in
-/// the picture no verdict is a true deadlock, capped growth included, since
-/// data may be in flight on the network (§6.2 leaves resolution to a
-/// distributed protocol).
+/// to confirm or refute it. It may *permit growth* — a full local channel
+/// behind a socket is grown — once a second detection tick finds it still
+/// there, and never *permits abort*: with an external block in the picture
+/// no verdict is a true deadlock, capped growth included, since data may be
+/// in flight on the network. The verdict is then that the network is stuck
+/// on remote waits, which the cluster probe (§6.2) judges from stream
+/// offsets.
 pub const EXTERNAL_CHANNEL: u64 = 0;
 
 #[derive(Debug, Clone, Copy)]
@@ -343,6 +339,17 @@ enum Verdict {
     Grow(u64),
     /// True deadlock: abort the network.
     TrueDeadlock,
+    /// Stuck on remote waits: nothing to grow, and an external block
+    /// forbids the abort. The monitor does nothing; its snapshot reports
+    /// it, and the cluster probe decides from stream offsets.
+    Remote,
+}
+
+impl Verdict {
+    /// Whether the monitor acts on this verdict itself.
+    fn acts(self) -> bool {
+        matches!(self, Verdict::Grow(_) | Verdict::TrueDeadlock)
+    }
 }
 
 /// Parks' decision, as a function of the blocked set and a look at the
@@ -359,8 +366,10 @@ enum Verdict {
 /// is grown — capacity ties break on channel id, so the choice is a
 /// function of network state alone, which the sim scheduler's replay
 /// guarantee needs — unless it is already at the policy's maximum. With
-/// nothing to grow the deadlock is true, except that a block on
-/// [`EXTERNAL_CHANNEL`] may permit a growth and never an abort.
+/// nothing to grow the deadlock is true, or [`Verdict::Remote`] beside a
+/// block on [`EXTERNAL_CHANNEL`]. An external block no tick has seen yet
+/// holds back a growth (its socket may have been unready for an instant),
+/// never that outcome.
 fn verdict(
     st: &MonState,
     policy: DeadlockPolicy,
@@ -370,14 +379,12 @@ fn verdict(
         return Verdict::Nothing;
     }
     let registered = |token| st.blocked.contains_key(&token);
-    let mut external = false;
+    let (mut external, mut fresh) = (false, false);
     let mut smallest: Option<(usize, u64)> = None;
     for b in st.blocked.values() {
         if b.chan == EXTERNAL_CHANNEL {
-            if !b.ticked {
-                return Verdict::Nothing;
-            }
             external = true;
+            fresh |= !b.ticked;
             continue;
         }
         match look(b.chan) {
@@ -394,9 +401,13 @@ fn verdict(
         (DeadlockPolicy::Grow { max_capacity }, Some((capacity, id)))
             if max_capacity.is_none_or(|max| capacity < max) =>
         {
-            Verdict::Grow(id)
+            if fresh {
+                Verdict::Nothing
+            } else {
+                Verdict::Grow(id)
+            }
         }
-        _ if external => Verdict::Nothing,
+        _ if external => Verdict::Remote,
         _ => Verdict::TrueDeadlock,
     }
 }
@@ -560,29 +571,30 @@ impl Monitor {
         }
     }
 
-    /// A point-in-time view for the distributed deadlock probe.
+    /// A point-in-time view for the distributed deadlock probe. Whether the
+    /// network is stuck on remote waits is decided the way the monitor
+    /// decides to act: two evaluations, back to back, that agree.
     pub fn snapshot(&self) -> MonitorSnapshot {
         let st = self.state.lock();
-        let mut reads = 0;
-        let mut writes = 0;
-        for b in st.blocked.values() {
-            if !b.is_process {
-                continue;
-            }
-            match b.kind {
-                BlockKind::Read => reads += 1,
-                BlockKind::Write => writes += 1,
-            }
-        }
+        let processes = |kind| {
+            let blocked = st.blocked.values();
+            blocked.filter(|b| b.is_process && b.kind == kind).count()
+        };
         let mut snap = MonitorSnapshot {
             generation: st.generation,
             live: st.live,
-            blocked_reads: reads,
-            blocked_writes: writes,
+            blocked_reads: processes(BlockKind::Read),
+            blocked_writes: processes(BlockKind::Write),
             aborted: st.aborted,
+            stuck_on_remote: false,
             stats: st.stats.clone(),
         };
-        drop(st); // scheduler source takes executor locks; see stats()
+        // Either way the state lock is released here: the scheduler source
+        // takes executor locks; see stats().
+        let first = st.all_blocked().then(|| self.evaluate(st).0);
+        snap.stuck_on_remote = first.is_some_and(|first| {
+            first.verdict == Verdict::Remote && self.evaluate(self.state.lock()).0 == first
+        });
         snap.stats.scheduler = self.scheduler_stats();
         snap
     }
@@ -765,7 +777,7 @@ impl Monitor {
             held.push((chan, ch));
             Some(look)
         });
-        if picture.verdict != Verdict::Nothing {
+        if picture.verdict.acts() {
             self.trace(|| {
                 format!(
                     "verdict {:?} live={} gen={} blocked={:?} progress={:?}",
@@ -790,7 +802,7 @@ impl Monitor {
         }
         // A picture that allows no action is not worth the second look.
         let (first, _) = self.evaluate(st);
-        if first.verdict == Verdict::Nothing {
+        if !first.verdict.acts() {
             return;
         }
         let (then, held) = self.evaluate(self.state.lock());
@@ -1113,9 +1125,37 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_reports_a_network_stuck_on_remote_waits() {
+        use BlockKind::{Read, Write};
+        // Every process waits on a socket and no tick has run — the thread
+        // executor's case, where nothing parks on a local channel to tick:
+        // the monitor does nothing, and its snapshot says so.
+        let m = Monitor::new(DeadlockPolicy::default());
+        block_all(&m, &[(EXTERNAL_CHANNEL, Read), (EXTERNAL_CHANNEL, Write)]);
+        let snap = m.snapshot();
+        assert!(snap.stuck_on_remote && !snap.aborted);
+        // A full local channel that may still grow is not stuck, before the
+        // ticks that grow it or after.
+        let m = Monitor::new(DeadlockPolicy::default());
+        let c = FakeChan::new(8, true);
+        m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
+        block_all(&m, &[(7, Write), (EXTERNAL_CHANNEL, Read)]);
+        assert!(!m.snapshot().stuck_on_remote);
+        m.tick();
+        m.tick();
+        assert_eq!(m.stats().growths, 1);
+        assert!(!m.snapshot().stuck_on_remote);
+        // Nor is a network with a process still running.
+        let m = Monitor::new(DeadlockPolicy::default());
+        m.process_started();
+        block_all(&m, &[(EXTERNAL_CHANNEL, Read)]);
+        assert!(!m.snapshot().stuck_on_remote);
+    }
+
+    #[test]
     fn verdict_table() {
         use BlockKind::{Read, Write};
-        use Verdict::{Grow, Nothing, TrueDeadlock};
+        use Verdict::{Grow, Nothing, Remote, TrueDeadlock};
         const EXT: u64 = EXTERNAL_CHANNEL;
         // An external registration no tick has seen yet; one at `EXT` has
         // been seen by one.
@@ -1188,12 +1228,12 @@ mod tests {
             (grow, 2, vec![(EXT, Read, true), (7, Write, true)], vec![(7, full(8))], Grow(7)),
             (grow, 2, vec![(7, Write, true), (EXT, Write, true)], vec![(7, full(8))], Grow(7)),
             (capped(8), 1, vec![(1, Write, true)], vec![(1, full(8))], TrueDeadlock),
-            (capped(8), 2, vec![(EXT, Read, true), (1, Write, true)], vec![(1, full(8))], Nothing),
+            (capped(8), 2, vec![(EXT, Read, true), (1, Write, true)], vec![(1, full(8))], Remote),
             (grow, 1, vec![(1, Read, false)], vec![(1, empty(8))], Nothing),
             (DeadlockPolicy::Ignore, 1, vec![(1, Write, true)], vec![(1, full(8))], Nothing),
             // Policy boundaries.
             (abort, 2, vec![(1, Write, true), (2, Read, true)], vec![(1, full(8)), (2, empty(8))], TrueDeadlock),
-            (abort, 2, vec![(EXT, Read, true), (1, Write, true)], vec![(1, full(8))], Nothing),
+            (abort, 2, vec![(EXT, Read, true), (1, Write, true)], vec![(1, full(8))], Remote),
             (DeadlockPolicy::Ignore, 1, vec![(1, Read, true)], vec![(1, empty(8))], Nothing),
             (capped(16), 1, vec![(1, Write, true)], vec![(1, full(8))], Grow(1)),
             (capped(8), 2, vec![(1, Write, true), (2, Write, true)], vec![(1, full(8)), (2, full(64))], TrueDeadlock),
@@ -1212,13 +1252,21 @@ mod tests {
             // A channel that has left the table confirms nothing.
             (grow, 1, vec![(1, Read, true)], vec![], Nothing),
             (abort, 1, vec![(1, Write, true)], vec![], Nothing),
-            // An external block counts from the second tick that finds it.
+            // An external block permits a growth from the second tick that
+            // finds it; before that it still makes the network stuck on
+            // remote waits when nothing could grow anyway.
             (grow, 2, vec![(EXT_FRESH, Read, true), (7, Write, true)], vec![(7, full(8))], Nothing),
             (grow, 2, vec![(7, Write, true), (EXT_FRESH, Write, true)], vec![(7, full(8))], Nothing),
+            (grow, 1, vec![(EXT_FRESH, Read, true)], vec![], Remote),
+            (grow, 2, vec![(EXT_FRESH, Read, true), (1, Read, true)], vec![(1, empty(8))], Remote),
+            (capped(8), 2, vec![(EXT_FRESH, Read, true), (1, Write, true)], vec![(1, full(8))], Remote),
+            (grow, 2, vec![(EXT_FRESH, Read, true), (1, Read, true)], vec![(1, some(8))], Nothing),
             // External blocks alone: not the local monitor's to resolve.
-            (grow, 2, vec![(EXT, Read, true), (EXT, Write, true)], vec![], Nothing),
-            (abort, 1, vec![(EXT, Read, true)], vec![], Nothing),
-            (grow, 2, vec![(EXT, Write, true), (1, Read, true)], vec![(1, empty(8))], Nothing),
+            (grow, 2, vec![(EXT, Read, true), (EXT, Write, true)], vec![], Remote),
+            (abort, 1, vec![(EXT, Read, true)], vec![], Remote),
+            (grow, 2, vec![(EXT, Write, true), (1, Read, true)], vec![(1, empty(8))], Remote),
+            (grow, 2, vec![(EXT, Read, true)], vec![], Nothing),
+            (DeadlockPolicy::Ignore, 1, vec![(EXT, Read, true)], vec![], Nothing),
             // Foreign threads are in the picture but not in the count.
             (grow, 1, vec![(1, Read, true), (2, Read, false)], vec![(1, empty(8)), (2, empty(8))], TrueDeadlock),
             (grow, 1, vec![(1, Read, true), (2, Read, false)], vec![(1, empty(8)), (2, some(8))], Nothing),

@@ -43,8 +43,8 @@ pub enum ControlRequest {
     },
     /// Block until all graphs shipped to this server have terminated.
     WaitIdle,
-    /// Report the monitor snapshot of every network on this node (§6.2
-    /// distributed deadlock detection).
+    /// Report the monitor snapshot of every network on this node, with its
+    /// ends of the cut channels (§6.2 distributed deadlock detection).
     MonitorStatus,
     /// Abort every network on this node (distributed deadlock resolution).
     AbortNetworks,

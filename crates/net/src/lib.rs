@@ -59,7 +59,7 @@ pub use acceptor::Acceptor;
 pub use builder::{ChanId, Deployment, GraphBuilder, CLIENT};
 pub use control::{ControlRequest, ControlResponse, ServerHandle};
 pub use node::{Node, TaskFactory, TaskRegistry};
-pub use probe::{probe_deployment, ClusterProbe, NetworkStatus, NodeStatus};
+pub use probe::{probe_deployment, ClusterProbe, CutEnd, CutSide, NetworkStatus, NodeStatus};
 pub use registry::{decode_params, Factory, ProcessRegistry};
 pub use remote::{
     remote_reader, remote_reader_interruptible, remote_writer, remote_writer_interruptible,

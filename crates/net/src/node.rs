@@ -22,6 +22,7 @@ use crate::control::{recv_msg, send_msg, ControlRequest, ControlResponse};
 use crate::registry::ProcessRegistry;
 use crate::remote::{
     remote_reader, remote_reader_interruptible, remote_writer, remote_writer_interruptible,
+    Interruptor,
 };
 use crate::spec::{GraphSpec, InputSpec, OutputSpec};
 use kpn_core::{ChannelReader, ChannelWriter, Error, Network, NetworkConfig, Result};
@@ -72,12 +73,17 @@ impl TaskRegistry {
     }
 }
 
+/// A network a node runs, with the interruptors of the remote endpoints
+/// [`Node::instantiate`] built for it — which are also its ends of the cut
+/// channels, reported in [`ControlRequest::MonitorStatus`].
+type Hosted = (Network, Arc<[Arc<Interruptor>]>);
+
 /// One process-network node (client, server, or both).
 pub struct Node {
     acceptor: Arc<Acceptor>,
     registry: Arc<ProcessRegistry>,
     tasks: Arc<TaskRegistry>,
-    networks: Mutex<Vec<Network>>,
+    networks: Mutex<Vec<Hosted>>,
 }
 
 impl Node {
@@ -170,9 +176,10 @@ impl Node {
         let net = Network::with_config(NetworkConfig::default());
         // Remote endpoints register interruptors so a network abort can
         // wake threads blocked inside TCP reads/writes (which the local
-        // deadlock monitor cannot poison). Their waits register with the
+        // deadlock monitor cannot poison), and so the node can report how
+        // far each has got in its stream. Their waits register with the
         // monitor by themselves, from the processes that make them.
-        let mut interruptors: Vec<std::sync::Arc<crate::remote::Interruptor>> = Vec::new();
+        let mut interruptors: Vec<Arc<Interruptor>> = Vec::new();
         // Build the partition-local channels; each endpoint is consumable
         // exactly once (channels are single-producer / single-consumer).
         let mut writers: Vec<Option<ChannelWriter>> = Vec::new();
@@ -210,15 +217,17 @@ impl Node {
             let process = self.registry.build(&p.type_name, &p.params, ins, outs)?;
             net.add_process(process);
         }
-        if !interruptors.is_empty() {
+        let endpoints: Arc<[Arc<Interruptor>]> = interruptors.into();
+        if !endpoints.is_empty() {
+            let hook = endpoints.clone();
             net.monitor().on_abort(Box::new(move || {
-                for i in &interruptors {
+                for i in hook.iter() {
                     i.interrupt();
                 }
             }));
         }
         net.start();
-        self.networks.lock().push(net.clone());
+        self.networks.lock().push((net.clone(), endpoints));
         Ok(net)
     }
 
@@ -265,7 +274,7 @@ impl Node {
             // New networks may arrive while joining; re-check the list.
             let next = {
                 let nets = self.networks.lock();
-                nets.get(joined).cloned()
+                nets.get(joined).map(|(net, _)| net.clone())
             };
             let Some(net) = next else {
                 return Ok(());
@@ -321,14 +330,15 @@ impl Node {
                         .networks
                         .lock()
                         .iter()
-                        .map(|net| {
-                            crate::probe::NetworkStatus::from_snapshot(&net.monitor().snapshot())
+                        .map(|(net, endpoints)| {
+                            let snapshot = net.monitor().snapshot();
+                            crate::probe::NetworkStatus::from_snapshot(&snapshot, endpoints)
                         })
                         .collect();
                     ControlResponse::MonitorStatus(statuses)
                 }
                 ControlRequest::AbortNetworks => {
-                    for net in self.networks.lock().iter() {
+                    for (net, _) in self.networks.lock().iter() {
                         net.abort();
                     }
                     ControlResponse::Ok

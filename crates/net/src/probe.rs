@@ -2,29 +2,69 @@
 //!
 //! A local monitor can prove a deadlock *artificial* (some process is
 //! write-blocked on a full local channel — grow it) or *true* (all blocked
-//! reads are on verifiably empty local channels). But threads blocked on
-//! **remote** channel reads are opaque locally: data may be in flight on
-//! the wire, so the local monitor must never abort because of them (a
-//! process registers each socket wait that does wait as an *external*
-//! block, see [`kpn_core::Monitor::external_block`]).
+//! reads are on verifiably empty local channels). But a process blocked on
+//! a **remote** channel is opaque locally: data may be in flight on the
+//! wire, so the local monitor never aborts because of it. What it can say is
+//! that its network is *stuck on remote waits*
+//! ([`kpn_core::MonitorSnapshot::stuck_on_remote`]): everything is blocked,
+//! every local wait is confirmed, nothing can grow.
 //!
-//! The [`ClusterProbe`] supplies the missing global view: it polls every
-//! node's monitor snapshots over the control protocol and declares a
-//! distributed deadlock when **every** network on **every** node is fully
-//! blocked across two consecutive polls, a `settle` apart, with no
-//! generation moved in between: the second poll rejects data that was on
-//! the wire during the first. (The local monitor needs no such delay: it
-//! sees its channels' state directly.) Resolution mirrors the local
-//! policy: the operator (or the probe's `abort_all`) unwinds the cluster.
+//! The wire supplies the rest. Every byte of a cut channel carries its
+//! stream offset, so a cut channel is empty exactly when its writer's sent
+//! offset equals its reader's delivered offset. Each remote endpoint a node
+//! builds reports its end of the cut as a [`CutEnd`] beside its network's
+//! monitor snapshot. The [`ClusterProbe`] gathers every node's statuses
+//! over the control protocol twice, back to back, and declares a
+//! distributed deadlock when both gathers show the same thing:
+//!
+//! 1. every live network is stuck on remote waits, by its own monitor;
+//! 2. every cut channel is empty: its token is seen once at each end, with
+//!    equal offsets;
+//! 3. nothing moved between the gathers: generations and offsets are equal.
+//!
+//! Nothing is timed: the decision is `cluster_verdict`, a function of the
+//! two gathers. A channel the probe sees only one end of (a reader claimed
+//! on the client, a node it does not poll) is not provably empty, and a
+//! writer blocked on a full cut channel is Parks' artificial deadlock, not a
+//! true one; neither is ever a verdict. Resolution mirrors the local policy:
+//! the operator (or the probe's `abort_all`) unwinds the cluster.
 
 use crate::control::ServerHandle;
-use kpn_core::Result;
+use crate::remote::Interruptor;
+use kpn_core::{Error, Result};
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// How long [`ClusterProbe::wait_for_deadlock`] waits between two verdicts
+/// that found no deadlock. It paces the retries; no verdict depends on it.
+const RETRY_PACING: Duration = Duration::from_millis(5);
+
+/// Which end of a cut channel a [`CutEnd`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CutSide {
+    /// The write end: its offset is the stream units it has sent.
+    Writer,
+    /// The read end: its offset is the stream units it has delivered.
+    Reader,
+}
+
+/// One end of a channel cut between nodes, as far as it has got.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CutEnd {
+    /// The endpoint token naming the channel.
+    pub token: u64,
+    /// Which end this is.
+    pub side: CutSide,
+    /// Stream offset reached: sent by a writer, delivered by a reader.
+    pub offset: u64,
+}
 
 /// Serializable view of one network's monitor (mirror of
-/// [`kpn_core::MonitorSnapshot`] for the wire).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// [`kpn_core::MonitorSnapshot`] for the wire), with the network's ends of
+/// the channels cut between nodes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetworkStatus {
     /// Activity counter (see [`kpn_core::MonitorSnapshot::generation`]).
     pub generation: u64,
@@ -38,33 +78,17 @@ pub struct NetworkStatus {
     pub aborted: bool,
     /// Channel growths performed by the local monitor.
     pub growths: u64,
-    /// Remote endpoints on the node currently inside a reconnect episode
-    /// (process-wide gauge, reported with every network). A reconnecting
-    /// channel may deliver data the moment its link heals, so it must
-    /// never count toward a deadlock verdict.
-    #[serde(default)]
-    pub reconnecting: usize,
-    /// Total reconnect attempts the node has ever made (progress gauge —
-    /// movement between probe polls means the network layer is working,
-    /// not deadlocked).
-    #[serde(default)]
-    pub recovery_attempts: u64,
-    /// Socket-readiness wakeups delivered by the executor's reactor
-    /// (pooled executor; 0 when the node's networks run on threads). A
-    /// reactor-parked channel reports no generation movement while it
-    /// waits, but a *delivery* to one is progress exactly like a TCP
-    /// receive waking a thread-blocked reader — so this gauge joins the
-    /// freshness check. Timer wakeups are deliberately excluded: timers
-    /// keep firing during a true deadlock.
-    #[serde(default)]
-    pub reactor_wakeups: u64,
+    /// The local monitor's verdict that the network is stuck on remote
+    /// waits ([`kpn_core::MonitorSnapshot::stuck_on_remote`]).
+    pub stuck_on_remote: bool,
+    /// The network's remote endpoints, each as its end of a cut channel.
+    pub cut: Vec<CutEnd>,
 }
 
 impl NetworkStatus {
-    /// Builds the wire view from a core snapshot, stamping in the node's
-    /// current transport-recovery gauges.
-    pub fn from_snapshot(s: &kpn_core::MonitorSnapshot) -> Self {
-        let (reconnecting, recovery_attempts) = crate::transport::recovery_stats();
+    /// Builds the wire view from a core snapshot and the network's remote
+    /// endpoints.
+    pub fn from_snapshot(s: &kpn_core::MonitorSnapshot, endpoints: &[Arc<Interruptor>]) -> Self {
         NetworkStatus {
             generation: s.generation,
             live: s.live,
@@ -72,31 +96,14 @@ impl NetworkStatus {
             blocked_writes: s.blocked_writes,
             aborted: s.aborted,
             growths: s.stats.growths,
-            reconnecting,
-            recovery_attempts,
-            reactor_wakeups: s
-                .stats
-                .scheduler
-                .as_ref()
-                .and_then(|sc| sc.reactor.as_ref())
-                .map(|r| r.wakeups)
-                .unwrap_or(0),
+            stuck_on_remote: s.stuck_on_remote,
+            cut: endpoints.iter().map(|e| e.cut_end()).collect(),
         }
-    }
-
-    /// True when the network still has live processes, all blocked.
-    pub fn fully_blocked(&self) -> bool {
-        self.live > 0 && self.blocked_reads + self.blocked_writes >= self.live
-    }
-
-    /// True when the network has finished.
-    pub fn finished(&self) -> bool {
-        self.live == 0
     }
 }
 
 /// Aggregated status of one node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeStatus {
     /// The node's control address.
     pub addr: String,
@@ -104,35 +111,57 @@ pub struct NodeStatus {
     pub networks: Vec<NetworkStatus>,
 }
 
-impl NodeStatus {
-    /// True when every network on the node is either finished or fully
-    /// blocked, with at least one still live — and no channel endpoint is
-    /// mid-reconnect. A node with a recovering endpoint is *not*
-    /// quiescent: the blocked thread it reports may resume the instant
-    /// the link heals, which is indistinguishable from data in flight.
-    pub fn quiescent_blocked(&self) -> bool {
-        let any_live = self.networks.iter().any(|n| !n.finished());
-        any_live
-            && self.networks.iter().all(|n| n.reconnecting == 0)
-            && self
-                .networks
-                .iter()
-                .all(|n| n.finished() || n.fully_blocked())
+/// The cluster verdict over two gathers taken back to back: `Ok` for a
+/// distributed deadlock, otherwise what stands in the way. See the module
+/// docs for the three conditions. A finished network is not counted, its
+/// ends of the cut included: the other end of such a channel is then seen
+/// alone.
+fn cluster_verdict(first: &[NodeStatus], then: &[NodeStatus]) -> std::result::Result<(), String> {
+    if first != then {
+        return Err("the cluster moved between two gathers".into());
     }
-
-    /// One-line description of what is blocked, for timeout diagnostics.
-    fn describe(&self) -> String {
-        let (mut live, mut reads, mut writes, mut rec) = (0, 0, 0, 0);
-        for n in &self.networks {
-            live += n.live;
-            reads += n.blocked_reads;
-            writes += n.blocked_writes;
-            rec = rec.max(n.reconnecting);
+    let live: Vec<(&str, &NetworkStatus)> = then
+        .iter()
+        .flat_map(|n| n.networks.iter().map(|s| (n.addr.as_str(), s)))
+        .filter(|(_, s)| s.live > 0)
+        .collect();
+    if live.is_empty() {
+        return Err("no live network".into());
+    }
+    // Per token: the offsets its writers report, and its readers'.
+    let mut ends: BTreeMap<u64, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
+    for end in live.iter().flat_map(|(_, s)| &s.cut) {
+        let (sent, delivered) = ends.entry(end.token).or_default();
+        match end.side {
+            CutSide::Writer => sent.push(end.offset),
+            CutSide::Reader => delivered.push(end.offset),
         }
-        format!(
-            "{}: {} live, {} read-blocked, {} write-blocked, {} reconnecting",
-            self.addr, live, reads, writes, rec
-        )
+    }
+    for (token, (sent, delivered)) in &ends {
+        match (sent.as_slice(), delivered.as_slice()) {
+            ([s], [d]) if s == d => {}
+            ([s], [d]) => {
+                return Err(format!(
+                    "cut channel {token:#x} is not empty: sent {s}, delivered {d}"
+                ))
+            }
+            _ => {
+                return Err(format!(
+                    "cut channel {token:#x} is not seen once at each end \
+                     ({} writers, {} readers)",
+                    sent.len(),
+                    delivered.len()
+                ))
+            }
+        }
+    }
+    match live.iter().find(|(_, s)| !s.stuck_on_remote) {
+        Some((addr, s)) => Err(format!(
+            "{addr}: a network is not stuck on remote waits ({} live, {} read-blocked, \
+             {} write-blocked, aborted: {})",
+            s.live, s.blocked_reads, s.blocked_writes, s.aborted
+        )),
+        None => Ok(()),
     }
 }
 
@@ -140,20 +169,15 @@ impl NodeStatus {
 /// deadlock.
 pub struct ClusterProbe {
     servers: Vec<ServerHandle>,
-    /// Delay between the two confirmation polls.
-    pub settle: Duration,
 }
 
 impl ClusterProbe {
     /// A probe over the given servers.
     pub fn new(servers: Vec<ServerHandle>) -> Self {
-        ClusterProbe {
-            servers,
-            settle: Duration::from_millis(50),
-        }
+        ClusterProbe { servers }
     }
 
-    /// One status poll across all servers.
+    /// One status gather across all servers.
     pub fn poll(&self) -> Result<Vec<NodeStatus>> {
         self.servers
             .iter()
@@ -166,62 +190,34 @@ impl ClusterProbe {
             .collect()
     }
 
-    /// True when the cluster as a whole is deadlocked: every node is
-    /// quiescent-blocked on two consecutive polls. (A single poll can
-    /// catch a moment where data is on the wire between two sockets; the
-    /// confirmation poll after `settle` rejects that race — TCP delivery
-    /// would have woken a reader in between.)
-    pub fn detect_global_deadlock(&self) -> Result<bool> {
+    /// Two gathers, back to back, and `cluster_verdict` over them.
+    fn verdict(&self) -> Result<std::result::Result<(), String>> {
         let first = self.poll()?;
-        if first.is_empty() || !first.iter().all(NodeStatus::quiescent_blocked) {
-            return Ok(false);
-        }
-        kpn_core::exec::sleep(self.settle);
-        let second = self.poll()?;
-        if !second.iter().all(NodeStatus::quiescent_blocked) {
-            return Ok(false);
-        }
-        // Freshness: any generation movement between the polls means some
-        // thread blocked/unblocked, and any recovery-attempt movement
-        // means the network layer is actively reconnecting — progress
-        // either way, not deadlock.
-        let frozen = first.iter().zip(second.iter()).all(|(a, b)| {
-            a.networks.len() == b.networks.len()
-                && a.networks.iter().zip(b.networks.iter()).all(|(x, y)| {
-                    x.generation == y.generation
-                        && x.recovery_attempts == y.recovery_attempts
-                        && x.reactor_wakeups == y.reactor_wakeups
-                })
-        });
-        Ok(frozen)
+        let then = self.poll()?;
+        Ok(cluster_verdict(&first, &then))
     }
 
-    /// Polls repeatedly until a global deadlock is confirmed or `timeout`
-    /// elapses. Between polls it parks on the transport-layer condvar
-    /// (see [`crate::transport::probe_wait`]) rather than busy-sleeping,
-    /// so recovery transitions re-poll immediately and chaos tests don't
-    /// flake on fixed-interval timing. On timeout the error reports what
-    /// each node had blocked at the final poll.
+    /// True when the cluster as a whole is deadlocked (see the module docs).
+    pub fn detect_global_deadlock(&self) -> Result<bool> {
+        Ok(self.verdict()?.is_ok())
+    }
+
+    /// Takes verdicts until one finds a global deadlock or `timeout`
+    /// elapses. On timeout the error says what stood in the way of the last
+    /// verdict — a network still running, or a cut channel named by its
+    /// token that is not provably empty.
     pub fn wait_for_deadlock(&self, timeout: Duration) -> Result<bool> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         loop {
-            if self.detect_global_deadlock()? {
-                return Ok(true);
+            match self.verdict()? {
+                Ok(()) => return Ok(true),
+                Err(why) if Instant::now() >= deadline => {
+                    return Err(Error::Graph(format!(
+                        "no global deadlock within {timeout:?} — {why}"
+                    )))
+                }
+                Err(_) => kpn_core::exec::sleep(RETRY_PACING),
             }
-            if std::time::Instant::now() >= deadline {
-                let detail = match self.poll() {
-                    Ok(nodes) => nodes
-                        .iter()
-                        .map(NodeStatus::describe)
-                        .collect::<Vec<_>>()
-                        .join("; "),
-                    Err(e) => format!("final poll failed: {e}"),
-                };
-                return Err(kpn_core::Error::Graph(format!(
-                    "no global deadlock within {timeout:?} — {detail}"
-                )));
-            }
-            crate::transport::probe_wait(self.settle);
         }
     }
 
@@ -256,46 +252,145 @@ pub fn probe_deployment(dep: &crate::builder::Deployment) -> ClusterProbe {
 mod probe_logic_tests {
     use super::*;
 
-    fn status(live: usize, reads: usize, writes: usize) -> NetworkStatus {
+    /// A live network with one process, stuck on remote waits, whose remote
+    /// endpoints are `cut` (token, side, offset).
+    fn stuck(generation: u64, cut: &[(u64, CutSide, u64)]) -> NetworkStatus {
         NetworkStatus {
-            generation: 0,
-            live,
-            blocked_reads: reads,
-            blocked_writes: writes,
+            generation,
+            live: 1,
+            blocked_reads: 1,
+            blocked_writes: 0,
             aborted: false,
             growths: 0,
-            reconnecting: 0,
-            recovery_attempts: 0,
-            reactor_wakeups: 0,
+            stuck_on_remote: true,
+            cut: cut
+                .iter()
+                .map(|&(token, side, offset)| CutEnd {
+                    token,
+                    side,
+                    offset,
+                })
+                .collect(),
         }
     }
 
-    #[test]
-    fn fully_blocked_logic() {
-        assert!(status(2, 2, 0).fully_blocked());
-        assert!(status(2, 1, 1).fully_blocked());
-        assert!(!status(2, 1, 0).fully_blocked());
-        assert!(!status(0, 0, 0).fully_blocked());
-        assert!(status(0, 0, 0).finished());
+    fn gather(networks: Vec<Vec<NetworkStatus>>) -> Vec<NodeStatus> {
+        let node = |(i, networks)| NodeStatus {
+            addr: format!("s{i}"),
+            networks,
+        };
+        networks.into_iter().enumerate().map(node).collect()
     }
 
     #[test]
-    fn node_quiescence_requires_a_live_network() {
-        let all_done = NodeStatus {
-            addr: "x".into(),
-            networks: vec![status(0, 0, 0)],
+    fn cluster_verdict_table() {
+        use CutSide::{Reader, Writer};
+        let running = |n: NetworkStatus| NetworkStatus {
+            stuck_on_remote: false,
+            ..n
         };
-        assert!(!all_done.quiescent_blocked());
-        let blocked = NodeStatus {
-            addr: "x".into(),
-            networks: vec![status(0, 0, 0), status(3, 3, 0)],
+        let finished = |n: NetworkStatus| NetworkStatus {
+            live: 0,
+            blocked_reads: 0,
+            ..running(n)
         };
-        assert!(blocked.quiescent_blocked());
-        let running = NodeStatus {
-            addr: "x".into(),
-            networks: vec![status(3, 2, 0)],
+        // What a monitor reports once its network is aborted: never stuck.
+        let aborted = |n: NetworkStatus| NetworkStatus {
+            aborted: true,
+            ..running(n)
         };
-        assert!(!running.quiescent_blocked());
+        // The `future_work` cycle: a reads b's output and b reads a's, each
+        // on its own node, with nothing in flight.
+        let cycle = |gen, off_a: u64, off_b: u64| {
+            gather(vec![
+                vec![stuck(gen, &[(0xA, Writer, off_a), (0xB, Reader, off_b)])],
+                vec![stuck(gen, &[(0xB, Writer, off_b), (0xA, Reader, off_a)])],
+            ])
+        };
+        // (what, first gather, second gather, deadlock)
+        let cases: Vec<(&str, Vec<NodeStatus>, Vec<NodeStatus>, bool)> = vec![
+            ("every network stuck, every token paired and equal", cycle(3, 8, 8), cycle(3, 8, 8), true),
+            (
+                "one cut with sent > delivered",
+                gather(vec![
+                    vec![stuck(3, &[(0xA, Writer, 9), (0xB, Reader, 8)])],
+                    vec![stuck(3, &[(0xB, Writer, 8), (0xA, Reader, 8)])],
+                ]),
+                gather(vec![
+                    vec![stuck(3, &[(0xA, Writer, 9), (0xB, Reader, 8)])],
+                    vec![stuck(3, &[(0xB, Writer, 8), (0xA, Reader, 8)])],
+                ]),
+                false,
+            ),
+            (
+                "a token seen on one side only",
+                gather(vec![vec![stuck(3, &[(0xA, Writer, 0)])]]),
+                gather(vec![vec![stuck(3, &[(0xA, Writer, 0)])]]),
+                false,
+            ),
+            (
+                "a token seen twice on one side",
+                gather(vec![vec![stuck(3, &[(0xA, Writer, 0), (0xA, Writer, 0), (0xA, Reader, 0)])]]),
+                gather(vec![vec![stuck(3, &[(0xA, Writer, 0), (0xA, Writer, 0), (0xA, Reader, 0)])]]),
+                false,
+            ),
+            ("a generation moved", cycle(3, 8, 8), cycle(4, 8, 8), false),
+            ("an offset moved", cycle(3, 8, 8), cycle(3, 9, 8), false),
+            (
+                "one network not stuck",
+                gather(vec![
+                    vec![stuck(3, &[(0xA, Writer, 8), (0xB, Reader, 8)])],
+                    vec![running(stuck(3, &[(0xB, Writer, 8), (0xA, Reader, 8)]))],
+                ]),
+                gather(vec![
+                    vec![stuck(3, &[(0xA, Writer, 8), (0xB, Reader, 8)])],
+                    vec![running(stuck(3, &[(0xB, Writer, 8), (0xA, Reader, 8)]))],
+                ]),
+                false,
+            ),
+            (
+                "every network finished",
+                gather(vec![vec![finished(stuck(3, &[]))], vec![finished(stuck(5, &[]))]]),
+                gather(vec![vec![finished(stuck(3, &[]))], vec![finished(stuck(5, &[]))]]),
+                false,
+            ),
+            ("no networks", gather(vec![vec![], vec![]]), gather(vec![vec![], vec![]]), false),
+            ("no nodes", vec![], vec![], false),
+            (
+                "an aborted network",
+                gather(vec![
+                    vec![stuck(3, &[(0xA, Writer, 8), (0xB, Reader, 8)])],
+                    vec![aborted(stuck(3, &[(0xB, Writer, 8), (0xA, Reader, 8)]))],
+                ]),
+                gather(vec![
+                    vec![stuck(3, &[(0xA, Writer, 8), (0xB, Reader, 8)])],
+                    vec![aborted(stuck(3, &[(0xB, Writer, 8), (0xA, Reader, 8)]))],
+                ]),
+                false,
+            ),
+            (
+                "a finished network beside the stuck ones is not counted",
+                gather(vec![
+                    vec![stuck(3, &[(0xA, Writer, 8), (0xB, Reader, 8)])],
+                    vec![
+                        finished(stuck(7, &[(0xC, Writer, 2)])),
+                        stuck(3, &[(0xB, Writer, 8), (0xA, Reader, 8)]),
+                    ],
+                ]),
+                gather(vec![
+                    vec![stuck(3, &[(0xA, Writer, 8), (0xB, Reader, 8)])],
+                    vec![
+                        finished(stuck(7, &[(0xC, Writer, 2)])),
+                        stuck(3, &[(0xB, Writer, 8), (0xA, Reader, 8)]),
+                    ],
+                ]),
+                true,
+            ),
+        ];
+        for (what, first, then, deadlock) in cases {
+            let verdict = cluster_verdict(&first, &then);
+            assert_eq!(verdict.is_ok(), deadlock, "{what}: {verdict:?}");
+        }
     }
 
     #[test]

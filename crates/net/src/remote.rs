@@ -46,7 +46,8 @@
 //! triggers. A single process-wide watchdog thread therefore pumps every
 //! resilient sink that is not currently busy (see [`SinkCore::pump`]):
 //! it drains acknowledgements and, on finding the link dead, runs the
-//! ordinary recovery episode on the idle sink's behalf.
+//! ordinary recovery episode on the idle sink's behalf. It runs while
+//! some resilient sink exists, and exits once none does.
 //!
 //! Transient failure is distinguished from *deliberate* stream events,
 //! which must still cascade per §3.4: a reader that processes `Close` (or
@@ -55,10 +56,11 @@
 //! writer that sees `Stop` stops retrying (and treats it as success when
 //! it was only waiting for a `Close`/`Redirect` marker to be
 //! acknowledged, since `Stop` proves the reader got that far). True
-//! deadlock detection is also preserved: recovery episodes are counted in
-//! process-wide gauges (see [`crate::transport::recovery_stats`]) that
-//! the cluster probe checks, so a reconnecting channel is never counted
-//! as a blocked one.
+//! deadlock detection needs nothing from recovery: the offsets that make
+//! replay exact also say whether a cut channel is empty (an endpoint a node
+//! builds reports them through its [`Interruptor`], see `probe.rs`), and a
+//! reconnecting link whose writer has sent no more than its reader
+//! delivered has nothing left to deliver.
 //!
 //! ## What the deadlock monitor sees
 //!
@@ -76,6 +78,7 @@ use crate::acceptor::{fresh_token, Acceptor, PendingConn};
 use crate::frame::{
     parse_frame_header, write_data_frame, write_frame, AckEvent, AckParser, Frame, FrameHeader,
 };
+use crate::probe::{CutEnd, CutSide};
 use crate::transport::{
     error_is_transient, profile_for, NetProfile, ReconnectPolicy, RecoveryGuard, SplitMix64,
     Transport, TransportFactory,
@@ -86,6 +89,7 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -157,11 +161,25 @@ fn link_failure(e: &Error) -> bool {
 /// poison (a TCP read, or the wait for a pending connection). Shared
 /// between the endpoint (which keeps it pointed at its current transport,
 /// across redirects and reconnects) and the abort hook that fires it.
+///
+/// It is also the endpoint's end of the cut, as the node reports it to the
+/// cluster probe ([`CutEnd`]): the endpoint stores how far into its stream
+/// it has got on every frame it sends or read it delivers. A reader that
+/// moves to a redirect token keeps reporting the token it left, at its
+/// final offset.
+#[derive(Debug)]
 pub struct Interruptor {
     state: parking_lot::Mutex<InterruptState>,
+    token: u64,
+    side: CutSide,
+    /// Relaxed is enough: the node loads it after taking its network
+    /// monitor's lock for the snapshot, and a process stores its offset
+    /// before it registers a wait under that lock, so the snapshot of a
+    /// stuck network comes with every offset its processes reached.
+    offset: AtomicU64,
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct InterruptState {
     interrupted: bool,
     /// A second handle to the endpoint's current socket.
@@ -171,11 +189,32 @@ struct InterruptState {
 }
 
 impl Interruptor {
-    /// A fresh, un-fired interruptor.
-    pub fn new() -> Arc<Self> {
+    /// A fresh, un-fired interruptor for the `side` end of the channel
+    /// `token` names, at offset 0.
+    pub fn new(token: u64, side: CutSide) -> Arc<Self> {
         Arc::new(Interruptor {
             state: parking_lot::Mutex::new(InterruptState::default()),
+            token,
+            side,
+            offset: AtomicU64::new(0),
         })
+    }
+
+    /// The endpoint's end of the cut, as far as it has got.
+    pub fn cut_end(&self) -> CutEnd {
+        CutEnd {
+            token: self.token,
+            side: self.side,
+            offset: self.offset.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The endpoint has got to `offset` in the stream of `token`; recorded
+    /// only for the token this interruptor was made for.
+    fn record(&self, token: u64, offset: u64) {
+        if token == self.token {
+            self.offset.store(offset, Ordering::Relaxed);
+        }
     }
 
     /// Fires the interrupt: shuts the current socket (if any) and cancels
@@ -224,12 +263,6 @@ impl Interruptor {
         }
         st.socket = None;
         st.pending = Some((Arc::downgrade(acceptor), token));
-    }
-}
-
-impl std::fmt::Debug for Interruptor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Interruptor(fired: {})", self.is_interrupted())
     }
 }
 
@@ -314,6 +347,17 @@ impl SinkCore {
         self.interruptor
             .as_ref()
             .is_some_and(|i| i.is_interrupted())
+    }
+
+    /// Assigns the next `len` stream units, returning the offset of the
+    /// first, and records how far the stream has got in the interruptor.
+    fn take_offset(&mut self, len: u64) -> u64 {
+        let offset = self.sent;
+        self.sent += len;
+        if let Some(i) = &self.interruptor {
+            i.record(self.token, self.sent);
+        }
+        offset
     }
 
     fn apply_ack_events(&mut self, events: &[AckEvent]) {
@@ -682,8 +726,7 @@ impl SinkCore {
                 });
                 self.replay_bytes += chunk.len();
             }
-            let offset = self.sent;
-            self.sent += chunk.len() as u64;
+            let offset = self.take_offset(chunk.len() as u64);
             let r = match self.conn.as_mut() {
                 Some(conn) => write_data_frame(conn, chunk, offset),
                 None => Err(Error::WriteClosed),
@@ -766,33 +809,42 @@ impl SinkCore {
     }
 }
 
-/// Resilient sinks the watchdog thread pumps, registered on creation and
-/// pruned when the owning facade (or its linger thread) drops the core.
-static PUMP_SINKS: Mutex<Vec<std::sync::Weak<Mutex<SinkCore>>>> = Mutex::new(Vec::new());
-static PUMP_THREAD: std::sync::Once = std::sync::Once::new();
+/// The resilient sinks the watchdog thread pumps, registered on creation
+/// and pruned once the owning facade (or its linger thread) drops the core;
+/// `None` while no watchdog runs. The watchdog exits when it finds the list
+/// empty and the next registration starts another, both under this lock,
+/// so no registration goes unpumped.
+static PUMP_SINKS: Mutex<Option<Vec<std::sync::Weak<Mutex<SinkCore>>>>> = Mutex::new(None);
 
 fn pump_register(core: &Arc<Mutex<SinkCore>>) {
-    PUMP_SINKS.lock().push(Arc::downgrade(core));
-    PUMP_THREAD.call_once(|| {
+    let mut sinks = PUMP_SINKS.lock();
+    if sinks.is_none() {
         let _ = std::thread::Builder::new()
             .name("kpn-sink-pump".into())
             .spawn(pump_loop);
-    });
+    }
+    sinks.get_or_insert_with(Vec::new).push(Arc::downgrade(core));
 }
 
 /// The watchdog: every poll interval, give each registered sink whose
 /// owner is not actively using it (`try_lock`) one [`SinkCore::pump`]
-/// step. A sink mid-recovery on its own fiber is simply skipped, and a
-/// recovery episode run *here* blocks only this thread — the owning
-/// process keeps running until it next touches the sink, then waits on
-/// the lock exactly as if it were performing the recovery itself.
+/// step, until no sink is left. A sink mid-recovery on its own fiber is
+/// simply skipped, and a recovery episode run *here* blocks only this
+/// thread — the owning process keeps running until it next touches the
+/// sink, then waits on the lock exactly as if it were performing the
+/// recovery itself.
 fn pump_loop() {
     loop {
         kpn_core::exec::sleep(RECOVERY_POLL);
         let sinks: Vec<Arc<Mutex<SinkCore>>> = {
             let mut reg = PUMP_SINKS.lock();
-            reg.retain(|w| w.strong_count() > 0);
-            reg.iter().filter_map(std::sync::Weak::upgrade).collect()
+            let live = reg.get_or_insert_with(Vec::new);
+            live.retain(|w| w.strong_count() > 0);
+            if live.is_empty() {
+                *reg = None;
+                return;
+            }
+            live.iter().filter_map(std::sync::Weak::upgrade).collect()
         };
         for sink in sinks {
             if let Some(mut core) = sink.try_lock() {
@@ -891,8 +943,7 @@ impl RemoteSink {
         let peer = self.peer_addr()?;
         let token = fresh_token();
         let mut core = self.core()?.lock();
-        let offset = core.sent;
-        core.sent += 1;
+        let offset = core.take_offset(1);
         if core.policy.enabled {
             core.send_marker(ReplayFrame::Redirect { offset, token });
             let target = core.sent;
@@ -943,8 +994,7 @@ impl Sink for RemoteSink {
             return;
         };
         let mut c = core.lock();
-        let offset = c.sent;
-        c.sent += 1;
+        let offset = c.take_offset(1);
         if c.policy.enabled && !c.peer_stopped {
             c.send_marker(ReplayFrame::Close { offset });
             let target = c.sent;
@@ -1058,6 +1108,15 @@ impl RemoteSource {
         self.ack_poisoned = true;
     }
 
+    /// Moves the next offset to deliver to `expected`, and records how far
+    /// the stream has got in the interruptor.
+    fn deliver_to(&mut self, expected: u64) {
+        self.expected = expected;
+        if let Some(i) = &self.interruptor {
+            i.record(self.token, expected);
+        }
+    }
+
     /// Writes `Ack{expected}` on the reverse direction of the transport.
     fn send_ack(&mut self) -> Result<()> {
         let t = self.stream.get_mut();
@@ -1129,7 +1188,7 @@ impl RemoteSource {
                     return Err(Error::Disconnected("peer vanished mid-frame".into()));
                 }
                 self.remaining -= got;
-                self.expected += got as u64;
+                self.deliver_to(self.expected + got as u64);
                 self.ack_progress(got);
                 return Ok(SourceRead::Data(got));
             }
@@ -1187,7 +1246,7 @@ impl RemoteSource {
                             self.expected
                         )));
                     }
-                    self.expected = offset + 1;
+                    self.deliver_to(offset + 1);
                     self.finish_deliberate();
                     return Ok(SourceRead::End);
                 }
@@ -1198,7 +1257,7 @@ impl RemoteSource {
                             self.expected
                         )));
                     }
-                    self.expected = offset + 1;
+                    self.deliver_to(offset + 1);
                     let acceptor = self.acceptor.clone().ok_or_else(|| {
                         Error::Graph("redirect received but node has no acceptor".into())
                     })?;
@@ -1426,7 +1485,7 @@ pub fn remote_reader_interruptible(
     acceptor: &Arc<Acceptor>,
     token: u64,
 ) -> (ChannelReader, Arc<Interruptor>) {
-    let interruptor = Interruptor::new();
+    let interruptor = Interruptor::new(token, CutSide::Reader);
     let source = PendingSource::listen_with(acceptor, token, Some(interruptor.clone()));
     (ChannelReader::from_source(Box::new(source)), interruptor)
 }
@@ -1438,7 +1497,7 @@ pub fn remote_writer_interruptible(
     token: u64,
 ) -> Result<(ChannelWriter, Arc<Interruptor>)> {
     let mut sink = RemoteSink::connect(addr, token)?;
-    let interruptor = Interruptor::new();
+    let interruptor = Interruptor::new(token, CutSide::Writer);
     sink.set_interruptor(interruptor.clone());
     Ok((ChannelWriter::from_sink(Box::new(sink)), interruptor))
 }
@@ -1567,6 +1626,34 @@ mod tests {
         reader.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"from A;from C");
         assert_eq!(reader.read(&mut buf).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_redirected_reader_reports_the_token_it_left() {
+        // Both ends of the first connection stop at offset 6 — five bytes
+        // and the Redirect marker — however much follows on the token the
+        // reader moved to.
+        let b = node();
+        let token = fresh_token();
+        let (mut reader, read_end) = remote_reader_interruptible(&b, token);
+        let mut sink_a = RemoteSink::connect(&b.local_addr().to_string(), token).unwrap();
+        let write_end = Interruptor::new(token, CutSide::Writer);
+        sink_a.set_interruptor(write_end.clone());
+        sink_a.write_all(b"12345").unwrap();
+        let (addr, next) = sink_a.begin_redirect().unwrap();
+        let mut writer_c = remote_writer(&addr.to_string(), next).unwrap();
+        writer_c.write_all(b"678").unwrap();
+        drop(writer_c);
+        let mut buf = [0u8; 8];
+        reader.read_exact(&mut buf).unwrap();
+        assert_eq!(reader.read(&mut buf).unwrap(), 0);
+        let end = |side, offset| CutEnd {
+            token,
+            side,
+            offset,
+        };
+        assert_eq!(write_end.cut_end(), end(CutSide::Writer, 6));
+        assert_eq!(read_end.cut_end(), end(CutSide::Reader, 6));
     }
 
     #[test]

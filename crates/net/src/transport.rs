@@ -15,18 +15,18 @@
 //! endpoints react to a transport fault (see `remote.rs` for the
 //! sequence-numbered replay protocol), an address-keyed registry of
 //! [`NetProfile`]s so chaos can be scoped to the nodes of one test without
-//! leaking into the rest of the process, and the global recovery gauges
-//! the distributed deadlock probe consults so a *reconnecting* channel is
-//! never mistaken for a *blocked* one.
+//! leaking into the rest of the process, and the process-wide recovery
+//! counters ([`recovery_stats`]) — a report of how often links healed, which
+//! no deadlock verdict reads.
 
 use kpn_core::{Error, Result};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Transport trait + TCP implementation
@@ -650,17 +650,15 @@ pub fn profile_for(addr: &str) -> NetProfile {
 }
 
 // ---------------------------------------------------------------------------
-// Recovery gauges + probe wake-up
+// Recovery counters
 // ---------------------------------------------------------------------------
 
 static RECOVERING: AtomicUsize = AtomicUsize::new(0);
 static RECOVERY_ATTEMPTS: AtomicU64 = AtomicU64::new(0);
 
 /// Endpoints currently inside a recovery episode, and total reconnect
-/// attempts ever made, process-wide. The deadlock probe treats a node
-/// with `recovering > 0` as *not* quiescent: a reconnecting channel may
-/// deliver data the moment the link heals, so it must never count toward
-/// a deadlock verdict (it is neither provably blocked nor provably dead).
+/// attempts ever made, process-wide. A report only: the cluster probe
+/// judges a reconnecting channel by its stream offsets, like any other.
 pub fn recovery_stats() -> (usize, u64) {
     (
         RECOVERING.load(Ordering::SeqCst),
@@ -668,81 +666,25 @@ pub fn recovery_stats() -> (usize, u64) {
     )
 }
 
-/// RAII marker for one recovery episode; notifies the probe condvar on
-/// entry and exit so waiting probes re-poll promptly instead of sleeping
-/// through state changes.
+/// RAII marker for one recovery episode, counted in [`recovery_stats`].
 pub(crate) struct RecoveryGuard;
 
 impl RecoveryGuard {
     pub(crate) fn enter() -> Self {
         RECOVERING.fetch_add(1, Ordering::SeqCst);
-        notify_probe();
         RecoveryGuard
     }
 
     /// Records one reconnect attempt.
     pub(crate) fn attempt(&self) {
         RECOVERY_ATTEMPTS.fetch_add(1, Ordering::SeqCst);
-        notify_probe();
     }
 }
 
 impl Drop for RecoveryGuard {
     fn drop(&mut self) {
         RECOVERING.fetch_sub(1, Ordering::SeqCst);
-        notify_probe();
     }
-}
-
-/// An event counter probes sleep on: [`ProbeWaker::wait`] returns early when
-/// [`ProbeWaker::notify`] is called during it.
-struct ProbeWaker {
-    events: Mutex<u64>,
-    cond: Condvar,
-}
-
-impl ProbeWaker {
-    const fn new() -> Self {
-        ProbeWaker {
-            events: Mutex::new(0),
-            cond: Condvar::new(),
-        }
-    }
-
-    fn notify(&self) {
-        *self.events.lock() += 1;
-        self.cond.notify_all();
-    }
-
-    /// Returns `true` if woken by an event, `false` once `timeout` elapsed.
-    fn wait(&self, timeout: Duration) -> bool {
-        let mut events = self.events.lock();
-        let before = *events;
-        let deadline = Instant::now() + timeout;
-        while *events == before {
-            if self.cond.wait_until(&mut events, deadline).timed_out() {
-                return *events != before;
-            }
-        }
-        true
-    }
-}
-
-/// The process-wide waker every transport recovery transition notifies.
-static PROBE_WAKER: ProbeWaker = ProbeWaker::new();
-
-/// Wakes any probe blocked in [`probe_wait`]; called on every transport
-/// recovery transition (and usable by tests to force an immediate
-/// re-poll).
-pub fn notify_probe() {
-    PROBE_WAKER.notify();
-}
-
-/// Blocks until a transport event fires or `timeout` elapses — the
-/// condvar-based replacement for the probe's former fixed-interval sleep.
-/// Returns `true` if woken by an event.
-pub fn probe_wait(timeout: Duration) -> bool {
-    PROBE_WAKER.wait(timeout)
 }
 
 /// Classification of an I/O error for the recovery logic: `true` means
@@ -837,25 +779,5 @@ mod tests {
         assert!(profile_for(addr).policy.enabled);
         remove_profile(addr);
         assert!(!profile_for(addr).policy.enabled);
-    }
-
-    #[test]
-    fn probe_wait_times_out_and_wakes() {
-        // A waker of its own: the process-wide one is notified by every
-        // recovery test running beside this one.
-        let waker = ProbeWaker::new();
-        assert!(!waker.wait(Duration::from_millis(10)));
-        let woken = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                // Until the wait has returned, so one of these lands in it.
-                while !woken.load(Ordering::SeqCst) {
-                    waker.notify();
-                    std::thread::yield_now();
-                }
-            });
-            assert!(waker.wait(Duration::from_secs(5)));
-            woken.store(true, Ordering::SeqCst);
-        });
     }
 }

@@ -4,13 +4,15 @@
 //! * §6.2 — distributed deadlock detection: a cross-machine read cycle
 //!   that no local monitor may abort (remote reads are unverifiable) is
 //!   detected by the [`ClusterProbe`] and resolved by a cluster-wide
-//!   abort;
+//!   abort, while a flowing pipeline cut between two polled servers, and a
+//!   writer stuck on a full cut channel (Parks' artificial deadlock), are
+//!   never taken for one;
 //! * §6.1 — migrating endpoints after execution has begun: a producer's
 //!   write endpoint moves to another node mid-stream via the redirect
 //!   protocol, with no byte lost, duplicated, or reordered.
 
 use kpn::core::{DataReader, DataWriter};
-use kpn::net::{ClusterProbe, GraphBuilder, Node, RemoteSink, ServerHandle};
+use kpn::net::{ClusterProbe, CutSide, GraphBuilder, Node, RemoteSink, ServerHandle};
 use std::time::Duration;
 
 fn node() -> (std::sync::Arc<Node>, ServerHandle) {
@@ -56,6 +58,37 @@ fn distributed_deadlock_is_detected_and_resolved() {
 }
 
 #[test]
+#[ignore = "measurement: prints the verdict latency of the cycle above over 20 runs"]
+fn verdict_latency() {
+    // From the return of `deploy` to the return of `wait_for_deadlock`.
+    let mut ms = Vec::new();
+    for _ in 0..20 {
+        let client = Node::serve("127.0.0.1:0").unwrap();
+        let (_s0, h0) = node();
+        let (_s1, h1) = node();
+        let mut g = GraphBuilder::new();
+        let c01 = g.channel();
+        let c10 = g.channel();
+        g.add(0, "Identity", &(), &[c10], &[c01]).unwrap();
+        g.add(1, "Identity", &(), &[c01], &[c10]).unwrap();
+        let dep = g.deploy(&client, &[h0.clone(), h1.clone()]).unwrap();
+        let start = std::time::Instant::now();
+        let probe = ClusterProbe::new(vec![h0, h1]);
+        assert!(probe.wait_for_deadlock(Duration::from_secs(10)).unwrap());
+        ms.push(start.elapsed().as_secs_f64() * 1e3);
+        probe.abort_all().unwrap();
+        assert!(dep.join().is_err());
+    }
+    ms.sort_by(f64::total_cmp);
+    eprintln!(
+        "verdict latency over {} runs: median {:.2} ms, p90 {:.2} ms",
+        ms.len(),
+        (ms[9] + ms[10]) / 2.0,
+        ms[17]
+    );
+}
+
+#[test]
 fn healthy_cluster_is_not_flagged() {
     // A running pipeline with data flowing must never be declared
     // deadlocked, even while its stages block briefly between items.
@@ -86,6 +119,90 @@ fn healthy_cluster_is_not_flagged() {
     }
     consumer.join().unwrap();
     dep.join().unwrap();
+}
+
+#[test]
+fn a_pipeline_cut_between_two_polled_servers_is_never_flagged() {
+    // Both ends of the cut live on servers the probe polls, so its token is
+    // seen at both ends: only the verdict itself keeps a flowing pipeline
+    // from being flagged, at any point of its run, its wind-down included.
+    let client = Node::serve("127.0.0.1:0").unwrap();
+    let (_s0, h0) = node();
+    let (_s1, h1) = node();
+    let mut g = GraphBuilder::new();
+    let a = g.channel();
+    let b = g.channel();
+    g.add(0, "Sequence", &(0i64, Some(500_000u64)), &[], &[a])
+        .unwrap();
+    g.add(1, "Scale", &2i64, &[a], &[b]).unwrap();
+    g.add(1, "Discard", &(), &[b], &[]).unwrap();
+    let dep = g.deploy(&client, &[h0.clone(), h1.clone()]).unwrap();
+    let probe = ClusterProbe::new(vec![h0, h1]);
+    let running = || {
+        let nodes = probe.poll().unwrap();
+        nodes.iter().any(|n| n.networks.iter().any(|s| s.live > 0))
+    };
+    let mut verdicts = 0;
+    while running() {
+        assert!(
+            !probe.detect_global_deadlock().unwrap(),
+            "flowing pipeline flagged after {verdicts} verdicts"
+        );
+        verdicts += 1;
+    }
+    assert!(verdicts > 0, "the run ended before the first verdict");
+    dep.join().unwrap();
+}
+
+#[test]
+fn a_writer_stuck_on_a_full_cut_channel_is_not_a_distributed_deadlock() {
+    // Parks' artificial deadlock across a cut. `Cons` on s1 reads `x`
+    // first, and `x` closes a cycle through s0 that holds no token, so
+    // neither ever moves; the unbounded `Sequence` on s0 writes into the
+    // cut channel `Cons` reads second until the sockets between them are
+    // full. Every process is blocked, but that channel is not empty: a
+    // larger buffer would let `Sequence` go on, so this is no true
+    // deadlock, and the probe names the channel.
+    let client = Node::serve("127.0.0.1:0").unwrap();
+    let (_s0, h0) = node();
+    let (_s1, h1) = node();
+    let mut g = GraphBuilder::new();
+    let seq = g.channel();
+    let x = g.channel();
+    let out = g.channel();
+    g.add(0, "Sequence", &(0i64, None::<u64>), &[], &[seq])
+        .unwrap();
+    g.add(1, "Cons", &false, &[x, seq], &[out]).unwrap();
+    g.add(0, "Identity", &(), &[out], &[x]).unwrap();
+    let dep = g.deploy(&client, &[h0.clone(), h1.clone()]).unwrap();
+    let probe = ClusterProbe::new(vec![h0.clone(), h1]);
+    // `Sequence`'s end of the cut: the one writer on s0 that got anywhere.
+    let sent = || {
+        let status = h0.monitor_status().unwrap();
+        let ends = status.iter().flat_map(|s| s.cut.iter());
+        ends.filter(|e| e.side == CutSide::Writer)
+            .map(|e| (e.token, e.offset))
+            .max_by_key(|&(_, offset)| offset)
+            .unwrap()
+    };
+    // Wait until the sockets are full and the offset holds still.
+    let mut last = sent();
+    let token = loop {
+        std::thread::sleep(Duration::from_millis(200));
+        let now = sent();
+        if now == last && now.1 > 0 {
+            break now.0;
+        }
+        last = now;
+    };
+    assert!(!probe.detect_global_deadlock().unwrap());
+    let err = probe
+        .wait_for_deadlock(Duration::from_millis(300))
+        .expect_err("an artificial deadlock is no verdict")
+        .to_string();
+    assert!(err.contains(&format!("{token:#x} is not empty")), "{err}");
+    probe.abort_all().unwrap();
+    assert!(dep.join().is_err(), "aborted deployment reports the failure");
 }
 
 #[test]
