@@ -19,7 +19,7 @@ fn report(label: &str, net: &Network, produced: usize) {
     let stats = net.monitor().stats();
     println!(
         "   artificial deadlocks resolved: {} growth events",
-        stats.growths
+        stats.capacity_grows
     );
     if stats.growth_log.is_empty() {
         println!("   no channel ever needed to grow");

@@ -304,7 +304,7 @@ mod tests {
         let report = net.run().unwrap();
         assert_eq!(*out.lock().unwrap(), hamming_reference(100));
         assert!(
-            report.monitor.growths > 0,
+            report.monitor.capacity_grows > 0,
             "expected the monitor to grow at least one channel"
         );
     }
@@ -351,7 +351,7 @@ mod tests {
         let out = mod_merge_dag(&net, 10, 100, 8);
         let report = net.run().unwrap();
         assert_eq!(*out.lock().unwrap(), (1..=100).collect::<Vec<i64>>());
-        assert!(report.monitor.growths > 0);
+        assert!(report.monitor.capacity_grows > 0);
     }
 
     #[test]
@@ -360,7 +360,7 @@ mod tests {
         let out = mod_merge_dag(&net, 10, 100, 8192);
         let report = net.run().unwrap();
         assert_eq!(out.lock().unwrap().len(), 100);
-        assert_eq!(report.monitor.growths, 0);
+        assert_eq!(report.monitor.capacity_grows, 0);
     }
 
     #[test]

@@ -220,10 +220,9 @@ pub(crate) type Held = Vec<(u64, Arc<dyn MonitoredChannel>)>;
 /// Counters exposed for tests, benches and EXPERIMENTS.md.
 #[derive(Debug, Default, Clone)]
 pub struct MonitorStats {
-    /// Number of artificial deadlocks resolved by growing a channel.
-    pub growths: u64,
-    /// Capacity-growth events the runtime monitor performed after start —
-    /// the observable cost of Parks' detect-and-grow loop. Statically
+    /// Artificial deadlocks the runtime monitor resolved after start by
+    /// growing a channel — the observable cost of Parks' detect-and-grow
+    /// loop. Statically
     /// synthesized capacities applied before start
     /// (`NetworkConfig::synthesize_capacities`) do not count, so a static
     /// region whose synthesized sizes hold reports `capacity_grows == 0`.
@@ -827,7 +826,6 @@ impl Monitor {
                 // `None`: the channel drained between the look and the
                 // action. If everyone is still blocked a later tick retries.
                 if let Some((old, new)) = grown {
-                    st.stats.growths += 1;
                     st.stats.capacity_grows += 1;
                     st.stats.growth_log.push((id, old, new));
                     st.generation += 1;
@@ -1005,7 +1003,7 @@ mod tests {
         assert!(!m.is_aborted());
         assert_eq!(*small.cap.lock(), 16, "smallest channel doubled");
         assert_eq!(*big.cap.lock(), 64, "larger channel untouched");
-        assert_eq!(m.stats().growths, 1);
+        assert_eq!(m.stats().capacity_grows, 1);
     }
 
     #[test]
@@ -1017,7 +1015,7 @@ mod tests {
         m.register_channel(9, Arc::downgrade(&empty) as Weak<dyn MonitoredChannel>);
         block_all(&m, &[(7, BlockKind::Write), (9, BlockKind::Read)]);
         assert!(!m.is_aborted());
-        assert_eq!(m.stats().growths, 1);
+        assert_eq!(m.stats().capacity_grows, 1);
     }
 
     #[test]
@@ -1033,7 +1031,7 @@ mod tests {
         m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
         block_all(&m, &[(7, BlockKind::Write), (9, BlockKind::Read)]);
         assert!(!m.is_aborted());
-        assert_eq!(m.stats().growths, 0, "in-flight cascade must veto growth");
+        assert_eq!(m.stats().capacity_grows, 0, "in-flight cascade must veto growth");
     }
 
     #[test]
@@ -1048,7 +1046,7 @@ mod tests {
         m.tick();
         m.tick();
         assert!(!m.is_aborted());
-        assert_eq!(m.stats().growths, 1);
+        assert_eq!(m.stats().capacity_grows, 1);
     }
 
     #[test]
@@ -1061,12 +1059,12 @@ mod tests {
         let c = FakeChan::new(8, true);
         m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
         block_all(&m, &[(7, BlockKind::Write), (EXTERNAL_CHANNEL, BlockKind::Write)]);
-        assert_eq!(m.stats().growths, 0, "the registrant must not decide for itself");
+        assert_eq!(m.stats().capacity_grows, 0, "the registrant must not decide for itself");
         m.tick();
-        assert_eq!(m.stats().growths, 0, "one tick has seen the wait for an instant");
+        assert_eq!(m.stats().capacity_grows, 0, "one tick has seen the wait for an instant");
         m.tick();
         assert!(!m.is_aborted());
-        assert_eq!(m.stats().growths, 1, "a picture that lasts is still resolved");
+        assert_eq!(m.stats().capacity_grows, 1, "a picture that lasts is still resolved");
     }
 
     #[test]
@@ -1143,7 +1141,7 @@ mod tests {
         assert!(!m.snapshot().stuck_on_remote);
         m.tick();
         m.tick();
-        assert_eq!(m.stats().growths, 1);
+        assert_eq!(m.stats().capacity_grows, 1);
         assert!(!m.snapshot().stuck_on_remote);
         // Nor is a network with a process still running.
         let m = Monitor::new(DeadlockPolicy::default());

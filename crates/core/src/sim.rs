@@ -62,23 +62,25 @@ use std::sync::Arc;
 // RNG
 // ---------------------------------------------------------------------------
 
-/// SplitMix64: tiny, seedable, and good enough to de-correlate schedule
-/// decisions. Kept private to the schedule policy so decision draws are the
-/// only consumer of the stream.
+/// SplitMix64 — tiny, seed-stable generator for schedule decisions, fault
+/// schedules and backoff jitter. Deliberately *not* `rand`: every stream it
+/// feeds must be a pure function of the seed, independent of crate versions.
 #[derive(Debug, Clone)]
-struct SimRng(u64);
+pub struct SplitMix64(pub u64);
 
-impl SimRng {
-    fn new(seed: u64) -> Self {
-        SimRng(seed)
-    }
-
-    fn next(&mut self) -> u64 {
+impl SplitMix64 {
+    /// Next raw value.
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Uniform value in `[0, n)` (n > 0).
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
     }
 }
 
@@ -183,7 +185,7 @@ struct SchedState {
     /// construction wait so the initial grant covers the whole batch.
     released: bool,
     policy: SchedulePolicy,
-    rng: SimRng,
+    rng: SplitMix64,
     decisions: Vec<u32>,
     arities: Vec<u32>,
     /// Set on irreducible quiescence; every waiter panics with this.
@@ -220,10 +222,10 @@ enum Dispatch {
 impl SimScheduler {
     /// A scheduler following `policy`.
     pub fn new(policy: SchedulePolicy) -> Arc<Self> {
-        let (rng, _seed) = match &policy {
-            SchedulePolicy::RandomWalk { seed } => (SimRng::new(*seed), Some(*seed)),
-            _ => (SimRng::new(0), None),
-        };
+        let rng = SplitMix64(match &policy {
+            SchedulePolicy::RandomWalk { seed } => *seed,
+            _ => 0,
+        });
         Arc::new(SimScheduler {
             state: Mutex::new(SchedState {
                 tasks: Vec::new(),
@@ -434,7 +436,7 @@ impl SimScheduler {
         let arity = ready.len() as u32;
         let pos = st.decisions.len();
         let choice = match &st.policy {
-            SchedulePolicy::RandomWalk { .. } => (st.rng.next() % arity as u64) as u32,
+            SchedulePolicy::RandomWalk { .. } => st.rng.below(arity as u64) as u32,
             SchedulePolicy::Replay(list) => list.get(pos).copied().unwrap_or(0).min(arity - 1),
             SchedulePolicy::Prefix(list) => list.get(pos).copied().unwrap_or(0).min(arity - 1),
         };
@@ -876,13 +878,13 @@ mod tests {
 
     #[test]
     fn rng_is_deterministic() {
-        let mut a = SimRng::new(42);
-        let mut b = SimRng::new(42);
+        let mut a = SplitMix64(42);
+        let mut b = SplitMix64(42);
         for _ in 0..16 {
-            assert_eq!(a.next(), b.next());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
-        let mut c = SimRng::new(43);
-        assert_ne!(a.next(), c.next());
+        let mut c = SplitMix64(43);
+        assert_ne!(a.next_u64(), c.next_u64());
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn growth_log_records_hamming_buffer_demand() {
     assert_eq!(out.lock().unwrap().len(), 200);
     // Every log entry doubles a capacity, starting from the initial 16.
     assert_eq!(
-        report.monitor.growths as usize,
+        report.monitor.capacity_grows as usize,
         report.monitor.growth_log.len()
     );
     assert!(!report.monitor.growth_log.is_empty());

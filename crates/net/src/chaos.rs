@@ -16,25 +16,20 @@
 //!    and under each seed's fault schedule, and fails unless every run
 //!    produces a **bit-identical** history.
 //!
-//! Faults are injected on both ends of every data connection (the
-//! connect-side factory wraps outbound transports, the acceptor's profile
-//! wraps accepted ones), while control sessions stay on plain TCP — chaos
-//! is scoped to the data plane the reconnection protocol protects.
-//!
-//! Profiles are installed per node address in a process-global table (see
-//! [`install_profile`]); [`ChaosGuard`] scopes those installations so a
-//! panicking test cannot leak a fault profile into unrelated tests running
-//! in the same process.
+//! Faults are injected on both ends of every data connection: every node
+//! of a faulted cluster, client included, is served with one
+//! [`NetProfile`] built from the cluster's one [`FaultPlan`], and a node's
+//! profile wraps the connections it opens as well as those it accepts.
+//! Control sessions stay on plain TCP — chaos is scoped to the data plane
+//! the reconnection protocol protects. No profile lives in a process-wide
+//! table, so one cluster's faults cannot reach another cluster's links.
 
 use crate::builder::GraphBuilder;
 use crate::control::ServerHandle;
 use crate::node::{Node, TaskRegistry};
 use crate::registry::ProcessRegistry;
-use crate::transport::{
-    install_profile, remove_profile, ChaosClock, FaultPlan, FaultProfile, FaultyFactory,
-    NetProfile, ReconnectPolicy,
-};
-use kpn_core::{DataReader, DataWriter, Error, Result};
+use crate::transport::{FaultPlan, FaultProfile, FaultyFactory, NetProfile, ReconnectPolicy};
+use kpn_core::{compare_histories, DataReader, DataWriter, Error, HistoryCheck, Result};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,91 +48,6 @@ pub fn chaos_policy() -> ReconnectPolicy {
     }
 }
 
-/// Installs a fault-injecting [`NetProfile`] for a set of node addresses
-/// and removes those installations on drop.
-///
-/// All covered addresses share one seeded [`FaultPlan`], so the whole
-/// cluster draws faults from a single deterministic schedule and
-/// [`ChaosGuard::injected`] reports cluster-wide fault counts.
-pub struct ChaosGuard {
-    plan: Arc<FaultPlan>,
-    policy: ReconnectPolicy,
-    addrs: Vec<String>,
-}
-
-impl ChaosGuard {
-    /// A guard whose covered addresses inject faults per `profile`,
-    /// deterministically derived from `seed`, with endpoints recovering
-    /// under `policy`.
-    pub fn new(seed: u64, profile: FaultProfile, policy: ReconnectPolicy) -> Self {
-        ChaosGuard::with_clock(seed, profile, policy, ChaosClock::Wall)
-    }
-
-    /// Like [`ChaosGuard::new`], but stalls pass time on `clock` — the
-    /// sim-clock mode. With [`ChaosClock::virtual_clock`], stall durations
-    /// accumulate on a counter instead of blocking threads, so the fault
-    /// schedule stays deterministic in op counts *and* costs no wall time,
-    /// composing with `kpn_core::sim` interleaving schedules.
-    pub fn with_clock(
-        seed: u64,
-        profile: FaultProfile,
-        policy: ReconnectPolicy,
-        clock: ChaosClock,
-    ) -> Self {
-        ChaosGuard {
-            plan: FaultPlan::with_clock(seed, profile, clock),
-            policy,
-            addrs: Vec::new(),
-        }
-    }
-
-    /// The shared fault schedule.
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
-
-    /// Total faults injected so far across all covered addresses.
-    pub fn injected(&self) -> u64 {
-        self.plan.injected()
-    }
-
-    /// The profile this guard installs: a [`FaultyFactory`] over the
-    /// shared plan plus the guard's reconnect policy. Also the right
-    /// profile to pass to [`Node::serve_with_profile`] so the accept side
-    /// of each covered node injects faults too.
-    pub fn net_profile(&self) -> NetProfile {
-        NetProfile {
-            factory: Arc::new(FaultyFactory::new(self.plan.clone())),
-            policy: self.policy.clone(),
-        }
-    }
-
-    /// Installs the guard's profile for outbound connections to `addr`
-    /// (see [`install_profile`]); undone when the guard drops.
-    pub fn cover(&mut self, addr: impl Into<String>) {
-        let addr = addr.into();
-        install_profile(addr.clone(), self.net_profile());
-        self.addrs.push(addr);
-    }
-}
-
-impl Drop for ChaosGuard {
-    fn drop(&mut self) {
-        for addr in &self.addrs {
-            remove_profile(addr);
-        }
-    }
-}
-
-impl std::fmt::Debug for ChaosGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChaosGuard")
-            .field("addrs", &self.addrs)
-            .field("injected", &self.injected())
-            .finish()
-    }
-}
-
 /// A client node plus `n` compute servers, optionally with every data
 /// link running under a seeded fault schedule.
 pub struct ChaosCluster {
@@ -145,7 +55,7 @@ pub struct ChaosCluster {
     /// Keep the server nodes alive for the cluster's lifetime.
     _servers: Vec<Arc<Node>>,
     handles: Vec<ServerHandle>,
-    guard: Option<ChaosGuard>,
+    plan: Option<Arc<FaultPlan>>,
 }
 
 impl ChaosCluster {
@@ -159,55 +69,25 @@ impl ChaosCluster {
     /// from a caller-supplied [`ProcessRegistry`] — required when the
     /// deployed graph ships non-stock processes (e.g. `kpn.Worker`, whose
     /// registration closes over an application task registry).
-    pub fn plain_with(
-        servers: usize,
-        mk_registry: &dyn Fn() -> ProcessRegistry,
-    ) -> Result<Self> {
-        let client = Node::serve_with("127.0.0.1:0", mk_registry(), TaskRegistry::new())?;
-        let mut nodes = Vec::new();
-        let mut handles = Vec::new();
-        for _ in 0..servers {
-            let node = Node::serve_with("127.0.0.1:0", mk_registry(), TaskRegistry::new())?;
-            handles.push(ServerHandle::new(node.addr().to_string()));
-            nodes.push(node);
-        }
-        Ok(ChaosCluster {
-            client,
-            _servers: nodes,
-            handles,
-            guard: None,
-        })
+    pub fn plain_with(servers: usize, mk_registry: &dyn Fn() -> ProcessRegistry) -> Result<Self> {
+        Self::serve(servers, mk_registry, NetProfile::default(), None)
     }
 
-    /// A cluster whose every node (client included) both accepts and
-    /// initiates data connections through a [`FaultyFactory`] seeded from
-    /// `seed`, recovering under `policy`.
+    /// A cluster whose every node (client included) is served with one
+    /// profile: a [`FaultyFactory`] over one plan seeded from `seed`, and
+    /// `policy`. Every data connection, accepted or opened, draws its
+    /// faults from that plan.
     pub fn with_faults(
         servers: usize,
         seed: u64,
         profile: FaultProfile,
         policy: ReconnectPolicy,
     ) -> Result<Self> {
-        Self::with_faults_on_clock(servers, seed, profile, policy, ChaosClock::Wall)
-    }
-
-    /// Like [`ChaosCluster::with_faults`], but stalls pass time on `clock`
-    /// (see [`ChaosGuard::with_clock`]). Pass a clone of a
-    /// [`ChaosClock::virtual_clock`] to keep a handle for reading elapsed
-    /// virtual time.
-    pub fn with_faults_on_clock(
-        servers: usize,
-        seed: u64,
-        profile: FaultProfile,
-        policy: ReconnectPolicy,
-        clock: ChaosClock,
-    ) -> Result<Self> {
-        Self::with_faults_full(
+        Self::with_faults_with(
             servers,
             seed,
             profile,
             policy,
-            clock,
             &ProcessRegistry::with_defaults,
         )
     }
@@ -222,36 +102,36 @@ impl ChaosCluster {
         policy: ReconnectPolicy,
         mk_registry: &dyn Fn() -> ProcessRegistry,
     ) -> Result<Self> {
-        Self::with_faults_full(servers, seed, profile, policy, ChaosClock::Wall, mk_registry)
+        let plan = FaultPlan::new(seed, profile);
+        let factory = Arc::new(FaultyFactory::new(plan.clone()));
+        Self::serve(
+            servers,
+            mk_registry,
+            NetProfile { factory, policy },
+            Some(plan),
+        )
     }
 
-    /// The fully general constructor: custom registries and stall clock.
-    pub fn with_faults_full(
+    /// A client and `servers` nodes, every one served with `profile`.
+    fn serve(
         servers: usize,
-        seed: u64,
-        profile: FaultProfile,
-        policy: ReconnectPolicy,
-        clock: ChaosClock,
         mk_registry: &dyn Fn() -> ProcessRegistry,
+        profile: NetProfile,
+        plan: Option<Arc<FaultPlan>>,
     ) -> Result<Self> {
-        let mut guard = ChaosGuard::with_clock(seed, profile, policy, clock);
-        let client = Node::serve_full(
-            "127.0.0.1:0",
-            mk_registry(),
-            TaskRegistry::new(),
-            guard.net_profile(),
-        )?;
-        guard.cover(client.addr().to_string());
-        let mut nodes = Vec::new();
-        let mut handles = Vec::new();
-        for _ in 0..servers {
-            let node = Node::serve_full(
+        let serve = || {
+            Node::serve_full(
                 "127.0.0.1:0",
                 mk_registry(),
                 TaskRegistry::new(),
-                guard.net_profile(),
-            )?;
-            guard.cover(node.addr().to_string());
+                profile.clone(),
+            )
+        };
+        let client = serve()?;
+        let mut nodes = Vec::new();
+        let mut handles = Vec::new();
+        for _ in 0..servers {
+            let node = serve()?;
             handles.push(ServerHandle::new(node.addr().to_string()));
             nodes.push(node);
         }
@@ -259,7 +139,7 @@ impl ChaosCluster {
             client,
             _servers: nodes,
             handles,
-            guard: Some(guard),
+            plan,
         })
     }
 
@@ -275,7 +155,7 @@ impl ChaosCluster {
 
     /// Faults injected so far (0 on a plain cluster).
     pub fn injected(&self) -> u64 {
-        self.guard.as_ref().map_or(0, ChaosGuard::injected)
+        self.plan.as_ref().map_or(0, |plan| plan.injected())
     }
 }
 
@@ -283,7 +163,7 @@ impl std::fmt::Debug for ChaosCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChaosCluster")
             .field("servers", &self.handles.len())
-            .field("faulty", &self.guard.is_some())
+            .field("faulty", &self.plan.is_some())
             .finish()
     }
 }
@@ -409,9 +289,10 @@ pub fn relay_history(cluster: &ChaosCluster, count: i64) -> Result<Vec<i64>> {
 
 /// The Kahn determinacy oracle: runs `run` once on a fault-free cluster
 /// and once per seed under that seed's fault schedule, requiring every
-/// faulted history to be bit-identical to the baseline. Returns the total
-/// number of injected faults so callers can assert the schedules actually
-/// fired.
+/// faulted history to be bit-identical to the baseline
+/// ([`compare_histories`] under [`HistoryCheck::Exact`], the output as one
+/// channel of big-endian bytes). Returns the total number of injected
+/// faults so callers can assert the schedules actually fired.
 pub fn check_determinacy<F>(
     servers: usize,
     seeds: &[u64],
@@ -422,29 +303,19 @@ pub fn check_determinacy<F>(
 where
     F: Fn(&ChaosCluster) -> Result<Vec<i64>>,
 {
-    let baseline = {
-        let cluster = ChaosCluster::plain(servers)?;
-        run(&cluster)?
+    let history = |out: Vec<i64>| {
+        let bytes = out.iter().flat_map(|v| v.to_be_bytes()).collect();
+        vec![(("output".to_string(), 0), bytes)]
     };
+    let baseline = history(run(&ChaosCluster::plain(servers)?)?);
     let mut injected = 0;
     for &seed in seeds {
         let cluster = ChaosCluster::with_faults(servers, seed, profile.clone(), policy.clone())?;
         let got = run(&cluster)
             .map_err(|e| Error::Graph(format!("chaos run failed under seed {seed:#x}: {e}")))?;
         injected += cluster.injected();
-        if got != baseline {
-            let diverge = baseline
-                .iter()
-                .zip(got.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| baseline.len().min(got.len()));
-            return Err(Error::Graph(format!(
-                "seed {seed:#x} broke determinacy: history diverges at index {diverge} \
-                 (baseline {} values, faulted {} values)",
-                baseline.len(),
-                got.len()
-            )));
-        }
+        compare_histories(&baseline, &history(got), HistoryCheck::Exact)
+            .map_err(|e| Error::Graph(format!("seed {seed:#x} broke determinacy: {e}")))?;
     }
     Ok(injected)
 }
@@ -452,18 +323,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::profile_for;
-
-    #[test]
-    fn guard_scopes_profile_installation() {
-        let addr = "203.0.113.7:4242"; // TEST-NET; never dialed
-        {
-            let mut g = ChaosGuard::new(1, FaultProfile::default(), chaos_policy());
-            g.cover(addr);
-            assert!(profile_for(addr).policy.enabled);
-        }
-        assert!(!profile_for(addr).policy.enabled, "drop must uninstall");
-    }
 
     #[test]
     fn relay_is_deterministic_under_faults() {
@@ -480,39 +339,6 @@ mod tests {
         })
         .expect("determinacy");
         assert!(faults > 0, "fault schedule never fired");
-    }
-
-    #[test]
-    fn virtual_clock_stalls_cost_no_wall_time() {
-        use std::time::Instant;
-        // Every op fault is a stall, and each stall is far longer than the
-        // whole test budget in wall mode — only a virtual clock lets this
-        // schedule run to completion quickly. Frames batch many values, so
-        // the op gap must be tiny for the schedule to fire at all.
-        let profile = FaultProfile {
-            mean_ops_between_faults: 2,
-            stall_ratio: 1,
-            stall: Duration::from_secs(2),
-            refuse_connects: 0,
-            max_faults: 6,
-        };
-        let clock = ChaosClock::virtual_clock();
-        let cluster =
-            ChaosCluster::with_faults_on_clock(2, 0x51C, profile, chaos_policy(), clock.clone())
-                .expect("cluster");
-        let start = Instant::now();
-        let primes = sieve_history(&cluster, 50).expect("sieve run");
-        assert_eq!(primes, vec![2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]);
-        assert!(cluster.injected() > 0, "fault schedule never fired");
-        assert!(
-            clock.virtual_nanos().unwrap() > 0,
-            "stalls never advanced the virtual clock"
-        );
-        // 6 stalls x 2s would blow well past this bound if they slept.
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "virtual-clock stalls must not block wall time"
-        );
     }
 
     #[test]

@@ -67,8 +67,6 @@ pub use remote::{
 };
 pub use spec::{ChannelSpec, GraphSpec, InputSpec, OutputSpec, ProcessSpec, SpecDefect};
 pub use transport::{
-    install_profile, profile_for, recovery_stats, remove_profile, ChaosClock, FaultKind,
-    FaultPlan, FaultProfile, FaultyFactory, FaultyTransport, NetProfile, ReconnectPolicy,
-    TcpFactory,
-    TcpTransport, Transport, TransportFactory,
+    recovery_stats, FaultKind, FaultPlan, FaultProfile, FaultyFactory, FaultyTransport, NetProfile,
+    ReconnectPolicy, TcpFactory, TcpTransport, Transport, TransportFactory,
 };

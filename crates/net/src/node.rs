@@ -1,7 +1,10 @@
 //! A participating node: generic compute server (§4.1) and/or deploying
 //! client. One [`Node`] owns one [`Acceptor`] (data + control), a
 //! [`ProcessRegistry`], a task registry, and the networks it has been
-//! asked to run.
+//! asked to run. The acceptor's [`NetProfile`] is the node's one source of
+//! transport configuration: it wraps the data connections the node accepts
+//! and every one it opens, from [`Node::instantiate`], [`Node::remote_writer`]
+//! and so [`GraphBuilder::deploy`](crate::GraphBuilder::deploy).
 //!
 //! "The entire implementation can be contained in a single jar file that
 //! is less than 8K bytes" — our equivalent is [`Node::serve`], a few lines
@@ -21,10 +24,11 @@ use crate::control::ServerHandle;
 use crate::control::{recv_msg, send_msg, ControlRequest, ControlResponse};
 use crate::registry::ProcessRegistry;
 use crate::remote::{
-    remote_reader, remote_reader_interruptible, remote_writer, remote_writer_interruptible,
-    Interruptor,
+    remote_reader, remote_reader_interruptible, remote_writer_interruptible, Interruptor,
+    RemoteSink,
 };
 use crate::spec::{GraphSpec, InputSpec, OutputSpec};
+use crate::transport::NetProfile;
 use kpn_core::{ChannelReader, ChannelWriter, Error, Network, NetworkConfig, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -93,38 +97,26 @@ impl Node {
         Self::serve_with(addr, ProcessRegistry::with_defaults(), TaskRegistry::new())
     }
 
-    /// Starts a node with the default registries and an explicit
-    /// [`NetProfile`](crate::transport::NetProfile): accepted data
-    /// connections are wrapped by the profile's transport factory and
-    /// hosted read endpoints inherit its reconnect policy. This is how
-    /// chaos tests inject seeded faults on the accept side.
-    pub fn serve_with_profile(
-        addr: &str,
-        profile: crate::transport::NetProfile,
-    ) -> Result<Arc<Self>> {
-        Self::serve_full(
-            addr,
-            ProcessRegistry::with_defaults(),
-            TaskRegistry::new(),
-            profile,
-        )
-    }
-
     /// Starts a node with custom registries.
     pub fn serve_with(
         addr: &str,
         registry: ProcessRegistry,
         tasks: TaskRegistry,
     ) -> Result<Arc<Self>> {
-        Self::serve_full(addr, registry, tasks, crate::transport::NetProfile::default())
+        Self::serve_full(addr, registry, tasks, NetProfile::default())
     }
 
-    /// Starts a node with custom registries and transport profile.
+    /// Starts a node with custom registries and transport profile. The
+    /// profile's factory wraps every data connection the node accepts or
+    /// opens, and its reconnect policy governs every endpoint the node
+    /// builds; a resilient channel needs the same policy at both ends, so
+    /// nodes that share channels share a profile. This is how chaos tests
+    /// inject seeded faults.
     pub fn serve_full(
         addr: &str,
         registry: ProcessRegistry,
         tasks: TaskRegistry,
-        profile: crate::transport::NetProfile,
+        profile: NetProfile,
     ) -> Result<Arc<Self>> {
         let acceptor = Acceptor::bind_with(addr, profile)?;
         let node = Arc::new(Node {
@@ -162,9 +154,11 @@ impl Node {
         remote_reader(&self.acceptor, token)
     }
 
-    /// Creates a write endpoint connected to `addr` presenting `token`.
+    /// Creates a write endpoint connected to `addr` presenting `token`,
+    /// under this node's profile.
     pub fn remote_writer(&self, addr: &str, token: u64) -> Result<ChannelWriter> {
-        remote_writer(addr, token)
+        let sink = RemoteSink::connect_with(addr, token, self.acceptor.profile().clone())?;
+        Ok(ChannelWriter::from_sink(Box::new(sink)))
     }
 
     /// Instantiates a partition locally and starts it. Returns the running
@@ -208,7 +202,9 @@ impl Node {
                 outs.push(match output {
                     OutputSpec::Local(i) => writers[*i].take().expect(ONE_HOLDER),
                     OutputSpec::Remote { addr, token } => {
-                        let (writer, interruptor) = remote_writer_interruptible(addr, *token)?;
+                        let profile = self.acceptor.profile().clone();
+                        let (writer, interruptor) =
+                            remote_writer_interruptible(addr, *token, profile)?;
                         interruptors.push(interruptor);
                         writer
                     }

@@ -76,8 +76,6 @@ pub struct NetworkStatus {
     pub blocked_writes: usize,
     /// Whether this network was aborted.
     pub aborted: bool,
-    /// Channel growths performed by the local monitor.
-    pub growths: u64,
     /// The local monitor's verdict that the network is stuck on remote
     /// waits ([`kpn_core::MonitorSnapshot::stuck_on_remote`]).
     pub stuck_on_remote: bool,
@@ -95,7 +93,6 @@ impl NetworkStatus {
             blocked_reads: s.blocked_reads,
             blocked_writes: s.blocked_writes,
             aborted: s.aborted,
-            growths: s.stats.growths,
             stuck_on_remote: s.stuck_on_remote,
             cut: endpoints.iter().map(|e| e.cut_end()).collect(),
         }
@@ -261,7 +258,6 @@ mod probe_logic_tests {
             blocked_reads: 1,
             blocked_writes: 0,
             aborted: false,
-            growths: 0,
             stuck_on_remote: true,
             cut: cut
                 .iter()

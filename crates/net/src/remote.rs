@@ -80,8 +80,8 @@ use crate::frame::{
 };
 use crate::probe::{CutEnd, CutSide};
 use crate::transport::{
-    error_is_transient, profile_for, NetProfile, ReconnectPolicy, RecoveryGuard, SplitMix64,
-    Transport, TransportFactory,
+    error_is_transient, NetProfile, ReconnectPolicy, RecoveryGuard, SplitMix64, Transport,
+    TransportFactory,
 };
 use kpn_core::exec::reactor::Interest;
 use kpn_core::{ChannelReader, ChannelWriter, Error, Result, Sink, Source, SourceRead};
@@ -870,8 +870,9 @@ fn pump_loop() {
 /// end) returned less than its own duration ago (`kpn_core::flush`,
 /// clause 5). A raw writer with no such buffer gets a frame per call.
 ///
-/// With a [`ReconnectPolicy`] enabled (via the address's installed
-/// [`NetProfile`]), the sink retains unacknowledged frames and survives
+/// With a [`ReconnectPolicy`] enabled (via the [`NetProfile`] it connects
+/// with: its node's, see [`Node::remote_writer`](crate::Node::remote_writer)),
+/// the sink retains unacknowledged frames and survives
 /// transient link failure by reconnecting and replaying — see the module
 /// docs.
 pub struct RemoteSink {
@@ -883,14 +884,14 @@ pub struct RemoteSink {
 }
 
 impl RemoteSink {
-    /// Connects to the reader's acceptor and presents `token`, using the
-    /// [`NetProfile`] installed for `addr` (plain fail-fast TCP when none
-    /// is).
+    /// Connects to the reader's acceptor and presents `token` over plain
+    /// fail-fast TCP (the default [`NetProfile`]).
     pub fn connect(addr: &str, token: u64) -> Result<Self> {
-        Self::connect_with(addr, token, profile_for(addr))
+        Self::connect_with(addr, token, NetProfile::default())
     }
 
-    /// Connects with an explicit profile.
+    /// Connects with an explicit profile. Both ends of a resilient channel
+    /// must run the same policy: the reader's comes from its acceptor.
     pub fn connect_with(addr: &str, token: u64, profile: NetProfile) -> Result<Self> {
         let core = Arc::new(Mutex::new(SinkCore::connect(addr, token, profile)?));
         if core.lock().policy.enabled {
@@ -1466,7 +1467,8 @@ impl Source for PendingSource {
 }
 
 /// Creates the write end of a cross-server channel: connects to the
-/// reader's node and presents the endpoint token.
+/// reader's node over plain TCP and presents the endpoint token. A node's
+/// own writers use its profile instead ([`Node::remote_writer`](crate::Node::remote_writer)).
 pub fn remote_writer(addr: &str, token: u64) -> Result<ChannelWriter> {
     Ok(ChannelWriter::from_sink(Box::new(RemoteSink::connect(
         addr, token,
@@ -1490,13 +1492,14 @@ pub fn remote_reader_interruptible(
     (ChannelReader::from_source(Box::new(source)), interruptor)
 }
 
-/// Like [`remote_writer`], returning the [`Interruptor`] that can wake a
-/// blocked write from outside.
+/// Like [`remote_writer`] under `profile`, returning the [`Interruptor`]
+/// that can wake a blocked write from outside.
 pub fn remote_writer_interruptible(
     addr: &str,
     token: u64,
+    profile: NetProfile,
 ) -> Result<(ChannelWriter, Arc<Interruptor>)> {
-    let mut sink = RemoteSink::connect(addr, token)?;
+    let mut sink = RemoteSink::connect_with(addr, token, profile)?;
     let interruptor = Interruptor::new(token, CutSide::Writer);
     sink.set_interruptor(interruptor.clone());
     Ok((ChannelWriter::from_sink(Box::new(sink)), interruptor))
@@ -1505,13 +1508,20 @@ pub fn remote_writer_interruptible(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{install_profile, remove_profile, TcpFactory};
+    use crate::transport::TcpFactory;
     use kpn_core::{DataReader, DataWriter};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn node() -> Arc<Acceptor> {
         Acceptor::bind("127.0.0.1:0").unwrap()
+    }
+
+    /// A writer to `b` under `b`'s own profile, as a node's writers are.
+    fn writer_to(b: &Acceptor, token: u64) -> ChannelWriter {
+        let sink =
+            RemoteSink::connect_with(&b.local_addr().to_string(), token, b.profile().clone());
+        ChannelWriter::from_sink(Box::new(sink.unwrap()))
     }
 
     #[test]
@@ -1706,19 +1716,16 @@ mod tests {
             factory: Arc::new(TcpFactory),
             policy: ReconnectPolicy::resilient(),
         };
-        let b = Acceptor::bind_with("127.0.0.1:0", profile.clone()).unwrap();
-        let addr = b.local_addr().to_string();
-        install_profile(addr.clone(), profile);
+        let b = Acceptor::bind_with("127.0.0.1:0", profile).unwrap();
         let token = fresh_token();
         let mut reader = remote_reader(&b, token);
-        let mut writer = remote_writer(&addr, token).unwrap();
+        let mut writer = writer_to(&b, token);
         writer.write_all(b"resilient").unwrap();
         let mut buf = [0u8; 9];
         reader.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"resilient");
         drop(writer); // close() hands the Close marker to a linger thread
         assert_eq!(reader.read(&mut buf).unwrap(), 0);
-        remove_profile(&addr);
     }
 
     #[test]
@@ -1731,12 +1738,10 @@ mod tests {
             factory: Arc::new(TcpFactory),
             policy,
         };
-        let b = Acceptor::bind_with("127.0.0.1:0", profile.clone()).unwrap();
-        let addr = b.local_addr().to_string();
-        install_profile(addr.clone(), profile);
+        let b = Acceptor::bind_with("127.0.0.1:0", profile).unwrap();
         let token = fresh_token();
         let mut reader = remote_reader(&b, token);
-        let mut writer = remote_writer(&addr, token).unwrap();
+        let mut writer = writer_to(&b, token);
         let data: Vec<u8> = (0..400_000u32).map(|i| (i % 239) as u8).collect();
         let expect = data.clone();
         let h = std::thread::spawn(move || {
@@ -1746,7 +1751,6 @@ mod tests {
         reader.read_exact(&mut got).unwrap();
         h.join().unwrap();
         assert_eq!(got, expect);
-        remove_profile(&addr);
     }
 
     /// TCP whose writer-side connections count the `write`s they make:
@@ -1850,14 +1854,12 @@ mod tests {
             factory: Arc::new(CountingFactory(writes.clone())),
             policy,
         };
-        let b = Acceptor::bind_with("127.0.0.1:0", profile.clone()).unwrap();
-        let addr = b.local_addr().to_string();
-        install_profile(addr.clone(), profile);
+        let b = Acceptor::bind_with("127.0.0.1:0", profile).unwrap();
         let token = fresh_token();
         let reader = remote_reader(&b, token);
         let net = kpn_core::Network::new();
         let (w0, r0) = net.channel();
-        let out = remote_writer(&addr, token).unwrap();
+        let out = writer_to(&b, token);
         net.add(Sequence::new(0, tokens, w0));
         net.add(Scale::new(3, r0, out));
         net.start();
@@ -1867,7 +1869,6 @@ mod tests {
         }
         assert!(dr.read_i64().is_err());
         let stats = net.join().unwrap().monitor;
-        remove_profile(&addr);
         (stats, writes.load(Ordering::SeqCst))
     }
 

@@ -4,7 +4,7 @@
 //! and the [`Acceptor`](crate::Acceptor) no longer talk to a raw
 //! `TcpStream`: they talk to a [`Transport`] produced by a
 //! [`TransportFactory`]. The default factory yields [`TcpTransport`]
-//! (exactly the old behaviour); tests and chaos drills install a
+//! (exactly the old behaviour); tests and chaos drills use a
 //! [`FaultyFactory`] that wraps every connection in a [`FaultyTransport`]
 //! injecting **seeded, deterministic faults** — connection resets,
 //! read/write stalls, and connect-time refusals — from a schedule derived
@@ -13,11 +13,12 @@
 //!
 //! The module also owns the [`ReconnectPolicy`] that governs how the
 //! endpoints react to a transport fault (see `remote.rs` for the
-//! sequence-numbered replay protocol), an address-keyed registry of
-//! [`NetProfile`]s so chaos can be scoped to the nodes of one test without
-//! leaking into the rest of the process, and the process-wide recovery
-//! counters ([`recovery_stats`]) — a report of how often links healed, which
-//! no deadlock verdict reads.
+//! sequence-numbered replay protocol), the [`NetProfile`] that pairs a
+//! factory with a policy — a node's profile governs every data connection
+//! it accepts or opens, and a connection made without a node is plain
+//! unless its caller passes one — and the process-wide recovery counters
+//! ([`recovery_stats`]), a report of how often links healed, which no
+//! deadlock verdict reads.
 
 use kpn_core::{Error, Result};
 use parking_lot::Mutex;
@@ -25,8 +26,10 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
+
+pub use kpn_core::sim::SplitMix64;
 
 // ---------------------------------------------------------------------------
 // Transport trait + TCP implementation
@@ -148,28 +151,6 @@ impl TransportFactory for TcpFactory {
 // Seeded deterministic fault injection
 // ---------------------------------------------------------------------------
 
-/// SplitMix64 — tiny, seed-stable generator for fault schedules and
-/// backoff jitter. Deliberately *not* `rand`: schedules must be a pure
-/// function of the seed, independent of crate versions.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(pub u64);
-
-impl SplitMix64 {
-    /// Next raw value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `[0, n)` (n > 0).
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-}
-
 /// What a scheduled fault does to the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -215,59 +196,11 @@ impl Default for FaultProfile {
     }
 }
 
-/// How fault stalls let time pass.
-///
-/// [`Wall`](ChaosClock::Wall) (the default) sleeps the faulting task for
-/// the stall duration on its executor (`kpn_core::exec::sleep`: a pooled
-/// fiber parks, its worker runs on) — realistic, but wall-clock-bound.
-/// `Virtual` is the **sim-clock mode**: a stall adds its duration (in
-/// nanoseconds) to a shared counter and returns immediately. Fault
-/// *points* are already a pure function of the seed and per-connection op
-/// counts; with a virtual clock the stall *durations* stop depending on
-/// real time too, so a fault schedule composes with the deterministic
-/// interleaving schedules of `kpn_core::sim` without either waiting on the
-/// other.
-#[derive(Debug, Clone)]
-pub enum ChaosClock {
-    /// Stalls sleep the faulting task with `kpn_core::exec::sleep`.
-    Wall,
-    /// Stalls advance this nanosecond counter instead of sleeping.
-    Virtual(Arc<AtomicU64>),
-}
-
-impl ChaosClock {
-    /// A fresh virtual clock starting at zero.
-    pub fn virtual_clock() -> Self {
-        ChaosClock::Virtual(Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Virtual nanoseconds elapsed; `None` in wall mode.
-    pub fn virtual_nanos(&self) -> Option<u64> {
-        match self {
-            ChaosClock::Wall => None,
-            ChaosClock::Virtual(n) => Some(n.load(Ordering::Relaxed)),
-        }
-    }
-
-    /// Lets `d` pass on this clock: a real sleep in wall mode, a counter
-    /// bump in virtual mode.
-    fn advance(&self, d: Duration) {
-        match self {
-            ChaosClock::Wall => kpn_core::exec::sleep(d),
-            ChaosClock::Virtual(n) => {
-                let nanos = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-                n.fetch_add(nanos, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 /// Shared state of one seeded fault plan (one per [`FaultyFactory`]).
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
     profile: FaultProfile,
-    clock: ChaosClock,
     remaining: AtomicU64,
     /// Reconnect attempts seen per endpoint token: keys the per-connection
     /// schedule so it is independent of unrelated connections' timing.
@@ -277,26 +210,16 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A fresh plan for `seed`, stalling in real time.
+    /// A fresh plan for `seed`. Its stalls sleep the faulting task through
+    /// `kpn_core::exec::sleep`, which takes no time under the simulator.
     pub fn new(seed: u64, profile: FaultProfile) -> Arc<Self> {
-        FaultPlan::with_clock(seed, profile, ChaosClock::Wall)
-    }
-
-    /// A fresh plan for `seed` whose stalls pass time on `clock`.
-    pub fn with_clock(seed: u64, profile: FaultProfile, clock: ChaosClock) -> Arc<Self> {
         Arc::new(FaultPlan {
             seed,
             remaining: AtomicU64::new(profile.max_faults),
             profile,
-            clock,
             attempts: Mutex::new(HashMap::new()),
             injected: AtomicU64::new(0),
         })
-    }
-
-    /// The clock this plan's stalls run on.
-    pub fn clock(&self) -> &ChaosClock {
-        &self.clock
     }
 
     /// Takes one fault from the budget; false once the plan is spent.
@@ -383,11 +306,11 @@ impl FaultyTransport {
                 Some(t) if t < profile.stall => {
                     // The endpoint's op timeout expires mid-stall: emulate
                     // the kernel surfacing a timeout.
-                    self.plan.clock.advance(t);
+                    kpn_core::exec::sleep(t);
                     return Err(std::io::Error::from(std::io::ErrorKind::TimedOut));
                 }
                 _ => {
-                    self.plan.clock.advance(profile.stall);
+                    kpn_core::exec::sleep(profile.stall);
                     return Ok(());
                 }
             }
@@ -518,6 +441,13 @@ impl TransportFactory for FaultyFactory {
 // Reconnect policy
 // ---------------------------------------------------------------------------
 
+/// Backoff growth factor per failed reconnect attempt.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+
+/// Random extra fraction of each backoff (up to +20%), decorrelating
+/// reconnect storms.
+const BACKOFF_JITTER: f64 = 0.2;
+
 /// How a remote endpoint reacts when its transport fails.
 ///
 /// Disabled (the default), any socket error is final — exactly the
@@ -533,13 +463,8 @@ pub struct ReconnectPolicy {
     pub enabled: bool,
     /// First backoff delay after a failed reconnect attempt.
     pub initial_backoff: Duration,
-    /// Backoff ceiling.
+    /// Backoff ceiling, before jitter.
     pub max_backoff: Duration,
-    /// Backoff growth factor per failed attempt.
-    pub multiplier: f64,
-    /// Random extra fraction of each backoff (`0.2` = up to +20%),
-    /// decorrelating reconnect storms.
-    pub jitter: f64,
     /// Total time one recovery episode may spend before the endpoint
     /// gives up and lets the failure cascade (§3.4). Charged in *nominal*
     /// wait time — the backoff and poll durations the episode asks for,
@@ -562,8 +487,6 @@ impl Default for ReconnectPolicy {
             enabled: false,
             initial_backoff: Duration::from_millis(50),
             max_backoff: Duration::from_secs(1),
-            multiplier: 2.0,
-            jitter: 0.2,
             budget: Duration::from_secs(10),
             op_timeout: None,
             replay_capacity: 256 * 1024,
@@ -583,22 +506,20 @@ impl ReconnectPolicy {
     /// The backoff before attempt `n` (0-based), with deterministic jitter
     /// from `rng`.
     pub(crate) fn backoff(&self, n: u32, rng: &mut SplitMix64) -> Duration {
-        let base = self.initial_backoff.as_secs_f64() * self.multiplier.powi(n as i32);
+        let base = self.initial_backoff.as_secs_f64() * BACKOFF_MULTIPLIER.powi(n as i32);
         let capped = base.min(self.max_backoff.as_secs_f64());
-        let jitter = if self.jitter > 0.0 {
-            capped * self.jitter * (rng.below(1000) as f64 / 1000.0)
-        } else {
-            0.0
-        };
+        let jitter = capped * BACKOFF_JITTER * (rng.below(1000) as f64 / 1000.0);
         Duration::from_secs_f64(capped + jitter)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Address-keyed profile registry
+// Profiles
 // ---------------------------------------------------------------------------
 
-/// Transport factory + reconnect policy for one node address.
+/// Transport factory + reconnect policy: a node's, for every data
+/// connection it accepts or opens, or one passed explicitly to
+/// [`RemoteSink::connect_with`](crate::RemoteSink::connect_with).
 #[derive(Clone)]
 pub struct NetProfile {
     /// Builds the transports.
@@ -622,31 +543,6 @@ impl std::fmt::Debug for NetProfile {
             .field("policy", &self.policy)
             .finish()
     }
-}
-
-fn profiles() -> &'static Mutex<HashMap<String, NetProfile>> {
-    static PROFILES: OnceLock<Mutex<HashMap<String, NetProfile>>> = OnceLock::new();
-    PROFILES.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Installs `profile` for outbound connections to `addr` (exact-match
-/// key). Endpoints resolving `addr` from now on use the profile's factory
-/// and policy. Scoped chaos: each test registers only its own nodes'
-/// ephemeral addresses and removes them afterwards
-/// ([`crate::chaos::ChaosGuard`] automates this).
-pub fn install_profile(addr: impl Into<String>, profile: NetProfile) {
-    profiles().lock().insert(addr.into(), profile);
-}
-
-/// Removes a previously installed profile.
-pub fn remove_profile(addr: &str) {
-    profiles().lock().remove(addr);
-}
-
-/// The profile for outbound connections to `addr` (default TCP,
-/// fail-fast, when none installed).
-pub fn profile_for(addr: &str) -> NetProfile {
-    profiles().lock().get(addr).cloned().unwrap_or_default()
 }
 
 // ---------------------------------------------------------------------------
@@ -721,17 +617,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn splitmix_is_deterministic() {
-        let mut a = SplitMix64(42);
-        let mut b = SplitMix64(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        let mut c = SplitMix64(43);
-        assert_ne!(a.next_u64(), c.next_u64());
-    }
-
-    #[test]
     fn fault_budget_is_finite() {
         let plan = FaultPlan::new(
             7,
@@ -752,32 +637,13 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let policy = ReconnectPolicy {
-            jitter: 0.0,
-            ..ReconnectPolicy::resilient()
-        };
+        let policy = ReconnectPolicy::resilient();
         let mut rng = SplitMix64(1);
         let b0 = policy.backoff(0, &mut rng);
         let b3 = policy.backoff(3, &mut rng);
         let b20 = policy.backoff(20, &mut rng);
         assert!(b0 < b3);
         assert!(b3 <= b20);
-        assert!(b20 <= policy.max_backoff);
-    }
-
-    #[test]
-    fn profile_registry_is_scoped() {
-        let addr = "198.51.100.7:1234"; // TEST-NET-2, never dialed
-        assert!(!profile_for(addr).policy.enabled);
-        install_profile(
-            addr,
-            NetProfile {
-                factory: Arc::new(TcpFactory),
-                policy: ReconnectPolicy::resilient(),
-            },
-        );
-        assert!(profile_for(addr).policy.enabled);
-        remove_profile(addr);
-        assert!(!profile_for(addr).policy.enabled);
+        assert!(b20 <= policy.max_backoff.mul_f64(1.0 + BACKOFF_JITTER));
     }
 }

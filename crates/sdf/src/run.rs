@@ -87,7 +87,7 @@ impl Iterative for ActorProcess {
 
 /// Runs the SDF graph for `periods` schedule periods on a KPN network with
 /// the schedule's exact buffer bounds. Returns the network report — the
-/// caller can assert `report.monitor.growths == 0` to confirm the static
+/// caller can assert `report.monitor.capacity_grows == 0` to confirm the static
 /// bounds sufficed.
 pub fn execute(
     graph: &SdfGraph,
@@ -209,7 +209,7 @@ mod tests {
         assert_eq!(got[0], 1); // avg(0,1,2)
         assert_eq!(got[1], 4); // avg(3,4,5)
         // The static bounds must have sufficed: no monitor growth.
-        assert_eq!(report.monitor.growths, 0, "static bounds violated");
+        assert_eq!(report.monitor.capacity_grows, 0, "static bounds violated");
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(*sums.lock().unwrap(), (1..=10).collect::<Vec<i64>>());
-        assert_eq!(report.monitor.growths, 0);
+        assert_eq!(report.monitor.capacity_grows, 0);
     }
 
     #[test]
@@ -326,6 +326,6 @@ mod tests {
         let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 3);
         assert_eq!(seen[0], (vec![20, 40], vec![3]));
-        assert_eq!(report.monitor.growths, 0);
+        assert_eq!(report.monitor.capacity_grows, 0);
     }
 }

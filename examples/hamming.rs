@@ -43,7 +43,7 @@ fn main() -> Result<()> {
     }
     println!(
         "deadlock monitor grew channels {} times to keep the graph running",
-        report.monitor.growths
+        report.monitor.capacity_grows
     );
     Ok(())
 }

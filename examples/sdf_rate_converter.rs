@@ -85,8 +85,8 @@ fn main() -> Result<()> {
     );
     println!(
         "\nmonitor growths: {} (static SDF bounds provably sufficed)",
-        report.monitor.growths
+        report.monitor.capacity_grows
     );
-    assert_eq!(report.monitor.growths, 0);
+    assert_eq!(report.monitor.capacity_grows, 0);
     Ok(())
 }

@@ -10,11 +10,11 @@
 
 use kpn::core::{DataReader, Error, Sink};
 use kpn::net::chaos::{
-    chaos_policy, check_determinacy, hamming_history, relay_history, sieve_history, ChaosGuard,
+    chaos_policy, check_determinacy, hamming_history, relay_history, sieve_history,
 };
 use kpn::net::{
-    install_profile, remove_profile, FaultProfile, NetProfile, Node, ReconnectPolicy, RemoteSink,
-    TcpFactory,
+    FaultPlan, FaultProfile, FaultyFactory, GraphBuilder, NetProfile, Node, ProcessRegistry,
+    ReconnectPolicy, RemoteSink, ServerHandle, TaskRegistry, TcpFactory,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,6 +29,62 @@ fn aggressive(profile_ops: u64, max_faults: u64) -> FaultProfile {
         max_faults,
         ..FaultProfile::default()
     }
+}
+
+/// One profile over one seeded plan: the plan, to count what it injected,
+/// and the profile every node of a test is served with.
+fn faulty(
+    seed: u64,
+    faults: FaultProfile,
+    policy: ReconnectPolicy,
+) -> (Arc<FaultPlan>, NetProfile) {
+    let plan = FaultPlan::new(seed, faults);
+    let factory = Arc::new(FaultyFactory::new(plan.clone()));
+    (plan, NetProfile { factory, policy })
+}
+
+/// A node with the default registries, served with `profile`.
+fn serve(profile: &NetProfile) -> Arc<Node> {
+    let (processes, tasks) = (ProcessRegistry::with_defaults(), TaskRegistry::new());
+    Node::serve_full("127.0.0.1:0", processes, tasks, profile.clone()).unwrap()
+}
+
+#[test]
+fn nodes_sharing_a_profile_need_nothing_installed() {
+    // The server's writer is opened by the server's own node, under the
+    // node's profile: its first connect is refused and retried, and the
+    // client's acceptor, served with the same profile, speaks the same
+    // resilient protocol back. Nothing is installed for any address.
+    let refusals = FaultProfile {
+        mean_ops_between_faults: 0,
+        refuse_connects: 1,
+        ..FaultProfile::default()
+    };
+    let (plan, profile) = faulty(0x0DE5, refusals, chaos_policy());
+    let (client, server) = (serve(&profile), serve(&profile));
+    let mut b = GraphBuilder::new();
+    let out = b.channel();
+    b.add(0, "Sequence", &(5i64, Some(40u64)), &[], &[out])
+        .unwrap();
+    b.claim_reader(out).unwrap();
+    let mut dep = b
+        .deploy(&client, &[ServerHandle::new(server.addr().to_string())])
+        .unwrap();
+    let mut r = DataReader::new(dep.readers.remove(&out).unwrap());
+    let mut got = Vec::new();
+    loop {
+        match r.read_i64() {
+            Ok(v) => got.push(v),
+            Err(Error::Eof) => break,
+            Err(e) => panic!("stream failed: {e}"),
+        }
+    }
+    dep.join().unwrap();
+    assert_eq!(got, (5..45).collect::<Vec<i64>>());
+    assert!(
+        plan.injected() >= 1,
+        "the server's writer was never refused"
+    );
 }
 
 #[test]
@@ -71,25 +127,26 @@ fn reset_mid_frame_is_replayed_exactly_once() {
         stall_ratio: 0, // resets only
         ..aggressive(6, 40)
     };
-    let mut guard = ChaosGuard::new(0xDEAD_BEEF, profile, chaos_policy());
-    let node = Node::serve_with_profile("127.0.0.1:0", guard.net_profile()).unwrap();
-    guard.cover(node.addr().to_string());
+    let (plan, profile) = faulty(0xDEAD_BEEF, profile, chaos_policy());
+    let node = serve(&profile);
     let token: u64 = rand::random();
     let mut reader = node.remote_reader(token);
 
-    let addr = node.addr().to_string();
     let payload: Vec<u8> = (0..300 * 1024u32).map(|i| (i.wrapping_mul(31) % 251) as u8).collect();
     let expect = payload.clone();
-    let writer = std::thread::spawn(move || {
-        let mut w = kpn::net::remote_writer(&addr, token).unwrap();
-        w.write_all(&payload).unwrap();
-    });
+    let writer = {
+        let node = node.clone();
+        std::thread::spawn(move || {
+            let mut w = node.remote_writer(&node.addr().to_string(), token).unwrap();
+            w.write_all(&payload).unwrap();
+        })
+    };
 
     let mut got = vec![0u8; expect.len()];
     reader.read_exact(&mut got).unwrap();
     assert!(got == expect, "stream corrupted by replay");
     writer.join().unwrap();
-    assert!(guard.injected() > 0, "no faults were injected");
+    assert!(plan.injected() > 0, "no faults were injected");
 }
 
 #[test]
@@ -103,9 +160,8 @@ fn redirect_splice_survives_resets() {
         stall_ratio: 0,
         ..aggressive(5, 30)
     };
-    let mut guard = ChaosGuard::new(SEEDS[0], profile, chaos_policy());
-    let node_b = Node::serve_with_profile("127.0.0.1:0", guard.net_profile()).unwrap();
-    guard.cover(node_b.addr().to_string());
+    let (plan, profile) = faulty(SEEDS[0], profile, chaos_policy());
+    let node_b = serve(&profile);
     let token: u64 = rand::random();
     let reader = node_b.remote_reader(token);
     let consumer = std::thread::spawn(move || {
@@ -117,15 +173,16 @@ fn redirect_splice_survives_resets() {
         got
     });
 
-    let mut sink = RemoteSink::connect(&node_b.addr().to_string(), token).unwrap();
+    let mut sink =
+        RemoteSink::connect_with(&node_b.addr().to_string(), token, profile.clone()).unwrap();
     for i in 0..20i64 {
         sink.write_all(&i.to_be_bytes()).unwrap();
     }
     let (reader_addr, new_token) = sink.begin_redirect().unwrap();
 
-    // Successor producer on a fresh (fault-free) node: its outbound link
-    // still goes through the faulty profile installed for node B's address.
-    let node_c = Node::serve("127.0.0.1:0").unwrap();
+    // Successor producer on a fresh node served with the same profile: its
+    // outbound link goes through the faulty factory because its node's does.
+    let node_c = serve(&profile);
     let w = node_c
         .remote_writer(&reader_addr.to_string(), new_token)
         .unwrap();
@@ -137,7 +194,7 @@ fn redirect_splice_survives_resets() {
 
     let got = consumer.join().unwrap();
     assert_eq!(got, (0..40).collect::<Vec<i64>>());
-    assert!(guard.injected() > 0, "no faults were injected");
+    assert!(plan.injected() > 0, "no faults were injected");
 }
 
 #[test]
@@ -156,13 +213,10 @@ fn dead_link_exhausts_budget_and_cascades() {
         op_timeout: Some(Duration::from_millis(50)),
         ..ReconnectPolicy::resilient()
     };
-    install_profile(
-        addr.clone(),
-        NetProfile {
-            factory: Arc::new(TcpFactory),
-            policy,
-        },
-    );
+    let profile = NetProfile {
+        factory: Arc::new(TcpFactory),
+        policy,
+    };
     let accept = std::thread::spawn(move || {
         let (mut s, _) = listener.accept().unwrap();
         use std::io::Read;
@@ -171,7 +225,7 @@ fn dead_link_exhausts_budget_and_cascades() {
         // Socket and listener drop here: the address goes permanently dark.
     });
 
-    let mut w = kpn::net::remote_writer(&addr, 7).unwrap();
+    let mut w = RemoteSink::connect_with(&addr, 7, profile).unwrap();
     accept.join().unwrap();
     let start = Instant::now();
     let mut outcome = Ok(());
@@ -191,7 +245,6 @@ fn dead_link_exhausts_budget_and_cascades() {
         err.to_string().contains("budget"),
         "expected a budget-exhaustion error, got: {err}"
     );
-    remove_profile(&addr);
 }
 
 #[test]
@@ -211,9 +264,8 @@ fn deliberate_close_wins_over_reconnection() {
         budget: Duration::from_secs(120),
         ..chaos_policy()
     };
-    let mut guard = ChaosGuard::new(SEEDS[1], profile, policy);
-    let node = Node::serve_with_profile("127.0.0.1:0", guard.net_profile()).unwrap();
-    guard.cover(node.addr().to_string());
+    let (_, profile) = faulty(SEEDS[1], profile, policy);
+    let node = serve(&profile);
     let token: u64 = rand::random();
     let reader = node.remote_reader(token);
     let consumer = std::thread::spawn(move || {
@@ -224,7 +276,7 @@ fn deliberate_close_wins_over_reconnection() {
         // Dropping the reader is a *deliberate* close: token goes dead.
     });
 
-    let mut w = kpn::net::remote_writer(&node.addr().to_string(), token).unwrap();
+    let mut w = node.remote_writer(&node.addr().to_string(), token).unwrap();
     let start = Instant::now();
     let mut outcome = Ok(());
     for i in 0..2_000_000u64 {

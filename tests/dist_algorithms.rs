@@ -179,7 +179,7 @@ fn round_sync_never_needs_monitor_intervention() {
     let ids: Vec<u64> = (0..12).collect();
     for (name, mode) in modes() {
         let (_, report) = run::<GossipMax>(&g, &ids, config(mode, 6)).unwrap();
-        assert_eq!(report.monitor.growths, 0, "{name}: channel growth");
+        assert_eq!(report.monitor.capacity_grows, 0, "{name}: channel growth");
         assert_eq!(report.monitor.true_deadlocks, 0, "{name}: deadlock");
     }
 }

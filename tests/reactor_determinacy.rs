@@ -19,9 +19,14 @@
 #![cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 
 use kpn::core::stdlib::Identity;
-use kpn::core::{DataReader, DataWriter, Error, ExecMode, LintLevel, Network, NetworkConfig};
-use kpn::net::chaos::{chaos_policy, ChaosGuard};
-use kpn::net::{remote_reader, remote_writer, Acceptor, FaultProfile, NetProfile};
+use kpn::core::{
+    ChannelWriter, DataReader, DataWriter, Error, ExecMode, LintLevel, Network, NetworkConfig,
+};
+use kpn::net::chaos::chaos_policy;
+use kpn::net::{
+    remote_reader, Acceptor, FaultPlan, FaultProfile, FaultyFactory, NetProfile, RemoteSink,
+};
+use std::sync::Arc;
 
 /// Same pinned seeds as `chaos_reconnect.rs` (CI's chaos job).
 const SEEDS: [u64; 3] = [0x5EED_0001, 0x5EED_0002, 0x5EED_0003];
@@ -51,22 +56,23 @@ fn network(mode: &ExecMode) -> Network {
 /// idle one and a run either completes or fails identically regardless of
 /// wall-clock load.
 fn relay_history(mode: &ExecMode, seed: Option<u64>) -> Vec<i64> {
-    let mut guard = seed.map(|s| ChaosGuard::new(s, profile(), chaos_policy()));
-    let net_profile = guard
+    // One profile for every acceptor and every writer, so both ends of each
+    // hop run the same policy and draw faults from the same plan.
+    let plan = seed.map(|s| FaultPlan::new(s, profile()));
+    let net_profile = plan
         .as_ref()
-        .map_or_else(NetProfile::default, ChaosGuard::net_profile);
-    let mut bind = || {
-        let acceptor = Acceptor::bind_with("127.0.0.1:0", net_profile.clone()).unwrap();
-        if let Some(g) = guard.as_mut() {
-            g.cover(acceptor.local_addr().to_string());
-        }
-        acceptor
-    };
+        .map_or_else(NetProfile::default, |plan| NetProfile {
+            factory: Arc::new(FaultyFactory::new(plan.clone())),
+            policy: chaos_policy(),
+        });
+    let bind = || Acceptor::bind_with("127.0.0.1:0", net_profile.clone()).unwrap();
     let (client, s0, s1) = (bind(), bind(), bind());
     let (t_in, t_mid, t_back) = (0xD37E_0001u64, 0xD37E_0002, 0xD37E_0003);
     let connect = |to: &Acceptor, token| {
-        remote_writer(&to.local_addr().to_string(), token)
-            .unwrap_or_else(|e| panic!("connect under {mode:?} seed {seed:x?}: {e}"))
+        let addr = to.local_addr().to_string();
+        let sink = RemoteSink::connect_with(&addr, token, net_profile.clone())
+            .unwrap_or_else(|e| panic!("connect under {mode:?} seed {seed:x?}: {e}"));
+        ChannelWriter::from_sink(Box::new(sink))
     };
     // Every endpoint is made here, on the test thread, and moved into the
     // process that uses it — on the pooled leg the first fiber to touch
@@ -95,9 +101,9 @@ fn relay_history(mode: &ExecMode, seed: Option<u64>) -> Vec<i64> {
     }
     n0.join().unwrap_or_else(|e| fail(e));
     n1.join().unwrap_or_else(|e| fail(e));
-    if let Some(g) = &guard {
+    if let Some(plan) = &plan {
         assert!(
-            g.injected() > 0,
+            plan.injected() > 0,
             "seed {seed:x?} injected no faults under {mode:?}"
         );
     }

@@ -39,7 +39,7 @@ fn hamming_5000_values_with_starved_channels() {
     let out = hamming(&net, 5000, &opts);
     let report = net.run().unwrap();
     assert_eq!(*out.lock().unwrap(), hamming_reference(5000));
-    assert!(report.monitor.growths > 0);
+    assert!(report.monitor.capacity_grows > 0);
     // The growth log tells us the buffer demand Parks' procedure found.
     let max_cap = report
         .monitor
