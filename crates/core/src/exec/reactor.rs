@@ -332,8 +332,9 @@ mod imp {
     }
 
     /// Blocking readiness wait on one fd, for OS threads operating on an
-    /// fd a fiber already switched to non-blocking (the sink watchdog, a
-    /// linger thread) — and, with a zero timeout, the check a process on a
+    /// fd a fiber already switched to non-blocking (the sink watchdog,
+    /// which also finishes closed sinks) — and, with a zero timeout, the
+    /// check a process on a
     /// blocking fd makes before an operation, to learn whether it is about
     /// to wait. `poll(2)`, so no registration state; returns `Ok(true)`
     /// when ready, `Ok(false)` on timeout or `EINTR` (callers loop on a

@@ -165,24 +165,9 @@ fn read_u64<R: Read>(r: &mut R) -> Result<u64> {
     Ok(u64::from_be_bytes(buf))
 }
 
-// The live read path waits for the tag byte itself (to tell an idle
-// channel from a mid-frame stall) and calls `parse_frame_header`; this
-// combined form remains for single-shot readers.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn read_frame_header<R: Read>(r: &mut R) -> Result<FrameHeader> {
-    let mut tag = [0u8; 1];
-    if let Err(e) = r.read_exact(&mut tag) {
-        return Err(match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => {
-                Error::Disconnected("connection closed without Close frame".into())
-            }
-            _ => e.into(),
-        });
-    }
-    parse_frame_header(tag[0], r)
-}
-
-/// Parses the body of a frame whose tag byte has already been read.
+/// Parses the body of a frame whose tag byte has already been read. The
+/// reader waits for the tag byte itself, to tell an idle channel from a
+/// mid-frame stall.
 pub(crate) fn parse_frame_header<R: Read>(tag: u8, r: &mut R) -> Result<FrameHeader> {
     match tag {
         TAG_DATA => {
@@ -269,7 +254,15 @@ impl AckParser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
+
+    /// Reads a tag byte and then the header it starts, as the reader does.
+    fn next_header<R: Read>(r: &mut R) -> Result<FrameHeader> {
+        let mut tag = [0u8; 1];
+        r.read_exact(&mut tag)?;
+        parse_frame_header(tag[0], r)
+    }
 
     #[test]
     fn data_frame_roundtrip() {
@@ -283,7 +276,7 @@ mod tests {
         )
         .unwrap();
         let mut cur = Cursor::new(buf);
-        match read_frame_header(&mut cur).unwrap() {
+        match next_header(&mut cur).unwrap() {
             FrameHeader::Data { len: 5, offset: 77 } => {
                 let mut payload = [0u8; 5];
                 cur.read_exact(&mut payload).unwrap();
@@ -307,11 +300,11 @@ mod tests {
         .unwrap();
         let mut cur = Cursor::new(buf);
         assert_eq!(
-            read_frame_header(&mut cur).unwrap(),
+            next_header(&mut cur).unwrap(),
             FrameHeader::Close { offset: 9 }
         );
         assert_eq!(
-            read_frame_header(&mut cur).unwrap(),
+            next_header(&mut cur).unwrap(),
             FrameHeader::Redirect {
                 token: 0xDEAD,
                 offset: 10
@@ -326,10 +319,10 @@ mod tests {
         buf.push(TAG_STOP);
         let mut cur = Cursor::new(buf);
         assert_eq!(
-            read_frame_header(&mut cur).unwrap(),
+            next_header(&mut cur).unwrap(),
             FrameHeader::Ack { offset: 4096 }
         );
-        assert_eq!(read_frame_header(&mut cur).unwrap(), FrameHeader::Stop);
+        assert_eq!(next_header(&mut cur).unwrap(), FrameHeader::Stop);
     }
 
     #[test]
@@ -342,21 +335,15 @@ mod tests {
     }
 
     #[test]
-    fn truncated_stream_is_disconnect() {
-        let mut cur = Cursor::new(Vec::new());
-        assert!(matches!(
-            read_frame_header(&mut cur),
-            Err(Error::Disconnected(_))
-        ));
+    fn truncated_header_is_eof() {
+        let mut cur = Cursor::new(vec![TAG_CLOSE, 0, 0, 0]);
+        assert!(matches!(next_header(&mut cur), Err(Error::Eof)));
     }
 
     #[test]
     fn garbage_tag_is_disconnect() {
         let mut cur = Cursor::new(vec![0xFFu8]);
-        assert!(matches!(
-            read_frame_header(&mut cur),
-            Err(Error::Disconnected(_))
-        ));
+        assert!(matches!(next_header(&mut cur), Err(Error::Disconnected(_))));
     }
 
     #[test]
@@ -382,5 +369,62 @@ mod tests {
     fn ack_parser_rejects_data_tag() {
         let mut parser = AckParser::default();
         assert!(parser.feed(&[TAG_DATA], |_| {}).is_err());
+    }
+
+    /// Feeds `wire` in pieces of the given sizes (the rest in one piece).
+    fn feed_split(wire: &[u8], sizes: &[usize]) -> Result<Vec<AckEvent>> {
+        let (mut parser, mut events, mut rest) = (AckParser::default(), Vec::new(), wire);
+        for &size in sizes {
+            let (piece, tail) = rest.split_at(size.min(rest.len()));
+            parser.feed(piece, |e| events.push(e))?;
+            rest = tail;
+        }
+        parser.feed(rest, |e| events.push(e))?;
+        Ok(events)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn ack_parser_survives_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..256),
+            sizes in proptest::collection::vec(0usize..16, 0..32),
+        ) {
+            // Ok or Err, whatever arrives and however it is cut: no panic.
+            let _ = feed_split(&bytes, &sizes);
+        }
+
+        #[test]
+        fn an_ack_stream_parses_the_same_in_any_split(
+            // `Some(offset)` is an ack, `None` a stop.
+            acks in proptest::collection::vec(proptest::option::of(any::<u64>()), 0..32),
+            sizes in proptest::collection::vec(0usize..20, 0..64),
+        ) {
+            let mut wire = Vec::new();
+            for ack in &acks {
+                match ack {
+                    Some(offset) => write_frame(&mut wire, &Frame::Ack { offset: *offset }).unwrap(),
+                    None => wire.push(TAG_STOP),
+                }
+            }
+            let whole = feed_split(&wire, &[]).unwrap();
+            let expect: Vec<AckEvent> =
+                acks.iter().map(|a| a.map_or(AckEvent::Stop, AckEvent::Ack)).collect();
+            prop_assert_eq!(&whole, &expect);
+            prop_assert_eq!(feed_split(&wire, &sizes).unwrap(), whole);
+        }
+
+        #[test]
+        fn a_header_never_reads_past_seventeen_bytes(
+            tag in any::<u8>(),
+            body in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut cur = Cursor::new(body);
+            let _ = parse_frame_header(tag, &mut cur);
+            // The tag byte was read before the call.
+            let read = 1 + cur.position();
+            prop_assert!(read <= 17, "{} bytes read", read);
+        }
     }
 }

@@ -46,8 +46,16 @@
 //! triggers. A single process-wide watchdog thread therefore pumps every
 //! resilient sink that is not currently busy (see [`SinkCore::pump`]):
 //! it drains acknowledgements and, on finding the link dead, runs the
-//! ordinary recovery episode on the idle sink's behalf. It runs while
-//! some resilient sink exists, and exits once none does.
+//! ordinary recovery episode on the idle sink's behalf, one step (one
+//! reconnect, one resume-ack wait) per pass, so a reader that is slow to
+//! answer holds up the other sinks for a step, never for a whole budget.
+//! It also finishes every closing sink: a resilient close sends its
+//! `Close` marker and hands the sink to the watchdog, which pumps it the
+//! same way and shuts the socket once the marker is acknowledged (or the
+//! reader answered `Stop`, the endpoint was interrupted, or recovery gave
+//! up), so a close never waits for the reader and owns no thread. The
+//! watchdog runs while some resilient sink exists, and exits once none
+//! does.
 //!
 //! Transient failure is distinguished from *deliberate* stream events,
 //! which must still cascade per §3.4: a reader that processes `Close` (or
@@ -136,6 +144,16 @@ impl RecoveryBudget {
     fn exhausted(&self) -> bool {
         self.remaining.is_zero()
     }
+}
+
+/// A writer's recovery episode under way, kept between the steps of
+/// [`SinkCore::recover_step`].
+struct Episode {
+    budget: RecoveryBudget,
+    attempt: u32,
+    /// A fresh connection still waiting for its resume ack.
+    fresh: Option<BufWriter<Box<dyn Transport>>>,
+    guard: RecoveryGuard,
 }
 
 fn map_write_err(e: std::io::Error) -> Error {
@@ -275,9 +293,9 @@ enum ReplayFrame {
 
 /// The movable state of a [`RemoteSink`]: connection, stream accounting,
 /// and replay buffer. Separated from the `Sink` facade so a deliberate
-/// close can hand the state to a detached "linger" thread that sees the
-/// final `Close` marker acknowledged (reconnecting if needed) without
-/// blocking the closing process.
+/// close can leave the state with the watchdog, which sees the final
+/// `Close` marker acknowledged (reconnecting if needed) without blocking
+/// the closing process.
 struct SinkCore {
     conn: Option<BufWriter<Box<dyn Transport>>>,
     /// Reader-side acceptor address, for reconnects.
@@ -302,6 +320,12 @@ struct SinkCore {
     replay_bytes: usize,
     acks: AckParser,
     rng: SplitMix64,
+    /// Set by a resilient close to the offset just past its `Close`
+    /// marker: the watchdog owns the sink until it finishes it.
+    closing: Option<u64>,
+    /// A recovery the watchdog has stepped but not finished; `conn` is
+    /// empty meanwhile, so the owner's next operation finishes it.
+    episode: Option<Episode>,
 }
 
 impl SinkCore {
@@ -340,6 +364,8 @@ impl SinkCore {
             replay_bytes: 0,
             acks: AckParser::default(),
             rng,
+            closing: None,
+            episode: None,
         })
     }
 
@@ -358,20 +384,6 @@ impl SinkCore {
             i.record(self.token, self.sent);
         }
         offset
-    }
-
-    fn apply_ack_events(&mut self, events: &[AckEvent]) {
-        for ev in events {
-            match ev {
-                AckEvent::Ack(off) => {
-                    if *off > self.acked {
-                        self.acked = *off;
-                    }
-                }
-                AckEvent::Stop => self.peer_stopped = true,
-            }
-        }
-        self.trim_replay();
     }
 
     /// Drops fully acknowledged replay entries and trims the acknowledged
@@ -405,51 +417,66 @@ impl SinkCore {
         }
     }
 
-    /// Consumes any acknowledgements sitting in the reverse direction of
-    /// the connection without blocking, keeping the replay buffer trimmed.
-    fn drain_acks(&mut self) -> Result<()> {
-        if !self.policy.enabled {
-            return Ok(());
+    /// The one reader of the connection's reverse direction. Flushes, then
+    /// takes in the acknowledgements and `Stop` notices the reader sent:
+    /// with `wait`, one read that may wait that long; without, whatever has
+    /// arrived, never waiting. Returns whether any arrived. Events read
+    /// before a failure still count, so an ack followed by EOF is seen.
+    /// An ack past what was sent is a protocol error, not a link fault:
+    /// no recovery mends it.
+    fn read_acks(&mut self, wait: Option<Duration>) -> Result<bool> {
+        let conn = self.conn.as_mut().ok_or(Error::WriteClosed)?;
+        conn.flush()?;
+        let t = conn.get_ref();
+        match wait {
+            Some(poll) => t.set_op_timeout(Some(poll))?,
+            None => t.set_nonblocking(true)?,
         }
+        let mut tmp = [0u8; 256];
         let mut events = Vec::new();
-        let mut failure: Option<Error> = None;
-        {
-            let Some(conn) = self.conn.as_mut() else {
-                return Ok(());
-            };
-            if conn.get_ref().set_nonblocking(true).is_err() {
-                return Ok(());
-            }
-            let mut tmp = [0u8; 256];
-            loop {
-                match conn.get_mut().read(&mut tmp) {
-                    Ok(0) => {
-                        failure = Some(Error::Disconnected(
-                            "connection closed while draining acks".into(),
-                        ));
-                        break;
-                    }
-                    Ok(n) => {
-                        if let Err(e) = self.acks.feed(&tmp[..n], |ev| events.push(ev)) {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        failure = Some(e.into());
-                        break;
-                    }
+        let read = loop {
+            match conn.get_mut().read(&mut tmp) {
+                Ok(0) => {
+                    break Err(Error::Disconnected(
+                        "connection closed while reading acks".into(),
+                    ))
                 }
+                Ok(n) => match self.acks.feed(&tmp[..n], |ev| events.push(ev)) {
+                    Err(e) => break Err(e),
+                    Ok(()) if wait.is_some() => break Ok(()),
+                    Ok(()) => {}
+                },
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    break Ok(())
+                }
+                Err(e) => break Err(e.into()),
             }
-            let _ = conn.get_ref().set_nonblocking(false);
+        };
+        let t = conn.get_ref();
+        let _ = match wait {
+            Some(_) => t.set_op_timeout(self.policy.op_timeout),
+            None => t.set_nonblocking(false),
+        };
+        for ev in &events {
+            match *ev {
+                AckEvent::Ack(off) if off > self.sent => {
+                    return Err(Error::Graph(format!(
+                        "ack at offset {off} past the {} stream units sent (token {:#x})",
+                        self.sent, self.token
+                    )));
+                }
+                AckEvent::Ack(off) => self.acked = self.acked.max(off),
+                AckEvent::Stop => self.peer_stopped = true,
+            }
         }
-        self.apply_ack_events(&events);
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.trim_replay();
+        read.map(|()| !events.is_empty())
     }
 
     /// Routes a failed transport operation: transient link failures enter
@@ -457,8 +484,15 @@ impl SinkCore {
     /// operation was sending); everything else maps to the fail-fast
     /// semantics of the policy-disabled path.
     fn handle_failure(&mut self, e: Error) -> Result<()> {
+        self.recoverable(e)?;
+        self.recover()
+    }
+
+    /// `Ok` for a transient link failure, which recovery may mend; any
+    /// other failure comes back mapped to the fail-fast semantics.
+    fn recoverable(&self, e: Error) -> Result<()> {
         if self.policy.enabled && !self.peer_stopped && !self.interrupted() && link_failure(&e) {
-            self.recover()
+            Ok(())
         } else {
             Err(match e {
                 Error::Io(io) => map_write_err(io),
@@ -467,121 +501,102 @@ impl SinkCore {
         }
     }
 
-    /// One recovery episode: reconnect with backoff + jitter under the
-    /// policy budget, handshake for the reader's resume acknowledgement,
-    /// and retransmit the unacknowledged suffix.
+    /// One recovery episode, step after step: reconnect with backoff +
+    /// jitter under the policy budget, handshake for the reader's resume
+    /// acknowledgement, and retransmit the unacknowledged suffix.
     fn recover(&mut self) -> Result<()> {
-        let guard = RecoveryGuard::enter();
+        while !self.recover_step()? {}
+        Ok(())
+    }
+
+    /// One step of the recovery episode under way, or of a new one: at
+    /// most one backoff and reconnect, then one wait of `RECOVERY_POLL` on
+    /// the fresh connection for the reader's resume `Ack` (sent when the
+    /// reader adopts the connection) or a `Stop`. `Ok(true)`: resumed, the
+    /// replay buffer trimmed to the ack and the rest retransmitted.
+    /// `Ok(false)`: not yet. The owner steps again at once; the watchdog on
+    /// its next pass, so a sink whose reader is slow to answer holds up
+    /// the others' pumping for a step, not for its whole budget.
+    fn recover_step(&mut self) -> Result<bool> {
+        let mut episode = match self.episode.take() {
+            Some(episode) => episode,
+            None => {
+                if let Some(conn) = self.conn.take() {
+                    let _ = conn.get_ref().shutdown(Shutdown::Both);
+                }
+                Episode {
+                    budget: RecoveryBudget::new(&self.policy),
+                    attempt: 0,
+                    fresh: None,
+                    guard: RecoveryGuard::enter(),
+                }
+            }
+        };
+        let stepped = self.step(&mut episode);
+        if let Ok(false) = stepped {
+            self.episode = Some(episode);
+        }
+        stepped
+    }
+
+    fn step(&mut self, ep: &mut Episode) -> Result<bool> {
+        if self.interrupted() || self.peer_stopped {
+            return Err(Error::WriteClosed);
+        }
+        if ep.fresh.is_none() {
+            if ep.attempt > 0 {
+                let delay = self.policy.backoff(ep.attempt - 1, &mut self.rng);
+                ep.budget.charge(delay);
+                kpn_core::exec::sleep(delay);
+            }
+            if ep.budget.exhausted() {
+                return Err(Error::Disconnected(format!(
+                    "reconnect budget exhausted after {} attempts \
+                     (token {:#x}, {} unacked bytes)",
+                    ep.attempt, self.token, self.replay_bytes
+                )));
+            }
+            ep.guard.attempt();
+            ep.attempt = ep.attempt.saturating_add(1);
+            let transport = match self.factory.connect(&self.addr, self.token) {
+                Ok(t) => crate::rio::wrap(t),
+                Err(e) if link_failure(&e) => return Ok(false),
+                Err(e) => return Err(e),
+            };
+            if let Some(i) = &self.interruptor {
+                i.attach_transport(&*transport);
+            }
+            ep.fresh = Some(BufWriter::with_capacity(SINK_BUFFER, transport));
+            self.acks = AckParser::default();
+        }
+        if ep.budget.exhausted() {
+            return Err(Error::Disconnected(
+                "no resume ack within reconnect budget".into(),
+            ));
+        }
+        // Installed to be read through the one ack reader; it stays once
+        // the link has resumed.
+        self.conn = ep.fresh.take();
+        let failure = match self.read_acks(Some(RECOVERY_POLL)) {
+            Ok(_) if self.peer_stopped => Error::WriteClosed,
+            Ok(true) => match self.transmit_replay() {
+                Ok(()) => return Ok(true),
+                Err(e) => e,
+            },
+            Ok(false) => {
+                ep.budget.charge(RECOVERY_POLL);
+                ep.fresh = self.conn.take();
+                return Ok(false);
+            }
+            Err(e) => e,
+        };
         if let Some(conn) = self.conn.take() {
             let _ = conn.get_ref().shutdown(Shutdown::Both);
         }
-        let mut budget = RecoveryBudget::new(&self.policy);
-        let mut attempt: u32 = 0;
-        loop {
-            if self.interrupted() {
-                return Err(Error::WriteClosed);
-            }
-            if attempt > 0 {
-                let delay = self.policy.backoff(attempt - 1, &mut self.rng);
-                budget.charge(delay);
-                kpn_core::exec::sleep(delay);
-            }
-            if budget.exhausted() {
-                return Err(Error::Disconnected(format!(
-                    "reconnect budget exhausted after {attempt} attempts \
-                     (token {:#x}, {} unacked bytes)",
-                    self.token, self.replay_bytes
-                )));
-            }
-            guard.attempt();
-            attempt = attempt.saturating_add(1);
-            let transport = match self.factory.connect(&self.addr, self.token) {
-                Ok(t) => crate::rio::wrap(t),
-                Err(e) if link_failure(&e) => continue,
-                Err(e) => return Err(e),
-            };
-            match self.resume_handshake(transport, &mut budget) {
-                Ok(Some(conn)) => {
-                    self.conn = Some(conn);
-                    match self.transmit_replay() {
-                        Ok(()) => return Ok(()),
-                        Err(e) if link_failure(&e) => {
-                            if let Some(conn) = self.conn.take() {
-                                let _ = conn.get_ref().shutdown(Shutdown::Both);
-                            }
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(None) => {
-                    // `Stop`: the reader is deliberately gone.
-                    self.peer_stopped = true;
-                    return Err(Error::WriteClosed);
-                }
-                Err(e) if link_failure(&e) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Waits on a fresh connection for the reader's resume `Ack` (sent
-    /// when the reader adopts the connection) or a `Stop` notice.
-    /// `Ok(Some(conn))` means resume: `acked` is updated and the replay
-    /// buffer trimmed. `Ok(None)` means `Stop`.
-    fn resume_handshake(
-        &mut self,
-        mut transport: Box<dyn Transport>,
-        budget: &mut RecoveryBudget,
-    ) -> Result<Option<BufWriter<Box<dyn Transport>>>> {
-        let _ = transport.set_op_timeout(Some(RECOVERY_POLL));
-        let mut parser = AckParser::default();
-        let mut tmp = [0u8; 64];
-        loop {
-            if self.interrupted() {
-                return Err(Error::WriteClosed);
-            }
-            if budget.exhausted() {
-                return Err(Error::Disconnected(
-                    "no resume ack within reconnect budget".into(),
-                ));
-            }
-            match transport.read(&mut tmp) {
-                Ok(0) => return Err(Error::Disconnected("eof during resume handshake".into())),
-                Ok(n) => {
-                    let mut events = Vec::new();
-                    parser.feed(&tmp[..n], |ev| events.push(ev))?;
-                    let mut resume: Option<u64> = None;
-                    for ev in &events {
-                        match ev {
-                            AckEvent::Stop => return Ok(None),
-                            AckEvent::Ack(off) => resume = Some(resume.unwrap_or(0).max(*off)),
-                        }
-                    }
-                    if let Some(off) = resume {
-                        if off > self.acked {
-                            self.acked = off;
-                        }
-                        self.trim_replay();
-                        let _ = transport.set_op_timeout(self.policy.op_timeout);
-                        if let Some(i) = &self.interruptor {
-                            i.attach_transport(&*transport);
-                        }
-                        self.acks = AckParser::default();
-                        return Ok(Some(BufWriter::with_capacity(SINK_BUFFER, transport)));
-                    }
-                }
-                Err(ref e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    budget.charge(RECOVERY_POLL);
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            }
+        if link_failure(&failure) && !self.peer_stopped {
+            Ok(false)
+        } else {
+            Err(failure)
         }
     }
 
@@ -628,66 +643,25 @@ impl SinkCore {
         // Reading acks can block: publish this task's buffered output
         // first (same publish-before-wait rule as local channels).
         kpn_core::flush::flush_before_block();
-        let mut tmp = [0u8; 256];
+        let through = |core: &Self| core.acked >= target || (marker_wait && core.peer_stopped);
         loop {
-            if self.acked >= target {
-                break;
+            if through(self) {
+                return Ok(());
             }
-            if self.peer_stopped {
-                if marker_wait {
-                    break;
-                }
+            if self.peer_stopped || self.interrupted() {
                 return Err(Error::WriteClosed);
             }
-            if self.interrupted() {
-                return Err(Error::WriteClosed);
-            }
-            let mut step = || -> Result<usize> {
-                let Some(conn) = self.conn.as_mut() else {
-                    return Err(Error::WriteClosed);
-                };
-                conn.flush()?;
-                let _ = conn.get_ref().set_op_timeout(Some(RECOVERY_POLL));
-                let r = conn.get_mut().read(&mut tmp);
-                let _ = conn.get_ref().set_op_timeout(self.policy.op_timeout);
-                match r {
-                    Ok(0) => Err(Error::Disconnected("eof during ack wait".into())),
-                    Ok(n) => Ok(n),
-                    Err(ref e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        Ok(0)
-                    }
-                    Err(e) => Err(e.into()),
-                }
+            // Garbage on the ack stream counts as a link fault.
+            let failure = match self.read_acks(Some(RECOVERY_POLL)) {
+                Err(e) if !through(self) => e,
+                _ => continue,
             };
-            let failure = match step() {
-                Ok(0) => continue,
-                Ok(n) => {
-                    let mut events = Vec::new();
-                    let fed = self.acks.feed(&tmp[..n], |ev| events.push(ev));
-                    self.apply_ack_events(&events);
-                    match fed {
-                        Ok(()) => continue,
-                        Err(e) => e, // garbage on the ack stream: treat as a link fault
-                    }
-                }
-                Err(e) => e,
-            };
-            match self.handle_failure(failure) {
-                Ok(()) => continue,
-                Err(e) => {
-                    if self.peer_stopped && marker_wait {
-                        break;
-                    }
+            if let Err(e) = self.handle_failure(failure) {
+                if !through(self) {
                     return Err(e);
                 }
             }
         }
-        Ok(())
     }
 
     fn write_chunks(&mut self, buf: &[u8]) -> Result<()> {
@@ -698,7 +672,7 @@ impl SinkCore {
             return Err(Error::WriteClosed);
         }
         if self.policy.enabled {
-            if let Err(e) = self.drain_acks() {
+            if let Err(e) = self.read_acks(None) {
                 self.handle_failure(e)?;
             }
             if self.peer_stopped {
@@ -754,9 +728,11 @@ impl SinkCore {
         Ok(())
     }
 
-    /// Appends a marker frame to the replay buffer and transmits it
-    /// (best-effort — `wait_acked` recovery retransmits on failure).
-    fn send_marker(&mut self, frame: ReplayFrame) {
+    /// Sends a `Close`/`Redirect` marker. A resilient sink keeps it for
+    /// replay and leaves a failed write to the recovery of whatever sees
+    /// the marker through ([`Self::wait_acked`], the watchdog); a plain
+    /// sink gets the failure back.
+    fn send_marker(&mut self, frame: ReplayFrame) -> Result<()> {
         let wire = match &frame {
             ReplayFrame::Close { offset } => Frame::Close { offset: *offset },
             ReplayFrame::Redirect { offset, token } => Frame::Redirect {
@@ -765,27 +741,47 @@ impl SinkCore {
             },
             ReplayFrame::Data { .. } => unreachable!("markers only"),
         };
-        self.replay.push_back(frame);
-        if let Some(conn) = self.conn.as_mut() {
-            let _ = write_frame(conn, &wire);
-            let _ = conn.flush();
+        let sent = match self.conn.as_mut() {
+            Some(conn) => {
+                write_frame(conn, &wire).and_then(|()| conn.flush().map_err(map_write_err))
+            }
+            None => Err(Error::WriteClosed),
+        };
+        if !self.policy.enabled {
+            return sent;
         }
+        self.replay.push_back(frame);
+        Ok(())
     }
 
-    /// Sees the final `Close` marker acknowledged, then retires the
-    /// connection. Runs on a detached linger thread so closing a channel
-    /// never blocks the closing process on the reader's progress.
-    fn linger_close(&mut self, target: u64) {
-        let _ = self.wait_acked(target, true);
-        if let Some(conn) = self.conn.as_ref() {
+    /// Whether a sink closing at `target` is done: its `Close` marker is
+    /// through (acknowledged, or the reader answered `Stop`), or nothing is
+    /// left to see it through — a plain sink, an interrupted endpoint, a
+    /// recovery that gave up.
+    fn close_done(&self, target: u64) -> bool {
+        !self.policy.enabled
+            || self.acked >= target
+            || self.peer_stopped
+            || self.interrupted()
+            || (self.conn.is_none() && self.episode.is_none())
+            || self.pending_failure.is_some()
+    }
+
+    /// Retires a closed sink's connection: shut for writing, then dropped.
+    fn finish(&mut self) {
+        self.closing = None;
+        self.episode = None;
+        if let Some(conn) = self.conn.take() {
             let _ = conn.get_ref().shutdown(Shutdown::Write);
         }
     }
 
-    /// One watchdog step on an idle sink (see the module docs): drain any
-    /// acknowledgements the reader pushed while this sink's process was
-    /// parked on some other channel, and if that reveals a dead link,
-    /// run an ordinary recovery episode here on the watchdog thread.
+    /// One watchdog step on a sink no process is using (see the module
+    /// docs): drain any acknowledgements the reader pushed while this
+    /// sink's process was parked on some other channel, and if that
+    /// reveals a dead link, take a step of an ordinary recovery episode
+    /// here on the watchdog thread (one per pass until it ends); then
+    /// finish a closing sink that is done.
     ///
     /// Reconnection is writer-driven, so without this a process that
     /// stops writing for a while never notices its socket died — and an
@@ -793,28 +789,42 @@ impl SinkCore {
     /// by a replay that nothing would ever trigger, stalling the reader
     /// (and, transitively, any cycle through it) forever.
     fn pump(&mut self) {
-        if !self.policy.enabled || self.peer_stopped || self.interrupted() || self.conn.is_none()
-        {
-            return;
-        }
-        if let Err(e) = self.drain_acks() {
-            // A failed recovery leaves `conn` empty (so the watchdog does
-            // not retry a link whose budget is spent); the terminal error
-            // is stashed to surface on the owning process's next write,
-            // exactly as if that write had discovered the dead link.
-            if let Err(e) = self.handle_failure(e) {
-                self.pending_failure = Some(e);
+        let stepped = if self.episode.is_some() {
+            self.recover_step().map(drop)
+        } else if !self.peer_stopped && !self.interrupted() && self.conn.is_some() {
+            let drained = self.read_acks(None);
+            // The reader shuts its socket right after acknowledging a
+            // `Close` marker, so one drain can bring the ack and then EOF:
+            // the ack decides, and the EOF is no fault.
+            match drained {
+                Err(e) if self.closing.is_none_or(|target| self.acked < target) => self
+                    .recoverable(e)
+                    .and_then(|()| self.recover_step().map(drop)),
+                _ => Ok(()),
             }
+        } else {
+            Ok(())
+        };
+        // A failed recovery leaves `conn` empty (so the watchdog does not
+        // retry a link whose budget is spent); the terminal error is
+        // stashed to surface on the owning process's next write, exactly
+        // as if that write had discovered the dead link.
+        if let Err(e) = stepped {
+            self.pending_failure = Some(e);
+        }
+        if self.closing.is_some_and(|target| self.close_done(target)) {
+            self.finish();
         }
     }
 }
 
-/// The resilient sinks the watchdog thread pumps, registered on creation
-/// and pruned once the owning facade (or its linger thread) drops the core;
-/// `None` while no watchdog runs. The watchdog exits when it finds the list
-/// empty and the next registration starts another, both under this lock,
-/// so no registration goes unpumped.
-static PUMP_SINKS: Mutex<Option<Vec<std::sync::Weak<Mutex<SinkCore>>>>> = Mutex::new(None);
+/// The resilient sinks the watchdog thread pumps, registered on creation;
+/// `None` while no watchdog runs. Each sink's facade holds the other
+/// reference. Once the facade is gone, the list owns a closing sink until
+/// it is finished and lets go of any other at once. The watchdog exits
+/// when it finds the list empty and the next registration starts another,
+/// both under this lock, so no registration goes unpumped.
+static PUMP_SINKS: Mutex<Option<Vec<Arc<Mutex<SinkCore>>>>> = Mutex::new(None);
 
 fn pump_register(core: &Arc<Mutex<SinkCore>>) {
     let mut sinks = PUMP_SINKS.lock();
@@ -823,7 +833,7 @@ fn pump_register(core: &Arc<Mutex<SinkCore>>) {
             .name("kpn-sink-pump".into())
             .spawn(pump_loop);
     }
-    sinks.get_or_insert_with(Vec::new).push(Arc::downgrade(core));
+    sinks.get_or_insert_with(Vec::new).push(core.clone());
 }
 
 /// The watchdog: every poll interval, give each registered sink whose
@@ -832,19 +842,21 @@ fn pump_register(core: &Arc<Mutex<SinkCore>>) {
 /// simply skipped, and a recovery episode run *here* blocks only this
 /// thread — the owning process keeps running until it next touches the
 /// sink, then waits on the lock exactly as if it were performing the
-/// recovery itself.
+/// recovery itself. A closing sink has no owner left, so it is pumped on
+/// every pass.
 fn pump_loop() {
     loop {
         kpn_core::exec::sleep(RECOVERY_POLL);
         let sinks: Vec<Arc<Mutex<SinkCore>>> = {
             let mut reg = PUMP_SINKS.lock();
             let live = reg.get_or_insert_with(Vec::new);
-            live.retain(|w| w.strong_count() > 0);
+            // A sink only the list holds stays while it is closing.
+            live.retain_mut(|s| Arc::get_mut(s).is_none_or(|c| c.get_mut().closing.is_some()));
             if live.is_empty() {
                 *reg = None;
                 return;
             }
-            live.iter().filter_map(std::sync::Weak::upgrade).collect()
+            live.clone()
         };
         for sink in sinks {
             if let Some(mut core) = sink.try_lock() {
@@ -876,9 +888,9 @@ fn pump_loop() {
 /// transient link failure by reconnecting and replaying — see the module
 /// docs.
 pub struct RemoteSink {
-    /// Shared with the watchdog thread (and, after close, the linger
-    /// thread): the owning process locks it for every operation, the
-    /// watchdog only ever `try_lock`s.
+    /// Shared with the watchdog thread, which keeps it after a resilient
+    /// close until the `Close` marker is through: the owning process locks
+    /// it for every operation, the watchdog only ever `try_lock`s.
     core: Option<Arc<Mutex<SinkCore>>>,
     closed: bool,
 }
@@ -945,18 +957,12 @@ impl RemoteSink {
         let token = fresh_token();
         let mut core = self.core()?.lock();
         let offset = core.take_offset(1);
-        if core.policy.enabled {
-            core.send_marker(ReplayFrame::Redirect { offset, token });
-            let target = core.sent;
-            core.wait_acked(target, true)
-                .map_err(|e| Error::Disconnected(format!("redirect failed: {e}")))?;
-        } else {
-            let conn = core.conn.as_mut().ok_or(Error::WriteClosed)?;
-            write_frame(conn, &Frame::Redirect { token, offset })
-                .map_err(|e| Error::Disconnected(format!("redirect failed: {e}")))?;
-            conn.flush().map_err(map_write_err)?;
-        }
-        if let Some(conn) = core.conn.as_ref() {
+        core.send_marker(ReplayFrame::Redirect { offset, token })?;
+        let target = core.sent;
+        core.wait_acked(target, true)
+            .map_err(|e| Error::Disconnected(format!("redirect failed: {e}")))?;
+        // Taken, so the watchdog has no connection left to pump.
+        if let Some(conn) = core.conn.take() {
             let _ = conn.get_ref().shutdown(Shutdown::Both);
         }
         drop(core);
@@ -996,22 +1002,15 @@ impl Sink for RemoteSink {
         };
         let mut c = core.lock();
         let offset = c.take_offset(1);
-        if c.policy.enabled && !c.peer_stopped {
-            c.send_marker(ReplayFrame::Close { offset });
-            let target = c.sent;
-            drop(c);
-            // The Close marker is only acknowledged once the reader drains
-            // to it, which can be arbitrarily later: see it through from a
-            // detached thread so closing never blocks this process. (The
-            // thread holds the lock throughout, so the watchdog skips the
-            // sink; dropping the Arc afterwards prunes it.)
-            let _ = std::thread::Builder::new()
-                .name("kpn-sink-linger".into())
-                .spawn(move || core.lock().linger_close(target));
-        } else if let Some(conn) = c.conn.as_mut() {
-            let _ = write_frame(conn, &Frame::Close { offset });
-            let _ = conn.flush();
-            let _ = conn.get_ref().shutdown(Shutdown::Write);
+        // A close has no one to report a failed write to.
+        let _ = c.send_marker(ReplayFrame::Close { offset });
+        let target = c.sent;
+        // The marker is acknowledged only once the reader drains to it,
+        // which can be arbitrarily later: unless it is done already, the
+        // watchdog sees it through, so closing never blocks this process.
+        c.closing = Some(target);
+        if c.close_done(target) {
+            c.finish();
         }
     }
 }
@@ -1058,12 +1057,17 @@ pub struct RemoteSource {
 }
 
 impl RemoteSource {
+    /// Adopts a connection the acceptor handed over, with the stream
+    /// resuming at `expected` (0 for a first connection): the one place a
+    /// connection becomes a source's, for its first connection and for
+    /// every replacement [`RemoteSource::recover`] adopts.
     pub(crate) fn adopt(
         transport: Box<dyn Transport>,
         acceptor: Option<Arc<Acceptor>>,
         interruptor: Option<Arc<Interruptor>>,
         policy: ReconnectPolicy,
         token: u64,
+        expected: u64,
     ) -> Self {
         // Accepted connections arrive unwrapped (the acceptor's factory
         // knows nothing about executors); make their waits fiber-aware.
@@ -1080,17 +1084,17 @@ impl RemoteSource {
             token,
             remaining: 0,
             skip: 0,
-            expected: 0,
+            expected,
             unacked: 0,
             ack_poisoned: false,
             closed: false,
         };
         if source.policy.enabled {
-            // Adoption ack: a writer already in recovery is waiting for
-            // our resume offset; a fresh writer drains it harmlessly. A
-            // failure here cannot be ignored: the frame may be partially
-            // written, and the reader would otherwise settle into the idle
-            // wait while the writer blocks on an ack that can never parse.
+            // Adoption ack: a writer in recovery is waiting for our resume
+            // offset; a fresh writer drains it harmlessly. A failure here
+            // cannot be ignored: the frame may be partially written, and
+            // the reader would otherwise settle into the idle wait while
+            // the writer blocks on an ack that can never parse.
             if source.send_ack().is_err() {
                 source.retire_ack_channel();
             }
@@ -1302,10 +1306,7 @@ impl RemoteSource {
         let guard = RecoveryGuard::enter();
         let _ = self.stream.get_ref().shutdown(Shutdown::Both);
         let mut budget = RecoveryBudget::new(&self.policy);
-        let mut pending = acceptor.register(self.token);
-        if let Some(i) = &self.interruptor {
-            i.attach_pending(&acceptor, self.token);
-        }
+        let mut pending = None;
         loop {
             if self
                 .interruptor
@@ -1314,42 +1315,35 @@ impl RemoteSource {
             {
                 return Err(Error::Disconnected("aborted while reconnecting".into()));
             }
-            match pending.wait(Some(RECOVERY_POLL))? {
-                Some(transport) => {
-                    guard.attempt();
-                    let transport = crate::rio::wrap(transport);
-                    let _ = transport.set_op_timeout(self.policy.op_timeout);
-                    if let Some(i) = &self.interruptor {
-                        i.attach_transport(&*transport);
-                    }
-                    self.stream = BufReader::new(transport);
-                    self.remaining = 0;
-                    self.skip = 0;
-                    match self.send_ack() {
-                        Ok(()) => return Ok(()),
-                        Err(_) => {
-                            // The adopted connection died immediately:
-                            // retire it and keep listening. Charging one
-                            // poll interval bounds how many dead adoptions
-                            // one episode tolerates.
-                            let _ = self.stream.get_ref().shutdown(Shutdown::Both);
-                            budget.charge(RECOVERY_POLL);
-                            if budget.exhausted() {
-                                return Err(self.budget_error());
-                            }
-                            pending = acceptor.register(self.token);
-                            if let Some(i) = &self.interruptor {
-                                i.attach_pending(&acceptor, self.token);
-                            }
-                        }
-                    }
+            let listening = pending.get_or_insert_with(|| {
+                let conn = acceptor.register(self.token);
+                if let Some(i) = &self.interruptor {
+                    i.attach_pending(&acceptor, self.token);
                 }
-                None => {
-                    budget.charge(RECOVERY_POLL);
-                    if budget.exhausted() {
-                        return Err(self.budget_error());
-                    }
+                conn
+            });
+            if let Some(transport) = listening.wait(Some(RECOVERY_POLL))? {
+                guard.attempt();
+                *self = Self::adopt(
+                    transport,
+                    Some(acceptor.clone()),
+                    self.interruptor.clone(),
+                    self.policy.clone(),
+                    self.token,
+                    self.expected,
+                );
+                if !self.ack_poisoned {
+                    return Ok(());
                 }
+                // The adopted connection died at once and `adopt` retired
+                // it: keep listening. Charging one poll interval bounds how
+                // many dead adoptions one episode tolerates.
+                self.ack_poisoned = false;
+                pending = None;
+            }
+            budget.charge(RECOVERY_POLL);
+            if budget.exhausted() {
+                return Err(self.budget_error());
             }
         }
     }
@@ -1452,6 +1446,7 @@ impl Source for PendingSource {
                     self.interruptor.clone(),
                     policy,
                     self.token,
+                    0,
                 );
                 Ok(SourceRead::Splice(ChannelReader::from_source(Box::new(
                     source,
@@ -1724,8 +1719,44 @@ mod tests {
         let mut buf = [0u8; 9];
         reader.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"resilient");
-        drop(writer); // close() hands the Close marker to a linger thread
+        drop(writer); // close() leaves the Close marker to the watchdog
         assert_eq!(reader.read(&mut buf).unwrap(), 0);
+    }
+
+    #[test]
+    fn an_ack_past_the_sent_offset_fails_the_channel() {
+        // A peer that acknowledges bytes it was never sent is broken, not
+        // flaky: the writer reports it at once instead of trimming frames
+        // the reader never had or reconnecting until its budget runs out.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut hello = [0u8; 9];
+            stream.read_exact(&mut hello).unwrap();
+            crate::frame::write_frame(&mut stream, &Frame::Ack { offset: 1 << 40 }).unwrap();
+            stream
+        });
+        let profile = NetProfile {
+            factory: Arc::new(TcpFactory),
+            policy: ReconnectPolicy::resilient(),
+        };
+        let mut sink = RemoteSink::connect_with(&addr, fresh_token(), profile).unwrap();
+        let _stream = peer.join().unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let err = loop {
+            match sink.write_all(b"x") {
+                Ok(()) if std::time::Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(10))
+                }
+                Ok(()) => panic!("every write succeeded after an ack past the sent offset"),
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            matches!(&err, Error::Graph(why) if why.contains("past the")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1817,7 +1848,10 @@ mod tests {
 
     /// Three threads that spin until dropped, so the processes beside them
     /// are descheduled at arbitrary points, mid-registration included.
-    struct BusyLoops(Arc<std::sync::atomic::AtomicBool>, Vec<std::thread::JoinHandle<()>>);
+    struct BusyLoops(
+        Arc<std::sync::atomic::AtomicBool>,
+        Vec<std::thread::JoinHandle<()>>,
+    );
 
     fn busy_loops() -> BusyLoops {
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));

@@ -3,7 +3,7 @@
 //! The rule, evaluated per wait from the calling context and from nothing
 //! else: **a remote wait made from a pooled fiber parks that fiber on its
 //! pool's reactor; a wait made from an OS thread (thread executor, sim,
-//! foreign / client / linger threads) blocks that thread in one plain
+//! foreign / client / watchdog threads) blocks that thread in one plain
 //! blocking syscall.** A blocked remote channel therefore costs a parked
 //! fiber on the pooled executor and — exactly as in the paper (§4) — a
 //! blocked thread on the thread executor, and no option, environment
@@ -21,8 +21,8 @@
 //! registered on the pool's
 //! [`Reactor`](kpn_core::exec::reactor::Reactor), and retries when a
 //! worker drains the readiness queue and unparks it. An OS thread that
-//! later touches a switched fd (the sink watchdog, a linger thread) waits
-//! in `poll(2)` instead of parking.
+//! later touches a switched fd (the sink watchdog, pumping an idle sink or
+//! finishing a closed one) waits in `poll(2)` instead of parking.
 //!
 //! Because blocking semantics are preserved at the [`Transport`] surface
 //! in both states (complete reads/writes or a `TimedOut`/`WouldBlock`
