@@ -33,7 +33,7 @@ use crate::topology::{EndpointShape, ProcessTag, SideState, StreamFraming};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 /// Default channel capacity in bytes, analogous to the default buffer size
@@ -215,6 +215,11 @@ pub(crate) struct Shared {
     /// — the single scheduling seam (thread, pooled, or sim; see
     /// [`crate::exec`]).
     exec: Arc<dyn Exec>,
+    /// Per side (readers', writers'): the executor of the first fiber of
+    /// another executor that waited on it, set under the state lock. That
+    /// fiber parked on its own executor, so every wake of the side is
+    /// passed on to it (see [`Shared::block`]).
+    foreign: [OnceLock<Weak<dyn Exec>>; 2],
     /// When set, every byte pushed through the ring buffer is appended to
     /// the recorder slot (the determinacy oracle's channel history).
     recorder: Option<(Arc<HistoryRecorder>, usize)>,
@@ -249,6 +254,7 @@ impl Shared {
             reader_waiting: Arc::new(AtomicBool::new(false)),
             monitor,
             exec,
+            foreign: Default::default(),
             recorder,
         })
     }
@@ -262,12 +268,38 @@ impl Shared {
 
     /// Wakes every task parked waiting for this channel to become readable.
     fn wake_readers(&self) {
-        self.exec.unpark_all(self.key(BlockKind::Read));
+        self.wake(BlockKind::Read);
     }
 
     /// Wakes every task parked waiting for this channel to become writable.
     fn wake_writers(&self) {
-        self.exec.unpark_all(self.key(BlockKind::Write));
+        self.wake(BlockKind::Write);
+    }
+
+    /// Wakes `side` through the channel's executor and the foreign one it
+    /// recorded. The record is read without the state lock: a waiter makes
+    /// it under that lock before it counts as waiting, so a waker that saw
+    /// it counted sees the record.
+    fn wake(&self, side: BlockKind) {
+        let key = self.key(side);
+        self.exec.unpark_all(key);
+        if let Some(exec) = self.foreign[side as usize].get().and_then(Weak::upgrade) {
+            exec.unpark_all(key);
+        }
+    }
+
+    /// The executor a task of `own` parks on to wait on `side`: `own`
+    /// itself if `side` passes its wakes on to it — recorded here, under
+    /// the state lock, by its first such wait — else the channel's. (A
+    /// fiber of a second foreign executor on the same side waits in the
+    /// channel executor's thread half, holding its worker.)
+    fn park_on<'a>(&'a self, side: BlockKind, own: &'a Arc<dyn Exec>) -> &'a Arc<dyn Exec> {
+        let forwarded = self.foreign[side as usize].get_or_init(|| Arc::downgrade(own));
+        if std::ptr::addr_eq(forwarded.as_ptr(), Arc::as_ptr(own)) {
+            own
+        } else {
+            &self.exec
+        }
     }
 
     /// After the buffer gained room (a read, a growth): clears the writer's
@@ -303,6 +335,10 @@ impl Shared {
         // a zero tick from busy-spinning (executors that cannot honor
         // timeouts tick via idle hooks instead).
         let tick = (self.monitor.as_ref()).map(|m| m.timing().tick.max(Duration::from_millis(1)));
+        // A fiber of another executor (a pooled process on a channel made
+        // outside any network) parks on its own, which this side's wakes
+        // are passed on to; everyone else parks on the channel's.
+        let own = crate::exec::other_fiber_exec(&self.exec);
         let mut registration = None;
         let mut st = self.state.lock();
         *st.waiters(side) += 1;
@@ -333,9 +369,13 @@ impl Shared {
             // still true: any wake that happens after we release the lock
             // bumps the generation, and `park` returns immediately on a
             // stale token — no lost wakeups, no wait-loop in the executor.
-            let token = self.exec.park_token(key);
+            let exec = match &own {
+                Some(own) => self.park_on(side, own),
+                None => &self.exec,
+            };
+            let token = exec.park_token(key);
             drop(st);
-            let parked = self.exec.park(key, token, tick);
+            let parked = exec.park(key, token, tick);
             if let (Ok(true), Some(m)) = (&parked, &self.monitor) {
                 m.tick();
             }

@@ -534,6 +534,20 @@ pub(crate) fn install_process_locals(name: &str) {
     set_current(Some(TaskLocals::new(name, true, exec)));
 }
 
+/// The executor of the calling fiber if it is not `exec`: a fiber can park
+/// only on its own pool, so a channel of `exec` it waits on passes its
+/// wakes on to that pool (see `Shared::block`). `None` on OS threads, which
+/// can wait in any executor's thread half.
+pub(crate) fn other_fiber_exec(exec: &Arc<dyn Exec>) -> Option<Arc<dyn Exec>> {
+    if !fiber::on_fiber() {
+        return None;
+    }
+    with_current(|l| {
+        let same = std::ptr::addr_eq(l.exec.as_ptr(), Arc::as_ptr(exec));
+        (!same).then(|| l.exec.upgrade()).flatten()
+    })
+}
+
 /// The executor running the current task — the process's executor on KPN
 /// tasks, the thread-mode default executor on foreign threads, `None`
 /// once the owning executor has shut down.
@@ -586,10 +600,10 @@ pub fn net_backend() -> NetBackend {
 /// Which executor a [`crate::Network`] runs its processes on.
 #[derive(Clone)]
 pub enum ExecMode {
-    /// One OS thread per process (the paper's model).
+    /// One OS thread per process (the paper's model, and the reference).
     Thread,
-    /// A fixed worker pool running processes as parked continuations;
-    /// `workers == 0` means `available_parallelism()`.
+    /// A fixed worker pool running processes as parked continuations (the
+    /// default); `workers == 0` means `available_parallelism()`.
     Pooled {
         /// Worker thread count (0 = `available_parallelism()`).
         workers: usize,
@@ -610,7 +624,10 @@ impl std::fmt::Debug for ExecMode {
 
 impl Default for ExecMode {
     /// The mode of [`crate::NetworkConfig::default`]: `KPN_EXEC` when set,
-    /// else [`ExecMode::Thread`].
+    /// else `ExecMode::Pooled { workers: 0 }` — on every target; where
+    /// there are no fibers the pool runs a thread per task.
+    /// [`ExecMode::Thread`] (`KPN_EXEC=thread`) is the paper's model, the
+    /// reference the pool is checked against.
     fn default() -> Self {
         crate::NetworkConfig::from_env().mode
     }
@@ -953,6 +970,40 @@ mod tests {
         let took = start.elapsed();
         assert!(took < Duration::from_millis(200), "50 sleeps took {took:?}");
         exec.shutdown();
+    }
+
+    // The case needs real fibers: elsewhere a pool's tasks are threads.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn fibers_wait_on_another_executors_channel_without_their_worker() {
+        // A channel made outside any network is bound to the process-wide
+        // `ThreadExec`. Two fibers of a one-worker pool talk through one of
+        // capacity 1, so each waits on it in turn; had a wait held the
+        // worker in the channel executor's condvar, the other fiber would
+        // never run. The same for fibers of one pool on another's channel.
+        let (a, b): (Arc<dyn Exec>, Arc<dyn Exec>) = (PooledExec::new(1), PooledExec::new(1));
+        for (fibers, channel) in [
+            (&a, crate::channel::channel_with_capacity(1)),
+            (
+                &b,
+                crate::channel::channel_with_parts(1, None, a.clone(), None),
+            ),
+        ] {
+            let (mut w, mut r) = channel;
+            let read = on_task(fibers, move |_| {
+                let mut got = [0u8; 64];
+                r.read_exact(&mut got).map(|()| got)
+            });
+            let wrote = on_task(fibers, move |_| w.write_all(&[7u8; 64]));
+            wrote
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap()
+                .unwrap();
+            let got = read.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(got.unwrap(), [7u8; 64]);
+        }
+        a.shutdown();
+        b.shutdown();
     }
 
     #[test]

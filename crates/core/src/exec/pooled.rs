@@ -52,6 +52,21 @@
 //! unscheduled fiber can never masquerade as global quiescence (see
 //! DESIGN.md §5g).
 //!
+//! Once the pool has a reactor, one sleeping worker at a time — the
+//! *poller* — sleeps in the reactor's `epoll_wait` rather than on the
+//! condvar, so socket readiness and timers wake it directly; the others
+//! sleep on the condvar. The poller is parked like any sleeper and the
+//! same handshake covers it: a producer that finds sleepers under the
+//! central lock notifies the condvar if anyone sleeps there, and else
+//! writes the reactor's eventfd. A poller that wakes with work dispatches
+//! it, which wakes a condvar sleeper; that one takes over polling when it
+//! sleeps again. A poller woken for one fiber while the reactor watches
+//! nothing else and no other worker runs a fiber keeps the fiber and wakes
+//! nobody: nothing can need polling until that fiber waits again, and then
+//! its worker polls. Sleeps are
+//! indefinite except while the pool is quiescent, when a 1 ms heartbeat
+//! keeps the monitor's idle hooks ticking.
+//!
 //! Every worker keeps relaxed-atomic counters (dispatch sources, steal
 //! traffic, parks); [`Exec::scheduler_stats`] snapshots them without
 //! perturbing the scheduler.
@@ -74,9 +89,10 @@ use std::time::Duration;
 /// keeping producer→consumer chains on the fast path.
 const HOT_BUDGET: u32 = 32;
 
-/// Every FAIR_TICK-th dispatch drains the injector before local work, so
-/// globally submitted fibers make progress even on a saturated worker.
-/// Prime, so the fair tick does not phase-lock with request patterns.
+/// Every FAIR_TICK-th dispatch drains the reactor and the injector before
+/// local work, so a ready socket's fiber and globally submitted fibers make
+/// progress even on a saturated worker. Prime, so the fair tick does not
+/// phase-lock with request patterns.
 const FAIR_TICK: u64 = 61;
 
 /// Per-worker deque capacity; overflow spills to the injector.
@@ -86,6 +102,10 @@ const DEQUE_CAPACITY: usize = 256;
 /// deque per injector visit (beyond the one it runs), amortizing the
 /// central lock.
 const INJECTOR_BATCH: usize = 16;
+
+/// How often a sleeping worker wakes while the pool is quiescent (every
+/// task parked), to run the idle hooks — the deadlock monitor's tick.
+const QUIESCENT_HEARTBEAT: Duration = Duration::from_millis(1);
 
 thread_local! {
     /// `(pool address, slot index)` for pool-worker threads. Lets
@@ -198,14 +218,41 @@ struct PoolState {
     alive: usize,
     /// Worker threads in existence; worker `i` owns slot `i`.
     workers: usize,
-    /// Workers asleep on `work_cv` (authoritative; `parked_hint` is the
-    /// lock-free shadow producers read).
+    /// Workers asleep, the poller included (authoritative; `parked_hint` is
+    /// the lock-free shadow producers read).
     parked: usize,
+    /// One of the `parked` workers sleeps in the reactor's `epoll_wait`
+    /// (the poller); the rest sleep on `work_cv`.
+    polling: bool,
     /// A worker is currently running idle hooks.
     ticking: bool,
     shutdown: bool,
     injector_pushes: u64,
     foreign_unparks: u64,
+}
+
+/// Whom a submission wakes (decided under the central lock, done after it).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Wake {
+    Nobody,
+    /// A worker asleep on `work_cv`.
+    Sleeper,
+    /// The worker in the reactor's `epoll_wait`.
+    Poller,
+}
+
+impl PoolState {
+    /// One sleeper to take new work: a condvar sleeper if there is one, so
+    /// the poller keeps watching the reactor, else the poller.
+    fn wake_one(&self) -> Wake {
+        if self.parked > usize::from(self.polling) {
+            Wake::Sleeper
+        } else if self.polling {
+            Wake::Poller
+        } else {
+            Wake::Nobody
+        }
+    }
 }
 
 /// M:N executor: tasks are stackful fibers multiplexed onto a fixed pool
@@ -252,10 +299,16 @@ impl PooledExec {
     /// Create a pooled executor with `workers` worker threads (0 means
     /// `available_parallelism()`).
     pub fn new(workers: usize) -> Arc<Self> {
+        // Read once per process: on Linux the answer comes from cgroup
+        // files, tens of microseconds a call, and a node starts a pool for
+        // every graph it runs.
+        static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
         let target = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            *HARDWARE_THREADS.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
         } else {
             workers
         };
@@ -266,6 +319,7 @@ impl PooledExec {
                 alive: 0,
                 workers: 0,
                 parked: 0,
+                polling: false,
                 ticking: false,
                 shutdown: false,
                 injector_pushes: 0,
@@ -289,8 +343,9 @@ impl PooledExec {
     }
 
     /// True when the calling code runs on one of *this* pool's fibers.
-    /// (A fiber of pool A blocking on pool B's channel must use B's
-    /// thread-waiter path: parking it as a fiber in B would strand it.)
+    /// (A fiber of pool A that calls B's `park` must use B's thread-waiter
+    /// path: filing it as a fiber in B would strand it. A channel wait
+    /// parks on A instead, see `Shared::block`.)
     fn is_own_fiber(&self) -> bool {
         fiber::on_fiber()
             && with_current(|l| {
@@ -397,14 +452,16 @@ impl PooledExec {
             }
         }
         me.note_depth();
-        let notify = !st.injector.is_empty() && st.parked > 0;
+        let wake = if st.injector.is_empty() {
+            Wake::Nobody
+        } else {
+            st.wake_one()
+        };
         drop(st);
         me.stats.injector_pops.fetch_add(taken, Ordering::Relaxed);
-        if notify && self.searching.load(Ordering::SeqCst) == 0 {
-            // Leftover global work and sleeping workers: hand one of them
-            // the remainder.
-            self.work_cv.notify_one();
-        }
+        // Leftover global work and sleeping workers: hand one of them the
+        // remainder.
+        self.wake_unless_searching(wake);
         Some(first)
     }
 
@@ -494,10 +551,11 @@ impl PooledExec {
             let mut st = self.central.lock();
             st.alive -= 1;
             let finished = st.alive == 0;
+            let polling = st.polling;
             drop(st);
             self.busy.fetch_sub(1, Ordering::SeqCst);
             if finished {
-                self.work_cv.notify_all();
+                self.wake_all(polling);
             }
             return;
         }
@@ -542,10 +600,40 @@ impl PooledExec {
             st.injector.push_back(f);
         }
         st.injector_pushes += n;
-        let notify = st.parked > 0;
+        let wake = st.wake_one();
         drop(st);
-        if notify && self.searching.load(Ordering::SeqCst) == 0 {
-            self.work_cv.notify_one();
+        self.wake_unless_searching(wake);
+    }
+
+    /// Wake `whom` (see [`PoolState::wake_one`]) unless a worker is
+    /// searching: it will find the work, or rescan before it sleeps.
+    fn wake_unless_searching(&self, whom: Wake) {
+        if whom != Wake::Nobody && self.searching.load(Ordering::SeqCst) == 0 {
+            self.wake(whom);
+        }
+    }
+
+    fn wake(&self, whom: Wake) {
+        match whom {
+            Wake::Nobody => {}
+            Wake::Sleeper => {
+                self.work_cv.notify_one();
+            }
+            Wake::Poller => self.wake_poller(),
+        }
+    }
+
+    fn wake_poller(&self) {
+        if let Some(r) = self.reactor_ref() {
+            r.wake();
+        }
+    }
+
+    /// Wake every sleeper: the pool is finished or shutting down.
+    fn wake_all(&self, polling: bool) {
+        self.work_cv.notify_all();
+        if polling {
+            self.wake_poller();
         }
     }
 
@@ -559,12 +647,8 @@ impl PooledExec {
         if self.parked_hint.load(Ordering::Relaxed) == 0 {
             return; // nobody is asleep (or they are mid-rescan and will see it)
         }
-        let st = self.central.lock();
-        let notify = st.parked > 0;
-        drop(st);
-        if notify {
-            self.work_cv.notify_one();
-        }
+        let wake = self.central.lock().wake_one();
+        self.wake(wake);
     }
 
     /// Injector, every deque, every hot slot — the consumer half of the
@@ -581,8 +665,9 @@ impl PooledExec {
     }
 
     /// No work anywhere: tick the monitor if quiescent, then sleep until
-    /// notified. Returns `true` when the worker should exit (pool shut
-    /// down and drained).
+    /// notified — in the reactor's `epoll_wait` if the pool has a reactor
+    /// and no other worker sleeps there, else on the condvar. Returns
+    /// `true` when the worker should exit (pool shut down and drained).
     fn park_worker(&self, slot: usize) -> bool {
         // Socket readiness first: anything ready becomes queued work that
         // the quiescence check and the Dekker rescan below will see.
@@ -622,19 +707,51 @@ impl PooledExec {
         }
         let stats = &self.slots[slot].stats;
         stats.parks.fetch_add(1, Ordering::Relaxed);
-        if quiesce || self.reactor_ref().is_some() {
-            // Keep polling while the pool looks deadlock-candidate so the
-            // monitor ticks even if no event arrives — and whenever a
-            // reactor exists, so sleeping workers keep draining readiness
-            // even if every other worker is pinned in a long fiber.
-            let _ = self.work_cv.wait_for(&mut st, Duration::from_millis(1));
-        } else {
-            self.work_cv.wait(&mut st);
+        // While the pool looks deadlock-candidate, wake on a heartbeat so
+        // the monitor ticks even if no event arrives.
+        let heartbeat = quiesce.then_some(QUIESCENT_HEARTBEAT);
+        let mut ready = None;
+        match self.reactor_ref() {
+            Some(r) if !st.polling => {
+                st.polling = true;
+                drop(st);
+                ready = Some(r.wait(heartbeat));
+                st = self.central.lock();
+                st.polling = false;
+            }
+            _ => match heartbeat {
+                Some(d) => {
+                    self.work_cv.wait_for(&mut st, d);
+                }
+                None => self.work_cv.wait(&mut st),
+            },
         }
         st.parked -= 1;
         self.parked_hint.fetch_sub(1, Ordering::SeqCst);
+        drop(st);
         stats.unparks.fetch_add(1, Ordering::Relaxed);
+        if let Some(ready) = ready {
+            self.take_ready(slot, ready);
+        }
         false
+    }
+
+    /// Queue the fibers of the keys a blocked reactor wait returned on this
+    /// worker. Dispatching them wakes a sleeper, who takes over polling —
+    /// unless they are one fiber, the reactor watches nothing else and no
+    /// other worker runs a fiber (which could arm a socket or a timer
+    /// meanwhile): then this worker polls again when it next sleeps, and a
+    /// handover would cost a context switch on every socket wake.
+    fn take_ready(&self, slot: usize, ready: reactor::Ready) {
+        let mut fibers = Vec::new();
+        for key in ready.keys {
+            fibers.extend(self.waits.wake(key));
+        }
+        if fibers.len() == 1 && !ready.watching && self.busy.load(Ordering::SeqCst) == 0 {
+            self.enqueue_local(slot, fibers.remove(0));
+        } else if !fibers.is_empty() {
+            self.dispatch_unparked(fibers);
+        }
     }
 
     /// The reactor, if one has been instantiated (the net layer does that
@@ -643,10 +760,10 @@ impl PooledExec {
         self.reactor.get().and_then(|o| o.as_ref())
     }
 
-    /// Drain socket readiness and expired timers into the run queues: each
-    /// ready park key is an ordinary `unpark_all`. Runs at worker poll
-    /// points only (pre-sleep and the fair tick) and never blocks; the
-    /// pre-sleep call sits *before* the quiescence computation and the
+    /// Drain socket readiness and expired timers into the run queues without
+    /// blocking: each ready park key is an ordinary `unpark_all`. Runs at
+    /// worker poll points (pre-sleep and the fair tick); the pre-sleep call
+    /// sits *before* the quiescence computation and the
     /// Dekker rescan, so readiness observed here becomes visible queued
     /// work and a ready socket can never fake an idle pool.
     fn poll_reactor(&self) -> bool {
@@ -701,11 +818,9 @@ impl PooledExec {
                 }
                 st.injector_pushes += n;
                 st.foreign_unparks += n;
-                let notify = st.parked > 0;
+                let wake = st.wake_one();
                 drop(st);
-                if notify && self.searching.load(Ordering::SeqCst) == 0 {
-                    self.work_cv.notify_one();
-                }
+                self.wake_unless_searching(wake);
             }
         }
     }
@@ -729,14 +844,12 @@ impl Exec for PooledExec {
         if grow.is_some() {
             st.workers += 1;
         }
-        let notify = st.parked > 0;
+        let wake = st.wake_one();
         drop(st);
         if let Some(slot) = grow {
             self.spawn_worker(slot);
         }
-        if notify && self.searching.load(Ordering::SeqCst) == 0 {
-            self.work_cv.notify_one();
-        }
+        self.wake_unless_searching(wake);
     }
 
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
@@ -793,8 +906,9 @@ impl Exec for PooledExec {
     fn shutdown(&self) {
         let mut st = self.central.lock();
         st.shutdown = true;
+        let polling = st.polling;
         drop(st);
-        self.work_cv.notify_all();
+        self.wake_all(polling);
     }
 
     fn scheduler_stats(&self) -> Option<SchedulerStats> {
@@ -1039,6 +1153,75 @@ mod tests {
             "cannot take more fibers than were ever pushed: {t:?}"
         );
         assert_eq!(s.injector_depth, 0, "drained run leaves an empty injector");
+        ex.shutdown();
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn a_timer_armed_beside_a_long_fiber_ends_on_time() {
+        // Two workers: one spins in a long fiber while the other sleeps in
+        // the reactor until a socket wakes one fiber for it. That fiber
+        // then sleeps 10 ms on a reactor timer, which must end near its
+        // deadline, not when the spinning fiber gives its worker back.
+        use std::io::{ErrorKind, Read, Write};
+        use std::os::fd::AsRawFd;
+        use std::os::unix::net::UnixStream;
+        use std::sync::atomic::AtomicBool;
+        let ex = PooledExec::new(2);
+        let reactor = ex.reactor().expect("a reactor where fibers exist");
+        let stop = Arc::new(AtomicBool::new(false));
+        let spinning = Arc::new(AtomicBool::new(false));
+        let (s, sp) = (stop.clone(), spinning.clone());
+        ex.spawn(
+            "long",
+            Box::new(move || {
+                sp.store(true, Ordering::SeqCst);
+                let cap = Instant::now() + Duration::from_secs(5);
+                while !s.load(Ordering::SeqCst) && Instant::now() < cap {
+                    std::hint::spin_loop();
+                }
+            }),
+        );
+        wait_until(30, "the long fiber runs", || spinning.load(Ordering::SeqCst));
+        let (mut tx, mut rx) = UnixStream::pair().unwrap();
+        rx.set_nonblocking(true).unwrap();
+        let armed = Arc::new(AtomicBool::new(false));
+        let (a, e) = (armed.clone(), ex.clone());
+        let (slept_tx, slept) = std::sync::mpsc::channel();
+        ex.spawn(
+            "sleeper",
+            Box::new(move || {
+                let key = 0x7000;
+                loop {
+                    let token = e.park_token(key);
+                    match rx.read(&mut [0u8]) {
+                        Ok(1) => break,
+                        Err(err) if err.kind() == ErrorKind::WouldBlock => {}
+                        other => panic!("unexpected read: {other:?}"),
+                    }
+                    reactor.arm(rx.as_raw_fd(), key, reactor::Interest::Read).unwrap();
+                    a.store(true, Ordering::SeqCst);
+                    e.park(key, token, None).unwrap();
+                }
+                reactor.detach(rx.as_raw_fd());
+                let t = Instant::now();
+                e.sleep(Duration::from_millis(10));
+                let _ = slept_tx.send(t.elapsed());
+            }),
+        );
+        wait_until(30, "the sleeper waits on its socket", || {
+            armed.load(Ordering::SeqCst)
+        });
+        // Let its worker reach the reactor's blocked wait.
+        std::thread::sleep(Duration::from_millis(20));
+        tx.write_all(b"x").unwrap();
+        let slept = slept.recv_timeout(Duration::from_secs(10));
+        stop.store(true, Ordering::SeqCst);
+        let slept = slept.expect("the sleeper reports");
+        assert!(
+            slept < Duration::from_millis(500),
+            "a 10 ms sleep took {slept:?} while another worker was busy"
+        );
         ex.shutdown();
     }
 }

@@ -12,11 +12,16 @@
 //! the waiter's key, indistinguishable from any other wake site
 //! (DESIGN.md §4e).
 //!
-//! The reactor never blocks and owns no thread. Workers drain it from the
-//! scheduler loop (the pre-sleep path and the fair tick), with the same
-//! Dekker rescan discipline that guards the run queues: readiness is
-//! drained *before* quiescence is computed, so a ready socket can never
-//! fake an idle pool.
+//! The reactor owns no thread; it is where an idle worker sleeps. Busy
+//! workers drain it without blocking ([`Reactor::poll`], at the fair tick
+//! and before they sleep), with the same Dekker rescan discipline that
+//! guards the run queues: readiness is drained *before* quiescence is
+//! computed, so a ready socket can never fake an idle pool. One idle worker
+//! at a time then blocks in `epoll_wait` ([`Reactor::wait`]) until a socket
+//! is ready, the earliest timer is due, or [`Reactor::wake`] writes the
+//! reactor's eventfd — which the pool does wherever it would notify a
+//! sleeping worker, and [`Reactor::add_timer`] does when the new deadline
+//! is earlier than the one the worker sleeps to.
 //!
 //! Events are armed `EPOLLONESHOT` with the waiter's park key in the
 //! event's data word. One-shot arming makes the wakeup protocol
@@ -56,6 +61,16 @@ pub struct ReactorStats {
     pub max_poll_batch: u64,
 }
 
+/// What a blocked [`Reactor::wait`] ended with.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Ready {
+    /// The park keys to wake, as [`Reactor::poll`] returns them.
+    pub keys: Vec<usize>,
+    /// The reactor still watches something these keys do not cover: an
+    /// attached fd that did not fire, or a pending timer.
+    pub watching: bool,
+}
+
 /// Readiness direction for [`Reactor::arm`] / [`poll_fd`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Interest {
@@ -67,7 +82,7 @@ pub enum Interest {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 mod imp {
-    use super::{Interest, ReactorStats};
+    use super::{Interest, ReactorStats, Ready};
     use parking_lot::Mutex;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -81,13 +96,18 @@ mod imp {
     mod sys {
         use std::arch::asm;
 
+        pub const SYS_READ: usize = 0;
+        pub const SYS_WRITE: usize = 1;
         pub const SYS_POLL: usize = 7;
         pub const SYS_CLOSE: usize = 3;
         pub const SYS_EPOLL_WAIT: usize = 232;
         pub const SYS_EPOLL_CTL: usize = 233;
+        pub const SYS_EVENTFD2: usize = 290;
         pub const SYS_EPOLL_CREATE1: usize = 291;
 
         pub const EPOLL_CLOEXEC: usize = 0x80000;
+        pub const EFD_CLOEXEC: usize = 0x80000;
+        pub const EFD_NONBLOCK: usize = 0x800;
         pub const EPOLL_CTL_ADD: usize = 1;
         pub const EPOLL_CTL_DEL: usize = 2;
         pub const EPOLL_CTL_MOD: usize = 3;
@@ -149,16 +169,35 @@ mod imp {
         }
     }
 
-    /// The epoll instance plus a timer heap, owned by one `PooledExec`.
+    /// The epoll data word of the wake eventfd. Park keys are addresses,
+    /// so none is `u64::MAX`.
+    const WAKE_KEY: u64 = u64::MAX;
+
+    /// Pending wake deadlines, and the deadline of the worker blocked in
+    /// [`Reactor::wait`], under one lock: a timer is either seen by the
+    /// wait as it computes its timeout or sees the wait and wakes it.
+    #[derive(Default)]
+    struct Timers {
+        /// Min-first. Lazy: entries are never cancelled; an expired entry
+        /// for a waiter that already resumed is a spurious `unpark_all` on
+        /// a stale generation.
+        heap: BinaryHeap<Reverse<(Instant, usize)>>,
+        /// `Some(until)` while a worker is in [`Reactor::wait`], blocked
+        /// until `until` (`None`: until woken).
+        waiter: Option<Option<Instant>>,
+    }
+
+    /// The epoll instance, a wake eventfd and a timer heap, owned by one
+    /// `PooledExec`.
     pub struct Reactor {
         epfd: i32,
-        /// Fds currently attached (drives the workers' sleep mode: any
-        /// registration switches indefinite sleeps to 1 ms polling naps).
+        /// Level-triggered eventfd in the epoll set: written by
+        /// [`Reactor::wake`], read by the wait it ends.
+        wake_fd: i32,
+        /// Fds currently attached (the wake eventfd not counted); the
+        /// non-blocking [`Reactor::poll`] skips the syscall while zero.
         attached: AtomicUsize,
-        /// Pending wake deadlines, min-first. Lazy: entries are never
-        /// cancelled; an expired entry for a waiter that already resumed
-        /// is a spurious `unpark_all` on a stale generation.
-        timers: Mutex<BinaryHeap<Reverse<(Instant, usize)>>>,
+        timers: Mutex<Timers>,
         registrations: AtomicU64,
         wakeups: AtomicU64,
         timer_wakeups: AtomicU64,
@@ -178,17 +217,36 @@ mod imp {
             if epfd < 0 {
                 return None;
             }
-            Some(Arc::new(Reactor {
+            // SAFETY: eventfd2 takes an initial count and a flags word, no
+            // pointer; the fd it returns is this reactor's, closed in `Drop`.
+            let wake_fd = unsafe {
+                sys::syscall4(
+                    sys::SYS_EVENTFD2,
+                    0,
+                    sys::EFD_CLOEXEC | sys::EFD_NONBLOCK,
+                    0,
+                    0,
+                )
+            };
+            let reactor = Reactor {
                 epfd: epfd as i32,
+                wake_fd: wake_fd as i32,
                 attached: AtomicUsize::new(0),
-                timers: Mutex::new(BinaryHeap::new()),
+                timers: Mutex::new(Timers::default()),
                 registrations: AtomicU64::new(0),
                 wakeups: AtomicU64::new(0),
                 timer_wakeups: AtomicU64::new(0),
                 polls: AtomicU64::new(0),
                 spurious_polls: AtomicU64::new(0),
                 max_poll_batch: AtomicU64::new(0),
-            }))
+            };
+            // Dropping `reactor` closes whichever fds were created.
+            if wake_fd < 0
+                || reactor.ctl(sys::EPOLL_CTL_ADD, reactor.wake_fd, sys::EPOLLIN, WAKE_KEY) < 0
+            {
+                return None;
+            }
+            Some(Arc::new(reactor))
         }
 
         fn ctl(&self, op: usize, fd: i32, events: u32, data: u64) -> isize {
@@ -243,59 +301,149 @@ mod imp {
             Ok(())
         }
 
-        /// Arrange for `unpark_all(key)` no earlier than `deadline`.
+        /// Arrange for `unpark_all(key)` no earlier than `deadline`. Ends
+        /// the blocked [`Reactor::wait`] early if it sleeps past `deadline`.
         pub fn add_timer(&self, deadline: Instant, key: usize) {
-            self.timers.lock().push(Reverse((deadline, key)));
+            let mut timers = self.timers.lock();
+            timers.heap.push(Reverse((deadline, key)));
+            if let Some(until) = timers.waiter {
+                if until.is_none_or(|u| deadline < u) {
+                    self.wake();
+                }
+            }
+        }
+
+        /// End the blocked [`Reactor::wait`], or the next one if none is
+        /// blocked yet (the eventfd stays readable until a wait reads it).
+        pub fn wake(&self) {
+            let one = 1u64;
+            // SAFETY: write reads 8 bytes from its second argument, a local
+            // u64 live for the whole call; `wake_fd` is open while `self` is.
+            // A full counter (EAGAIN) already means "wake".
+            unsafe {
+                sys::syscall4(
+                    sys::SYS_WRITE,
+                    self.wake_fd as usize,
+                    std::ptr::addr_of!(one) as usize,
+                    8,
+                    0,
+                );
+            }
         }
 
         /// Drain ready events and expired timers without blocking,
         /// returning the park keys to wake. Runs on whichever worker hits
-        /// the scheduler's poll points; never blocks.
+        /// the scheduler's poll points.
         pub fn poll(&self) -> Vec<usize> {
-            let mut keys = Vec::new();
             self.polls.fetch_add(1, Ordering::Relaxed);
+            let mut keys = Vec::new();
             if self.attached.load(Ordering::Relaxed) > 0 {
-                const BATCH: usize = 64;
-                let mut events = [sys::EpollEvent { events: 0, data: 0 }; BATCH];
-                // SAFETY: epoll_wait writes at most BATCH (its third
-                // argument) events into `events`, a local array of exactly
-                // BATCH of them in the kernel's layout; timeout 0 returns at
-                // once, so the array outlives the call.
-                let n = unsafe {
-                    sys::syscall4(
-                        sys::SYS_EPOLL_WAIT,
-                        self.epfd as usize,
-                        events.as_mut_ptr() as usize,
-                        BATCH,
-                        0, // timeout: never block a worker here
-                    )
-                };
-                if n > 0 {
-                    for ev in events.iter().take(n as usize) {
-                        keys.push(ev.data as usize);
-                    }
-                    self.wakeups.fetch_add(n as u64, Ordering::Relaxed);
-                    self.max_poll_batch.fetch_max(n as u64, Ordering::Relaxed);
-                }
+                self.ready(&mut keys, 0, false);
             }
-            let fd_ready = keys.len();
-            {
-                let now = Instant::now();
+            self.expire(&mut keys, &mut self.timers.lock());
+            keys
+        }
+
+        /// Block the calling worker until a socket is ready, a timer is
+        /// due, [`Reactor::wake`] is called, or `timeout` passes; returns
+        /// the park keys to wake, as [`Reactor::poll`] does, and whether
+        /// anything else is still watched. One worker at a time.
+        pub fn wait(&self, timeout: Option<Duration>) -> Ready {
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            let ms = {
                 let mut timers = self.timers.lock();
-                while let Some(Reverse((deadline, key))) = timers.peek().copied() {
-                    if deadline > now {
-                        break;
+                let now = Instant::now();
+                let next = timers.heap.peek().map(|Reverse((d, _))| *d);
+                let until = match (timeout.map(|d| now + d), next) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+                timers.waiter = Some(until);
+                // Rounded up: waking before the deadline would only loop.
+                until.map_or(-1, |u| {
+                    let d = u.saturating_duration_since(now);
+                    d.as_micros().div_ceil(1000).min(i32::MAX as u128) as isize
+                })
+            };
+            let mut keys = Vec::new();
+            self.ready(&mut keys, ms, true);
+            let fired = keys.len();
+            let mut timers = self.timers.lock();
+            timers.waiter = None;
+            self.expire(&mut keys, &mut timers);
+            // One-shot: an fd reports at most one key per arming.
+            let watching = self.attached.load(Ordering::Relaxed) > fired || !timers.heap.is_empty();
+            Ready { keys, watching }
+        }
+
+        /// One `epoll_wait` of up to `ms` milliseconds (-1: no limit),
+        /// pushing the keys of ready fds. A wake the eventfd reports is
+        /// consumed only by the blocked wait (`take_wake`): read by a
+        /// non-blocking poll, it would be lost to the worker it was for,
+        /// which sees it once the poll has left the level-triggered fd
+        /// readable.
+        fn ready(&self, keys: &mut Vec<usize>, ms: isize, take_wake: bool) {
+            const BATCH: usize = 64;
+            let mut events = [sys::EpollEvent { events: 0, data: 0 }; BATCH];
+            // SAFETY: epoll_wait writes at most BATCH (its third argument)
+            // events into `events`, a local array of exactly BATCH of them
+            // in the kernel's layout, live until the call returns.
+            let n = unsafe {
+                sys::syscall4(
+                    sys::SYS_EPOLL_WAIT,
+                    self.epfd as usize,
+                    events.as_mut_ptr() as usize,
+                    BATCH,
+                    ms as usize,
+                )
+            };
+            let before = keys.len();
+            for ev in events.iter().take(n.max(0) as usize) {
+                if ev.data == WAKE_KEY {
+                    if !take_wake {
+                        continue;
                     }
-                    timers.pop();
-                    keys.push(key);
+                    let mut count = 0u64;
+                    // SAFETY: read writes at most 8 bytes (its third
+                    // argument) into `count`, a local u64 live for the
+                    // call; the fd is non-blocking, so an emptied counter
+                    // is EAGAIN, not a wait.
+                    unsafe {
+                        sys::syscall4(
+                            sys::SYS_READ,
+                            self.wake_fd as usize,
+                            std::ptr::addr_of_mut!(count) as usize,
+                            8,
+                            0,
+                        );
+                    }
+                } else {
+                    keys.push(ev.data as usize);
                 }
-                self.timer_wakeups
-                    .fetch_add((keys.len() - fd_ready) as u64, Ordering::Relaxed);
             }
+            let got = (keys.len() - before) as u64;
+            if got > 0 {
+                self.wakeups.fetch_add(got, Ordering::Relaxed);
+                self.max_poll_batch.fetch_max(got, Ordering::Relaxed);
+            }
+        }
+
+        /// Pop the timers due now onto `keys`, and count the poll.
+        fn expire(&self, keys: &mut Vec<usize>, timers: &mut Timers) {
+            let fd_ready = keys.len();
+            let now = Instant::now();
+            while let Some(Reverse((deadline, key))) = timers.heap.peek().copied() {
+                if deadline > now {
+                    break;
+                }
+                timers.heap.pop();
+                keys.push(key);
+            }
+            self.timer_wakeups
+                .fetch_add((keys.len() - fd_ready) as u64, Ordering::Relaxed);
             if keys.is_empty() {
                 self.spurious_polls.fetch_add(1, Ordering::Relaxed);
             }
-            keys
         }
 
         /// Snapshot the counters.
@@ -314,10 +462,12 @@ mod imp {
 
     impl Drop for Reactor {
         fn drop(&mut self) {
-            // SAFETY: close takes no pointer. `epfd` is the fd `new` created
-            // and only this reactor holds; it is closed once, here, after
-            // which nothing can reach it through `self`.
+            // SAFETY: close takes no pointer. `epfd` and `wake_fd` are the
+            // fds `new` created and only this reactor holds (a negative one
+            // is an EBADF); each is closed once, here, after which nothing
+            // can reach it through `self`.
             unsafe {
+                sys::syscall4(sys::SYS_CLOSE, self.wake_fd as usize, 0, 0, 0);
                 sys::syscall4(sys::SYS_CLOSE, self.epfd as usize, 0, 0, 0);
             }
         }
@@ -424,6 +574,89 @@ mod imp {
             assert!(s.polls >= 2);
         }
 
+        /// Runs `r.wait(None)` on a thread of its own, as an idle worker
+        /// does, and returns what it woke with and how long it blocked.
+        fn blocked_wait(r: &Arc<Reactor>) -> std::sync::mpsc::Receiver<(Ready, Duration)> {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let r = r.clone();
+            std::thread::spawn(move || {
+                let start = Instant::now();
+                let ready = r.wait(None);
+                tx.send((ready, start.elapsed())).unwrap();
+            });
+            rx
+        }
+
+        /// The waiter has blocked for `d`, unless it returned already.
+        fn still_blocked(rx: &std::sync::mpsc::Receiver<(Ready, Duration)>, d: Duration) {
+            let early = rx.recv_timeout(d);
+            assert!(early.is_err(), "the wait returned early: {early:?}");
+        }
+
+        #[test]
+        fn a_blocked_wait_ends_on_wake_readiness_and_deadline() {
+            let r = Reactor::new().unwrap();
+            let prompt = Duration::from_secs(2);
+            let nap = Duration::from_millis(50);
+            let nothing = Ready::default();
+            // An eventfd wake, and one written before the wait starts.
+            let rx = blocked_wait(&r);
+            still_blocked(&rx, nap);
+            r.wake();
+            let (ready, _) = rx.recv_timeout(prompt).expect("a wake ends the wait");
+            assert_eq!(ready, nothing, "a wake is no park key");
+            r.wake();
+            let (ready, _) = blocked_wait(&r).recv_timeout(prompt).unwrap();
+            assert_eq!(ready, nothing);
+            // A readable socket: the one fd watched fired, so nothing else
+            // is watched.
+            let (mut w, rd) = pair();
+            r.arm(rd.as_raw_fd(), 0x1234, Interest::Read).unwrap();
+            let rx = blocked_wait(&r);
+            still_blocked(&rx, nap);
+            w.write_all(b"x").unwrap();
+            let (ready, _) = rx.recv_timeout(prompt).expect("readiness ends the wait");
+            let fired = Ready {
+                keys: vec![0x1234],
+                watching: false,
+            };
+            assert_eq!(ready, fired);
+            // A wake that a busy worker's non-blocking poll sees first.
+            let rx = blocked_wait(&r);
+            still_blocked(&rx, nap);
+            r.wake();
+            assert!(r.poll().is_empty(), "a wake is no park key");
+            let (ready, _) = rx
+                .recv_timeout(prompt)
+                .expect("a polled wake still ends the wait");
+            assert!(ready.watching, "the attached fd did not fire this time");
+            // A timer deadline, armed before the wait blocks.
+            r.add_timer(Instant::now() + nap, 0x99);
+            let (ready, took) = blocked_wait(&r).recv_timeout(prompt).unwrap();
+            assert_eq!(ready.keys, vec![0x99]);
+            assert!(
+                took >= nap - Duration::from_millis(1),
+                "woke early: {took:?}"
+            );
+            // A timer armed while the wait blocks, earlier than its
+            // deadline (none): the wait ends to take it up.
+            r.detach(rd.as_raw_fd());
+            let rx = blocked_wait(&r);
+            still_blocked(&rx, nap);
+            r.add_timer(Instant::now(), 0x77);
+            let (ready, _) = rx.recv_timeout(prompt).expect("a new timer ends the wait");
+            let ready = if ready.keys.is_empty() {
+                r.wait(None)
+            } else {
+                ready
+            };
+            let fired = Ready {
+                keys: vec![0x77],
+                watching: false,
+            };
+            assert_eq!(ready, fired);
+        }
+
         #[test]
         fn poll_fd_sees_readiness_and_timeout() {
             let (mut w, rd) = pair();
@@ -445,7 +678,7 @@ mod imp {
 mod imp {
     use super::ReactorStats;
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// Stub reactor for platforms without epoll and fibers (and Miri):
     /// [`Reactor::new`] yields `None`, so no instance ever exists and
@@ -468,6 +701,16 @@ mod imp {
 
         /// Unreachable (no instance can exist).
         pub fn poll(&self) -> Vec<usize> {
+            match self._never {}
+        }
+
+        /// Unreachable (no instance can exist).
+        pub fn wait(&self, _timeout: Option<Duration>) -> super::Ready {
+            match self._never {}
+        }
+
+        /// Unreachable (no instance can exist).
+        pub fn wake(&self) {
             match self._never {}
         }
 

@@ -5,8 +5,9 @@
 //! * [`mod@channel`]s are FIFO **byte** streams with blocking reads (Kahn's
 //!   determinacy condition, §2) and bounded, blocking writes (§3.5);
 //! * [`process`]es run as tasks of a pluggable [`exec::Exec`]utor —
-//!   one-per-thread (the paper's model), multiplexed onto a fixed worker
-//!   pool, or serialized under the deterministic [`sim`] scheduler — built
+//!   multiplexed onto a fixed worker pool (the default), one-per-thread
+//!   (the paper's model, `KPN_EXEC=thread`), or serialized under the
+//!   deterministic [`sim`] scheduler — built
 //!   from the [`process::Iterative`] pattern (`onStart`/`step`/`onStop`,
 //!   Figure 4);
 //! * [`network::Network`] owns the graph, the executor, and the

@@ -36,11 +36,12 @@ pub struct NetworkConfig {
     /// Tests shrink it to keep wall-clock time down. Pooled fibers and sim
     /// tasks tick from their executor's idle hook instead.
     pub monitor_timing: MonitorTiming,
-    /// Which executor runs the processes: one OS thread per process
-    /// (paper-faithful default), a fixed worker pool multiplexing many
-    /// processes, or the deterministic simulation scheduler. Defaults from
-    /// `KPN_EXEC` (`thread` | `pooled` | `pooled:N`; unset means
-    /// [`ExecMode::Thread`]).
+    /// Which executor runs the processes: a fixed worker pool multiplexing
+    /// many processes (the default), one OS thread per process (the
+    /// paper's model, kept as the reference), or the deterministic
+    /// simulation scheduler. Defaults from `KPN_EXEC` (`thread` | `pooled`
+    /// | `pooled:N`; unset means `ExecMode::Pooled { workers: 0 }`, one
+    /// worker per hardware thread).
     pub mode: ExecMode,
     /// Record every local channel's byte history for the determinacy
     /// oracle ([`Network::histories`]).
@@ -85,7 +86,7 @@ impl NetworkConfig {
             default_capacity: DEFAULT_CAPACITY,
             deadlock_policy: DeadlockPolicy::default(),
             monitor_timing: MonitorTiming::default(),
-            mode: var("KPN_EXEC").map_or(ExecMode::Thread, |v| ExecMode::parse(&v)),
+            mode: var("KPN_EXEC").map_or(ExecMode::Pooled { workers: 0 }, |v| ExecMode::parse(&v)),
             record_history: false,
             lint: var("KPN_LINT").map_or(LintLevel::Warn, |v| LintLevel::parse(&v)),
             synthesize_capacities: var("KPN_SYNTH").is_some_and(|v| v != "0"),

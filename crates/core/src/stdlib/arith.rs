@@ -8,7 +8,9 @@ use crate::process::{Iterative, ProcessCtx};
 use crate::stream::{DataReader, DataWriter};
 use crate::topology::ProcessTag;
 
-/// Adds two `i64` streams element-wise (Figure 2).
+/// Adds two `i64` streams element-wise (Figure 2), wrapping on overflow as
+/// Java's `long` does: a Fibonacci loop that runs far ahead of its reader
+/// wraps rather than panicking.
 pub struct Add {
     a: DataReader,
     b: DataReader,
@@ -47,11 +49,12 @@ impl Iterative for Add {
     fn step(&mut self, _ctx: &ProcessCtx) -> Result<()> {
         let x = self.a.read_i64()?;
         let y = self.b.read_i64()?;
-        self.out.write_i64(x + y)
+        self.out.write_i64(x.wrapping_add(y))
     }
 }
 
-/// Multiplies each element of an `i64` stream by a constant (Figure 12).
+/// Multiplies each element of an `i64` stream by a constant (Figure 12),
+/// wrapping on overflow as Java's `long` does.
 pub struct Scale {
     factor: i64,
     input: DataReader,
@@ -87,7 +90,7 @@ impl Iterative for Scale {
     }
     fn step(&mut self, _ctx: &ProcessCtx) -> Result<()> {
         let v = self.input.read_i64()?;
-        self.out.write_i64(v * self.factor)
+        self.out.write_i64(v.wrapping_mul(self.factor))
     }
 }
 
@@ -260,6 +263,29 @@ mod tests {
         net.add(Collect::new(or, out.clone()));
         net.run().unwrap();
         assert_eq!(out.lock().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn add_and_scale_wrap_like_java_long() {
+        use crate::stdlib::Constant;
+        let net = Network::new();
+        let (aw, ar) = net.channel();
+        let (bw, br) = net.channel();
+        let (sw, sr) = net.channel();
+        let (ow, or) = net.channel();
+        let (pw, pr) = net.channel();
+        let sum = Arc::new(Mutex::new(Vec::new()));
+        let product = Arc::new(Mutex::new(Vec::new()));
+        net.add(Constant::new(i64::MAX, aw).with_limit(1));
+        net.add(Constant::new(1, bw).with_limit(1));
+        net.add(Add::new(ar, br, ow));
+        net.add(Collect::new(or, sum.clone()));
+        net.add(Constant::new(i64::MAX, sw).with_limit(1));
+        net.add(Scale::new(2, sr, pw));
+        net.add(Collect::new(pr, product.clone()));
+        net.run().unwrap();
+        assert_eq!(*sum.lock().unwrap(), vec![i64::MIN]);
+        assert_eq!(*product.lock().unwrap(), vec![-2]);
     }
 
     #[test]

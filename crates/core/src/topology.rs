@@ -28,7 +28,7 @@
 
 use crate::monitor::Held;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -373,6 +373,8 @@ struct ProcEntry {
 #[derive(Default)]
 struct TopoState {
     processes: Vec<ProcEntry>,
+    /// Ids of `processes`, for the dedup at registration.
+    known: HashSet<u64>,
     opaque: usize,
 }
 
@@ -394,7 +396,7 @@ impl Topology {
         let mut st = self.state.lock();
         match tag {
             Some(t) => {
-                if !st.processes.iter().any(|p| p.id == t.id) {
+                if st.known.insert(t.id) {
                     st.processes.push(ProcEntry {
                         id: t.id,
                         name: t.name.to_string(),
@@ -642,15 +644,17 @@ fn token_size(ch: &ChannelShape) -> usize {
 /// static lower bound available; rate-declared regions get the exact
 /// schedule-derived bound from the L006 pass instead.
 fn check_cycles(snap: &TopologySnapshot, out: &mut Vec<Diagnostic>) {
+    // Nodes in first-seen order, so components (and diagnostics) come out
+    // in the same order whatever the hash.
     let mut nodes: Vec<u64> = Vec::new();
+    let mut seen: HashSet<u64> = HashSet::new();
     let mut edges: Vec<(u64, u64)> = Vec::new();
     for ch in &snap.channels {
         if let (Some(w), Some(r)) = (ch.writer.process, ch.reader.process) {
-            if !nodes.contains(&w) {
-                nodes.push(w);
-            }
-            if !nodes.contains(&r) {
-                nodes.push(r);
+            for p in [w, r] {
+                if seen.insert(p) {
+                    nodes.push(p);
+                }
             }
             edges.push((w, r));
         }
@@ -661,12 +665,11 @@ fn check_cycles(snap: &TopologySnapshot, out: &mut Vec<Diagnostic>) {
     let comp = sccs(&nodes, &edges);
     // A component is cyclic iff it has an internal edge (covers self-loops
     // and multi-node cycles alike).
-    let mut cyclic: Vec<usize> = Vec::new();
-    for &(a, b) in &edges {
-        if comp[&a] == comp[&b] && !cyclic.contains(&comp[&a]) {
-            cyclic.push(comp[&a]);
-        }
-    }
+    let cyclic: HashSet<usize> = edges
+        .iter()
+        .filter(|(a, b)| comp[a] == comp[b])
+        .map(|(a, _)| comp[a])
+        .collect();
     // Per cyclic component: its channels in creation order (snapshot order
     // is creation order) and the minimum-capacity sum across them.
     let mut cycle_channels: HashMap<usize, Vec<u64>> = HashMap::new();

@@ -8,7 +8,9 @@
 //! the lazy switch: endpoints created and connected on the main thread,
 //! then moved into the processes of a pooled network, must park just the
 //! same — and the pool must run on exactly its configured workers before,
-//! during and after.
+//! during and after. The third times a relay whose fibers are woken by
+//! sockets a thread outside the pool writes: an idle worker must be
+//! waiting in the reactor's `epoll_wait` for them, not napping.
 //!
 //! Linux x86_64 only (real fibers and the reactor, not Miri).
 
@@ -212,4 +214,53 @@ fn main_thread_endpoints_park_in_a_pooled_network_on_fixed_workers() {
     net.join().unwrap();
     assert_fixed_workers("after the run");
     assert!(os_threads() <= baseline + WORKERS + SLACK);
+}
+
+#[test]
+fn a_pooled_socket_relay_is_not_paced_by_worker_naps() {
+    // One i64 goes round 1 000 times through three pooled `Identity`
+    // processes, each between two sockets, with this thread copying it
+    // from one relay's output socket to the next one's input. Each fiber
+    // waits for a socket that a thread outside the pool makes readable, so
+    // only an idle worker watching the reactor can wake it; workers that
+    // drained the reactor between 1 ms naps took 0.5-1 ms a hop, about
+    // 2 s here.
+    use kpn::core::stdlib::Identity;
+    const ROUND_TRIPS: i64 = 1_000;
+    const RELAYS: u64 = 3;
+    let acceptor = Acceptor::bind("127.0.0.1:0").unwrap();
+    let addr = acceptor.local_addr().to_string();
+    let net = Network::with_config(NetworkConfig {
+        lint: LintLevel::Off, // the endpoints are remote: nothing local to lint
+        ..NetworkConfig::default().workers(2)
+    });
+    let mut hops = Vec::new();
+    for k in 0..RELAYS {
+        let (into, out_of) = (0x2E1A_0000 + 2 * k, 0x2E1A_0001 + 2 * k);
+        let to_relay = DataWriter::new(remote_writer(&addr, into).unwrap());
+        let from_relay = DataReader::new(remote_reader(&acceptor, out_of));
+        net.add(Identity::new(
+            remote_reader(&acceptor, into),
+            remote_writer(&addr, out_of).unwrap(),
+        ));
+        hops.push((to_relay, from_relay));
+    }
+    net.start();
+    let start = Instant::now();
+    for i in 0..ROUND_TRIPS {
+        let mut v = i;
+        for (to_relay, from_relay) in &mut hops {
+            to_relay.write_i64(v).unwrap();
+            to_relay.flush().unwrap();
+            v = from_relay.read_i64().unwrap();
+        }
+        assert_eq!(v, i);
+    }
+    let took = start.elapsed();
+    drop(hops);
+    net.join().unwrap();
+    assert!(
+        took < Duration::from_secs(1),
+        "{ROUND_TRIPS} round trips took {took:?}"
+    );
 }
