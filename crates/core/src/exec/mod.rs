@@ -297,7 +297,7 @@ pub trait Exec: Send + Sync + 'static {
     /// Register a hook run when the executor quiesces (every task parked).
     /// The monitor's deadlock tick rides on this for executors that do not
     /// honor park timeouts.
-    fn add_idle_hook(&self, hook: Box<dyn Fn() + Send + Sync>);
+    fn add_idle_hook(&self, hook: IdleHook);
 
     /// Release tasks held at a start barrier, if the executor has one.
     fn release(&self) {}
@@ -331,6 +331,12 @@ pub trait Exec: Send + Sync + 'static {
         monotonic()
     }
 }
+
+/// A network's periodic work, run by an executor that does not honor park
+/// timeouts ([`Exec::add_idle_hook`]). It answers whether the network has
+/// live processes, or `None` once the network is gone: the executor then
+/// drops the hook.
+pub type IdleHook = Box<dyn Fn() -> Option<bool> + Send + Sync>;
 
 fn monotonic() -> Duration {
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
@@ -652,8 +658,9 @@ impl ExecMode {
         matches!(self, ExecMode::Sim(_))
     }
 
-    /// Instantiate the executor for this mode.
-    pub(crate) fn build(&self) -> Arc<dyn Exec> {
+    /// Instantiate the executor for this mode: a fresh pool for
+    /// `Pooled`, the process-wide thread executor for `Thread`.
+    pub fn build(&self) -> Arc<dyn Exec> {
         match self {
             ExecMode::Thread => default_exec().clone() as Arc<dyn Exec>,
             ExecMode::Pooled { workers } => PooledExec::new(*workers) as Arc<dyn Exec>,

@@ -64,8 +64,9 @@
 //! nothing else and no other worker runs a fiber keeps the fiber and wakes
 //! nobody: nothing can need polling until that fiber waits again, and then
 //! its worker polls. Sleeps are
-//! indefinite except while the pool is quiescent, when a 1 ms heartbeat
-//! keeps the monitor's idle hooks ticking.
+//! indefinite except while some hooked network has live processes, when a
+//! 1 ms heartbeat keeps the monitors' idle hooks ticking (see
+//! [`PooledExec::run_hooks`]).
 //!
 //! Every worker keeps relaxed-atomic counters (dispatch sources, steal
 //! traffic, parks); [`Exec::scheduler_stats`] snapshots them without
@@ -73,14 +74,14 @@
 
 use super::deque::{Steal, WorkDeque};
 use super::{
-    fiber, reactor, set_current, weak_dyn, with_current, Exec, SchedulerStats, TaskLocals,
-    WaitTable, WorkerStats,
+    fiber, monotonic, reactor, set_current, weak_dyn, with_current, Exec, IdleHook, SchedulerStats,
+    TaskLocals, WaitTable, WorkerStats,
 };
 use crate::error::Result;
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
@@ -103,8 +104,9 @@ const DEQUE_CAPACITY: usize = 256;
 /// central lock.
 const INJECTOR_BATCH: usize = 16;
 
-/// How often a sleeping worker wakes while the pool is quiescent (every
-/// task parked), to run the idle hooks — the deadlock monitor's tick.
+/// How often the idle hooks — the deadlock monitors' ticks — run while some
+/// hooked network has live processes: a sleeping worker wakes for them, a
+/// busy one runs them at its fair tick.
 const QUIESCENT_HEARTBEAT: Duration = Duration::from_millis(1);
 
 thread_local! {
@@ -224,8 +226,6 @@ struct PoolState {
     /// One of the `parked` workers sleeps in the reactor's `epoll_wait`
     /// (the poller); the rest sleep on `work_cv`.
     polling: bool,
-    /// A worker is currently running idle hooks.
-    ticking: bool,
     shutdown: bool,
     injector_pushes: u64,
     foreign_unparks: u64,
@@ -285,7 +285,14 @@ pub struct PooledExec {
     /// Both halves: this pool's fibers are filed under their key, every
     /// other caller waits on the condvar.
     pub(super) waits: WaitTable,
-    idle_hooks: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
+    idle_hooks: Mutex<Vec<IdleHook>>,
+    /// Some hook answered at its last run that its network has live
+    /// processes, or was added since: the heartbeat runs while this is set.
+    hooks_live: AtomicBool,
+    /// When the hooks last ran, in `monotonic()` nanoseconds.
+    last_tick: AtomicU64,
+    /// A worker is running the hooks.
+    ticking: AtomicBool,
     /// Readiness reactor, created lazily on the first [`Exec::reactor`]
     /// call (i.e. the first time one of this pool's fibers waits on a
     /// socket or a deadline). `Some(None)` caches "the kernel refused an
@@ -320,7 +327,6 @@ impl PooledExec {
                 workers: 0,
                 parked: 0,
                 polling: false,
-                ticking: false,
                 shutdown: false,
                 injector_pushes: 0,
                 foreign_unparks: 0,
@@ -332,6 +338,9 @@ impl PooledExec {
             parked_hint: AtomicUsize::new(0),
             waits: WaitTable::default(),
             idle_hooks: Mutex::new(Vec::new()),
+            hooks_live: AtomicBool::new(false),
+            last_tick: AtomicU64::new(0),
+            ticking: AtomicBool::new(false),
             reactor: OnceLock::new(),
             self_ref: OnceLock::new(),
             self_pool: OnceLock::new(),
@@ -405,8 +414,12 @@ impl PooledExec {
         } else if fair {
             // Fair tick: reactor readiness and global work first, so a
             // ready socket's fiber gets scheduled even on a worker that
-            // never goes idle.
+            // never goes idle; and the monitors' ticks, so a network whose
+            // tasks all wait is not held up by another that streams.
             self.poll_reactor();
+            if self.heartbeat_due() {
+                self.run_hooks();
+            }
             if let Some(f) = self.pop_injector(slot) {
                 *hot_streak = 0;
                 return Some(f);
@@ -677,22 +690,14 @@ impl PooledExec {
             st.workers -= 1;
             return true;
         }
-        // Quiescent (every task parked): run idle hooks — this is where
-        // the deadlock monitor's tick comes from, since parked fibers
-        // cannot honor timeouts.
-        let quiesce =
-            self.busy.load(Ordering::SeqCst) == 0 && st.alive > 0 && !st.ticking && !st.shutdown;
-        if quiesce {
-            st.ticking = true;
+        // Quiescent (every task parked), or a heartbeat since the last
+        // tick: run the idle hooks — this is where the deadlock monitor's
+        // tick comes from, since parked fibers cannot honor timeouts.
+        let quiesce = self.busy.load(Ordering::SeqCst) == 0 && st.alive > 0 && !st.shutdown;
+        if quiesce || self.heartbeat_due() {
             drop(st);
-            {
-                let hooks = self.idle_hooks.lock();
-                for h in hooks.iter() {
-                    h();
-                }
-            }
+            self.run_hooks();
             st = self.central.lock();
-            st.ticking = false;
         }
         // Dekker sleep: publish ourselves, then rescan everything under
         // the central lock. Either a producer sees `parked_hint` and
@@ -707,9 +712,13 @@ impl PooledExec {
         }
         let stats = &self.slots[slot].stats;
         stats.parks.fetch_add(1, Ordering::Relaxed);
-        // While the pool looks deadlock-candidate, wake on a heartbeat so
-        // the monitor ticks even if no event arrives.
-        let heartbeat = quiesce.then_some(QUIESCENT_HEARTBEAT);
+        // While a hooked network has live processes, wake on a heartbeat
+        // so its monitor ticks even if no event arrives. An idle pool (a
+        // node serving no graph) sleeps until woken.
+        let heartbeat = self
+            .hooks_live
+            .load(Ordering::Relaxed)
+            .then_some(QUIESCENT_HEARTBEAT);
         let mut ready = None;
         match self.reactor_ref() {
             Some(r) if !st.polling => {
@@ -734,6 +743,35 @@ impl PooledExec {
             self.take_ready(slot, ready);
         }
         false
+    }
+
+    /// A hooked network has live processes and a heartbeat has passed since
+    /// the hooks last ran.
+    fn heartbeat_due(&self) -> bool {
+        self.hooks_live.load(Ordering::Relaxed)
+            && (monotonic().as_nanos() as u64)
+                .saturating_sub(self.last_tick.load(Ordering::Relaxed))
+                >= QUIESCENT_HEARTBEAT.as_nanos() as u64
+    }
+
+    /// Runs every idle hook — each network's monitor tick — on one worker
+    /// at a time, drops the hooks of networks that are gone, and records
+    /// whether any network left has live processes. The hooks run when the
+    /// pool quiesces and otherwise on the heartbeat, never only when every
+    /// task of every network has parked: a network's ticks do not wait for
+    /// the pool's other tasks.
+    fn run_hooks(&self) {
+        if self.ticking.swap(true, Ordering::Acquire) {
+            return;
+        }
+        let mut hooks = self.idle_hooks.lock();
+        let mut live = false;
+        hooks.retain(|hook| hook().inspect(|l| live |= l).is_some());
+        self.hooks_live.store(live, Ordering::Relaxed);
+        self.last_tick
+            .store(monotonic().as_nanos() as u64, Ordering::Relaxed);
+        drop(hooks);
+        self.ticking.store(false, Ordering::Release);
     }
 
     /// Queue the fibers of the keys a blocked reactor wait returned on this
@@ -899,8 +937,11 @@ impl Exec for PooledExec {
         // every channel op would round-robin 10k fibers per op.
     }
 
-    fn add_idle_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
-        self.idle_hooks.lock().push(hook);
+    fn add_idle_hook(&self, hook: IdleHook) {
+        let mut hooks = self.idle_hooks.lock();
+        hooks.push(hook);
+        // Under the hooks' lock, which a run stores its answer under.
+        self.hooks_live.store(true, Ordering::Relaxed);
     }
 
     fn shutdown(&self) {

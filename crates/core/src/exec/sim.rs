@@ -86,7 +86,7 @@ impl Exec for SimExec {
         // yield nothing to the schedule.
     }
 
-    fn add_idle_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
+    fn add_idle_hook(&self, hook: super::IdleHook) {
         self.sched.add_idle_hook(hook);
     }
 

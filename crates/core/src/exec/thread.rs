@@ -57,7 +57,7 @@ impl Exec for ThreadExec {
 
     fn yield_point(&self) {}
 
-    fn add_idle_hook(&self, _hook: Box<dyn Fn() + Send + Sync>) {
+    fn add_idle_hook(&self, _hook: super::IdleHook) {
         // Thread mode has no quiescence observer; periodic work (the
         // monitor tick) rides on park timeouts instead.
     }

@@ -458,10 +458,9 @@ pub struct Monitor {
     /// pending connections).
     abort_hooks: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
     /// Pulls scheduler counters from the network's executor for
-    /// [`Monitor::stats`]/[`Monitor::snapshot`]. A closure (over a weak
-    /// executor handle) rather than an `Arc<dyn Exec>` because the
-    /// executor holds the monitor strongly via its idle hook — a direct
-    /// reference back would leak both.
+    /// [`Monitor::stats`]/[`Monitor::snapshot`]. A closure over a weak
+    /// executor handle rather than an `Arc<dyn Exec>`: a monitor must not
+    /// keep its network's executor alive.
     scheduler_source: Mutex<Option<SchedulerSource>>,
 }
 
@@ -720,6 +719,12 @@ impl Monitor {
         for b in self.state.lock().blocked.values_mut() {
             b.ticked = true;
         }
+    }
+
+    /// True while some process of the network has started and not
+    /// finished: what a pool's heartbeat keeps ticking for.
+    pub(crate) fn is_live(&self) -> bool {
+        self.state.lock().live > 0
     }
 
     /// Unregisters the current thread.

@@ -10,14 +10,14 @@
 
 use crate::channel::{channel_with_parts, ChannelReader, ChannelWriter, DEFAULT_CAPACITY};
 use crate::error::{Error, Result};
-use crate::exec::{Exec, ExecMode};
+use crate::exec::{default_exec, Exec, ExecMode};
 use crate::monitor::{DeadlockPolicy, Monitor, MonitorStats, MonitorTiming};
 use crate::process::{FnProcess, Iterative, IterativeProcess, Process, ProcessCtx};
 use crate::sim::{ChannelKey, HistoryRecorder};
 use crate::topology::{Diagnostic, LintLevel, LintScope, Topology, TopologySnapshot};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Configuration for a [`Network`].
 ///
@@ -113,18 +113,30 @@ struct NetworkInner {
     config: NetworkConfig,
     monitor: Arc<Monitor>,
     exec: Arc<dyn Exec>,
+    /// The executor was built for this network ([`Network::with_config`]),
+    /// not handed to it ([`Network::with_exec`]): dropping the network
+    /// shuts it down.
+    owns_exec: bool,
     recorder: Option<Arc<HistoryRecorder>>,
-    /// Tasks spawned but not yet finished. Incremented on the *spawning*
-    /// task before the new task exists, so a parent that spawns children
-    /// keeps the count positive until every descendant is done — the
-    /// executor detaches tasks, so join waits on this counter instead of
-    /// OS join handles.
-    active: Mutex<usize>,
-    done_cv: Condvar,
+    active: Mutex<Active>,
     pending: Mutex<Vec<Box<dyn Process>>>,
     errors: Mutex<Vec<(String, Error)>>,
     processes_run: Mutex<usize>,
     topology: Arc<Topology>,
+}
+
+/// Tasks spawned but not yet finished, and who waits for the last.
+#[derive(Default)]
+struct Active {
+    /// Incremented on the *spawning* task before the new task exists, so a
+    /// parent that spawns children keeps the count positive until every
+    /// descendant is done — the executor detaches tasks, so join waits on
+    /// this counter instead of OS join handles.
+    tasks: usize,
+    /// The executor and park key of each task in [`Network::join`], woken
+    /// through that executor when `tasks` reaches zero: a fiber parks, an OS
+    /// thread blocks.
+    joiners: Vec<(Arc<dyn Exec>, usize)>,
 }
 
 impl NetworkInner {
@@ -188,9 +200,12 @@ impl NetworkInner {
 
 impl Drop for NetworkInner {
     fn drop(&mut self) {
-        // Lets a pooled executor retire its idle workers; a no-op for the
-        // shared thread executor and for sim.
-        self.exec.shutdown();
+        // Lets a pooled executor built for this network retire its idle
+        // workers; a no-op for the shared thread executor and for sim. An
+        // executor the network was handed is its owner's to shut down.
+        if self.owns_exec {
+            self.exec.shutdown();
+        }
     }
 }
 
@@ -273,7 +288,7 @@ impl NetworkHandle {
         // Count the task on the *spawning* side, before it exists: join can
         // then never observe a window where a parent finished but its
         // freshly spawned child is not yet counted.
-        *inner.active.lock() += 1;
+        inner.active.lock().tasks += 1;
         let name = p.name();
         let task_inner = inner.clone();
         let task_name = name.clone();
@@ -301,10 +316,16 @@ impl NetworkHandle {
                 // monitor's end-of-process deadlock check runs under the same
                 // serialization as everything else.
                 task_inner.monitor.process_finished();
-                let mut active = task_inner.active.lock();
-                *active -= 1;
-                if *active == 0 {
-                    task_inner.done_cv.notify_all();
+                let joiners = {
+                    let mut active = task_inner.active.lock();
+                    active.tasks -= 1;
+                    match active.tasks {
+                        0 => std::mem::take(&mut active.joiners),
+                        _ => Vec::new(),
+                    }
+                };
+                for (exec, key) in joiners {
+                    exec.unpark_all(key);
                 }
             }),
         );
@@ -354,42 +375,60 @@ impl Network {
         Self::with_config(NetworkConfig::default())
     }
 
-    /// A network with an explicit configuration.
+    /// A network with an explicit configuration, on an executor built from
+    /// its [`NetworkConfig::mode`] and shut down when the network drops.
     pub fn with_config(config: NetworkConfig) -> Self {
+        let exec = config.mode.build();
+        Self::build(config, exec, true)
+    }
+
+    /// A network that runs on `exec`, which it shares with whoever handed
+    /// it over (a `kpn-net` node runs every graph it is sent on its one
+    /// executor): `config.mode` is not consulted, and dropping the network
+    /// leaves `exec` running.
+    pub fn with_exec(config: NetworkConfig, exec: Arc<dyn Exec>) -> Self {
+        Self::build(config, exec, false)
+    }
+
+    fn build(config: NetworkConfig, exec: Arc<dyn Exec>, owns_exec: bool) -> Self {
         let monitor = Monitor::build(
             config.deadlock_policy,
             config.monitor_timing,
             config.monitor_debug,
         );
-        let exec = config.mode.build();
-        // Executors with their own quiescence detection (sim's idle hook,
-        // the pool's all-workers-idle tick) drive the monitor from there;
-        // the thread executor ignores this and relies on park timeouts.
-        let m = monitor.clone();
-        exec.add_idle_hook(Box::new(move || m.tick()));
         // Surface executor scheduling counters through MonitorStats. Weak:
-        // the executor already holds the monitor strongly via the idle
-        // hook, so a strong reference back would cycle.
+        // a network's executor may outlive it.
         let weak_exec = Arc::downgrade(&exec);
         monitor.set_scheduler_source(Box::new(move || {
             weak_exec.upgrade().and_then(|e| e.scheduler_stats())
         }));
         let recorder = config.record_history.then(HistoryRecorder::new);
+        let inner = Arc::new_cyclic(|me: &Weak<NetworkInner>| {
+            // Executors with their own quiescence detection (sim's idle
+            // hook, the pool's heartbeat) drive the monitor from there; the
+            // thread executor ignores this and relies on park timeouts.
+            // Weak, so the hook leaves the executor with the network.
+            let me = me.clone();
+            exec.add_idle_hook(Box::new(move || {
+                let monitor = &me.upgrade()?.monitor;
+                monitor.tick();
+                Some(monitor.is_live())
+            }));
+            NetworkInner {
+                config,
+                monitor,
+                exec,
+                owns_exec,
+                recorder,
+                active: Mutex::default(),
+                pending: Mutex::new(Vec::new()),
+                errors: Mutex::new(Vec::new()),
+                processes_run: Mutex::new(0),
+                topology: Topology::new(),
+            }
+        });
         Network {
-            handle: NetworkHandle {
-                inner: Arc::new(NetworkInner {
-                    config,
-                    monitor,
-                    exec,
-                    recorder,
-                    active: Mutex::new(0),
-                    done_cv: Condvar::new(),
-                    pending: Mutex::new(Vec::new()),
-                    errors: Mutex::new(Vec::new()),
-                    processes_run: Mutex::new(0),
-                    topology: Topology::new(),
-                }),
-            },
+            handle: NetworkHandle { inner },
         }
     }
 
@@ -531,15 +570,27 @@ impl Network {
 
     /// Joins every process and builds the report without classifying the
     /// outcome (shared by [`Network::join`] and [`Network::run_report`]).
+    /// The wait goes through the caller's executor, as a pending connection's
+    /// does: a fiber parks, so a join made from a pooled task holds no worker.
     fn join_report(&self) -> NetworkReport {
-        {
-            let inner = &self.handle.inner;
-            let mut active = inner.active.lock();
-            while *active > 0 {
-                inner.done_cv.wait(&mut active);
-            }
-        }
         let inner = &self.handle.inner;
+        let exec = crate::exec::current_exec().unwrap_or_else(|| default_exec().clone());
+        let key = std::ptr::addr_of!(inner.active) as usize;
+        loop {
+            let token = {
+                let mut active = inner.active.lock();
+                if active.tasks == 0 {
+                    break;
+                }
+                let known = |(e, k): &(Arc<dyn Exec>, usize)| *k == key && Arc::ptr_eq(e, &exec);
+                if !active.joiners.iter().any(known) {
+                    active.joiners.push((exec.clone(), key));
+                }
+                // Under the lock the finishing task takes to wake us.
+                exec.park_token(key)
+            };
+            let _ = exec.park(key, token, None);
+        }
         let errors: Vec<(String, Error)> = inner.errors.lock().drain(..).collect();
         NetworkReport {
             processes_run: *inner.processes_run.lock(),

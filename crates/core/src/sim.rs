@@ -202,7 +202,7 @@ pub struct SimScheduler {
     /// monitor's tick, which may grow a channel or abort the network (both
     /// of which unpark tasks). Belt-and-braces: the event-driven detection
     /// in `enter_block` usually resolves before the last task parks.
-    idle_hooks: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
+    idle_hooks: Mutex<Vec<crate::exec::IdleHook>>,
 }
 
 thread_local! {
@@ -243,7 +243,7 @@ impl SimScheduler {
     }
 
     /// Registers an idle hook (the network's monitor tick).
-    pub(crate) fn add_idle_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
+    pub(crate) fn add_idle_hook(&self, hook: crate::exec::IdleHook) {
         self.idle_hooks.lock().push(hook);
     }
 

@@ -121,9 +121,10 @@ impl ServerHandle {
         request: &ControlRequest,
         expected: impl FnOnce(ControlResponse) -> std::result::Result<T, ControlResponse>,
     ) -> Result<T> {
-        let mut stream = TcpStream::connect(&self.addr)
+        let stream = TcpStream::connect(&self.addr)
             .map_err(|e| Error::Disconnected(format!("control connect {}: {e}", self.addr)))?;
         stream.set_nodelay(true)?;
+        let mut stream = crate::rio::control_stream(stream);
         stream.write_all(&[crate::frame::CONN_CONTROL])?;
         send_msg(&mut stream, request)?;
         match expected(recv_msg(&mut stream)?) {

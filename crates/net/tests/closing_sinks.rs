@@ -1,10 +1,11 @@
 //! A resilient sink owns no thread of its own. Closing one sends its
-//! `Close` marker and leaves the sink to the process-wide watchdog
-//! (`kpn-sink-pump`), which shuts the socket once the reader has
-//! acknowledged the marker: 32 closed sinks whose readers have not read
-//! yet cost that one thread, not a thread each, and a fault-free close
-//! never reconnects. One test per file: the thread count is process-wide.
-//! Run it under each executor (`KPN_EXEC=thread`, `KPN_EXEC=pooled:2`).
+//! `Close` marker and leaves the sink to its profile's watchdog, one task
+//! on the executor that connected the profile's first sink, which shuts
+//! the socket once the reader has acknowledged the marker: 32 closed sinks
+//! whose readers have not read yet cost that one task, not a thread each
+//! (no `kpn-sink*` thread at all), and a fault-free close never
+//! reconnects. One test per file: the thread count is process-wide. Run it
+//! under each executor (`KPN_EXEC=thread`, `KPN_EXEC=pooled:2`).
 
 #![cfg(target_os = "linux")]
 
@@ -30,10 +31,7 @@ fn threads() -> Vec<String> {
 fn closed_resilient_sinks_share_the_watchdog_thread() {
     let baseline = threads().len();
     let reconnects = recovery_stats().1;
-    let profile = NetProfile {
-        factory: Arc::new(TcpFactory),
-        policy: ReconnectPolicy::resilient(),
-    };
+    let profile = NetProfile::new(Arc::new(TcpFactory), ReconnectPolicy::resilient());
     let acceptor = Acceptor::bind_with("127.0.0.1:0", profile.clone()).unwrap();
     let addr = acceptor.local_addr().to_string();
 

@@ -40,7 +40,7 @@ fn faulty(
 ) -> (Arc<FaultPlan>, NetProfile) {
     let plan = FaultPlan::new(seed, faults);
     let factory = Arc::new(FaultyFactory::new(plan.clone()));
-    (plan, NetProfile { factory, policy })
+    (plan, NetProfile::new(factory, policy))
 }
 
 /// A node with the default registries, served with `profile`.
@@ -213,10 +213,7 @@ fn dead_link_exhausts_budget_and_cascades() {
         op_timeout: Some(Duration::from_millis(50)),
         ..ReconnectPolicy::resilient()
     };
-    let profile = NetProfile {
-        factory: Arc::new(TcpFactory),
-        policy,
-    };
+    let profile = NetProfile::new(Arc::new(TcpFactory), policy);
     let accept = std::thread::spawn(move || {
         let (mut s, _) = listener.accept().unwrap();
         use std::io::Read;

@@ -1,8 +1,10 @@
 //! A dropped faulted `ChaosCluster` returns the process to the thread count
-//! it had before it was built: among others, the resilient-sink watchdog
-//! (`kpn-sink-pump`) exits once no resilient sink is left, instead of living
-//! as long as the process. One test per file: the count is process-wide.
-//! Run it under each executor (`KPN_EXEC=thread`, `KPN_EXEC=pooled:2`).
+//! it had before it was built: its nodes' executors retire, and the
+//! watchdog of the cluster's profile — a task on the executor of whoever
+//! connected its first resilient sink — exits once no resilient sink is
+//! left, instead of living as long as the process. One test per file: the
+//! count is process-wide. Run it under each executor (`KPN_EXEC=thread`,
+//! `KPN_EXEC=pooled:2`).
 
 #![cfg(target_os = "linux")]
 

@@ -1,7 +1,9 @@
 //! A dropped `Node` returns the process to its baseline thread and fd
-//! count: the `kpn-acceptor` thread exits and the listening socket closes
-//! (before this, `Node::serve` in a loop died with `EMFILE` after ~1,000
-//! nodes). One test per file: the counts are process-wide.
+//! count: its accept loop ends, the listening socket closes, and the
+//! node's executor retires — a pool's workers exit and its reactor's fds
+//! close, a thread executor's accept thread exits (before the first of
+//! these, `Node::serve` in a loop died with `EMFILE` after ~1,000 nodes).
+//! One test per file: the counts are process-wide.
 
 #![cfg(target_os = "linux")]
 

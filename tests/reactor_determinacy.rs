@@ -59,12 +59,9 @@ fn relay_history(mode: &ExecMode, seed: Option<u64>) -> Vec<i64> {
     // One profile for every acceptor and every writer, so both ends of each
     // hop run the same policy and draw faults from the same plan.
     let plan = seed.map(|s| FaultPlan::new(s, profile()));
-    let net_profile = plan
-        .as_ref()
-        .map_or_else(NetProfile::default, |plan| NetProfile {
-            factory: Arc::new(FaultyFactory::new(plan.clone())),
-            policy: chaos_policy(),
-        });
+    let net_profile = plan.as_ref().map_or_else(NetProfile::default, |plan| {
+        NetProfile::new(Arc::new(FaultyFactory::new(plan.clone())), chaos_policy())
+    });
     let bind = || Acceptor::bind_with("127.0.0.1:0", net_profile.clone()).unwrap();
     let (client, s0, s1) = (bind(), bind(), bind());
     let (t_in, t_mid, t_back) = (0xD37E_0001u64, 0xD37E_0002, 0xD37E_0003);
