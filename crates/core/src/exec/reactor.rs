@@ -71,7 +71,7 @@ pub struct Ready {
     pub watching: bool,
 }
 
-/// Readiness direction for [`Reactor::arm`] / [`poll_fd`].
+/// Readiness direction for [`Reactor::arm`] / [`poll_fds`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Interest {
     /// Wake when the source is readable (or hung up).
@@ -481,36 +481,47 @@ mod imp {
         }
     }
 
-    /// Blocking readiness wait on one fd, for OS threads operating on an
-    /// fd a fiber already switched to non-blocking (the sink watchdog,
-    /// which also finishes closed sinks) — and, with a zero timeout, the
-    /// check a process on a
-    /// blocking fd makes before an operation, to learn whether it is about
-    /// to wait. `poll(2)`, so no registration state; returns `Ok(true)`
-    /// when ready, `Ok(false)` on timeout or `EINTR` (callers loop on a
-    /// deadline).
-    pub fn poll_fd(fd: i32, interest: Interest, timeout: Option<Duration>) -> io::Result<bool> {
-        let mut pfd = sys::PollFd {
-            fd,
-            events: match interest {
-                Interest::Read => sys::POLLIN,
-                Interest::Write => sys::POLLOUT,
-            },
-            revents: 0,
+    /// Blocking readiness wait on a set of fds, for OS threads: on an fd a
+    /// fiber already switched to non-blocking (a sink watchdog on the
+    /// thread executor, which also finishes closed sinks), on a thread
+    /// accept loop's listener and unfinished preambles at once — and, with
+    /// a zero timeout, the check a process on a blocking fd makes before an
+    /// operation, to learn whether it is about to wait. One `poll(2)`, so
+    /// no registration state and no fd of its own; returns `Ok(true)` when
+    /// some fd is ready, `Ok(false)` on timeout or `EINTR` (callers loop on
+    /// a deadline).
+    pub fn poll_fds(
+        fds: impl IntoIterator<Item = i32>,
+        interest: Interest,
+        timeout: Option<Duration>,
+    ) -> io::Result<bool> {
+        let events = match interest {
+            Interest::Read => sys::POLLIN,
+            Interest::Write => sys::POLLOUT,
         };
+        let mut pfds: Vec<sys::PollFd> = fds
+            .into_iter()
+            .map(|fd| sys::PollFd {
+                fd,
+                events,
+                revents: 0,
+            })
+            .collect();
+        // Rounded up, as in `Reactor::wait`: waking before a deadline
+        // would only loop.
         let ms: isize = match timeout {
             None => -1,
-            Some(d) => d.as_millis().min(i32::MAX as u128) as isize,
+            Some(d) => d.as_micros().div_ceil(1000).min(i32::MAX as u128) as isize,
         };
-        // SAFETY: poll reads and writes `nfds` (here 1) `struct pollfd`s
-        // through its first argument; `pfd` is a `repr(C)` local, live for
-        // the whole call. A closed `fd` is reported in `revents`, not by
-        // touching other memory.
+        // SAFETY: poll reads and writes `nfds` `struct pollfd`s through its
+        // first argument; `pfds` holds exactly that many `repr(C)` entries,
+        // live for the whole call. A closed fd is reported in its
+        // `revents`, not by touching other memory.
         let r = unsafe {
             sys::syscall4(
                 sys::SYS_POLL,
-                std::ptr::addr_of_mut!(pfd) as usize,
-                1,
+                pfds.as_mut_ptr() as usize,
+                pfds.len(),
                 ms as usize,
                 0,
             )
@@ -658,18 +669,16 @@ mod imp {
         }
 
         #[test]
-        fn poll_fd_sees_readiness_and_timeout() {
+        fn poll_fds_sees_readiness_and_timeout() {
             let (mut w, rd) = pair();
-            assert!(!poll_fd(
-                rd.as_raw_fd(),
-                Interest::Read,
-                Some(Duration::from_millis(1))
-            )
-            .unwrap());
+            let (_w2, rd2) = pair();
+            let fds = [rd2.as_raw_fd(), rd.as_raw_fd()];
+            assert!(!poll_fds(fds, Interest::Read, Some(Duration::from_millis(1))).unwrap());
             w.write_all(b"y").unwrap();
-            assert!(poll_fd(rd.as_raw_fd(), Interest::Read, None).unwrap());
+            // Either socket being ready ends the wait.
+            assert!(poll_fds(fds, Interest::Read, None).unwrap());
             // A fresh socket's send buffer is writable immediately.
-            assert!(poll_fd(w.as_raw_fd(), Interest::Write, Some(Duration::ZERO)).unwrap());
+            assert!(poll_fds([w.as_raw_fd()], Interest::Write, Some(Duration::ZERO)).unwrap());
         }
     }
 }
@@ -722,5 +731,5 @@ mod imp {
 }
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
-pub use imp::poll_fd;
+pub use imp::poll_fds;
 pub use imp::Reactor;

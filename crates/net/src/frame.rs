@@ -41,10 +41,9 @@ pub(crate) const CONN_CONTROL: u8 = 0x43; // 'C' — control session
 /// One frame on a data connection.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// A chunk of channel bytes starting at stream offset `offset`.
-    // Production code writes data via `write_data_frame` directly; the
-    // variant keeps the wire grammar complete for `write_frame` callers.
-    #[allow(dead_code)]
+    /// A chunk of channel bytes starting at stream offset `offset`. The
+    /// hot path writes one from a borrowed payload (`write_data_frame`);
+    /// a writer's replay buffer keeps its unacknowledged frames whole.
     Data {
         /// Payload bytes.
         bytes: Vec<u8>,
@@ -74,20 +73,13 @@ pub enum Frame {
     },
 }
 
-/// Writes the `Hello` preamble of a data connection.
+/// Writes the `Hello` preamble of a data connection: the tag, then the
+/// token, big-endian — nine bytes the acceptor reads without blocking.
 pub(crate) fn write_hello<W: Write>(w: &mut W, token: u64) -> Result<()> {
     w.write_all(&[CONN_HELLO])?;
     w.write_all(&token.to_be_bytes())?;
     w.flush()?;
     Ok(())
-}
-
-/// Reads the token of a `Hello` preamble (the leading tag byte has already
-/// been consumed by the connection dispatcher).
-pub(crate) fn read_hello_token<R: Read>(r: &mut R) -> Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_be_bytes(buf))
 }
 
 /// Writes a `Data` frame directly from a borrowed payload — the hot path.
@@ -241,8 +233,7 @@ impl AckParser {
             self.filled += take;
             bytes = &bytes[take..];
             if self.filled == 9 {
-                let mut off = [0u8; 8];
-                off.copy_from_slice(&self.buf[1..]);
+                let off = self.buf[1..].try_into().unwrap_or_default();
                 on_event(AckEvent::Ack(u64::from_be_bytes(off)));
                 self.filled = 0;
             }
@@ -330,8 +321,7 @@ mod tests {
         let mut buf = Vec::new();
         write_hello(&mut buf, 12345).unwrap();
         assert_eq!(buf[0], CONN_HELLO);
-        let mut cur = Cursor::new(&buf[1..]);
-        assert_eq!(read_hello_token(&mut cur).unwrap(), 12345);
+        assert_eq!(u64::from_be_bytes(buf[1..].try_into().unwrap()), 12345);
     }
 
     #[test]

@@ -113,6 +113,19 @@ impl ProcessRegistry {
         factory(params, inputs, outputs)
     }
 
+    /// Registers a parameterless process of two inputs and one output.
+    fn register_binary<T: Iterative + 'static>(
+        &mut self,
+        name: &'static str,
+        new: fn(ChannelReader, ChannelReader, ChannelWriter) -> T,
+    ) {
+        self.register_iterative(name, move |_params, mut ins, mut outs| {
+            arity(name, &mut ins, &mut outs, 2, 1)?;
+            let b = ins.remove(1);
+            Ok(new(ins.remove(0), b, outs.remove(0)))
+        });
+    }
+
     fn register_defaults(&mut self) {
         self.register_iterative("Constant", |params, mut ins, mut outs| {
             arity("Constant", &mut ins, &mut outs, 0, 1)?;
@@ -158,31 +171,15 @@ impl ProcessRegistry {
             arity("Identity", &mut ins, &mut outs, 1, 1)?;
             Ok(Identity::new(ins.remove(0), outs.remove(0)))
         });
-        self.register_iterative("Add", |_params, mut ins, mut outs| {
-            arity("Add", &mut ins, &mut outs, 2, 1)?;
-            let b = ins.remove(1);
-            Ok(Add::new(ins.remove(0), b, outs.remove(0)))
-        });
+        self.register_binary("Add", Add::new);
         self.register_iterative("Scale", |params, mut ins, mut outs| {
             arity("Scale", &mut ins, &mut outs, 1, 1)?;
             let factor: i64 = decode_params("Scale", params)?;
             Ok(Scale::new(factor, ins.remove(0), outs.remove(0)))
         });
-        self.register_iterative("Divide", |_params, mut ins, mut outs| {
-            arity("Divide", &mut ins, &mut outs, 2, 1)?;
-            let den = ins.remove(1);
-            Ok(Divide::new(ins.remove(0), den, outs.remove(0)))
-        });
-        self.register_iterative("Average", |_params, mut ins, mut outs| {
-            arity("Average", &mut ins, &mut outs, 2, 1)?;
-            let b = ins.remove(1);
-            Ok(Average::new(ins.remove(0), b, outs.remove(0)))
-        });
-        self.register_iterative("Equal", |_params, mut ins, mut outs| {
-            arity("Equal", &mut ins, &mut outs, 2, 1)?;
-            let b = ins.remove(1);
-            Ok(Equal::new(ins.remove(0), b, outs.remove(0)))
-        });
+        self.register_binary("Divide", Divide::new);
+        self.register_binary("Average", Average::new);
+        self.register_binary("Equal", Equal::new);
         self.register_iterative("Guard", |params, mut ins, mut outs| {
             arity("Guard", &mut ins, &mut outs, 2, 1)?;
             let stop_after_first: bool = decode_params("Guard", params)?;
