@@ -37,10 +37,15 @@
 //!
 //! ## Sleep/wake protocol
 //!
-//! A submission wakes at most one sleeping worker, and only when no worker
-//! is already searching for work (`searching` gate) — the classic
-//! work-stealing wake throttle. The lost-wakeup race this opens is closed
-//! Dekker-style: a worker about to sleep first publishes itself
+//! One wake rule: a worker wakes a sleeper only for *surplus* — work beyond
+//! the one fiber it runs next. A fiber a worker unparks into its empty hot
+//! slot wakes nobody (the waker runs it when it switches out); a displaced
+//! hot fiber, a second woken fiber, a requeued fiber behind a hot one and a
+//! multi-fiber steal each wake one. Work from outside the pool (`spawn`, a
+//! foreign unpark) and leftover injector work always wake one. No wake is
+//! sent while a worker is already searching (`searching` gate) — the
+//! classic work-stealing wake throttle. The lost-wakeup race this opens is
+//! closed Dekker-style: a worker about to sleep first publishes itself
 //! (`parked_hint`, SeqCst) and then *rescans every queue* — injector, all
 //! deques, all hot slots — while holding the central lock; a producer
 //! pushes work first and then checks `parked_hint` behind a SeqCst fence.
@@ -58,15 +63,19 @@
 //! sleep on the condvar. The poller is parked like any sleeper and the
 //! same handshake covers it: a producer that finds sleepers under the
 //! central lock notifies the condvar if anyone sleeps there, and else
-//! writes the reactor's eventfd. A poller that wakes with work dispatches
-//! it, which wakes a condvar sleeper; that one takes over polling when it
-//! sleeps again. A poller woken for one fiber while the reactor watches
-//! nothing else and no other worker runs a fiber keeps the fiber and wakes
-//! nobody: nothing can need polling until that fiber waits again, and then
-//! its worker polls. Sleeps are
-//! indefinite except while some hooked network has live processes, when a
-//! 1 ms heartbeat keeps the monitors' idle hooks ticking (see
-//! [`PooledExec::run_hooks`]).
+//! writes the reactor's eventfd. A poller that wakes with fibers
+//! dispatches them by the same rule: one fiber it keeps and runs, more
+//! wake a condvar sleeper, who takes over polling when it sleeps again.
+//!
+//! Sleeps are indefinite except while some hooked network has live
+//! processes, when a 1 ms heartbeat keeps the monitors' idle hooks ticking
+//! (see [`PooledExec::run_hooks`]). That heartbeat is also what bounds a
+//! hot fiber nobody was woken for: if its waker stays in a long fiber, a
+//! sleeper woken by the heartbeat steals it from the hot slot, and a
+//! socket or timer the busy poller left behind is polled by that sleeper.
+//! A pool with no live network relies on the waker switching out — a
+//! node's accept loop, sessions and watchdog each park on their next
+//! socket or timer wait.
 //!
 //! Every worker keeps relaxed-atomic counters (dispatch sources, steal
 //! traffic, parks); [`Exec::scheduler_stats`] snapshots them without
@@ -488,8 +497,9 @@ impl PooledExec {
         self.searching.fetch_add(1, Ordering::SeqCst);
         let got = self.steal_sweep(slot);
         self.searching.fetch_sub(1, Ordering::SeqCst);
-        if got.is_some() {
-            // The pool is imbalanced; let a sleeper rebalance further.
+        if got.is_some() && !self.slots[slot].deque.is_empty() {
+            // Surplus: the thief moved more than the fiber it runs next,
+            // so let a sleeper rebalance further.
             self.notify_work();
         }
         got
@@ -581,8 +591,11 @@ impl PooledExec {
             let stale = self.waits.file(key, token, f);
             self.busy.fetch_sub(1, Ordering::SeqCst);
             if let Some(f) = stale {
+                // This worker runs it next unless a hot fiber goes first.
                 self.enqueue_local(slot, f);
-                self.notify_work();
+                if self.slots[slot].hot_occupied() {
+                    self.notify_work();
+                }
             }
             return;
         }
@@ -739,8 +752,8 @@ impl PooledExec {
         self.parked_hint.fetch_sub(1, Ordering::SeqCst);
         drop(st);
         stats.unparks.fetch_add(1, Ordering::Relaxed);
-        if let Some(ready) = ready {
-            self.take_ready(slot, ready);
+        if let Some(keys) = ready {
+            self.take_ready(keys);
         }
         false
     }
@@ -774,20 +787,12 @@ impl PooledExec {
         self.ticking.store(false, Ordering::Release);
     }
 
-    /// Queue the fibers of the keys a blocked reactor wait returned on this
-    /// worker. Dispatching them wakes a sleeper, who takes over polling —
-    /// unless they are one fiber, the reactor watches nothing else and no
-    /// other worker runs a fiber (which could arm a socket or a timer
-    /// meanwhile): then this worker polls again when it next sleeps, and a
-    /// handover would cost a context switch on every socket wake.
-    fn take_ready(&self, slot: usize, ready: reactor::Ready) {
-        let mut fibers = Vec::new();
-        for key in ready.keys {
-            fibers.extend(self.waits.wake(key));
-        }
-        if fibers.len() == 1 && !ready.watching && self.busy.load(Ordering::SeqCst) == 0 {
-            self.enqueue_local(slot, fibers.remove(0));
-        } else if !fibers.is_empty() {
+    /// Queue the fibers of park keys the reactor returned to this worker,
+    /// as any unpark from a worker is: the first runs next here, the rest
+    /// are surplus.
+    fn take_ready(&self, keys: Vec<usize>) {
+        let fibers: Vec<_> = keys.into_iter().flat_map(|k| self.waits.wake(k)).collect();
+        if !fibers.is_empty() {
             self.dispatch_unparked(fibers);
         }
     }
@@ -799,30 +804,23 @@ impl PooledExec {
     }
 
     /// Drain socket readiness and expired timers into the run queues without
-    /// blocking: each ready park key is an ordinary `unpark_all`. Runs at
-    /// worker poll points (pre-sleep and the fair tick); the pre-sleep call
-    /// sits *before* the quiescence computation and the
+    /// blocking. Runs at worker poll points (pre-sleep and the fair tick);
+    /// the pre-sleep call sits *before* the quiescence computation and the
     /// Dekker rescan, so readiness observed here becomes visible queued
     /// work and a ready socket can never fake an idle pool.
-    fn poll_reactor(&self) -> bool {
-        let Some(r) = self.reactor_ref() else {
-            return false;
-        };
-        let keys = r.poll();
-        if keys.is_empty() {
-            return false;
+    fn poll_reactor(&self) {
+        if let Some(r) = self.reactor_ref() {
+            self.take_ready(r.poll());
         }
-        for key in keys {
-            self.unpark_all(key);
-        }
-        true
     }
 
     /// Route freshly unparked fibers to a run queue. When the waker is a
     /// worker of this pool, the first fiber takes its hot slot (it is the
     /// consumer of data the waker just produced — the warmest possible
-    /// dispatch) and the rest go to its deque. Anything else — foreign
-    /// threads, other pools' fibers — goes through the injector.
+    /// dispatch) and the rest go to its deque; a sleeper is woken only for
+    /// that surplus, a displaced hot fiber or a second woken one. Anything
+    /// else — foreign threads, other pools' fibers — goes through the
+    /// injector and wakes one sleeper.
     fn dispatch_unparked(&self, fibers: Vec<Box<fiber::Fiber>>) {
         let my_slot = WORKER_ID
             .with(|c| c.get())
@@ -832,21 +830,19 @@ impl PooledExec {
                 let me = &self.slots[i];
                 let mut spill = Vec::new();
                 let mut iter = fibers.into_iter();
-                if let Some(first) = iter.next() {
-                    if let Some(displaced) = me.put_hot(first) {
-                        if let Err(f) = me.deque.push(displaced) {
-                            spill.push(f);
-                        }
-                    }
-                }
-                for f in iter {
+                let displaced = iter.next().and_then(|first| me.put_hot(first));
+                let mut surplus = false;
+                for f in displaced.into_iter().chain(iter) {
+                    surplus = true;
                     if let Err(f) = me.deque.push(f) {
                         spill.push(f);
                     }
                 }
                 me.note_depth();
                 self.inject(spill);
-                self.notify_work();
+                if surplus {
+                    self.notify_work();
+                }
             }
             None => {
                 let n = fibers.len() as u64;
@@ -1263,6 +1259,53 @@ mod tests {
             slept < Duration::from_millis(500),
             "a 10 ms sleep took {slept:?} while another worker was busy"
         );
+        ex.shutdown();
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn a_relay_on_two_workers_stays_on_one() {
+        // The `relay_local` shape: three fibers in a cycle of three local
+        // channels with one token in flight. Each hop wakes one fiber into
+        // its waker's empty hot slot — no surplus — so the second worker
+        // sleeps through the run instead of stealing a fiber per round trip.
+        use crate::channel::channel_with_parts;
+        const ROUND_TRIPS: u64 = 20_000;
+        let ex = PooledExec::new(2);
+        let exec: Arc<dyn Exec> = ex.clone();
+        let [(w0, r0), (w1, r1), (w2, r2)] =
+            [(); 3].map(|_| channel_with_parts(64, None, exec.clone(), None));
+        // client → relay1 → relay2 → client
+        for (name, mut r, mut w) in [("relay1", r0, w1), ("relay2", r1, w2)] {
+            ex.spawn(
+                name,
+                Box::new(move || {
+                    let mut token = [0u8; 8];
+                    while r.read_exact(&mut token).is_ok() {
+                        w.write_all(&token).unwrap();
+                    }
+                }),
+            );
+        }
+        let (mut w, mut r) = (w0, r2);
+        let (done_tx, done) = std::sync::mpsc::channel();
+        ex.spawn(
+            "client",
+            Box::new(move || {
+                let mut token = [0u8; 8];
+                for i in 0..ROUND_TRIPS {
+                    w.write_all(&i.to_le_bytes()).unwrap();
+                    r.read_exact(&mut token).unwrap();
+                    assert_eq!(u64::from_le_bytes(token), i);
+                }
+                let _ = done_tx.send(());
+            }),
+        );
+        done.recv_timeout(Duration::from_secs(60))
+            .expect("the relay completes");
+        let t = ex.scheduler_stats().unwrap().totals();
+        assert!(t.steal_successes < 200, "{ROUND_TRIPS} round trips: {t:?}");
+        assert!(t.parks < 200, "{ROUND_TRIPS} round trips: {t:?}");
         ex.shutdown();
     }
 }

@@ -61,16 +61,6 @@ pub struct ReactorStats {
     pub max_poll_batch: u64,
 }
 
-/// What a blocked [`Reactor::wait`] ended with.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Ready {
-    /// The park keys to wake, as [`Reactor::poll`] returns them.
-    pub keys: Vec<usize>,
-    /// The reactor still watches something these keys do not cover: an
-    /// attached fd that did not fire, or a pending timer.
-    pub watching: bool,
-}
-
 /// Readiness direction for [`Reactor::arm`] / [`poll_fds`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Interest {
@@ -82,7 +72,7 @@ pub enum Interest {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 mod imp {
-    use super::{Interest, ReactorStats, Ready};
+    use super::{Interest, ReactorStats};
     use parking_lot::Mutex;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -346,9 +336,9 @@ mod imp {
 
         /// Block the calling worker until a socket is ready, a timer is
         /// due, [`Reactor::wake`] is called, or `timeout` passes; returns
-        /// the park keys to wake, as [`Reactor::poll`] does, and whether
-        /// anything else is still watched. One worker at a time.
-        pub fn wait(&self, timeout: Option<Duration>) -> Ready {
+        /// the park keys to wake, as [`Reactor::poll`] does. One worker at
+        /// a time.
+        pub fn wait(&self, timeout: Option<Duration>) -> Vec<usize> {
             self.polls.fetch_add(1, Ordering::Relaxed);
             let ms = {
                 let mut timers = self.timers.lock();
@@ -367,13 +357,10 @@ mod imp {
             };
             let mut keys = Vec::new();
             self.ready(&mut keys, ms, true);
-            let fired = keys.len();
             let mut timers = self.timers.lock();
             timers.waiter = None;
             self.expire(&mut keys, &mut timers);
-            // One-shot: an fd reports at most one key per arming.
-            let watching = self.attached.load(Ordering::Relaxed) > fired || !timers.heap.is_empty();
-            Ready { keys, watching }
+            keys
         }
 
         /// One `epoll_wait` of up to `ms` milliseconds (-1: no limit),
@@ -587,7 +574,7 @@ mod imp {
 
         /// Runs `r.wait(None)` on a thread of its own, as an idle worker
         /// does, and returns what it woke with and how long it blocked.
-        fn blocked_wait(r: &Arc<Reactor>) -> std::sync::mpsc::Receiver<(Ready, Duration)> {
+        fn blocked_wait(r: &Arc<Reactor>) -> std::sync::mpsc::Receiver<(Vec<usize>, Duration)> {
             let (tx, rx) = std::sync::mpsc::channel();
             let r = r.clone();
             std::thread::spawn(move || {
@@ -599,7 +586,7 @@ mod imp {
         }
 
         /// The waiter has blocked for `d`, unless it returned already.
-        fn still_blocked(rx: &std::sync::mpsc::Receiver<(Ready, Duration)>, d: Duration) {
+        fn still_blocked(rx: &std::sync::mpsc::Receiver<(Vec<usize>, Duration)>, d: Duration) {
             let early = rx.recv_timeout(d);
             assert!(early.is_err(), "the wait returned early: {early:?}");
         }
@@ -609,29 +596,23 @@ mod imp {
             let r = Reactor::new().unwrap();
             let prompt = Duration::from_secs(2);
             let nap = Duration::from_millis(50);
-            let nothing = Ready::default();
             // An eventfd wake, and one written before the wait starts.
             let rx = blocked_wait(&r);
             still_blocked(&rx, nap);
             r.wake();
             let (ready, _) = rx.recv_timeout(prompt).expect("a wake ends the wait");
-            assert_eq!(ready, nothing, "a wake is no park key");
+            assert!(ready.is_empty(), "a wake is no park key");
             r.wake();
             let (ready, _) = blocked_wait(&r).recv_timeout(prompt).unwrap();
-            assert_eq!(ready, nothing);
-            // A readable socket: the one fd watched fired, so nothing else
-            // is watched.
+            assert!(ready.is_empty());
+            // A readable socket.
             let (mut w, rd) = pair();
             r.arm(rd.as_raw_fd(), 0x1234, Interest::Read).unwrap();
             let rx = blocked_wait(&r);
             still_blocked(&rx, nap);
             w.write_all(b"x").unwrap();
             let (ready, _) = rx.recv_timeout(prompt).expect("readiness ends the wait");
-            let fired = Ready {
-                keys: vec![0x1234],
-                watching: false,
-            };
-            assert_eq!(ready, fired);
+            assert_eq!(ready, vec![0x1234]);
             // A wake that a busy worker's non-blocking poll sees first.
             let rx = blocked_wait(&r);
             still_blocked(&rx, nap);
@@ -640,11 +621,11 @@ mod imp {
             let (ready, _) = rx
                 .recv_timeout(prompt)
                 .expect("a polled wake still ends the wait");
-            assert!(ready.watching, "the attached fd did not fire this time");
+            assert!(ready.is_empty(), "a wake is no park key");
             // A timer deadline, armed before the wait blocks.
             r.add_timer(Instant::now() + nap, 0x99);
             let (ready, took) = blocked_wait(&r).recv_timeout(prompt).unwrap();
-            assert_eq!(ready.keys, vec![0x99]);
+            assert_eq!(ready, vec![0x99]);
             assert!(
                 took >= nap - Duration::from_millis(1),
                 "woke early: {took:?}"
@@ -656,16 +637,12 @@ mod imp {
             still_blocked(&rx, nap);
             r.add_timer(Instant::now(), 0x77);
             let (ready, _) = rx.recv_timeout(prompt).expect("a new timer ends the wait");
-            let ready = if ready.keys.is_empty() {
+            let ready = if ready.is_empty() {
                 r.wait(None)
             } else {
                 ready
             };
-            let fired = Ready {
-                keys: vec![0x77],
-                watching: false,
-            };
-            assert_eq!(ready, fired);
+            assert_eq!(ready, vec![0x77]);
         }
 
         #[test]
@@ -714,7 +691,7 @@ mod imp {
         }
 
         /// Unreachable (no instance can exist).
-        pub fn wait(&self, _timeout: Option<Duration>) -> super::Ready {
+        pub fn wait(&self, _timeout: Option<Duration>) -> Vec<usize> {
             match self._never {}
         }
 
