@@ -150,6 +150,10 @@ struct BufState {
     /// look only: set when the writer commits to wait on a full buffer,
     /// cleared by the read or growth that wakes it.
     writer_waiting: bool,
+    /// Per side (readers', writers'): the side's waiter is a process the
+    /// monitor counts as blocked. Set by the waiter with its waiting flag,
+    /// cleared by it or by the wake that un-counts it ([`Shared::uncount`]).
+    counted: [bool; 2],
     // I/O counters (ChannelIoStats).
     bytes_written: u64,
     write_blocks: u64,
@@ -243,6 +247,7 @@ impl Shared {
                 read_waiters: 0,
                 write_waiters: 0,
                 writer_waiting: false,
+                counted: [false; 2],
                 bytes_written: 0,
                 write_blocks: 0,
                 read_blocks: 0,
@@ -302,10 +307,21 @@ impl Shared {
         }
     }
 
+    /// Issues the wake of `side` to the monitor: a counted waiter stops
+    /// counting now, not when it resumes, so the trigger agrees with the looks.
+    fn uncount(&self, st: &mut BufState, side: BlockKind) {
+        if std::mem::take(&mut st.counted[side as usize]) {
+            if let Some(m) = &self.monitor {
+                m.uncount();
+            }
+        }
+    }
+
     /// After the buffer gained room (a read, a growth): clears the writer's
-    /// waiting mark and wakes it, if one is waiting.
+    /// waiting marks and wakes it, if one is waiting.
     fn made_room(&self, mut st: parking_lot::MutexGuard<'_, BufState>) {
         st.writer_waiting = false;
+        self.uncount(&mut st, BlockKind::Write);
         let wake = st.write_waiters > 0;
         drop(st);
         if wake {
@@ -317,7 +333,8 @@ impl Shared {
     /// holds (evaluated under the state lock), in the order that keeps
     /// private buffers invisible to Kahn semantics and to the monitor:
     /// publish, mark the side waiting, register, park. Timed-out waits
-    /// re-run the monitor's detection tick. Returns an error when the
+    /// re-run the monitor's detection tick, as does a woken wait that goes
+    /// on ([`Monitor::recount`]). Returns an error when the
     /// network is aborted at registration or the executor refuses to block
     /// this context (cross-executor use).
     fn block(&self, side: BlockKind, pred: impl Fn(&BufState) -> bool) -> Result<()> {
@@ -339,29 +356,40 @@ impl Shared {
         // outside any network) parks on its own, which this side's wakes
         // are passed on to; everyone else parks on the channel's.
         let own = crate::exec::other_fiber_exec(&self.exec);
+        // A process counts as blocked; a wake un-counts it (`counted`).
+        let process = self.monitor.is_some() && crate::exec::is_process_task();
         let mut registration = None;
+        // A wake cleared the `counted` mark: the count it took is owed back.
+        let mut woken = false;
         let mut st = self.state.lock();
         *st.waiters(side) += 1;
         let res = loop {
             if !pred(&st) {
                 break Ok(());
             }
-            // Counted as waiting from here until a wake clears the mark.
+            // Counted as waiting from here until a wake clears the marks —
+            // the registration too, even one this task is still making.
             match side {
                 BlockKind::Read => self.reader_waiting.store(true, Ordering::Relaxed),
                 BlockKind::Write => st.writer_waiting = true,
             }
-            if let (Some(m), None) = (&self.monitor, &registration) {
-                // Registered with the mark set, and before the re-check:
-                // if the registration completes an all-blocked picture and
-                // detection grows this channel, the re-check sees the new
-                // capacity.
+            st.counted[side as usize] = process;
+            if let Some(m) = self.monitor.as_ref().filter(|_| woken || registration.is_none()) {
+                // Registered (or counted again) with the marks set, and
+                // before the re-check: if that completes an all-blocked
+                // picture and detection grows this channel, the re-check
+                // sees the new capacity.
                 drop(st);
-                let entered = BlockGuard::enter(m, side, self.id);
+                let entered = if std::mem::take(&mut woken) {
+                    m.recount();
+                    Ok(())
+                } else {
+                    BlockGuard::enter(m, side, self.id).map(|guard| registration = Some(guard))
+                };
                 st = self.state.lock();
-                match entered {
-                    Ok(guard) => registration = Some(guard),
-                    Err(e) => break Err(e),
+                woken = process && !std::mem::take(&mut st.counted[side as usize]);
+                if let Err(e) = entered {
+                    break Err(e);
                 }
                 continue;
             }
@@ -380,6 +408,7 @@ impl Shared {
                 m.tick();
             }
             st = self.state.lock();
+            woken = process && !std::mem::take(&mut st.counted[side as usize]);
             if let Err(e) = parked {
                 break Err(e);
             }
@@ -387,7 +416,13 @@ impl Shared {
         *st.waiters(side) -= 1;
         drop(st);
         // Unregistered with the state lock released: the monitor's lock
-        // comes before a channel's.
+        // comes before a channel's. A count a wake took comes back with the
+        // exit, so no picture sees this task counted while it runs.
+        match (&mut registration, &self.monitor) {
+            (Some(guard), _) => guard.woken = woken,
+            (None, Some(m)) if woken => m.recount(),
+            _ => {}
+        }
         drop(registration);
         res
     }
@@ -580,6 +615,7 @@ impl Sink for LocalSink {
             let wake = n > 0 && st.read_waiters > 0;
             if wake {
                 sh.reader_waiting.store(false, Ordering::Relaxed);
+                sh.uncount(&mut st, BlockKind::Read);
             }
             drop(st);
             if wake {

@@ -28,7 +28,8 @@
 //! acted on only if a second evaluation, straight after the first, reaches
 //! it at the same generation with every channel's progress unchanged.
 //!
-//! Detection is event-driven: the last task to block evaluates, and a
+//! Detection is event-driven: the last task to block evaluates, a woken
+//! task whose wait goes on evaluates again (`Monitor::recount`), and a
 //! process that exits does. Parked tasks re-evaluate on a periodic tick as
 //! the fallback — and as the only path when the last to block is a remote
 //! wait ([`Monitor::external_block`]), which completes a picture but leaves
@@ -46,6 +47,7 @@ use crate::error::{Error, Result};
 use crate::topology::{EndpointShape, SideState};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -229,6 +231,9 @@ pub struct MonitorStats {
     pub capacity_grows: u64,
     /// Number of true deadlocks detected.
     pub true_deadlocks: u64,
+    /// Pictures detection took: first looks at the blocked set's channels,
+    /// each after the all-blocked check passed.
+    pub evaluations: u64,
     /// Every growth performed: `(channel id, old capacity, new capacity)`.
     /// The raw material for buffer-management analysis (§6.2): the final
     /// entry per channel is the capacity bounded scheduling settled on.
@@ -284,9 +289,10 @@ struct BlockInfo {
     kind: BlockKind,
     chan: u64,
     is_process: bool,
-    /// A detection tick has seen this registration. An external one counts
-    /// only from the next tick on (see [`Monitor::tick`]).
-    ticked: bool,
+    /// The detection tick count when it registered: a tick has seen it once
+    /// the count has moved past. An external registration counts only from
+    /// then on (see [`Monitor::tick`]).
+    tick: u64,
 }
 
 #[derive(Default)]
@@ -301,6 +307,8 @@ struct MonState {
     blocked: HashMap<u64, BlockInfo>,
     /// Number of blocked entries with `is_process == true`.
     blocked_processes: usize,
+    /// Detection ticks run so far.
+    ticks: u64,
     /// Bumped on every block/unblock/process event; a verdict is acted on
     /// only at the generation it was detected at.
     generation: u64,
@@ -317,9 +325,11 @@ struct MonState {
 }
 
 impl MonState {
-    /// True when every live process is blocked (candidate deadlock).
-    fn all_blocked(&self) -> bool {
-        !self.aborted && self.live > 0 && self.blocked_processes >= self.live
+    /// True when every live process is blocked and not woken since, given
+    /// [`Monitor::woken`] (candidate deadlock): the one all-blocked trigger,
+    /// for detection's pre-check and [`verdict`] alike.
+    fn all_blocked(&self, woken: usize) -> bool {
+        !self.aborted && self.live > 0 && self.blocked_processes.saturating_sub(woken) >= self.live
     }
 
     /// Strong handles of the live channels, in creation order.
@@ -371,10 +381,11 @@ impl Verdict {
 /// never that outcome.
 fn verdict(
     st: &MonState,
+    woken: usize,
     policy: DeadlockPolicy,
     mut look: impl FnMut(u64) -> Option<Look>,
 ) -> Verdict {
-    if policy == DeadlockPolicy::Ignore || !st.all_blocked() {
+    if policy == DeadlockPolicy::Ignore || !st.all_blocked(woken) {
         return Verdict::Nothing;
     }
     let registered = |token| st.blocked.contains_key(&token);
@@ -383,7 +394,7 @@ fn verdict(
     for b in st.blocked.values() {
         if b.chan == EXTERNAL_CHANNEL {
             external = true;
-            fresh |= !b.ticked;
+            fresh |= b.tick == st.ticks;
             continue;
         }
         match look(b.chan) {
@@ -426,11 +437,12 @@ impl Picture {
     /// [`verdict`] over `st`, recording what each look saw.
     fn of(
         st: &MonState,
+        woken: usize,
         policy: DeadlockPolicy,
         mut look: impl FnMut(u64) -> Option<Look>,
     ) -> Self {
         let mut progress = Vec::new();
-        let verdict = verdict(st, policy, |chan| {
+        let verdict = verdict(st, woken, policy, |chan| {
             let l = look(chan)?;
             progress.push((chan, l.stats.clone(), l.buffered));
             Some(l)
@@ -447,6 +459,10 @@ impl Picture {
 /// and process thread created through a [`crate::Network`].
 pub struct Monitor {
     state: Mutex<MonState>,
+    /// Processes whose wake has been issued and who have not come back: the
+    /// all-blocked trigger leaves them out. Raised under a channel's lock (a
+    /// growth holds the state lock too, hence atomic), lowered under ours.
+    woken: AtomicUsize,
     policy: DeadlockPolicy,
     timing: MonitorTiming,
     /// Whether [`Monitor::trace`] prints
@@ -479,6 +495,7 @@ impl Monitor {
     pub(crate) fn build(policy: DeadlockPolicy, timing: MonitorTiming, debug: bool) -> Arc<Self> {
         Arc::new(Monitor {
             state: Mutex::new(MonState::default()),
+            woken: AtomicUsize::new(0),
             policy,
             timing,
             debug,
@@ -589,7 +606,8 @@ impl Monitor {
         };
         // Either way the state lock is released here: the scheduler source
         // takes executor locks; see stats().
-        let first = st.all_blocked().then(|| self.evaluate(st).0);
+        let woken = self.woken.load(Ordering::Relaxed);
+        let first = st.all_blocked(woken).then(|| self.evaluate(st).0);
         snap.stuck_on_remote = first.is_some_and(|first| {
             first.verdict == Verdict::Remote && self.evaluate(self.state.lock()).0 == first
         });
@@ -678,13 +696,14 @@ impl Monitor {
                 outer.kind, outer.chan
             )));
         }
+        let tick = st.ticks;
         st.blocked.insert(
             token,
             BlockInfo {
                 kind,
                 chan,
                 is_process,
-                ticked: false,
+                tick,
             },
         );
         if is_process {
@@ -707,18 +726,34 @@ impl Monitor {
         Ok(())
     }
 
+    /// The write or the room that satisfies a process's wait has issued its
+    /// wake, under the channel's lock: the registration, made or about to
+    /// be, stops counting. Close, poison and remote wakes do not call this.
+    pub(crate) fn uncount(&self) {
+        self.woken.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Hands back the count a wake took from a process that must wait on
+    /// (or whose registration was then refused), and runs detection, which
+    /// the last other process to block may have skipped meanwhile.
+    pub(crate) fn recount(&self) {
+        let mut st = self.state.lock();
+        self.woken.fetch_sub(1, Ordering::Relaxed);
+        st.generation += 1;
+        self.trace(|| format!("recount gen={}", st.generation));
+        self.resolve(st);
+    }
+
     /// Re-runs detection from a thread that has been blocked for a while
     /// (periodic fallback; the thread stays registered, so this does not
     /// bump the generation and cannot unsettle a concurrent evaluation).
-    /// Then marks every registration as seen by a tick: an external one
-    /// counts from the next tick on, so a socket that was not ready at one
-    /// instant is only taken for a wait once it has stayed so for a
-    /// fallback period — a count of ticks, not a sleep.
+    /// Then counts the tick, which marks every registration so far as seen
+    /// by one: an external one counts from the next tick on, so a socket
+    /// that was not ready at one instant is only taken for a wait once it
+    /// has stayed so for a fallback period — a count of ticks, not a sleep.
     pub(crate) fn tick(&self) {
         self.resolve(self.state.lock());
-        for b in self.state.lock().blocked.values_mut() {
-            b.ticked = true;
-        }
+        self.state.lock().ticks += 1;
     }
 
     /// True while some process of the network has started and not
@@ -727,10 +762,14 @@ impl Monitor {
         self.state.lock().live > 0
     }
 
-    /// Unregisters the current thread.
-    pub(crate) fn exit_block(&self) {
+    /// Unregisters the current thread, taking back the count a wake took
+    /// from its registration if `woken`.
+    pub(crate) fn exit_block(&self, woken: bool) {
         let token = crate::exec::task_token();
         let mut st = self.state.lock();
+        if woken {
+            self.woken.fetch_sub(1, Ordering::Relaxed);
+        }
         if let Some(info) = st.blocked.remove(&token) {
             if info.is_process {
                 st.blocked_processes -= 1;
@@ -775,7 +814,7 @@ impl Monitor {
     /// the looks were taken through — out of the lock, like every [`Held`].
     fn evaluate(&self, st: parking_lot::MutexGuard<'_, MonState>) -> (Picture, Held) {
         let mut held = Held::new();
-        let picture = Picture::of(&st, self.policy, |chan| {
+        let picture = Picture::of(&st, self.woken.load(Ordering::Relaxed), self.policy, |chan| {
             let ch = st.channels.get(&chan)?.upgrade()?;
             let look = ch.look();
             held.push((chan, ch));
@@ -797,13 +836,14 @@ impl Monitor {
     /// are equal. The looks of one evaluation are taken one channel at a
     /// time; a second set identical to the first shows that nothing moved
     /// while either was taken, so together they are one consistent picture.
-    fn resolve(&self, st: parking_lot::MutexGuard<'_, MonState>) {
+    fn resolve(&self, mut st: parking_lot::MutexGuard<'_, MonState>) {
         // Checked before any evaluation, which would otherwise put its
         // frames on every blocking task's stack: a pooled fiber keeps each
         // stack page it has touched.
-        if !st.all_blocked() {
+        if !st.all_blocked(self.woken.load(Ordering::Relaxed)) {
             return;
         }
+        st.stats.evaluations += 1;
         // A picture that allows no action is not worth the second look.
         let (first, _) = self.evaluate(st);
         if !first.verdict.acts() {
@@ -859,6 +899,8 @@ impl std::fmt::Debug for Monitor {
 /// task.
 pub struct BlockGuard {
     monitor: Arc<Monitor>,
+    /// A wake took the registration's count: the exit hands it back.
+    pub(crate) woken: bool,
 }
 
 impl BlockGuard {
@@ -866,13 +908,14 @@ impl BlockGuard {
         monitor.enter_block(kind, chan)?;
         Ok(BlockGuard {
             monitor: monitor.clone(),
+            woken: false,
         })
     }
 }
 
 impl Drop for BlockGuard {
     fn drop(&mut self) {
-        self.monitor.exit_block();
+        self.monitor.exit_block(self.woken);
     }
 }
 
@@ -976,14 +1019,19 @@ mod tests {
             m.process_started();
         }
         for &(chan, kind) in blocks {
-            let m2 = m.clone();
-            std::thread::spawn(move || {
-                crate::exec::install_process_locals("blocked");
-                let _ = m2.enter_block(kind, chan);
-            })
-            .join()
-            .unwrap();
+            block_one(m, chan, kind);
         }
+    }
+
+    /// Blocks one process thread of an already started process, for good.
+    fn block_one(m: &Arc<Monitor>, chan: u64, kind: BlockKind) {
+        let m = m.clone();
+        std::thread::spawn(move || {
+            crate::exec::install_process_locals("blocked");
+            let _ = m.enter_block(kind, chan);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
@@ -1070,6 +1118,67 @@ mod tests {
         m.tick();
         assert!(!m.is_aborted());
         assert_eq!(m.stats().capacity_grows, 1, "a picture that lasts is still resolved");
+    }
+
+    #[test]
+    fn a_woken_wait_that_goes_on_counts_again_and_completes_the_picture() {
+        // The writer's wake is issued, so the reader's registration, the
+        // last of the two, takes no picture. The writer is back with its
+        // channel still full: it counts itself again, and the artificial
+        // deadlock it completes is grown — or, under `Abort`, declared.
+        for (policy, grows, true_deadlocks) in
+            [(DeadlockPolicy::default(), 1, 0), (DeadlockPolicy::Abort, 0, 1)]
+        {
+            let m = Monitor::new(policy);
+            let full = FakeChan::new(8, true);
+            let empty = FakeChan::new(8, false);
+            m.register_channel(1, Arc::downgrade(&full) as Weak<dyn MonitoredChannel>);
+            m.register_channel(2, Arc::downgrade(&empty) as Weak<dyn MonitoredChannel>);
+            m.process_started();
+            m.process_started();
+            block_one(&m, 1, BlockKind::Write);
+            m.uncount();
+            block_one(&m, 2, BlockKind::Read);
+            let before = m.stats();
+            assert_eq!((before.evaluations, before.capacity_grows), (0, 0), "{policy:?}");
+            m.recount();
+            let stats = m.stats();
+            assert_eq!(stats.capacity_grows, grows, "{policy:?}");
+            assert_eq!(stats.true_deadlocks, true_deadlocks, "{policy:?}");
+            assert_eq!(m.is_aborted(), true_deadlocks == 1, "{policy:?}");
+            assert_eq!(stats.evaluations, 1, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn every_wake_the_monitor_is_told_of_is_taken_back() {
+        // One byte at a time through a one-byte channel, between two
+        // processes: nearly every wait ends on a wake issued by the other
+        // side, which un-counts it. None of them may leave the count off.
+        let m = Monitor::new(DeadlockPolicy::default());
+        let (mut w, mut r) = crate::channel::channel_with(1, Some(m.clone()));
+        m.process_started();
+        m.process_started();
+        const N: usize = 20_000;
+        let writer = std::thread::spawn(move || {
+            crate::exec::install_process_locals("writer");
+            for i in 0..N {
+                w.write_all(&[i as u8]).unwrap();
+            }
+        });
+        crate::exec::install_process_locals("reader");
+        let mut byte = [0];
+        for i in 0..N {
+            r.read_exact(&mut byte).unwrap();
+            assert_eq!(byte[0], i as u8);
+        }
+        writer.join().unwrap();
+        assert_eq!(m.woken.load(Ordering::Relaxed), 0);
+        let st = m.state.lock();
+        assert_eq!((st.blocked.len(), st.stats.capacity_grows), (0, 0));
+        // A wait the other side has just satisfied takes no picture; only
+        // a registration racing a woken task's way out of its wait does.
+        assert!(st.stats.evaluations < (N / 100) as u64, "{}", st.stats.evaluations);
     }
 
     #[test]
@@ -1294,13 +1403,14 @@ mod tests {
         for (n, (policy, live, blocked, looks, expected)) in cases.into_iter().enumerate() {
             let mut st = MonState {
                 live,
+                ticks: 1,
                 ..Default::default()
             };
             for (token, (chan, kind, is_process)) in blocked.into_iter().enumerate() {
                 st.blocked_processes += is_process as usize;
-                let (chan, ticked) = match chan {
-                    EXT_FRESH => (EXT, false),
-                    chan => (chan, true),
+                let (chan, tick) = match chan {
+                    EXT_FRESH => (EXT, 1),
+                    chan => (chan, 0),
                 };
                 st.blocked.insert(
                     token as u64,
@@ -1308,7 +1418,7 @@ mod tests {
                         kind,
                         chan,
                         is_process,
-                        ticked,
+                        tick,
                     },
                 );
             }
@@ -1317,11 +1427,12 @@ mod tests {
                 first.entry(chan).or_insert_with(|| look.clone());
                 then.insert(chan, look);
             }
-            // What `resolve` acts on; `registrations` happen between the
-            // two looks.
-            let decide = |st: &MonState, registrations| {
-                let first = Picture::of(st, policy, |chan| first.get(&chan).cloned());
-                let mut then = Picture::of(st, policy, |chan| then.get(&chan).cloned());
+            // What `resolve` acts on, with `woken` wakes issued to
+            // registered processes; `registrations` happen between the two
+            // looks.
+            let decide = |st: &MonState, woken, registrations| {
+                let first = Picture::of(st, woken, policy, |chan| first.get(&chan).cloned());
+                let mut then = Picture::of(st, woken, policy, |chan| then.get(&chan).cloned());
                 then.generation += registrations;
                 if then == first {
                     then.verdict
@@ -1329,10 +1440,11 @@ mod tests {
                     Nothing
                 }
             };
-            assert_eq!(decide(&st, 0), expected, "case {n}");
-            assert_eq!(decide(&st, 1), Nothing, "case {n}, registered between");
+            assert_eq!(decide(&st, 0, 0), expected, "case {n}");
+            assert_eq!(decide(&st, 0, 1), Nothing, "case {n}, registered between");
+            assert_eq!(decide(&st, 1, 0), Nothing, "case {n}, a wake issued");
             st.aborted = true;
-            assert_eq!(decide(&st, 0), Nothing, "case {n}, aborted");
+            assert_eq!(decide(&st, 0, 0), Nothing, "case {n}, aborted");
         }
     }
 
@@ -1350,14 +1462,14 @@ mod tests {
         // ...and a foreign (non-process) thread that blocks.
         m.enter_block(BlockKind::Read, 1).unwrap();
         assert!(!m.is_aborted());
-        m.exit_block();
+        m.exit_block(false);
     }
 
     #[test]
     fn exit_block_clears_state() {
         let m = Monitor::new(DeadlockPolicy::Ignore);
         m.enter_block(BlockKind::Read, 1).unwrap();
-        m.exit_block();
+        m.exit_block(false);
         let st = m.state.lock();
         assert!(st.blocked.is_empty());
         assert_eq!(st.blocked_processes, 0);
@@ -1382,7 +1494,7 @@ mod tests {
                 assert_eq!(st.blocked_processes, 1);
                 assert_eq!(st.blocked.values().next().unwrap().chan, EXTERNAL_CHANNEL);
             }
-            m.exit_block();
+            m.exit_block(false);
             let st = m.state.lock();
             assert!(st.blocked.is_empty());
             assert_eq!(st.blocked_processes, 0);
