@@ -332,9 +332,10 @@ impl Shared {
     /// The one place a task waits on this channel, parking it while `pred`
     /// holds (evaluated under the state lock), in the order that keeps
     /// private buffers invisible to Kahn semantics and to the monitor:
-    /// publish, mark the side waiting, register, park. Timed-out waits
-    /// re-run the monitor's detection tick, as does a woken wait that goes
-    /// on ([`Monitor::recount`]). Returns an error when the
+    /// publish, mark the side waiting, register, park. The park keeps no
+    /// clock (but off Linux x86_64, [`Monitor::local_deadline`]):
+    /// registering evaluates the picture it completes, and so does a woken
+    /// wait that goes on ([`Monitor::recount`]). Returns an error when the
     /// network is aborted at registration or the executor refuses to block
     /// this context (cross-executor use).
     fn block(&self, side: BlockKind, pred: impl Fn(&BufState) -> bool) -> Result<()> {
@@ -348,10 +349,6 @@ impl Shared {
         // registers as blocked once.
         flush::flush_before_block();
         let key = self.key(side);
-        // The timeout is the monitor's detection fallback; the clamp keeps
-        // a zero tick from busy-spinning (executors that cannot honor
-        // timeouts tick via idle hooks instead).
-        let tick = (self.monitor.as_ref()).map(|m| m.timing().tick.max(Duration::from_millis(1)));
         // A fiber of another executor (a pooled process on a channel made
         // outside any network) parks on its own, which this side's wakes
         // are passed on to; everyone else parks on the channel's.
@@ -403,7 +400,11 @@ impl Shared {
             };
             let token = exec.park_token(key);
             drop(st);
-            let parked = exec.park(key, token, tick);
+            let deadline = self.monitor.as_ref().and_then(|m| m.local_deadline());
+            let parked = exec.park(key, token, deadline);
+            // Off Linux x86_64 a remote wait cannot tick for itself: a local
+            // wait does, once per period (`Monitor::local_deadline`).
+            #[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
             if let (Ok(true), Some(m)) = (&parked, &self.monitor) {
                 m.tick();
             }

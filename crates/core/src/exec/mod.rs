@@ -32,7 +32,7 @@
 //!     if !must_wait { break }
 //!     let token = exec.park_token(key);   // still under the state lock
 //!     unlock state;
-//!     exec.park(key, token, timeout)?;    // may return spuriously
+//!     exec.park(key, token, deadline)?;   // may return spuriously
 //!     lock state;
 //! }
 //! ```
@@ -50,9 +50,10 @@
 //! The protocol is kept in one place, the keyed `WaitTable` below:
 //! [`ThreadExec`] uses its thread half (a condvar wait), [`PooledExec`]
 //! both halves (its fibers are filed under the key, threads that are not
-//! its fibers wait on the condvar). A wait that must end by a deadline
-//! goes through the one timed park, [`Exec::park_until`], and
-//! [`Exec::sleep`] is built on it (DESIGN.md, "How a task waits").
+//! its fibers wait on the condvar). There is one park, [`Exec::park`], and
+//! a deadline passed to it ends the wait on every executor that runs in
+//! real time; [`Exec::sleep`] is built on it (DESIGN.md, "How a task
+//! waits").
 //!
 //! ## Task identity
 //!
@@ -152,8 +153,8 @@ impl WaitTable {
     }
 
     /// The thread half: a condvar wait while `token` is current. Returns
-    /// `timed_out`; a stale token returns `false` at once.
-    fn wait(&self, key: usize, token: u64, timeout: Option<Duration>) -> bool {
+    /// whether it ended at `deadline`; a stale token returns `false` at once.
+    fn wait(&self, key: usize, token: u64, deadline: Option<Instant>) -> bool {
         let b = &self.buckets[bucket_of(key)];
         let mut map = b.map.lock();
         match map.get_mut(&key) {
@@ -162,8 +163,8 @@ impl WaitTable {
             Some(e) if e.gen == token => e.threads += 1,
             _ => return false,
         }
-        let timed_out = match timeout {
-            Some(d) => b.cv.wait_for(&mut map, d).timed_out(),
+        let timed_out = match deadline {
+            Some(d) => b.cv.wait_until(&mut map, d).timed_out(),
             None => {
                 b.cv.wait(&mut map);
                 false
@@ -230,44 +231,22 @@ pub trait Exec: Send + Sync + 'static {
     /// subsequent [`Exec::park`] immune to lost wakeups.
     fn park_token(&self, key: usize) -> u64;
 
-    /// Block the current task until `unpark_all(key)` is called with a
-    /// generation newer than `token`, the timeout elapses, or spuriously.
+    /// The one park: block the current task until `unpark_all(key)` is
+    /// called with a generation newer than `token`, `deadline` passes, or
+    /// spuriously. Returns `Ok(true)` if the wait ended at its deadline.
     ///
-    /// Returns `Ok(true)` if the wait timed out, `Ok(false)` otherwise.
-    /// Who honours `timeout`: [`ThreadExec`], and [`PooledExec`] for a
-    /// caller that is not one of its fibers (a foreign thread, another
-    /// pool's fiber, any task on a target without fibers). A pooled fiber
-    /// and the simulation ignore it — their periodic work rides on
-    /// [`Exec::add_idle_hook`]; a wait that must end by a deadline on
-    /// every executor is [`Exec::park_until`].
-    /// Returns an error if this executor cannot block the calling context
-    /// (e.g. a foreign OS thread blocking on a simulation's channel).
-    fn park(&self, key: usize, token: u64, timeout: Option<Duration>) -> Result<bool>;
-
-    /// The timed park: [`Exec::park`] that ends by `deadline` for a pooled
-    /// fiber too. Before parking, the deadline is armed as a timer on the
-    /// executor's reactor, if it has one (only [`PooledExec`] does, and
-    /// only where its tasks are fibers); the timer's wake is an ordinary
-    /// `unpark_all(key)`. Take `token` first, as for `park`, and before
-    /// anything else that can deliver the wake (arming a socket).
+    /// [`ThreadExec`] and [`PooledExec`] honour the deadline for every
+    /// caller: a pooled fiber's is armed as a timer on its pool's reactor,
+    /// whose wake is an ordinary `unpark_all(key)` (timers are never
+    /// cancelled, so a stale one is a spurious wake). Take `token` first,
+    /// and before anything else that can deliver the wake (arming a
+    /// socket). The simulation's time is logical: no deadline passes in it.
     ///
-    /// Call it on the caller's own executor ([`current_exec`]). Returns
-    /// `Ok(true)` once `deadline` has passed; timers are never cancelled,
-    /// so a stale one is a spurious wake.
-    fn park_until(&self, key: usize, token: u64, deadline: Option<Instant>) -> Result<bool> {
-        let Some(deadline) = deadline else {
-            return self.park(key, token, None);
-        };
-        if let Some(reactor) = self.reactor() {
-            reactor.add_timer(deadline, key);
-        }
-        self.park(
-            key,
-            token,
-            Some(deadline.saturating_duration_since(Instant::now())),
-        )?;
-        Ok(Instant::now() >= deadline)
-    }
+    /// Call it on the caller's own executor ([`current_exec`]) when it has
+    /// a deadline. Returns an error if this executor cannot block the
+    /// calling context (e.g. a foreign OS thread blocking on a
+    /// simulation's channel).
+    fn park(&self, key: usize, token: u64, deadline: Option<Instant>) -> Result<bool>;
 
     /// Let `d` pass while holding nothing but the calling task: on
     /// [`ThreadExec`] the thread sleeps; a [`PooledExec`] fiber parks on a
@@ -282,7 +261,7 @@ pub trait Exec: Send + Sync + 'static {
         let key = std::ptr::addr_of!(here) as usize;
         while Instant::now() < deadline {
             let token = self.park_token(key);
-            let _ = self.park_until(key, token, Some(deadline));
+            let _ = self.park(key, token, Some(deadline));
         }
     }
 
@@ -294,10 +273,10 @@ pub trait Exec: Send + Sync + 'static {
     /// simulation uses it to interleave at every channel operation.
     fn yield_point(&self);
 
-    /// Register a hook run when the executor quiesces (every task parked).
-    /// The monitor's deadlock tick rides on this for executors that do not
-    /// honor park timeouts.
-    fn add_idle_hook(&self, hook: IdleHook);
+    /// Register a hook run while the executor has parked tasks and nothing
+    /// to run: a [`PooledExec`]'s heartbeat, which ticks the monitor for
+    /// its fibers' remote waits. Other executors drop it.
+    fn add_idle_hook(&self, _hook: IdleHook) {}
 
     /// Release tasks held at a start barrier, if the executor has one.
     fn release(&self) {}
@@ -332,8 +311,8 @@ pub trait Exec: Send + Sync + 'static {
     }
 }
 
-/// A network's periodic work, run by an executor that does not honor park
-/// timeouts ([`Exec::add_idle_hook`]). It answers whether the network has
+/// A network's periodic work, run by a pool's heartbeat
+/// ([`Exec::add_idle_hook`]). It answers whether the network has
 /// live processes, or `None` once the network is gone: the executor then
 /// drops the hook.
 pub type IdleHook = Box<dyn Fn() -> Option<bool> + Send + Sync>;
@@ -715,8 +694,8 @@ mod tests {
         assert_eq!(t.max_queue_depth, 7, "depth aggregates by max, not sum");
     }
 
-    // The wait table and the timed park: one table of cases, run against
-    // both executors that own a table.
+    // The wait table and the park's deadline: one table of cases, run
+    // against both executors that own a table.
 
     impl WaitTable {
         /// Fibers and threads waiting on `key`.
@@ -809,7 +788,8 @@ mod tests {
     /// Parks with `token`, which must be stale: back at once, no timeout.
     fn park_stale(exec: &dyn Exec, key: usize, token: u64) {
         let start = Instant::now();
-        let timed_out = exec.park(key, token, Some(Duration::from_secs(5))).unwrap();
+        let deadline = start + Duration::from_secs(5);
+        let timed_out = exec.park(key, token, Some(deadline)).unwrap();
         assert!(!timed_out, "a stale token must return, not time out");
         assert!(
             start.elapsed() < Duration::from_secs(1),
@@ -867,20 +847,19 @@ mod tests {
     fn timeout_is_reported(exec: &Arc<dyn Exec>, _: &WaitTable) {
         let key = 0x2000;
         let token = exec.park_token(key);
-        let timed_out = exec
-            .park(key, token, Some(Duration::from_millis(10)))
-            .unwrap();
+        let deadline = Instant::now() + Duration::from_millis(10);
+        let timed_out = exec.park(key, token, Some(deadline)).unwrap();
         assert!(timed_out, "an un-woken park with a timeout must report it");
     }
 
     fn timed_park_ends_by_its_deadline(exec: &Arc<dyn Exec>, _: &WaitTable) {
-        // On a task of the executor: a pooled fiber ignores park timeouts,
-        // so only the reactor timer the timed park arms can end this one.
+        // On a task of the executor: on a pool, a fiber, whose deadline
+        // only the reactor timer the park arms can end.
         let key = 0x3000;
         let ended = on_task(exec, move |e| {
             let start = Instant::now();
             let token = e.park_token(key);
-            let timed_out = e.park_until(key, token, Some(start + Duration::from_millis(20)));
+            let timed_out = e.park(key, token, Some(start + Duration::from_millis(20)));
             (timed_out.unwrap(), start.elapsed())
         });
         let (timed_out, took) = ended.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -896,7 +875,8 @@ mod tests {
         let e = exec.clone();
         let h = std::thread::spawn(move || {
             let token = e.park_token(key);
-            e.park(key, token, Some(Duration::from_secs(10))).unwrap()
+            e.park(key, token, Some(Instant::now() + Duration::from_secs(10)))
+                .unwrap()
         });
         wait_until("the thread parks", || waits.waiting(key) == 1);
         exec.unpark_all(key);

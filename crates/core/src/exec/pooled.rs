@@ -92,7 +92,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Consecutive hot-slot dispatches allowed before the worker gives its
 /// deque and the injector a turn. Bounds latency for cold work while
@@ -907,18 +907,21 @@ impl Exec for PooledExec {
         self.waits.token(key)
     }
 
-    fn park(&self, key: usize, token: u64, timeout: Option<Duration>) -> Result<bool> {
+    fn park(&self, key: usize, token: u64, deadline: Option<Instant>) -> Result<bool> {
         if self.is_own_fiber() {
-            // Ask the worker to file us once our stack is off the CPU.
-            // Timeouts are not honored on this path (`park_until` arms a
-            // reactor timer instead); periodic work rides on the pool's
-            // idle hooks.
+            // The deadline becomes a reactor timer; then ask the worker to
+            // file us once our stack is off the CPU.
+            if let Some(deadline) = deadline {
+                if let Some(reactor) = self.reactor() {
+                    reactor.add_timer(deadline, key);
+                }
+            }
             fiber::PARK_REQUEST.with(|c| c.set(Some((key, token))));
             fiber::switch_to_worker();
-            return Ok(false);
+            return Ok(deadline.is_some_and(|d| Instant::now() >= d));
         }
         // Foreign thread (or another pool's fiber): the thread half.
-        Ok(self.waits.wait(key, token, timeout))
+        Ok(self.waits.wait(key, token, deadline))
     }
 
     fn unpark_all(&self, key: usize) {

@@ -27,11 +27,9 @@
 //! event's data word. One-shot arming makes the wakeup protocol
 //! self-cleaning: each wait re-arms after taking a fresh park token, and a
 //! stale event (the waiter already gone) is a harmless spurious
-//! `unpark_all` on a dead key. A small timer heap stands in for park
-//! timeouts, which the pooled fiber path deliberately ignores
-//! (idle-driven deadlock detection): the one timed park,
-//! [`super::Exec::park_until`] (and [`super::Exec::sleep`] on it), arms a
-//! deadline here and the waiter is unparked when it expires.
+//! `unpark_all` on a dead key. A small timer heap holds a parked fiber's
+//! deadline: [`super::Exec::park`] (and [`super::Exec::sleep`] on it)
+//! arms it here and the waiter is unparked when it expires.
 //!
 //! Everything is `#[cfg]`-gated to Linux/x86_64 outside Miri — the same
 //! gate as the fibers themselves. Elsewhere [`Reactor::new`] returns

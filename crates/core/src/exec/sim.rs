@@ -3,7 +3,7 @@
 use super::{set_current, weak_dyn, Exec, TaskLocals};
 use crate::error::{Error, Result};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Adapter making [`crate::sim::SimScheduler`] an [`Exec`]. Tasks still run
 /// on dedicated OS threads, but the scheduler serializes them: exactly one
@@ -56,7 +56,7 @@ impl Exec for SimExec {
         0
     }
 
-    fn park(&self, key: usize, _token: u64, _timeout: Option<Duration>) -> Result<bool> {
+    fn park(&self, key: usize, _token: u64, _deadline: Option<Instant>) -> Result<bool> {
         if self.sched.is_current() {
             self.sched.park(key);
             Ok(false)
@@ -84,10 +84,6 @@ impl Exec for SimExec {
         }
         // Foreign threads performing non-blocking operations are legal and
         // yield nothing to the schedule.
-    }
-
-    fn add_idle_hook(&self, hook: super::IdleHook) {
-        self.sched.add_idle_hook(hook);
     }
 
     fn release(&self) {

@@ -4,7 +4,7 @@
 use super::{set_current, weak_dyn, Exec, TaskLocals, WaitTable};
 use crate::error::Result;
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The paper's execution model: every spawned task is a dedicated OS
 /// thread; parking is a keyed condvar wait.
@@ -46,8 +46,8 @@ impl Exec for ThreadExec {
         self.waits.token(key)
     }
 
-    fn park(&self, key: usize, token: u64, timeout: Option<Duration>) -> Result<bool> {
-        Ok(self.waits.wait(key, token, timeout))
+    fn park(&self, key: usize, token: u64, deadline: Option<Instant>) -> Result<bool> {
+        Ok(self.waits.wait(key, token, deadline))
     }
 
     fn unpark_all(&self, key: usize) {
@@ -56,11 +56,6 @@ impl Exec for ThreadExec {
     }
 
     fn yield_point(&self) {}
-
-    fn add_idle_hook(&self, _hook: super::IdleHook) {
-        // Thread mode has no quiescence observer; periodic work (the
-        // monitor tick) rides on park timeouts instead.
-    }
 
     fn sleep(&self, d: Duration) {
         // The task is the thread: nothing else is held.

@@ -90,7 +90,7 @@ pub use exec::{
 };
 pub use monitor::{
     BlockGuard, BlockKind, ChannelIoStats, DeadlockPolicy, Monitor, MonitorSnapshot,
-    MonitorStats, MonitorTiming,
+    MonitorStats,
 };
 pub use sim::{
     check_determinacy, compare_histories, explore_dfs, run_sim, ChannelKey, DfsReport,

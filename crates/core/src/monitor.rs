@@ -30,13 +30,15 @@
 //!
 //! Detection is event-driven: the last task to block evaluates, a woken
 //! task whose wait goes on evaluates again (`Monitor::recount`), and a
-//! process that exits does. Parked tasks re-evaluate on a periodic tick as
-//! the fallback — and as the only path when the last to block is a remote
-//! wait ([`Monitor::external_block`]), which completes a picture but leaves
-//! deciding it to the task parked on the local channel it could make grow.
-//! A picture with nothing to grow and a remote wait in it is the monitor's
-//! to report, not to act on: [`Monitor::snapshot`] says the network is
-//! stuck on remote waits, and the cluster probe (`kpn-net`) decides.
+//! process that exits does. A local wait keeps no clock: those events
+//! evaluate every picture it can complete. The monitor needs time only
+//! where it cannot look, which is a socket: a remote wait
+//! ([`Monitor::external_block`]) completes a picture but does not decide
+//! it, and re-runs detection once per [`MONITOR_TICK`] it lasts
+//! ([`Monitor::tick`]; a pool's heartbeat ticks for its fibers). A picture
+//! with nothing to grow and a remote wait in it is the monitor's to
+//! report, not to act on: [`Monitor::snapshot`] says the network is stuck
+//! on remote waits, and the cluster probe (`kpn-net`) decides.
 //!
 //! Lock order: the monitor's state lock before a channel's, never the
 //! reverse. A strong channel handle upgraded from the table is never
@@ -49,41 +51,13 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Default for [`MonitorTiming::tick`].
-pub(crate) const MONITOR_TICK: Duration = Duration::from_millis(20);
-
-/// The monitor's one timing knob, injectable per network via
-/// [`crate::NetworkConfig::monitor_timing`]: how often a parked task
-/// re-runs detection. It sets how soon a picture nobody else evaluates is
-/// acted on, never what is decided. The default favours low steady-state
-/// overhead; tests that provoke many deadlocks shrink it
-/// ([`MonitorTiming::fast`]). Executors that tick from an idle hook (pooled
-/// fibers, the simulator) ignore it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonitorTiming {
-    /// How long a blocked channel operation waits before re-running
-    /// detection (the fallback behind the event-driven path).
-    pub tick: Duration,
-}
-
-impl Default for MonitorTiming {
-    fn default() -> Self {
-        MonitorTiming { tick: MONITOR_TICK }
-    }
-}
-
-impl MonitorTiming {
-    /// Aggressive timing for tests that provoke deadlocks on purpose:
-    /// detection latency drops from tens of milliseconds to about one, at
-    /// the cost of more frequent wakeups while blocked.
-    pub fn fast() -> Self {
-        MonitorTiming {
-            tick: Duration::from_millis(1),
-        }
-    }
-}
+/// The monitor's one period: how often a remote wait — the one kind of
+/// wait it cannot look into — re-runs detection ([`Monitor::tick`]) for as
+/// long as it lasts. It sets how soon a picture completed by a remote
+/// registration is acted on, never what is decided.
+pub const MONITOR_TICK: Duration = Duration::from_millis(20);
 
 /// What to do when every process in the network is blocked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -464,7 +438,6 @@ pub struct Monitor {
     /// growth holds the state lock too, hence atomic), lowered under ours.
     woken: AtomicUsize,
     policy: DeadlockPolicy,
-    timing: MonitorTiming,
     /// Whether [`Monitor::trace`] prints
     /// ([`crate::NetworkConfig::monitor_debug`]).
     debug: bool,
@@ -485,19 +458,18 @@ pub struct Monitor {
 type SchedulerSource = Box<dyn Fn() -> Option<crate::exec::SchedulerStats> + Send + Sync>;
 
 impl Monitor {
-    /// Creates a monitor with the given policy and default timing.
+    /// Creates a monitor with the given policy.
     pub fn new(policy: DeadlockPolicy) -> Arc<Self> {
-        Self::build(policy, MonitorTiming::default(), false)
+        Self::build(policy, false)
     }
 
-    /// A monitor with the policy, timing and stderr trace switch a network
-    /// carries in from its configuration.
-    pub(crate) fn build(policy: DeadlockPolicy, timing: MonitorTiming, debug: bool) -> Arc<Self> {
+    /// A monitor with the policy and stderr trace switch a network carries
+    /// in from its configuration.
+    pub(crate) fn build(policy: DeadlockPolicy, debug: bool) -> Arc<Self> {
         Arc::new(Monitor {
             state: Mutex::new(MonState::default()),
             woken: AtomicUsize::new(0),
             policy,
-            timing,
             debug,
             abort_hooks: Mutex::new(Vec::new()),
             scheduler_source: Mutex::new(None),
@@ -515,11 +487,6 @@ impl Monitor {
     /// Current executor scheduling counters, if any.
     fn scheduler_stats(&self) -> Option<crate::exec::SchedulerStats> {
         self.scheduler_source.lock().as_ref().and_then(|f| f())
-    }
-
-    /// The timing this monitor runs with.
-    pub fn timing(&self) -> MonitorTiming {
-        self.timing
     }
 
     /// Registers a callback to run when the network aborts (after local
@@ -623,10 +590,10 @@ impl Monitor {
     /// wait itself: `kpn-net`'s transports do so where a socket has said it
     /// is not ready, with the monitor the network hands each of its tasks
     /// ([`crate::exec::current_monitor`]). The registration does not
-    /// evaluate the picture it completes: that is left to the detection
-    /// ticks of a task parked on a local channel, the only thing an external
-    /// block can make growable, and the registration counts only from the
-    /// second tick that finds it (see `enter_block` and `tick`).
+    /// evaluate the picture it completes: the wait ticks the monitor once
+    /// per [`MONITOR_TICK`] it lasts (a pooled fiber's pool ticks for it),
+    /// and the registration counts only from the second tick that finds it
+    /// (see `enter_block` and `tick`).
     ///
     /// The task's buffered output is published first
     /// ([`crate::flush::flush_before_block`]): whoever registers is about to
@@ -716,10 +683,8 @@ impl Monitor {
         });
         // An external registrant does not act on the picture it completes:
         // a socket that is not ready this instant may be ready the next,
-        // and no look can tell. If the wait lasts, the detection tick of the
-        // task parked on the full local channel — the only thing an
-        // external block can make growable — finds the same picture with
-        // this task's registration unchanged.
+        // and no look can tell. If the wait lasts, its own ticks find the
+        // same picture with this task's registration unchanged.
         if chan != EXTERNAL_CHANNEL {
             self.resolve(st);
         }
@@ -744,16 +709,28 @@ impl Monitor {
         self.resolve(st);
     }
 
-    /// Re-runs detection from a thread that has been blocked for a while
-    /// (periodic fallback; the thread stays registered, so this does not
-    /// bump the generation and cannot unsettle a concurrent evaluation).
-    /// Then counts the tick, which marks every registration so far as seen
-    /// by one: an external one counts from the next tick on, so a socket
-    /// that was not ready at one instant is only taken for a wait once it
-    /// has stayed so for a fallback period — a count of ticks, not a sleep.
-    pub(crate) fn tick(&self) {
+    /// Re-runs detection for a remote wait that has lasted a period
+    /// ([`MONITOR_TICK`]): `kpn-net` calls it from a process's socket wait
+    /// on an OS thread, and a pool's heartbeat for its fibers. Nothing
+    /// registers or leaves, so this does not bump the generation and cannot
+    /// unsettle a concurrent evaluation. Then counts the tick, which marks
+    /// every registration so far as seen by one: an external one counts
+    /// from the next tick on, so a socket that was not ready at one instant
+    /// is only taken for a wait once it has stayed so for a period — a
+    /// count of ticks, not a sleep.
+    pub fn tick(&self) {
         self.resolve(self.state.lock());
         self.state.lock().ticks += 1;
+    }
+
+    /// When a local wait re-runs detection: never, since an event
+    /// evaluates every picture it can complete — except off Linux x86_64
+    /// and under Miri, where a remote operation registers for its whole
+    /// length and cannot tick for itself. There a local wait parks until
+    /// one period from now, and ticks if that passes.
+    pub(crate) fn local_deadline(&self) -> Option<Instant> {
+        let untimed = cfg!(all(target_os = "linux", target_arch = "x86_64", not(miri)));
+        (!untimed).then(|| Instant::now() + MONITOR_TICK)
     }
 
     /// True while some process of the network has started and not
@@ -1103,11 +1080,11 @@ mod tests {
     }
 
     #[test]
-    fn external_registrant_leaves_detection_to_the_parked_writers_tick() {
+    fn external_registrant_leaves_detection_to_its_own_ticks() {
         // The external registrant completes the all-blocked picture, but its
         // socket may be ready an instant later and no look can tell. The
-        // writer parked on the full channel re-runs detection from its park
-        // timeout, and acts once a second tick finds the same registration.
+        // remote wait re-runs detection once per period it lasts, and acts
+        // once a second tick finds the same registration.
         let m = Monitor::new(DeadlockPolicy::default());
         let c = FakeChan::new(8, true);
         m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
@@ -1239,9 +1216,8 @@ mod tests {
     #[test]
     fn snapshot_reports_a_network_stuck_on_remote_waits() {
         use BlockKind::{Read, Write};
-        // Every process waits on a socket and no tick has run — the thread
-        // executor's case, where nothing parks on a local channel to tick:
-        // the monitor does nothing, and its snapshot says so.
+        // Every process waits on a socket and no tick has run: the monitor
+        // does nothing, and its snapshot says so.
         let m = Monitor::new(DeadlockPolicy::default());
         block_all(&m, &[(EXTERNAL_CHANNEL, Read), (EXTERNAL_CHANNEL, Write)]);
         let snap = m.snapshot();

@@ -11,7 +11,7 @@
 use crate::channel::{channel_with_parts, ChannelReader, ChannelWriter, DEFAULT_CAPACITY};
 use crate::error::{Error, Result};
 use crate::exec::{default_exec, Exec, ExecMode};
-use crate::monitor::{DeadlockPolicy, Monitor, MonitorStats, MonitorTiming};
+use crate::monitor::{DeadlockPolicy, Monitor, MonitorStats};
 use crate::process::{FnProcess, Iterative, IterativeProcess, Process, ProcessCtx};
 use crate::sim::{ChannelKey, HistoryRecorder};
 use crate::topology::{Diagnostic, LintLevel, LintScope, Topology, TopologySnapshot};
@@ -32,10 +32,6 @@ pub struct NetworkConfig {
     pub default_capacity: usize,
     /// What to do when every process is blocked (§3.5).
     pub deadlock_policy: DeadlockPolicy,
-    /// Deadlock-monitor cadence: how often a parked task re-runs detection.
-    /// Tests shrink it to keep wall-clock time down. Pooled fibers and sim
-    /// tasks tick from their executor's idle hook instead.
-    pub monitor_timing: MonitorTiming,
     /// Which executor runs the processes: a fixed worker pool multiplexing
     /// many processes (the default), one OS thread per process (the
     /// paper's model, kept as the reference), or the deterministic
@@ -85,7 +81,6 @@ impl NetworkConfig {
         NetworkConfig {
             default_capacity: DEFAULT_CAPACITY,
             deadlock_policy: DeadlockPolicy::default(),
-            monitor_timing: MonitorTiming::default(),
             mode: var("KPN_EXEC").map_or(ExecMode::Pooled { workers: 0 }, |v| ExecMode::parse(&v)),
             record_history: false,
             lint: var("KPN_LINT").map_or(LintLevel::Warn, |v| LintLevel::parse(&v)),
@@ -391,11 +386,7 @@ impl Network {
     }
 
     fn build(config: NetworkConfig, exec: Arc<dyn Exec>, owns_exec: bool) -> Self {
-        let monitor = Monitor::build(
-            config.deadlock_policy,
-            config.monitor_timing,
-            config.monitor_debug,
-        );
+        let monitor = Monitor::build(config.deadlock_policy, config.monitor_debug);
         // Surface executor scheduling counters through MonitorStats. Weak:
         // a network's executor may outlive it.
         let weak_exec = Arc::downgrade(&exec);
@@ -404,10 +395,10 @@ impl Network {
         }));
         let recorder = config.record_history.then(HistoryRecorder::new);
         let inner = Arc::new_cyclic(|me: &Weak<NetworkInner>| {
-            // Executors with their own quiescence detection (sim's idle
-            // hook, the pool's heartbeat) drive the monitor from there; the
-            // thread executor ignores this and relies on park timeouts.
-            // Weak, so the hook leaves the executor with the network.
+            // A pool's heartbeat ticks the monitor for its fibers' remote
+            // waits; other executors ignore this (an OS thread's remote
+            // wait ticks for itself). Weak, so the hook leaves the executor
+            // with the network.
             let me = me.clone();
             exec.add_idle_hook(Box::new(move || {
                 let monitor = &me.upgrade()?.monitor;

@@ -27,11 +27,14 @@
 //! Every simulated schedule corresponds to a real-thread execution (one in
 //! which the OS happens to run the chosen task until its next channel
 //! operation), and conversely any observable real execution orders channel
-//! operations some way a decision list can express. The monitor, ticked
-//! from the scheduler's idle hook, reaches its verdicts (grow smallest full
-//! channel / abort) through the same code path as the real runtime, from
-//! the same logical state: so a final channel capacity a real executor
-//! ends at is one some simulated schedule ends at too.
+//! operations some way a decision list can express. The monitor reaches
+//! its verdicts (grow smallest full channel / abort) through the same
+//! events as on the real runtime — the last task to block, a woken wait
+//! that goes on, an exit — from the same logical state: so a final channel
+//! capacity a real executor ends at is one some simulated schedule ends at
+//! too. Simulated tasks never wait on sockets, so no clock is needed: a
+//! quiescence with no ready task is one no event resolved, and is reported
+//! at once as irreducible.
 //!
 //! ## Histories and the determinacy oracle
 //!
@@ -198,11 +201,6 @@ struct SchedState {
 pub struct SimScheduler {
     state: Mutex<SchedState>,
     cv: Condvar,
-    /// Run when no task is ready but some are parked — the deadlock
-    /// monitor's tick, which may grow a channel or abort the network (both
-    /// of which unpark tasks). Belt-and-braces: the event-driven detection
-    /// in `enter_block` usually resolves before the last task parks.
-    idle_hooks: Mutex<Vec<crate::exec::IdleHook>>,
 }
 
 thread_local! {
@@ -238,13 +236,7 @@ impl SimScheduler {
                 failed: None,
             }),
             cv: Condvar::new(),
-            idle_hooks: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Registers an idle hook (the network's monitor tick).
-    pub(crate) fn add_idle_hook(&self, hook: crate::exec::IdleHook) {
-        self.idle_hooks.lock().push(hook);
     }
 
     /// Registers a task. Must be called on the *spawning* thread before the
@@ -355,59 +347,34 @@ impl SimScheduler {
         self.current_tid().is_some()
     }
 
-    /// Picks and grants the next task; on quiescence runs the idle hooks
-    /// (deadlock resolution) and retries once before declaring the run
-    /// irreducibly stuck.
+    /// Picks and grants the next task. A quiescence — some tasks parked,
+    /// none ready — is irreducible: the monitor acts on the event that
+    /// completes a deadlock picture (growing a channel or poisoning the
+    /// network readies tasks through the channel wake paths), so none is
+    /// left for anyone to resolve.
     fn dispatch_and_notify(self: &Arc<Self>) {
-        let outcome = {
-            let mut st = self.state.lock();
-            self.dispatch_locked(&mut st)
-        };
-        match outcome {
-            Dispatch::Granted | Dispatch::Done => {
-                self.cv.notify_all();
-            }
-            Dispatch::Idle => {
-                // Quiescent: some tasks parked, none ready. Give the
-                // monitor a chance to resolve (grow a channel / poison the
-                // network), which unparks tasks via the channel wake paths.
-                // Holding the hooks lock while running them is fine: hooks
-                // only re-enter through `unpark_all` (the state lock).
-                {
-                    let hooks = self.idle_hooks.lock();
-                    for hook in hooks.iter() {
-                        hook();
-                    }
-                }
-                let outcome = {
-                    let mut st = self.state.lock();
-                    self.dispatch_locked(&mut st)
-                };
-                match outcome {
-                    Dispatch::Granted | Dispatch::Done => self.cv.notify_all(),
-                    Dispatch::Idle => {
-                        let mut st = self.state.lock();
-                        let parked: Vec<String> = st
-                            .tasks
-                            .iter()
-                            .filter(|t| matches!(t.state, TaskState::Parked(_)))
-                            .map(|t| t.name.clone())
-                            .collect();
-                        let trace = Self::trace_locked(&st);
-                        st.failed = Some(format!(
-                            "sim: irreducible quiescence (tasks {parked:?} parked, none \
-                             ready, idle hooks did not resolve) — schedule: {trace}"
-                        ));
-                        drop(st);
-                        self.cv.notify_all();
-                        // The caller is one of the stuck tasks' threads (or
-                        // release()); propagate the failure there too.
-                        let msg = self.state.lock().failed.clone().unwrap();
-                        panic!("{msg}");
-                    }
-                }
-            }
+        let mut st = self.state.lock();
+        if !matches!(self.dispatch_locked(&mut st), Dispatch::Idle) {
+            drop(st);
+            self.cv.notify_all();
+            return;
         }
+        let parked: Vec<String> = st
+            .tasks
+            .iter()
+            .filter(|t| matches!(t.state, TaskState::Parked(_)))
+            .map(|t| t.name.clone())
+            .collect();
+        let trace = Self::trace_locked(&st);
+        let msg = format!(
+            "sim: irreducible quiescence (tasks {parked:?} parked, none ready) — schedule: {trace}"
+        );
+        st.failed = Some(msg.clone());
+        drop(st);
+        self.cv.notify_all();
+        // The caller is one of the stuck tasks' threads (or release());
+        // propagate the failure there too.
+        panic!("{msg}");
     }
 
     /// Picks the next task per policy. Caller holds the state lock.

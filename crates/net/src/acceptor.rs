@@ -28,7 +28,7 @@
 //! apart from "link is flaky" (keep retrying).
 
 use crate::frame::{CONN_CONTROL, CONN_HELLO, TAG_STOP};
-use crate::rio::{forget, wait_readable, REACTOR};
+use crate::rio::{forget, wait_readable, Ticker, REACTOR};
 use crate::transport::{NetProfile, Transport};
 use kpn_core::exec::reactor::Interest;
 use kpn_core::{Error, Exec, ExecMode, Result};
@@ -52,7 +52,7 @@ const PREAMBLE_TIMEOUT: Duration = Duration::from_secs(1);
 /// connection. The acceptor fills it when the connection arrives, or
 /// cancels it when the registration is dropped, and wakes the waiter
 /// through the waiter's own executor: a pooled fiber parks and an OS
-/// thread blocks, on the same path ([`Exec::park_until`]).
+/// thread blocks, on the same path ([`Exec::park`]).
 #[derive(Clone, Default)]
 pub(crate) struct PendingConn(Arc<Mutex<Slot>>);
 
@@ -69,7 +69,8 @@ impl PendingConn {
     /// `Ok(None)` once `timeout` has passed (`None` waits as long as it
     /// takes), a `Disconnected` error once the registration is cancelled.
     /// A process that has to wait is registered with its network's monitor
-    /// as blocked reading, for as long as it does.
+    /// as blocked reading, for as long as it does, and on an OS thread
+    /// ticks the monitor while it waits ([`Ticker`]).
     pub(crate) fn wait(&self, timeout: Option<Duration>) -> Result<Option<Box<dyn Transport>>> {
         if let Some(conn) = self.0.lock().conn.take() {
             return Ok(Some(conn));
@@ -79,6 +80,7 @@ impl PendingConn {
             .ok_or_else(|| Error::Disconnected("no executor to wait on".into()))?;
         let key = Arc::as_ptr(&self.0) as usize;
         let deadline = timeout.map(|t| Instant::now() + t);
+        let mut ticker = Ticker::new(exec.reactor().is_none());
         loop {
             let token = {
                 let mut slot = self.0.lock();
@@ -98,7 +100,8 @@ impl PendingConn {
                 // Under the slot's lock, as a channel takes it under its own.
                 exec.park_token(key)
             };
-            exec.park_until(key, token, deadline)?;
+            exec.park(key, token, ticker.until(deadline))?;
+            ticker.tick();
         }
     }
 

@@ -18,14 +18,14 @@
 //! fibers). The wrapper starts out transparent: the fd stays in blocking
 //! mode and every operation is the inner transport's single syscall. The
 //! first time a *fiber* operates on it — even if the endpoint was
-//! connected on another thread and moved into a process later — the fd
-//! is switched to non-blocking for good and blocking semantics are
-//! emulated here instead: an operation that would block parks the fiber
-//! through the ordinary `Exec::park_token`/`park` protocol with interest
-//! registered on the pool's
-//! [`Reactor`](kpn_core::exec::reactor::Reactor), and retries when a
-//! worker drains the readiness queue and unparks it. An OS thread that
-//! later touches a switched fd (a sink watchdog on the thread executor,
+//! connected on another thread and moved into a process later — or a
+//! process on an OS thread finds it not ready, the fd is switched to
+//! non-blocking for good and blocking semantics are emulated here
+//! instead: an operation that would block parks the fiber through the
+//! ordinary `Exec::park_token`/`park` protocol with interest registered on
+//! the pool's [`Reactor`](kpn_core::exec::reactor::Reactor), and retries
+//! when a worker drains the readiness queue and unparks it. An OS thread
+//! on a switched fd (a process of the thread executor, a sink watchdog
 //! pumping an idle sink or finishing a closed one) waits in `poll(2)`
 //! instead of parking.
 //!
@@ -44,30 +44,33 @@
 //! the one-shot event and `unpark_all` a key nobody holds a token for
 //! yet, losing the wakeup. With the token taken first, any delivery after
 //! that point bumps the key's generation and the park returns
-//! immediately. The park is the timed park,
-//! [`Exec::park_until`](kpn_core::Exec::park_until), which arms the op
-//! timeout as a reactor timer (a pooled fiber ignores park timeouts by
-//! design); timers are never cancelled, so a stale timer is just a
-//! spurious unpark on a dead generation. The other socket-side waits take
-//! no fork of their own: a pending connection is a slot woken through the
-//! waiter's executor, a back-off is `kpn_core::exec::sleep`.
+//! immediately. The park's deadline, the op timeout, is armed as a reactor
+//! timer ([`Exec::park`](kpn_core::Exec::park)); timers are never
+//! cancelled, so a stale timer is just a spurious unpark on a dead
+//! generation. The other socket-side waits take no fork of their own: a
+//! pending connection is a slot woken through the waiter's executor, a
+//! back-off is `kpn_core::exec::sleep`.
 //!
 //! ## Where a wait meets the deadlock monitor
 //!
 //! This is also where a process's remote wait is registered with its
 //! network's monitor ([`kpn_core::exec::current_monitor`]) as an external
-//! block — around the readiness wait on a switched fd, and on a blocking fd
-//! only after a zero-timeout `poll(2)` has found it not ready, so an
-//! operation that does not wait never reaches the monitor. (A blocking
-//! write larger than the room that poll found can still wait, unregistered,
-//! for the rest.) Threads that are no network's process register nothing.
-//! Off Linux x86_64 there is neither: a remote endpoint registers around
-//! its whole operation ([`around_operation`]).
+//! block, around the readiness wait on a switched fd, so an operation that
+//! does not wait never reaches the monitor. It is the one wait the monitor
+//! cannot look into, so it keeps the monitor's clock: a wait on an OS
+//! thread ticks it once per period it lasts ([`Ticker`]); a pooled fiber's
+//! is ticked by its pool's heartbeat. Threads that are no network's
+//! process register nothing and tick nothing. Off Linux x86_64 there is
+//! neither: a remote endpoint registers around its whole operation
+//! ([`around_operation`]), and local waits tick for it.
 
 use crate::transport::{TcpTransport, Transport};
 use kpn_core::exec::reactor::Interest;
-use kpn_core::{BlockGuard, BlockKind, Result};
+use kpn_core::monitor::MONITOR_TICK;
+use kpn_core::{BlockGuard, BlockKind, Monitor, Result};
 use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::Instant;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 pub(crate) use imp::{forget, wait_readable};
@@ -124,6 +127,38 @@ pub(crate) fn waiting(interest: Interest) -> Result<Option<BlockGuard>> {
     monitor.map(|m| m.external_block(kind)).transpose()
 }
 
+/// The clock of a remote wait a process makes on an OS thread: it ticks
+/// the process's monitor ([`Monitor::tick`]) once per [`MONITOR_TICK`] the
+/// wait lasts. For anyone else it does nothing: a pooled fiber's wait is
+/// ticked by its pool's heartbeat, and a thread that is no network's
+/// process has no monitor.
+pub(crate) struct Ticker(Option<(Arc<Monitor>, Instant)>);
+
+impl Ticker {
+    /// The clock of the calling task's wait; `on_thread` says whether it
+    /// waits as an OS thread.
+    pub(crate) fn new(on_thread: bool) -> Self {
+        let monitor = kpn_core::exec::current_monitor().filter(|_| on_thread);
+        Ticker(monitor.map(|m| (m, Instant::now() + MONITOR_TICK)))
+    }
+
+    /// When to wake: `deadline`, or the next tick if that is sooner.
+    pub(crate) fn until(&self, deadline: Option<Instant>) -> Option<Instant> {
+        match &self.0 {
+            Some((_, next)) => Some(deadline.map_or(*next, |d| d.min(*next))),
+            None => deadline,
+        }
+    }
+
+    /// Ticks the monitor if a period has passed since the last tick.
+    pub(crate) fn tick(&mut self) {
+        if let Some((m, next)) = self.0.as_mut().filter(|(_, next)| Instant::now() >= *next) {
+            m.tick();
+            *next = Instant::now() + MONITOR_TICK;
+        }
+    }
+}
+
 /// The registration around a whole remote operation (a `RemoteSink` write,
 /// a `RemoteSource` read), for targets without fibers: with no
 /// [`ReactorIo`] and no readiness check there, the operation is taken for
@@ -139,7 +174,7 @@ pub(crate) fn around_operation(interest: Interest) -> Result<Option<BlockGuard>>
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 mod imp {
-    use super::waiting;
+    use super::{waiting, Ticker};
     use crate::transport::Transport;
     use kpn_core::exec::current_monitor;
     use kpn_core::exec::reactor::{poll_fds, Interest, Reactor};
@@ -179,7 +214,7 @@ mod imp {
             // Token before arming, as in `ReactorIo::wait_ready`.
             let token = exec.park_token(key);
             fds.for_each(|fd| drop(reactor.arm(fd, key, Interest::Read)));
-            let _ = exec.park_until(key, token, deadline);
+            let _ = exec.park(key, token, deadline);
         } else {
             let timeout = deadline.map(|dl| dl.saturating_duration_since(Instant::now()));
             let _ = poll_fds(fds, Interest::Read, timeout);
@@ -269,8 +304,9 @@ mod imp {
 
         /// Wait until `fd` reports readiness for `interest` (or a timer /
         /// spurious wakeup; the caller's retry loop re-checks). A fiber
-        /// parks; an OS thread on an fd some fiber already switched blocks
-        /// in `poll(2)`. Either way the task is registered as waiting.
+        /// parks; an OS thread blocks in `poll(2)`, one period at a time,
+        /// ticking its monitor between. Either way the task is registered
+        /// as waiting, once for the whole wait.
         fn wait_ready(
             &self,
             parker: &Option<Parker>,
@@ -284,12 +320,19 @@ mod imp {
                 // delivery ordering.
                 let token = exec.park_token(key);
                 if self.arm(reactor, interest).is_ok() {
-                    let _ = exec.park_until(key, token, deadline);
+                    let _ = exec.park(key, token, deadline);
                     return Ok(());
                 }
             }
-            let timeout = deadline.map(|dl| dl.saturating_duration_since(Instant::now()));
-            poll_fds([self.fd], interest, timeout).map(|_| ())
+            let mut ticker = Ticker::new(true);
+            loop {
+                let until = ticker.until(deadline);
+                let timeout = until.map(|t| t.saturating_duration_since(Instant::now()));
+                if poll_fds([self.fd], interest, timeout)? || until == deadline {
+                    return Ok(());
+                }
+                ticker.tick();
+            }
         }
 
         /// Drives one *logical* operation to completion. `op` is invoked
@@ -305,18 +348,18 @@ mod imp {
         ) -> std::io::Result<T> {
             let parker = parking_context();
             if !self.parking.load(Ordering::Relaxed) {
-                if parker.is_none() {
-                    // An OS thread on a blocking fd: one plain syscall,
-                    // registered as a wait if a process finds its fd not
-                    // ready (a non-blocking drain cannot wait).
-                    let _waiting = match current_monitor() {
-                        Some(_) if self.passthrough.load(Ordering::Relaxed) => None,
-                        Some(_) if poll_fds([self.fd], interest, Some(Duration::ZERO))? => None,
-                        _ => waiting(interest)?,
-                    };
+                // An OS thread on a blocking fd: one plain syscall, unless
+                // a process finds its fd not ready (a non-blocking drain
+                // cannot wait). That wait must register and tick, which
+                // takes the emulated wait a fiber makes.
+                let plain = parker.is_none()
+                    && (current_monitor().is_none()
+                        || self.passthrough.load(Ordering::Relaxed)
+                        || poll_fds([self.fd], interest, Some(Duration::ZERO))?);
+                if plain {
                     return op(&mut self.inner, false);
                 }
-                // First fiber on this fd: non-blocking from here on.
+                // Non-blocking from here on.
                 self.inner.set_nonblocking(true)?;
                 self.parking.store(true, Ordering::Relaxed);
             }
@@ -360,7 +403,7 @@ mod imp {
             }
             let key = self.key();
             let token = exec.park_token(key);
-            let _ = exec.park_until(key, token, Some(Instant::now()));
+            let _ = exec.park(key, token, Some(Instant::now()));
             RESUMED.set(Instant::now());
         }
     }

@@ -12,7 +12,7 @@ use kpn::core::graphs::{
     fibonacci, fibonacci_reference, first_primes, hamming, hamming_reference, primes_reference,
     GraphOptions,
 };
-use kpn::core::{MonitorTiming, Network, NetworkConfig};
+use kpn::core::Network;
 use kpn::parallel::{
     meta_dynamic, meta_static, register_stock_tasks, synthetic_task_stream, Consumer, Producer,
     TaskEnvelope, TaskTypeRegistry,
@@ -27,16 +27,6 @@ fn opts(capacity: usize, self_removing: bool) -> GraphOptions {
     }
 }
 
-/// A network with a fast monitor cadence: these tests deliberately starve
-/// tiny channels, so deadlock checks dominate wall-clock time at the
-/// default 20ms tick.
-fn fast_net() -> Network {
-    Network::with_config(NetworkConfig {
-        monitor_timing: MonitorTiming::fast(),
-        ..Default::default()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -48,7 +38,7 @@ proptest! {
         self_removing in any::<bool>(),
         count in 1u64..40,
     ) {
-        let net = fast_net();
+        let net = Network::new();
         let out = fibonacci(&net, count, &opts(capacity, self_removing));
         net.run().unwrap();
         prop_assert_eq!(&*out.lock().unwrap(), &fibonacci_reference(count as usize));
@@ -61,7 +51,7 @@ proptest! {
         capacity in 16usize..2048,
         count in 1u64..80,
     ) {
-        let net = fast_net();
+        let net = Network::new();
         let out = hamming(&net, count, &opts(capacity, false));
         net.run().unwrap();
         prop_assert_eq!(&*out.lock().unwrap(), &hamming_reference(count as usize));
@@ -71,7 +61,7 @@ proptest! {
     /// of buffer pressure.
     #[test]
     fn sieve_is_determinate(capacity in 64usize..2048, k in 1usize..30) {
-        let net = fast_net();
+        let net = Network::new();
         let out = first_primes(&net, k as u64, &opts(capacity, false));
         net.run().unwrap();
         let reference: Vec<i64> = primes_reference(200).into_iter().take(k).collect();
@@ -91,7 +81,7 @@ proptest! {
             let mut reg = TaskTypeRegistry::new();
             register_stock_tasks(&mut reg);
             let reg = reg.into_shared();
-            let net = fast_net();
+            let net = Network::new();
             let (tw, tr) = net.channel();
             let (rw, rr) = net.channel();
             net.add(Producer::new(synthetic_task_stream(tasks, 1.0), tw));
@@ -121,7 +111,7 @@ proptest! {
 fn repeated_runs_are_identical() {
     let mut baseline: Option<Vec<i64>> = None;
     for _ in 0..10 {
-        let net = fast_net();
+        let net = Network::new();
         let out = hamming(&net, 60, &opts(64, false));
         net.run().unwrap();
         let got = out.lock().unwrap().clone();

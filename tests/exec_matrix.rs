@@ -15,8 +15,8 @@ use kpn::core::graphs::{
     GraphOptions,
 };
 use kpn::core::{
-    compare_histories, ChannelKey, Error, ExecMode, HistoryCheck, MonitorTiming, Network,
-    NetworkConfig, SchedulePolicy, SimScheduler,
+    compare_histories, ChannelKey, Error, ExecMode, HistoryCheck, Network, NetworkConfig,
+    SchedulePolicy, SimScheduler,
 };
 use std::sync::{Arc, Mutex};
 
@@ -28,7 +28,6 @@ fn run_mode<T: Clone + Send + 'static>(
 ) -> (Vec<(ChannelKey, Vec<u8>)>, Vec<T>) {
     let net = Network::with_config(NetworkConfig {
         mode,
-        monitor_timing: MonitorTiming::fast(),
         record_history: true,
         ..Default::default()
     });
@@ -135,7 +134,6 @@ fn ten_thousand_process_pipeline_on_two_workers() {
 
     let net = Network::with_config(NetworkConfig {
         mode: ExecMode::Pooled { workers: 2 },
-        monitor_timing: MonitorTiming::fast(),
         ..Default::default()
     });
     let (head_w, mut tail_r) = net.channel_with_capacity(64);

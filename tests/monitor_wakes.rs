@@ -1,15 +1,20 @@
 //! How many pictures the deadlock monitor takes on networks that never
-//! deadlock (`MonitorStats::evaluations`). A wait counts toward Parks'
-//! all-blocked trigger until its wake is issued, not until its task
-//! resumes (DESIGN.md §4c), so the block that follows a wake does not
-//! evaluate a picture whose looks would reject the woken task anyway.
+//! deadlock (`MonitorStats::evaluations`), and how often it wakes a
+//! network that waits. A wait counts toward Parks' all-blocked trigger
+//! until its wake is issued, not until its task resumes (DESIGN.md §4c),
+//! so the block that follows a wake does not evaluate a picture whose
+//! looks would reject the woken task anyway; and a local wait keeps no
+//! clock, so a network that waits takes no wakeups at all.
 //!
-//! Both networks pin their executor; the counts hold under every
+//! Every network pins its executor; the counts hold under every
 //! `KPN_EXEC`.
 
 use kpn::core::stdlib::Identity;
-use kpn::core::{DataReader, DataWriter, ExecMode, Network, NetworkConfig};
+use kpn::core::{
+    DataReader, DataWriter, ExecMode, IterativeProcess, Network, NetworkConfig, Process, ThreadExec,
+};
 use kpn::dist::{build_network, grid, simulate, GossipMax, MIN_CAPACITY};
+use std::time::{Duration, Instant};
 
 /// The `relay_local` graph: a client process sends `n` tokens one at a
 /// time through two `Identity` processes and reads each back before the
@@ -68,4 +73,61 @@ fn a_gossip_grid_takes_no_picture_per_round() {
     let stats = net.join().unwrap().monitor;
     assert_eq!(*outputs.lock().unwrap(), expected);
     assert!(stats.evaluations <= 64, "{} pictures", stats.evaluations);
+}
+
+/// Voluntary context switches summed over the threads named `comm`.
+fn voluntary_switches(comm: &str) -> u64 {
+    let mut sum = 0;
+    for task in std::fs::read_dir("/proc/self/task").unwrap() {
+        let path = task.unwrap().path();
+        let read = |file| std::fs::read_to_string(path.join(file)).unwrap_or_default();
+        if read("comm").trim() != comm {
+            continue;
+        }
+        let status = read("status");
+        let line = status
+            .lines()
+            .find(|l| l.starts_with("voluntary_ctxt_switches"));
+        sum += line
+            .and_then(|l| l.split_whitespace().last()?.parse::<u64>().ok())
+            .unwrap_or(0);
+    }
+    sum
+}
+
+#[test]
+fn an_idle_thread_network_takes_no_wakeups() {
+    // 64 `Identity` processes in a chain, each a thread, wait on a writer
+    // outside the network. Nothing can happen until it writes, and no
+    // event says otherwise, so nothing wakes them: a wait that re-ran
+    // detection every 20 ms took about 1,600 wakeups in the half second.
+    const PROCESSES: usize = 64;
+    // `ExecMode::Thread`, on a thread executor of its own: the process-wide
+    // one shares its condvars with the other tests of this file, whose
+    // wakes may wake these threads too.
+    let net = Network::with_exec(NetworkConfig::default(), ThreadExec::new());
+    let (head, mut r) = net.channel();
+    head.declare_external();
+    for _ in 0..PROCESSES {
+        let (w, next) = net.channel();
+        // A name of their own: other tests of this file run `Identity`
+        // threads of their own meanwhile.
+        let identity = Box::new(IterativeProcess::new(Identity::new(r, w)));
+        net.add_fn("idle", move |ctx| identity.run(ctx));
+        r = next;
+    }
+    r.declare_external();
+    net.start();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while net.monitor().snapshot().blocked_reads < PROCESSES {
+        assert!(Instant::now() < deadline, "the chain never parked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let before = voluntary_switches("kpn:idle");
+    std::thread::sleep(Duration::from_millis(500));
+    let woke = voluntary_switches("kpn:idle") - before;
+    drop(head);
+    drop(r);
+    net.join().unwrap();
+    assert!(woke < PROCESSES as u64, "{woke} wakeups in 500 ms");
 }

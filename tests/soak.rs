@@ -2,24 +2,15 @@
 //! `cargo test --release -- --ignored` runs them.
 
 use kpn::core::graphs::{first_primes, hamming, hamming_reference, primes_reference, GraphOptions};
-use kpn::core::{MonitorTiming, Network, NetworkConfig};
+use kpn::core::Network;
 use kpn::net::chaos::{chaos_policy, relay_history, sieve_history, ChaosCluster};
 use kpn::net::FaultProfile;
-
-/// Fast monitor cadence: soak graphs starve channels on purpose, so the
-/// default 20ms deadlock tick dominates runtime.
-fn fast_net() -> Network {
-    Network::with_config(NetworkConfig {
-        monitor_timing: MonitorTiming::fast(),
-        ..Default::default()
-    })
-}
 
 #[test]
 #[ignore = "soak: run with --ignored"]
 fn sieve_first_500_primes() {
     // ~500 dynamically-spawned Modulo processes.
-    let net = fast_net();
+    let net = Network::new();
     let out = first_primes(&net, 500, &GraphOptions::default());
     let report = net.run().unwrap();
     let primes = out.lock().unwrap();
@@ -31,7 +22,7 @@ fn sieve_first_500_primes() {
 #[test]
 #[ignore = "soak: run with --ignored"]
 fn hamming_5000_values_with_starved_channels() {
-    let net = fast_net();
+    let net = Network::new();
     let opts = GraphOptions {
         channel_capacity: 32,
         ..Default::default()
@@ -99,7 +90,7 @@ fn meta_dynamic_50k_tasks() {
     let mut reg = TaskTypeRegistry::new();
     register_stock_tasks(&mut reg);
     let reg = reg.into_shared();
-    let net = fast_net();
+    let net = Network::new();
     let (tw, tr) = net.channel();
     let (rw, rr) = net.channel();
     const TASKS: u64 = 50_000;

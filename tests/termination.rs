@@ -129,11 +129,10 @@ fn true_deadlock_is_detected_under_pooled_executor() {
     // monitor an accurate all-blocked picture — a deferred-but-runnable
     // fiber faking quiescence here would make this abort spurious, a
     // lost wakeup would make it hang.
-    use kpn::core::{DataReader, DataWriter, ExecMode, MonitorTiming};
+    use kpn::core::{DataReader, DataWriter, ExecMode};
     let start = Instant::now();
     let net = Network::with_config(NetworkConfig {
         mode: ExecMode::Pooled { workers: 2 },
-        monitor_timing: MonitorTiming::fast(),
         ..Default::default()
     });
     let (aw, ar) = net.channel();
