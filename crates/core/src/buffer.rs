@@ -8,6 +8,9 @@
 //! which is what the bounded-scheduling monitor does to resolve artificial
 //! deadlock (§3.5).
 
+use crate::error::{Error, Result};
+use std::alloc::Layout;
+
 /// A FIFO ring buffer of bytes with an explicit soft capacity.
 ///
 /// The backing allocation always matches the capacity, so `len == capacity`
@@ -23,14 +26,42 @@ pub struct RingBuffer {
 }
 
 impl RingBuffer {
-    /// Creates an empty buffer with the given capacity (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
+    /// Creates an empty buffer with the given capacity (min 1), or an
+    /// [`Error::Graph`] naming a capacity the allocator cannot supply — the
+    /// capacity may come from a spec a peer shipped, and a refused
+    /// allocation must not abort the process.
+    ///
+    /// The bytes come zeroed from the allocator, as `vec![0u8; n]` takes
+    /// them: a large buffer costs address space until it is written, not
+    /// memory. Reserving and then filling a `Vec` would write every byte.
+    pub fn try_with_capacity(capacity: usize) -> Result<Self> {
         let capacity = capacity.max(1);
-        RingBuffer {
-            data: vec![0u8; capacity].into_boxed_slice(),
+        let refused = || {
+            Error::Graph(format!(
+                "a channel of capacity {capacity} bytes cannot be allocated"
+            ))
+        };
+        let layout = Layout::array::<u8>(capacity).map_err(|_| refused())?;
+        // SAFETY: `layout` is not zero-sized: `capacity` is at least 1.
+        let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+        if ptr.is_null() {
+            return Err(refused());
+        }
+        // SAFETY: `ptr` is a live allocation from the global allocator of
+        // `capacity` zeroed, hence initialised, bytes, made with the layout
+        // of a `[u8]` of that length, which is the one the box frees it
+        // with; nothing else refers to it.
+        let data = unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, capacity)) };
+        Ok(RingBuffer {
+            data,
             head: 0,
             len: 0,
-        }
+        })
+    }
+
+    #[cfg(test)]
+    fn with_capacity(capacity: usize) -> Self {
+        Self::try_with_capacity(capacity).unwrap()
     }
 
     /// Current capacity in bytes.

@@ -231,7 +231,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     fn new(
-        capacity: usize,
+        buf: RingBuffer,
         monitor: Option<Arc<Monitor>>,
         exec: Arc<dyn Exec>,
         recorder: Option<(Arc<HistoryRecorder>, usize)>,
@@ -239,7 +239,7 @@ impl Shared {
         Arc::new(Shared {
             id: NEXT_CHANNEL_ID.fetch_add(1, Ordering::Relaxed),
             state: Mutex::new(BufState {
-                buf: RingBuffer::with_capacity(capacity),
+                buf,
                 write_closed: false,
                 read_closed: false,
                 poisoned: false,
@@ -834,11 +834,12 @@ struct BufferedShared {
 }
 
 impl BufferedShared {
-    /// Appends to the private buffer, marking it dirty when it stops being
+    /// Appends to the private buffer, marking it dirty — and its owner, the
+    /// calling task, as having something to publish — when it stops being
     /// empty. Caller holds the lock.
     fn append(&self, st: &mut BufCore, bytes: &[u8]) {
         if st.buf.is_empty() && !bytes.is_empty() {
-            self.marks.dirty.store(true, Ordering::Relaxed);
+            self.marks.set_dirty();
         }
         st.buf.extend_from_slice(bytes);
     }
@@ -1461,27 +1462,38 @@ pub fn channel_with_capacity(capacity: usize) -> (ChannelWriter, ChannelReader) 
 
 /// Creates a local channel, optionally registered with a deadlock monitor.
 /// [`crate::Network::channel`] is the usual entry point.
+///
+/// # Panics
+///
+/// Panics if the allocator cannot supply `capacity` bytes
+/// ([`crate::Network::try_channel_with_capacity`] returns that as an error).
 pub fn channel_with(
     capacity: usize,
     monitor: Option<Arc<Monitor>>,
 ) -> (ChannelWriter, ChannelReader) {
     let exec = crate::exec::default_exec().clone() as Arc<dyn Exec>;
-    channel_with_parts(capacity, monitor, exec, None)
+    match channel_with_parts(capacity, monitor, exec, None) {
+        Ok(pair) => pair,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Full-control constructor used by [`crate::Network`]: monitor plus the
-/// network's executor and the history recorder of deterministic mode.
+/// network's executor and the history recorder of deterministic mode. The
+/// one error is a capacity the allocator cannot supply.
 pub(crate) fn channel_with_parts(
     capacity: usize,
     monitor: Option<Arc<Monitor>>,
     exec: Arc<dyn Exec>,
     recorder: Option<Arc<HistoryRecorder>>,
-) -> (ChannelWriter, ChannelReader) {
+) -> Result<(ChannelWriter, ChannelReader)> {
+    // First, so that a refused capacity leaves no recorder slot behind.
+    let buf = RingBuffer::try_with_capacity(capacity)?;
     let recorder = recorder.map(|r| {
         let slot = r.register();
         (r, slot)
     });
-    let shared = Shared::new(capacity, monitor, exec, recorder);
+    let shared = Shared::new(buf, monitor, exec, recorder);
     // The one registration: the monitor's table is where the channel
     // report, the topology snapshot, verification and abort find it.
     if let Some(m) = &shared.monitor {
@@ -1504,7 +1516,7 @@ pub(crate) fn channel_with_parts(
         closed: false,
     }));
     reader.topo = endpoint(BlockKind::Read);
-    (writer, reader)
+    Ok((writer, reader))
 }
 
 /// A `Channel` object in the style of the paper's API (Figure 6): holds both

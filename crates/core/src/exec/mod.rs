@@ -55,6 +55,12 @@
 //! real time; [`Exec::sleep`] is built on it (DESIGN.md, "How a task
 //! waits").
 //!
+//! A park costs no allocation and no SipHash. The table's bucket maps are
+//! keyed by addresses, so they hash with `WordHasher`, one folded multiply
+//! (the monitor's blocked set, keyed by task tokens, uses it too); and a
+//! key's filed fibers are a `FiberSet`, whose first fiber is held inline,
+//! so only a second fiber on one key allocates.
+//!
 //! ## Task identity
 //!
 //! Monitors and the flush registry used to key their bookkeeping by OS
@@ -86,7 +92,8 @@ use crate::flush::Registration;
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -105,6 +112,52 @@ pub(crate) fn weak_dyn<T: Exec>(arc: &Arc<T>) -> Weak<dyn Exec> {
     w
 }
 
+/// A hasher for keys that are one machine word the runtime made itself:
+/// addresses (the wait table's keys) and task tokens (the monitor's blocked
+/// set). SipHash guards a map against keys an adversary picks; nothing a
+/// peer sends ever becomes one of these, so one folded multiply does: the
+/// full 128-bit product of the key and an odd constant, its two halves
+/// XORed. The high half carries every key bit down into the low bits, so
+/// addresses whose low bits are alignment zeros still differ in the low
+/// bits hashbrown picks a bucket with (a bare `k * K` keeps those zeros)
+/// and in the top bits it tags entries with.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct WordHasher(u64);
+
+impl WordHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    fn fold(k: u64) -> u64 {
+        let m = u128::from(k) * u128::from(Self::K);
+        (m as u64) ^ ((m >> 64) as u64)
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = Self::fold(self.0 ^ n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by runtime-made words, hashed with [`WordHasher`].
+pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
 /// Buckets for the keyed wait tables (thread and pooled executors).
 pub(crate) const BUCKETS: usize = 16;
 
@@ -113,21 +166,56 @@ pub(crate) fn bucket_of(key: usize) -> usize {
     (key >> 4) & (BUCKETS - 1)
 }
 
-/// One key's entry: its generation and who waits on it. An entry exists
-/// from the first `park_token` until nobody waits any more.
+/// The fibers filed under one key, the first held inline: a key one fiber
+/// waits on — a channel side, a socket, a timer — files it and hands it
+/// back without allocating. A second fiber on the key overflows to `rest`.
+/// Only the whole set is ever taken, so `rest` is empty while `first` is.
 // Fibers circulate as `Box<Fiber>` (see `pooled.rs`).
 #[allow(clippy::vec_box)]
+#[derive(Default)]
+struct FiberSet {
+    first: Option<Box<fiber::Fiber>>,
+    rest: Vec<Box<fiber::Fiber>>,
+}
+
+impl FiberSet {
+    fn push(&mut self, f: Box<fiber::Fiber>) {
+        match self.first {
+            None => self.first = Some(f),
+            Some(_) => self.rest.push(f),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+}
+
+impl IntoIterator for FiberSet {
+    type Item = Box<fiber::Fiber>;
+    type IntoIter = std::iter::Chain<
+        std::option::IntoIter<Box<fiber::Fiber>>,
+        std::vec::IntoIter<Box<fiber::Fiber>>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
+/// One key's entry: its generation and who waits on it. An entry exists
+/// from the first `park_token` until nobody waits any more.
 struct Waiters {
     gen: u64,
     /// Fibers filed under the key (only ever [`PooledExec`]'s own).
-    fibers: Vec<Box<fiber::Fiber>>,
+    fibers: FiberSet,
     /// OS threads in a condvar wait on the key.
     threads: usize,
 }
 
 #[derive(Default)]
 struct Bucket {
-    map: Mutex<HashMap<usize, Waiters>>,
+    map: Mutex<WordMap<usize, Waiters>>,
     /// Shared by the bucket's keys: a thread may wake for another key,
     /// which the protocol permits.
     cv: Condvar,
@@ -146,7 +234,7 @@ impl WaitTable {
         map.entry(key)
             .or_insert_with(|| Waiters {
                 gen: next_id(),
-                fibers: Vec::new(),
+                fibers: FiberSet::default(),
                 threads: 0,
             })
             .gen
@@ -193,15 +281,14 @@ impl WaitTable {
 
     /// Invalidates outstanding tokens for `key`, wakes its threads and
     /// returns its fibers for the caller to schedule.
-    #[allow(clippy::vec_box)]
-    fn wake(&self, key: usize) -> Vec<Box<fiber::Fiber>> {
+    fn wake(&self, key: usize) -> FiberSet {
         let b = &self.buckets[bucket_of(key)];
         let mut map = b.map.lock();
         let Some(e) = map.get_mut(&key) else {
             // Nobody holds a token that could still match (tokens only
             // exist between `token` and the end of a wait, and both keep
             // the entry alive), so there is no one to wake.
-            return Vec::new();
+            return FiberSet::default();
         };
         e.gen = next_id();
         let fibers = std::mem::take(&mut e.fibers);
@@ -442,6 +529,13 @@ pub(crate) struct TaskLocals {
     /// of `sinks` is current while this has not moved. Written only by the
     /// task itself.
     pub(crate) registered: AtomicU64,
+    /// Some sink this task owns may hold bytes no publish-before-wait has
+    /// swept since: raised when one of its chunks stops being empty and
+    /// when it takes a sink over, cleared by that sweep (see
+    /// [`crate::flush`], "Mechanism"). While it is clear a wait publishes
+    /// nothing and touches no registry. Only the task itself reads or
+    /// writes it.
+    pub(crate) unpublished: AtomicBool,
     /// The deadlock monitor of the network this task is a process of, set
     /// by the network as the task starts: what a remote endpoint registers
     /// its waits with ([`current_monitor`]). Unset on foreign threads.
@@ -457,6 +551,7 @@ impl TaskLocals {
             exec,
             sinks: Mutex::new(Arc::new(Vec::new())),
             registered: AtomicU64::new(0),
+            unpublished: AtomicBool::new(false),
             monitor: OnceLock::new(),
         })
     }
@@ -697,6 +792,12 @@ mod tests {
     // The wait table and the park's deadline: one table of cases, run
     // against both executors that own a table.
 
+    impl FiberSet {
+        fn len(&self) -> usize {
+            usize::from(self.first.is_some()) + self.rest.len()
+        }
+    }
+
     impl WaitTable {
         /// Fibers and threads waiting on `key`.
         fn waiting(&self, key: usize) -> usize {
@@ -725,6 +826,10 @@ mod tests {
         (
             "one unpark wakes a task and a thread",
             one_unpark_wakes_a_task_and_a_thread,
+        ),
+        (
+            "one unpark wakes two tasks on one key",
+            one_unpark_wakes_two_tasks_on_one_key,
         ),
         (
             "10k handoffs on 64 keys leave no entry",
@@ -904,6 +1009,25 @@ mod tests {
         thread.join().unwrap();
     }
 
+    fn one_unpark_wakes_two_tasks_on_one_key(exec: &Arc<dyn Exec>, waits: &WaitTable) {
+        // On a pool both tasks are fibers filed under the key: the second
+        // overflows the inline slot of the key's fiber set.
+        let key = 0x6000;
+        let set = Arc::new(Mutex::new(false));
+        let tasks: Vec<_> = (0..2)
+            .map(|_| {
+                let s = set.clone();
+                on_task(exec, move |e| park_until_set(e, key, &s))
+            })
+            .collect();
+        wait_until("two tasks wait on the key", || waits.waiting(key) == 2);
+        *set.lock() = true;
+        exec.unpark_all(key);
+        for task in tasks {
+            task.recv_timeout(Duration::from_secs(10)).unwrap();
+        }
+    }
+
     fn handoffs_leave_no_entry(exec: &Arc<dyn Exec>, _: &WaitTable) {
         // A task and a thread pass a counter back and forth; the party
         // waiting for value `n` parks on key `n % 64`.
@@ -940,6 +1064,27 @@ mod tests {
         assert_eq!(*count.lock(), HOPS);
     }
 
+    #[test]
+    fn the_word_hasher_spreads_aligned_addresses() {
+        // 4096 keys 16 bytes apart, as channel sides and boxed fibers are:
+        // hashbrown indexes buckets with the hash's low bits and tags
+        // entries with its top seven. A bare multiply would leave the four
+        // low bits zero, so only one bucket in sixteen would ever be used.
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<WordHasher>::default();
+        let hashes: Vec<u64> = (0..4096usize)
+            .map(|i| build.hash_one(0x7f00_1234_5000usize + 16 * i))
+            .collect();
+        let low: HashSet<u64> = hashes.iter().map(|h| h & 4095).collect();
+        let top: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert!(low.len() > 2048, "{} of 4096 low buckets", low.len());
+        assert_eq!(top.len(), 128, "{} of 128 tags", top.len());
+        // Task tokens are consecutive integers: the same holds for them.
+        let tokens: HashSet<u64> = (1..=4096u64).map(|t| build.hash_one(t) & 4095).collect();
+        assert!(tokens.len() > 2048, "{} of 4096 buckets", tokens.len());
+    }
+
     // The case needs real fibers: elsewhere a pool's tasks are threads.
     #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
     #[test]
@@ -973,7 +1118,7 @@ mod tests {
             (&a, crate::channel::channel_with_capacity(1)),
             (
                 &b,
-                crate::channel::channel_with_parts(1, None, a.clone(), None),
+                crate::channel::channel_with_parts(1, None, a.clone(), None).unwrap(),
             ),
         ] {
             let (mut w, mut r) = channel;

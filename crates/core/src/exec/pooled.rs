@@ -790,11 +790,8 @@ impl PooledExec {
     /// Queue the fibers of park keys the reactor returned to this worker,
     /// as any unpark from a worker is: the first runs next here, the rest
     /// are surplus.
-    fn take_ready(&self, keys: Vec<usize>) {
-        let fibers: Vec<_> = keys.into_iter().flat_map(|k| self.waits.wake(k)).collect();
-        if !fibers.is_empty() {
-            self.dispatch_unparked(fibers);
-        }
+    fn take_ready(&self, keys: impl IntoIterator<Item = usize>) {
+        self.dispatch_unparked(keys.into_iter().flat_map(|k| self.waits.wake(k)));
     }
 
     /// The reactor, if one has been instantiated (the net layer does that
@@ -820,8 +817,13 @@ impl PooledExec {
     /// dispatch) and the rest go to its deque; a sleeper is woken only for
     /// that surplus, a displaced hot fiber or a second woken one. Anything
     /// else — foreign threads, other pools' fibers — goes through the
-    /// injector and wakes one sleeper.
-    fn dispatch_unparked(&self, fibers: Vec<Box<fiber::Fiber>>) {
+    /// injector and wakes one sleeper. No fiber, no work: nothing is locked
+    /// and nobody is woken.
+    fn dispatch_unparked(&self, fibers: impl IntoIterator<Item = Box<fiber::Fiber>>) {
+        let mut fibers = fibers.into_iter();
+        let Some(first) = fibers.next() else {
+            return;
+        };
         let my_slot = WORKER_ID
             .with(|c| c.get())
             .and_then(|(pool, i)| (pool == self as *const PooledExec as usize).then_some(i));
@@ -829,10 +831,9 @@ impl PooledExec {
             Some(i) => {
                 let me = &self.slots[i];
                 let mut spill = Vec::new();
-                let mut iter = fibers.into_iter();
-                let displaced = iter.next().and_then(|first| me.put_hot(first));
+                let displaced = me.put_hot(first);
                 let mut surplus = false;
-                for f in displaced.into_iter().chain(iter) {
+                for f in displaced.into_iter().chain(fibers) {
                     surplus = true;
                     if let Err(f) = me.deque.push(f) {
                         spill.push(f);
@@ -845,10 +846,11 @@ impl PooledExec {
                 }
             }
             None => {
-                let n = fibers.len() as u64;
                 let mut st = self.central.lock();
-                for f in fibers {
+                let mut n = 0;
+                for f in std::iter::once(first).chain(fibers) {
                     st.injector.push_back(f);
+                    n += 1;
                 }
                 st.injector_pushes += n;
                 st.foreign_unparks += n;
@@ -925,10 +927,7 @@ impl Exec for PooledExec {
     }
 
     fn unpark_all(&self, key: usize) {
-        let woken = self.waits.wake(key);
-        if !woken.is_empty() {
-            self.dispatch_unparked(woken);
-        }
+        self.dispatch_unparked(self.waits.wake(key));
     }
 
     fn yield_point(&self) {
@@ -1277,7 +1276,7 @@ mod tests {
         let ex = PooledExec::new(2);
         let exec: Arc<dyn Exec> = ex.clone();
         let [(w0, r0), (w1, r1), (w2, r2)] =
-            [(); 3].map(|_| channel_with_parts(64, None, exec.clone(), None));
+            [(); 3].map(|_| channel_with_parts(64, None, exec.clone(), None).unwrap());
         // client → relay1 → relay2 → client
         for (name, mut r, mut w) in [("relay1", r0, w1), ("relay2", r1, w2)] {
             ex.spawn(

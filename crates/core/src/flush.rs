@@ -102,6 +102,20 @@
 //! registration count has moved. A boundary over a busy local reader, or
 //! over nothing to publish, costs a few loads and no atomic
 //! read-modify-write.
+//!
+//! A wait sweeps only when there can be something to publish. The task's
+//! `unpublished` flag (in its identity record) is raised by the one setter
+//! of a chunk's dirty mark (`Marks::set_dirty`, on the empty→non-empty
+//! transition) and by a registration (a sink taken over may already hold
+//! bytes). [`flush_task_sinks`] returns at once while it is clear, and
+//! clears it before it sweeps. A publish inside that sweep can itself wait,
+//! and its wait must still find the task's other sinks, so the sweep raises
+//! the flag again before a publish that has further dirty sinks behind it,
+//! and after one that left its sink dirty (a stashed error). A step
+//! boundary never clears it: a sink the boundary leaves batching is still
+//! published before the task waits. So a relay that buffers nothing, or has
+//! published all it wrote, waits without a thread-local registry lock, an
+//! `Arc` clone or a walk of its sinks.
 
 use crate::channel::ReaderState;
 use crate::error::Result;
@@ -175,6 +189,26 @@ impl Marks {
             reader,
         })
     }
+
+    /// The private chunk has just stopped being empty, written by its
+    /// owner — the calling task, whose next wait must therefore sweep: the
+    /// one place `dirty` is raised, and it raises the task's `unpublished`
+    /// with it.
+    pub(crate) fn set_dirty(&self) {
+        self.dirty.store(true, Ordering::Relaxed);
+        raise_unpublished();
+    }
+
+    /// Whether a sweep by task `me` has this sink to publish.
+    fn due(&self, me: u64) -> bool {
+        self.owner.load(Ordering::Relaxed) == me && self.dirty.load(Ordering::Relaxed)
+    }
+}
+
+/// Marks the calling task as owning a sink whose bytes its next
+/// publish-before-wait must sweep.
+fn raise_unpublished() {
+    crate::exec::with_current(|l| l.unpublished.store(true, Ordering::Relaxed));
 }
 
 /// One entry of a task's flush registry: a sink and its marks.
@@ -185,13 +219,9 @@ pub(crate) struct Registration {
 }
 
 impl Registration {
-    /// Offers the sink to task `me`'s sweep.
-    fn publish(&self, me: u64, which: Publish) -> Result<()> {
-        let marks = &*self.marks;
-        if marks.owner.load(Ordering::Relaxed) != me || !marks.dirty.load(Ordering::Relaxed) {
-            return Ok(()); // another task's now, or nothing to publish
-        }
-        let which = match (which, &marks.reader) {
+    /// Offers the sink to a sweep that has found it due.
+    fn publish(&self, which: Publish) -> Result<()> {
+        let which = match (which, &self.marks.reader) {
             (Publish::StepBoundary, Some(flag)) => {
                 // A local reader is never unseen: no pace to ask.
                 if !publishes(ReaderState::of_local(flag), || false) {
@@ -207,13 +237,22 @@ impl Registration {
     }
 }
 
-/// Offers every registration to task `me`'s sweep, returning the first
-/// error encountered (all sinks are still attempted). No lock is held
+/// Offers every registration task `me` has due — owns, with bytes in its
+/// chunk — to `publish`, with its index, returning the first error
+/// encountered (all due sinks are still attempted). A sink owned by another
+/// task now, or holding nothing, is skipped on its marks. No lock is held
 /// while publishing: a publish can block (a full channel).
-fn sweep(sinks: &[Registration], me: u64, which: Publish) -> Result<()> {
+fn sweep(
+    sinks: &[Registration],
+    me: u64,
+    mut publish: impl FnMut(usize, &Registration) -> Result<()>,
+) -> Result<()> {
     let mut first_err = None;
-    for r in sinks {
-        if let Err(e) = r.publish(me, which) {
+    for (i, r) in sinks.iter().enumerate() {
+        if !r.marks.due(me) {
+            continue;
+        }
+        if let Err(e) = publish(i, r) {
             first_err.get_or_insert(e);
         }
     }
@@ -229,6 +268,8 @@ pub fn task_token() -> u64 {
 /// Registers a buffered sink with the *calling* task's flush registry.
 /// Dead entries are pruned on each registration. The registry is replaced,
 /// not edited: a sweep in progress keeps walking the list it started with.
+/// The task's next wait sweeps: a sink it takes over may already hold
+/// bytes, which no empty→non-empty transition of its own will announce.
 pub(crate) fn register(sink: Weak<dyn Flushable>, marks: Arc<Marks>) {
     crate::exec::with_current(|locals| {
         let mut sinks = locals.sinks.lock();
@@ -242,14 +283,39 @@ pub(crate) fn register(sink: Weak<dyn Flushable>, marks: Arc<Marks>) {
         // Only this task writes the count: a load and a store do.
         let n = locals.registered.load(Ordering::Relaxed);
         locals.registered.store(n + 1, Ordering::Relaxed);
+        locals.unpublished.store(true, Ordering::Relaxed);
     });
 }
 
 /// Publishes every dirty sink the calling task owns, unconditionally. This
-/// is [`crate::ProcessCtx::flush_sinks`].
+/// is [`crate::ProcessCtx::flush_sinks`]. Returns at once, touching no
+/// registry, while the task's `unpublished` flag is clear.
 pub fn flush_task_sinks() -> Result<()> {
-    let (me, sinks) = crate::exec::with_current(|l| (l.token, l.sinks.lock().clone()));
-    sweep(&sinks, me, Publish::All)
+    let swept = crate::exec::with_current(|l| {
+        if !l.unpublished.load(Ordering::Relaxed) {
+            return None;
+        }
+        l.unpublished.store(false, Ordering::Relaxed);
+        Some((l.token, l.sinks.lock().clone()))
+    });
+    let Some((me, sinks)) = swept else {
+        return Ok(());
+    };
+    // The sweep runs with the flag cleared, so it raises it again wherever
+    // a wait inside one of its publishes, or the task's next wait, still
+    // has a sink to find: before a publish with a due sink behind it, and
+    // after one that left its sink due.
+    let last_due = sinks.iter().rposition(|r| r.marks.due(me));
+    sweep(&sinks, me, |i, r| {
+        if Some(i) != last_due {
+            raise_unpublished();
+        }
+        let published = r.publish(Publish::All);
+        if r.marks.due(me) {
+            raise_unpublished();
+        }
+        published
+    })
 }
 
 /// Publish-before-wait: every path on which a task may park calls this
@@ -285,14 +351,17 @@ impl StepBoundary {
 
     /// Publishes the task's dirty sinks that clause 5 selects, and leaves
     /// the rest batching. The registry snapshot is renewed only if the task
-    /// has registered a sink since it was taken.
+    /// has registered a sink since it was taken. The task's `unpublished`
+    /// flag is left as it is: a sink left batching is its next wait's.
     pub(crate) fn cross(&mut self) -> Result<()> {
         let registered = self.locals.registered.load(Ordering::Relaxed);
         if registered != self.seen {
             self.sinks = self.locals.sinks.lock().clone();
             self.seen = registered;
         }
-        sweep(&self.sinks, self.locals.token, Publish::StepBoundary)
+        sweep(&self.sinks, self.locals.token, |_, r| {
+            r.publish(Publish::StepBoundary)
+        })
     }
 }
 
@@ -305,10 +374,12 @@ mod tests {
 
     /// A sink that counts how often a sweep reaches it: a sweep upgrades a
     /// registration's handle only to call `publish` on it, and a real sink
-    /// takes its lock only there.
+    /// takes its lock only there. Like a real sink, a publish that succeeds
+    /// leaves its chunk clean.
     struct Probe {
         reached: AtomicUsize,
         fail: bool,
+        marks: Arc<Marks>,
     }
 
     impl Probe {
@@ -327,10 +398,13 @@ mod tests {
         ) -> Arc<Probe> {
             let marks = Marks::new(reader);
             marks.owner.store(owner, Ordering::Relaxed);
-            marks.dirty.store(dirty, Ordering::Relaxed);
+            if dirty {
+                marks.set_dirty();
+            }
             let probe = Arc::new(Probe {
                 reached: AtomicUsize::new(0),
                 fail,
+                marks: marks.clone(),
             });
             register(Arc::downgrade(&probe) as Weak<dyn Flushable>, marks);
             probe
@@ -347,8 +421,13 @@ mod tests {
             if self.fail {
                 return Err(crate::Error::WriteClosed);
             }
+            self.marks.dirty.store(false, Ordering::Relaxed);
             Ok(())
         }
+    }
+
+    fn unpublished() -> bool {
+        crate::exec::with_current(|l| l.unpublished.load(Ordering::Relaxed))
     }
 
     #[test]
@@ -402,6 +481,134 @@ mod tests {
             busy.reached(),
             1,
             "a waiting reader's sink was not published"
+        );
+    }
+
+    /// A wait sweeps only while the task has something unpublished, and a
+    /// failed publish — its bytes still in the chunk, its error stashed —
+    /// is offered again to every later wait, as before there was a flag.
+    #[test]
+    fn a_wait_sweeps_only_while_something_is_unpublished() {
+        let me = task_token();
+        let failing = Probe::register_failing(me, true, None, true);
+        assert!(unpublished(), "registering and dirtying raise the flag");
+        assert!(flush_task_sinks().is_err());
+        assert!(flush_task_sinks().is_err(), "the failed sink is still due");
+        assert_eq!(failing.reached(), 2);
+        failing.marks.dirty.store(false, Ordering::Relaxed);
+        flush_task_sinks().unwrap();
+        assert!(!unpublished(), "a sweep that left nothing due clears it");
+        let ok = Probe::register(me, false, None);
+        flush_task_sinks().unwrap();
+        assert!(!unpublished());
+        for _ in 0..1_000 {
+            flush_before_block();
+        }
+        assert_eq!((ok.reached(), failing.reached()), (0, 2));
+        // The next chunk that fills raises it again.
+        ok.marks.set_dirty();
+        flush_before_block();
+        assert_eq!(ok.reached(), 1);
+        assert!(!unpublished());
+    }
+
+    /// A step boundary that leaves a sink batching (its local reader is
+    /// busy) leaves the task's flag raised, so the task's next wait still
+    /// publishes that sink.
+    #[test]
+    fn a_sink_a_step_boundary_leaves_batching_is_published_by_the_next_wait() {
+        let me = task_token();
+        let busy = Probe::register(me, false, Some(Arc::new(AtomicBool::new(false))));
+        flush_task_sinks().unwrap();
+        assert!(!unpublished());
+        busy.marks.set_dirty();
+        let mut boundary = StepBoundary::of_current_task();
+        boundary.cross().unwrap();
+        assert_eq!(busy.reached(), 0, "a busy reader's sink was published");
+        assert!(unpublished(), "the boundary cleared the flag");
+        flush_before_block();
+        assert_eq!(busy.reached(), 1, "the wait did not publish the batch");
+    }
+
+    /// A sweep whose publish waits: that wait's own sweep must still find
+    /// the task's other dirty sinks, though the outer sweep cleared the
+    /// flag before it began.
+    #[test]
+    fn a_wait_inside_a_publish_still_publishes_the_other_sinks() {
+        struct Nested {
+            /// The sink's lock, which a real sink `try_lock`s: the wait
+            /// inside its own publish skips it.
+            flushing: AtomicBool,
+            marks: Arc<Marks>,
+            /// The task's other sink, and how often the wait inside this
+            /// publish had published it by the time it returned.
+            other: std::sync::OnceLock<Arc<Probe>>,
+            other_seen: AtomicUsize,
+        }
+        impl Flushable for Nested {
+            fn publish(&self, _which: Publish) -> Result<()> {
+                if self.flushing.swap(true, Ordering::SeqCst) {
+                    return Ok(());
+                }
+                // The publish blocks on a full channel: it waits, and a
+                // wait publishes first.
+                flush_before_block();
+                let seen = self.other.get().map_or(0, |p| p.reached());
+                self.other_seen.store(seen, Ordering::SeqCst);
+                self.marks.dirty.store(false, Ordering::Relaxed);
+                self.flushing.store(false, Ordering::SeqCst);
+                Ok(())
+            }
+        }
+        let me = task_token();
+        let marks = Marks::new(None);
+        marks.owner.store(me, Ordering::Relaxed);
+        marks.set_dirty();
+        let first = Arc::new(Nested {
+            flushing: AtomicBool::new(false),
+            marks: marks.clone(),
+            other: std::sync::OnceLock::new(),
+            other_seen: AtomicUsize::new(0),
+        });
+        register(Arc::downgrade(&first) as Weak<dyn Flushable>, marks);
+        let second = Probe::register(me, true, None);
+        first.other.set(second.clone()).ok();
+        flush_before_block();
+        assert_eq!(
+            first.other_seen.load(Ordering::SeqCst),
+            1,
+            "the wait inside the first publish left the second sink unpublished"
+        );
+        assert_eq!(second.reached(), 1);
+    }
+
+    /// A sink written by one task and taken over by another holds bytes
+    /// the new owner never dirtied (its chunk was not empty): taking it
+    /// over raises the new owner's flag, and its wait publishes them.
+    #[test]
+    fn a_sink_taken_over_is_published_by_its_new_owners_wait() {
+        let (w, r) = crate::channel::channel_with_capacity(64);
+        let mut out = DataWriter::new(w);
+        out.write_i64(1).unwrap();
+        let out = std::thread::spawn(move || {
+            out.write_i64(2).unwrap();
+            flush_before_block();
+            out
+        })
+        .join()
+        .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let mut r = DataReader::new(r);
+            let got = (r.read_i64().unwrap(), r.read_i64().unwrap());
+            let _ = tx.send(got);
+        });
+        let got = rx.recv_timeout(Duration::from_secs(10));
+        drop(out);
+        reader.join().unwrap();
+        assert_eq!(
+            got.expect("the new owner's wait left the sink unpublished"),
+            (1, 2)
         );
     }
 

@@ -46,9 +46,10 @@
 //! the channel's drop re-enters the monitor to leave the table.
 
 use crate::error::{Error, Result};
+use crate::exec::WordMap;
 use crate::topology::{EndpointShape, SideState};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -277,8 +278,10 @@ struct MonState {
     /// token — not OS thread: a pooled worker runs many tasks, and a task
     /// may migrate between workers between its enter/exit pair. Includes
     /// foreign threads (e.g. a test's main thread draining the output),
-    /// which participate in deadlock but not in the live count.
-    blocked: HashMap<u64, BlockInfo>,
+    /// which participate in deadlock but not in the live count. Tokens
+    /// come from `exec::next_id`, so the map hashes them with the word
+    /// hasher: every local wait inserts here and every wake removes.
+    blocked: WordMap<u64, BlockInfo>,
     /// Number of blocked entries with `is_process == true`.
     blocked_processes: usize,
     /// Detection ticks run so far.
@@ -899,6 +902,7 @@ impl Drop for BlockGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     struct FakeChan {
         cap: Mutex<usize>,

@@ -223,8 +223,8 @@ impl NetworkHandle {
     ///
     /// Panics if `capacity` is zero — a zero-capacity channel can never
     /// transfer a byte and never grows, so every write on it stalls
-    /// forever. Use [`NetworkHandle::try_channel_with_capacity`] for a
-    /// fallible variant.
+    /// forever — or more than the allocator can supply. Use
+    /// [`NetworkHandle::try_channel_with_capacity`] for a fallible variant.
     pub fn channel_with_capacity(&self, capacity: usize) -> (ChannelWriter, ChannelReader) {
         match self.try_channel_with_capacity(capacity) {
             Ok(pair) => pair,
@@ -233,7 +233,8 @@ impl NetworkHandle {
     }
 
     /// Creates a monitored channel with an explicit capacity, rejecting a
-    /// zero capacity with [`Error::Graph`].
+    /// zero capacity, and one the allocator cannot supply, with
+    /// [`Error::Graph`].
     pub fn try_channel_with_capacity(
         &self,
         capacity: usize,
@@ -245,12 +246,12 @@ impl NetworkHandle {
                     .into(),
             ));
         }
-        Ok(channel_with_parts(
+        channel_with_parts(
             capacity,
             Some(self.inner.monitor.clone()),
             self.inner.exec.clone(),
             self.inner.recorder.clone(),
-        ))
+        )
     }
 
     /// Spawns a process thread immediately, after re-running the lint pass
@@ -432,14 +433,15 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero (see
+    /// Panics if `capacity` is zero or cannot be allocated (see
     /// [`NetworkHandle::channel_with_capacity`]).
     pub fn channel_with_capacity(&self, capacity: usize) -> (ChannelWriter, ChannelReader) {
         self.handle.channel_with_capacity(capacity)
     }
 
     /// Creates a monitored channel with an explicit capacity, rejecting a
-    /// zero capacity with [`Error::Graph`].
+    /// zero capacity, and one the allocator cannot supply, with
+    /// [`Error::Graph`].
     pub fn try_channel_with_capacity(
         &self,
         capacity: usize,
@@ -652,6 +654,24 @@ mod tests {
         let net = Network::new();
         let report = net.run().unwrap();
         assert_eq!(report.processes_run, 0);
+    }
+
+    #[test]
+    fn a_capacity_the_allocator_refuses_is_an_error_not_an_abort() {
+        // 9·10¹⁷ bytes: a capacity a shipped spec can name and no allocator
+        // supplies. The network stays usable afterwards.
+        let net = Network::new();
+        let capacity = 900_000_000_000_000_000;
+        match net.try_channel_with_capacity(capacity) {
+            Err(Error::Graph(msg)) => assert!(msg.contains(&capacity.to_string()), "{msg}"),
+            Err(e) => panic!("expected a graph error, got {e}"),
+            Ok(_) => panic!("a {capacity}-byte channel was allocated"),
+        }
+        let (mut w, mut r) = net.try_channel_with_capacity(64).unwrap();
+        w.write_all(b"ok").unwrap();
+        let mut got = [0u8; 2];
+        r.read_exact(&mut got).unwrap();
+        assert_eq!(&got, b"ok");
     }
 
     #[test]

@@ -76,14 +76,21 @@ pub(crate) fn send_msg<T: Serialize, W: Write>(stream: &mut W, msg: &T) -> Resul
     Ok(())
 }
 
-/// Reads one length-prefixed codec message. The payload is read in
-/// chunks so a corrupt or hostile length prefix fails on EOF instead of
-/// forcing a giant upfront allocation.
+/// Reads one length-prefixed codec message.
 pub(crate) fn recv_msg<T: DeserializeOwned, R: Read>(stream: &mut R) -> Result<T> {
+    let mut bytes = Vec::new();
+    read_body(stream, &mut bytes)?;
+    kpn_codec::from_bytes(&bytes).map_err(Error::from)
+}
+
+/// Reads one length-prefixed message body into `bytes`. The prefix is the
+/// peer's claim, not a size to allocate: the body is read in 4 KiB chunks,
+/// so `bytes` never holds more than was received plus one chunk, and a
+/// corrupt or hostile prefix fails on EOF.
+fn read_body<R: Read>(stream: &mut R, bytes: &mut Vec<u8>) -> Result<()> {
     let mut len = [0u8; 4];
     stream.read_exact(&mut len)?;
     let len = u32::from_be_bytes(len) as usize;
-    let mut bytes = Vec::new();
     let mut remaining = len;
     let mut chunk = [0u8; 4096];
     while remaining > 0 {
@@ -92,7 +99,7 @@ pub(crate) fn recv_msg<T: DeserializeOwned, R: Read>(stream: &mut R) -> Result<T
         bytes.extend_from_slice(&chunk[..n]);
         remaining -= n;
     }
-    kpn_codec::from_bytes(&bytes).map_err(Error::from)
+    Ok(())
 }
 
 /// A client handle to one compute server (per-request connections, like
@@ -204,5 +211,26 @@ fn done(reply: ControlResponse) -> std::result::Result<(), ControlResponse> {
     match reply {
         ControlResponse::Ok => Ok(()),
         other => Err(other),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_length_prefix_past_the_bytes_sent_is_an_error_not_an_allocation() {
+        // A prefix claiming 4 GiB, then 10 bytes and the end of the stream.
+        let mut wire = u32::MAX.to_be_bytes().to_vec();
+        wire.extend_from_slice(&[7u8; 10]);
+        let mut bytes = Vec::new();
+        assert!(read_body(&mut &wire[..], &mut bytes).is_err());
+        assert!(
+            bytes.capacity() <= 10 + 4096,
+            "a 10-byte body claimed 4 GiB and held {} bytes",
+            bytes.capacity()
+        );
+        let msg: Result<ControlRequest> = recv_msg(&mut &wire[..]);
+        assert!(msg.is_err());
     }
 }

@@ -180,3 +180,43 @@ fn a_malformed_spec_is_an_error_on_either_road_into_the_node() {
     dep.join().unwrap();
     drop(node);
 }
+
+#[test]
+fn a_channel_no_allocator_can_supply_fails_the_deploy_not_the_node() {
+    // A local channel of 9·10¹⁷ bytes inside the node's partition: the
+    // node must refuse the graph it cannot build, not abort in the
+    // allocator.
+    let (node, handle) = server();
+    let client = Node::serve("127.0.0.1:0").unwrap();
+    let mut g = GraphBuilder::new();
+    let huge = g.channel_with_capacity(900_000_000_000_000_000);
+    let out = g.channel();
+    g.add(0, "Sequence", &(0i64, Some(3u64)), &[], &[huge])
+        .unwrap();
+    g.add(0, "Identity", &(), &[huge], &[out]).unwrap();
+    g.claim_reader(out).unwrap();
+    let err = match g.deploy(&client, std::slice::from_ref(&handle)) {
+        Err(e) => e,
+        Ok(_) => panic!("a 9·10¹⁷-byte channel was deployed"),
+    };
+    assert!(
+        matches!(&err, kpn_core::Error::Graph(m) if m.contains("900000000000000000")),
+        "{err}"
+    );
+
+    // The node lives on: it answers, and deploys a well-formed graph.
+    handle.ping().unwrap();
+    let mut g = GraphBuilder::new();
+    let a = g.channel();
+    g.add(0, "Sequence", &(0i64, Some(3u64)), &[], &[a])
+        .unwrap();
+    g.claim_reader(a).unwrap();
+    let mut dep = g.deploy(&client, &[handle]).unwrap();
+    let mut r = DataReader::new(dep.readers.remove(&a).unwrap());
+    for i in 0..3 {
+        assert_eq!(r.read_i64().unwrap(), i);
+    }
+    drop(r);
+    dep.join().unwrap();
+    drop(node);
+}
