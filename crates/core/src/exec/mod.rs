@@ -360,11 +360,6 @@ pub trait Exec: Send + Sync + 'static {
     /// simulation uses it to interleave at every channel operation.
     fn yield_point(&self);
 
-    /// Register a hook run while the executor has parked tasks and nothing
-    /// to run: a [`PooledExec`]'s heartbeat, which ticks the monitor for
-    /// its fibers' remote waits. Other executors drop it.
-    fn add_idle_hook(&self, _hook: IdleHook) {}
-
     /// Release tasks held at a start barrier, if the executor has one.
     fn release(&self) {}
 
@@ -397,12 +392,6 @@ pub trait Exec: Send + Sync + 'static {
         monotonic()
     }
 }
-
-/// A network's periodic work, run by a pool's heartbeat
-/// ([`Exec::add_idle_hook`]). It answers whether the network has
-/// live processes, or `None` once the network is gone: the executor then
-/// drops the hook.
-pub type IdleHook = Box<dyn Fn() -> Option<bool> + Send + Sync>;
 
 fn monotonic() -> Duration {
     static ORIGIN: OnceLock<Instant> = OnceLock::new();

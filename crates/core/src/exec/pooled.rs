@@ -51,11 +51,7 @@
 //! pushes work first and then checks `parked_hint` behind a SeqCst fence.
 //! Whichever ordering the race resolves to, either the producer sees the
 //! sleeper (and notifies) or the sleeper sees the work (and does not
-//! sleep). The rescan is also what makes the hot slot safe with respect to
-//! Parks' deadlock detection: the monitor's quiescence tick only runs when
-//! every queue — hot slots included — was observed empty, so a woken-but-
-//! unscheduled fiber can never masquerade as global quiescence (see
-//! DESIGN.md §5g).
+//! sleep).
 //!
 //! Once the pool has a reactor, one sleeping worker at a time — the
 //! *poller* — sleeps in the reactor's `epoll_wait` rather than on the
@@ -67,15 +63,16 @@
 //! dispatches them by the same rule: one fiber it keeps and runs, more
 //! wake a condvar sleeper, who takes over polling when it sleeps again.
 //!
-//! Sleeps are indefinite except while some hooked network has live
-//! processes, when a 1 ms heartbeat keeps the monitors' idle hooks ticking
-//! (see [`PooledExec::run_hooks`]). That heartbeat is also what bounds a
-//! hot fiber nobody was woken for: if its waker stays in a long fiber, a
-//! sleeper woken by the heartbeat steals it from the hot slot, and a
-//! socket or timer the busy poller left behind is polled by that sleeper.
-//! A pool with no live network relies on the waker switching out — a
-//! node's accept loop, sessions and watchdog each park on their next
-//! socket or timer wait.
+//! The pool keeps no clock of its own work: a deadlock monitor is ticked
+//! by the remote waits that need it, each on its own reactor timer. A
+//! sleep is bounded ([`BOUNDED_SLEEP`]) only while another worker runs a
+//! fiber, and a fully idle pool sleeps until woken. The bound is what
+//! frees a hot fiber nobody was woken for: if its waker stays in a long
+//! fiber, the bounded sleeper wakes and steals it from the hot slot, and
+//! polls a socket or timer the busy poller left behind. Where no sleeper
+//! is bounded (every sleeper went to sleep while no fiber ran), a fiber
+//! that wakes a fiber makes it surplus instead: it goes to the waker's
+//! deque and wakes a sleeper, as a displaced hot fiber does.
 //!
 //! Every worker keeps relaxed-atomic counters (dispatch sources, steal
 //! traffic, parks); [`Exec::scheduler_stats`] snapshots them without
@@ -83,14 +80,14 @@
 
 use super::deque::{Steal, WorkDeque};
 use super::{
-    fiber, monotonic, reactor, set_current, weak_dyn, with_current, Exec, IdleHook, SchedulerStats,
-    TaskLocals, WaitTable, WorkerStats,
+    fiber, reactor, set_current, weak_dyn, with_current, Exec, SchedulerStats, TaskLocals,
+    WaitTable, WorkerStats,
 };
 use crate::error::Result;
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -113,10 +110,10 @@ const DEQUE_CAPACITY: usize = 256;
 /// central lock.
 const INJECTOR_BATCH: usize = 16;
 
-/// How often the idle hooks — the deadlock monitors' ticks — run while some
-/// hooked network has live processes: a sleeping worker wakes for them, a
-/// busy one runs them at its fair tick.
-const QUIESCENT_HEARTBEAT: Duration = Duration::from_millis(1);
+/// How long a worker sleeps while another worker runs a fiber, before it
+/// looks again for a hot fiber left behind that busy worker's fiber and for
+/// a socket or timer the busy poller left unpolled.
+const BOUNDED_SLEEP: Duration = Duration::from_millis(1);
 
 thread_local! {
     /// `(pool address, slot index)` for pool-worker threads. Lets
@@ -281,9 +278,8 @@ pub struct PooledExec {
     work_cv: Condvar,
     slots: Box<[WorkerSlot]>,
     /// Workers currently running a fiber. Atomic so dispatch does not take
-    /// the central lock; the quiescence check tolerates the resulting
-    /// in-transit raciness (spurious monitor ticks are re-verified by the
-    /// monitor, and the quiescent poll has a timeout).
+    /// the central lock; a worker about to sleep reads it, after its
+    /// Dekker rescan, to decide whether its sleep is bounded.
     busy: AtomicUsize,
     /// Workers currently sweeping for steals; submissions skip their
     /// wakeup while one is live (it will find the work or rescan).
@@ -291,17 +287,13 @@ pub struct PooledExec {
     /// Lock-free shadow of `PoolState::parked` for the producer-side
     /// Dekker check.
     parked_hint: AtomicUsize,
+    /// Sleepers whose sleep is bounded ([`BOUNDED_SLEEP`]): raised only
+    /// after the sleeper has published `parked_hint` and read `busy > 0`,
+    /// so from its publish until then it counts as unbounded.
+    bounded: AtomicUsize,
     /// Both halves: this pool's fibers are filed under their key, every
     /// other caller waits on the condvar.
     pub(super) waits: WaitTable,
-    idle_hooks: Mutex<Vec<IdleHook>>,
-    /// Some hook answered at its last run that its network has live
-    /// processes, or was added since: the heartbeat runs while this is set.
-    hooks_live: AtomicBool,
-    /// When the hooks last ran, in `monotonic()` nanoseconds.
-    last_tick: AtomicU64,
-    /// A worker is running the hooks.
-    ticking: AtomicBool,
     /// Readiness reactor, created lazily on the first [`Exec::reactor`]
     /// call (i.e. the first time one of this pool's fibers waits on a
     /// socket or a deadline). `Some(None)` caches "the kernel refused an
@@ -345,11 +337,8 @@ impl PooledExec {
             busy: AtomicUsize::new(0),
             searching: AtomicUsize::new(0),
             parked_hint: AtomicUsize::new(0),
+            bounded: AtomicUsize::new(0),
             waits: WaitTable::default(),
-            idle_hooks: Mutex::new(Vec::new()),
-            hooks_live: AtomicBool::new(false),
-            last_tick: AtomicU64::new(0),
-            ticking: AtomicBool::new(false),
             reactor: OnceLock::new(),
             self_ref: OnceLock::new(),
             self_pool: OnceLock::new(),
@@ -423,12 +412,8 @@ impl PooledExec {
         } else if fair {
             // Fair tick: reactor readiness and global work first, so a
             // ready socket's fiber gets scheduled even on a worker that
-            // never goes idle; and the monitors' ticks, so a network whose
-            // tasks all wait is not held up by another that streams.
+            // never goes idle.
             self.poll_reactor();
-            if self.heartbeat_due() {
-                self.run_hooks();
-            }
             if let Some(f) = self.pop_injector(slot) {
                 *hot_streak = 0;
                 return Some(f);
@@ -679,9 +664,8 @@ impl PooledExec {
 
     /// Injector, every deque, every hot slot — the consumer half of the
     /// Dekker handshake, run under the central lock after publishing
-    /// `parked_hint`. The hot slots are scanned too: this is the invariant
-    /// that keeps the LIFO slot from masking quiescence to the deadlock
-    /// monitor (DESIGN.md §5g).
+    /// `parked_hint`. The hot slots are scanned too, so a woken fiber in
+    /// one is never slept through.
     fn any_work_visible(&self, st: &PoolState) -> bool {
         !st.injector.is_empty()
             || self
@@ -690,27 +674,19 @@ impl PooledExec {
                 .any(|s| !s.deque.is_empty() || s.hot_occupied())
     }
 
-    /// No work anywhere: tick the monitor if quiescent, then sleep until
-    /// notified — in the reactor's `epoll_wait` if the pool has a reactor
-    /// and no other worker sleeps there, else on the condvar. Returns
-    /// `true` when the worker should exit (pool shut down and drained).
+    /// No work anywhere: sleep until notified — in the reactor's
+    /// `epoll_wait` if the pool has a reactor and no other worker sleeps
+    /// there, else on the condvar — or, while another worker runs a fiber,
+    /// for at most [`BOUNDED_SLEEP`]. Returns `true` when the worker should
+    /// exit (pool shut down and drained).
     fn park_worker(&self, slot: usize) -> bool {
         // Socket readiness first: anything ready becomes queued work that
-        // the quiescence check and the Dekker rescan below will see.
+        // the Dekker rescan below will see.
         self.poll_reactor();
         let mut st = self.central.lock();
         if st.shutdown && st.alive == 0 {
             st.workers -= 1;
             return true;
-        }
-        // Quiescent (every task parked), or a heartbeat since the last
-        // tick: run the idle hooks — this is where the deadlock monitor's
-        // tick comes from, since parked fibers cannot honor timeouts.
-        let quiesce = self.busy.load(Ordering::SeqCst) == 0 && st.alive > 0 && !st.shutdown;
-        if quiesce || self.heartbeat_due() {
-            drop(st);
-            self.run_hooks();
-            st = self.central.lock();
         }
         // Dekker sleep: publish ourselves, then rescan everything under
         // the central lock. Either a producer sees `parked_hint` and
@@ -725,28 +701,31 @@ impl PooledExec {
         }
         let stats = &self.slots[slot].stats;
         stats.parks.fetch_add(1, Ordering::Relaxed);
-        // While a hooked network has live processes, wake on a heartbeat
-        // so its monitor ticks even if no event arrives. An idle pool (a
-        // node serving no graph) sleeps until woken.
-        let heartbeat = self
-            .hooks_live
-            .load(Ordering::Relaxed)
-            .then_some(QUIESCENT_HEARTBEAT);
+        // While another worker runs a fiber, wake after a bounded time:
+        // that fiber may have left a hot fiber behind it, or the poller's
+        // job. A fully idle pool sleeps until woken.
+        let bound = (self.busy.load(Ordering::SeqCst) > 0).then_some(BOUNDED_SLEEP);
+        if bound.is_some() {
+            self.bounded.fetch_add(1, Ordering::SeqCst);
+        }
         let mut ready = None;
         match self.reactor_ref() {
             Some(r) if !st.polling => {
                 st.polling = true;
                 drop(st);
-                ready = Some(r.wait(heartbeat));
+                ready = Some(r.wait(bound));
                 st = self.central.lock();
                 st.polling = false;
             }
-            _ => match heartbeat {
+            _ => match bound {
                 Some(d) => {
                     self.work_cv.wait_for(&mut st, d);
                 }
                 None => self.work_cv.wait(&mut st),
             },
+        }
+        if bound.is_some() {
+            self.bounded.fetch_sub(1, Ordering::SeqCst);
         }
         st.parked -= 1;
         self.parked_hint.fetch_sub(1, Ordering::SeqCst);
@@ -756,35 +735,6 @@ impl PooledExec {
             self.take_ready(keys);
         }
         false
-    }
-
-    /// A hooked network has live processes and a heartbeat has passed since
-    /// the hooks last ran.
-    fn heartbeat_due(&self) -> bool {
-        self.hooks_live.load(Ordering::Relaxed)
-            && (monotonic().as_nanos() as u64)
-                .saturating_sub(self.last_tick.load(Ordering::Relaxed))
-                >= QUIESCENT_HEARTBEAT.as_nanos() as u64
-    }
-
-    /// Runs every idle hook — each network's monitor tick — on one worker
-    /// at a time, drops the hooks of networks that are gone, and records
-    /// whether any network left has live processes. The hooks run when the
-    /// pool quiesces and otherwise on the heartbeat, never only when every
-    /// task of every network has parked: a network's ticks do not wait for
-    /// the pool's other tasks.
-    fn run_hooks(&self) {
-        if self.ticking.swap(true, Ordering::Acquire) {
-            return;
-        }
-        let mut hooks = self.idle_hooks.lock();
-        let mut live = false;
-        hooks.retain(|hook| hook().inspect(|l| live |= l).is_some());
-        self.hooks_live.store(live, Ordering::Relaxed);
-        self.last_tick
-            .store(monotonic().as_nanos() as u64, Ordering::Relaxed);
-        drop(hooks);
-        self.ticking.store(false, Ordering::Release);
     }
 
     /// Queue the fibers of park keys the reactor returned to this worker,
@@ -815,7 +765,10 @@ impl PooledExec {
     /// worker of this pool, the first fiber takes its hot slot (it is the
     /// consumer of data the waker just produced — the warmest possible
     /// dispatch) and the rest go to its deque; a sleeper is woken only for
-    /// that surplus, a displaced hot fiber or a second woken one. Anything
+    /// that surplus, a displaced hot fiber or a second woken one. A fiber
+    /// that wakes a fiber while workers sleep and none of them sleeps
+    /// bounded makes the first surplus too: it may compute for as long as
+    /// it likes, and nobody would come for its hot slot meanwhile. Anything
     /// else — foreign threads, other pools' fibers — goes through the
     /// injector and wakes one sleeper. No fiber, no work: nothing is locked
     /// and nobody is woken.
@@ -831,9 +784,19 @@ impl PooledExec {
             Some(i) => {
                 let me = &self.slots[i];
                 let mut spill = Vec::new();
-                let displaced = me.put_hot(first);
+                // A fiber waker may compute for as long as it likes: with
+                // workers asleep and none of them bounded, nobody would
+                // come for its hot slot.
+                let unattended = fiber::on_fiber()
+                    && self.parked_hint.load(Ordering::SeqCst) > 0
+                    && self.bounded.load(Ordering::SeqCst) == 0;
+                let spare = if unattended {
+                    Some(first)
+                } else {
+                    me.put_hot(first)
+                };
                 let mut surplus = false;
-                for f in displaced.into_iter().chain(fibers) {
+                for f in spare.into_iter().chain(fibers) {
                     surplus = true;
                     if let Err(f) = me.deque.push(f) {
                         spill.push(f);
@@ -933,13 +896,6 @@ impl Exec for PooledExec {
     fn yield_point(&self) {
         // Kahn processes reschedule by blocking; forcing a fiber switch at
         // every channel op would round-robin 10k fibers per op.
-    }
-
-    fn add_idle_hook(&self, hook: IdleHook) {
-        let mut hooks = self.idle_hooks.lock();
-        hooks.push(hook);
-        // Under the hooks' lock, which a run stores its answer under.
-        self.hooks_live.store(true, Ordering::Relaxed);
     }
 
     fn shutdown(&self) {

@@ -35,10 +35,10 @@
 //! where it cannot look, which is a socket: a remote wait
 //! ([`Monitor::external_block`]) completes a picture but does not decide
 //! it, and re-runs detection once per [`MONITOR_TICK`] it lasts
-//! ([`Monitor::tick`]; a pool's heartbeat ticks for its fibers). A picture
-//! with nothing to grow and a remote wait in it is the monitor's to
-//! report, not to act on: [`Monitor::snapshot`] says the network is stuck
-//! on remote waits, and the cluster probe (`kpn-net`) decides.
+//! ([`Monitor::tick`], called by the wait itself, fiber or thread). A
+//! picture with nothing to grow and a remote wait in it is the monitor's
+//! to report, not to act on: [`Monitor::snapshot`] says the network is
+//! stuck on remote waits, and the cluster probe (`kpn-net`) decides.
 //!
 //! Lock order: the monitor's state lock before a channel's, never the
 //! reverse. A strong channel handle upgraded from the table is never
@@ -522,8 +522,7 @@ impl Monitor {
     pub fn stats(&self) -> MonitorStats {
         let mut stats = self.state.lock().stats.clone();
         // Filled after releasing the state lock: the source closure takes
-        // the executor's own locks, and the executor's idle hook calls
-        // back into this monitor.
+        // the executor's own locks.
         stats.scheduler = self.scheduler_stats();
         stats
     }
@@ -594,7 +593,7 @@ impl Monitor {
     /// is not ready, with the monitor the network hands each of its tasks
     /// ([`crate::exec::current_monitor`]). The registration does not
     /// evaluate the picture it completes: the wait ticks the monitor once
-    /// per [`MONITOR_TICK`] it lasts (a pooled fiber's pool ticks for it),
+    /// per [`MONITOR_TICK`] it lasts, whether it waits as a fiber or a thread,
     /// and the registration counts only from the second tick that finds it
     /// (see `enter_block` and `tick`).
     ///
@@ -713,8 +712,9 @@ impl Monitor {
     }
 
     /// Re-runs detection for a remote wait that has lasted a period
-    /// ([`MONITOR_TICK`]): `kpn-net` calls it from a process's socket wait
-    /// on an OS thread, and a pool's heartbeat for its fibers. Nothing
+    /// ([`MONITOR_TICK`]): `kpn-net` calls it from a process's socket wait,
+    /// which bounds each park or `poll` at the next period whether it waits
+    /// as a pooled fiber or as an OS thread. No executor ticks it. Nothing
     /// registers or leaves, so this does not bump the generation and cannot
     /// unsettle a concurrent evaluation. Then counts the tick, which marks
     /// every registration so far as seen by one: an external one counts
@@ -734,12 +734,6 @@ impl Monitor {
     pub(crate) fn local_deadline(&self) -> Option<Instant> {
         let untimed = cfg!(all(target_os = "linux", target_arch = "x86_64", not(miri)));
         (!untimed).then(|| Instant::now() + MONITOR_TICK)
-    }
-
-    /// True while some process of the network has started and not
-    /// finished: what a pool's heartbeat keeps ticking for.
-    pub(crate) fn is_live(&self) -> bool {
-        self.state.lock().live > 0
     }
 
     /// Unregisters the current thread, taking back the count a wake took

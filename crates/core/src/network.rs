@@ -17,7 +17,7 @@ use crate::sim::{ChannelKey, HistoryRecorder};
 use crate::topology::{Diagnostic, LintLevel, LintScope, Topology, TopologySnapshot};
 use parking_lot::Mutex;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Configuration for a [`Network`].
 ///
@@ -395,29 +395,17 @@ impl Network {
             weak_exec.upgrade().and_then(|e| e.scheduler_stats())
         }));
         let recorder = config.record_history.then(HistoryRecorder::new);
-        let inner = Arc::new_cyclic(|me: &Weak<NetworkInner>| {
-            // A pool's heartbeat ticks the monitor for its fibers' remote
-            // waits; other executors ignore this (an OS thread's remote
-            // wait ticks for itself). Weak, so the hook leaves the executor
-            // with the network.
-            let me = me.clone();
-            exec.add_idle_hook(Box::new(move || {
-                let monitor = &me.upgrade()?.monitor;
-                monitor.tick();
-                Some(monitor.is_live())
-            }));
-            NetworkInner {
-                config,
-                monitor,
-                exec,
-                owns_exec,
-                recorder,
-                active: Mutex::default(),
-                pending: Mutex::new(Vec::new()),
-                errors: Mutex::new(Vec::new()),
-                processes_run: Mutex::new(0),
-                topology: Topology::new(),
-            }
+        let inner = Arc::new(NetworkInner {
+            config,
+            monitor,
+            exec,
+            owns_exec,
+            recorder,
+            active: Mutex::default(),
+            pending: Mutex::new(Vec::new()),
+            errors: Mutex::new(Vec::new()),
+            processes_run: Mutex::new(0),
+            topology: Topology::new(),
         });
         Network {
             handle: NetworkHandle { inner },

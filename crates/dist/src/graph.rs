@@ -183,7 +183,9 @@ impl DistGraph {
     /// `a -- b -- c;` expand to consecutive edges) and bare `a;` node
     /// statements, node ids being nonnegative integers. `digraph` is
     /// rejected — topologies are undirected; direction is synthesized
-    /// per edge when the network is built.
+    /// per edge when the network is built. The ids named must be exactly
+    /// `0..n`, as `to_dot` names them, so `n` is bounded by the text: a
+    /// gap or a huge id is an error, not a graph of unnamed nodes.
     pub fn from_dot(text: &str) -> Result<DistGraph> {
         let tokens = dot_tokens(text)?;
         let mut it = tokens.into_iter().peekable();
@@ -211,7 +213,7 @@ impl DistGraph {
             Some(DotToken::OpenBrace) => {}
             other => return Err(Error::Graph(format!("expected `{{`, found {other:?}"))),
         }
-        let mut max_node: Option<usize> = None;
+        let mut named: Vec<usize> = Vec::new();
         let mut edges: Vec<(usize, usize)> = Vec::new();
         loop {
             match it.next() {
@@ -219,7 +221,7 @@ impl DistGraph {
                 Some(DotToken::Semicolon) => continue,
                 Some(DotToken::Id(id)) => {
                     let mut prev = parse_node(&id)?;
-                    max_node = Some(max_node.map_or(prev, |m| m.max(prev)));
+                    named.push(prev);
                     while let Some(DotToken::Edge) = it.peek() {
                         it.next();
                         let next = match it.next() {
@@ -230,7 +232,7 @@ impl DistGraph {
                                 )))
                             }
                         };
-                        max_node = Some(max_node.map_or(next, |m| m.max(next)));
+                        named.push(next);
                         edges.push((prev, next));
                         prev = next;
                     }
@@ -245,7 +247,14 @@ impl DistGraph {
         if it.next().is_some() {
             return Err(Error::Graph("trailing tokens after closing `}`".into()));
         }
-        let n = max_node.map_or(0, |m| m + 1);
+        named.sort_unstable();
+        named.dedup();
+        let n = named.len();
+        if let Some(&max) = named.last().filter(|&&max| max != n - 1) {
+            return Err(Error::Graph(format!(
+                "node ids must be exactly 0..{n}, found {max} among {n} distinct ids"
+            )));
+        }
         let mut g = DistGraph::new(name, n);
         for (u, v) in edges {
             g.add_edge(u, v)?;
@@ -582,6 +591,21 @@ mod tests {
         assert!(DistGraph::from_dot("graph g { 0 -- x; }").is_err());
         assert!(DistGraph::from_dot("graph g { 0 -- 0; }").is_err());
         assert!(DistGraph::from_dot("graph g { 0 -- 1 }").is_ok(), "no semicolon ok");
+    }
+
+    #[test]
+    fn dot_rejects_ids_that_are_not_exactly_zero_to_n() {
+        // The largest id once overflowed `max + 1`, and a lone huge id
+        // described a graph of 10^12 + 1 nodes that `adjacency` allocated.
+        for text in [
+            "graph g { 18446744073709551615; }",
+            "graph g { 1000000000000; }",
+            "graph g { 0 -- 2; }",
+        ] {
+            assert!(DistGraph::from_dot(text).is_err(), "{text}");
+        }
+        assert_eq!(DistGraph::from_dot("graph g { }").unwrap().n(), 0);
+        assert_eq!(DistGraph::from_dot("graph g { 2 -- 0; 1; }").unwrap().n(), 3);
     }
 
     #[test]

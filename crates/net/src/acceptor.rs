@@ -69,8 +69,8 @@ impl PendingConn {
     /// `Ok(None)` once `timeout` has passed (`None` waits as long as it
     /// takes), a `Disconnected` error once the registration is cancelled.
     /// A process that has to wait is registered with its network's monitor
-    /// as blocked reading, for as long as it does, and on an OS thread
-    /// ticks the monitor while it waits ([`Ticker`]).
+    /// as blocked reading, for as long as it does, and ticks the monitor
+    /// while it waits ([`Ticker`]), as a fiber or as a thread.
     pub(crate) fn wait(&self, timeout: Option<Duration>) -> Result<Option<Box<dyn Transport>>> {
         if let Some(conn) = self.0.lock().conn.take() {
             return Ok(Some(conn));
@@ -80,7 +80,7 @@ impl PendingConn {
             .ok_or_else(|| Error::Disconnected("no executor to wait on".into()))?;
         let key = Arc::as_ptr(&self.0) as usize;
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mut ticker = Ticker::new(exec.reactor().is_none());
+        let mut ticker = Ticker::new();
         loop {
             let token = {
                 let mut slot = self.0.lock();

@@ -44,12 +44,12 @@
 //! the one-shot event and `unpark_all` a key nobody holds a token for
 //! yet, losing the wakeup. With the token taken first, any delivery after
 //! that point bumps the key's generation and the park returns
-//! immediately. The park's deadline, the op timeout, is armed as a reactor
-//! timer ([`Exec::park`](kpn_core::Exec::park)); timers are never
-//! cancelled, so a stale timer is just a spurious unpark on a dead
-//! generation. The other socket-side waits take no fork of their own: a
-//! pending connection is a slot woken through the waiter's executor, a
-//! back-off is `kpn_core::exec::sleep`.
+//! immediately. The park's deadline, the op timeout or the monitor's next
+//! tick, is armed as a reactor timer ([`Exec::park`](kpn_core::Exec::park));
+//! timers are never cancelled, so a stale timer is just a spurious unpark
+//! on a dead generation. The other socket-side waits take no fork of their
+//! own: a pending connection is a slot woken through the waiter's
+//! executor, a back-off is `kpn_core::exec::sleep`.
 //!
 //! ## Where a wait meets the deadlock monitor
 //!
@@ -57,11 +57,12 @@
 //! network's monitor ([`kpn_core::exec::current_monitor`]) as an external
 //! block, around the readiness wait on a switched fd, so an operation that
 //! does not wait never reaches the monitor. It is the one wait the monitor
-//! cannot look into, so it keeps the monitor's clock: a wait on an OS
-//! thread ticks it once per period it lasts ([`Ticker`]); a pooled fiber's
-//! is ticked by its pool's heartbeat. Threads that are no network's
-//! process register nothing and tick nothing. Off Linux x86_64 there is
-//! neither: a remote endpoint registers around its whole operation
+//! cannot look into, so it keeps the monitor's clock: it ticks it once per
+//! period it lasts ([`Ticker`]), whether it parks a pooled fiber (a reactor
+//! timer ends each park) or blocks an OS thread (a `poll` timeout does).
+//! No executor keeps a clock for it. Tasks that are no network's process
+//! register nothing and tick nothing. Off Linux x86_64 there is neither: a
+//! remote endpoint registers around its whole operation
 //! ([`around_operation`]), and local waits tick for it.
 
 use crate::transport::{TcpTransport, Transport};
@@ -127,18 +128,16 @@ pub(crate) fn waiting(interest: Interest) -> Result<Option<BlockGuard>> {
     monitor.map(|m| m.external_block(kind)).transpose()
 }
 
-/// The clock of a remote wait a process makes on an OS thread: it ticks
-/// the process's monitor ([`Monitor::tick`]) once per [`MONITOR_TICK`] the
-/// wait lasts. For anyone else it does nothing: a pooled fiber's wait is
-/// ticked by its pool's heartbeat, and a thread that is no network's
-/// process has no monitor.
+/// The clock of a remote wait a process makes: it ticks the process's
+/// monitor ([`Monitor::tick`]) once per [`MONITOR_TICK`] the wait lasts,
+/// on a pooled fiber and on an OS thread alike. For a task that is no
+/// network's process it does nothing: there is no monitor to tick.
 pub(crate) struct Ticker(Option<(Arc<Monitor>, Instant)>);
 
 impl Ticker {
-    /// The clock of the calling task's wait; `on_thread` says whether it
-    /// waits as an OS thread.
-    pub(crate) fn new(on_thread: bool) -> Self {
-        let monitor = kpn_core::exec::current_monitor().filter(|_| on_thread);
+    /// The clock of the calling task's wait.
+    pub(crate) fn new() -> Self {
+        let monitor = kpn_core::exec::current_monitor();
         Ticker(monitor.map(|m| (m, Instant::now() + MONITOR_TICK)))
     }
 
@@ -243,6 +242,22 @@ mod imp {
         static RESUMED: Cell<Instant> = Cell::new(Instant::now());
     }
 
+    /// Restarts the calling worker's [`RESUMED`] clock. Never inlined, nor
+    /// is [`slice_used`]: a fiber may resume on another worker after any
+    /// park, and an inlined access may reuse the thread-local address it
+    /// computed before the park, which is the clock of the worker it left.
+    #[inline(never)]
+    fn restart_slice() {
+        RESUMED.set(Instant::now());
+    }
+
+    /// How long the calling worker has gone since its [`RESUMED`] clock
+    /// was restarted.
+    #[inline(never)]
+    fn slice_used() -> Duration {
+        RESUMED.get().elapsed()
+    }
+
     pub(super) fn wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
         let Some(fd) = t.raw_fd() else {
             return t;
@@ -255,6 +270,7 @@ mod imp {
             passthrough: AtomicBool::new(false),
             parking: AtomicBool::new(false),
             attached: Mutex::new(None),
+            tick_timer: None,
         })
     }
 
@@ -281,6 +297,9 @@ mod imp {
         /// The reactor this fd last waited on, for moving the registration
         /// after an executor change and detach-before-close on drop.
         attached: Mutex<Option<Arc<Reactor>>>,
+        /// When the monitor tick timer this endpoint's key last armed
+        /// fires: one is pending at a time ([`ReactorIo::park`]).
+        tick_timer: Option<Instant>,
     }
 
     type Parker = (Arc<dyn Exec>, Arc<Reactor>);
@@ -302,37 +321,66 @@ mod imp {
             reactor.arm(self.fd, self.key(), interest)
         }
 
-        /// Wait until `fd` reports readiness for `interest` (or a timer /
-        /// spurious wakeup; the caller's retry loop re-checks). A fiber
-        /// parks; an OS thread blocks in `poll(2)`, one period at a time,
-        /// ticking its monitor between. Either way the task is registered
-        /// as waiting, once for the whole wait.
+        /// Wait until `fd` reports readiness for `interest`, `deadline`
+        /// passes, or spuriously (the caller's retry loop re-checks). A
+        /// fiber parks; an OS thread blocks in `poll(2)`. Either way one
+        /// period at a time, ticking its monitor between, and registered as
+        /// waiting once for the whole wait.
         fn wait_ready(
-            &self,
+            &mut self,
             parker: &Option<Parker>,
             interest: Interest,
             deadline: Option<Instant>,
         ) -> std::io::Result<()> {
             let _waiting = waiting(interest)?;
-            if let Some((exec, reactor)) = parker {
-                let key = self.key();
-                // Token BEFORE arm: see the module docs on one-shot
-                // delivery ordering.
-                let token = exec.park_token(key);
-                if self.arm(reactor, interest).is_ok() {
-                    let _ = exec.park(key, token, deadline);
-                    return Ok(());
-                }
-            }
-            let mut ticker = Ticker::new(true);
+            let mut ticker = Ticker::new();
             loop {
                 let until = ticker.until(deadline);
-                let timeout = until.map(|t| t.saturating_duration_since(Instant::now()));
-                if poll_fds([self.fd], interest, timeout)? || until == deadline {
+                let parked = parker
+                    .as_ref()
+                    .and_then(|p| self.park(p, interest, until, deadline));
+                let ready = match parked {
+                    Some(woke_early) => woke_early,
+                    None => {
+                        let timeout = until.map(|t| t.saturating_duration_since(Instant::now()));
+                        poll_fds([self.fd], interest, timeout)?
+                    }
+                };
+                if ready || until == deadline {
                     return Ok(());
                 }
                 ticker.tick();
             }
+        }
+
+        /// Parks the calling fiber with the fd armed for `interest` until
+        /// it is woken or `until` passes, and answers whether it woke
+        /// before `until`; `None` if the fd cannot be armed. Reactor timers
+        /// are never cancelled, so a tick timer armed at every park would
+        /// fire once for each wait long over: at most one is pending per
+        /// endpoint, and a park that finds one arms only its `deadline`.
+        /// The pending timer still wakes it, early.
+        fn park(
+            &mut self,
+            (exec, reactor): &Parker,
+            interest: Interest,
+            until: Option<Instant>,
+            deadline: Option<Instant>,
+        ) -> Option<bool> {
+            let key = self.key();
+            // Token BEFORE arm: see the module docs on one-shot delivery
+            // ordering.
+            let token = exec.park_token(key);
+            self.arm(reactor, interest).ok()?;
+            let pending = self.tick_timer.is_some_and(|t| t > Instant::now());
+            let timer = if until == deadline || pending {
+                deadline
+            } else {
+                self.tick_timer = until;
+                until
+            };
+            let _ = exec.park(key, token, timer);
+            Some(until.is_none_or(|t| Instant::now() < t))
         }
 
         /// Drives one *logical* operation to completion. `op` is invoked
@@ -379,7 +427,7 @@ mod imp {
                             return Err(std::io::Error::from(std::io::ErrorKind::TimedOut));
                         }
                         self.wait_ready(&parker, interest, deadline)?;
-                        RESUMED.set(Instant::now());
+                        restart_slice();
                     }
                     r => {
                         if let Some((exec, _)) = &parker {
@@ -398,13 +446,13 @@ mod imp {
         /// else the pool runs — on a node, the accept loop and the control
         /// sessions. A yield, not a wait: nothing registers with a monitor.
         fn share_worker(&self, exec: &Arc<dyn Exec>) {
-            if RESUMED.get().elapsed() < SLICE {
+            if slice_used() < SLICE {
                 return;
             }
             let key = self.key();
             let token = exec.park_token(key);
             let _ = exec.park(key, token, Some(Instant::now()));
-            RESUMED.set(Instant::now());
+            restart_slice();
         }
     }
 

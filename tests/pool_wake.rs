@@ -1,8 +1,10 @@
 //! Liveness of the pooled executor's wake rule: a worker that unparks one
 //! fiber into its own empty hot slot wakes nobody, because it runs that
-//! fiber next. When the waker then computes instead of switching out, the
-//! live network's 1 ms heartbeat wakes a sleeper, which steals the fiber.
-//! These tests bound how long that takes and check that two computing
+//! fiber next. When the waker then computes instead of switching out,
+//! either a sleeper whose sleep is bounded (it went to sleep while another
+//! worker ran a fiber) wakes within 1 ms and steals the fiber, or, with no
+//! sleeper bounded, the waker made the fiber surplus and woke a sleeper for
+//! it. These tests bound how long that takes and check that two computing
 //! stages still overlap on two workers.
 //!
 //! Wall-clock bounds: the tests take one lock so they never share the

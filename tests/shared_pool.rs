@@ -1,9 +1,9 @@
 //! Networks that share one executor — as every graph a node runs shares
-//! its node's — keep their own deadlock-monitor ticks. A pool runs its
-//! networks' idle hooks when it quiesces and, while some network has live
-//! processes, on a heartbeat besides: a network whose verdict needs a tick
-//! (a write blocked on a full local channel whose reader waits on a cut
-//! channel) is not held up by another that streams on the same workers.
+//! its node's — keep their own deadlock-monitor ticks. The pool keeps no
+//! clock for them: a remote wait ticks its own network's monitor on a
+//! reactor timer, so a network whose verdict needs a tick (a write blocked
+//! on a full local channel whose reader waits on a cut channel) is not
+//! held up by another that streams on the same workers.
 //!
 //! Linux x86_64 only (real fibers and the reactor, not Miri).
 
