@@ -27,10 +27,10 @@ use crate::buffer::RingBuffer;
 use crate::error::{Error, Result};
 use crate::exec::Exec;
 use crate::flush::{self, Flushable, Marks, Publish};
-use crate::monitor::{BlockGuard, BlockKind, ChannelIoStats, Look, Monitor, MonitoredChannel};
+use crate::monitor::{BlockKind, ChannelIoStats, Look, Monitor, MonitoredChannel};
 use crate::sim::HistoryRecorder;
 use crate::topology::{EndpointShape, ProcessTag, SideState, StreamFraming};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -319,7 +319,7 @@ impl Shared {
 
     /// After the buffer gained room (a read, a growth): clears the writer's
     /// waiting marks and wakes it, if one is waiting.
-    fn made_room(&self, mut st: parking_lot::MutexGuard<'_, BufState>) {
+    fn made_room(&self, mut st: MutexGuard<'_, BufState>) {
         st.writer_waiting = false;
         self.uncount(&mut st, BlockKind::Write);
         let wake = st.write_waiters > 0;
@@ -329,36 +329,65 @@ impl Shared {
         }
     }
 
-    /// The one place a task waits on this channel, parking it while `pred`
-    /// holds (evaluated under the state lock), in the order that keeps
-    /// private buffers invisible to Kahn semantics and to the monitor:
-    /// publish, mark the side waiting, register, park. The park keeps no
+    /// The one place a task waits on this channel. The caller holds the
+    /// state lock (`st`) and has found `pred` true; `block` parks it while
+    /// `pred` holds and hands the lock back held, with `pred` false, so the
+    /// caller moves its bytes under the same guard: one acquisition before
+    /// the park and one after it (a third, around the registration, when
+    /// the channel is monitored). The order keeps private buffers invisible
+    /// to Kahn semantics and to the monitor: publish, mark the side
+    /// waiting, register, park. The lock is released only to park, to
+    /// register, and to publish while the task's `unpublished` flag is
+    /// raised ([`flush::unpublished`]).
+    ///
+    /// Registering and what a wake leaves owed to the monitor go through
+    /// `leave`, which the caller declared before its guard: the monitor's
+    /// lock comes before a channel's, so the task unregisters, or hands
+    /// back a count a wake took, once that guard is gone. The park keeps no
     /// clock (but off Linux x86_64, [`Monitor::local_deadline`]):
     /// registering evaluates the picture it completes, and so does a woken
-    /// wait that goes on ([`Monitor::recount`]). Returns an error when the
-    /// network is aborted at registration or the executor refuses to block
-    /// this context (cross-executor use).
-    fn block(&self, side: BlockKind, pred: impl Fn(&BufState) -> bool) -> Result<()> {
+    /// wait that goes on ([`Monitor::recount`]). Returns an error, the lock
+    /// released, when the network is aborted at registration or the
+    /// executor refuses to block this context (cross-executor use).
+    fn block<'a>(
+        &'a self,
+        side: BlockKind,
+        mut st: MutexGuard<'a, BufState>,
+        leave: &mut Leave<'a>,
+        pred: impl Fn(&BufState) -> bool,
+    ) -> Result<MutexGuard<'a, BufState>> {
+        debug_assert!(
+            !leave.registered() && !leave.woken,
+            "a wait starts with nothing owed to the monitor"
+        );
         // Publish-before-wait (see `crate::flush`): a token stranded in a
         // private chunk here could be exactly the one the rest of the
         // network is waiting for, and the monitor cannot see it either. A
         // reader must publish all its output; so must a writer — its
         // *other* outputs are as invisible as a reader's (the sink being
         // flushed into this channel is mid-flush and skips itself). The
-        // flush can block, so it comes before the registration: a task
-        // registers as blocked once.
-        flush::flush_before_block();
+        // flush can block, so it comes before the registration (a task
+        // registers as blocked once) and runs with the lock released.
+        if flush::unpublished() {
+            drop(st);
+            flush::flush_before_block();
+            st = self.state.lock();
+            if !pred(&st) {
+                return Ok(st);
+            }
+        }
         let key = self.key(side);
         // A fiber of another executor (a pooled process on a channel made
         // outside any network) parks on its own, which this side's wakes
         // are passed on to; everyone else parks on the channel's.
         let own = crate::exec::other_fiber_exec(&self.exec);
         // A process counts as blocked; a wake un-counts it (`counted`).
-        let process = self.monitor.is_some() && crate::exec::is_process_task();
-        let mut registration = None;
+        let (me, process) = match &self.monitor {
+            Some(_) => crate::exec::task_identity(),
+            None => (0, false),
+        };
         // A wake cleared the `counted` mark: the count it took is owed back.
         let mut woken = false;
-        let mut st = self.state.lock();
         *st.waiters(side) += 1;
         let res = loop {
             if !pred(&st) {
@@ -371,7 +400,11 @@ impl Shared {
                 BlockKind::Write => st.writer_waiting = true,
             }
             st.counted[side as usize] = process;
-            if let Some(m) = self.monitor.as_ref().filter(|_| woken || registration.is_none()) {
+            if let Some(m) = self
+                .monitor
+                .as_deref()
+                .filter(|_| woken || !leave.registered())
+            {
                 // Registered (or counted again) with the marks set, and
                 // before the re-check: if that completes an all-blocked
                 // picture and detection grows this channel, the re-check
@@ -381,7 +414,7 @@ impl Shared {
                     m.recount();
                     Ok(())
                 } else {
-                    BlockGuard::enter(m, side, self.id).map(|guard| registration = Some(guard))
+                    leave.enter(m, side, self.id, me, process)
                 };
                 st = self.state.lock();
                 woken = process && !std::mem::take(&mut st.counted[side as usize]);
@@ -415,17 +448,70 @@ impl Shared {
             }
         };
         *st.waiters(side) -= 1;
-        drop(st);
-        // Unregistered with the state lock released: the monitor's lock
-        // comes before a channel's. A count a wake took comes back with the
-        // exit, so no picture sees this task counted while it runs.
-        match (&mut registration, &self.monitor) {
-            (Some(guard), _) => guard.woken = woken,
-            (None, Some(m)) if woken => m.recount(),
+        // A count a wake took comes back when the task leaves, so no picture
+        // sees this task counted while it runs.
+        leave.woken = woken;
+        res.map(|()| st)
+    }
+}
+
+/// What a task owes its channel's monitor once a wait is over: the
+/// registration it made, or the count a wake took from it with no
+/// registration to hand it back. Settled on drop, or by [`Leave::end`]. A
+/// waiting operation declares it before its state guard, so it drops after
+/// the guard: the monitor's lock comes before a channel's (DESIGN.md §4c).
+/// It borrows the monitor rather than cloning its `Arc`.
+struct Leave<'a> {
+    monitor: Option<&'a Monitor>,
+    /// The task's token, while it is registered as blocked.
+    registered: Option<u64>,
+    /// A wake took the task's count: its exit, or a recount, hands it back.
+    woken: bool,
+}
+
+impl<'a> Leave<'a> {
+    /// Nothing owed yet, to `shared`'s monitor if it has one.
+    fn new(shared: &'a Shared) -> Self {
+        Leave {
+            monitor: shared.monitor.as_deref(),
+            registered: None,
+            woken: false,
+        }
+    }
+
+    fn registered(&self) -> bool {
+        self.registered.is_some()
+    }
+
+    /// Registers task `token` as blocked on `side` of channel `chan`.
+    fn enter(
+        &mut self,
+        m: &Monitor,
+        side: BlockKind,
+        chan: u64,
+        token: u64,
+        is_process: bool,
+    ) -> Result<()> {
+        m.enter_block(side, chan, token, is_process)?;
+        self.registered = Some(token);
+        Ok(())
+    }
+
+    /// Unregisters, or hands back the count a wake took. Call it with the
+    /// state lock released.
+    fn end(&mut self) {
+        let woken = std::mem::take(&mut self.woken);
+        match (self.monitor, self.registered.take()) {
+            (Some(m), Some(token)) => m.exit_block(token, woken),
+            (Some(m), None) if woken => m.recount(),
             _ => {}
         }
-        drop(registration);
-        res
+    }
+}
+
+impl Drop for Leave<'_> {
+    fn drop(&mut self) {
+        self.end();
     }
 }
 
@@ -552,29 +638,16 @@ struct LocalSink {
     closed: bool,
 }
 
-impl LocalSink {
-    /// Blocks until the buffer has free space, the reader closes, or the
-    /// network is poisoned. Returns with the state lock *not* held.
-    fn block_until_writable(&self) -> Result<()> {
-        let sh = &self.shared;
-        loop {
-            let mut st = sh.state.lock();
-            if st.poisoned {
-                return Err(Error::Deadlocked);
-            }
-            if st.read_closed {
-                return Err(Error::WriteClosed);
-            }
-            if !st.buf.is_full() {
-                return Ok(());
-            }
-            st.write_blocks += 1;
-            drop(st);
-            sh.block(BlockKind::Write, |st| {
-                st.buf.is_full() && !st.read_closed && !st.poisoned
-            })?;
-        }
-    }
+/// The predicate a writer waits on: the buffer is full, and neither side
+/// has ended the stream for it.
+fn full(st: &BufState) -> bool {
+    st.buf.is_full() && !st.read_closed && !st.poisoned
+}
+
+/// The predicate a reader waits on: the buffer is empty, and neither the
+/// writer nor the network has ended the stream for it.
+fn empty(st: &BufState) -> bool {
+    st.buf.is_empty() && !st.write_closed && !st.poisoned
 }
 
 impl Sink for LocalSink {
@@ -583,25 +656,24 @@ impl Sink for LocalSink {
         // Preemption point: under sim every channel operation is a place
         // the schedule may switch tasks (a no-op on other executors).
         sh.exec.yield_point();
-        // An empty write still surfaces a closed/poisoned channel promptly.
-        if buf.is_empty() {
-            let st = sh.state.lock();
+        // Declared before the guard, so it is settled after the guard drops.
+        let mut leave = Leave::new(sh);
+        let mut st = sh.state.lock();
+        loop {
+            // An empty write still surfaces a closed/poisoned channel promptly.
             if st.poisoned {
                 return Err(Error::Deadlocked);
             }
             if st.read_closed {
                 return Err(Error::WriteClosed);
             }
-            return Ok(());
-        }
-        while !buf.is_empty() {
-            self.block_until_writable()?;
-            let mut st = sh.state.lock();
-            if st.poisoned {
-                return Err(Error::Deadlocked);
+            if buf.is_empty() {
+                return Ok(());
             }
-            if st.read_closed {
-                return Err(Error::WriteClosed);
+            if st.buf.is_full() {
+                st.write_blocks += 1;
+                st = sh.block(BlockKind::Write, st, &mut leave, full)?;
+                continue;
             }
             let n = st.buf.push(buf);
             if st.writer.state == SideState::External {
@@ -622,8 +694,14 @@ impl Sink for LocalSink {
             if wake {
                 sh.wake_readers();
             }
+            if buf.is_empty() {
+                return Ok(());
+            }
+            // The rest waits for room: a wait registers afresh, so the
+            // last one's registration ends first, with the lock released.
+            leave.end();
+            st = sh.state.lock();
         }
-        Ok(())
     }
 
     fn reader_waiting(&self) -> ReaderState {
@@ -688,30 +766,28 @@ impl Source for LocalSource {
         let sh = &self.shared;
         // Preemption point (see the matching hook in `write_all`).
         sh.exec.yield_point();
-        loop {
-            let mut st = sh.state.lock();
-            if st.poisoned {
-                return Err(Error::Deadlocked);
-            }
-            if !st.buf.is_empty() {
-                let n = st.buf.pop(out);
-                if st.reader.state == SideState::External {
-                    st.external_user = crate::exec::task_token();
-                }
-                sh.made_room(st);
-                return Ok(SourceRead::Data(n));
-            }
-            if st.write_closed {
-                return match st.continuation.take() {
-                    Some(cont) => Ok(SourceRead::Splice(cont)),
-                    None => Ok(SourceRead::End),
-                };
-            }
+        // Declared before the guard, so it is settled after the guard drops:
+        // a registration ends after the pop, with the lock released.
+        let mut leave = Leave::new(sh);
+        let mut st = sh.state.lock();
+        if empty(&st) {
             st.read_blocks += 1;
-            drop(st);
-            sh.block(BlockKind::Read, |st| {
-                st.buf.is_empty() && !st.write_closed && !st.poisoned
-            })?;
+            st = sh.block(BlockKind::Read, st, &mut leave, empty)?;
+        }
+        if st.poisoned {
+            return Err(Error::Deadlocked);
+        }
+        if !st.buf.is_empty() {
+            let n = st.buf.pop(out);
+            if st.reader.state == SideState::External {
+                st.external_user = crate::exec::task_token();
+            }
+            sh.made_room(st);
+            return Ok(SourceRead::Data(n));
+        }
+        match st.continuation.take() {
+            Some(cont) => Ok(SourceRead::Splice(cont)),
+            None => Ok(SourceRead::End),
         }
     }
 

@@ -19,7 +19,7 @@ mod imp {
     //! caller-saved state is already spilled by the `extern "C"` call
     //! boundary. No dependencies, ~20 instructions.
 
-    use super::super::TaskLocals;
+    use super::super::{swap_current, TaskLocals};
     use std::cell::Cell;
     use std::sync::Arc;
 
@@ -116,7 +116,9 @@ mod imp {
         stack: FiberStack,
         /// Saved rsp while suspended; garbage while running.
         ctx: usize,
-        pub(in crate::exec) locals: Arc<TaskLocals>,
+        /// The task's identity while the fiber is off the CPU; while it
+        /// runs, the worker's previous one (see [`Fiber::run`]).
+        locals: Option<Arc<TaskLocals>>,
         entry: Option<Box<dyn FnOnce() + Send>>,
         pub(in crate::exec) done: bool,
     }
@@ -141,7 +143,7 @@ mod imp {
             let mut f = Box::new(Fiber {
                 stack,
                 ctx: 0,
-                locals,
+                locals: Some(locals),
                 entry: Some(entry),
                 done: false,
             });
@@ -166,9 +168,13 @@ mod imp {
             f
         }
 
-        /// Resume this fiber on the current worker thread. Returns when the
-        /// fiber parks, yields, or finishes.
+        /// Resume this fiber on the current worker thread, its identity
+        /// installed as the thread's current task. Returns when the fiber
+        /// parks, yields, or finishes, with the worker's own restored.
         pub(in crate::exec) fn run(&mut self, worker_ctx: &mut usize) {
+            // Moved in and back out, not cloned: no reference count
+            // changes hands per dispatch.
+            swap_current(&mut self.locals);
             ACTIVE_FIBER.with(|c| c.set(self as *mut Fiber));
             // SAFETY: `self.ctx` is the stack pointer this fiber's last
             // switch-out saved on its own live stack (or the frame `new`
@@ -179,14 +185,13 @@ mod imp {
             // switches back.
             unsafe { kpn_core_fiber_switch(worker_ctx as *mut usize, self.ctx) };
             ACTIVE_FIBER.with(|c| c.set(std::ptr::null_mut()));
+            swap_current(&mut self.locals);
             // SAFETY: `base` starts the fiber's live stack allocation and is
             // u64-aligned; the fiber is switched out, so nothing writes it.
             let canary = unsafe { (self.stack.base as *const u64).read() };
             if canary != CANARY {
-                eprintln!(
-                    "kpn-core: fiber stack overflow detected (task '{}'); aborting",
-                    self.locals.name
-                );
+                let task = self.locals.as_ref().map_or("", |l| &l.name);
+                eprintln!("kpn-core: fiber stack overflow detected (task '{task}'); aborting");
                 std::process::abort();
             }
         }
@@ -257,12 +262,9 @@ mod imp {
     //! to thread-per-task (see
     //! [`crate::exec::PooledExec`]), so no fiber is ever constructed.
 
-    use super::super::TaskLocals;
     use std::cell::Cell;
-    use std::sync::Arc;
 
     pub(in crate::exec) struct Fiber {
-        pub(in crate::exec) locals: Arc<TaskLocals>,
         pub(in crate::exec) done: bool,
     }
 

@@ -55,11 +55,13 @@
 //! real time; [`Exec::sleep`] is built on it (DESIGN.md, "How a task
 //! waits").
 //!
-//! A park costs no allocation and no SipHash. The table's bucket maps are
-//! keyed by addresses, so they hash with `WordHasher`, one folded multiply
-//! (the monitor's blocked set, keyed by task tokens, uses it too); and a
-//! key's filed fibers are a `FiberSet`, whose first fiber is held inline,
-//! so only a second fiber on one key allocates.
+//! A park costs no allocation, no SipHash and no write to a process-wide
+//! counter. The table's bucket maps are keyed by addresses, so they hash
+//! with `WordHasher`, one folded multiply (the monitor's blocked set, keyed
+//! by task tokens, uses it too); a key's filed fibers are a `FiberSet`,
+//! whose first fiber is held inline, so only a second fiber on one key
+//! allocates; and generations come from a counter per bucket, kept under
+//! the bucket's lock.
 //!
 //! ## Task identity
 //!
@@ -97,8 +99,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-/// Monotonic source of task tokens and park generations. Starting at 1
-/// keeps 0 free as an always-stale sentinel.
+/// Monotonic source of task tokens. Starting at 1 keeps 0 free for "no
+/// task". (Park generations come from the wait table's buckets, so a wait
+/// writes no counter shared by every worker of every pool.)
 static GLOBAL_COUNTER: AtomicU64 = AtomicU64::new(1);
 
 pub(crate) fn next_id() -> u64 {
@@ -213,9 +216,22 @@ struct Waiters {
     threads: usize,
 }
 
+/// What a bucket's lock guards: its keys' entries and the counter their
+/// generations come from.
+#[derive(Default)]
+struct Keys {
+    map: WordMap<usize, Waiters>,
+    /// The last generation handed out in this bucket. A key always maps to
+    /// the same bucket, so the generations of its entries only grow, across
+    /// retirements too: a key never sees a token repeat, and a token taken
+    /// before an entry was retired never matches the entry that replaces
+    /// it. Starting at 0 keeps 0 an always-stale token.
+    gen: u64,
+}
+
 #[derive(Default)]
 struct Bucket {
-    map: Mutex<WordMap<usize, Waiters>>,
+    keys: Mutex<Keys>,
     /// Shared by the bucket's keys: a thread may wake for another key,
     /// which the protocol permits.
     cv: Condvar,
@@ -230,12 +246,16 @@ struct WaitTable {
 
 impl WaitTable {
     fn token(&self, key: usize) -> u64 {
-        let mut map = self.buckets[bucket_of(key)].map.lock();
+        let mut keys = self.buckets[bucket_of(key)].keys.lock();
+        let Keys { map, gen } = &mut *keys;
         map.entry(key)
-            .or_insert_with(|| Waiters {
-                gen: next_id(),
-                fibers: FiberSet::default(),
-                threads: 0,
+            .or_insert_with(|| {
+                *gen += 1;
+                Waiters {
+                    gen: *gen,
+                    fibers: FiberSet::default(),
+                    threads: 0,
+                }
             })
             .gen
     }
@@ -244,24 +264,24 @@ impl WaitTable {
     /// whether it ended at `deadline`; a stale token returns `false` at once.
     fn wait(&self, key: usize, token: u64, deadline: Option<Instant>) -> bool {
         let b = &self.buckets[bucket_of(key)];
-        let mut map = b.map.lock();
-        match map.get_mut(&key) {
+        let mut keys = b.keys.lock();
+        match keys.map.get_mut(&key) {
             // Absent means the entry was retired after a newer generation
             // was handed out and consumed: any token we hold is stale.
             Some(e) if e.gen == token => e.threads += 1,
             _ => return false,
         }
         let timed_out = match deadline {
-            Some(d) => b.cv.wait_until(&mut map, d).timed_out(),
+            Some(d) => b.cv.wait_until(&mut keys, d).timed_out(),
             None => {
-                b.cv.wait(&mut map);
+                b.cv.wait(&mut keys);
                 false
             }
         };
-        if let Some(e) = map.get_mut(&key) {
+        if let Some(e) = keys.map.get_mut(&key) {
             e.threads -= 1;
             if e.threads == 0 && e.fibers.is_empty() {
-                map.remove(&key);
+                keys.map.remove(&key);
             }
         }
         timed_out
@@ -270,7 +290,7 @@ impl WaitTable {
     /// The fiber half: files `f` under `key` while `token` is current,
     /// else hands it back (the wake it waits for has already happened).
     fn file(&self, key: usize, token: u64, f: Box<fiber::Fiber>) -> Option<Box<fiber::Fiber>> {
-        match self.buckets[bucket_of(key)].map.lock().get_mut(&key) {
+        match self.buckets[bucket_of(key)].keys.lock().map.get_mut(&key) {
             Some(e) if e.gen == token => {
                 e.fibers.push(f);
                 None
@@ -283,19 +303,21 @@ impl WaitTable {
     /// returns its fibers for the caller to schedule.
     fn wake(&self, key: usize) -> FiberSet {
         let b = &self.buckets[bucket_of(key)];
-        let mut map = b.map.lock();
-        let Some(e) = map.get_mut(&key) else {
+        let mut keys = b.keys.lock();
+        let keys = &mut *keys;
+        let Some(e) = keys.map.get_mut(&key) else {
             // Nobody holds a token that could still match (tokens only
             // exist between `token` and the end of a wait, and both keep
             // the entry alive), so there is no one to wake.
             return FiberSet::default();
         };
-        e.gen = next_id();
+        keys.gen += 1;
+        e.gen = keys.gen;
         let fibers = std::mem::take(&mut e.fibers);
         if e.threads > 0 {
             b.cv.notify_all();
         } else {
-            map.remove(&key);
+            keys.map.remove(&key);
         }
         fibers
     }
@@ -572,16 +594,25 @@ pub(crate) fn set_current(locals: Option<Arc<TaskLocals>>) -> Option<Arc<TaskLoc
     CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), locals))
 }
 
+/// Swap `locals` with the current task on this thread: a pooled worker
+/// moves a fiber's identity in before running it and back out after, and
+/// no reference count changes hands.
+pub(crate) fn swap_current(locals: &mut Option<Arc<TaskLocals>>) {
+    CURRENT.with(|c| std::mem::swap(&mut *c.borrow_mut(), locals));
+}
+
 /// A stable token identifying the current task (not the current OS thread):
 /// the monitor keys its blocked-set by this.
 pub(crate) fn task_token() -> u64 {
     with_current(|l| l.token)
 }
 
-/// True when the caller is a KPN process task (as opposed to a foreign
-/// thread touching a channel from outside the network).
-pub(crate) fn is_process_task() -> bool {
-    with_current(|l| l.is_process)
+/// The current task's token and whether it is a KPN process task (as
+/// opposed to a foreign thread touching a channel from outside the
+/// network), read together: a wait reads them once and hands them to the
+/// monitor's registration and exit.
+pub(crate) fn task_identity() -> (u64, bool) {
+    with_current(|l| (l.token, l.is_process))
 }
 
 /// The current task's process name, or `None` on foreign threads.
@@ -790,12 +821,12 @@ mod tests {
     impl WaitTable {
         /// Fibers and threads waiting on `key`.
         fn waiting(&self, key: usize) -> usize {
-            let map = self.buckets[bucket_of(key)].map.lock();
-            map.get(&key).map_or(0, |e| e.fibers.len() + e.threads)
+            let keys = self.buckets[bucket_of(key)].keys.lock();
+            keys.map.get(&key).map_or(0, |e| e.fibers.len() + e.threads)
         }
 
         fn is_empty(&self) -> bool {
-            self.buckets.iter().all(|b| b.map.lock().is_empty())
+            self.buckets.iter().all(|b| b.keys.lock().map.is_empty())
         }
     }
 
@@ -803,6 +834,10 @@ mod tests {
 
     const CASES: &[Case] = &[
         ("a stale token returns at once", stale_token_returns_at_once),
+        (
+            "a re-created entry never matches an older token",
+            a_recreated_entry_never_matches_an_older_token,
+        ),
         ("a timeout is reported", timeout_is_reported),
         (
             "a timed park ends by its deadline",
@@ -936,6 +971,45 @@ mod tests {
         *set.lock() = true;
         exec.unpark_all(key);
         helper.join().unwrap();
+    }
+
+    fn a_recreated_entry_never_matches_an_older_token(exec: &Arc<dyn Exec>, waits: &WaitTable) {
+        // Generations come from the key's bucket, not the key's entry: an
+        // entry retired by a wake and created again by the next token goes
+        // on from where the bucket's counter stands, even when other keys
+        // of the bucket moved it meanwhile. Checked from this thread and
+        // from a task of the executor.
+        let key = 0x1_0000;
+        let neighbour = key + 16 * BUCKETS;
+        assert_eq!(bucket_of(key), bucket_of(neighbour));
+        let cycle = move |e: &dyn Exec| {
+            let mut seen = Vec::new();
+            for round in 0..4 {
+                let token = e.park_token(key);
+                assert!(
+                    seen.iter().all(|&old| old < token),
+                    "round {round}: token {token} after {seen:?}"
+                );
+                if round % 2 == 1 {
+                    // A neighbour's entry lives and dies between ours.
+                    e.park_token(neighbour);
+                    e.unpark_all(neighbour);
+                }
+                // Nobody waits: the wake retires the entry.
+                e.unpark_all(key);
+                for &old in seen.iter().chain([&token]) {
+                    park_stale(e, key, old);
+                }
+                seen.push(token);
+            }
+        };
+        cycle(&**exec);
+        on_task(exec, cycle)
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap();
+        // A stale park leaves the entry its token re-created: retire it.
+        exec.unpark_all(key);
+        assert_eq!(waits.waiting(key), 0);
     }
 
     fn timeout_is_reported(exec: &Arc<dyn Exec>, _: &WaitTable) {

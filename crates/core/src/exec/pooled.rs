@@ -80,8 +80,8 @@
 
 use super::deque::{Steal, WorkDeque};
 use super::{
-    fiber, reactor, set_current, weak_dyn, with_current, Exec, SchedulerStats, TaskLocals,
-    WaitTable, WorkerStats,
+    fiber, reactor, weak_dyn, with_current, Exec, SchedulerStats, TaskLocals, WaitTable,
+    WorkerStats,
 };
 use crate::error::Result;
 use parking_lot::{Condvar, Mutex};
@@ -122,7 +122,17 @@ thread_local! {
     static WORKER_ID: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
+/// Adds one to a counter that only its own worker writes: a load and a
+/// store, not a lock-prefixed read-modify-write. Readers already take every
+/// counter as approximate.
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
 /// Cumulative per-slot counters; relaxed atomics, observation only.
+/// `fiber_switches`, `local_pops`, `hot_hits` and `max_queue_depth` have a
+/// single writer, the slot's worker ([`bump`]); the others are added to
+/// with read-modify-writes.
 #[derive(Default)]
 struct WorkerCounters {
     fiber_switches: AtomicU64,
@@ -204,9 +214,14 @@ impl WorkerSlot {
         !self.hot.load(Ordering::SeqCst).is_null()
     }
 
+    /// Records the run-queue depth after a push by the owning worker, the
+    /// one writer of `max_queue_depth`.
     fn note_depth(&self) {
         let d = self.deque.len() as u64 + u64::from(self.hot_occupied());
-        self.stats.max_queue_depth.fetch_max(d, Ordering::Relaxed);
+        let max = &self.stats.max_queue_depth;
+        if d > max.load(Ordering::Relaxed) {
+            max.store(d, Ordering::Relaxed);
+        }
     }
 }
 
@@ -406,7 +421,7 @@ impl PooledExec {
         if !fair && *hot_streak < HOT_BUDGET {
             if let Some(f) = me.take_hot() {
                 *hot_streak += 1;
-                me.stats.hot_hits.fetch_add(1, Ordering::Relaxed);
+                bump(&me.stats.hot_hits);
                 return Some(f);
             }
         } else if fair {
@@ -424,7 +439,7 @@ impl PooledExec {
         // enough to keep every queue draining).
         if let Some(f) = me.deque.pop() {
             *hot_streak = 0;
-            me.stats.local_pops.fetch_add(1, Ordering::Relaxed);
+            bump(&me.stats.local_pops);
             return Some(f);
         }
         if let Some(f) = self.pop_injector(slot) {
@@ -433,7 +448,7 @@ impl PooledExec {
         }
         if let Some(f) = me.take_hot() {
             *hot_streak = 1;
-            me.stats.hot_hits.fetch_add(1, Ordering::Relaxed);
+            bump(&me.stats.hot_hits);
             return Some(f);
         }
         *hot_streak = 0;
@@ -548,13 +563,8 @@ impl PooledExec {
 
     fn run_fiber(&self, mut f: Box<fiber::Fiber>, slot: usize, worker_ctx: &mut usize) {
         self.busy.fetch_add(1, Ordering::SeqCst);
-        self.slots[slot]
-            .stats
-            .fiber_switches
-            .fetch_add(1, Ordering::Relaxed);
-        let prev = set_current(Some(f.locals.clone()));
+        bump(&self.slots[slot].stats.fiber_switches);
         f.run(worker_ctx);
-        set_current(prev);
         if f.done {
             let mut st = self.central.lock();
             st.alive -= 1;
@@ -862,7 +872,7 @@ impl Exec for PooledExec {
         std::thread::Builder::new()
             .name(format!("kpn:{name}"))
             .spawn(move || {
-                set_current(Some(locals));
+                super::set_current(Some(locals));
                 body();
             })
             .expect("spawn process thread");

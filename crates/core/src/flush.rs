@@ -318,11 +318,24 @@ pub fn flush_task_sinks() -> Result<()> {
     })
 }
 
+/// Whether the calling task may own a sink whose bytes no
+/// publish-before-wait has swept since they were written: its
+/// `unpublished` flag. A local channel's wait asks this with its state lock
+/// held and releases the lock to publish only when it is raised.
+pub(crate) fn unpublished() -> bool {
+    crate::exec::with_current(|l| l.unpublished.load(Ordering::Relaxed))
+}
+
 /// Publish-before-wait: every path on which a task may park calls this
-/// first, and before it registers with the deadlock monitor. Errors are
-/// swallowed here: the failing sink stashes its error and surfaces it on
-/// the owner's next write (§3.4's "exception on the next write" semantics);
-/// the operation that triggered the flush must still be allowed to proceed.
+/// first, and before it registers with the deadlock monitor, with no lock
+/// held — a publish can itself block on a full channel. A local channel's
+/// wait calls it only while the task's `unpublished` flag says there may be
+/// something to publish, so that its state lock is not released for an
+/// empty sweep.
+/// Errors are swallowed here: the failing sink stashes its error and
+/// surfaces it on the owner's next write (§3.4's "exception on the next
+/// write" semantics); the operation that triggered the flush must still be
+/// allowed to proceed.
 pub fn flush_before_block() {
     let _ = flush_task_sinks();
 }
@@ -424,10 +437,6 @@ mod tests {
             self.marks.dirty.store(false, Ordering::Relaxed);
             Ok(())
         }
-    }
-
-    fn unpublished() -> bool {
-        crate::exec::with_current(|l| l.unpublished.load(Ordering::Relaxed))
     }
 
     #[test]

@@ -643,16 +643,22 @@ impl Monitor {
         self.resolve(st);
     }
 
-    /// Registers the current thread as blocked and runs deadlock detection.
+    /// Registers the calling task — `token`, a process if `is_process`
+    /// ([`crate::exec::task_identity`], read once by the wait) — as blocked
+    /// and runs deadlock detection.
     /// Returns `Err(Deadlocked)` if the network is already aborted, and
     /// `Err(Graph)` — leaving the existing registration alone — if the task
     /// is registered already: a nested registration would count the task
     /// as two blocked processes and, after the inner exit, as one forever,
     /// which the monitor would eventually read as a deadlock with a
     /// process still running.
-    pub(crate) fn enter_block(&self, kind: BlockKind, chan: u64) -> Result<()> {
-        let token = crate::exec::task_token();
-        let is_process = crate::exec::is_process_task();
+    pub(crate) fn enter_block(
+        &self,
+        kind: BlockKind,
+        chan: u64,
+        token: u64,
+        is_process: bool,
+    ) -> Result<()> {
         let mut st = self.state.lock();
         if st.aborted {
             return Err(Error::Deadlocked);
@@ -736,10 +742,9 @@ impl Monitor {
         (!untimed).then(|| Instant::now() + MONITOR_TICK)
     }
 
-    /// Unregisters the current thread, taking back the count a wake took
+    /// Unregisters the task `token`, taking back the count a wake took
     /// from its registration if `woken`.
-    pub(crate) fn exit_block(&self, woken: bool) {
-        let token = crate::exec::task_token();
+    pub(crate) fn exit_block(&self, token: u64, woken: bool) {
         let mut st = self.state.lock();
         if woken {
             self.woken.fetch_sub(1, Ordering::Relaxed);
@@ -873,23 +878,24 @@ impl std::fmt::Debug for Monitor {
 /// task.
 pub struct BlockGuard {
     monitor: Arc<Monitor>,
-    /// A wake took the registration's count: the exit hands it back.
-    pub(crate) woken: bool,
+    token: u64,
 }
 
 impl BlockGuard {
     pub(crate) fn enter(monitor: &Arc<Monitor>, kind: BlockKind, chan: u64) -> Result<Self> {
-        monitor.enter_block(kind, chan)?;
+        let (token, is_process) = crate::exec::task_identity();
+        monitor.enter_block(kind, chan, token, is_process)?;
         Ok(BlockGuard {
             monitor: monitor.clone(),
-            woken: false,
+            token,
         })
     }
 }
 
 impl Drop for BlockGuard {
     fn drop(&mut self) {
-        self.monitor.exit_block(self.woken);
+        // No wake counts a remote wait down (`Monitor::uncount`).
+        self.monitor.exit_block(self.token, false);
     }
 }
 
@@ -897,6 +903,19 @@ impl Drop for BlockGuard {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    impl Monitor {
+        /// Registers the calling thread, as a channel wait registers it.
+        fn enter(&self, kind: BlockKind, chan: u64) -> Result<()> {
+            let (token, is_process) = crate::exec::task_identity();
+            self.enter_block(kind, chan, token, is_process)
+        }
+
+        /// Unregisters the calling thread, not woken.
+        fn exit(&self) {
+            self.exit_block(crate::exec::task_token(), false);
+        }
+    }
 
     struct FakeChan {
         cap: Mutex<usize>,
@@ -980,7 +999,7 @@ mod tests {
         let m = Monitor::new(DeadlockPolicy::default());
         m.abort();
         assert!(matches!(
-            m.enter_block(BlockKind::Read, 1),
+            m.enter(BlockKind::Read, 1),
             Err(Error::Deadlocked)
         ));
     }
@@ -1003,7 +1022,7 @@ mod tests {
         let m = m.clone();
         std::thread::spawn(move || {
             crate::exec::install_process_locals("blocked");
-            let _ = m.enter_block(kind, chan);
+            let _ = m.enter(kind, chan);
         })
         .join()
         .unwrap();
@@ -1434,16 +1453,16 @@ mod tests {
         .join()
         .unwrap();
         // ...and a foreign (non-process) thread that blocks.
-        m.enter_block(BlockKind::Read, 1).unwrap();
+        m.enter(BlockKind::Read, 1).unwrap();
         assert!(!m.is_aborted());
-        m.exit_block(false);
+        m.exit();
     }
 
     #[test]
     fn exit_block_clears_state() {
         let m = Monitor::new(DeadlockPolicy::Ignore);
-        m.enter_block(BlockKind::Read, 1).unwrap();
-        m.exit_block(false);
+        m.enter(BlockKind::Read, 1).unwrap();
+        m.exit();
         let st = m.state.lock();
         assert!(st.blocked.is_empty());
         assert_eq!(st.blocked_processes, 0);
@@ -1458,17 +1477,14 @@ mod tests {
         std::thread::spawn(move || {
             crate::exec::install_process_locals("nested");
             m.process_started();
-            m.enter_block(BlockKind::Read, EXTERNAL_CHANNEL).unwrap();
-            assert!(matches!(
-                m.enter_block(BlockKind::Write, 7),
-                Err(Error::Graph(_))
-            ));
+            m.enter(BlockKind::Read, EXTERNAL_CHANNEL).unwrap();
+            assert!(matches!(m.enter(BlockKind::Write, 7), Err(Error::Graph(_))));
             {
                 let st = m.state.lock();
                 assert_eq!(st.blocked_processes, 1);
                 assert_eq!(st.blocked.values().next().unwrap().chan, EXTERNAL_CHANNEL);
             }
-            m.exit_block(false);
+            m.exit();
             let st = m.state.lock();
             assert!(st.blocked.is_empty());
             assert_eq!(st.blocked_processes, 0);
@@ -1486,7 +1502,7 @@ mod tests {
         std::thread::spawn(move || {
             crate::exec::install_process_locals("writer");
             m2.process_started();
-            m2.enter_block(BlockKind::Write, 1).unwrap();
+            m2.enter(BlockKind::Write, 1).unwrap();
         })
         .join()
         .unwrap();

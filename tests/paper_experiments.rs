@@ -22,10 +22,15 @@ fn cfg() -> HarnessConfig {
 fn table2_shape_static_stalls_at_worker_8() {
     // §5.2: adding the first class-C CPU makes static load balancing
     // *worse*, because every round moves in lock-step with the slowest
-    // worker.
+    // worker. Each side is its best of three, taken alternately, as in
+    // the heterogeneous-pool test below: one late sleep timer in a single
+    // 7-worker run would otherwise hide the rise.
     let cfg = cfg();
-    let t7 = measure(&cfg, Schema::Static, 7).minutes;
-    let t8 = measure(&cfg, Schema::Static, 8).minutes;
+    let (mut t7, mut t8) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        t7 = t7.min(measure(&cfg, Schema::Static, 7).minutes);
+        t8 = t8.min(measure(&cfg, Schema::Static, 8).minutes);
+    }
     assert!(
         t8 > t7 * 1.1,
         "static time must rise when the slow CPU joins: {t7:.2} → {t8:.2}"
