@@ -18,8 +18,8 @@
 //!
 //! The module splits by executor: [`mod@self`] holds the trait, task
 //! identity, and [`ExecMode`]; `thread.rs`, `sim.rs`, and `pooled.rs` hold
-//! the three implementations; `deque.rs` is the Chase–Lev deque under the
-//! pooled scheduler and `fiber.rs` its stackful continuations.
+//! the three implementations, the pooled scheduler's run queues among them;
+//! `fiber.rs` holds its stackful continuations.
 //!
 //! ## The park/unpark protocol
 //!
@@ -72,10 +72,8 @@
 //! thread-local by whichever worker is currently running it.
 
 // Fibers exist on Linux x86_64 only; elsewhere the pool runs each task on a
-// thread of its own and the scheduler behind these three modules is
+// thread of its own and the scheduler behind these two modules is
 // compiled but unreachable.
-#[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64", not(miri))), allow(dead_code))]
-mod deque;
 #[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64", not(miri))), allow(dead_code))]
 pub(crate) mod fiber;
 #[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64", not(miri))), allow(dead_code))]
@@ -441,7 +439,7 @@ pub fn sleep(d: Duration) {
 pub struct WorkerStats {
     /// Fibers this worker switched into (dispatches).
     pub fiber_switches: u64,
-    /// Dispatches served by the worker's own deque (LIFO pop).
+    /// Dispatches served by the worker's own run queue (LIFO pop).
     pub local_pops: u64,
     /// Dispatches served by the worker's LIFO hot slot.
     pub hot_hits: u64,
@@ -457,7 +455,7 @@ pub struct WorkerStats {
     pub parks: u64,
     /// Times this worker was woken from that sleep.
     pub unparks: u64,
-    /// Run-queue depth (deque + hot slot) at snapshot time.
+    /// Run-queue depth (queued fibers + hot slot) at snapshot time.
     pub queue_depth: u64,
     /// Highest run-queue depth observed after a local push.
     pub max_queue_depth: u64,
@@ -490,8 +488,8 @@ pub struct SchedulerStats {
     /// spawn until the pool is full) and own their slot until the pool
     /// shuts down, so this climbs to `target_workers` and stays there.
     pub current_workers: usize,
-    /// Fibers ever pushed to the global injector (spawns, cross-worker and
-    /// foreign-thread unparks, deque overflow spills).
+    /// Fibers ever pushed to the global injector (spawns, and unparks by
+    /// threads that are not workers of this pool).
     pub injector_pushes: u64,
     /// Fibers sitting in the injector at snapshot time.
     pub injector_depth: usize,
