@@ -25,15 +25,15 @@
 
 use crate::buffer::RingBuffer;
 use crate::error::{Error, Result};
-use crate::exec::Exec;
+use crate::exec::{Exec, ParkSite, WaitSlot};
 use crate::flush::{self, Flushable, Marks, Publish};
-use crate::monitor::{BlockKind, ChannelIoStats, Look, Monitor, MonitoredChannel};
+use crate::monitor::{BlockKind, ChannelIoStats, Look, Monitor, MonitoredChannel, Registration};
 use crate::sim::HistoryRecorder;
 use crate::topology::{EndpointShape, ProcessTag, SideState, StreamFraming};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Default channel capacity in bytes, analogous to the default buffer size
@@ -140,20 +140,12 @@ struct BufState {
     read_closed: bool,
     poisoned: bool,
     continuation: Option<ChannelReader>,
-    // Waiter counts per side: unparks are skipped entirely when nobody is
-    // parked, which removes a syscall-bound wakeup from the uncontended
-    // fast path. Sound because waiters re-check their predicate under this
-    // same mutex before (and after) every park.
-    read_waiters: u32,
-    write_waiters: u32,
+    /// The readers' side and the writers' side, indexed by [`BlockKind`].
+    sides: [Side; 2],
     /// The writer's side of `Shared::reader_waiting`, for the monitor's
     /// look only: set when the writer commits to wait on a full buffer,
     /// cleared by the read or growth that wakes it.
     writer_waiting: bool,
-    /// Per side (readers', writers'): the side's waiter is a process the
-    /// monitor counts as blocked. Set by the waiter with its waiting flag,
-    /// cleared by it or by the wake that un-counts it ([`Shared::uncount`]).
-    counted: [bool; 2],
     // I/O counters (ChannelIoStats).
     bytes_written: u64,
     write_blocks: u64,
@@ -171,14 +163,27 @@ struct BufState {
     external_user: u64,
 }
 
-impl BufState {
-    fn waiters(&mut self, side: BlockKind) -> &mut u32 {
-        match side {
-            BlockKind::Read => &mut self.read_waiters,
-            BlockKind::Write => &mut self.write_waiters,
-        }
-    }
+/// One side of a channel, as its wait sees it. The side has one task at
+/// most, so one task at most waits on it.
+#[derive(Default)]
+struct Side {
+    /// The task parked (or parking) on this side, for the wake to take.
+    /// Empty means nobody to wake, which spares the uncontended path any
+    /// wakeup: waiters re-check their predicate under this same mutex
+    /// before (and after) every park.
+    waiter: WaitSlot,
+    /// The wait as the monitor sees it, from its registration until it
+    /// leaves: the side's look shows who waits on what.
+    registered: Option<Registration>,
+    /// The wait counts toward the monitor's all-blocked trigger: set with
+    /// a process's registration, cleared by the wake that un-counts it
+    /// ([`Shared::uncount`]). That wake makes the wait's predicate false
+    /// (bytes for a reader, room for a writer), and nobody but the waiting
+    /// task can make it true again, so an un-counted wait never goes on.
+    counted: bool,
+}
 
+impl BufState {
     fn io_stats(&self) -> ChannelIoStats {
         ChannelIoStats {
             bytes_written: self.bytes_written,
@@ -219,11 +224,6 @@ pub(crate) struct Shared {
     /// — the single scheduling seam (thread, pooled, or sim; see
     /// [`crate::exec`]).
     exec: Arc<dyn Exec>,
-    /// Per side (readers', writers'): the executor of the first fiber of
-    /// another executor that waited on it, set under the state lock. That
-    /// fiber parked on its own executor, so every wake of the side is
-    /// passed on to it (see [`Shared::block`]).
-    foreign: [OnceLock<Weak<dyn Exec>>; 2],
     /// When set, every byte pushed through the ring buffer is appended to
     /// the recorder slot (the determinacy oracle's channel history).
     recorder: Option<(Arc<HistoryRecorder>, usize)>,
@@ -244,10 +244,8 @@ impl Shared {
                 read_closed: false,
                 poisoned: false,
                 continuation: None,
-                read_waiters: 0,
-                write_waiters: 0,
+                sides: Default::default(),
                 writer_waiting: false,
-                counted: [false; 2],
                 bytes_written: 0,
                 write_blocks: 0,
                 read_blocks: 0,
@@ -259,58 +257,33 @@ impl Shared {
             reader_waiting: Arc::new(AtomicBool::new(false)),
             monitor,
             exec,
-            foreign: Default::default(),
             recorder,
         })
     }
 
-    /// The park key of `side`, derived from this allocation's address
-    /// (unique for the channel's lifetime, which is as long as anyone can
-    /// be parked on it): the address for readers, 8 past it for writers.
+    /// The key of `side` for a keyed park (a simulation's task, a fiber of
+    /// another executor), derived from this allocation's address (unique
+    /// for the channel's lifetime, which is as long as anyone can be parked
+    /// on it): the address for readers, 8 past it for writers.
     fn key(&self, side: BlockKind) -> usize {
         self as *const Shared as usize + 8 * (side == BlockKind::Write) as usize
     }
 
-    /// Wakes every task parked waiting for this channel to become readable.
-    fn wake_readers(&self) {
-        self.wake(BlockKind::Read);
-    }
-
-    /// Wakes every task parked waiting for this channel to become writable.
-    fn wake_writers(&self) {
-        self.wake(BlockKind::Write);
-    }
-
-    /// Wakes `side` through the channel's executor and the foreign one it
-    /// recorded. The record is read without the state lock: a waiter makes
-    /// it under that lock before it counts as waiting, so a waker that saw
-    /// it counted sees the record.
-    fn wake(&self, side: BlockKind) {
-        let key = self.key(side);
-        self.exec.unpark_all(key);
-        if let Some(exec) = self.foreign[side as usize].get().and_then(Weak::upgrade) {
-            exec.unpark_all(key);
-        }
-    }
-
-    /// The executor a task of `own` parks on to wait on `side`: `own`
-    /// itself if `side` passes its wakes on to it — recorded here, under
-    /// the state lock, by its first such wait — else the channel's. (A
-    /// fiber of a second foreign executor on the same side waits in the
-    /// channel executor's thread half, holding its worker.)
-    fn park_on<'a>(&'a self, side: BlockKind, own: &'a Arc<dyn Exec>) -> &'a Arc<dyn Exec> {
-        let forwarded = self.foreign[side as usize].get_or_init(|| Arc::downgrade(own));
-        if std::ptr::addr_eq(forwarded.as_ptr(), Arc::as_ptr(own)) {
-            own
-        } else {
-            &self.exec
+    /// Releases the state lock `st` and wakes `side`'s waiter, taken out
+    /// under it, if there is one: the slot is empty while nobody waits,
+    /// which spares the uncontended path any wakeup.
+    fn release(&self, mut st: MutexGuard<'_, BufState>, side: BlockKind) {
+        let waiter = st.sides[side as usize].waiter.take();
+        drop(st);
+        if let Some(w) = waiter {
+            w.wake(&*self.exec, self.key(side));
         }
     }
 
     /// Issues the wake of `side` to the monitor: a counted waiter stops
     /// counting now, not when it resumes, so the trigger agrees with the looks.
     fn uncount(&self, st: &mut BufState, side: BlockKind) {
-        if std::mem::take(&mut st.counted[side as usize]) {
+        if std::mem::take(&mut st.sides[side as usize].counted) {
             if let Some(m) = &self.monitor {
                 m.uncount();
             }
@@ -322,44 +295,34 @@ impl Shared {
     fn made_room(&self, mut st: MutexGuard<'_, BufState>) {
         st.writer_waiting = false;
         self.uncount(&mut st, BlockKind::Write);
-        let wake = st.write_waiters > 0;
-        drop(st);
-        if wake {
-            self.wake_writers();
-        }
+        self.release(st, BlockKind::Write);
     }
 
     /// The one place a task waits on this channel. The caller holds the
     /// state lock (`st`) and has found `pred` true; `block` parks it while
     /// `pred` holds and hands the lock back held, with `pred` false, so the
     /// caller moves its bytes under the same guard: one acquisition before
-    /// the park and one after it (a third, around the registration, when
-    /// the channel is monitored). The order keeps private buffers invisible
+    /// the park and one after it. The order keeps private buffers invisible
     /// to Kahn semantics and to the monitor: publish, mark the side
     /// waiting, register, park. The lock is released only to park, to
-    /// register, and to publish while the task's `unpublished` flag is
-    /// raised ([`flush::unpublished`]).
+    /// publish while the task's `unpublished` flag is raised
+    /// ([`flush::unpublished`]), and to run detection when this wait's
+    /// count completes the all-blocked condition.
     ///
-    /// Registering and what a wake leaves owed to the monitor go through
-    /// `leave`, which the caller declared before its guard: the monitor's
-    /// lock comes before a channel's, so the task unregisters, or hands
-    /// back a count a wake took, once that guard is gone. The park keeps no
-    /// clock (but off Linux x86_64, [`Monitor::local_deadline`]):
-    /// registering evaluates the picture it completes, and so does a woken
-    /// wait that goes on ([`Monitor::recount`]). Returns an error, the lock
-    /// released, when the network is aborted at registration or the
-    /// executor refuses to block this context (cross-executor use).
+    /// What the monitor knows of the wait is kept on the side, under the
+    /// same lock: the registration and its count, made here once the marks
+    /// are set and ended here once `pred` is false, by one atomic change
+    /// of the monitor's count each; a wake un-counts it. The park keeps no
+    /// clock (but off Linux x86_64, [`Monitor::local_deadline`]). Returns
+    /// an error, the lock released, when the network is aborted at
+    /// registration, the task waits inside a remote wait's registration,
+    /// or the executor refuses to block this context (cross-executor use).
     fn block<'a>(
-        &'a self,
+        self: &'a Arc<Self>,
         side: BlockKind,
         mut st: MutexGuard<'a, BufState>,
-        leave: &mut Leave<'a>,
         pred: impl Fn(&BufState) -> bool,
     ) -> Result<MutexGuard<'a, BufState>> {
-        debug_assert!(
-            !leave.registered() && !leave.woken,
-            "a wait starts with nothing owed to the monitor"
-        );
         // Publish-before-wait (see `crate::flush`): a token stranded in a
         // private chunk here could be exactly the one the rest of the
         // network is waiting for, and the monitor cannot see it either. A
@@ -376,65 +339,45 @@ impl Shared {
                 return Ok(st);
             }
         }
-        let key = self.key(side);
-        // A fiber of another executor (a pooled process on a channel made
-        // outside any network) parks on its own, which this side's wakes
-        // are passed on to; everyone else parks on the channel's.
-        let own = crate::exec::other_fiber_exec(&self.exec);
-        // A process counts as blocked; a wake un-counts it (`counted`).
-        let (me, process) = match &self.monitor {
-            Some(_) => crate::exec::task_identity(),
-            None => (0, false),
-        };
-        // A wake cleared the `counted` mark: the count it took is owed back.
-        let mut woken = false;
-        *st.waiters(side) += 1;
+        let (key, s) = (self.key(side), side as usize);
+        let me = crate::exec::waiting_on(&self.exec);
         let res = loop {
             if !pred(&st) {
                 break Ok(());
             }
-            // Counted as waiting from here until a wake clears the marks —
-            // the registration too, even one this task is still making.
+            // Counted as waiting from here until a wake clears the marks.
             match side {
                 BlockKind::Read => self.reader_waiting.store(true, Ordering::Relaxed),
                 BlockKind::Write => st.writer_waiting = true,
             }
-            st.counted[side as usize] = process;
-            if let Some(m) = self
-                .monitor
-                .as_deref()
-                .filter(|_| woken || !leave.registered())
-            {
-                // Registered (or counted again) with the marks set, and
-                // before the re-check: if that completes an all-blocked
-                // picture and detection grows this channel, the re-check
-                // sees the new capacity.
-                drop(st);
-                let entered = if std::mem::take(&mut woken) {
-                    m.recount();
-                    Ok(())
-                } else {
-                    leave.enter(m, side, self.id, me, process)
-                };
-                st = self.state.lock();
-                woken = process && !std::mem::take(&mut st.counted[side as usize]);
-                if let Err(e) = entered {
-                    break Err(e);
+            if let Some(m) = &self.monitor {
+                let here = &mut st.sides[s];
+                // Registered with the marks set, and before the park: if
+                // that completes an all-blocked picture and detection grows
+                // this channel, the re-check sees the new capacity.
+                if here.registered.is_none() {
+                    if me.nested {
+                        break Err(crate::monitor::nested(me.token));
+                    }
+                    let (token, process) = (me.token, me.is_process);
+                    here.registered = Some(Registration { token, process });
+                    here.counted = process;
+                    match m.enter_wait(process) {
+                        Err(e) => break Err(e),
+                        Ok(true) => {
+                            drop(st);
+                            m.resolve();
+                            st = self.state.lock();
+                            continue;
+                        }
+                        Ok(false) => {}
+                    }
                 }
-                continue;
             }
-            // The token is read under the state lock with the predicate
-            // still true: any wake that happens after we release the lock
-            // bumps the generation, and `park` returns immediately on a
-            // stale token — no lost wakeups, no wait-loop in the executor.
-            let exec = match &own {
-                Some(own) => self.park_on(side, own),
-                None => &self.exec,
-            };
-            let token = exec.park_token(key);
+            let token = me.wait_in(&mut st.sides[s].waiter, key);
             drop(st);
             let deadline = self.monitor.as_ref().and_then(|m| m.local_deadline());
-            let parked = exec.park(key, token, deadline);
+            let parked = me.park(self, s, key, token, deadline);
             // Off Linux x86_64 a remote wait cannot tick for itself: a local
             // wait does, once per period (`Monitor::local_deadline`).
             #[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
@@ -442,76 +385,25 @@ impl Shared {
                 m.tick();
             }
             st = self.state.lock();
-            woken = process && !std::mem::take(&mut st.counted[side as usize]);
             if let Err(e) = parked {
                 break Err(e);
             }
         };
-        *st.waiters(side) -= 1;
-        // A count a wake took comes back when the task leaves, so no picture
-        // sees this task counted while it runs.
-        leave.woken = woken;
+        // The wait is over: a waiter a spurious return left here goes, and
+        // the registration leaves, handing back its count unless a wake
+        // took it.
+        let here = &mut st.sides[s];
+        drop(here.waiter.take());
+        if let (Some(m), Some(_)) = (&self.monitor, here.registered.take()) {
+            m.leave_wait(std::mem::take(&mut here.counted));
+        }
         res.map(|()| st)
     }
 }
 
-/// What a task owes its channel's monitor once a wait is over: the
-/// registration it made, or the count a wake took from it with no
-/// registration to hand it back. Settled on drop, or by [`Leave::end`]. A
-/// waiting operation declares it before its state guard, so it drops after
-/// the guard: the monitor's lock comes before a channel's (DESIGN.md §4c).
-/// It borrows the monitor rather than cloning its `Arc`.
-struct Leave<'a> {
-    monitor: Option<&'a Monitor>,
-    /// The task's token, while it is registered as blocked.
-    registered: Option<u64>,
-    /// A wake took the task's count: its exit, or a recount, hands it back.
-    woken: bool,
-}
-
-impl<'a> Leave<'a> {
-    /// Nothing owed yet, to `shared`'s monitor if it has one.
-    fn new(shared: &'a Shared) -> Self {
-        Leave {
-            monitor: shared.monitor.as_deref(),
-            registered: None,
-            woken: false,
-        }
-    }
-
-    fn registered(&self) -> bool {
-        self.registered.is_some()
-    }
-
-    /// Registers task `token` as blocked on `side` of channel `chan`.
-    fn enter(
-        &mut self,
-        m: &Monitor,
-        side: BlockKind,
-        chan: u64,
-        token: u64,
-        is_process: bool,
-    ) -> Result<()> {
-        m.enter_block(side, chan, token, is_process)?;
-        self.registered = Some(token);
-        Ok(())
-    }
-
-    /// Unregisters, or hands back the count a wake took. Call it with the
-    /// state lock released.
-    fn end(&mut self) {
-        let woken = std::mem::take(&mut self.woken);
-        match (self.monitor, self.registered.take()) {
-            (Some(m), Some(token)) => m.exit_block(token, woken),
-            (Some(m), None) if woken => m.recount(),
-            _ => {}
-        }
-    }
-}
-
-impl Drop for Leave<'_> {
-    fn drop(&mut self) {
-        self.end();
+impl ParkSite for Shared {
+    fn with_slot(&self, side: usize, f: &mut dyn FnMut(&mut WaitSlot)) {
+        f(&mut self.state.lock().sides[side].waiter);
     }
 }
 
@@ -534,6 +426,7 @@ impl MonitoredChannel for Shared {
             read_closed: st.read_closed,
             reader_waiting: self.reader_waiting.load(Ordering::Relaxed),
             writer_waiting: st.writer_waiting,
+            registered: st.sides.each_ref().map(|s| s.registered),
             writer: st.writer.clone(),
             reader: st.reader.clone(),
             external_user: st.external_user,
@@ -572,15 +465,9 @@ impl MonitoredChannel for Shared {
         self.reader_waiting.store(true, Ordering::Relaxed);
         // Wake only the sides that actually have parked tasks: poisoning
         // an idle channel (the common case when a whole network aborts)
-        // costs two flag reads instead of two broadcast wakeups.
-        let (wake_readers, wake_writers) = (st.read_waiters > 0, st.write_waiters > 0);
-        drop(st);
-        if wake_readers {
-            self.wake_readers();
-        }
-        if wake_writers {
-            self.wake_writers();
-        }
+        // costs two slot reads instead of two broadcast wakeups.
+        self.release(st, BlockKind::Read);
+        self.release(self.state.lock(), BlockKind::Write);
     }
 }
 
@@ -656,8 +543,6 @@ impl Sink for LocalSink {
         // Preemption point: under sim every channel operation is a place
         // the schedule may switch tasks (a no-op on other executors).
         sh.exec.yield_point();
-        // Declared before the guard, so it is settled after the guard drops.
-        let mut leave = Leave::new(sh);
         let mut st = sh.state.lock();
         loop {
             // An empty write still surfaces a closed/poisoned channel promptly.
@@ -672,7 +557,7 @@ impl Sink for LocalSink {
             }
             if st.buf.is_full() {
                 st.write_blocks += 1;
-                st = sh.block(BlockKind::Write, st, &mut leave, full)?;
+                st = sh.block(BlockKind::Write, st, full)?;
                 continue;
             }
             let n = st.buf.push(buf);
@@ -685,21 +570,17 @@ impl Sink for LocalSink {
             buf = &buf[n..];
             st.bytes_written += n as u64;
             st.peak_occupancy = st.peak_occupancy.max(st.buf.len());
-            let wake = n > 0 && st.read_waiters > 0;
-            if wake {
+            // The flag is up while the reader waits, and after its close
+            // or a poison, which end the stream before this push.
+            if n > 0 && sh.reader_waiting.load(Ordering::Relaxed) {
                 sh.reader_waiting.store(false, Ordering::Relaxed);
                 sh.uncount(&mut st, BlockKind::Read);
             }
-            drop(st);
-            if wake {
-                sh.wake_readers();
-            }
+            sh.release(st, BlockKind::Read);
             if buf.is_empty() {
                 return Ok(());
             }
-            // The rest waits for room: a wait registers afresh, so the
-            // last one's registration ends first, with the lock released.
-            leave.end();
+            // The rest waits for room.
             st = sh.state.lock();
         }
     }
@@ -721,11 +602,7 @@ impl Sink for LocalSink {
         st.write_closed = true;
         // Close only wakes the side that can act on it: blocked *readers*
         // must observe EOF. Writers on this channel are us — nothing to wake.
-        let wake = st.read_waiters > 0;
-        drop(st);
-        if wake {
-            self.shared.wake_readers();
-        }
+        self.shared.release(st, BlockKind::Read);
     }
 
     fn retire(mut self: Box<Self>, upstream: ChannelReader) -> Result<()> {
@@ -739,11 +616,7 @@ impl Sink for LocalSink {
         }
         st.continuation = Some(upstream);
         st.write_closed = true;
-        let wake = st.read_waiters > 0;
-        drop(st);
-        if wake {
-            self.shared.wake_readers();
-        }
+        self.shared.release(st, BlockKind::Read);
         Ok(())
     }
 }
@@ -766,13 +639,10 @@ impl Source for LocalSource {
         let sh = &self.shared;
         // Preemption point (see the matching hook in `write_all`).
         sh.exec.yield_point();
-        // Declared before the guard, so it is settled after the guard drops:
-        // a registration ends after the pop, with the lock released.
-        let mut leave = Leave::new(sh);
         let mut st = sh.state.lock();
         if empty(&st) {
             st.read_blocks += 1;
-            st = sh.block(BlockKind::Read, st, &mut leave, empty)?;
+            st = sh.block(BlockKind::Read, st, empty)?;
         }
         if st.poisoned {
             return Err(Error::Deadlocked);
@@ -796,15 +666,11 @@ impl Source for LocalSource {
             return;
         }
         self.closed = true;
-        let (cont, wake) = {
-            let mut st = self.shared.state.lock();
-            st.read_closed = true;
-            self.shared.reader_waiting.store(true, Ordering::Relaxed);
-            (st.continuation.take(), st.write_waiters > 0)
-        };
-        if wake {
-            self.shared.wake_writers();
-        }
+        let mut st = self.shared.state.lock();
+        st.read_closed = true;
+        self.shared.reader_waiting.store(true, Ordering::Relaxed);
+        let cont = st.continuation.take();
+        self.shared.release(st, BlockKind::Write);
         // Dropping a pending continuation closes it, cancelling upstream.
         drop(cont);
         // The channel stays registered with the monitor until the Shared

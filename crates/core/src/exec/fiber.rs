@@ -19,7 +19,7 @@ mod imp {
     //! caller-saved state is already spilled by the `extern "C"` call
     //! boundary. No dependencies, ~20 instructions.
 
-    use super::super::{swap_current, TaskLocals};
+    use super::super::{swap_current, ParkRequest, TaskLocals};
     use std::cell::Cell;
     use std::sync::Arc;
 
@@ -204,9 +204,9 @@ mod imp {
         /// The fiber currently running on this thread, if any.
         static ACTIVE_FIBER: Cell<*mut Fiber> = const { Cell::new(std::ptr::null_mut()) };
         /// Set by a parking fiber just before switching out; the worker
-        /// completes the wait-table registration (the fiber must not be
-        /// registered while its stack is still live).
-        pub(in crate::exec) static PARK_REQUEST: Cell<Option<(usize, u64)>> =
+        /// files the fiber where it asks (it must not be reachable by a
+        /// waker while its stack is still live).
+        pub(in crate::exec) static PARK_REQUEST: Cell<Option<ParkRequest>> =
             const { Cell::new(None) };
     }
 
@@ -262,6 +262,7 @@ mod imp {
     //! to thread-per-task (see
     //! [`crate::exec::PooledExec`]), so no fiber is ever constructed.
 
+    use super::super::ParkRequest;
     use std::cell::Cell;
 
     pub(in crate::exec) struct Fiber {
@@ -275,7 +276,7 @@ mod imp {
     }
 
     thread_local! {
-        pub(in crate::exec) static PARK_REQUEST: Cell<Option<(usize, u64)>> =
+        pub(in crate::exec) static PARK_REQUEST: Cell<Option<ParkRequest>> =
             const { Cell::new(None) };
     }
 

@@ -21,10 +21,26 @@
 //! the three implementations, the pooled scheduler's run queues among them;
 //! `fiber.rs` holds its stackful continuations.
 //!
-//! ## The park/unpark protocol
+//! ## How a task waits
 //!
-//! Channels never touch condvars or schedulers directly. A blocking site
-//! does, conceptually:
+//! Channels never touch condvars or schedulers directly, and every wait
+//! keeps one rule: the waiter is recorded under the lock that guards its
+//! predicate, with the predicate true, and a wake makes the predicate false
+//! and takes the waiter under that same lock. The lock orders the two, so
+//! no wake is lost. Spurious returns are always allowed — callers re-check
+//! their predicate in a loop. There are two places a waiter is recorded.
+//!
+//! **A local channel side.** A channel has one writer and one reader, so at
+//! most one task waits on each side, and its waiter lives in the channel: a
+//! `WaitSlot` kept under the channel's own lock. A thread stores its
+//! handle and parks itself; a fiber of the channel's pool asks its worker
+//! to file it there once its stack is off the CPU, and a wake that came
+//! first hands it straight back to a run queue; a simulation's task and a
+//! fiber of another executor wait in their executor's keyed park, which
+//! the slot names. A local hop touches no table shared by other channels.
+//!
+//! **Everything else** — sockets, timers, a pending connection, a join, a
+//! sleep — waits on a key (an address) in the keyed `WaitTable` below:
 //!
 //! ```text
 //! lock state;
@@ -38,30 +54,23 @@
 //! ```
 //!
 //! and every wake site calls `exec.unpark_all(key)` *after* publishing the
-//! state change. Lost wakeups are impossible because of a generation
-//! protocol ("absent is stale"): `park_token` reads the key's current
-//! generation while the caller still holds the lock that guards the wait
-//! predicate; any `unpark_all` that runs after that point bumps the
-//! generation, and `park` with a stale token returns immediately. A parked
-//! task can therefore only sleep through a wakeup it had already observed
-//! the effects of. Spurious returns are always allowed — callers re-check
-//! their predicate in a loop.
+//! state change. Here the lock is the caller's, not the table's, so a
+//! generation protocol ("absent is stale") closes the gap: `park_token`
+//! reads the key's current generation while the caller still holds its
+//! lock; any `unpark_all` that runs after that point bumps the generation,
+//! and `park` with a stale token returns immediately. [`ThreadExec`] uses
+//! the table's thread half (a condvar wait), [`PooledExec`] both halves
+//! (its fibers are filed under the key, threads that are not its fibers
+//! wait on the condvar). There is one keyed park, [`Exec::park`], and a
+//! deadline passed to it ends the wait on every executor that runs in real
+//! time; [`Exec::sleep`] is built on it (DESIGN.md, "How a task waits").
 //!
-//! The protocol is kept in one place, the keyed `WaitTable` below:
-//! [`ThreadExec`] uses its thread half (a condvar wait), [`PooledExec`]
-//! both halves (its fibers are filed under the key, threads that are not
-//! its fibers wait on the condvar). There is one park, [`Exec::park`], and
-//! a deadline passed to it ends the wait on every executor that runs in
-//! real time; [`Exec::sleep`] is built on it (DESIGN.md, "How a task
-//! waits").
-//!
-//! A park costs no allocation, no SipHash and no write to a process-wide
-//! counter. The table's bucket maps are keyed by addresses, so they hash
-//! with `WordHasher`, one folded multiply (the monitor's blocked set, keyed
-//! by task tokens, uses it too); a key's filed fibers are a `FiberSet`,
-//! whose first fiber is held inline, so only a second fiber on one key
-//! allocates; and generations come from a counter per bucket, kept under
-//! the bucket's lock.
+//! A park costs no allocation and no SipHash. The table's bucket maps are
+//! keyed by addresses, so they hash with `WordHasher`, one folded multiply
+//! (the monitor's set of remote waits, keyed by task tokens, uses it too);
+//! a key's filed fibers are a `FiberSet`, whose first fiber is held inline,
+//! so only a second fiber on one key allocates; and generations come from a
+//! counter per bucket, kept under the bucket's lock.
 //!
 //! ## Task identity
 //!
@@ -90,6 +99,7 @@ pub use thread::ThreadExec;
 use crate::error::Result;
 use crate::flush::Registration;
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -168,8 +178,8 @@ pub(crate) fn bucket_of(key: usize) -> usize {
 }
 
 /// The fibers filed under one key, the first held inline: a key one fiber
-/// waits on — a channel side, a socket, a timer — files it and hands it
-/// back without allocating. A second fiber on the key overflows to `rest`.
+/// waits on — a socket, a timer — files it and hands it back without
+/// allocating. A second fiber on the key overflows to `rest`.
 /// Only the whole set is ever taken, so `rest` is empty while `first` is.
 // Fibers circulate as `Box<Fiber>` (see `pooled.rs`).
 #[allow(clippy::vec_box)]
@@ -190,16 +200,8 @@ impl FiberSet {
     fn is_empty(&self) -> bool {
         self.first.is_none()
     }
-}
 
-impl IntoIterator for FiberSet {
-    type Item = Box<fiber::Fiber>;
-    type IntoIter = std::iter::Chain<
-        std::option::IntoIter<Box<fiber::Fiber>>,
-        std::vec::IntoIter<Box<fiber::Fiber>>,
-    >;
-
-    fn into_iter(self) -> Self::IntoIter {
+    fn fibers(self) -> impl Iterator<Item = Box<fiber::Fiber>> {
         self.first.into_iter().chain(self.rest)
     }
 }
@@ -321,13 +323,203 @@ impl WaitTable {
     }
 }
 
+/// A local channel side's one waiter, kept under the channel's lock. A
+/// channel has one writer and one reader (`ChannelWriter` and
+/// `ChannelReader` are not `Clone`), so at most one task waits on a side,
+/// and the lock that guards its predicate orders the waiter's store
+/// ([`Waiting::wait_in`]) and the wake's take ([`WaitSlot::take`]): a
+/// wake that finds the slot empty has nobody to wake, and no generation is
+/// needed.
+#[derive(Default)]
+pub(crate) struct WaitSlot(Option<Waiter>);
+
+/// Who waits on a channel side, taken by the wake that ends the wait.
+pub(crate) struct Waiter(Who);
+
+enum Who {
+    /// An OS thread, parked in `std::thread::park`.
+    Thread(std::thread::Thread),
+    /// A fiber of the channel's pool that asked to park and may still be
+    /// switching out. Its worker files it once its stack is off the CPU; a
+    /// wake that takes this first leaves the worker an empty slot, and the
+    /// worker hands the fiber straight back to a run queue.
+    Switching,
+    /// That fiber, filed.
+    Fiber(Box<fiber::Fiber>),
+    /// A task in this executor's keyed park: a simulation's task, whose
+    /// every park is a scheduling decision, or a fiber of another
+    /// executor, which parks only on its own.
+    Keyed(Arc<dyn Exec>),
+}
+
+/// The calling task, as a wait on a channel of one executor sees it
+/// ([`waiting_on`]): who it is to the monitor, and how it parks.
+pub(crate) struct Waiting {
+    /// The task's token, recorded on the side while it is registered.
+    pub(crate) token: u64,
+    /// A KPN process, which the monitor counts, not a foreign thread.
+    pub(crate) is_process: bool,
+    /// The task holds a remote wait's registration
+    /// ([`crate::Monitor::external_block`]): a wait inside it is refused.
+    pub(crate) nested: bool,
+    park: Park,
+}
+
+enum Park {
+    Thread,
+    Fiber,
+    Keyed(Arc<dyn Exec>),
+}
+
+/// The calling task about to wait on a side of a channel of `exec`, read
+/// once per wait. A fiber of `exec`'s pool parks in the slot; a fiber of
+/// another executor can park only on its own, by key; so does a task of a
+/// simulation, whose parks the scheduler decides (a foreign thread's wait
+/// on a simulation's channel is refused there); any other thread parks
+/// itself. Never inlined (see [`park_fiber`]).
+#[inline(never)]
+pub(crate) fn waiting_on(exec: &Arc<dyn Exec>) -> Waiting {
+    let on_fiber = fiber::on_fiber();
+    with_current(|l| {
+        let own = std::ptr::addr_eq(l.exec.as_ptr(), Arc::as_ptr(exec));
+        let park = match (on_fiber, own) {
+            (true, true) => Park::Fiber,
+            (true, false) => Park::Keyed(l.exec.upgrade().unwrap_or_else(|| exec.clone())),
+            _ if (&**exec as &dyn Any).is::<SimExec>() => Park::Keyed(exec.clone()),
+            _ => Park::Thread,
+        };
+        Waiting {
+            token: l.token,
+            is_process: l.is_process,
+            nested: l.remote_wait.load(Ordering::Relaxed),
+            park,
+        }
+    })
+}
+
+impl WaitSlot {
+    /// The wake's half, under the channel's lock: the waiter, if any, to
+    /// wake once the lock is released ([`Waiter::wake`]).
+    pub(crate) fn take(&mut self) -> Option<Waiter> {
+        self.0.take()
+    }
+
+    /// A fiber's worker files it, its stack off the CPU, unless a wake
+    /// took the slot first: then `f` is left for the worker to run again.
+    fn file(&mut self, f: &mut Option<Box<fiber::Fiber>>) {
+        if matches!(self.0, Some(Waiter(Who::Switching))) {
+            self.0 = f.take().map(|f| Waiter(Who::Fiber(f)));
+        }
+    }
+}
+
+/// A channel whose sides hold [`WaitSlot`]s, as a fiber's worker reaches
+/// it to file the fiber (see [`ParkRequest::Slot`]).
+pub(crate) trait ParkSite: Send + Sync {
+    /// Runs `f` on `side`'s slot under the lock that guards it.
+    fn with_slot(&self, side: usize, f: &mut dyn FnMut(&mut WaitSlot));
+}
+
+/// What a parking fiber asks its worker to do with it once its stack is off
+/// the CPU.
+pub(crate) enum ParkRequest {
+    /// File it in the wait table under a key, while a token is current.
+    Keyed(usize, u64),
+    /// File it in a side's slot of a channel (the `Arc` keeps the channel
+    /// while the worker reaches it).
+    Slot(Arc<dyn ParkSite>, usize),
+}
+
+impl Waiting {
+    /// Makes the calling task `slot`'s waiter. Call it under the channel's
+    /// lock with the wait's predicate true; `key` is the side's key, and
+    /// the token it returns a keyed park's ([`Waiting::park`]). A thread
+    /// that returned from a park spuriously may find its own handle still
+    /// there, and keeps it.
+    pub(crate) fn wait_in(&self, slot: &mut WaitSlot, key: usize) -> u64 {
+        let (who, token) = match &self.park {
+            Park::Thread if slot.0.is_some() => return 0,
+            Park::Thread => (Who::Thread(std::thread::current()), 0),
+            Park::Fiber => (Who::Switching, 0),
+            Park::Keyed(exec) => (Who::Keyed(exec.clone()), exec.park_token(key)),
+        };
+        slot.0 = Some(Waiter(who));
+        token
+    }
+
+    /// Parks the calling task, the channel's lock released, until its
+    /// waiter is taken and woken, or spuriously (a thread or a keyed park
+    /// may return early). `site` is the channel, where a fiber's worker
+    /// files it in `side`'s slot; `key`, `token` and `deadline` are a keyed
+    /// park's. Returns `Ok(true)` if the wait ended at `deadline`.
+    pub(crate) fn park<S: ParkSite + 'static>(
+        &self,
+        site: &Arc<S>,
+        side: usize,
+        key: usize,
+        token: u64,
+        deadline: Option<Instant>,
+    ) -> Result<bool> {
+        match &self.park {
+            Park::Thread => {
+                match deadline {
+                    Some(d) => std::thread::park_timeout(d.saturating_duration_since(Instant::now())),
+                    None => std::thread::park(),
+                }
+                Ok(deadline.is_some_and(|d| Instant::now() >= d))
+            }
+            Park::Fiber => {
+                // Fibers exist where waits keep no clock (`local_deadline`).
+                debug_assert!(deadline.is_none(), "a fiber's channel wait has no deadline");
+                park_fiber(ParkRequest::Slot(site.clone(), side));
+                Ok(false)
+            }
+            Park::Keyed(exec) => exec.park(key, token, deadline),
+        }
+    }
+}
+
+/// Switches the calling fiber out, asking its worker to complete the park
+/// with `request` once its stack is off the CPU.
+///
+/// Never inlined, and neither is any other function here that fiber code
+/// calls after a park and that reads a thread-local ([`waiting_on`],
+/// [`Waiter::wake`], [`with_current`]): an inlined access can reuse the
+/// thread-local's address computed before an earlier park, on the worker
+/// the fiber has since left. Out of line, it is addressed afresh on the
+/// worker the fiber runs on now.
+#[inline(never)]
+fn park_fiber(request: ParkRequest) {
+    fiber::PARK_REQUEST.with(|c| c.set(Some(request)));
+    fiber::switch_to_worker();
+}
+
+impl Waiter {
+    /// Wakes this waiter of a side of a channel of `exec` whose key is
+    /// `key`. Call it with the channel's lock released. Never inlined (see
+    /// [`park_fiber`]): a fiber's wake reads which worker it runs on.
+    #[inline(never)]
+    pub(crate) fn wake(self, exec: &dyn Exec, key: usize) {
+        match self.0 {
+            Who::Thread(t) => t.unpark(),
+            // Its worker finds the slot empty and runs it again.
+            Who::Switching => {}
+            Who::Fiber(f) => (exec as &dyn Any)
+                .downcast_ref::<PooledExec>()
+                .expect("a fiber waits in a slot of its own pool's channel")
+                .dispatch_unparked(std::iter::once(f)),
+            Who::Keyed(e) => e.unpark_all(key),
+        }
+    }
+}
+
 /// The scheduling seam every channel blocks through.
 ///
 /// Implementations decide what a "task" is (OS thread, sim task, pooled
 /// fiber) and how a blocked task sleeps; channels only ever express *what*
 /// they are waiting for (a `key`) and *when* the wait became unnecessary
 /// (`unpark_all`).
-pub trait Exec: Send + Sync + 'static {
+pub trait Exec: Any + Send + Sync {
     /// Start a new task running `body`. The task inherits nothing from the
     /// spawning thread; its identity is fresh.
     fn spawn(&self, name: &str, body: Box<dyn FnOnce() + Send>);
@@ -549,6 +741,11 @@ pub(crate) struct TaskLocals {
     /// by the network as the task starts: what a remote endpoint registers
     /// its waits with ([`current_monitor`]). Unset on foreign threads.
     pub(crate) monitor: OnceLock<Arc<crate::Monitor>>,
+    /// The task holds a remote wait's registration with its monitor
+    /// ([`crate::Monitor::external_block`]), so it is counted as blocked: a
+    /// second registration inside it, remote or on a channel, is refused.
+    /// Only the task itself reads or writes it.
+    pub(crate) remote_wait: AtomicBool,
 }
 
 impl TaskLocals {
@@ -562,6 +759,7 @@ impl TaskLocals {
             registered: AtomicU64::new(0),
             unpublished: AtomicBool::new(false),
             monitor: OnceLock::new(),
+            remote_wait: AtomicBool::new(false),
         })
     }
 }
@@ -574,7 +772,9 @@ thread_local! {
 }
 
 /// Run `f` with the current task's locals, lazily installing foreign-thread
-/// locals on threads no executor owns.
+/// locals on threads no executor owns. Never inlined (see [`park_fiber`]):
+/// fiber code calls it before and after its parks.
+#[inline(never)]
 pub(crate) fn with_current<R>(f: impl FnOnce(&Arc<TaskLocals>) -> R) -> R {
     CURRENT.with(|c| {
         let mut cur = c.borrow_mut();
@@ -599,18 +799,9 @@ pub(crate) fn swap_current(locals: &mut Option<Arc<TaskLocals>>) {
     CURRENT.with(|c| std::mem::swap(&mut *c.borrow_mut(), locals));
 }
 
-/// A stable token identifying the current task (not the current OS thread):
-/// the monitor keys its blocked-set by this.
+/// A stable token identifying the current task (not the current OS thread).
 pub(crate) fn task_token() -> u64 {
     with_current(|l| l.token)
-}
-
-/// The current task's token and whether it is a KPN process task (as
-/// opposed to a foreign thread touching a channel from outside the
-/// network), read together: a wait reads them once and hands them to the
-/// monitor's registration and exit.
-pub(crate) fn task_identity() -> (u64, bool) {
-    with_current(|l| (l.token, l.is_process))
 }
 
 /// The current task's process name, or `None` on foreign threads.
@@ -630,20 +821,6 @@ pub(crate) fn current_task_name() -> Option<String> {
 pub(crate) fn install_process_locals(name: &str) {
     let exec = weak_dyn(default_exec());
     set_current(Some(TaskLocals::new(name, true, exec)));
-}
-
-/// The executor of the calling fiber if it is not `exec`: a fiber can park
-/// only on its own pool, so a channel of `exec` it waits on passes its
-/// wakes on to that pool (see `Shared::block`). `None` on OS threads, which
-/// can wait in any executor's thread half.
-pub(crate) fn other_fiber_exec(exec: &Arc<dyn Exec>) -> Option<Arc<dyn Exec>> {
-    if !fiber::on_fiber() {
-        return None;
-    }
-    with_current(|l| {
-        let same = std::ptr::addr_eq(l.exec.as_ptr(), Arc::as_ptr(exec));
-        (!same).then(|| l.exec.upgrade()).flatten()
-    })
 }
 
 /// The executor running the current task — the process's executor on KPN

@@ -74,8 +74,8 @@
 //! perturbing the scheduler.
 
 use super::{
-    fiber, reactor, weak_dyn, with_current, Exec, SchedulerStats, TaskLocals, WaitTable,
-    WorkerStats,
+    fiber, reactor, weak_dyn, with_current, Exec, ParkRequest, SchedulerStats, TaskLocals,
+    WaitTable, WorkerStats,
 };
 use crate::error::Result;
 use parking_lot::{Condvar, Mutex};
@@ -603,13 +603,20 @@ impl PooledExec {
             }
             return;
         }
-        if let Some((key, token)) = fiber::PARK_REQUEST.with(|c| c.take()) {
+        if let Some(request) = fiber::PARK_REQUEST.with(|c| c.take()) {
             // Complete the park the fiber requested. Its stack is quiescent
-            // now, so it is safe to hand the Box to the wait table — unless
-            // the token went stale while the fiber was switching out, in
-            // which case the wakeup already happened and the fiber goes
-            // straight back to a run queue.
-            let stale = self.waits.file(key, token, f);
+            // now, so it is safe to hand the Box to the wait table or to its
+            // channel's slot — unless the wakeup already happened while the
+            // fiber was switching out (a stale token, an emptied slot), in
+            // which case the fiber goes straight back to a run queue.
+            let stale = match request {
+                ParkRequest::Keyed(key, token) => self.waits.file(key, token, f),
+                ParkRequest::Slot(site, side) => {
+                    let mut f = Some(f);
+                    site.with_slot(side, &mut |slot| slot.file(&mut f));
+                    f
+                }
+            };
             self.busy.fetch_sub(1, Ordering::SeqCst);
             if let Some(f) = stale {
                 // This worker runs it next unless a hot fiber goes first.
@@ -757,7 +764,7 @@ impl PooledExec {
     /// as any unpark from a worker is: the first runs next here, the rest
     /// are surplus.
     fn take_ready(&self, keys: impl IntoIterator<Item = usize>) {
-        self.dispatch_unparked(keys.into_iter().flat_map(|k| self.waits.wake(k)));
+        self.dispatch_unparked(keys.into_iter().flat_map(|k| self.waits.wake(k).fibers()));
     }
 
     /// The reactor, if one has been instantiated (the net layer does that
@@ -788,7 +795,7 @@ impl PooledExec {
     /// else — foreign threads, other pools' fibers — goes through the
     /// injector and wakes one sleeper. No fiber, no work: nothing is locked
     /// and nobody is woken.
-    fn dispatch_unparked(&self, fibers: impl IntoIterator<Item = Box<fiber::Fiber>>) {
+    pub(super) fn dispatch_unparked(&self, fibers: impl IntoIterator<Item = Box<fiber::Fiber>>) {
         let mut fibers = fibers.into_iter();
         let Some(first) = fibers.next() else {
             return;
@@ -893,8 +900,7 @@ impl Exec for PooledExec {
                     reactor.add_timer(deadline, key);
                 }
             }
-            fiber::PARK_REQUEST.with(|c| c.set(Some((key, token))));
-            fiber::switch_to_worker();
+            super::park_fiber(ParkRequest::Keyed(key, token));
             return Ok(deadline.is_some_and(|d| Instant::now() >= d));
         }
         // Foreign thread (or another pool's fiber): the thread half.
@@ -902,7 +908,7 @@ impl Exec for PooledExec {
     }
 
     fn unpark_all(&self, key: usize) {
-        self.dispatch_unparked(self.waits.wake(key));
+        self.dispatch_unparked(self.waits.wake(key).fibers());
     }
 
     fn yield_point(&self) {
@@ -1348,10 +1354,14 @@ mod tests {
             .expect("the relay completes");
         let t = ex.scheduler_stats().unwrap().totals();
         let ms = start.elapsed().as_millis() as u64;
-        assert!(t.steal_successes < 200, "{ROUND_TRIPS} round trips: {t:?}");
         // While the relay runs the idle worker sleeps bounded (1 ms), so
-        // the wake rule allows it one expiry per millisecond of the run; a
-        // woken worker would park about once per round trip.
+        // the wake rule allows it one expiry per millisecond of the run,
+        // and each expiry one steal of the hot fiber; a woken worker would
+        // park and steal about once per round trip.
+        assert!(
+            t.steal_successes < 200 + ms,
+            "{ROUND_TRIPS} round trips in {ms} ms: {t:?}"
+        );
         assert!(
             t.parks < 200 + ms,
             "{ROUND_TRIPS} round trips in {ms} ms: {t:?}"

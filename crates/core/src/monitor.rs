@@ -22,35 +22,44 @@
 //! topology snapshot, abort and verification all read it); one **look** per
 //! channel (`MonitoredChannel::look`, every field under one acquisition of
 //! the channel's lock); one **verdict** (`verdict`, a pure function of the
-//! blocked set and the looks). Every input is logical state, never time: a
-//! registration counts only while its task is parked and not yet woken (the
-//! channel's own waiting flag for that side, in the look), and a verdict is
-//! acted on only if a second evaluation, straight after the first, reaches
-//! it at the same generation with every channel's progress unchanged.
+//! count, the remote waits and the looks). A wait on a local channel is
+//! recorded on its side, under that channel's lock, and counted in one
+//! atomic word (`Word`): its look says who waits on what, and the count
+//! says whether every live process does. Every input is logical state,
+//! never time: a wait counts only while its task is parked and not yet
+//! woken (the channel's own waiting flag for that side, in the look), and a
+//! verdict is acted on only if a second evaluation, straight after the
+//! first, reaches it with the count word and every channel's progress
+//! unchanged.
 //!
-//! Detection is event-driven: the last task to block evaluates, a woken
-//! task whose wait goes on evaluates again (`Monitor::recount`), and a
-//! process that exits does. A local wait keeps no clock: those events
-//! evaluate every picture it can complete. The monitor needs time only
-//! where it cannot look, which is a socket: a remote wait
-//! ([`Monitor::external_block`]) completes a picture but does not decide
-//! it, and re-runs detection once per [`MONITOR_TICK`] it lasts
+//! Detection is event-driven: the count is changed by read-modify-writes of
+//! one word, and the one that completes the all-blocked condition sees it
+//! complete and evaluates — the last task to block, a process that exits. A
+//! woken wait never goes on: its wake made its predicate false, and only it
+//! could make it true again. No other local wait takes the monitor's
+//! lock, and a local wait keeps no clock: those events evaluate every
+//! picture it can complete. The monitor needs time only where it cannot
+//! look, which is a socket: a remote wait ([`Monitor::external_block`],
+//! kept in `MonState::blocked`) completes a picture but does not decide it,
+//! and re-runs detection once per [`MONITOR_TICK`] it lasts
 //! ([`Monitor::tick`], called by the wait itself, fiber or thread). A
 //! picture with nothing to grow and a remote wait in it is the monitor's
 //! to report, not to act on: [`Monitor::snapshot`] says the network is
 //! stuck on remote waits, and the cluster probe (`kpn-net`) decides.
 //!
 //! Lock order: the monitor's state lock before a channel's, never the
-//! reverse. A strong channel handle upgraded from the table is never
-//! dropped under the state lock — it may have become the last one, and
-//! the channel's drop re-enters the monitor to leave the table.
+//! reverse; a local wait that completes the picture releases its channel's
+//! lock before it evaluates. A strong channel handle upgraded from the
+//! table is never dropped under the state lock — it may have become the
+//! last one, and the channel's drop re-enters the monitor to leave the
+//! table.
 
 use crate::error::{Error, Result};
-use crate::exec::WordMap;
+use crate::exec::{TaskLocals, WordMap};
 use crate::topology::{EndpointShape, SideState};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -117,6 +126,18 @@ pub struct ChannelIoStats {
     pub capacity: usize,
 }
 
+/// A task registered as waiting on one side of a local channel, recorded
+/// on the side under the channel's lock from its registration until it
+/// leaves the wait.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Registration {
+    /// The task's token.
+    pub(crate) token: u64,
+    /// A process, counted in the monitor's word; a foreign thread is in
+    /// the picture but not in the count.
+    pub(crate) process: bool,
+}
+
 /// One consistent look at a channel: everything the monitor, the channel
 /// report and the topology snapshot read from it, taken under a single
 /// acquisition of the channel's lock.
@@ -138,6 +159,9 @@ pub(crate) struct Look {
     /// The same for the writer, on a full buffer: cleared by the read or
     /// the growth that wakes it.
     pub(crate) writer_waiting: bool,
+    /// Who is registered as waiting on each side, indexed by
+    /// [`BlockKind`] (reader, writer).
+    pub(crate) registered: [Option<Registration>; 2],
     /// Lint metadata of the write side.
     pub(crate) writer: EndpointShape,
     /// Lint metadata of the read side.
@@ -148,6 +172,12 @@ pub(crate) struct Look {
 }
 
 impl Look {
+    /// The registered waits on this channel, with the side each waits on.
+    fn waits(&self) -> impl Iterator<Item = (BlockKind, Registration)> + '_ {
+        let sides = [BlockKind::Read, BlockKind::Write].into_iter();
+        sides.filter_map(|kind| Some((kind, self.registered[kind as usize]?)))
+    }
+
     /// Whether a task registered as blocked on this channel is waiting on
     /// it: a reader needs it empty with its writer open, a writer needs it
     /// full with its reader open, and either must be parked and not woken
@@ -206,7 +236,7 @@ pub struct MonitorStats {
     pub capacity_grows: u64,
     /// Number of true deadlocks detected.
     pub true_deadlocks: u64,
-    /// Pictures detection took: first looks at the blocked set's channels,
+    /// Pictures detection took: first looks at the network's channels,
     /// each after the all-blocked check passed.
     pub evaluations: u64,
     /// Every growth performed: `(channel id, old capacity, new capacity)`.
@@ -225,9 +255,9 @@ pub struct MonitorStats {
 /// can prove alone.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorSnapshot {
-    /// Monotonic activity counter: bumps on every block, unblock, spawn
-    /// and exit. Two identical snapshots with equal generations mean *no
-    /// thread made progress in between* — the distributed probe's
+    /// Activity counter: moves on every block, unblock, spawn and exit,
+    /// wrapping at 2²¹. Two identical snapshots with equal generations mean
+    /// *no thread made progress in between* — the distributed probe's
     /// freshness check.
     pub generation: u64,
     /// Live process threads.
@@ -259,10 +289,65 @@ pub struct MonitorSnapshot {
 /// offsets.
 pub const EXTERNAL_CHANNEL: u64 = 0;
 
+/// Bits per count field of a [`Word`]: a network runs at most 2²¹ − 1
+/// processes.
+const FIELD_BITS: u32 = 21;
+const FIELD: u64 = (1 << FIELD_BITS) - 1;
+/// One counted wait.
+const WAITING: u64 = 1;
+/// One live process.
+const LIVE: u64 = 1 << FIELD_BITS;
+/// The network was aborted.
+const ABORTED: u64 = 1 << (2 * FIELD_BITS);
+/// One step of the generation, the top bits: it wraps without a carry
+/// into any other field.
+const GENERATION: u64 = ABORTED << 1;
+
+/// The monitor's count, one atomic word, so that the read-modify-write that
+/// completes the all-blocked condition is the one that sees it complete:
+/// how many waits count as blocked (bits 0–20: processes registered as
+/// waiting and not woken since), how many processes are live (bits 21–41),
+/// whether the network was aborted (bit 42), and a generation (bits 43–63)
+/// that moves on every registration, leave, process event and action. A
+/// wait is counted when it registers and un-counted by the wake that
+/// satisfies it, or when it leaves unsatisfied; a remote wait is counted
+/// for as long as it is registered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Word(u64);
+
+impl Word {
+    fn waiting(self) -> u64 {
+        self.0 & FIELD
+    }
+
+    fn live(self) -> u64 {
+        (self.0 >> FIELD_BITS) & FIELD
+    }
+
+    fn aborted(self) -> bool {
+        self.0 & ABORTED != 0
+    }
+
+    fn generation(self) -> u64 {
+        self.0 / GENERATION
+    }
+
+    /// True when every live process is blocked and not woken since
+    /// (candidate deadlock): the one all-blocked trigger, for the word a
+    /// count change made, for detection's pre-check and for [`verdict`].
+    fn all_blocked(self) -> bool {
+        !self.aborted() && self.live() > 0 && self.waiting() >= self.live()
+    }
+}
+
+/// `WAITING` for a process, nothing for a foreign thread.
+fn counted(process: bool) -> u64 {
+    WAITING * u64::from(process)
+}
+
 #[derive(Debug, Clone, Copy)]
 struct BlockInfo {
     kind: BlockKind,
-    chan: u64,
     is_process: bool,
     /// The detection tick count when it registered: a tick has seen it once
     /// the count has moved past. An external registration counts only from
@@ -272,23 +357,16 @@ struct BlockInfo {
 
 #[derive(Default)]
 struct MonState {
-    /// Live process threads in the network (running or blocked).
-    live: usize,
-    /// All tasks currently blocked on a monitored channel, keyed by task
-    /// token — not OS thread: a pooled worker runs many tasks, and a task
-    /// may migrate between workers between its enter/exit pair. Includes
-    /// foreign threads (e.g. a test's main thread draining the output),
-    /// which participate in deadlock but not in the live count. Tokens
-    /// come from `exec::next_id`, so the map hashes them with the word
-    /// hasher: every local wait inserts here and every wake removes.
+    /// The tasks blocked on a transport the monitor cannot look into
+    /// (remote waits, [`Monitor::external_block`]), keyed by task token —
+    /// not OS thread: a pooled worker runs many tasks, and a task may
+    /// migrate between workers between its enter/exit pair. Tokens come
+    /// from `exec::next_id`, so the map hashes them with the word hasher.
+    /// A local wait is not here: its channel records it, and its look
+    /// shows it.
     blocked: WordMap<u64, BlockInfo>,
-    /// Number of blocked entries with `is_process == true`.
-    blocked_processes: usize,
     /// Detection ticks run so far.
     ticks: u64,
-    /// Bumped on every block/unblock/process event; a verdict is acted on
-    /// only at the generation it was detected at.
-    generation: u64,
     /// The table: every live channel of the network, keyed by id — ids are
     /// handed out at creation, so this is creation order. A channel enters
     /// when it is created and leaves from its own drop
@@ -297,18 +375,10 @@ struct MonState {
     /// Final counters of channels that have been dropped, so reports cover
     /// the network's whole life.
     retired: Vec<(u64, ChannelIoStats)>,
-    aborted: bool,
     stats: MonitorStats,
 }
 
 impl MonState {
-    /// True when every live process is blocked and not woken since, given
-    /// [`Monitor::woken`] (candidate deadlock): the one all-blocked trigger,
-    /// for detection's pre-check and [`verdict`] alike.
-    fn all_blocked(&self, woken: usize) -> bool {
-        !self.aborted && self.live > 0 && self.blocked_processes.saturating_sub(woken) >= self.live
-    }
-
     /// Strong handles of the live channels, in creation order.
     fn live_channels(&self) -> Held {
         let live = self.channels.iter();
@@ -338,17 +408,16 @@ impl Verdict {
     }
 }
 
-/// Parks' decision, as a function of the blocked set and a look at the
-/// channel of each registration (`look`; `None` for a channel that has left
-/// the table). It stops looking at the first registration that settles the
-/// matter — the usual case, a task that has been woken and has not run yet.
-/// A channel with both its reader and its writer registered is looked at
-/// twice and looks the same both times: a registered task moves no data.
+/// Parks' decision, as a function of the count `word`, the remote waits in
+/// `st` and a look at each of the network's channels (`looks`, in the
+/// table's order). It stops at the first wait that settles the matter —
+/// the usual case, a task that has been woken and has not run yet.
 ///
-/// Nothing is decided unless every live process is blocked and every
-/// registration on a local channel is confirmed by that channel's look
-/// ([`Look::confirms`]; a channel that has left the table confirms
-/// nothing). Then the smallest-capacity full channel with a blocked writer
+/// Nothing is decided unless every live process is blocked, every wait the
+/// looks show is confirmed by its channel's look ([`Look::confirms`]), and
+/// the looks and the remote waits account for every counted wait (a task
+/// that left between the count and the look of its channel is not in the
+/// picture). Then the smallest-capacity full channel with a blocked writer
 /// is grown — capacity ties break on channel id, so the choice is a
 /// function of network state alone, which the sim scheduler's replay
 /// guarantee needs — unless it is already at the policy's maximum. With
@@ -356,33 +425,36 @@ impl Verdict {
 /// block on [`EXTERNAL_CHANNEL`]. An external block no tick has seen yet
 /// holds back a growth (its socket may have been unready for an instant),
 /// never that outcome.
-fn verdict(
-    st: &MonState,
-    woken: usize,
-    policy: DeadlockPolicy,
-    mut look: impl FnMut(u64) -> Option<Look>,
-) -> Verdict {
-    if policy == DeadlockPolicy::Ignore || !st.all_blocked(woken) {
+fn verdict(st: &MonState, word: Word, policy: DeadlockPolicy, looks: &[(u64, Look)]) -> Verdict {
+    if policy == DeadlockPolicy::Ignore || !word.all_blocked() {
         return Verdict::Nothing;
     }
-    let registered = |token| st.blocked.contains_key(&token);
+    let local = || {
+        let each = looks.iter();
+        each.flat_map(|(id, look)| look.waits().map(move |(kind, r)| (*id, look, kind, r)))
+    };
+    let registered =
+        |token| st.blocked.contains_key(&token) || local().any(|(.., r)| r.token == token);
     let (mut external, mut fresh) = (false, false);
-    let mut smallest: Option<(usize, u64)> = None;
+    let mut seen = 0;
     for b in st.blocked.values() {
-        if b.chan == EXTERNAL_CHANNEL {
-            external = true;
-            fresh |= b.tick == st.ticks;
-            continue;
+        external = true;
+        fresh |= b.tick == st.ticks;
+        seen += counted(b.is_process);
+    }
+    let mut smallest: Option<(usize, u64)> = None;
+    for (id, look, kind, r) in local() {
+        if !look.confirms(kind, registered) {
+            return Verdict::Nothing;
         }
-        match look(b.chan) {
-            Some(look) if look.confirms(b.kind, registered) => {
-                if b.kind == BlockKind::Write {
-                    let this = (look.stats.capacity, b.chan);
-                    smallest = Some(smallest.map_or(this, |s| s.min(this)));
-                }
-            }
-            _ => return Verdict::Nothing,
+        seen += counted(r.process);
+        if kind == BlockKind::Write {
+            let this = (look.stats.capacity, id);
+            smallest = Some(smallest.map_or(this, |s| s.min(this)));
         }
+    }
+    if seen != word.waiting() {
+        return Verdict::Nothing;
     }
     match (policy, smallest) {
         (DeadlockPolicy::Grow { max_capacity }, Some((capacity, id)))
@@ -399,35 +471,26 @@ fn verdict(
     }
 }
 
-/// One evaluation: the verdict, the generation it was reached at, and the
-/// progress (counters, occupancy) of every channel it looked at, in the
-/// order it looked. Two are equal when nothing registered, left or moved a
-/// byte between them.
+/// One evaluation: the verdict, the count word it was reached at, and the
+/// progress (counters, occupancy) of every channel with a registered wait,
+/// in table order. Two are equal when nothing registered, left, was woken
+/// or moved a byte between them.
 #[derive(Debug, PartialEq)]
 struct Picture {
     verdict: Verdict,
-    generation: u64,
+    word: Word,
     progress: Vec<(u64, ChannelIoStats, usize)>,
 }
 
 impl Picture {
-    /// [`verdict`] over `st`, recording what each look saw.
-    fn of(
-        st: &MonState,
-        woken: usize,
-        policy: DeadlockPolicy,
-        mut look: impl FnMut(u64) -> Option<Look>,
-    ) -> Self {
-        let mut progress = Vec::new();
-        let verdict = verdict(st, woken, policy, |chan| {
-            let l = look(chan)?;
-            progress.push((chan, l.stats.clone(), l.buffered));
-            Some(l)
-        });
+    /// [`verdict`] over `st`, `word` and `looks`, recording what the looks
+    /// of waited-on channels saw.
+    fn of(st: &MonState, word: Word, policy: DeadlockPolicy, looks: &[(u64, Look)]) -> Self {
+        let waited = looks.iter().filter(|(_, l)| l.waits().next().is_some());
         Picture {
-            verdict,
-            generation: st.generation,
-            progress,
+            verdict: verdict(st, word, policy, looks),
+            word,
+            progress: waited.map(|(id, l)| (*id, l.stats.clone(), l.buffered)).collect(),
         }
     }
 }
@@ -436,10 +499,10 @@ impl Picture {
 /// and process thread created through a [`crate::Network`].
 pub struct Monitor {
     state: Mutex<MonState>,
-    /// Processes whose wake has been issued and who have not come back: the
-    /// all-blocked trigger leaves them out. Raised under a channel's lock (a
-    /// growth holds the state lock too, hence atomic), lowered under ours.
-    woken: AtomicUsize,
+    /// The count ([`Word`]). Changed by read-modify-writes only, by local
+    /// waits under their channel's lock and by everything else under
+    /// `state`'s.
+    count: AtomicU64,
     policy: DeadlockPolicy,
     /// Whether [`Monitor::trace`] prints
     /// ([`crate::NetworkConfig::monitor_debug`]).
@@ -471,12 +534,23 @@ impl Monitor {
     pub(crate) fn build(policy: DeadlockPolicy, debug: bool) -> Arc<Self> {
         Arc::new(Monitor {
             state: Mutex::new(MonState::default()),
-            woken: AtomicUsize::new(0),
+            count: AtomicU64::new(0),
             policy,
             debug,
             abort_hooks: Mutex::new(Vec::new()),
             scheduler_source: Mutex::new(None),
         })
+    }
+
+    /// The count word now.
+    fn word(&self) -> Word {
+        Word(self.count.load(Ordering::SeqCst))
+    }
+
+    /// Adds `delta` to the count word — a field's unit is subtracted as its
+    /// wrapping negation — and returns the word it made.
+    fn add(&self, delta: u64) -> Word {
+        Word(self.count.fetch_add(delta, Ordering::SeqCst).wrapping_add(delta))
     }
 
     /// Wire up the provider of executor scheduling counters (set by
@@ -496,8 +570,7 @@ impl Monitor {
     /// channels are poisoned). If the network is already aborted the hook
     /// runs immediately.
     pub fn on_abort(&self, hook: Box<dyn Fn() + Send + Sync>) {
-        let already = self.state.lock().aborted;
-        if already {
+        if self.is_aborted() {
             hook();
         } else {
             self.abort_hooks.lock().push(hook);
@@ -547,8 +620,8 @@ impl Monitor {
         self.state.lock().live_channels()
     }
 
-    /// The one stderr trace: registrations, verdicts and what was done
-    /// about them.
+    /// The one stderr trace: remote registrations, verdicts and what was
+    /// done about them.
     fn trace(&self, event: impl FnOnce() -> String) {
         if self.debug {
             eprintln!("[monitor] {}", event());
@@ -560,23 +633,28 @@ impl Monitor {
     /// decides to act: two evaluations, back to back, that agree.
     pub fn snapshot(&self) -> MonitorSnapshot {
         let st = self.state.lock();
-        let processes = |kind| {
-            let blocked = st.blocked.values();
-            blocked.filter(|b| b.is_process && b.kind == kind).count()
-        };
+        let word = self.word();
+        let held = st.live_channels();
+        // Processes blocked [reading, writing], remote waits and local.
+        let mut blocked = [0, 0];
+        let local = held.iter().flat_map(|(_, ch)| ch.look().waits().collect::<Vec<_>>());
+        let local = local.map(|(kind, r)| (kind, r.process));
+        for (kind, process) in st.blocked.values().map(|b| (b.kind, b.is_process)).chain(local) {
+            blocked[kind as usize] += usize::from(process);
+        }
         let mut snap = MonitorSnapshot {
-            generation: st.generation,
-            live: st.live,
-            blocked_reads: processes(BlockKind::Read),
-            blocked_writes: processes(BlockKind::Write),
-            aborted: st.aborted,
+            generation: word.generation(),
+            live: word.live() as usize,
+            blocked_reads: blocked[BlockKind::Read as usize],
+            blocked_writes: blocked[BlockKind::Write as usize],
+            aborted: word.aborted(),
             stuck_on_remote: false,
             stats: st.stats.clone(),
         };
-        // Either way the state lock is released here: the scheduler source
-        // takes executor locks; see stats().
-        let woken = self.woken.load(Ordering::Relaxed);
-        let first = st.all_blocked(woken).then(|| self.evaluate(st).0);
+        // Either way the state lock is released here, before the handles
+        // go: the scheduler source takes executor locks; see stats().
+        let first = word.all_blocked().then(|| self.evaluate(st).0);
+        drop(held);
         snap.stuck_on_remote = first.is_some_and(|first| {
             first.verdict == Verdict::Remote && self.evaluate(self.state.lock()).0 == first
         });
@@ -604,12 +682,12 @@ impl Monitor {
     /// blocked once).
     pub fn external_block(self: &Arc<Self>, kind: BlockKind) -> Result<BlockGuard> {
         crate::flush::flush_before_block();
-        BlockGuard::enter(self, kind, EXTERNAL_CHANNEL)
+        BlockGuard::enter(self, kind)
     }
 
     /// True once a true deadlock was declared or the network was aborted.
     pub fn is_aborted(&self) -> bool {
-        self.state.lock().aborted
+        self.word().aborted()
     }
 
     /// Enters a newly created channel into the table.
@@ -628,107 +706,91 @@ impl Monitor {
 
     /// A process thread entered the network.
     pub(crate) fn process_started(&self) {
-        let mut st = self.state.lock();
-        st.live += 1;
-        st.generation += 1;
+        let word = self.add(LIVE + GENERATION);
+        assert!(word.live() < FIELD, "a network runs at most {} processes", FIELD - 1);
     }
 
-    /// A process thread left the network (finished or failed).
+    /// A process thread left the network (finished or failed). The
+    /// departing process may have been the only runnable one; the
+    /// remainder might now be fully blocked.
     pub(crate) fn process_finished(&self) {
-        let mut st = self.state.lock();
-        st.live -= 1;
-        st.generation += 1;
-        // The departing process may have been the only runnable one; the
-        // remainder might now be fully blocked.
-        self.resolve(st);
+        if self.add(GENERATION.wrapping_sub(LIVE)).all_blocked() {
+            self.resolve();
+        }
     }
 
-    /// Registers the calling task — `token`, a process if `is_process`
-    /// ([`crate::exec::task_identity`], read once by the wait) — as blocked
-    /// and runs deadlock detection.
-    /// Returns `Err(Deadlocked)` if the network is already aborted, and
-    /// `Err(Graph)` — leaving the existing registration alone — if the task
-    /// is registered already: a nested registration would count the task
-    /// as two blocked processes and, after the inner exit, as one forever,
-    /// which the monitor would eventually read as a deadlock with a
-    /// process still running.
-    pub(crate) fn enter_block(
-        &self,
-        kind: BlockKind,
-        chan: u64,
-        token: u64,
-        is_process: bool,
-    ) -> Result<()> {
+    /// Registers the calling task — `token`, a process if `is_process` — as
+    /// blocked on a remote transport. It does not evaluate the picture it
+    /// completes (see [`Monitor::external_block`]). Returns
+    /// `Err(Deadlocked)` if the network is already aborted.
+    fn enter_block(&self, kind: BlockKind, token: u64, is_process: bool) -> Result<()> {
         let mut st = self.state.lock();
-        if st.aborted {
+        if self.is_aborted() {
             return Err(Error::Deadlocked);
-        }
-        if let Some(outer) = st.blocked.get(&token) {
-            return Err(Error::Graph(format!(
-                "task {token} registered as blocked ({kind:?} on channel {chan}) while \
-                 already registered ({:?} on channel {}): something waited inside a \
-                 monitor registration",
-                outer.kind, outer.chan
-            )));
         }
         let tick = st.ticks;
         st.blocked.insert(
             token,
             BlockInfo {
                 kind,
-                chan,
                 is_process,
                 tick,
             },
         );
-        if is_process {
-            st.blocked_processes += 1;
-        }
-        st.generation += 1;
-        self.trace(|| {
-            let gen = st.generation;
-            format!("enter token={token} chan={chan} kind={kind:?} gen={gen}")
-        });
-        // An external registrant does not act on the picture it completes:
-        // a socket that is not ready this instant may be ready the next,
-        // and no look can tell. If the wait lasts, its own ticks find the
-        // same picture with this task's registration unchanged.
-        if chan != EXTERNAL_CHANNEL {
-            self.resolve(st);
-        }
+        let word = self.add(GENERATION + counted(is_process));
+        self.trace(|| format!("enter token={token} kind={kind:?} remote {word:?}"));
         Ok(())
     }
 
-    /// The write or the room that satisfies a process's wait has issued its
-    /// wake, under the channel's lock: the registration, made or about to
-    /// be, stops counting. Close, poison and remote wakes do not call this.
-    pub(crate) fn uncount(&self) {
-        self.woken.fetch_add(1, Ordering::Relaxed);
+    /// Unregisters the remote wait of task `token`.
+    fn exit_block(&self, token: u64) {
+        let mut st = self.state.lock();
+        if let Some(info) = st.blocked.remove(&token) {
+            let word = self.add(GENERATION.wrapping_sub(counted(info.is_process)));
+            self.trace(|| format!("exit token={token} remote {word:?}"));
+        }
     }
 
-    /// Hands back the count a wake took from a process that must wait on
-    /// (or whose registration was then refused), and runs detection, which
-    /// the last other process to block may have skipped meanwhile.
-    pub(crate) fn recount(&self) {
-        let mut st = self.state.lock();
-        self.woken.fetch_sub(1, Ordering::Relaxed);
-        st.generation += 1;
-        self.trace(|| format!("recount gen={}", st.generation));
-        self.resolve(st);
+    /// A wait on a local channel has registered, its [`Registration`] on
+    /// the side under the channel's lock, which the caller holds: it counts
+    /// if the task is a process. Returns whether the count completed the
+    /// all-blocked condition — then the caller runs [`Monitor::resolve`]
+    /// with that lock released — or `Err(Deadlocked)` if the network was
+    /// aborted (the registration stands until the wait leaves).
+    pub(crate) fn enter_wait(&self, process: bool) -> Result<bool> {
+        let word = self.add(GENERATION + counted(process));
+        if word.aborted() {
+            return Err(Error::Deadlocked);
+        }
+        Ok(word.all_blocked())
+    }
+
+    /// The write or the room that satisfies a process's wait has issued its
+    /// wake, under the channel's lock: the wait, registered or about to be,
+    /// stops counting. Close, poison and remote wakes do not call this.
+    pub(crate) fn uncount(&self) {
+        self.add(WAITING.wrapping_neg());
+    }
+
+    /// A local wait is over and its registration leaves, under its
+    /// channel's lock: `counted` if it still counted (no wake took its
+    /// count).
+    pub(crate) fn leave_wait(&self, counted: bool) {
+        self.add(GENERATION.wrapping_sub(WAITING * u64::from(counted)));
     }
 
     /// Re-runs detection for a remote wait that has lasted a period
     /// ([`MONITOR_TICK`]): `kpn-net` calls it from a process's socket wait,
     /// which bounds each park or `poll` at the next period whether it waits
     /// as a pooled fiber or as an OS thread. No executor ticks it. Nothing
-    /// registers or leaves, so this does not bump the generation and cannot
+    /// registers or leaves, so this does not move the count word and cannot
     /// unsettle a concurrent evaluation. Then counts the tick, which marks
     /// every registration so far as seen by one: an external one counts
     /// from the next tick on, so a socket that was not ready at one instant
     /// is only taken for a wait once it has stayed so for a period — a
     /// count of ticks, not a sleep.
     pub fn tick(&self) {
-        self.resolve(self.state.lock());
+        self.resolve();
         self.state.lock().ticks += 1;
     }
 
@@ -742,43 +804,28 @@ impl Monitor {
         (!untimed).then(|| Instant::now() + MONITOR_TICK)
     }
 
-    /// Unregisters the task `token`, taking back the count a wake took
-    /// from its registration if `woken`.
-    pub(crate) fn exit_block(&self, token: u64, woken: bool) {
-        let mut st = self.state.lock();
-        if woken {
-            self.woken.fetch_sub(1, Ordering::Relaxed);
-        }
-        if let Some(info) = st.blocked.remove(&token) {
-            if info.is_process {
-                st.blocked_processes -= 1;
-            }
-            st.generation += 1;
-            self.trace(|| format!("exit token={token} chan={} gen={}", info.chan, st.generation));
-        }
-    }
-
     /// Aborts the network: poisons every registered channel so all pending
     /// and future operations fail with [`Error::Deadlocked`].
     pub fn abort(&self) {
         self.abort_at(None);
     }
 
-    /// The one abort routine. A true-deadlock verdict passes the generation
-    /// it was reached at: it is counted, and carried out only if nothing
-    /// has registered or left since.
-    fn abort_at(&self, verdict_at: Option<u64>) {
+    /// The one abort routine. A true-deadlock verdict passes the count word
+    /// it was reached at: it is counted, and carried out only if the word
+    /// has not moved since.
+    fn abort_at(&self, verdict_at: Option<Word>) {
         let live = {
             let mut st = self.state.lock();
-            if let Some(gen) = verdict_at {
-                if st.generation != gen {
+            if let Some(at) = verdict_at {
+                if self.word() != at {
                     return;
                 }
                 st.stats.true_deadlocks += 1;
-                self.trace(|| format!("abort: true deadlock at gen={gen}"));
+                self.trace(|| format!("abort: true deadlock at {at:?}"));
             }
-            st.aborted = true;
-            st.generation += 1;
+            if !self.is_aborted() {
+                self.add(ABORTED + GENERATION);
+            }
             st.live_channels()
         };
         for (_, ch) in &live {
@@ -788,38 +835,44 @@ impl Monitor {
         self.run_abort_hooks();
     }
 
-    /// One evaluation: under the state lock `st`, decide from a look at the
-    /// channels the blocked set names. Returns the picture and the handles
-    /// the looks were taken through — out of the lock, like every [`Held`].
+    /// One evaluation: under the state lock `st`, decide from the count
+    /// word and a look at each of the network's channels. Returns the
+    /// picture and the handles the looks were taken through — out of the
+    /// lock, like every [`Held`].
     fn evaluate(&self, st: parking_lot::MutexGuard<'_, MonState>) -> (Picture, Held) {
-        let mut held = Held::new();
-        let picture = Picture::of(&st, self.woken.load(Ordering::Relaxed), self.policy, |chan| {
-            let ch = st.channels.get(&chan)?.upgrade()?;
-            let look = ch.look();
-            held.push((chan, ch));
-            Some(look)
-        });
+        let held = st.live_channels();
+        // Read before the looks: a wait that registers or leaves between
+        // the two shows in a look but not in the count, or the reverse,
+        // and the verdict finds the looks and the count disagree.
+        let word = self.word();
+        let looks: Vec<(u64, Look)> = held.iter().map(|(id, ch)| (*id, ch.look())).collect();
+        let picture = Picture::of(&st, word, self.policy, &looks);
         if picture.verdict.acts() {
             self.trace(|| {
+                let waited = looks.iter().filter(|(_, l)| l.waits().next().is_some());
+                let waits: Vec<_> = waited.map(|(id, l)| (id, l.registered)).collect();
                 format!(
-                    "verdict {:?} live={} gen={} blocked={:?} progress={:?}",
-                    picture.verdict, st.live, st.generation, st.blocked, picture.progress
+                    "verdict {:?} {word:?} remote={:?} local={waits:?} progress={:?}",
+                    picture.verdict, st.blocked, picture.progress
                 )
             });
         }
         (picture, held)
     }
 
-    /// Evaluates twice, back to back — first under `st`, the state lock the
-    /// caller holds and no other lock — and acts only if the two pictures
-    /// are equal. The looks of one evaluation are taken one channel at a
-    /// time; a second set identical to the first shows that nothing moved
-    /// while either was taken, so together they are one consistent picture.
-    fn resolve(&self, mut st: parking_lot::MutexGuard<'_, MonState>) {
+    /// Runs detection: evaluates twice, back to back, and acts only if the
+    /// two pictures are equal. The caller holds no lock: a channel's wait
+    /// whose count completed the all-blocked condition releases its
+    /// channel's first. The looks of one evaluation are taken one channel at a
+    /// time; a second set identical to the first, at the same count word,
+    /// shows that nothing moved while either was taken, so together they
+    /// are one consistent picture.
+    pub(crate) fn resolve(&self) {
+        let mut st = self.state.lock();
         // Checked before any evaluation, which would otherwise put its
-        // frames on every blocking task's stack: a pooled fiber keeps each
-        // stack page it has touched.
-        if !st.all_blocked(self.woken.load(Ordering::Relaxed)) {
+        // frames on the stack of a task that did not complete the picture:
+        // a pooled fiber keeps each stack page it has touched.
+        if !self.word().all_blocked() {
             return;
         }
         st.stats.evaluations += 1;
@@ -833,14 +886,14 @@ impl Monitor {
             return;
         }
         match (then.verdict, self.policy) {
-            (Verdict::TrueDeadlock, _) => self.abort_at(Some(then.generation)),
+            (Verdict::TrueDeadlock, _) => self.abort_at(Some(then.word)),
             (Verdict::Grow(id), DeadlockPolicy::Grow { max_capacity }) => {
-                // Like an abort, carried out only if nothing has registered
-                // or left since, and under the state lock (it comes before a
+                // Like an abort, carried out only if the count word has not
+                // moved since, and under the state lock (it comes before a
                 // channel's), so that two evaluators cannot both grow on one
                 // picture and the log keeps the order growths happened in.
                 let mut st = self.state.lock();
-                if st.generation != then.generation {
+                if self.word() != then.word {
                     return;
                 }
                 let grown = held
@@ -848,12 +901,12 @@ impl Monitor {
                     .find(|(held_id, _)| *held_id == id)
                     .and_then(|(_, ch)| ch.grow_if_full(max_capacity));
                 // `None`: the channel drained between the look and the
-                // action. If everyone is still blocked a later tick retries.
+                // action. If everyone is still blocked a later event retries.
                 if let Some((old, new)) = grown {
                     st.stats.capacity_grows += 1;
                     st.stats.growth_log.push((id, old, new));
-                    st.generation += 1;
-                    self.trace(|| format!("GROW ch={id} {old}->{new} gen={}", st.generation));
+                    let word = self.add(GENERATION);
+                    self.trace(|| format!("GROW ch={id} {old}->{new} {word:?}"));
                 }
             }
             _ => {}
@@ -864,30 +917,38 @@ impl Monitor {
 impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.state.lock();
+        let word = self.word();
         f.debug_struct("Monitor")
             .field("policy", &self.policy)
-            .field("live", &st.live)
-            .field("blocked", &st.blocked.len())
-            .field("aborted", &st.aborted)
+            .field("live", &word.live())
+            .field("waiting", &word.waiting())
+            .field("remote", &st.blocked.len())
+            .field("aborted", &word.aborted())
             .finish()
     }
 }
 
-/// A task's registration as blocked — on a local channel, or on a remote
-/// transport ([`Monitor::external_block`]). Dropping it unregisters the
-/// task.
+/// A task's registration as blocked on a remote transport
+/// ([`Monitor::external_block`]). Dropping it unregisters the task.
 pub struct BlockGuard {
     monitor: Arc<Monitor>,
-    token: u64,
+    /// The registered task, whose flag refuses a registration inside this
+    /// one; held, not looked up again, since the guard drops after a park
+    /// that may have moved the task to another thread.
+    task: Arc<TaskLocals>,
 }
 
 impl BlockGuard {
-    pub(crate) fn enter(monitor: &Arc<Monitor>, kind: BlockKind, chan: u64) -> Result<Self> {
-        let (token, is_process) = crate::exec::task_identity();
-        monitor.enter_block(kind, chan, token, is_process)?;
+    fn enter(monitor: &Arc<Monitor>, kind: BlockKind) -> Result<Self> {
+        let task = crate::exec::with_current(Arc::clone);
+        if task.remote_wait.load(Ordering::Relaxed) {
+            return Err(nested(task.token));
+        }
+        monitor.enter_block(kind, task.token, task.is_process)?;
+        task.remote_wait.store(true, Ordering::Relaxed);
         Ok(BlockGuard {
             monitor: monitor.clone(),
-            token,
+            task,
         })
     }
 }
@@ -895,43 +956,24 @@ impl BlockGuard {
 impl Drop for BlockGuard {
     fn drop(&mut self) {
         // No wake counts a remote wait down (`Monitor::uncount`).
-        self.monitor.exit_block(self.token, false);
+        self.monitor.exit_block(self.task.token);
+        self.task.remote_wait.store(false, Ordering::Relaxed);
     }
+}
+
+/// The refusal of a registration inside another: it would count the task
+/// as two blocked processes and, after the inner one left, as one for as
+/// long as the outer lasts.
+pub(crate) fn nested(token: u64) -> Error {
+    Error::Graph(format!(
+        "task {token} waited while registered as blocked on a remote wait: \
+         something waited inside a monitor registration"
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
-
-    impl Monitor {
-        /// Registers the calling thread, as a channel wait registers it.
-        fn enter(&self, kind: BlockKind, chan: u64) -> Result<()> {
-            let (token, is_process) = crate::exec::task_identity();
-            self.enter_block(kind, chan, token, is_process)
-        }
-
-        /// Unregisters the calling thread, not woken.
-        fn exit(&self) {
-            self.exit_block(crate::exec::task_token(), false);
-        }
-    }
-
-    struct FakeChan {
-        cap: Mutex<usize>,
-        full: Mutex<bool>,
-        poisoned: Mutex<bool>,
-    }
-
-    impl FakeChan {
-        fn new(cap: usize, full: bool) -> Arc<Self> {
-            Arc::new(FakeChan {
-                cap: Mutex::new(cap),
-                full: Mutex::new(full),
-                poisoned: Mutex::new(false),
-            })
-        }
-    }
 
     /// A look at an open channel with nothing declared about its sides,
     /// whose registered tasks (if any) are parked and not woken.
@@ -946,45 +988,111 @@ mod tests {
             read_closed: false,
             reader_waiting: true,
             writer_waiting: true,
+            registered: [None; 2],
             writer: EndpointShape::open(),
             reader: EndpointShape::open(),
             external_user: 0,
         }
     }
 
+    /// A channel for the monitor to look at, empty or full, and whether it
+    /// was poisoned.
+    struct FakeChan {
+        look: Mutex<Look>,
+        poisoned: Mutex<bool>,
+    }
+
+    impl FakeChan {
+        /// A channel of `m`'s table under id `id`.
+        fn on(m: &Monitor, id: u64, cap: usize, full: bool) -> Arc<Self> {
+            let look = Mutex::new(look(cap, if full { cap } else { 0 }));
+            let c = Arc::new(FakeChan {
+                look,
+                poisoned: Mutex::new(false),
+            });
+            m.register_channel(id, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
+            c
+        }
+
+        fn cap(&self) -> usize {
+            self.look.lock().stats.capacity
+        }
+    }
+
     impl MonitoredChannel for FakeChan {
         fn look(&self) -> Look {
-            let cap = *self.cap.lock();
-            look(cap, if *self.full.lock() { cap } else { 0 })
+            self.look.lock().clone()
         }
         fn grow_if_full(&self, max: Option<usize>) -> Option<(usize, usize)> {
-            let mut cap = self.cap.lock();
-            if !*self.full.lock() {
-                return None;
-            }
-            let old = *cap;
+            let mut look = self.look.lock();
+            let old = look.stats.capacity;
             let new = (old * 2).min(max.unwrap_or(usize::MAX));
-            if new <= old {
+            if look.buffered < old || new <= old {
                 return None;
             }
-            *cap = new;
             // A freshly grown channel is no longer full.
-            *self.full.lock() = false;
+            look.stats.capacity = new;
             Some((old, new))
         }
         fn ensure_capacity(&self, min: usize) -> bool {
-            let mut cap = self.cap.lock();
-            if *cap >= min {
-                return false;
-            }
-            *cap = min;
-            *self.full.lock() = false;
-            true
+            self.grow_if_full(Some(min)).is_some()
         }
         fn poison(&self) {
             *self.poisoned.lock() = true;
         }
     }
+
+    /// Where a blocked task waits: a side of a fake channel, or a remote
+    /// transport.
+    enum On<'a> {
+        Local(&'a Arc<FakeChan>, BlockKind),
+        Remote(BlockKind),
+    }
+
+    /// Blocks one task of an already started process (a foreign thread if
+    /// not `process`) for good: a local wait as a channel's records it and
+    /// counts, running detection if that completes the picture; a remote
+    /// wait as `kpn-net` registers it.
+    fn block_task(m: &Arc<Monitor>, on: On<'_>, process: bool) -> Result<()> {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                if process {
+                    crate::exec::install_process_locals("blocked");
+                }
+                match on {
+                    On::Local(chan, kind) => {
+                        let token = crate::exec::task_token();
+                        let r = Registration { token, process };
+                        chan.look.lock().registered[kind as usize] = Some(r);
+                        if m.enter_wait(process)? {
+                            m.resolve();
+                        }
+                    }
+                    On::Remote(kind) => std::mem::forget(m.external_block(kind)?),
+                }
+                Ok(())
+            })
+            .join()
+            .unwrap()
+        })
+    }
+
+    fn block_one(m: &Arc<Monitor>, on: On<'_>) {
+        block_task(m, on, true).unwrap();
+    }
+
+    /// Starts one process per entry, then blocks each in order; detection
+    /// runs when the last one completes the picture.
+    fn block_all(m: &Arc<Monitor>, blocks: Vec<On<'_>>) {
+        for _ in &blocks {
+            m.process_started();
+        }
+        for on in blocks {
+            block_one(m, on);
+        }
+    }
+
+    use BlockKind::{Read, Write};
 
     #[test]
     fn policy_default_is_grow_unbounded() {
@@ -998,85 +1106,58 @@ mod tests {
     fn enter_after_abort_fails() {
         let m = Monitor::new(DeadlockPolicy::default());
         m.abort();
+        assert!(matches!(m.enter_wait(true), Err(Error::Deadlocked)));
         assert!(matches!(
-            m.enter(BlockKind::Read, 1),
+            block_task(&m, On::Remote(Read), true),
             Err(Error::Deadlocked)
         ));
-    }
-
-    /// Reserves `blocks.len()` live processes, then blocks one thread per
-    /// entry in order (each thread leaves its blocked entry in place, as a
-    /// permanently-stuck process would). Detection fires when the last one
-    /// blocks.
-    fn block_all(m: &Arc<Monitor>, blocks: &[(u64, BlockKind)]) {
-        for _ in blocks {
-            m.process_started();
-        }
-        for &(chan, kind) in blocks {
-            block_one(m, chan, kind);
-        }
-    }
-
-    /// Blocks one process thread of an already started process, for good.
-    fn block_one(m: &Arc<Monitor>, chan: u64, kind: BlockKind) {
-        let m = m.clone();
-        std::thread::spawn(move || {
-            crate::exec::install_process_locals("blocked");
-            let _ = m.enter(kind, chan);
-        })
-        .join()
-        .unwrap();
     }
 
     #[test]
     fn all_read_blocked_is_true_deadlock() {
         let m = Monitor::new(DeadlockPolicy::default());
-        let c1: Arc<FakeChan> = FakeChan::new(16, false);
-        m.register_channel(1, Arc::downgrade(&c1) as Weak<dyn MonitoredChannel>);
-        block_all(&m, &[(1, BlockKind::Read), (1, BlockKind::Read)]);
+        let (c1, c2) = (FakeChan::on(&m, 1, 16, false), FakeChan::on(&m, 2, 16, false));
+        block_all(&m, vec![On::Local(&c1, Read), On::Local(&c2, Read)]);
         assert!(m.is_aborted());
-        assert!(*c1.poisoned.lock());
+        assert!(*c1.poisoned.lock() && *c2.poisoned.lock());
         assert_eq!(m.stats().true_deadlocks, 1);
     }
 
     #[test]
     fn write_blocked_grows_smallest_channel() {
         let m = Monitor::new(DeadlockPolicy::default());
-        let small = FakeChan::new(8, true);
-        let big = FakeChan::new(64, true);
-        m.register_channel(1, Arc::downgrade(&small) as Weak<dyn MonitoredChannel>);
-        m.register_channel(2, Arc::downgrade(&big) as Weak<dyn MonitoredChannel>);
-        block_all(&m, &[(1, BlockKind::Write), (2, BlockKind::Write)]);
+        let small = FakeChan::on(&m, 1, 8, true);
+        let big = FakeChan::on(&m, 2, 64, true);
+        block_all(&m, vec![On::Local(&small, Write), On::Local(&big, Write)]);
         assert!(!m.is_aborted());
-        assert_eq!(*small.cap.lock(), 16, "smallest channel doubled");
-        assert_eq!(*big.cap.lock(), 64, "larger channel untouched");
+        assert_eq!(small.cap(), 16, "smallest channel doubled");
+        assert_eq!(big.cap(), 64, "larger channel untouched");
         assert_eq!(m.stats().capacity_grows, 1);
     }
 
     #[test]
     fn mixed_block_prefers_growth_over_abort() {
         let m = Monitor::new(DeadlockPolicy::default());
-        let c = FakeChan::new(8, true);
-        let empty = FakeChan::new(8, false);
-        m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
-        m.register_channel(9, Arc::downgrade(&empty) as Weak<dyn MonitoredChannel>);
-        block_all(&m, &[(7, BlockKind::Write), (9, BlockKind::Read)]);
+        let c = FakeChan::on(&m, 7, 8, true);
+        let empty = FakeChan::on(&m, 9, 8, false);
+        block_all(&m, vec![On::Local(&c, Write), On::Local(&empty, Read)]);
         assert!(!m.is_aborted());
         assert_eq!(m.stats().capacity_grows, 1);
     }
 
     #[test]
-    fn block_on_vanished_local_channel_vetoes_growth() {
-        // A writer parked on a channel the monitor no longer sees (its
-        // reader died mid-cascade and the registration followed the Shared
-        // out) means a `WriteClosed` wake is in flight: the all-blocked
-        // picture is transient and growing another channel would be pure
-        // inflation. Only the EXTERNAL_CHANNEL sentinel may pass
-        // unverified.
+    fn a_counted_wait_no_look_shows_vetoes_growth() {
+        // A wait that has left its channel (its task is about to run) after
+        // the count was read is counted but in no look: the all-blocked
+        // picture is transient, and growing another channel would be pure
+        // inflation. The looks must account for every counted wait.
         let m = Monitor::new(DeadlockPolicy::default());
-        let c = FakeChan::new(8, true);
-        m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
-        block_all(&m, &[(7, BlockKind::Write), (9, BlockKind::Read)]);
+        let c = FakeChan::on(&m, 7, 8, true);
+        m.process_started();
+        m.process_started();
+        block_one(&m, On::Local(&c, Write));
+        assert!(m.enter_wait(true).unwrap(), "the count completes the picture");
+        m.resolve();
         assert!(!m.is_aborted());
         assert_eq!(m.stats().capacity_grows, 0, "in-flight cascade must veto growth");
     }
@@ -1087,9 +1168,8 @@ mod tests {
         // monitor cannot introspect the remote side and must still be able
         // to grow a full local channel.
         let m = Monitor::new(DeadlockPolicy::default());
-        let c = FakeChan::new(8, true);
-        m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
-        block_all(&m, &[(EXTERNAL_CHANNEL, BlockKind::Read), (7, BlockKind::Write)]);
+        let c = FakeChan::on(&m, 7, 8, true);
+        block_all(&m, vec![On::Remote(Read), On::Local(&c, Write)]);
         m.tick();
         m.tick();
         assert!(!m.is_aborted());
@@ -1103,45 +1183,14 @@ mod tests {
         // remote wait re-runs detection once per period it lasts, and acts
         // once a second tick finds the same registration.
         let m = Monitor::new(DeadlockPolicy::default());
-        let c = FakeChan::new(8, true);
-        m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
-        block_all(&m, &[(7, BlockKind::Write), (EXTERNAL_CHANNEL, BlockKind::Write)]);
+        let c = FakeChan::on(&m, 7, 8, true);
+        block_all(&m, vec![On::Local(&c, Write), On::Remote(Write)]);
         assert_eq!(m.stats().capacity_grows, 0, "the registrant must not decide for itself");
         m.tick();
         assert_eq!(m.stats().capacity_grows, 0, "one tick has seen the wait for an instant");
         m.tick();
         assert!(!m.is_aborted());
         assert_eq!(m.stats().capacity_grows, 1, "a picture that lasts is still resolved");
-    }
-
-    #[test]
-    fn a_woken_wait_that_goes_on_counts_again_and_completes_the_picture() {
-        // The writer's wake is issued, so the reader's registration, the
-        // last of the two, takes no picture. The writer is back with its
-        // channel still full: it counts itself again, and the artificial
-        // deadlock it completes is grown — or, under `Abort`, declared.
-        for (policy, grows, true_deadlocks) in
-            [(DeadlockPolicy::default(), 1, 0), (DeadlockPolicy::Abort, 0, 1)]
-        {
-            let m = Monitor::new(policy);
-            let full = FakeChan::new(8, true);
-            let empty = FakeChan::new(8, false);
-            m.register_channel(1, Arc::downgrade(&full) as Weak<dyn MonitoredChannel>);
-            m.register_channel(2, Arc::downgrade(&empty) as Weak<dyn MonitoredChannel>);
-            m.process_started();
-            m.process_started();
-            block_one(&m, 1, BlockKind::Write);
-            m.uncount();
-            block_one(&m, 2, BlockKind::Read);
-            let before = m.stats();
-            assert_eq!((before.evaluations, before.capacity_grows), (0, 0), "{policy:?}");
-            m.recount();
-            let stats = m.stats();
-            assert_eq!(stats.capacity_grows, grows, "{policy:?}");
-            assert_eq!(stats.true_deadlocks, true_deadlocks, "{policy:?}");
-            assert_eq!(m.is_aborted(), true_deadlocks == 1, "{policy:?}");
-            assert_eq!(stats.evaluations, 1, "{policy:?}");
-        }
     }
 
     #[test]
@@ -1167,7 +1216,9 @@ mod tests {
             assert_eq!(byte[0], i as u8);
         }
         writer.join().unwrap();
-        assert_eq!(m.woken.load(Ordering::Relaxed), 0);
+        assert_eq!(m.word().waiting(), 0);
+        let snap = m.snapshot();
+        assert_eq!((snap.blocked_reads, snap.blocked_writes), (0, 0));
         let st = m.state.lock();
         assert_eq!((st.blocked.len(), st.stats.capacity_grows), (0, 0));
         // A wait the other side has just satisfied takes no picture; only
@@ -1180,9 +1231,8 @@ mod tests {
         let m = Monitor::new(DeadlockPolicy::Grow {
             max_capacity: Some(8),
         });
-        let c = FakeChan::new(8, true); // already at max
-        m.register_channel(1, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
-        block_all(&m, &[(1, BlockKind::Write)]);
+        let c = FakeChan::on(&m, 1, 8, true); // already at max
+        block_all(&m, vec![On::Local(&c, Write)]);
         // Growth impossible: the monitor must not spin; it declares a true
         // deadlock and poisons the channel.
         assert!(m.is_aborted());
@@ -1197,14 +1247,13 @@ mod tests {
         let m = Monitor::new(DeadlockPolicy::Grow {
             max_capacity: Some(8),
         });
-        let c = FakeChan::new(8, true);
-        m.register_channel(1, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
-        block_all(&m, &[(EXTERNAL_CHANNEL, BlockKind::Read), (1, BlockKind::Write)]);
+        let c = FakeChan::on(&m, 1, 8, true);
+        block_all(&m, vec![On::Remote(Read), On::Local(&c, Write)]);
         m.tick();
         m.tick();
         assert!(!m.is_aborted());
         assert!(!*c.poisoned.lock());
-        assert_eq!(*c.cap.lock(), 8);
+        assert_eq!(c.cap(), 8);
         assert_eq!(m.stats().true_deadlocks, 0);
     }
 
@@ -1214,13 +1263,12 @@ mod tests {
             max_capacity: Some(8),
         };
         for (policy, full, kind) in [
-            (DeadlockPolicy::default(), false, BlockKind::Read),
-            (capped, true, BlockKind::Write),
+            (DeadlockPolicy::default(), false, Read),
+            (capped, true, Write),
         ] {
             let m = Monitor::new(policy);
-            let c = FakeChan::new(8, full);
-            m.register_channel(1, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
-            block_all(&m, &[(1, kind)]);
+            let c = FakeChan::on(&m, 1, 8, full);
+            block_all(&m, vec![On::Local(&c, kind)]);
             let snap = m.snapshot();
             assert!(snap.aborted && *c.poisoned.lock(), "{policy:?}");
             assert_eq!(snap.stats.true_deadlocks, 1, "{policy:?}");
@@ -1232,20 +1280,21 @@ mod tests {
 
     #[test]
     fn snapshot_reports_a_network_stuck_on_remote_waits() {
-        use BlockKind::{Read, Write};
         // Every process waits on a socket and no tick has run: the monitor
         // does nothing, and its snapshot says so.
         let m = Monitor::new(DeadlockPolicy::default());
-        block_all(&m, &[(EXTERNAL_CHANNEL, Read), (EXTERNAL_CHANNEL, Write)]);
+        block_all(&m, vec![On::Remote(Read), On::Remote(Write)]);
         let snap = m.snapshot();
         assert!(snap.stuck_on_remote && !snap.aborted);
+        assert_eq!((snap.blocked_reads, snap.blocked_writes), (1, 1));
         // A full local channel that may still grow is not stuck, before the
         // ticks that grow it or after.
         let m = Monitor::new(DeadlockPolicy::default());
-        let c = FakeChan::new(8, true);
-        m.register_channel(7, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
-        block_all(&m, &[(7, Write), (EXTERNAL_CHANNEL, Read)]);
-        assert!(!m.snapshot().stuck_on_remote);
+        let c = FakeChan::on(&m, 7, 8, true);
+        block_all(&m, vec![On::Local(&c, Write), On::Remote(Read)]);
+        let snap = m.snapshot();
+        assert!(!snap.stuck_on_remote);
+        assert_eq!((snap.blocked_reads, snap.blocked_writes), (1, 1));
         m.tick();
         m.tick();
         assert_eq!(m.stats().capacity_grows, 1);
@@ -1253,13 +1302,12 @@ mod tests {
         // Nor is a network with a process still running.
         let m = Monitor::new(DeadlockPolicy::default());
         m.process_started();
-        block_all(&m, &[(EXTERNAL_CHANNEL, Read)]);
+        block_all(&m, vec![On::Remote(Read)]);
         assert!(!m.snapshot().stuck_on_remote);
     }
 
     #[test]
     fn verdict_table() {
-        use BlockKind::{Read, Write};
         use Verdict::{Grow, Nothing, Remote, TrueDeadlock};
         const EXT: u64 = EXTERNAL_CHANNEL;
         // An external registration no tick has seen yet; one at `EXT` has
@@ -1291,7 +1339,7 @@ mod tests {
             ..full(cap)
         };
         // Written or drained from outside the network, by the task with
-        // this token (blocked entries are tokens 0, 1, … in order).
+        // this token (waiting tasks are tokens 0, 1, … in order).
         let external = || EndpointShape {
             state: SideState::External,
             ..EndpointShape::open()
@@ -1314,19 +1362,20 @@ mod tests {
             },
             ..l
         };
-        // (policy, live processes, blocked (channel, kind, is a process),
-        //  looks by channel id, expected). A channel listed twice looks the
+        // (policy, live processes, waits (channel, kind, is a process),
+        //  looks by channel id, expected). A wait on a channel with no look
+        //  is counted but in no look. A channel listed twice looks the
         //  second way to the second of the two back-to-back evaluations.
         type Case = (
             DeadlockPolicy,
-            usize,
+            u64,
             Vec<(u64, BlockKind, bool)>,
             Vec<(u64, Look)>,
             Verdict,
         );
         let cases: Vec<Case> = vec![
             // The scenarios of the tests above, as pictures.
-            (grow, 2, vec![(1, Read, true), (1, Read, true)], vec![(1, empty(16))], TrueDeadlock),
+            (grow, 2, vec![(1, Read, true), (2, Read, true)], vec![(1, empty(16)), (2, empty(16))], TrueDeadlock),
             (grow, 2, vec![(1, Write, true), (2, Write, true)], vec![(1, full(8)), (2, full(64))], Grow(1)),
             (grow, 2, vec![(7, Write, true), (9, Read, true)], vec![(7, full(8)), (9, empty(8))], Grow(7)),
             (grow, 2, vec![(7, Write, true), (9, Read, true)], vec![(7, full(8))], Nothing),
@@ -1336,6 +1385,9 @@ mod tests {
             (capped(8), 2, vec![(EXT, Read, true), (1, Write, true)], vec![(1, full(8))], Remote),
             (grow, 1, vec![(1, Read, false)], vec![(1, empty(8))], Nothing),
             (DeadlockPolicy::Ignore, 1, vec![(1, Write, true)], vec![(1, full(8))], Nothing),
+            // Both sides of one channel waiting: a writer on a full buffer
+            // and a reader on an empty one cannot both be confirmed.
+            (grow, 2, vec![(1, Write, true), (1, Read, true)], vec![(1, full(8))], Nothing),
             // Policy boundaries.
             (abort, 2, vec![(1, Write, true), (2, Read, true)], vec![(1, full(8)), (2, empty(8))], TrueDeadlock),
             (abort, 2, vec![(EXT, Read, true), (1, Write, true)], vec![(1, full(8))], Remote),
@@ -1354,7 +1406,8 @@ mod tests {
             (abort, 1, vec![(1, Write, true)], vec![(1, cut(8))], Nothing),
             (grow, 2, vec![(1, Write, true), (2, Read, true)], vec![(1, full(8)), (2, eof(8))], Nothing),
             (grow, 2, vec![(1, Write, true), (2, Write, true)], vec![(1, full(8)), (2, cut(8))], Nothing),
-            // A channel that has left the table confirms nothing.
+            // A counted wait no look shows (its task left after the count
+            // was read) settles nothing.
             (grow, 1, vec![(1, Read, true)], vec![], Nothing),
             (abort, 1, vec![(1, Write, true)], vec![], Nothing),
             // An external block permits a growth from the second tick that
@@ -1389,105 +1442,109 @@ mod tests {
             (grow, 1, vec![(1, Read, true), (2, Read, false)], vec![(1, fed(8, 1)), (2, empty(8))], TrueDeadlock),
             (grow, 1, vec![(1, Write, true)], vec![(1, drained(8, 5))], Nothing),
             (grow, 1, vec![(1, Write, true), (2, Read, false)], vec![(1, drained(8, 1)), (2, empty(8))], Grow(1)),
+            (grow, 1, vec![(1, Read, true), (EXT, Read, false)], vec![(1, fed(8, 1))], Remote),
             // Progress between the two evaluations: no action.
             (grow, 2, vec![(1, Write, true), (2, Write, true)], vec![(1, full(8)), (2, full(64)), (2, moved(full(64)))], Nothing),
             (grow, 1, vec![(1, Read, true)], vec![(1, empty(8)), (1, moved(empty(8)))], Nothing),
         ];
-        for (n, (policy, live, blocked, looks, expected)) in cases.into_iter().enumerate() {
+        for (n, (policy, live, waits, looks, expected)) in cases.into_iter().enumerate() {
             let mut st = MonState {
-                live,
                 ticks: 1,
                 ..Default::default()
             };
-            for (token, (chan, kind, is_process)) in blocked.into_iter().enumerate() {
-                st.blocked_processes += is_process as usize;
-                let (chan, tick) = match chan {
-                    EXT_FRESH => (EXT, 1),
-                    chan => (chan, 0),
-                };
-                st.blocked.insert(
-                    token as u64,
-                    BlockInfo {
-                        kind,
-                        chan,
-                        is_process,
-                        tick,
-                    },
-                );
+            let mut word = live * LIVE;
+            // Per channel, its look to the first evaluation and the second.
+            let mut pairs: Vec<(u64, Look, Look)> = Vec::new();
+            for (id, look) in looks {
+                match pairs.iter_mut().find(|p| p.0 == id) {
+                    Some(p) => p.2 = look,
+                    None => pairs.push((id, look.clone(), look)),
+                }
             }
-            let (mut first, mut then) = (HashMap::new(), HashMap::new());
-            for (chan, look) in looks {
-                first.entry(chan).or_insert_with(|| look.clone());
-                then.insert(chan, look);
+            for (token, (chan, kind, process)) in (0u64..).zip(waits) {
+                word += counted(process);
+                if chan == EXT || chan == EXT_FRESH {
+                    let (is_process, tick) = (process, u64::from(chan == EXT_FRESH));
+                    st.blocked.insert(token, BlockInfo { kind, is_process, tick });
+                }
+                for (_, a, b) in pairs.iter_mut().filter(|p| p.0 == chan) {
+                    let r = Some(Registration { token, process });
+                    (a.registered[kind as usize], b.registered[kind as usize]) = (r, r);
+                }
             }
-            // What `resolve` acts on, with `woken` wakes issued to
-            // registered processes; `registrations` happen between the two
-            // looks.
-            let decide = |st: &MonState, woken, registrations| {
-                let first = Picture::of(st, woken, policy, |chan| first.get(&chan).cloned());
-                let mut then = Picture::of(st, woken, policy, |chan| then.get(&chan).cloned());
-                then.generation += registrations;
+            let first: Vec<_> = pairs.iter().map(|(id, a, _)| (*id, a.clone())).collect();
+            let then: Vec<_> = pairs.iter().map(|(id, _, b)| (*id, b.clone())).collect();
+            // What `resolve` acts on at the count word `word`; `moved` is
+            // added to the word between the two looks.
+            let decide = |st: &MonState, word: u64, moved: u64| {
+                let first = Picture::of(st, Word(word), policy, &first);
+                let then = Picture::of(st, Word(word + moved), policy, &then);
                 if then == first {
                     then.verdict
                 } else {
                     Nothing
                 }
             };
-            assert_eq!(decide(&st, 0, 0), expected, "case {n}");
-            assert_eq!(decide(&st, 0, 1), Nothing, "case {n}, registered between");
-            assert_eq!(decide(&st, 1, 0), Nothing, "case {n}, a wake issued");
-            st.aborted = true;
-            assert_eq!(decide(&st, 0, 0), Nothing, "case {n}, aborted");
+            assert_eq!(decide(&st, word, 0), expected, "case {n}");
+            assert_eq!(decide(&st, word, GENERATION), Nothing, "case {n}, registered between");
+            if word & FIELD > 0 {
+                assert_eq!(decide(&st, word - WAITING, 0), Nothing, "case {n}, a wake issued");
+            }
+            assert_eq!(decide(&st, word | ABORTED, 0), Nothing, "case {n}, aborted");
         }
+    }
+
+    #[test]
+    fn the_count_word_keeps_its_fields_apart() {
+        let m = Monitor::new(DeadlockPolicy::Ignore);
+        (0..3).for_each(|_| m.process_started());
+        assert!(!m.enter_wait(true).unwrap());
+        m.uncount();
+        assert!(!m.enter_wait(true).unwrap() && !m.enter_wait(true).unwrap(), "one was woken");
+        assert!(m.enter_wait(true).unwrap(), "three of three");
+        m.leave_wait(true);
+        m.leave_wait(false);
+        // The generation wraps without touching the counts.
+        m.count.fetch_add(GENERATION.wrapping_neg(), Ordering::SeqCst);
+        let w = m.word();
+        assert_eq!((w.waiting(), w.live(), w.generation()), (2, 3, 3 + 4 + 2 - 1));
+        m.abort();
+        assert!(m.word().aborted() && m.word().live() == 3);
     }
 
     #[test]
     fn foreign_thread_does_not_trigger_alone() {
         let m = Monitor::new(DeadlockPolicy::default());
+        let c = FakeChan::on(&m, 1, 8, false);
         // One live process that is NOT blocked...
-        let m1 = m.clone();
-        std::thread::spawn(move || {
-            crate::exec::install_process_locals("live");
-            m1.process_started();
-        })
-        .join()
-        .unwrap();
+        m.process_started();
         // ...and a foreign (non-process) thread that blocks.
-        m.enter(BlockKind::Read, 1).unwrap();
+        block_task(&m, On::Local(&c, Read), false).unwrap();
         assert!(!m.is_aborted());
-        m.exit();
-    }
-
-    #[test]
-    fn exit_block_clears_state() {
-        let m = Monitor::new(DeadlockPolicy::Ignore);
-        m.enter(BlockKind::Read, 1).unwrap();
-        m.exit();
-        let st = m.state.lock();
-        assert!(st.blocked.is_empty());
-        assert_eq!(st.blocked_processes, 0);
+        assert_eq!(m.word().waiting(), 0, "a foreign thread is not counted");
+        assert_eq!(m.stats().evaluations, 0);
     }
 
     #[test]
     fn nested_registration_is_refused_and_leaves_the_count_intact() {
-        // Checked in release builds too: a second `enter_block` by a task
-        // that is already registered used to replace the entry and count
-        // the task twice, and the two exits then took it out once.
+        // A second registration by a task that holds a remote one would
+        // count it twice and, once the inner one left, once forever. It is
+        // refused, remote or on a channel, in release builds too.
         let m = Monitor::new(DeadlockPolicy::Ignore);
         std::thread::spawn(move || {
             crate::exec::install_process_locals("nested");
             m.process_started();
-            m.enter(BlockKind::Read, EXTERNAL_CHANNEL).unwrap();
-            assert!(matches!(m.enter(BlockKind::Write, 7), Err(Error::Graph(_))));
-            {
-                let st = m.state.lock();
-                assert_eq!(st.blocked_processes, 1);
-                assert_eq!(st.blocked.values().next().unwrap().chan, EXTERNAL_CHANNEL);
-            }
-            m.exit();
-            let st = m.state.lock();
-            assert!(st.blocked.is_empty());
-            assert_eq!(st.blocked_processes, 0);
+            let guard = m.external_block(Read).unwrap();
+            assert!(matches!(m.external_block(Write), Err(Error::Graph(_))));
+            let (_w, mut r) = crate::channel::channel_with(8, Some(m.clone()));
+            assert!(matches!(r.read(&mut [0u8; 1]), Err(Error::Graph(_))));
+            assert_eq!(m.word().waiting(), 1);
+            assert_eq!(m.snapshot().blocked_reads, 1);
+            drop(guard);
+            assert!(m.state.lock().blocked.is_empty());
+            assert_eq!(m.word().waiting(), 0);
+            // Once it is over, the task waits as any other.
+            assert!(m.external_block(Write).is_ok());
         })
         .join()
         .unwrap();
@@ -1496,17 +1553,9 @@ mod tests {
     #[test]
     fn ignore_policy_never_acts() {
         let m = Monitor::new(DeadlockPolicy::Ignore);
-        let c = FakeChan::new(8, true);
-        m.register_channel(1, Arc::downgrade(&c) as Weak<dyn MonitoredChannel>);
-        let m2 = m.clone();
-        std::thread::spawn(move || {
-            crate::exec::install_process_locals("writer");
-            m2.process_started();
-            m2.enter(BlockKind::Write, 1).unwrap();
-        })
-        .join()
-        .unwrap();
+        let c = FakeChan::on(&m, 1, 8, true);
+        block_all(&m, vec![On::Local(&c, Write)]);
         assert!(!m.is_aborted());
-        assert_eq!(*c.cap.lock(), 8);
+        assert_eq!(c.cap(), 8);
     }
 }

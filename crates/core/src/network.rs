@@ -57,11 +57,11 @@ pub struct NetworkConfig {
     /// Defaults from `KPN_SYNTH` (any value but `0` enables it); off when
     /// unset.
     pub synthesize_capacities: bool,
-    /// Trace the deadlock monitor on stderr: every block registration and
-    /// exit, every verdict that could lead to an action (with the blocked
-    /// set and the channel looks it was reached from), every growth and
-    /// true-deadlock abort. Diagnostic only. Defaults from
-    /// `KPN_MONITOR_DEBUG` (set = on).
+    /// Trace the deadlock monitor on stderr: every remote wait's
+    /// registration and exit, every verdict that could lead to an action
+    /// (with the count, the remote waits and the channel looks it was
+    /// reached from), every growth and true-deadlock abort. Diagnostic
+    /// only. Defaults from `KPN_MONITOR_DEBUG` (set = on).
     pub monitor_debug: bool,
 }
 
