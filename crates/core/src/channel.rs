@@ -26,7 +26,7 @@
 use crate::buffer::RingBuffer;
 use crate::error::{Error, Result};
 use crate::exec::{Exec, ParkSite, WaitSlot};
-use crate::flush::{self, Flushable, Marks, Publish};
+use crate::flush::{self, Claimed, Flushable, Marks, Owner, Publish};
 use crate::monitor::{BlockKind, ChannelIoStats, Look, Monitor, MonitoredChannel, Registration};
 use crate::sim::HistoryRecorder;
 use crate::topology::{EndpointShape, ProcessTag, SideState, StreamFraming};
@@ -761,99 +761,84 @@ impl Pace {
     }
 }
 
-/// Shared state of a [`BufferedSink`], also reachable (weakly) from the
-/// per-task flush registries.
-struct BufferedShared {
-    state: Mutex<BufCore>,
-    /// What a flush-registry sweep reads without taking `state`: the owner
-    /// (the task that last wrote), whether `state.buf` holds bytes, and the
-    /// local reader's flag. Outside the lock so that a sweep over a stale
-    /// registration (the sink has since moved to another task), a clean
-    /// chunk or a busy local reader never takes it: the owner's own
-    /// publish-before-wait `try_lock`s, and must only ever find the lock
-    /// held by itself.
-    marks: Arc<Marks>,
-}
-
-impl BufferedShared {
+impl BufCore {
     /// Appends to the private buffer, marking it dirty — and its owner, the
     /// calling task, as having something to publish — when it stops being
-    /// empty. Caller holds the lock.
-    fn append(&self, st: &mut BufCore, bytes: &[u8]) {
-        if st.buf.is_empty() && !bytes.is_empty() {
-            self.marks.set_dirty();
+    /// empty.
+    fn append(&mut self, marks: &Marks, bytes: &[u8]) {
+        if self.buf.is_empty() && !bytes.is_empty() {
+            marks.set_dirty();
         }
-        st.buf.extend_from_slice(bytes);
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Drains the private buffer into the inner sink and flushes the inner
-    /// sink (so remote transports push to the socket too). Caller holds the
-    /// lock. Clears the buffer even on error — the bytes are lost exactly as
-    /// they would be on an unbuffered failed write to a closed channel.
-    fn flush_locked(&self, st: &mut BufCore) -> Result<()> {
-        if let Some(e) = &st.stashed {
+    /// sink (so remote transports push to the socket too). Clears the
+    /// buffer even on error — the bytes are lost exactly as they would be
+    /// on an unbuffered failed write to a closed channel.
+    fn publish(&mut self, marks: &Marks) -> Result<()> {
+        if let Some(e) = &self.stashed {
             return Err(replay(e));
         }
-        let Some(inner) = st.inner.as_mut() else {
-            return if st.buf.is_empty() {
+        let Some(inner) = self.inner.as_mut() else {
+            return if self.buf.is_empty() {
                 Ok(())
             } else {
                 Err(Error::WriteClosed)
             };
         };
-        if st.buf.is_empty() {
+        if self.buf.is_empty() {
             return Ok(());
         }
         // A paced sink has the whole of each publish timed: monitor
         // registration, framing, the syscall, any back-pressure stall.
-        let started = st.pace.as_ref().map(|p| p.exec.now());
-        let res = inner.write_all(&st.buf).and_then(|()| inner.flush());
-        st.buf.clear();
-        self.marks.dirty.store(false, Ordering::Relaxed);
-        if let (Some(pace), Some(started)) = (st.pace.as_mut(), started) {
+        let started = self.pace.as_ref().map(|p| p.exec.now());
+        let res = inner.write_all(&self.buf).and_then(|()| inner.flush());
+        self.buf.clear();
+        marks.dirty.store(false, Ordering::Relaxed);
+        if let (Some(pace), Some(started)) = (self.pace.as_mut(), started) {
             pace.published(started);
         }
         if let Err(e) = res {
-            st.stashed = Some(replay(&e));
+            self.stashed = Some(replay(&e));
             return Err(e);
         }
         Ok(())
     }
 }
 
-impl Flushable for BufferedShared {
-    fn publish(&self, which: Publish) -> Result<()> {
-        // try_lock, not lock: only the owner writes or flushes, so a held
-        // lock means this very task is mid-flush on this sink — the flush
-        // blocked, and publish-before-wait led back here. It is already on
-        // its way out.
-        let Some(mut st) = self.state.try_lock() else {
-            return Ok(());
-        };
-        if which == Publish::StepBoundary {
-            // A closed sink answers as a closed channel does: publish, into
-            // the error.
-            let reader = st
-                .inner
-                .as_ref()
-                .map_or(ReaderState::Waiting, |s| s.reader_waiting());
-            if !flush::publishes(reader, || {
-                st.pace.as_ref().is_some_and(Pace::keeps_batching)
-            }) {
+impl Flushable for Claimed<BufCore> {
+    fn publish(&self, me: u64, which: Publish) -> Result<()> {
+        // A failed entry means the sink is not this task's to publish: it
+        // has moved to another task, or this very task is inside it — a
+        // blocked inner write led back here through publish-before-wait —
+        // and it is already on its way out.
+        self.visit(me, |st, marks| {
+            if which == Publish::StepBoundary {
+                // A closed sink answers as a closed channel does: publish,
+                // into the error.
+                let reader = st
+                    .inner
+                    .as_ref()
+                    .map_or(ReaderState::Waiting, |s| s.reader_waiting());
+                if !flush::publishes(reader, || {
+                    st.pace.as_ref().is_some_and(Pace::keeps_batching)
+                }) {
+                    return Ok(());
+                }
+            }
+            // The marks said the chunk held bytes; it is empty only if this
+            // task registered the sink twice (it came back to it) and the
+            // first registration's publish has just emptied it.
+            if st.buf.is_empty() {
                 return Ok(());
             }
-        }
-        // The marks said the chunk held bytes; under the lock it can be
-        // empty only if this task is a former owner whose sweep raced the
-        // new owner's publish. Nothing to publish then, and a stashed error
-        // is the new owner's to see, not this task's.
-        if st.buf.is_empty() {
-            return Ok(());
-        }
-        // On error the stash has recorded it for the owner's next write;
-        // publish-before-wait swallows the return value while the step
-        // boundary and `ProcessCtx::flush_sinks` propagate it.
-        self.flush_locked(&mut st)
+            // On error the stash has recorded it for the owner's next
+            // write; publish-before-wait swallows the return value while
+            // the step boundary and `ProcessCtx::flush_sinks` propagate it.
+            st.publish(marks)
+        })
+        .unwrap_or(Ok(()))
     }
 }
 
@@ -863,6 +848,11 @@ impl Flushable for BufferedShared {
 /// [`ChannelWriter::ensure_buffered`]; typed tokens then cost a `Vec` append
 /// instead of a channel mutex round-trip each.
 ///
+/// Its state takes no lock: it is [`Claimed`] by the task that last wrote,
+/// closed or dropped the sink, which reaches it with plain stores, while a
+/// flush-registry sweep enters it with one compare-and-swap (see
+/// [`crate::flush`], "Mechanism").
+///
 /// Deadlock safety: the sink registers with the owning task's flush
 /// registry (re-registering lazily when written from a new task, since
 /// processes are built on the main thread and run on their own), and every
@@ -870,7 +860,7 @@ impl Flushable for BufferedShared {
 /// buffered bytes are never invisible to a blocked consumer or to the
 /// deadlock monitor.
 struct BufferedSink {
-    shared: Arc<BufferedShared>,
+    state: Owner<BufCore>,
     /// Task token this sink last registered under (0 = never).
     registered_for: u64,
 }
@@ -879,105 +869,111 @@ impl BufferedSink {
     /// `reader` is the reader flag of the local channel `inner` writes
     /// into, when it is one ([`Marks::reader`]).
     fn new(inner: Box<dyn Sink>, capacity: usize, reader: Option<Arc<AtomicBool>>) -> Self {
+        let core = BufCore {
+            buf: Vec::with_capacity(capacity),
+            cap: capacity.max(1),
+            inner: Some(inner),
+            stashed: None,
+            pace: None,
+        };
         BufferedSink {
-            shared: Arc::new(BufferedShared {
-                state: Mutex::new(BufCore {
-                    buf: Vec::with_capacity(capacity),
-                    cap: capacity.max(1),
-                    inner: Some(inner),
-                    stashed: None,
-                    pace: None,
-                }),
-                marks: Marks::new(reader),
-            }),
+            state: Owner::new(core, Marks::new(reader)),
             registered_for: 0,
         }
     }
 
     /// Registers with the calling task's flush registry and takes
-    /// ownership, once per task the sink is written from.
-    fn adopt(&mut self) {
+    /// ownership, once per task the sink is written from. Returns the
+    /// task's token.
+    fn adopt(&mut self) -> u64 {
         let tok = flush::task_token();
         if self.registered_for != tok {
             self.change_owner(tok);
         }
+        tok
     }
 
     /// Out of line: `adopt` runs on every write, this once per owner.
     #[cold]
     fn change_owner(&mut self, tok: u64) {
         self.registered_for = tok;
-        self.shared.marks.owner.store(tok, Ordering::Relaxed);
-        let mut st = self.shared.state.lock();
-        let unseen = st
-            .inner
-            .as_ref()
-            .is_some_and(|s| s.reader_waiting() == ReaderState::Unseen);
-        // Paced on this task's clock from here on, starting over.
-        st.pace = if unseen {
-            crate::exec::current_exec().map(Pace::new)
-        } else {
-            None
-        };
-        drop(st);
+        self.state.reach(tok, |st, _| {
+            let unseen = st
+                .inner
+                .as_ref()
+                .is_some_and(|s| s.reader_waiting() == ReaderState::Unseen);
+            // Paced on this task's clock from here on, starting over.
+            st.pace = if unseen {
+                crate::exec::current_exec().map(Pace::new)
+            } else {
+                None
+            };
+        });
+        let shared = self.state.shared();
         flush::register(
-            Arc::downgrade(&self.shared) as Weak<dyn Flushable>,
-            self.shared.marks.clone(),
+            Arc::downgrade(shared) as Weak<dyn Flushable>,
+            shared.marks().clone(),
         );
     }
 }
 
 impl Sink for BufferedSink {
     fn write_all(&mut self, buf: &[u8]) -> Result<()> {
-        self.adopt();
-        let sh = &*self.shared;
-        let mut st = sh.state.lock();
-        if let Some(e) = &st.stashed {
-            return Err(replay(e));
-        }
-        if st.buf.len() + buf.len() <= st.cap {
-            sh.append(&mut st, buf);
-            return Ok(());
-        }
-        sh.flush_locked(&mut st)?;
-        if buf.len() >= st.cap {
-            // Oversized writes bypass the buffer: one inner transfer, no copy.
-            let inner = st.inner.as_mut().expect("flush_locked verified inner");
-            let res = inner.write_all(buf);
-            if let Err(e) = res {
-                st.stashed = Some(replay(&e));
-                return Err(e);
+        let tok = self.adopt();
+        self.state.reach(tok, |st, marks| {
+            if let Some(e) = &st.stashed {
+                return Err(replay(e));
+            }
+            if st.buf.len() + buf.len() <= st.cap {
+                st.append(marks, buf);
+                return Ok(());
+            }
+            st.publish(marks)?;
+            if buf.len() >= st.cap {
+                // Oversized writes bypass the buffer: one inner transfer, no
+                // copy.
+                let inner = st.inner.as_mut().expect("publish verified inner");
+                let res = inner.write_all(buf);
+                if let Err(e) = res {
+                    st.stashed = Some(replay(&e));
+                    return Err(e);
+                }
+            } else {
+                st.append(marks, buf);
             }
             Ok(())
-        } else {
-            sh.append(&mut st, buf);
-            Ok(())
-        }
+        })
     }
 
     fn flush(&mut self) -> Result<()> {
-        self.adopt();
-        self.shared.flush_locked(&mut self.shared.state.lock())
+        let tok = self.adopt();
+        self.state.reach(tok, |st, marks| st.publish(marks))
     }
 
+    // A close, a retire or a drop takes the sink over as a write does, but
+    // does not register: it leaves nothing for the task's waits to publish.
     fn close(&mut self) {
-        let mut st = self.shared.state.lock();
-        let _ = self.shared.flush_locked(&mut st);
-        if let Some(mut inner) = st.inner.take() {
-            inner.close();
-        }
+        let tok = flush::task_token();
+        self.state.reach(tok, |st, marks| {
+            let _ = st.publish(marks);
+            if let Some(mut inner) = st.inner.take() {
+                inner.close();
+            }
+        });
     }
 
-    fn retire(self: Box<Self>, upstream: ChannelReader) -> Result<()> {
-        let mut st = self.shared.state.lock();
-        self.shared.flush_locked(&mut st)?;
-        match st.inner.take() {
-            Some(inner) => inner.retire(upstream),
-            None => {
-                drop(upstream);
-                Err(Error::WriteClosed)
+    fn retire(mut self: Box<Self>, upstream: ChannelReader) -> Result<()> {
+        let tok = flush::task_token();
+        self.state.reach(tok, |st, marks| {
+            st.publish(marks)?;
+            match st.inner.take() {
+                Some(inner) => inner.retire(upstream),
+                None => {
+                    drop(upstream);
+                    Err(Error::WriteClosed)
+                }
             }
-        }
+        })
     }
 }
 
@@ -2223,6 +2219,55 @@ mod tests {
         for (case, expect, row) in rows {
             let got = thread::spawn(row).join().unwrap();
             assert_eq!(got, expect, "{case}: (publishes, touches)");
+        }
+    }
+
+    /// A publish that blocks on a full channel waits, and the wait's own
+    /// sweep must skip the sink being published — the task is inside it —
+    /// while still publishing the task's other sink, whose reader the
+    /// blocked publish is waiting for. Both the owner's overflowing write
+    /// and a sweep's publish are tried; every byte arrives once, in order.
+    /// A sweep that re-entered the sink would publish its chunk twice, or
+    /// block inside itself and leave the other sink's reader waiting.
+    #[test]
+    fn a_publish_blocked_on_a_full_channel_is_skipped_by_its_own_sweep() {
+        for sweep in [false, true] {
+            let (mut full, mut full_r) = channel_with_capacity(4);
+            let (mut other, mut other_r) = channel();
+            let writer = thread::spawn(move || {
+                full.ensure_buffered(4);
+                other.ensure_buffered(64);
+                for two in [b"ab", b"cd", b"ef", b"gh"] {
+                    full.write_all(two).unwrap(); // "ef" publishes "abcd": full
+                }
+                other.write_all(b"x").unwrap(); // registered after `full`
+                if sweep {
+                    flush::flush_before_block();
+                } else {
+                    full.write_all(b"i").unwrap();
+                }
+            });
+            let (tx, rx) = std::sync::mpsc::channel();
+            let reader = thread::spawn(move || {
+                // Only the wait inside the blocked publish can publish "x".
+                let mut x = [0u8; 1];
+                other_r.read_exact(&mut x).unwrap();
+                let (mut rest, mut other_rest) = (Vec::new(), Vec::new());
+                std::io::Read::read_to_end(&mut full_r, &mut rest).unwrap();
+                std::io::Read::read_to_end(&mut other_r, &mut other_rest).unwrap();
+                let _ = tx.send((x, rest, other_rest));
+            });
+            let (x, rest, other_rest) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the wait inside the blocked publish did not publish the other sink");
+            let expect: &[u8] = if sweep { b"abcdefgh" } else { b"abcdefghi" };
+            assert_eq!(
+                (&x, &rest[..], &other_rest[..]),
+                (b"x", expect, &b""[..]),
+                "sweep: {sweep}"
+            );
+            writer.join().unwrap();
+            reader.join().unwrap();
         }
     }
 

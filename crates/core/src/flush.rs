@@ -88,13 +88,26 @@
 //! instead of copying it; dead entries are pruned at the next registration.
 //!
 //! A registration carries the sink's `Marks` beside a weak handle to it:
-//! the token of its owner, whether its private chunk holds bytes, and — over
-//! a local channel — that channel's reader flag. The owner keeps them
-//! current under the lock it already holds (the chunk flag changes only on
-//! an empty↔non-empty transition), so a sweep reads them with plain loads
-//! and touches a sink — upgrade, `try_lock` — only to publish it, or, for a
-//! reader it cannot see, to ask the sink's pace. Clause 5 is decided once,
-//! in `publishes`, whichever side supplies its inputs.
+//! the sink's claim word, whether its private chunk holds bytes, and — over
+//! a local channel — that channel's reader flag. A sweep reads them with
+//! plain loads and touches a sink — upgrade, enter — only to publish it,
+//! or, for a reader it cannot see, to ask the sink's pace. Clause 5 is
+//! decided once, in `publishes`, whichever side supplies its inputs.
+//!
+//! A sink's private state (its chunk, its inner sink, its pace) takes no
+//! lock: it is a `Claimed` cell, guarded by the claim word in its marks —
+//! the owning task's token shifted left by one, plus an *inside* bit.
+//! The owning task reaches it with plain stores around the reach — it sets
+//! the inside bit, appends or calls into its inner sink, clears the bit —
+//! since no other task can enter while the word names the owner. A sweep
+//! enters with one compare-and-swap from `me << 1` to `me << 1 | 1` and
+//! leaves with a release store, so a sweep over a stale registration (the
+//! sink has moved to another task) fails its swap and skips the sink, and
+//! so does a publish-before-wait that re-enters a sink from its own blocked
+//! inner write: that sink is already on its way out. A task that takes a
+//! sink over waits out any sweep inside, then swaps its token in with one
+//! compare-and-swap. The chunk flag changes only on an empty↔non-empty
+//! transition, stored by whoever is inside.
 //!
 //! A step boundary is a `StepBoundary`, resolved once per run of an
 //! `Iterative` process: it keeps its task's identity record and registry
@@ -120,8 +133,10 @@
 use crate::channel::ReaderState;
 use crate::error::Result;
 use crate::exec::TaskLocals;
+use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 /// How a sweep asks a sink to publish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,30 +164,37 @@ pub(crate) fn publishes(reader: ReaderState, keeps_batching: impl FnOnce() -> bo
 /// A sink with a private buffer that the flush registry can publish.
 ///
 /// A sweep reaches it only when its [`Marks`] say it belongs to the
-/// sweeping task and holds bytes. Implementations must *never* block on a
-/// lock a flush could be holding (use `try_lock` and skip: a sink mid-flush
-/// on this task is already being published).
+/// sweeping task and holds bytes. Implementations must *never* wait for
+/// the sink's state: they enter it with [`Claimed::visit`] and skip it when
+/// that fails (a sink this task is inside is already being published).
 pub(crate) trait Flushable: Send + Sync {
-    /// Publishes the private chunk; under [`Publish::StepBoundary`] only if
-    /// [`publishes`] says so. Returns the publish's error, which the sink
-    /// has also stashed for its owner's next write.
-    fn publish(&self, which: Publish) -> Result<()>;
+    /// Publishes the private chunk for the sweeping task `me`; under
+    /// [`Publish::StepBoundary`] only if [`publishes`] says so. Returns the
+    /// publish's error, which the sink has also stashed for its owner's
+    /// next write.
+    fn publish(&self, me: u64, which: Publish) -> Result<()>;
 }
 
-/// What a sweep reads of a registered sink without touching it. Every load
-/// and store is `Relaxed`: the marks publish no data (the bytes travel
-/// under the sink's lock); they say whether a sweep should take that lock.
+/// The claim word's inside bit: a task is reaching the claimed state.
+const INSIDE: u64 = 1;
+
+/// How long a task taking a sink over waits between looks while a former
+/// owner's sweep is inside it, once a short spin has not seen it leave.
+const TAKEOVER_NAP: Duration = Duration::from_micros(20);
+
+/// What a sweep reads of a registered sink without touching it. `dirty`
+/// and `reader` are `Relaxed`: they publish no data, they say whether a
+/// sweep should enter. The claim word orders the entries themselves.
 pub(crate) struct Marks {
-    /// Token of the task that last wrote the sink (0 = never written). A
-    /// stale registration — the sink has since moved to another task — is
-    /// skipped on this alone. A former owner that for an instant still
-    /// reads its old token at worst publishes the chunk itself, under the
-    /// lock: every publish is a write the unbuffered execution has already
-    /// performed.
-    pub(crate) owner: AtomicU64,
-    /// The private chunk holds bytes. Stored by the owner, under the sink's
-    /// lock, on the empty↔non-empty transitions only; exact for the owner,
-    /// which reads its own stores.
+    /// The claim word: the token of the task that owns the sink (the task
+    /// that last wrote it, closed it or dropped it; 0 = nobody yet) shifted
+    /// left by one, and [`INSIDE`] while a task reaches its [`Claimed`]
+    /// state. A stale registration — the sink has since moved to another
+    /// task — is skipped on this alone, and its swap would fail.
+    claim: AtomicU64,
+    /// The private chunk holds bytes. Stored by whoever is inside, on the
+    /// empty↔non-empty transitions only; exact for the owner, which reads
+    /// its own stores.
     pub(crate) dirty: AtomicBool,
     /// The `reader_waiting` flag of the local channel the sink writes into,
     /// when it writes into one: the sink's [`crate::Sink::reader_waiting`]
@@ -184,7 +206,7 @@ impl Marks {
     /// The marks of a sink nobody has written yet.
     pub(crate) fn new(reader: Option<Arc<AtomicBool>>) -> Arc<Self> {
         Arc::new(Marks {
-            owner: AtomicU64::new(0),
+            claim: AtomicU64::new(0),
             dirty: AtomicBool::new(false),
             reader,
         })
@@ -199,9 +221,150 @@ impl Marks {
         raise_unpublished();
     }
 
-    /// Whether a sweep by task `me` has this sink to publish.
+    /// Whether a sweep by task `me` has this sink to publish: it owns the
+    /// sink, nobody is inside it, and the chunk holds bytes.
     fn due(&self, me: u64) -> bool {
-        self.owner.load(Ordering::Relaxed) == me && self.dirty.load(Ordering::Relaxed)
+        self.claim.load(Ordering::Relaxed) == me << 1 && self.dirty.load(Ordering::Relaxed)
+    }
+
+    /// Makes task `me` the owner: waits out any sweep inside, then swaps
+    /// `me` in. A sweep inside can be blocked on a full channel whose
+    /// reader needs this very worker, so after a short spin the wait gives
+    /// the worker up between looks.
+    #[cold]
+    fn take_over(&self, me: u64) {
+        let mut looks = 0u32;
+        loop {
+            let word = self.claim.load(Ordering::Relaxed);
+            if word & INSIDE == 0 {
+                // Acquire: what the last task inside left in the state.
+                if self
+                    .claim
+                    .compare_exchange_weak(word, me << 1, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    return;
+                }
+                continue;
+            }
+            assert_ne!(
+                word,
+                me << 1 | INSIDE,
+                "a buffered sink was re-entered from inside its own publish"
+            );
+            looks += 1;
+            if looks < 64 {
+                std::hint::spin_loop();
+            } else if let Some(exec) = crate::exec::current_exec() {
+                exec.yield_point();
+                exec.sleep(TAKEOVER_NAP);
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// The private state of a buffered sink, reached with no lock: only by a
+/// task that has set the inside bit of the claim word in its [`Marks`] — a
+/// sweep by the owning task through [`Claimed::visit`], or the holder of
+/// its one [`Owner`] handle through [`Owner::reach`].
+pub(crate) struct Claimed<T> {
+    marks: Arc<Marks>,
+    value: UnsafeCell<T>,
+}
+
+// SAFETY: `value` is reached only by `Claimed::reach`, whose callers hold
+// the claim word's inside bit for the whole reach (see its argument), so
+// one task at a time reaches it; `T: Send` lets that task be on any thread,
+// and the claim word's acquire/release pairs (or the handover of the
+// `Owner`, for the owner's own plain stores) order one reach after another.
+unsafe impl<T: Send> Sync for Claimed<T> {}
+
+impl<T> Claimed<T> {
+    /// The marks whose claim word guards this state.
+    pub(crate) fn marks(&self) -> &Arc<Marks> {
+        &self.marks
+    }
+
+    /// A sweep by task `me`: enters with one compare-and-swap from `me << 1`
+    /// to `me << 1 | INSIDE`, runs `f`, and leaves with a release store.
+    /// `None`, without running `f`, if the sink is another task's or some
+    /// task — this one, further up its stack — is inside it.
+    pub(crate) fn visit<R>(&self, me: u64, f: impl FnOnce(&mut T, &Marks) -> R) -> Option<R> {
+        let claim = &self.marks.claim;
+        // Acquire: what the owner stored before it last left.
+        claim
+            .compare_exchange(
+                me << 1,
+                me << 1 | INSIDE,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            )
+            .ok()?;
+        let _leave = Leave(claim, me << 1);
+        Some(self.reach(f))
+    }
+
+    /// Runs `f` on the state. Every caller has set the inside bit of a
+    /// claim word that names its own task: `visit` by its swap, `Owner::reach`
+    /// by its store.
+    fn reach<R>(&self, f: impl FnOnce(&mut T, &Marks) -> R) -> R {
+        // SAFETY: the calling task holds the inside bit of a claim word
+        // naming it, and no other reach can start until it clears it: a
+        // sweep's swap needs the bit clear and the word naming the sweeper;
+        // a takeover waits for the bit to clear; the owner reaches only
+        // through its `Owner`, which it holds alone (`&mut`), and only
+        // while the word reads exactly its token with the bit clear. So
+        // this is the only reference to `value` until `f` returns.
+        f(unsafe { &mut *self.value.get() }, &self.marks)
+    }
+}
+
+/// Clears the inside bit when a reach ends, even by a panic.
+struct Leave<'a>(&'a AtomicU64, u64);
+
+impl Drop for Leave<'_> {
+    fn drop(&mut self) {
+        // Release: the next task to enter sees what this one stored.
+        self.0.store(self.1, Ordering::Release);
+    }
+}
+
+/// The one owner's handle to a [`Claimed`] state: not `Clone`, so whoever
+/// holds it (a buffered sink, moved between tasks) is the only task that
+/// can take the state over or reach it without a swap.
+pub(crate) struct Owner<T>(Arc<Claimed<T>>);
+
+impl<T> Owner<T> {
+    /// A state no task owns yet, guarded by the claim word of `marks`.
+    pub(crate) fn new(value: T, marks: Arc<Marks>) -> Self {
+        Owner(Arc::new(Claimed {
+            marks,
+            value: UnsafeCell::new(value),
+        }))
+    }
+
+    /// The shared state, for a registration's weak handle.
+    pub(crate) fn shared(&self) -> &Arc<Claimed<T>> {
+        &self.0
+    }
+
+    /// Runs `f` on the state as task `me`, which becomes its owner if it
+    /// was not: a takeover waits out any sweep inside. The inside bit is
+    /// set and cleared with plain stores, so the owner's own reach takes no
+    /// read-modify-write, and a publish-before-wait inside `f` (a blocked
+    /// inner write) skips this sink.
+    pub(crate) fn reach<R>(&mut self, me: u64, f: impl FnOnce(&mut T, &Marks) -> R) -> R {
+        let claim = &self.0.marks.claim;
+        if claim.load(Ordering::Relaxed) != me << 1 {
+            self.0.marks.take_over(me);
+        }
+        // Relaxed: the bit publishes nothing; it is for this task's own
+        // sweeps, which read it in program order.
+        claim.store(me << 1 | INSIDE, Ordering::Relaxed);
+        let _leave = Leave(claim, me << 1);
+        self.0.reach(f)
     }
 }
 
@@ -219,8 +382,8 @@ pub(crate) struct Registration {
 }
 
 impl Registration {
-    /// Offers the sink to a sweep that has found it due.
-    fn publish(&self, which: Publish) -> Result<()> {
+    /// Offers the sink to a sweep by task `me` that has found it due.
+    fn publish(&self, me: u64, which: Publish) -> Result<()> {
         let which = match (which, &self.marks.reader) {
             (Publish::StepBoundary, Some(flag)) => {
                 // A local reader is never unseen: no pace to ask.
@@ -233,7 +396,7 @@ impl Registration {
         };
         self.sink
             .upgrade()
-            .map_or(Ok(()), |sink| sink.publish(which))
+            .map_or(Ok(()), |sink| sink.publish(me, which))
     }
 }
 
@@ -310,7 +473,7 @@ pub fn flush_task_sinks() -> Result<()> {
         if Some(i) != last_due {
             raise_unpublished();
         }
-        let published = r.publish(Publish::All);
+        let published = r.publish(me, Publish::All);
         if r.marks.due(me) {
             raise_unpublished();
         }
@@ -372,9 +535,8 @@ impl StepBoundary {
             self.sinks = self.locals.sinks.lock().clone();
             self.seen = registered;
         }
-        sweep(&self.sinks, self.locals.token, |_, r| {
-            r.publish(Publish::StepBoundary)
-        })
+        let me = self.locals.token;
+        sweep(&self.sinks, me, |_, r| r.publish(me, Publish::StepBoundary))
     }
 }
 
@@ -387,7 +549,7 @@ mod tests {
 
     /// A sink that counts how often a sweep reaches it: a sweep upgrades a
     /// registration's handle only to call `publish` on it, and a real sink
-    /// takes its lock only there. Like a real sink, a publish that succeeds
+    /// enters its claimed state only there. Like a real sink, a publish that succeeds
     /// leaves its chunk clean.
     struct Probe {
         reached: AtomicUsize,
@@ -410,7 +572,7 @@ mod tests {
             fail: bool,
         ) -> Arc<Probe> {
             let marks = Marks::new(reader);
-            marks.owner.store(owner, Ordering::Relaxed);
+            marks.claim.store(owner << 1, Ordering::Relaxed);
             if dirty {
                 marks.set_dirty();
             }
@@ -429,7 +591,7 @@ mod tests {
     }
 
     impl Flushable for Probe {
-        fn publish(&self, _which: Publish) -> Result<()> {
+        fn publish(&self, _me: u64, _which: Publish) -> Result<()> {
             self.reached.fetch_add(1, Ordering::SeqCst);
             if self.fail {
                 return Err(crate::Error::WriteClosed);
@@ -470,7 +632,7 @@ mod tests {
 
     /// Ten thousand step boundaries over a dirty sink whose local reader is
     /// busy, and over a clean one whose reader waits, never reach either:
-    /// no upgrade, no lock. The same boundary reaches the first the moment
+    /// no upgrade, no entry. The same boundary reaches the first the moment
     /// its reader parks.
     #[test]
     fn step_boundary_never_reaches_a_busy_or_clean_sink() {
@@ -545,8 +707,8 @@ mod tests {
     #[test]
     fn a_wait_inside_a_publish_still_publishes_the_other_sinks() {
         struct Nested {
-            /// The sink's lock, which a real sink `try_lock`s: the wait
-            /// inside its own publish skips it.
+            /// The inside bit of a real sink's claim word: the wait inside
+            /// its own publish skips it.
             flushing: AtomicBool,
             marks: Arc<Marks>,
             /// The task's other sink, and how often the wait inside this
@@ -555,7 +717,7 @@ mod tests {
             other_seen: AtomicUsize,
         }
         impl Flushable for Nested {
-            fn publish(&self, _which: Publish) -> Result<()> {
+            fn publish(&self, _me: u64, _which: Publish) -> Result<()> {
                 if self.flushing.swap(true, Ordering::SeqCst) {
                     return Ok(());
                 }
@@ -571,7 +733,7 @@ mod tests {
         }
         let me = task_token();
         let marks = Marks::new(None);
-        marks.owner.store(me, Ordering::Relaxed);
+        marks.claim.store(me << 1, Ordering::Relaxed);
         marks.set_dirty();
         let first = Arc::new(Nested {
             flushing: AtomicBool::new(false),
