@@ -38,18 +38,10 @@ pub(crate) const TAG_STOP: u8 = 0x05;
 pub(crate) const CONN_HELLO: u8 = 0x48; // 'H' — data connection
 pub(crate) const CONN_CONTROL: u8 = 0x43; // 'C' — control session
 
-/// One frame on a data connection.
-#[derive(Debug, PartialEq, Eq)]
+/// One frame on a data connection other than `Data`, which is always
+/// written from a borrowed payload ([`write_data_frame`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// A chunk of channel bytes starting at stream offset `offset`. The
-    /// hot path writes one from a borrowed payload (`write_data_frame`);
-    /// a writer's replay buffer keeps its unacknowledged frames whole.
-    Data {
-        /// Payload bytes.
-        bytes: Vec<u8>,
-        /// Stream offset of the first payload byte.
-        offset: u64,
-    },
     /// Graceful end of stream at `offset`: the reader drains, then sees
     /// EOF.
     Close {
@@ -99,7 +91,6 @@ pub(crate) fn write_data_frame<W: Write>(w: &mut W, payload: &[u8], offset: u64)
 /// Writes one frame.
 pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<()> {
     match frame {
-        Frame::Data { bytes, offset } => write_data_frame(w, bytes, *offset)?,
         Frame::Close { offset } => {
             w.write_all(&[TAG_CLOSE])?;
             w.write_all(&offset.to_be_bytes())?;
@@ -191,7 +182,7 @@ pub(crate) fn parse_frame_header<R: Read>(tag: u8, r: &mut R) -> Result<FrameHea
 /// drains acks *nonblockingly* between data writes, so a read may surface
 /// any prefix of the 9-byte ack; this accumulates partial bytes across
 /// calls.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct AckParser {
     buf: [u8; 9],
     filled: usize,
@@ -258,14 +249,7 @@ mod tests {
     #[test]
     fn data_frame_roundtrip() {
         let mut buf = Vec::new();
-        write_frame(
-            &mut buf,
-            &Frame::Data {
-                bytes: b"hello".to_vec(),
-                offset: 77,
-            },
-        )
-        .unwrap();
+        write_data_frame(&mut buf, b"hello", 77).unwrap();
         let mut cur = Cursor::new(buf);
         match next_header(&mut cur).unwrap() {
             FrameHeader::Data { len: 5, offset: 77 } => {

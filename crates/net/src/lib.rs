@@ -47,6 +47,7 @@ mod builder;
 pub mod chaos;
 mod control;
 mod frame;
+mod link;
 mod node;
 mod probe;
 mod registry;

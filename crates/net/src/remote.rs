@@ -10,32 +10,43 @@
 //! * reader close → socket shutdown → writer's next write fails with
 //!   [`Error::WriteClosed`] ("these exceptions even propagate across
 //!   network connections", §3.4);
-//! * TCP flow control supplies the bounded-buffer backpressure that local
-//!   channels get from their ring buffer (§3.5);
 //! * a migrating writer sends `Redirect{token}`; the reader registers the
 //!   token with its own acceptor and splices in the replacement
 //!   connection, after which traffic flows directly between the new homes
 //!   (Figure 15 — no bytes transit the original server).
 //!
+//! A cut channel does not keep the capacity its spec gives it: the cut
+//! drops it. What bounds the bytes in flight is the writer's 16 KiB
+//! `SINK_BUFFER`, the kernel's socket buffers on both ends and, on a
+//! resilient sink, the replay's [`ReconnectPolicy::replay_capacity`]. A
+//! writer blocks when those are full, not when its reader is a channel's
+//! capacity behind.
+//!
+//! The protocol itself — stream offsets, the replay, acknowledgements,
+//! markers, recovery episodes and their budgets — is `link.rs`'s two
+//! state machines, which do no IO. This file is their driver: it owns the
+//! connection and its buffers, `rio`'s waits, the back-off sleeps and the
+//! watchdog, and carries out what the state machines answer.
+//!
 //! ## Fault tolerance (sequence-numbered reconnection)
 //!
 //! With a [`ReconnectPolicy`] enabled, endpoints survive transient link
 //! failure without perturbing the Kahn semantics. Every frame carries the
-//! writer's byte offset into the logical stream; the writer retains a
-//! bounded buffer of unacknowledged frames, and the reader tracks the
-//! next offset it will deliver, acknowledging cumulatively. When a
-//! transport operation fails with a *transient* error (reset, timeout,
-//! refused connect, EOF mid-stream):
+//! writer's byte offset into the logical stream; the writer retains the
+//! unacknowledged suffix of the stream, and the reader tracks the next
+//! offset it will deliver, acknowledging cumulatively. When a transport
+//! operation fails with a *transient* error (reset, timeout, refused
+//! connect, EOF mid-stream):
 //!
 //! * the **writer** reconnects under exponential backoff + jitter + an
 //!   overall budget, waits for the reader's resume acknowledgement, trims
-//!   its replay buffer to the acknowledged offset, and retransmits the
-//!   rest — the reader discards any duplicate prefix, so every stream
-//!   byte is delivered exactly once;
-//! * the **reader** shuts the broken transport (so a writer whose half
-//!   was still healthy fails fast and recovers too), re-registers its
-//!   token at the local acceptor, and acknowledges its resume offset on
-//!   the replacement connection.
+//!   its replay to the acknowledged offset, and retransmits the rest — the
+//!   reader discards any duplicate prefix, so every stream byte is
+//!   delivered exactly once;
+//! * the **reader** shuts the broken transport (so a writer whose half was
+//!   still healthy fails fast and recovers too), re-registers its token at
+//!   the local acceptor, and acknowledges its resume offset on the
+//!   replacement connection.
 //!
 //! One hazard needs an active component: reconnection is writer-driven
 //! (only the writer holds the reader's address), but a writer only
@@ -85,97 +96,105 @@
 //! write registers for its whole length instead.
 
 use crate::acceptor::{fresh_token, Acceptor, PendingConn};
-use crate::frame::{
-    parse_frame_header, write_data_frame, write_frame, AckEvent, AckParser, Frame, FrameHeader,
+use crate::frame::{parse_frame_header, write_data_frame, write_frame, Frame, FrameHeader};
+use crate::link::{
+    map_write_err, Chunk, ReadStep, ReaderProto, Step, WriterProto, MAX_FRAME, RECOVERY_POLL,
 };
 use crate::probe::{CutEnd, CutSide};
-use crate::transport::{
-    NetProfile, ReconnectPolicy, RecoveryGuard, SplitMix64, Transport, TransportFactory,
-};
+use crate::transport::{NetProfile, RecoveryGuard, Transport, TransportFactory};
 use kpn_core::exec::reactor::Interest;
 use kpn_core::{
     ChannelReader, ChannelWriter, Error, Exec, Result, Sink, Source, SourceRead, ThreadExec,
 };
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::VecDeque;
 use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Maximum payload of one `Data` frame.
-const MAX_FRAME: usize = 64 * 1024;
 
 /// Size of the socket-side write coalescing buffer: big enough to merge a
 /// frame header with a typical stream-buffer-sized payload into one
 /// syscall, small enough per connection to stay cheap.
 const SINK_BUFFER: usize = 16 * 1024;
 
-/// The reader acknowledges after this many delivered bytes (and at every
-/// `Close`/`Redirect` marker and connection adoption).
-const ACK_EVERY: u64 = 16 * 1024;
+/// A sink's connection, behind its coalescing buffer.
+type Conn = BufWriter<Box<dyn Transport>>;
 
-/// Poll granularity for blocking ack waits and reconnect handshakes:
-/// short enough to notice aborts and deadlines promptly.
-const RECOVERY_POLL: Duration = Duration::from_millis(100);
-
-/// What is left of one recovery episode's budget, charged in *nominal*
-/// time: each wait subtracts the duration it asked for (the backoff delay,
-/// the poll interval) rather than the wall-clock time it actually took. A
-/// loaded machine therefore performs exactly as many reconnect attempts as
-/// an idle one before giving up — the chaos suite's fault schedules are
-/// op-count based and rely on that; wall-clock deadlines made episode
-/// length (and thus which operation a schedule's n-th fault landed on
-/// after an early give-up) depend on scheduler noise. Starts at the
-/// policy's `budget`; spent once zero.
-type RecoveryBudget = Duration;
-
-/// A writer's recovery episode under way, kept between the steps of
-/// [`SinkCore::recover_step`].
-struct Episode {
-    budget: RecoveryBudget,
-    attempt: u32,
-    /// A fresh connection still waiting for its resume ack.
-    fresh: Option<BufWriter<Box<dyn Transport>>>,
-    guard: RecoveryGuard,
-}
-
-fn map_write_err(e: io::Error) -> Error {
-    use std::io::ErrorKind::*;
-    match e.kind() {
-        BrokenPipe | ConnectionReset | ConnectionAborted | NotConnected => Error::WriteClosed,
-        _ => Error::Io(e),
+/// Shuts `conn` (if any) the `how` way and drops it.
+fn shut(conn: &mut Option<Conn>, how: Shutdown) {
+    if let Some(conn) = conn.take() {
+        let _ = conn.get_ref().shutdown(how);
     }
 }
 
-/// Transient-link classification for errors surfacing on an endpoint's
-/// data path: `true` means the link may heal (reset, abort, timeout,
-/// refusal, EOF mid-stream, a transport's `Disconnected`); `false` means a
-/// local or logic error that must not be retried. `Eof`/`WriteClosed` are
-/// included because `From<io::Error> for Error` folds
-/// `UnexpectedEof`/`BrokenPipe` into them before we see the I/O kind; on a
-/// *transport* operation they mean the connection died, not that the
-/// stream ended (graceful end is a `Close` frame, never a socket error).
-fn link_failure(e: &Error) -> bool {
-    use io::ErrorKind::*;
-    match e {
-        Error::Eof | Error::WriteClosed | Error::Disconnected(_) => true,
-        Error::Io(io) => matches!(
-            io.kind(),
-            ConnectionReset
-                | ConnectionAborted
-                | ConnectionRefused
-                | BrokenPipe
-                | NotConnected
-                | UnexpectedEof
-                | TimedOut
-                | WouldBlock
-                | Interrupted
-        ),
-        _ => false,
+/// The one reader of a connection's reverse direction. Flushes, then feeds
+/// `proto` the acknowledgements and `Stop` notices the reader sent: with
+/// `wait`, one read that may wait that long; without, whatever has
+/// arrived, never waiting. Returns whether any arrived. Events read before
+/// a failure still count, so an ack followed by EOF is seen.
+fn read_acks(conn: &mut Conn, proto: &mut WriterProto, wait: Option<Duration>) -> Result<bool> {
+    conn.flush()?;
+    let t = conn.get_ref();
+    match wait {
+        Some(poll) => t.set_op_timeout(Some(poll))?,
+        None => t.set_nonblocking(true)?,
     }
+    let (mut tmp, mut any) = ([0u8; 256], false);
+    let read = loop {
+        match conn.get_mut().read(&mut tmp) {
+            Ok(0) => break Err(gone("connection closed while reading acks")),
+            Ok(n) => match proto.acks(&tmp[..n]) {
+                Ok(got) if wait.is_none() => any |= got,
+                read => break read.map(|got| any |= got),
+            },
+            Err(e) if e.kind() == Interrupted => {}
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => break Ok(()),
+            Err(e) => break Err(e.into()),
+        }
+    };
+    let t = conn.get_ref();
+    let _ = match wait {
+        Some(_) => t.set_op_timeout(proto.policy.op_timeout),
+        None => t.set_nonblocking(false),
+    };
+    read.map(|()| any)
+}
+
+/// Sends the replay on `conn`: its data re-framed from the ring, then its
+/// marker.
+fn retransmit(conn: &mut Conn, proto: &WriterProto) -> Result<()> {
+    let (data, marker) = proto.replay();
+    for (offset, bytes) in data {
+        write_data_frame(conn, bytes, offset)?;
+    }
+    if let Some(marker) = marker {
+        write_frame(conn, marker)?;
+    }
+    Ok(conn.flush()?)
+}
+
+/// Makes `t` an endpoint's connection: its waits follow the caller
+/// (`rio`; accepted connections arrive unwrapped, since the acceptor's
+/// factory knows nothing about executors), it times out after the policy's
+/// `op_timeout`, and the endpoint's interruptor points at it.
+fn attach(
+    t: Box<dyn Transport>,
+    interruptor: &Option<Arc<Interruptor>>,
+    op_timeout: Option<Duration>,
+) -> Box<dyn Transport> {
+    let t = crate::rio::wrap(t);
+    let _ = t.set_op_timeout(op_timeout);
+    if let Some(i) = interruptor {
+        i.attach_transport(&*t);
+    }
+    t
+}
+
+/// A connection gone for the reason `why`: a link failure.
+fn gone(why: &str) -> Error {
+    Error::Disconnected(why.into())
 }
 
 /// Out-of-band interruption for a remote endpoint: lets a network abort
@@ -288,93 +307,69 @@ impl Interruptor {
     }
 }
 
-/// The movable state of a [`RemoteSink`]: connection, stream accounting,
-/// and replay buffer. Separated from the `Sink` facade so a deliberate
-/// close can leave the state with the watchdog, which sees the final
-/// `Close` marker acknowledged (reconnecting if needed) without blocking
-/// the closing process.
+/// The movable state of a [`RemoteSink`]: the connection and the writer's
+/// protocol core. Separated from the `Sink` facade so a deliberate close
+/// can leave the state with the watchdog, which sees the final `Close`
+/// marker acknowledged (reconnecting if needed) without blocking the
+/// closing process.
 struct SinkCore {
-    conn: Option<BufWriter<Box<dyn Transport>>>,
+    /// The connection, or a recovery episode's fresh one; see
+    /// [`Self::conn`].
+    conn: Option<Conn>,
     /// Reader-side acceptor address, for reconnects.
     addr: String,
-    token: u64,
-    policy: ReconnectPolicy,
     factory: Arc<dyn TransportFactory>,
     interruptor: Option<Arc<Interruptor>>,
     peer: Option<SocketAddr>,
-    /// The peer answered `Stop`: the reader is deliberately gone.
-    peer_stopped: bool,
     /// A terminal failure the watchdog hit while pumping this sink on the
     /// owner's behalf, delivered on the owner's next operation so the
     /// cascade carries the real error (and the owner does not burn a
     /// second recovery budget rediscovering it).
     pending_failure: Option<Error>,
-    /// Next stream offset to assign (payload bytes + markers written).
-    sent: u64,
-    /// Everything below this offset is acknowledged by the reader.
-    acked: u64,
-    /// The frames retained for replay until acknowledged: data and markers.
-    replay: VecDeque<Frame>,
-    replay_bytes: usize,
-    acks: AckParser,
-    rng: SplitMix64,
-    /// Set by a resilient close to the offset just past its `Close`
-    /// marker: the watchdog owns the sink until it finishes it.
-    closing: Option<u64>,
-    /// A recovery the watchdog has stepped but not finished; `conn` is
-    /// empty meanwhile, so the owner's next operation finishes it.
-    episode: Option<Episode>,
+    /// Counts the recovery episode under way in `recovery_stats`.
+    guard: Option<RecoveryGuard>,
+    proto: WriterProto,
 }
 
 impl SinkCore {
     fn connect(addr: &str, token: u64, profile: NetProfile) -> Result<Self> {
-        let (factory, policy) = (profile.factory, profile.policy);
-        let mut rng = SplitMix64(token ^ 0x005E_ED0F_5EED);
-        let mut budget: RecoveryBudget = policy.budget;
-        let mut attempt: u32 = 0;
-        let transport = loop {
-            match factory.connect(addr, token) {
-                Ok(t) => break crate::rio::wrap(t),
-                Err(e) if policy.enabled && link_failure(&e) && !budget.is_zero() => {
-                    let delay = policy.backoff(attempt, &mut rng);
-                    attempt = attempt.saturating_add(1);
-                    budget = budget.saturating_sub(delay);
-                    kpn_core::exec::sleep(delay);
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        let _ = transport.set_op_timeout(policy.op_timeout);
-        let peer = transport.peer_addr().ok().or_else(|| addr.parse().ok());
-        Ok(SinkCore {
-            conn: Some(BufWriter::with_capacity(SINK_BUFFER, transport)),
+        let mut core = SinkCore {
+            conn: None,
             addr: addr.to_string(),
-            token,
-            policy,
-            factory,
+            factory: profile.factory,
             interruptor: None,
-            peer,
-            peer_stopped: false,
+            peer: None,
             pending_failure: None,
-            sent: 0,
-            acked: 0,
-            replay: VecDeque::new(),
-            replay_bytes: 0,
-            acks: AckParser::default(),
-            rng,
-            closing: None,
-            episode: None,
-        })
+            guard: None,
+            proto: WriterProto::new(token, profile.policy),
+        };
+        core.recover()?;
+        let peer = core
+            .conn
+            .as_ref()
+            .and_then(|c| c.get_ref().peer_addr().ok());
+        core.peer = peer.or_else(|| addr.parse().ok());
+        Ok(core)
     }
 
-    fn interrupted(&self) -> bool {
-        self.interruptor
+    /// The protocol core, told first whether the endpoint was interrupted.
+    fn proto(&mut self) -> &mut WriterProto {
+        if self
+            .interruptor
             .as_ref()
             .is_some_and(|i| i.is_interrupted())
+        {
+            self.proto.interrupt();
+        }
+        &mut self.proto
     }
 
-    fn conn(&mut self) -> Result<&mut BufWriter<Box<dyn Transport>>> {
-        self.conn.as_mut().ok_or(Error::WriteClosed)
+    /// The connection the stream flows on. None while a recovery episode
+    /// is under way, whose fresh connection carries nothing but the
+    /// resume handshake: the operation that finds none recovers.
+    fn conn(&mut self) -> Result<&mut Conn> {
+        let conn = self.conn.as_mut().filter(|_| !self.proto.recovering());
+        conn.ok_or(Error::WriteClosed)
     }
 
     /// Flushes the connection; a failure goes to [`Self::handle_failure`].
@@ -383,239 +378,102 @@ impl SinkCore {
         flushed.or_else(|e| self.handle_failure(e))
     }
 
-    /// Assigns the next `len` stream units, returning the offset of the
-    /// first, and records how far the stream has got in the interruptor.
-    fn take_offset(&mut self, len: u64) -> u64 {
-        let offset = self.sent;
-        self.sent += len;
-        if let Some(i) = &self.interruptor {
-            i.record(self.token, self.sent);
-        }
-        offset
-    }
-
-    /// Drops fully acknowledged replay entries and trims the acknowledged
-    /// prefix of a partially acknowledged `Data` frame.
-    fn trim_replay(&mut self) {
-        while let Some(front) = self.replay.front_mut() {
-            match front {
-                Frame::Data { offset, bytes } => {
-                    let end = *offset + bytes.len() as u64;
-                    if end <= self.acked {
-                        self.replay_bytes -= bytes.len();
-                        self.replay.pop_front();
-                    } else if *offset < self.acked {
-                        let cut = (self.acked - *offset) as usize;
-                        bytes.drain(..cut);
-                        *offset = self.acked;
-                        self.replay_bytes -= cut;
-                        break;
-                    } else {
-                        break;
-                    }
-                }
-                Frame::Close { offset }
-                | Frame::Redirect { offset, .. }
-                | Frame::Ack { offset } => {
-                    if *offset < self.acked {
-                        self.replay.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The one reader of the connection's reverse direction. Flushes, then
-    /// takes in the acknowledgements and `Stop` notices the reader sent:
-    /// with `wait`, one read that may wait that long; without, whatever has
-    /// arrived, never waiting. Returns whether any arrived. Events read
-    /// before a failure still count, so an ack followed by EOF is seen.
-    /// An ack past what was sent is a protocol error, not a link fault:
-    /// no recovery mends it.
+    /// Reads the acks that arrived, or waits `wait` for some.
     fn read_acks(&mut self, wait: Option<Duration>) -> Result<bool> {
-        let conn = self.conn.as_mut().ok_or(Error::WriteClosed)?;
-        conn.flush()?;
-        let t = conn.get_ref();
-        match wait {
-            Some(poll) => t.set_op_timeout(Some(poll))?,
-            None => t.set_nonblocking(true)?,
-        }
-        let mut tmp = [0u8; 256];
-        let mut events = Vec::new();
-        let read = loop {
-            match conn.get_mut().read(&mut tmp) {
-                Ok(0) => {
-                    break Err(Error::Disconnected(
-                        "connection closed while reading acks".into(),
-                    ))
-                }
-                Ok(n) => match self.acks.feed(&tmp[..n], |ev| events.push(ev)) {
-                    Err(e) => break Err(e),
-                    Ok(()) if wait.is_some() => break Ok(()),
-                    Ok(()) => {}
-                },
-                Err(e) if e.kind() == Interrupted => {}
-                Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => break Ok(()),
-                Err(e) => break Err(e.into()),
-            }
-        };
-        let t = conn.get_ref();
-        let _ = match wait {
-            Some(_) => t.set_op_timeout(self.policy.op_timeout),
-            None => t.set_nonblocking(false),
-        };
-        for ev in &events {
-            match *ev {
-                AckEvent::Ack(off) if off > self.sent => {
-                    return Err(Error::Graph(format!(
-                        "ack at offset {off} past the {} stream units sent (token {:#x})",
-                        self.sent, self.token
-                    )));
-                }
-                AckEvent::Ack(off) => self.acked = self.acked.max(off),
-                AckEvent::Stop => self.peer_stopped = true,
-            }
-        }
-        self.trim_replay();
-        read.map(|()| !events.is_empty())
+        let conn = self.conn.as_mut().filter(|_| !self.proto.recovering());
+        read_acks(conn.ok_or(Error::WriteClosed)?, &mut self.proto, wait)
     }
 
-    /// Routes a failed transport operation: transient link failures enter
-    /// recovery (the replay buffer retransmits whatever the failed
-    /// operation was sending); everything else maps to the fail-fast
-    /// semantics of the policy-disabled path.
+    /// Records how far the stream has got in the interruptor.
+    fn record(&self) {
+        if let Some(i) = &self.interruptor {
+            i.record(self.proto.token, self.proto.sent());
+        }
+    }
+
+    /// Routes a failed write, flush or ack read: a transient link failure
+    /// on a resilient link begins a recovery episode (unless one is under
+    /// way, or the failure is no fault) and runs it to the end, and the
+    /// replay retransmits whatever the failed operation was sending;
+    /// anything else comes back as the fail-fast error.
     fn handle_failure(&mut self, e: Error) -> Result<()> {
-        self.recoverable(e)?;
+        self.begin(e)?;
         self.recover()
     }
 
-    /// `Ok` for a transient link failure, which recovery may mend; any
-    /// other failure comes back mapped to the fail-fast semantics.
-    fn recoverable(&self, e: Error) -> Result<()> {
-        if self.policy.enabled && !self.peer_stopped && !self.interrupted() && link_failure(&e) {
-            Ok(())
-        } else {
-            Err(match e {
-                Error::Io(io) => map_write_err(io),
-                other => other,
-            })
+    fn begin(&mut self, e: Error) -> Result<()> {
+        if !self.proto.recovering() && self.proto().fail(e)? {
+            shut(&mut self.conn, Shutdown::Both);
+            self.guard = Some(RecoveryGuard::enter());
         }
-    }
-
-    /// One recovery episode, step after step: reconnect with backoff +
-    /// jitter under the policy budget, handshake for the reader's resume
-    /// acknowledgement, and retransmit the unacknowledged suffix.
-    fn recover(&mut self) -> Result<()> {
-        while !self.recover_step()? {}
         Ok(())
     }
 
-    /// One step of the recovery episode under way, or of a new one: at
-    /// most one backoff and reconnect, then one wait of `RECOVERY_POLL` on
-    /// the fresh connection for the reader's resume `Ack` (sent when the
-    /// reader adopts the connection) or a `Stop`. `Ok(true)`: resumed, the
-    /// replay buffer trimmed to the ack and the rest retransmitted.
-    /// `Ok(false)`: not yet. The owner steps again at once; the watchdog on
-    /// its next pass, so a sink whose reader is slow to answer holds up
-    /// the others' pumping for a step, not for its whole budget.
-    fn recover_step(&mut self) -> Result<bool> {
-        let mut episode = match self.episode.take() {
-            Some(episode) => episode,
-            None => {
-                if let Some(conn) = self.conn.take() {
-                    let _ = conn.get_ref().shutdown(Shutdown::Both);
-                }
-                Episode {
-                    budget: self.policy.budget,
-                    attempt: 0,
-                    fresh: None,
-                    guard: RecoveryGuard::enter(),
-                }
-            }
-        };
-        let stepped = self.step(&mut episode);
-        if let Ok(false) = stepped {
-            self.episode = Some(episode);
+    fn recover(&mut self) -> Result<()> {
+        while !self.step()? {}
+        Ok(())
+    }
+
+    /// One step of the episode under way: at most one back-off and
+    /// connect, then one wait of `RECOVERY_POLL` on the fresh connection
+    /// for the reader's resume `Ack` (sent when the reader adopts the
+    /// connection) or a `Stop`, then the retransmission. `Ok(true)`:
+    /// resumed. `Ok(false)`: not yet. The owner steps again at once; the
+    /// watchdog on its next pass, so a sink whose reader is slow to answer
+    /// holds up the others' pumping for a step, not for its whole budget.
+    fn step(&mut self) -> Result<bool> {
+        let stepped = self.try_step();
+        if !self.proto.recovering() {
+            self.guard = None;
+        }
+        if stepped.is_err() {
+            shut(&mut self.conn, Shutdown::Both);
         }
         stepped
     }
 
-    fn step(&mut self, ep: &mut Episode) -> Result<bool> {
-        if self.interrupted() || self.peer_stopped {
-            return Err(Error::WriteClosed);
-        }
-        if ep.fresh.is_none() {
-            if ep.attempt > 0 {
-                let delay = self.policy.backoff(ep.attempt - 1, &mut self.rng);
-                ep.budget = ep.budget.saturating_sub(delay);
-                kpn_core::exec::sleep(delay);
+    fn try_step(&mut self) -> Result<bool> {
+        let mut step = self.proto().next_step()?;
+        loop {
+            step = match step {
+                Step::Reconnect(after) => {
+                    if let Some(guard) = &self.guard {
+                        guard.attempt();
+                    }
+                    if !after.is_zero() {
+                        kpn_core::exec::sleep(after);
+                    }
+                    let connect = self.factory.connect(&self.addr, self.proto.token);
+                    let connect = connect.map(|t| {
+                        let t = attach(t, &self.interruptor, self.proto.policy.op_timeout);
+                        self.conn = Some(BufWriter::with_capacity(SINK_BUFFER, t));
+                    });
+                    self.proto.connected(connect)?
+                }
+                Step::Poll => {
+                    let conn = self.conn.as_mut().ok_or(Error::WriteClosed);
+                    let polled =
+                        conn.and_then(|c| read_acks(c, &mut self.proto, Some(RECOVERY_POLL)));
+                    self.proto.polled(polled)?
+                }
+                Step::Retransmit => {
+                    let conn = self.conn.as_mut().ok_or(Error::WriteClosed);
+                    let sent = conn.and_then(|c| retransmit(c, &self.proto));
+                    self.proto.retransmitted(sent)?
+                }
+                Step::Retry => {
+                    shut(&mut self.conn, Shutdown::Both);
+                    return Ok(false);
+                }
+                Step::Wait => return Ok(false),
+                Step::Resumed => return Ok(true),
             }
-            if ep.budget.is_zero() {
-                return Err(Error::Disconnected(format!(
-                    "reconnect budget exhausted after {} attempts \
-                     (token {:#x}, {} unacked bytes)",
-                    ep.attempt, self.token, self.replay_bytes
-                )));
-            }
-            ep.guard.attempt();
-            ep.attempt = ep.attempt.saturating_add(1);
-            let transport = match self.factory.connect(&self.addr, self.token) {
-                Ok(t) => crate::rio::wrap(t),
-                Err(e) if link_failure(&e) => return Ok(false),
-                Err(e) => return Err(e),
-            };
-            if let Some(i) = &self.interruptor {
-                i.attach_transport(&*transport);
-            }
-            ep.fresh = Some(BufWriter::with_capacity(SINK_BUFFER, transport));
-            self.acks = AckParser::default();
         }
-        if ep.budget.is_zero() {
-            return Err(Error::Disconnected(
-                "no resume ack within reconnect budget".into(),
-            ));
-        }
-        // Installed to be read through the one ack reader; it stays once
-        // the link has resumed.
-        self.conn = ep.fresh.take();
-        let failure = match self.read_acks(Some(RECOVERY_POLL)) {
-            Ok(_) if self.peer_stopped => Error::WriteClosed,
-            Ok(true) => match self.transmit_replay() {
-                Ok(()) => return Ok(true),
-                Err(e) => e,
-            },
-            Ok(false) => {
-                ep.budget = ep.budget.saturating_sub(RECOVERY_POLL);
-                ep.fresh = self.conn.take();
-                return Ok(false);
-            }
-            Err(e) => e,
-        };
-        if let Some(conn) = self.conn.take() {
-            let _ = conn.get_ref().shutdown(Shutdown::Both);
-        }
-        if link_failure(&failure) && !self.peer_stopped {
-            Ok(false)
-        } else {
-            Err(failure)
-        }
-    }
-
-    /// Retransmits every retained frame on the current connection.
-    fn transmit_replay(&mut self) -> Result<()> {
-        let conn = self.conn.as_mut().ok_or(Error::WriteClosed)?;
-        for frame in &self.replay {
-            write_frame(conn, frame)?;
-        }
-        conn.flush()?;
-        Ok(())
     }
 
     /// Blocks until the reader has acknowledged every unit below `target`,
     /// reconnecting and replaying as needed. With `marker_wait`, a `Stop`
-    /// from the peer counts as success: the frames below `target` end in a
+    /// from the peer counts as success: the units below `target` end in a
     /// `Close`/`Redirect` marker, and a deliberately-dead token proves the
     /// reader processed that far (in-order delivery).
     ///
@@ -624,74 +482,51 @@ impl SinkCore {
     /// arbitrarily slowly), exactly like blocking on TCP flow control in
     /// fail-fast mode. Only recovery episodes — where the link is actually
     /// down — are budget-bounded, so a permanently dead link still
-    /// terminates via `recover()`'s budget.
+    /// terminates via the episode's budget.
     fn wait_acked(&mut self, target: u64, marker_wait: bool) -> Result<()> {
-        if !self.policy.enabled || self.acked >= target {
+        if self.proto.through(target, marker_wait)? {
             return Ok(());
         }
         // Reading acks can block: publish this task's buffered output
         // first (same publish-before-wait rule as local channels).
         kpn_core::flush::flush_before_block();
-        let through = |core: &Self| core.acked >= target || (marker_wait && core.peer_stopped);
-        loop {
-            if through(self) {
-                return Ok(());
-            }
-            if self.peer_stopped || self.interrupted() {
-                return Err(Error::WriteClosed);
-            }
+        let through = |core: &Self| matches!(core.proto.through(target, marker_wait), Ok(true));
+        while !self.proto().through(target, marker_wait)? {
             // Garbage on the ack stream counts as a link fault.
-            let failure = match self.read_acks(Some(RECOVERY_POLL)) {
-                Err(e) if !through(self) => e,
-                _ => continue,
-            };
-            if let Err(e) = self.handle_failure(failure) {
-                if !through(self) {
-                    return Err(e);
-                }
+            match self.read_acks(Some(RECOVERY_POLL)) {
+                Err(e) if !through(self) => match self.handle_failure(e) {
+                    Err(e) if !through(self) => return Err(e),
+                    _ => {}
+                },
+                _ => {}
             }
         }
+        Ok(())
     }
 
     fn write_chunks(&mut self, buf: &[u8]) -> Result<()> {
         if let Some(e) = self.pending_failure.take() {
             return Err(e);
         }
-        if self.peer_stopped {
-            return Err(Error::WriteClosed);
-        }
-        if self.policy.enabled {
+        self.proto.writable()?;
+        if self.proto.resilient() {
             if let Err(e) = self.read_acks(None) {
                 self.handle_failure(e)?;
             }
-            if self.peer_stopped {
-                return Err(Error::WriteClosed);
-            }
+            self.proto.writable()?;
         }
         for chunk in buf.chunks(MAX_FRAME) {
-            if self.policy.enabled {
-                // Floor: one full frame plus the reader's ack granularity,
-                // so the reader's lagging cumulative ack (< ACK_EVERY
-                // behind its delivery point) always frees enough window.
-                let cap = self
-                    .policy
-                    .replay_capacity
-                    .max(MAX_FRAME + ACK_EVERY as usize);
-                if self.replay_bytes + chunk.len() > cap {
-                    // Replay window full: block until the reader catches
-                    // up — semantically a smaller bounded channel.
-                    let free_needed = (self.replay_bytes + chunk.len() - cap) as u64;
-                    self.wait_acked(self.acked + free_needed, false)?;
+            let offset = loop {
+                match self.proto.write(chunk) {
+                    Chunk::Frame(offset) => break offset,
+                    // Replay full: block until the reader catches up —
+                    // semantically a smaller bounded channel.
+                    Chunk::WaitAcks(upto) => self.wait_acked(upto, false)?,
                 }
-                self.replay.push_back(Frame::Data {
-                    offset: self.sent,
-                    bytes: chunk.to_vec(),
-                });
-                self.replay_bytes += chunk.len();
-            }
-            let offset = self.take_offset(chunk.len() as u64);
+            };
+            self.record();
             if let Err(e) = self.conn().and_then(|c| write_data_frame(c, chunk, offset)) {
-                // Recovery retransmits this chunk from the replay buffer.
+                // Recovery retransmits this chunk from the replay.
                 self.handle_failure(e)?;
             }
         }
@@ -706,42 +541,23 @@ impl SinkCore {
         self.flush()
     }
 
-    /// Sends a `Close`/`Redirect` marker. A resilient sink keeps it for
-    /// replay and leaves a failed write to the recovery of whatever sees
-    /// the marker through ([`Self::wait_acked`], the watchdog); a plain
-    /// sink gets the failure back.
-    fn send_marker(&mut self, frame: Frame) -> Result<()> {
+    /// Ends the stream with a `Redirect` to `redirect`, or a `Close`, and
+    /// sends the marker. A failed send comes back only from a plain sink
+    /// (see [`WriterProto::marker`]).
+    fn send_marker(&mut self, redirect: Option<u64>) -> Result<()> {
+        let (frame, report) = self.proto.marker(redirect);
+        self.record();
         let sent = self.conn().and_then(|c| {
             write_frame(c, &frame)?;
             c.flush().map_err(map_write_err)
         });
-        if !self.policy.enabled {
-            return sent;
-        }
-        self.replay.push_back(frame);
-        Ok(())
-    }
-
-    /// Whether a sink closing at `target` is done: its `Close` marker is
-    /// through (acknowledged, or the reader answered `Stop`), or nothing is
-    /// left to see it through — a plain sink, an interrupted endpoint, a
-    /// recovery that gave up.
-    fn close_done(&self, target: u64) -> bool {
-        !self.policy.enabled
-            || self.acked >= target
-            || self.peer_stopped
-            || self.interrupted()
-            || (self.conn.is_none() && self.episode.is_none())
-            || self.pending_failure.is_some()
+        sent.or_else(|e| if report { Err(e) } else { Ok(()) })
     }
 
     /// Retires a closed sink's connection: shut for writing, then dropped.
     fn finish(&mut self) {
-        self.closing = None;
-        self.episode = None;
-        if let Some(conn) = self.conn.take() {
-            let _ = conn.get_ref().shutdown(Shutdown::Write);
-        }
+        self.proto.finish();
+        shut(&mut self.conn, Shutdown::Write);
     }
 
     /// One watchdog step on a sink no process is using (see the module
@@ -757,30 +573,23 @@ impl SinkCore {
     /// by a replay that nothing would ever trigger, stalling the reader
     /// (and, transitively, any cycle through it) forever.
     fn pump(&mut self) {
-        let stepped = if self.episode.is_some() {
-            self.recover_step().map(drop)
-        } else if !self.peer_stopped && !self.interrupted() && self.conn.is_some() {
-            let drained = self.read_acks(None);
-            // The reader shuts its socket right after acknowledging a
-            // `Close` marker, so one drain can bring the ack and then EOF:
-            // the ack decides, and the EOF is no fault.
-            match drained {
-                Err(e) if self.closing.is_none_or(|target| self.acked < target) => self
-                    .recoverable(e)
-                    .and_then(|()| self.recover_step().map(drop)),
-                _ => Ok(()),
-            }
-        } else {
-            Ok(())
+        let stepped = match self.proto().writable() {
+            _ if self.proto.recovering() => self.step().map(drop),
+            Ok(()) if self.conn.is_some() => match self.read_acks(None) {
+                Err(e) => self.begin(e).and_then(|()| self.step().map(drop)),
+                Ok(_) => Ok(()),
+            },
+            _ => Ok(()),
         };
-        // A failed recovery leaves `conn` empty (so the watchdog does not
+        // A failed recovery leaves no connection (so the watchdog does not
         // retry a link whose budget is spent); the terminal error is
         // stashed to surface on the owning process's next write, exactly
         // as if that write had discovered the dead link.
         if let Err(e) = stepped {
             self.pending_failure = Some(e);
+            self.proto.stash();
         }
-        if self.closing.is_some_and(|target| self.close_done(target)) {
+        if self.proto.close_done() {
             self.finish();
         }
     }
@@ -826,7 +635,7 @@ impl Watchdog {
                 let live = reg.get_or_insert_with(Vec::new);
                 // A sink only the list holds stays while it is closing.
                 live.retain_mut(|s| {
-                    Arc::get_mut(s).is_none_or(|s| s.core.get_mut().closing.is_some())
+                    Arc::get_mut(s).is_none_or(|s| s.core.get_mut().proto.closing())
                 });
                 if live.is_empty() {
                     *reg = None;
@@ -901,11 +710,12 @@ impl SharedCore {
 /// end) returned less than its own duration ago (`kpn_core::flush`,
 /// clause 5). A raw writer with no such buffer gets a frame per call.
 ///
-/// With a [`ReconnectPolicy`] enabled (via the [`NetProfile`] it connects
-/// with: its node's, see [`Node::remote_writer`](crate::Node::remote_writer)),
-/// the sink retains unacknowledged frames and survives
-/// transient link failure by reconnecting and replaying — see the module
-/// docs.
+/// With a [`ReconnectPolicy`](crate::transport::ReconnectPolicy) enabled
+/// (via the [`NetProfile`] it connects with: its node's, see
+/// [`Node::remote_writer`](crate::Node::remote_writer)), the sink also
+/// copies each frame's payload into its replay ring until the reader
+/// acknowledges it, and survives transient link failure by reconnecting
+/// and replaying — see the module docs.
 pub struct RemoteSink {
     /// Shared with the profile's watchdog, which keeps it after a resilient
     /// close until the `Close` marker is through.
@@ -928,7 +738,7 @@ impl RemoteSink {
             core: Mutex::new(SinkCore::connect(addr, token, profile)?),
             waiter: Mutex::new(None),
         });
-        if core.lock().policy.enabled {
+        if core.lock().proto.resilient() {
             watchdog.register(&core);
         }
         Ok(RemoteSink {
@@ -978,15 +788,12 @@ impl RemoteSink {
         let peer = self.peer_addr()?;
         let token = fresh_token();
         let mut core = self.core()?.lock();
-        let offset = core.take_offset(1);
-        core.send_marker(Frame::Redirect { offset, token })?;
-        let target = core.sent;
+        core.send_marker(Some(token))?;
+        let target = core.proto.sent();
         core.wait_acked(target, true)
             .map_err(|e| Error::Disconnected(format!("redirect failed: {e}")))?;
         // Taken, so the watchdog has no connection left to pump.
-        if let Some(conn) = core.conn.take() {
-            let _ = conn.get_ref().shutdown(Shutdown::Both);
-        }
+        shut(&mut core.conn, Shutdown::Both);
         drop(core);
         self.closed = true; // redirect supersedes Close
         Ok((peer, token))
@@ -1015,15 +822,12 @@ impl Sink for RemoteSink {
             return;
         };
         let mut c = core.lock();
-        let offset = c.take_offset(1);
-        // A close has no one to report a failed write to.
-        let _ = c.send_marker(Frame::Close { offset });
-        let target = c.sent;
+        // A close has no one to report a failed send to.
+        let _ = c.send_marker(None);
         // The marker is acknowledged only once the reader drains to it,
         // which can be arbitrarily later: unless it is done already, the
         // watchdog sees it through, so closing never blocks this process.
-        c.closing = Some(target);
-        if c.close_done(target) {
+        if c.proto().close_done() {
             c.finish();
         }
     }
@@ -1049,82 +853,41 @@ pub struct RemoteSource {
     acceptor: Option<Arc<Acceptor>>,
     /// Abort-interruption handle, kept pointing at the live transport.
     interruptor: Option<Arc<Interruptor>>,
-    policy: ReconnectPolicy,
-    /// The endpoint token this source listens under (0 = unknown: no
-    /// recovery possible).
-    token: u64,
-    /// Bytes left to stream from the current `Data` frame.
-    remaining: usize,
-    /// Leading duplicate bytes of the current frame to discard (replayed
-    /// data the channel has already delivered).
-    skip: usize,
-    /// Next stream offset to deliver.
-    expected: u64,
-    /// Bytes delivered since the last acknowledgement.
-    unacked: u64,
-    /// Set when an ack write failed mid-frame: the ack direction may
-    /// carry a partial frame the writer's parser cannot resynchronize
-    /// from, so the connection has been shut down and the next read must
-    /// go straight to recovery instead of the idle wait.
-    ack_poisoned: bool,
-    closed: bool,
+    proto: ReaderProto,
 }
 
 impl RemoteSource {
     /// Adopts a connection the acceptor handed over, with the stream
-    /// resuming at `expected` (0 for a first connection): the one place a
-    /// connection becomes a source's, for its first connection and for
-    /// every replacement [`RemoteSource::recover`] adopts.
+    /// resuming at `expected` (0 for a first connection), for the source of
+    /// `token` (0 = unknown: no recovery possible).
     pub(crate) fn adopt(
         transport: Box<dyn Transport>,
         acceptor: Option<Arc<Acceptor>>,
         interruptor: Option<Arc<Interruptor>>,
-        policy: ReconnectPolicy,
+        policy: crate::transport::ReconnectPolicy,
         token: u64,
         expected: u64,
     ) -> Self {
-        // Accepted connections arrive unwrapped (the acceptor's factory
-        // knows nothing about executors); make their waits fiber-aware.
-        let transport = crate::rio::wrap(transport);
-        if let Some(i) = &interruptor {
-            i.attach_transport(&*transport);
-        }
-        let _ = transport.set_op_timeout(policy.op_timeout);
+        let stream = attach(transport, &interruptor, policy.op_timeout);
         let mut source = RemoteSource {
-            stream: BufReader::new(transport),
+            stream: BufReader::new(stream),
             acceptor,
             interruptor,
-            policy,
-            token,
-            remaining: 0,
-            skip: 0,
-            expected,
-            unacked: 0,
-            ack_poisoned: false,
-            closed: false,
+            proto: ReaderProto::new(token, policy, expected),
         };
-        if source.policy.enabled {
-            // Adoption ack: a writer in recovery is waiting for our resume
-            // offset; a fresh writer drains it harmlessly. A failure here
-            // cannot be ignored: the frame may be partially written, and
-            // the reader would otherwise settle into the idle wait while
-            // the writer blocks on an ack that can never parse.
-            if source.send_ack().is_err() {
-                source.retire_ack_channel();
-            }
-        }
+        source.adopted();
         source
     }
 
-    /// Shuts the connection down after a failed ack write. An ack frame
-    /// that errored mid-write may sit partially on the wire, and the
-    /// writer's ack parser has no way to resynchronize past it — so the
-    /// only safe move is to kill the connection (the writer's pending
-    /// handshake sees EOF at once and reconnects) and route this source's
-    /// next read into recovery.
-    fn retire_ack_channel(&mut self) {
-        let _ = self.stream.get_ref().shutdown(Shutdown::Both);
-        self.ack_poisoned = true;
+    /// The adoption ack: a writer in recovery is waiting for our resume
+    /// offset; a fresh writer drains it harmlessly. Returns whether the
+    /// connection is usable: a failed ack cannot be ignored, since the
+    /// frame may be partially written, and the reader would otherwise
+    /// settle into the idle wait while the writer blocks on an ack that can
+    /// never parse.
+    fn adopted(&mut self) -> bool {
+        let ack = self.proto.adopted();
+        self.send_ack(ack)
     }
 
     fn interrupted(&self) -> bool {
@@ -1133,52 +896,39 @@ impl RemoteSource {
             .is_some_and(|i| i.is_interrupted())
     }
 
-    /// Moves the next offset to deliver to `expected`, and records how far
-    /// the stream has got in the interruptor.
-    fn deliver_to(&mut self, expected: u64) {
-        self.expected = expected;
+    /// Records how far the stream has got in the interruptor.
+    fn record(&self) {
         if let Some(i) = &self.interruptor {
-            i.record(self.token, expected);
+            i.record(self.proto.token, self.proto.expected());
         }
     }
 
-    /// Writes `Ack{expected}` on the reverse direction of the transport.
-    fn send_ack(&mut self) -> Result<()> {
+    /// Writes the `Ack` the core asked for, if any, on the reverse
+    /// direction of the transport, returning whether it went out. A failed ack is not merely "link
+    /// died" (where the next read would fail anyway): a fault can
+    /// interrupt the frame mid-write while the link stays up, leaving the
+    /// ack stream garbled. The connection is then shut (the writer's
+    /// pending handshake sees EOF at once and reconnects) and the next
+    /// read goes to recovery.
+    fn send_ack(&mut self, ack: Option<u64>) -> bool {
+        let Some(offset) = ack else {
+            return true;
+        };
         let t = self.stream.get_mut();
-        write_frame(
-            t,
-            &Frame::Ack {
-                offset: self.expected,
-            },
-        )?;
-        t.flush()?;
-        self.unacked = 0;
-        Ok(())
+        let sent = write_frame(t, &Frame::Ack { offset }).and_then(|()| Ok(t.flush()?));
+        if sent.is_err() {
+            let _ = self.stream.get_ref().shutdown(Shutdown::Both);
+        }
+        self.proto.ack_sent(sent.is_ok());
+        sent.is_ok()
     }
 
-    fn ack_progress(&mut self, delivered: usize) {
-        if !self.policy.enabled {
-            return;
-        }
-        self.unacked += delivered as u64;
-        if self.unacked >= ACK_EVERY {
-            // A failed ack is not merely "link died" (where the next read
-            // would fail anyway): a fault can interrupt the frame mid-write
-            // while the link stays up, leaving the ack stream garbled.
-            // Retire the connection so recovery resynchronizes both sides.
-            if self.send_ack().is_err() {
-                self.retire_ack_channel();
-            }
-        }
-    }
-
-    /// Marks this endpoint deliberately finished: acknowledge the final
-    /// marker and poison the token so a recovering writer receives `Stop`
-    /// instead of retrying forever.
-    fn finish_deliberate(&mut self) {
-        if self.policy.enabled {
-            let _ = self.send_ack();
-        }
+    /// Marks this endpoint deliberately finished at its marker: records
+    /// the offset, acknowledges the marker (`ack`), and poisons the token
+    /// so a recovering writer receives `Stop` instead of retrying forever.
+    fn finish_deliberate(&mut self, ack: Option<u64>) {
+        self.record();
+        self.send_ack(ack);
         self.retire_token();
     }
 
@@ -1186,103 +936,80 @@ impl RemoteSource {
     /// connects under it (a recovering one) is answered `Stop` and
     /// cascades instead of retrying against a reader that is gone.
     fn retire_token(&self) {
-        if let Some(a) = self.acceptor.as_ref().filter(|_| self.token != 0) {
-            a.unregister(self.token);
+        let token = self.proto.token;
+        if let Some(a) = self.acceptor.as_ref().filter(|_| token != 0) {
+            a.unregister(token);
+        }
+    }
+
+    /// Waits for the next frame's tag byte, then reads its header. Waiting
+    /// for the tag is the *idle* position: a read timeout here means the
+    /// channel simply has no data (Kahn-legal, possibly forever), not that
+    /// the link is sick, so we keep waiting instead of tearing the
+    /// connection down. A timeout *inside* a frame (header tail or
+    /// payload) is different — the writer started a frame and stalled —
+    /// and propagates as a transient error into recovery, which is safe
+    /// because replay re-sends the whole frame.
+    fn read_header(&mut self) -> Result<FrameHeader> {
+        let mut tag = [0u8; 1];
+        loop {
+            match self.stream.read(&mut tag) {
+                Ok(0) => return Err(gone("connection closed without Close frame")),
+                Ok(_) => return parse_frame_header(tag[0], &mut self.stream),
+                Err(e) if matches!(e.kind(), TimedOut | WouldBlock | Interrupted) => {
+                    if self.interrupted() {
+                        return Err(Error::WriteClosed);
+                    }
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// Reads bytes of the current frame into `into`: none is a peer gone
+    /// mid-frame. Returns how many, and the ack now due.
+    fn read_payload(&mut self, into: &mut [u8]) -> Result<(usize, Option<u64>)> {
+        match self.stream.read(into)? {
+            0 => Err(gone("peer vanished mid-frame")),
+            got => Ok((got, self.proto.got(got))),
         }
     }
 
     fn try_read(&mut self, buf: &mut [u8]) -> Result<SourceRead> {
-        if self.ack_poisoned {
-            // A failed ack write retired this connection (see
-            // `retire_ack_channel`); skip the idle wait and reconnect.
-            self.ack_poisoned = false;
-            return Err(Error::Eof);
-        }
+        let mut step = self.proto.next(buf.len())?;
         loop {
-            if self.remaining > 0 {
-                // A replayed duplicate prefix is read into scratch, dropped.
-                let (mut scratch, n) = ([0u8; 1024], self.remaining.min(buf.len()));
-                let into = match self.skip {
-                    0 => &mut buf[..n],
-                    skip => &mut scratch[..skip.min(1024)],
-                };
-                let got = match self.stream.read(into)? {
-                    0 => return Err(Error::Disconnected("peer vanished mid-frame".into())),
-                    got => got,
-                };
-                self.remaining -= got;
-                if self.skip > 0 {
-                    self.skip -= got;
-                    continue;
+            step = match step {
+                ReadStep::Header => {
+                    let header = self.read_header()?;
+                    self.proto.header(header, buf.len())?
                 }
-                self.deliver_to(self.expected + got as u64);
-                self.ack_progress(got);
-                return Ok(SourceRead::Data(got));
-            }
-            // Waiting for the next frame's tag byte is the *idle* position:
-            // a read timeout here means the channel simply has no data
-            // (Kahn-legal, possibly forever), not that the link is sick, so
-            // we keep waiting instead of tearing the connection down. A
-            // timeout *inside* a frame (header tail or payload, above and
-            // below) is different — the writer started a frame and stalled —
-            // and propagates as a transient error into recovery, which is
-            // safe because replay re-sends the whole frame.
-            let tag = loop {
-                let mut tag = [0u8; 1];
-                match self.stream.read(&mut tag) {
-                    Ok(0) => {
-                        return Err(Error::Disconnected(
-                            "connection closed without Close frame".into(),
-                        ))
-                    }
-                    Ok(_) => break tag[0],
-                    Err(e) if matches!(e.kind(), TimedOut | WouldBlock | Interrupted) => {
-                        if self.interrupted() {
-                            return Err(Error::WriteClosed);
-                        }
-                    }
-                    Err(e) => return Err(e.into()),
+                ReadStep::Discard(n) => {
+                    // A replayed duplicate prefix is read into scratch and
+                    // dropped.
+                    self.read_payload(&mut [0u8; 1024][..n.min(1024)])?;
+                    self.proto.next(buf.len())?
                 }
-            };
-            let header = parse_frame_header(tag, &mut self.stream)?;
-            if let FrameHeader::Data { offset, .. }
-            | FrameHeader::Close { offset }
-            | FrameHeader::Redirect { offset, .. } = header
-            {
-                if offset > self.expected {
-                    return Err(Error::Graph(format!(
-                        "stream gap: {header:?}, expected offset {}",
-                        self.expected
-                    )));
+                ReadStep::Deliver(n) => {
+                    let (got, ack) = self.read_payload(&mut buf[..n])?;
+                    self.record();
+                    self.send_ack(ack);
+                    return Ok(SourceRead::Data(got));
                 }
-            }
-            match header {
-                FrameHeader::Data { len, offset } => {
-                    self.remaining = len;
-                    self.skip = ((self.expected - offset) as usize).min(len);
-                }
-                FrameHeader::Close { offset } => {
-                    self.deliver_to(offset + 1);
-                    self.finish_deliberate();
+                ReadStep::End { ack } => {
+                    self.finish_deliberate(ack);
                     return Ok(SourceRead::End);
                 }
-                FrameHeader::Redirect { token, offset } => {
-                    self.deliver_to(offset + 1);
+                ReadStep::Splice { token, ack } => {
                     let acceptor = self.acceptor.clone().ok_or_else(|| {
                         Error::Graph("redirect received but node has no acceptor".into())
                     })?;
                     // The old writer endpoint is done with this token: its
                     // recovering connects see `Stop` (= the marker arrived).
-                    self.finish_deliberate();
+                    self.finish_deliberate(ack);
                     let source =
                         PendingSource::listen_with(&acceptor, token, self.interruptor.clone());
                     let spliced = ChannelReader::from_source(Box::new(source));
                     return Ok(SourceRead::Splice(spliced));
-                }
-                FrameHeader::Ack { .. } | FrameHeader::Stop => {
-                    return Err(Error::Graph(
-                        "unexpected ack/stop frame on data direction".into(),
-                    ));
                 }
             }
         }
@@ -1293,56 +1020,37 @@ impl RemoteSource {
     /// the writer's replacement connection, and acknowledge the resume
     /// offset on it.
     fn recover(&mut self) -> Result<()> {
-        let acceptor = (self.acceptor.clone().filter(|_| self.token != 0)).ok_or_else(|| {
-            Error::Disconnected("link failed and endpoint cannot re-listen".into())
-        })?;
+        let token = self.proto.token;
+        let acceptor = (self.acceptor.clone().filter(|_| token != 0))
+            .ok_or_else(|| gone("link failed and endpoint cannot re-listen"))?;
         let guard = RecoveryGuard::enter();
         let _ = self.stream.get_ref().shutdown(Shutdown::Both);
-        let mut budget: RecoveryBudget = self.policy.budget;
         let mut pending = None;
         loop {
             if self.interrupted() {
-                return Err(Error::Disconnected("aborted while reconnecting".into()));
+                return Err(gone("aborted while reconnecting"));
             }
             let listening = pending.get_or_insert_with(|| {
-                let conn = acceptor.register(self.token);
+                let conn = acceptor.register(token);
                 if let Some(i) = &self.interruptor {
-                    i.attach_pending(&acceptor, self.token);
+                    i.attach_pending(&acceptor, token);
                 }
                 conn
             });
             if let Some(transport) = listening.wait(Some(RECOVERY_POLL))? {
                 guard.attempt();
-                *self = Self::adopt(
-                    transport,
-                    Some(acceptor.clone()),
-                    self.interruptor.clone(),
-                    self.policy.clone(),
-                    self.token,
-                    self.expected,
-                );
-                if !self.ack_poisoned {
+                let op_timeout = self.proto.policy.op_timeout;
+                self.stream = BufReader::new(attach(transport, &self.interruptor, op_timeout));
+                if self.adopted() {
                     return Ok(());
                 }
-                // The adopted connection died at once and `adopt` retired
-                // it: keep listening. Charging one poll interval bounds how
-                // many dead adoptions one episode tolerates.
-                self.ack_poisoned = false;
+                // The adopted connection died at once and was retired:
+                // keep listening, charged one poll interval, which bounds
+                // how many dead adoptions one episode tolerates.
                 pending = None;
             }
-            budget = budget.saturating_sub(RECOVERY_POLL);
-            if budget.is_zero() {
-                return Err(self.budget_error());
-            }
+            self.proto.listen_expired()?;
         }
-    }
-
-    fn budget_error(&self) -> Error {
-        Error::Disconnected(format!(
-            "reconnect budget exhausted: no replacement connection for token {:#x} \
-             ({} stream units delivered)",
-            self.token, self.expected
-        ))
     }
 }
 
@@ -1356,21 +1064,20 @@ impl Source for RemoteSource {
         kpn_core::flush::flush_before_block();
         loop {
             let waiting = crate::rio::around_operation(Interest::Read)?;
-            match self.try_read(buf) {
-                Ok(r) => return Ok(r),
-                Err(e) if self.policy.enabled && !self.closed && link_failure(&e) => {
-                    // Unregistered first: the pending connection of a
-                    // recovery registers by itself.
-                    drop(waiting);
-                    self.recover()?;
-                }
-                Err(e) => return Err(e),
-            }
+            let failure = match self.try_read(buf) {
+                Ok(read) => return Ok(read),
+                Err(e) => e,
+            };
+            self.proto.failed(failure)?;
+            // Unregistered first: the pending connection of a recovery
+            // registers by itself.
+            drop(waiting);
+            self.recover()?;
         }
     }
 
     fn close(&mut self) {
-        self.closed = true;
+        self.proto.close();
         self.retire_token();
         let _ = self.stream.get_ref().shutdown(Shutdown::Both);
     }
@@ -1480,8 +1187,9 @@ pub fn remote_writer_interruptible(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::TcpFactory;
+    use crate::transport::{ReconnectPolicy, TcpFactory};
     use kpn_core::{DataReader, DataWriter, ExecMode};
+    use std::io;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::Duration;
 
@@ -2026,6 +1734,151 @@ mod tests {
             let grown = &stats.growth_log;
             assert!(stats.capacity_grows >= 1, "{mode:?}: {grown:?}");
             assert_eq!(stats.true_deadlocks, 0, "{mode:?}");
+        }
+    }
+
+    /// A connection that hands over its bytes in pieces of the given sizes
+    /// (the rest in pieces of any size), then reports EOF, and takes every
+    /// write.
+    struct Scripted {
+        bytes: std::collections::VecDeque<u8>,
+        sizes: std::collections::VecDeque<usize>,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes.pop_front().unwrap_or(usize::MAX).max(1);
+            let n = size.min(buf.len()).min(self.bytes.len());
+            for (to, from) in buf.iter_mut().zip(self.bytes.drain(..n)) {
+                *to = from;
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Transport for Scripted {
+        fn shutdown(&self, _how: Shutdown) -> io::Result<()> {
+            Ok(())
+        }
+        fn peer_addr(&self) -> io::Result<SocketAddr> {
+            Err(io::ErrorKind::NotConnected.into())
+        }
+        fn shutdown_handle(&self) -> Option<TcpStream> {
+            None
+        }
+        fn set_op_timeout(&self, _timeout: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+        fn set_nonblocking(&self, _nonblocking: bool) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What a reader must deliver from `wire`, decoded on its own: each
+    /// `Data` frame's payload past the bytes already delivered, up to the
+    /// first frame that is short, out of order or anything but `Data`.
+    fn deliverable(mut wire: &[u8]) -> Vec<u8> {
+        let (mut out, mut expected) = (Vec::new(), 0u64);
+        while wire.len() >= 13 && wire[0] == 0x01 {
+            let len = u32::from_be_bytes(wire[1..5].try_into().unwrap()) as usize;
+            let offset = u64::from_be_bytes(wire[5..13].try_into().unwrap());
+            if offset > expected {
+                break;
+            }
+            let body = &wire[13..];
+            let (got, skip) = (len.min(body.len()), ((expected - offset) as usize).min(len));
+            if skip < got {
+                out.extend(&body[skip..got]);
+                expected += (got - skip) as u64;
+            }
+            if got < len {
+                break;
+            }
+            wire = &body[len..];
+        }
+        out
+    }
+
+    /// Reads `wire`, cut into `sizes`, through a source into `room`-byte
+    /// reads until it ends; returns what it delivered and how it ended.
+    fn read_through(
+        wire: &[u8],
+        sizes: &[usize],
+        room: usize,
+        policy: ReconnectPolicy,
+    ) -> (Vec<u8>, Result<()>) {
+        let scripted = Scripted {
+            bytes: wire.iter().copied().collect(),
+            sizes: sizes.iter().copied().collect(),
+        };
+        let mut source = RemoteSource::adopt(Box::new(scripted), None, None, policy, 0, 0);
+        let (mut delivered, mut buf) = (Vec::new(), vec![0u8; room]);
+        loop {
+            match source.read(&mut buf) {
+                Ok(SourceRead::Data(n)) => {
+                    assert!(n > 0 && n <= room, "{n} bytes into {room}");
+                    delivered.extend(&buf[..n]);
+                }
+                Ok(_) => return (delivered, Ok(())),
+                Err(e) => return (delivered, Err(e)),
+            }
+        }
+    }
+
+    /// Frames near the stream's offsets, some out of order or repeated,
+    /// each `(kind, offset, payload length)`: 0–2 data, 3 a `Close`.
+    fn framed(frames: &[(u8, u64, usize)]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for &(kind, offset, len) in frames {
+            match kind {
+                3 => write_frame(&mut wire, &Frame::Close { offset }).unwrap(),
+                _ => write_data_frame(&mut wire, &vec![kind; len], offset).unwrap(),
+            }
+        }
+        wire
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn a_source_delivers_each_byte_once_from_hostile_bytes(
+            wire in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+            sizes in proptest::collection::vec(0usize..24, 0..48),
+            room in 1usize..40,
+            resilient in proptest::prelude::any::<bool>(),
+        ) {
+            // Any bytes, cut anywhere: an end or an error, never a panic,
+            // and nothing delivered twice or past its frame.
+            let policy = if resilient { ReconnectPolicy::resilient() } else { ReconnectPolicy::default() };
+            let (delivered, _) = read_through(&wire, &sizes, room, policy);
+            proptest::prop_assert_eq!(delivered, deliverable(&wire));
+        }
+
+        #[test]
+        fn a_source_delivers_each_byte_once_from_mutated_frames(
+            frames in proptest::collection::vec((0u8..4, 0u64..48, 0usize..24), 0..8),
+            flips in proptest::collection::vec((0usize..512, 1u8..=255), 0..3),
+            sizes in proptest::collection::vec(0usize..24, 0..48),
+            room in 1usize..40,
+        ) {
+            let mut wire = framed(&frames);
+            for (at, with) in flips {
+                if let Some(byte) = wire.get_mut(at) {
+                    *byte ^= with;
+                }
+            }
+            let (delivered, _) = read_through(&wire, &sizes, room, ReconnectPolicy::resilient());
+            proptest::prop_assert_eq!(delivered, deliverable(&wire));
         }
     }
 }
