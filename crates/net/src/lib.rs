@@ -64,7 +64,7 @@ pub use probe::{probe_deployment, ClusterProbe, CutEnd, CutSide, NetworkStatus, 
 pub use registry::{decode_params, Factory, ProcessRegistry};
 pub use remote::{
     remote_reader, remote_reader_interruptible, remote_writer, remote_writer_interruptible,
-    Interruptor, PendingSource, RemoteSink, RemoteSource,
+    Interruptor, RemoteSink, RemoteSource,
 };
 pub use spec::{ChannelSpec, GraphSpec, InputSpec, OutputSpec, ProcessSpec, SpecDefect};
 pub use transport::{

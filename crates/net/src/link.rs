@@ -5,10 +5,10 @@
 //! frame headers, delivered byte counts, a failed link, a landed connect,
 //! an expired poll) and answers with what to do next (send a frame at an
 //! offset, wait for acks up to an offset, reconnect after a delay,
-//! retransmit, deliver or discard bytes, acknowledge, end, splice,
-//! re-listen, or fail). `remote.rs` carries the answers out over a
-//! connection; the model test below carries them out over an in-memory
-//! link that fails at every byte boundary.
+//! retransmit, deliver or discard bytes, acknowledge, end, listen, or
+//! fail). `remote.rs` carries the answers out over a connection; the model
+//! test below carries them out over an in-memory link that fails at every
+//! byte boundary.
 //!
 //! Every decision that depends on the [`ReconnectPolicy`] is made here. A
 //! plain policy reproduces the fail-fast link of §4.2: nothing is kept for
@@ -469,15 +469,21 @@ pub(crate) enum ReadStep {
     Discard(usize),
     /// The stream ended with `Close`; acknowledge it first, at `ack`.
     End { ack: Option<u64> },
-    /// The writer moved: acknowledge the marker at `ack`, then splice in
-    /// the connection that presents `token`.
-    Splice { token: u64, ack: Option<u64> },
+    /// Listen for a connection presenting [`ReaderProto::token`], each wait
+    /// bounded by [`ReaderProto::poll`]: the reader's first, or the
+    /// replacement for a failed one. After a `Redirect` marker, first
+    /// acknowledge it at `ack` and retire the token; then listen for the
+    /// connection presenting `redirect`, whose stream starts at offset 0.
+    Listen {
+        redirect: Option<u64>,
+        ack: Option<u64>,
+    },
 }
 
-/// The reader's half of the link protocol: the next offset to deliver,
-/// the current frame's remaining and duplicate bytes, the bytes delivered
-/// since the last acknowledgement and a re-listen's budget. The driver
-/// reads its token and policy.
+/// The reader's half of the link protocol: whether it listens for a
+/// connection and under what budget, the next offset to deliver, the
+/// current frame's remaining and duplicate bytes, and the bytes delivered
+/// since the last acknowledgement. The driver reads its token and policy.
 #[derive(Clone, Debug)]
 pub(crate) struct ReaderProto {
     pub(crate) token: u64,
@@ -496,25 +502,29 @@ pub(crate) struct ReaderProto {
     /// goes straight to recovery.
     poisoned: bool,
     closed: bool,
-    /// What is left of the current re-listen's budget.
-    budget: Duration,
+    /// The reader has no connection and listens for one.
+    listening: bool,
+    /// What is left of a re-listen's budget; `None` until a connection
+    /// fails, since a first listen waits as long as it takes.
+    budget: Option<Duration>,
 }
 
 impl ReaderProto {
-    /// A reader for `token` (0: unknown, no recovery possible) under
-    /// `policy`, resuming at `expected`.
-    pub(crate) fn new(token: u64, policy: ReconnectPolicy, expected: u64) -> Self {
+    /// A reader for `token` under `policy`, listening for its first
+    /// connection, at offset 0.
+    pub(crate) fn new(token: u64, policy: ReconnectPolicy) -> Self {
         ReaderProto {
             token,
-            budget: policy.budget,
             policy,
             ack_every: ACK_EVERY,
-            expected,
+            expected: 0,
             remaining: 0,
             skip: 0,
             unacked: 0,
             poisoned: false,
             closed: false,
+            listening: true,
+            budget: None,
         }
     }
 
@@ -529,11 +539,18 @@ impl ReaderProto {
         self.policy.enabled.then_some(self.expected)
     }
 
+    /// How long one wait of a listen may last: as long as it takes for a
+    /// first connection, one [`RECOVERY_POLL`] for a replacement.
+    pub(crate) fn poll(&self) -> Option<Duration> {
+        self.budget.map(|_| RECOVERY_POLL)
+    }
+
     /// A connection was adopted: the stream restarts at `expected` with a
     /// fresh frame. Returns the offset to acknowledge at once (a writer in
     /// recovery waits for that resume ack; a fresh one drains it).
     pub(crate) fn adopted(&mut self) -> Option<u64> {
-        (self.remaining, self.skip, self.unacked, self.poisoned) = (0, 0, 0, false);
+        (self.remaining, self.skip, self.unacked) = (0, 0, 0);
+        (self.poisoned, self.listening) = (false, false);
         self.ack()
     }
 
@@ -551,6 +568,12 @@ impl ReaderProto {
     pub(crate) fn next(&mut self, room: usize) -> Result<ReadStep> {
         if std::mem::take(&mut self.poisoned) {
             return Err(Error::Eof);
+        }
+        if self.listening {
+            return Ok(ReadStep::Listen {
+                redirect: None,
+                ack: None,
+            });
         }
         Ok(match (self.remaining, self.skip) {
             (0, _) => ReadStep::Header,
@@ -584,8 +607,8 @@ impl ReaderProto {
             }
             FrameHeader::Redirect { token, offset } => {
                 self.expected = offset + 1;
-                let ack = self.ack();
-                Ok(ReadStep::Splice { token, ack })
+                let (redirect, ack) = (Some(token), self.ack());
+                Ok(ReadStep::Listen { redirect, ack })
             }
             FrameHeader::Ack { .. } | FrameHeader::Stop => Err(Error::Graph(
                 "unexpected ack/stop frame on data direction".into(),
@@ -613,21 +636,24 @@ impl ReaderProto {
     }
 
     /// A read failed with `e`. `Ok` for a transient failure of a resilient
-    /// link: re-listen for the writer's replacement connection, under a
-    /// fresh budget. Anything else is final.
+    /// link: listen for the writer's replacement connection, under a fresh
+    /// budget. Anything else is final.
     pub(crate) fn failed(&mut self, e: Error) -> Result<()> {
         if !self.policy.enabled || self.closed || !link_failure(&e) {
             return Err(e);
         }
-        self.budget = self.policy.budget;
+        (self.listening, self.budget) = (true, Some(self.policy.budget));
         Ok(())
     }
 
-    /// A re-listen waited one [`RECOVERY_POLL`] for nothing, or adopted a
-    /// connection that died at once. `Err` once the budget is spent.
+    /// A listen waited one [`RECOVERY_POLL`] for nothing, or adopted a
+    /// connection that died at once, which turns a first listen into a
+    /// re-listen. `Err` once the budget is spent.
     pub(crate) fn listen_expired(&mut self) -> Result<()> {
-        self.budget = self.budget.saturating_sub(RECOVERY_POLL);
-        if !self.budget.is_zero() {
+        self.listening = true;
+        let budget = self.budget.get_or_insert(self.policy.budget);
+        *budget = budget.saturating_sub(RECOVERY_POLL);
+        if !budget.is_zero() {
             return Ok(());
         }
         Err(Error::Disconnected(format!(
@@ -793,7 +819,7 @@ mod model {
                 budget: Duration::from_secs(3600),
                 ..ReconnectPolicy::resilient()
             };
-            let mut r = ReaderProto::new(7, policy.clone(), 0);
+            let mut r = ReaderProto::new(7, policy.clone());
             r.ack_every = 1;
             let mut w = WriterProto::new(7, policy);
             let step = Some(w.next_step().expect("a first connect"));
@@ -1130,9 +1156,9 @@ mod model {
                             return Ok(());
                         }
                     }
-                    ReadStep::End { ack } | ReadStep::Splice { ack, .. } => {
+                    ReadStep::End { ack } | ReadStep::Listen { ack, .. } => {
                         let token = match step {
-                            ReadStep::Splice { token, .. } => Some(token),
+                            ReadStep::Listen { redirect, .. } => redirect,
                             _ => None,
                         };
                         self.send_ack(c, ack);

@@ -2,16 +2,16 @@
 //! `RemoteInputStream` / `RedirectedInputStream` of §4.2–4.3.
 //!
 //! A [`RemoteSink`] plugs into a [`kpn_core::ChannelWriter`]; a
-//! [`RemoteSource`] (or, before its connection arrives, a
-//! [`PendingSource`]) plugs into a [`kpn_core::ChannelReader`]. Both sides
-//! preserve the full channel semantics across the network:
+//! [`RemoteSource`], which listens for its connection from its first read
+//! on, plugs into a [`kpn_core::ChannelReader`]. Both sides preserve the
+//! full channel semantics across the network:
 //!
 //! * graceful writer close → `Close` frame → reader drains, then EOF;
 //! * reader close → socket shutdown → writer's next write fails with
 //!   [`Error::WriteClosed`] ("these exceptions even propagate across
 //!   network connections", §3.4);
-//! * a migrating writer sends `Redirect{token}`; the reader registers the
-//!   token with its own acceptor and splices in the replacement
+//! * a migrating writer sends `Redirect{token}`; the reader listens for
+//!   that token at its own acceptor and reads on from the replacement
 //!   connection, after which traffic flows directly between the new homes
 //!   (Figure 15 — no bytes transit the original server).
 //!
@@ -89,13 +89,14 @@
 //! registered with the monitor of the network the process belongs to (the
 //! network hands it to each task it spawns) at the one place the wait
 //! happens: `rio`'s readiness wait, a blocking fd that a zero-timeout poll
-//! found not ready, or a pending connection ([`PendingSource`]). A read or
-//! write that finds its socket ready never registers, so a remote endpoint
-//! is never counted as blocked while it is moving bytes (DESIGN.md §4c).
+//! found not ready, or the pending connection of a listening
+//! [`RemoteSource`]. A read or write that finds its socket ready never
+//! registers, so a remote endpoint is never counted as blocked while it is
+//! moving bytes (DESIGN.md §4c).
 //! Off Linux x86_64, with no fibers and no readiness check, a read or
 //! write registers for its whole length instead.
 
-use crate::acceptor::{fresh_token, Acceptor, PendingConn};
+use crate::acceptor::{fresh_token, Acceptor};
 use crate::frame::{parse_frame_header, write_data_frame, write_frame, Frame, FrameHeader};
 use crate::link::{
     map_write_err, Chunk, ReadStep, ReaderProto, Step, WriterProto, MAX_FRAME, RECOVERY_POLL,
@@ -181,14 +182,12 @@ fn retransmit(conn: &mut Conn, proto: &WriterProto) -> Result<()> {
 /// `op_timeout`, and the endpoint's interruptor points at it.
 fn attach(
     t: Box<dyn Transport>,
-    interruptor: &Option<Arc<Interruptor>>,
+    interruptor: &Interruptor,
     op_timeout: Option<Duration>,
 ) -> Box<dyn Transport> {
     let t = crate::rio::wrap(t);
     let _ = t.set_op_timeout(op_timeout);
-    if let Some(i) = interruptor {
-        i.attach_transport(&*t);
-    }
+    interruptor.attach_transport(&*t);
     t
 }
 
@@ -319,7 +318,7 @@ struct SinkCore {
     /// Reader-side acceptor address, for reconnects.
     addr: String,
     factory: Arc<dyn TransportFactory>,
-    interruptor: Option<Arc<Interruptor>>,
+    interruptor: Arc<Interruptor>,
     peer: Option<SocketAddr>,
     /// A terminal failure the watchdog hit while pumping this sink on the
     /// owner's behalf, delivered on the owner's next operation so the
@@ -337,7 +336,7 @@ impl SinkCore {
             conn: None,
             addr: addr.to_string(),
             factory: profile.factory,
-            interruptor: None,
+            interruptor: Interruptor::new(token, CutSide::Writer),
             peer: None,
             pending_failure: None,
             guard: None,
@@ -354,11 +353,7 @@ impl SinkCore {
 
     /// The protocol core, told first whether the endpoint was interrupted.
     fn proto(&mut self) -> &mut WriterProto {
-        if self
-            .interruptor
-            .as_ref()
-            .is_some_and(|i| i.is_interrupted())
-        {
+        if self.interruptor.is_interrupted() {
             self.proto.interrupt();
         }
         &mut self.proto
@@ -386,9 +381,7 @@ impl SinkCore {
 
     /// Records how far the stream has got in the interruptor.
     fn record(&self) {
-        if let Some(i) = &self.interruptor {
-            i.record(self.proto.token, self.proto.sent());
-        }
+        self.interruptor.record(self.proto.token, self.proto.sent());
     }
 
     /// Routes a failed write, flush or ack read: a transient link failure
@@ -610,7 +603,7 @@ impl Watchdog {
     /// executor of the registering task — a node's pool for the sinks a
     /// node's session builds — and on the thread executor for a foreign
     /// thread.
-    fn register(self: &Arc<Self>, core: &Arc<SharedCore>) {
+    fn watch(self: &Arc<Self>, core: &Arc<SharedCore>) {
         let mut sinks = self.0.lock();
         if sinks.is_none() {
             let exec = kpn_core::exec::current_exec().unwrap_or_else(|| ThreadExec::new());
@@ -739,7 +732,7 @@ impl RemoteSink {
             waiter: Mutex::new(None),
         });
         if core.lock().proto.resilient() {
-            watchdog.register(&core);
+            watchdog.watch(&core);
         }
         Ok(RemoteSink {
             core: Some(core),
@@ -749,16 +742,6 @@ impl RemoteSink {
 
     fn core(&self) -> Result<&Arc<SharedCore>> {
         self.core.as_ref().ok_or(Error::WriteClosed)
-    }
-
-    pub(crate) fn set_interruptor(&mut self, interruptor: Arc<Interruptor>) {
-        if let Some(core) = self.core.as_ref() {
-            let mut core = core.lock();
-            if let Some(conn) = core.conn.as_ref() {
-                interruptor.attach_transport(&**conn.get_ref());
-            }
-            core.interruptor = Some(interruptor);
-        }
     }
 
     /// The peer (reader-side) address — the acceptor this sink connected
@@ -841,66 +824,98 @@ impl Drop for RemoteSink {
 
 /// The read end of a channel whose writer lives on another server.
 ///
-/// With a reconnect policy (from the owning acceptor's [`NetProfile`])
-/// the source tracks the next stream offset it will deliver, discards
-/// replayed duplicate bytes, acknowledges cumulatively, and on transient
-/// link failure re-registers its token and adopts the writer's
+/// From its first read on it listens (via its node's acceptor) for the
+/// connection presenting its token — the automatic connection
+/// establishment of §4.2 — and a `Redirect` marker makes it listen again,
+/// in place, for the connection presenting the marker's token (the
+/// `RedirectedInputStream` of §4.3). With a reconnect policy (from the
+/// acceptor's [`NetProfile`]) the source also tracks the next stream offset
+/// it will deliver, discards replayed duplicate bytes, acknowledges
+/// cumulatively, and on transient link failure listens for the writer's
 /// replacement connection — see the module docs.
 pub struct RemoteSource {
-    stream: BufReader<Box<dyn Transport>>,
-    /// The local acceptor, needed to honour `Redirect` frames and to
-    /// re-listen during recovery.
-    acceptor: Option<Arc<Acceptor>>,
-    /// Abort-interruption handle, kept pointing at the live transport.
-    interruptor: Option<Arc<Interruptor>>,
+    /// The connection; none while the source listens for one.
+    stream: Option<BufReader<Box<dyn Transport>>>,
+    /// The local acceptor, where every listen registers.
+    acceptor: Arc<Acceptor>,
+    /// Abort-interruption handle, kept pointing at the live transport or
+    /// the pending registration.
+    interruptor: Arc<Interruptor>,
     proto: ReaderProto,
 }
 
 impl RemoteSource {
-    /// Adopts a connection the acceptor handed over, with the stream
-    /// resuming at `expected` (0 for a first connection), for the source of
-    /// `token` (0 = unknown: no recovery possible).
-    pub(crate) fn adopt(
-        transport: Box<dyn Transport>,
-        acceptor: Option<Arc<Acceptor>>,
-        interruptor: Option<Arc<Interruptor>>,
-        policy: crate::transport::ReconnectPolicy,
-        token: u64,
-        expected: u64,
-    ) -> Self {
-        let stream = attach(transport, &interruptor, policy.op_timeout);
-        let mut source = RemoteSource {
-            stream: BufReader::new(stream),
-            acceptor,
-            interruptor,
-            proto: ReaderProto::new(token, policy, expected),
-        };
-        source.adopted();
-        source
+    /// The source of `token` at `acceptor`, under the acceptor's policy,
+    /// before its first listen.
+    fn new(acceptor: &Arc<Acceptor>, token: u64) -> Self {
+        RemoteSource {
+            stream: None,
+            acceptor: acceptor.clone(),
+            interruptor: Interruptor::new(token, CutSide::Reader),
+            proto: ReaderProto::new(token, acceptor.profile().policy.clone()),
+        }
     }
 
-    /// The adoption ack: a writer in recovery is waiting for our resume
-    /// offset; a fresh writer drains it harmlessly. Returns whether the
-    /// connection is usable: a failed ack cannot be ignored, since the
-    /// frame may be partially written, and the reader would otherwise
-    /// settle into the idle wait while the writer blocks on an ack that can
-    /// never parse.
-    fn adopted(&mut self) -> bool {
+    /// Listens for the connection presenting the core's token and adopts
+    /// it: the source's first connection, a redirect's, or the writer's
+    /// replacement for a failed one, which is a recovery episode. Retires
+    /// the broken transport first (waking a writer whose half was still
+    /// healthy). Each wait is bounded as the core says, and one that ends
+    /// with nothing is charged to the listen's budget.
+    fn listen(&mut self) -> Result<()> {
+        let guard = self.proto.poll().map(|_| RecoveryGuard::enter());
+        if let Some(stream) = self.stream.take() {
+            let _ = stream.get_ref().shutdown(Shutdown::Both);
+        }
+        let mut pending = None;
+        loop {
+            if self.interruptor.is_interrupted() {
+                return Err(gone("aborted while listening"));
+            }
+            let token = self.proto.token;
+            let listening = pending.get_or_insert_with(|| {
+                let conn = self.acceptor.register(token);
+                self.interruptor.attach_pending(&self.acceptor, token);
+                conn
+            });
+            if let Some(transport) = listening.wait(self.proto.poll())? {
+                if let Some(guard) = &guard {
+                    guard.attempt();
+                }
+                if self.adopt(transport) {
+                    return Ok(());
+                }
+                // The adopted connection died at once and was retired:
+                // keep listening, charged one poll interval, which bounds
+                // how many dead adoptions one listen tolerates.
+                pending = None;
+            }
+            self.proto.listen_expired()?;
+        }
+    }
+
+    /// Makes `transport` the connection and sends the adoption ack: a
+    /// writer in recovery is waiting for our resume offset; a fresh writer
+    /// drains it harmlessly. Returns whether the connection is usable: a
+    /// failed ack cannot be ignored, since the frame may be partially
+    /// written, and the reader would otherwise settle into the idle wait
+    /// while the writer blocks on an ack that can never parse.
+    fn adopt(&mut self, transport: Box<dyn Transport>) -> bool {
+        let stream = attach(transport, &self.interruptor, self.proto.policy.op_timeout);
+        self.stream = Some(BufReader::new(stream));
         let ack = self.proto.adopted();
         self.send_ack(ack)
     }
 
-    fn interrupted(&self) -> bool {
-        self.interruptor
-            .as_ref()
-            .is_some_and(|i| i.is_interrupted())
+    /// The connection the stream flows on.
+    fn stream(&mut self) -> Result<&mut BufReader<Box<dyn Transport>>> {
+        self.stream.as_mut().ok_or_else(|| gone("no connection"))
     }
 
     /// Records how far the stream has got in the interruptor.
     fn record(&self) {
-        if let Some(i) = &self.interruptor {
-            i.record(self.proto.token, self.proto.expected());
-        }
+        self.interruptor
+            .record(self.proto.token, self.proto.expected());
     }
 
     /// Writes the `Ack` the core asked for, if any, on the reverse
@@ -911,13 +926,13 @@ impl RemoteSource {
     /// pending handshake sees EOF at once and reconnects) and the next
     /// read goes to recovery.
     fn send_ack(&mut self, ack: Option<u64>) -> bool {
-        let Some(offset) = ack else {
+        let (Some(offset), Some(stream)) = (ack, self.stream.as_mut()) else {
             return true;
         };
-        let t = self.stream.get_mut();
+        let t = stream.get_mut();
         let sent = write_frame(t, &Frame::Ack { offset }).and_then(|()| Ok(t.flush()?));
         if sent.is_err() {
-            let _ = self.stream.get_ref().shutdown(Shutdown::Both);
+            let _ = t.shutdown(Shutdown::Both);
         }
         self.proto.ack_sent(sent.is_ok());
         sent.is_ok()
@@ -929,17 +944,7 @@ impl RemoteSource {
     fn finish_deliberate(&mut self, ack: Option<u64>) {
         self.record();
         self.send_ack(ack);
-        self.retire_token();
-    }
-
-    /// Poisons this source's token at its acceptor: a writer that still
-    /// connects under it (a recovering one) is answered `Stop` and
-    /// cascades instead of retrying against a reader that is gone.
-    fn retire_token(&self) {
-        let token = self.proto.token;
-        if let Some(a) = self.acceptor.as_ref().filter(|_| token != 0) {
-            a.unregister(token);
-        }
+        self.acceptor.unregister(self.proto.token);
     }
 
     /// Waits for the next frame's tag byte, then reads its header. Waiting
@@ -953,11 +958,11 @@ impl RemoteSource {
     fn read_header(&mut self) -> Result<FrameHeader> {
         let mut tag = [0u8; 1];
         loop {
-            match self.stream.read(&mut tag) {
+            match self.stream()?.read(&mut tag) {
                 Ok(0) => return Err(gone("connection closed without Close frame")),
-                Ok(_) => return parse_frame_header(tag[0], &mut self.stream),
+                Ok(_) => return parse_frame_header(tag[0], self.stream()?),
                 Err(e) if matches!(e.kind(), TimedOut | WouldBlock | Interrupted) => {
-                    if self.interrupted() {
+                    if self.interruptor.is_interrupted() {
                         return Err(Error::WriteClosed);
                     }
                 }
@@ -969,13 +974,15 @@ impl RemoteSource {
     /// Reads bytes of the current frame into `into`: none is a peer gone
     /// mid-frame. Returns how many, and the ack now due.
     fn read_payload(&mut self, into: &mut [u8]) -> Result<(usize, Option<u64>)> {
-        match self.stream.read(into)? {
+        match self.stream()?.read(into)? {
             0 => Err(gone("peer vanished mid-frame")),
             got => Ok((got, self.proto.got(got))),
         }
     }
 
-    fn try_read(&mut self, buf: &mut [u8]) -> Result<SourceRead> {
+    /// Carries out the core's steps up to a read's answer, or `None` once
+    /// the core says to listen.
+    fn try_read(&mut self, buf: &mut [u8]) -> Result<Option<SourceRead>> {
         let mut step = self.proto.next(buf.len())?;
         loop {
             step = match step {
@@ -993,63 +1000,23 @@ impl RemoteSource {
                     let (got, ack) = self.read_payload(&mut buf[..n])?;
                     self.record();
                     self.send_ack(ack);
-                    return Ok(SourceRead::Data(got));
+                    return Ok(Some(SourceRead::Data(got)));
                 }
                 ReadStep::End { ack } => {
                     self.finish_deliberate(ack);
-                    return Ok(SourceRead::End);
+                    return Ok(Some(SourceRead::End));
                 }
-                ReadStep::Splice { token, ack } => {
-                    let acceptor = self.acceptor.clone().ok_or_else(|| {
-                        Error::Graph("redirect received but node has no acceptor".into())
-                    })?;
-                    // The old writer endpoint is done with this token: its
-                    // recovering connects see `Stop` (= the marker arrived).
-                    self.finish_deliberate(ack);
-                    let source =
-                        PendingSource::listen_with(&acceptor, token, self.interruptor.clone());
-                    let spliced = ChannelReader::from_source(Box::new(source));
-                    return Ok(SourceRead::Splice(spliced));
+                ReadStep::Listen { redirect, ack } => {
+                    if let Some(token) = redirect {
+                        // The old writer endpoint is done with this token:
+                        // its recovering connects see `Stop` (= the marker
+                        // arrived). The new one's stream starts afresh.
+                        self.finish_deliberate(ack);
+                        self.proto = ReaderProto::new(token, self.proto.policy.clone());
+                    }
+                    return Ok(None);
                 }
             }
-        }
-    }
-
-    /// One reader recovery episode: retire the broken transport (waking a
-    /// writer whose half was still healthy), re-register the token, adopt
-    /// the writer's replacement connection, and acknowledge the resume
-    /// offset on it.
-    fn recover(&mut self) -> Result<()> {
-        let token = self.proto.token;
-        let acceptor = (self.acceptor.clone().filter(|_| token != 0))
-            .ok_or_else(|| gone("link failed and endpoint cannot re-listen"))?;
-        let guard = RecoveryGuard::enter();
-        let _ = self.stream.get_ref().shutdown(Shutdown::Both);
-        let mut pending = None;
-        loop {
-            if self.interrupted() {
-                return Err(gone("aborted while reconnecting"));
-            }
-            let listening = pending.get_or_insert_with(|| {
-                let conn = acceptor.register(token);
-                if let Some(i) = &self.interruptor {
-                    i.attach_pending(&acceptor, token);
-                }
-                conn
-            });
-            if let Some(transport) = listening.wait(Some(RECOVERY_POLL))? {
-                guard.attempt();
-                let op_timeout = self.proto.policy.op_timeout;
-                self.stream = BufReader::new(attach(transport, &self.interruptor, op_timeout));
-                if self.adopted() {
-                    return Ok(());
-                }
-                // The adopted connection died at once and was retired:
-                // keep listening, charged one poll interval, which bounds
-                // how many dead adoptions one episode tolerates.
-                pending = None;
-            }
-            self.proto.listen_expired()?;
         }
     }
 }
@@ -1059,90 +1026,29 @@ impl Source for RemoteSource {
         // A socket read can block indefinitely: publish this task's
         // buffered output first (the publish-before-wait rule of
         // `kpn_core::flush`). A read that does wait registers with the
-        // monitor in `rio`, which publishes again — it must, a flush may
-        // not block inside a registration — and finds nothing.
+        // monitor in `rio` or in its pending connection, which publishes
+        // again — it must, a flush may not block inside a registration —
+        // and finds nothing.
         kpn_core::flush::flush_before_block();
         loop {
             let waiting = crate::rio::around_operation(Interest::Read)?;
-            let failure = match self.try_read(buf) {
-                Ok(read) => return Ok(read),
-                Err(e) => e,
-            };
-            self.proto.failed(failure)?;
-            // Unregistered first: the pending connection of a recovery
-            // registers by itself.
+            match self.try_read(buf) {
+                Ok(Some(read)) => return Ok(read),
+                Ok(None) => {}
+                Err(e) => self.proto.failed(e)?,
+            }
+            // Unregistered first: a pending connection registers by itself.
             drop(waiting);
-            self.recover()?;
+            self.listen()?;
         }
     }
 
     fn close(&mut self) {
         self.proto.close();
-        self.retire_token();
-        let _ = self.stream.get_ref().shutdown(Shutdown::Both);
-    }
-}
-
-/// A read endpoint whose data connection has not arrived yet — the
-/// listening state of the automatic connection establishment (§4.2) and of
-/// the `RedirectedInputStream` (§4.3). The first read blocks until the
-/// connection shows up, then splices in a [`RemoteSource`].
-pub struct PendingSource {
-    pending: PendingConn,
-    token: u64,
-    acceptor: Arc<Acceptor>,
-    interruptor: Option<Arc<Interruptor>>,
-}
-
-impl PendingSource {
-    /// Registers `token` at the node's acceptor and returns the endpoint.
-    pub fn listen(acceptor: &Arc<Acceptor>, token: u64) -> Self {
-        Self::listen_with(acceptor, token, None)
-    }
-
-    /// Like [`PendingSource::listen`], with an abort-interruption handle
-    /// that stays attached through connection arrival, redirects, and
-    /// reconnects.
-    pub fn listen_with(
-        acceptor: &Arc<Acceptor>,
-        token: u64,
-        interruptor: Option<Arc<Interruptor>>,
-    ) -> Self {
-        if let Some(i) = &interruptor {
-            i.attach_pending(acceptor, token);
+        self.acceptor.unregister(self.proto.token);
+        if let Some(stream) = &self.stream {
+            let _ = stream.get_ref().shutdown(Shutdown::Both);
         }
-        PendingSource {
-            pending: acceptor.register(token),
-            token,
-            acceptor: acceptor.clone(),
-            interruptor,
-        }
-    }
-}
-
-impl Source for PendingSource {
-    fn read(&mut self, _buf: &mut [u8]) -> Result<SourceRead> {
-        // Waiting for a connection is a blocking read: publish first so the
-        // peer (who may need our buffered output to make progress before
-        // connecting back) can proceed, as in `RemoteSource::read`. The
-        // wait parks a fiber and blocks an OS thread.
-        kpn_core::flush::flush_before_block();
-        let transport =
-            (self.pending.wait(None)?).expect("a wait without a deadline does not time out");
-        let source = RemoteSource::adopt(
-            transport,
-            Some(self.acceptor.clone()),
-            self.interruptor.clone(),
-            self.acceptor.profile().policy.clone(),
-            self.token,
-            0,
-        );
-        let spliced = ChannelReader::from_source(Box::new(source));
-        Ok(SourceRead::Splice(spliced))
-    }
-
-    fn close(&mut self) {
-        self.acceptor.unregister(self.token);
     }
 }
 
@@ -1150,14 +1056,13 @@ impl Source for PendingSource {
 /// reader's node over plain TCP and presents the endpoint token. A node's
 /// own writers use its profile instead ([`Node::remote_writer`](crate::Node::remote_writer)).
 pub fn remote_writer(addr: &str, token: u64) -> Result<ChannelWriter> {
-    let sink = RemoteSink::connect(addr, token)?;
-    Ok(ChannelWriter::from_sink(Box::new(sink)))
+    Ok(remote_writer_interruptible(addr, token, NetProfile::default())?.0)
 }
 
 /// Creates the read end of a cross-server channel: listens (via the node's
 /// acceptor) for the connection presenting `token`.
 pub fn remote_reader(acceptor: &Arc<Acceptor>, token: u64) -> ChannelReader {
-    ChannelReader::from_source(Box::new(PendingSource::listen(acceptor, token)))
+    remote_reader_interruptible(acceptor, token).0
 }
 
 /// Like [`remote_reader`], returning the [`Interruptor`] that can wake a
@@ -1166,8 +1071,8 @@ pub fn remote_reader_interruptible(
     acceptor: &Arc<Acceptor>,
     token: u64,
 ) -> (ChannelReader, Arc<Interruptor>) {
-    let interruptor = Interruptor::new(token, CutSide::Reader);
-    let source = PendingSource::listen_with(acceptor, token, Some(interruptor.clone()));
+    let source = RemoteSource::new(acceptor, token);
+    let interruptor = source.interruptor.clone();
     (ChannelReader::from_source(Box::new(source)), interruptor)
 }
 
@@ -1178,9 +1083,8 @@ pub fn remote_writer_interruptible(
     token: u64,
     profile: NetProfile,
 ) -> Result<(ChannelWriter, Arc<Interruptor>)> {
-    let mut sink = RemoteSink::connect_with(addr, token, profile)?;
-    let interruptor = Interruptor::new(token, CutSide::Writer);
-    sink.set_interruptor(interruptor.clone());
+    let sink = RemoteSink::connect_with(addr, token, profile)?;
+    let interruptor = sink.core()?.lock().interruptor.clone();
     Ok((ChannelWriter::from_sink(Box::new(sink)), interruptor))
 }
 
@@ -1327,8 +1231,7 @@ mod tests {
         let token = fresh_token();
         let (mut reader, read_end) = remote_reader_interruptible(&b, token);
         let mut sink_a = RemoteSink::connect(&b.local_addr().to_string(), token).unwrap();
-        let write_end = Interruptor::new(token, CutSide::Writer);
-        sink_a.set_interruptor(write_end.clone());
+        let write_end = sink_a.core().unwrap().lock().interruptor.clone();
         sink_a.write_all(b"12345").unwrap();
         let (addr, next) = sink_a.begin_redirect().unwrap();
         let mut writer_c = remote_writer(&addr.to_string(), next).unwrap();
@@ -1365,6 +1268,66 @@ mod tests {
         reader.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"123");
         assert_eq!(reader.read(&mut buf).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_stale_token_after_a_redirect_is_stopped() {
+        // The reader follows a `Redirect` from its first token to a second
+        // and reads the new writer's bytes. A raw connection that presents
+        // the first token after that is answered `Stop`, and nothing it
+        // sends reaches the reader, whose history is the two writers' bytes
+        // in order.
+        for mode in [ExecMode::Thread, ExecMode::Pooled { workers: 2 }] {
+            let b = node();
+            let (addr, first) = (b.local_addr().to_string(), fresh_token());
+            let net = kpn_core::Network::with_config(kpn_core::NetworkConfig {
+                mode: mode.clone(),
+                ..kpn_core::NetworkConfig::default()
+            });
+            let history = Arc::new(Mutex::new(Vec::<u8>::new()));
+            let (mut reader, seen) = (remote_reader(&b, first), history.clone());
+            net.add_fn("reader", move |_| {
+                let mut buf = [0u8; 64];
+                loop {
+                    match reader.read(&mut buf)? {
+                        0 => return Ok(()),
+                        n => seen.lock().extend(&buf[..n]),
+                    }
+                }
+            });
+            net.start();
+            let mut sink_a = RemoteSink::connect(&addr, first).unwrap();
+            sink_a.write_all(b"from A;").unwrap();
+            let (_, second) = sink_a.begin_redirect().unwrap();
+            let mut writer_c = remote_writer(&addr, second).unwrap();
+            writer_c.write_all(b"from C;").unwrap();
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while history.lock().as_slice() != b"from A;from C;" {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{mode:?}: not redirected"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut stale = crate::acceptor::connect_data(&addr, first).unwrap();
+            stale
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut answer = Vec::new();
+            stale.read_to_end(&mut answer).unwrap();
+            assert_eq!(answer, [crate::frame::TAG_STOP], "{mode:?}");
+            let mut frame = Vec::new();
+            write_data_frame(&mut frame, b"stale;", 7).unwrap();
+            let _ = stale.write_all(&frame);
+            writer_c.write_all(b"and on").unwrap();
+            drop(writer_c);
+            net.join().unwrap();
+            assert_eq!(
+                history.lock().as_slice(),
+                b"from A;from C;and on",
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
@@ -1737,16 +1700,25 @@ mod tests {
         }
     }
 
+    /// What a source writes back on a connection: its acks.
+    type Back = Arc<Mutex<Vec<u8>>>;
+
     /// A connection that hands over its bytes in pieces of the given sizes
-    /// (the rest in pieces of any size), then reports EOF, and takes every
-    /// write.
+    /// (the rest in pieces of any size), then reports EOF — or, the
+    /// writer's `replacement`, fails for good — and records every write in
+    /// `back`.
     struct Scripted {
         bytes: std::collections::VecDeque<u8>,
         sizes: std::collections::VecDeque<usize>,
+        back: Back,
+        replacement: bool,
     }
 
     impl Read for Scripted {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.bytes.is_empty() && self.replacement {
+                return Err(io::Error::other("the replacement's end"));
+            }
             let size = self.sizes.pop_front().unwrap_or(usize::MAX).max(1);
             let n = size.min(buf.len()).min(self.bytes.len());
             for (to, from) in buf.iter_mut().zip(self.bytes.drain(..n)) {
@@ -1758,6 +1730,7 @@ mod tests {
 
     impl Write for Scripted {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.back.lock().extend(buf);
             Ok(buf.len())
         }
         fn flush(&mut self) -> io::Result<()> {
@@ -1781,6 +1754,39 @@ mod tests {
         fn set_nonblocking(&self, _nonblocking: bool) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    /// Accepts every connection as a writer's replacement: a [`Scripted`]
+    /// one with no bytes, recording into the `Back` filed under its token.
+    #[derive(Default)]
+    struct Replacements(Mutex<std::collections::HashMap<u64, Back>>);
+
+    impl TransportFactory for Replacements {
+        fn connect(&self, addr: &str, token: u64) -> Result<Box<dyn Transport>> {
+            TcpFactory.connect(addr, token)
+        }
+        fn wrap_accepted(&self, _stream: TcpStream, token: u64) -> Box<dyn Transport> {
+            Box::new(Scripted {
+                bytes: Default::default(),
+                sizes: Default::default(),
+                back: self.0.lock().get(&token).cloned().unwrap_or_default(),
+                replacement: true,
+            })
+        }
+    }
+
+    /// The node the proptests' sources listen at, and its replacements.
+    fn scripted_node() -> &'static (Arc<Acceptor>, Arc<Replacements>) {
+        static NODE: std::sync::OnceLock<(Arc<Acceptor>, Arc<Replacements>)> =
+            std::sync::OnceLock::new();
+        NODE.get_or_init(|| {
+            let replacements = Arc::new(Replacements::default());
+            let profile = NetProfile::new(replacements.clone(), ReconnectPolicy::default());
+            (
+                Acceptor::bind_with("127.0.0.1:0", profile).unwrap(),
+                replacements,
+            )
+        })
     }
 
     /// What a reader must deliver from `wire`, decoded on its own: each
@@ -1808,29 +1814,76 @@ mod tests {
         out
     }
 
+    /// How a source read a script: what it delivered, how it ended, and
+    /// each ack it wrote with the stream units (bytes, and a `Close`) the
+    /// caller had been handed by the end of the read that wrote it.
+    type ReadThrough = (Vec<u8>, Result<()>, Vec<(u64, u64)>);
+
     /// Reads `wire`, cut into `sizes`, through a source into `room`-byte
-    /// reads until it ends; returns what it delivered and how it ended.
+    /// reads until it ends. A resilient source whose script fails listens
+    /// for, and adopts, the writer's replacement connection, which then
+    /// fails for good.
     fn read_through(
         wire: &[u8],
         sizes: &[usize],
         room: usize,
         policy: ReconnectPolicy,
-    ) -> (Vec<u8>, Result<()>) {
-        let scripted = Scripted {
+    ) -> ReadThrough {
+        let (node, replacements) = scripted_node();
+        let (token, back) = (fresh_token(), Back::default());
+        replacements.0.lock().insert(token, back.clone());
+        let _replacement =
+            crate::acceptor::connect_data(&node.local_addr().to_string(), token).unwrap();
+        let mut source = RemoteSource::new(node, token);
+        source.proto = ReaderProto::new(token, policy);
+        source.adopt(Box::new(Scripted {
             bytes: wire.iter().copied().collect(),
             sizes: sizes.iter().copied().collect(),
-        };
-        let mut source = RemoteSource::adopt(Box::new(scripted), None, None, policy, 0, 0);
+            back: back.clone(),
+            replacement: false,
+        }));
         let (mut delivered, mut buf) = (Vec::new(), vec![0u8; room]);
-        loop {
-            match source.read(&mut buf) {
-                Ok(SourceRead::Data(n)) => {
-                    assert!(n > 0 && n <= room, "{n} bytes into {room}");
-                    delivered.extend(&buf[..n]);
-                }
-                Ok(_) => return (delivered, Ok(())),
-                Err(e) => return (delivered, Err(e)),
+        let (mut acks, mut parser) = (Vec::new(), crate::frame::AckParser::default());
+        let ended = loop {
+            let read = source.read(&mut buf);
+            if let Ok(SourceRead::Data(n)) = read {
+                assert!(n > 0 && n <= room, "{n} bytes into {room}");
+                delivered.extend(&buf[..n]);
             }
+            let units = delivered.len() as u64 + matches!(read, Ok(SourceRead::End)) as u64;
+            let written: Vec<u8> = back.lock().drain(..).collect();
+            let on_ack = |event| match event {
+                crate::frame::AckEvent::Ack(offset) => acks.push((offset, units)),
+                stop => panic!("a source wrote {stop:?}"),
+            };
+            parser.feed(&written, on_ack).unwrap();
+            match read {
+                Ok(SourceRead::Data(_)) => {}
+                Ok(_) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        source.close();
+        replacements.0.lock().remove(&token);
+        (delivered, ended, acks)
+    }
+
+    /// The acks of a read: none covers bytes the caller had not been handed
+    /// when it was written, and a resilient source that adopted the
+    /// writer's replacement resumed it at exactly what it delivered.
+    fn check_acks(read: &ReadThrough, resilient: bool) -> std::result::Result<(), String> {
+        let (delivered, ended, acks) = read;
+        if let Some((offset, units)) = acks.iter().find(|(offset, units)| offset > units) {
+            return Err(format!("an ack at {offset} with {units} units delivered"));
+        }
+        let resumed = matches!(ended, Err(Error::Io(e)) if e.kind() == io::ErrorKind::Other);
+        let last = acks.last().map(|&(offset, _)| offset);
+        match resilient && resumed && last != Some(delivered.len() as u64) {
+            true => Err(format!(
+                "resumed at {last:?} after {} bytes",
+                delivered.len()
+            )),
+            false => Ok(()),
         }
     }
 
@@ -1860,8 +1913,9 @@ mod tests {
             // Any bytes, cut anywhere: an end or an error, never a panic,
             // and nothing delivered twice or past its frame.
             let policy = if resilient { ReconnectPolicy::resilient() } else { ReconnectPolicy::default() };
-            let (delivered, _) = read_through(&wire, &sizes, room, policy);
-            proptest::prop_assert_eq!(delivered, deliverable(&wire));
+            let read = read_through(&wire, &sizes, room, policy);
+            proptest::prop_assert_eq!(&read.0, &deliverable(&wire));
+            proptest::prop_assert_eq!(check_acks(&read, resilient), Ok(()));
         }
 
         #[test]
@@ -1877,8 +1931,36 @@ mod tests {
                     *byte ^= with;
                 }
             }
-            let (delivered, _) = read_through(&wire, &sizes, room, ReconnectPolicy::resilient());
-            proptest::prop_assert_eq!(delivered, deliverable(&wire));
+            let read = read_through(&wire, &sizes, room, ReconnectPolicy::resilient());
+            proptest::prop_assert_eq!(&read.0, &deliverable(&wire));
+            proptest::prop_assert_eq!(check_acks(&read, true), Ok(()));
+        }
+
+        #[test]
+        fn a_source_resumes_a_cut_stream_at_what_it_delivered(
+            lens in proptest::collection::vec(1usize..24, 1..8),
+            reach in proptest::collection::vec(0u64..8, 1..8),
+            cut in proptest::prelude::any::<usize>(),
+            sizes in proptest::collection::vec(0usize..24, 0..48),
+            room in 1usize..40,
+        ) {
+            // A writer's data frames, each starting up to `reach` bytes
+            // before the stream's end so far (a replayed prefix), cut at
+            // any byte: a resilient source delivers the stream once, and
+            // its resume ack on the replacement is exactly what it
+            // delivered.
+            let (mut frames, mut end) = (Vec::new(), 0u64);
+            for (i, &len) in lens.iter().enumerate() {
+                let offset = end.saturating_sub(reach[i % reach.len()]);
+                frames.push((1, offset, len));
+                end = end.max(offset + len as u64);
+            }
+            let mut wire = framed(&frames);
+            wire.truncate(cut % (wire.len() + 1));
+            let read = read_through(&wire, &sizes, room, ReconnectPolicy::resilient());
+            proptest::prop_assert_eq!(&read.0, &deliverable(&wire));
+            proptest::prop_assert!(matches!(&read.1, Err(Error::Io(_))), "{:?}", read.1);
+            proptest::prop_assert_eq!(check_acks(&read, true), Ok(()));
         }
     }
 }

@@ -412,6 +412,61 @@ proptest! {
     }
 }
 
+/// Characters DOT text is made of, and two it never holds.
+const DOT_CHARS: &[char] = &[
+    'g', 'r', 'a', 'p', 'h', 'd', 'i', ' ', '\n', '{', '}', ';', '-', '"', '\\', '/', '0', '1',
+    '9', '_', 'é', '\0',
+];
+
+/// Huge node ids: one past `u32`, one past `usize`.
+const HUGE_IDS: [&str; 2] = ["4294967296", "99999999999999999999999"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Hostile DOT text: arbitrary strings, strings of DOT's own
+    /// characters, and `to_dot` output damaged token by token (an id
+    /// dropped, duplicated or made huge, a brace or an `--` removed). Each
+    /// parse is an `Ok` or an `Err`, never a panic, and a graph it does
+    /// accept round-trips like any other.
+    #[test]
+    fn dot_import_survives_hostile_text(
+        g in topology_strategy(),
+        chars in proptest::collection::vec(any::<char>(), 0..48),
+        picks in proptest::collection::vec(0..DOT_CHARS.len(), 0..48),
+        edits in proptest::collection::vec((0u8..4, any::<usize>()), 1..6),
+    ) {
+        let mut tokens: Vec<String> = g.to_dot().split_whitespace().map(String::from).collect();
+        for (edit, at) in edits {
+            let i = at % tokens.len();
+            let digit = |t: &String| t.starts_with(|c: char| c.is_ascii_digit());
+            let id = (i..tokens.len()).find(|&j| digit(&tokens[j]));
+            let mark = (i..tokens.len()).find(|&j| matches!(&*tokens[j], "{" | "}" | "--"));
+            match (edit, id, mark) {
+                (0, Some(j), _) => drop(tokens.remove(j)),
+                (1, Some(j), _) => tokens.insert(j, tokens[j].clone()),
+                (2, Some(j), _) => {
+                    let digits = tokens[j].trim_end_matches(';').len();
+                    tokens[j].replace_range(..digits, HUGE_IDS[at % 2]);
+                }
+                (_, _, Some(j)) => drop(tokens.remove(j)),
+                _ => {}
+            }
+        }
+        let texts = [
+            chars.iter().collect::<String>(),
+            picks.iter().map(|&i| DOT_CHARS[i]).collect(),
+            tokens.join(" "),
+        ];
+        for text in texts {
+            if let Ok(back) = DistGraph::from_dot(&text) {
+                let again = DistGraph::from_dot(&back.to_dot());
+                prop_assert_eq!(again.as_ref().ok(), Some(&back), "{:?}", text);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
