@@ -164,7 +164,8 @@ impl DistGraph {
         if id_ok {
             let _ = writeln!(out, "graph {} {{", self.name);
         } else {
-            let _ = writeln!(out, "graph \"{}\" {{", self.name.replace('"', "\\\""));
+            let quoted = self.name.replace('\\', "\\\\").replace('"', "\\\"");
+            let _ = writeln!(out, "graph \"{quoted}\" {{");
         }
         for (v, &d) in deg.iter().enumerate() {
             if d == 0 {
@@ -496,6 +497,14 @@ fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_quoted_name_survives_a_round_trip() {
+        for name in ["a\\b", "a\"b", "\\\"", "tail\\"] {
+            let g = DistGraph::new(name, 2);
+            assert_eq!(DistGraph::from_dot(&g.to_dot()).unwrap(), g, "{name:?}");
+        }
+    }
 
     #[test]
     fn adjacency_ports_are_mutual() {

@@ -131,7 +131,7 @@ impl ServerHandle {
         let stream = TcpStream::connect(&self.addr)
             .map_err(|e| Error::Disconnected(format!("control connect {}: {e}", self.addr)))?;
         stream.set_nodelay(true)?;
-        let mut stream = crate::rio::control_stream(stream);
+        let mut stream = crate::rio::wrap(stream);
         stream.write_all(&[crate::frame::CONN_CONTROL])?;
         send_msg(&mut stream, request)?;
         match expected(recv_msg(&mut stream)?) {

@@ -69,5 +69,5 @@ pub use remote::{
 pub use spec::{ChannelSpec, GraphSpec, InputSpec, OutputSpec, ProcessSpec, SpecDefect};
 pub use transport::{
     recovery_stats, FaultKind, FaultPlan, FaultProfile, FaultyFactory, FaultyTransport, NetProfile,
-    ReconnectPolicy, TcpFactory, TcpTransport, Transport, TransportFactory,
+    ReconnectPolicy, TcpFactory, Transport, TransportFactory,
 };

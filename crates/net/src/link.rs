@@ -582,15 +582,19 @@ impl ReaderProto {
         })
     }
 
-    /// A frame header arrived; returns what to read next into `room`.
+    /// A frame header arrived; returns what to read next into `room`. A
+    /// frame past `expected` is a stream gap, and a marker before it would
+    /// move `expected` backwards: both are protocol errors. A data frame
+    /// before it is a replayed prefix.
     pub(crate) fn header(&mut self, header: FrameHeader, room: usize) -> Result<ReadStep> {
         if let FrameHeader::Data { offset, .. }
         | FrameHeader::Close { offset }
         | FrameHeader::Redirect { offset, .. } = header
         {
-            if offset > self.expected {
+            let marker = !matches!(header, FrameHeader::Data { .. });
+            if offset > self.expected || marker && offset < self.expected {
                 return Err(Error::Graph(format!(
-                    "stream gap: {header:?}, expected offset {}",
+                    "frame out of place: {header:?}, expected offset {}",
                     self.expected
                 )));
             }
@@ -661,6 +665,29 @@ impl ReaderProto {
              ({} stream units delivered)",
             self.token, self.expected
         )))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_marker_behind_the_delivered_offset_is_refused() {
+        let mut proto = ReaderProto::new(1, ReconnectPolicy::resilient());
+        proto.adopted();
+        let data = FrameHeader::Data { len: 10, offset: 0 };
+        assert!(matches!(proto.header(data, 16), Ok(ReadStep::Deliver(10))));
+        proto.got(10);
+        assert!(proto.header(FrameHeader::Close { offset: 2 }, 16).is_err());
+        let redirect = FrameHeader::Redirect {
+            token: 2,
+            offset: 9,
+        };
+        assert!(proto.header(redirect, 16).is_err());
+        assert_eq!(proto.expected(), 10);
+        let close = proto.header(FrameHeader::Close { offset: 10 }, 16);
+        assert!(matches!(close, Ok(ReadStep::End { ack: Some(11) })));
     }
 }
 

@@ -298,7 +298,7 @@ impl Node {
     }
 
     fn handle_control(&self, stream: TcpStream) {
-        let mut stream = crate::rio::control_stream(stream);
+        let mut stream = crate::rio::wrap(stream);
         loop {
             let request: ControlRequest = match recv_msg(&mut stream) {
                 Ok(r) => r,

@@ -102,7 +102,7 @@ use crate::link::{
     map_write_err, Chunk, ReadStep, ReaderProto, Step, WriterProto, MAX_FRAME, RECOVERY_POLL,
 };
 use crate::probe::{CutEnd, CutSide};
-use crate::transport::{NetProfile, RecoveryGuard, Transport, TransportFactory};
+use crate::transport::{shutdown, NetProfile, RecoveryGuard, Transport, TransportFactory};
 use kpn_core::exec::reactor::Interest;
 use kpn_core::{
     ChannelReader, ChannelWriter, Error, Exec, Result, Sink, Source, SourceRead, ThreadExec,
@@ -126,7 +126,7 @@ type Conn = BufWriter<Box<dyn Transport>>;
 /// Shuts `conn` (if any) the `how` way and drops it.
 fn shut(conn: &mut Option<Conn>, how: Shutdown) {
     if let Some(conn) = conn.take() {
-        let _ = conn.get_ref().shutdown(how);
+        shutdown(&**conn.get_ref(), how);
     }
 }
 
@@ -137,7 +137,7 @@ fn shut(conn: &mut Option<Conn>, how: Shutdown) {
 /// a failure still count, so an ack followed by EOF is seen.
 fn read_acks(conn: &mut Conn, proto: &mut WriterProto, wait: Option<Duration>) -> Result<bool> {
     conn.flush()?;
-    let t = conn.get_ref();
+    let t = conn.get_mut();
     match wait {
         Some(poll) => t.set_op_timeout(Some(poll))?,
         None => t.set_nonblocking(true)?,
@@ -155,7 +155,7 @@ fn read_acks(conn: &mut Conn, proto: &mut WriterProto, wait: Option<Duration>) -
             Err(e) => break Err(e.into()),
         }
     };
-    let t = conn.get_ref();
+    let t = conn.get_mut();
     let _ = match wait {
         Some(_) => t.set_op_timeout(proto.policy.op_timeout),
         None => t.set_nonblocking(false),
@@ -176,16 +176,14 @@ fn retransmit(conn: &mut Conn, proto: &WriterProto) -> Result<()> {
     Ok(conn.flush()?)
 }
 
-/// Makes `t` an endpoint's connection: its waits follow the caller
-/// (`rio`; accepted connections arrive unwrapped, since the acceptor's
-/// factory knows nothing about executors), it times out after the policy's
-/// `op_timeout`, and the endpoint's interruptor points at it.
+/// Makes `t`, as its factory built it, an endpoint's connection: it times
+/// out after the policy's `op_timeout`, and the endpoint's interruptor
+/// points at it.
 fn attach(
-    t: Box<dyn Transport>,
+    mut t: Box<dyn Transport>,
     interruptor: &Interruptor,
     op_timeout: Option<Duration>,
 ) -> Box<dyn Transport> {
-    let t = crate::rio::wrap(t);
     let _ = t.set_op_timeout(op_timeout);
     interruptor.attach_transport(&*t);
     t
@@ -285,10 +283,10 @@ impl Interruptor {
     }
 
     fn attach_transport(&self, t: &dyn Transport) {
-        let handle = t.shutdown_handle();
+        let handle = t.socket().and_then(|s| s.try_clone().ok());
         let mut st = self.state.lock();
         if st.interrupted {
-            let _ = t.shutdown(Shutdown::Both);
+            shutdown(t, Shutdown::Both);
             return;
         }
         st.socket = handle;
@@ -346,7 +344,7 @@ impl SinkCore {
         let peer = core
             .conn
             .as_ref()
-            .and_then(|c| c.get_ref().peer_addr().ok());
+            .and_then(|c| c.get_ref().socket()?.peer_addr().ok());
         core.peer = peer.or_else(|| addr.parse().ok());
         Ok(core)
     }
@@ -751,10 +749,8 @@ impl RemoteSink {
         if let Some(peer) = core.peer {
             return Ok(peer);
         }
-        match core.conn.as_ref() {
-            Some(conn) => Ok(conn.get_ref().peer_addr()?),
-            None => Err(Error::WriteClosed),
-        }
+        let socket = core.conn.as_ref().and_then(|c| c.get_ref().socket());
+        Ok(socket.ok_or(Error::WriteClosed)?.peer_addr()?)
     }
 
     /// Begins migrating this writer endpoint to another server (§4.3):
@@ -865,7 +861,7 @@ impl RemoteSource {
     fn listen(&mut self) -> Result<()> {
         let guard = self.proto.poll().map(|_| RecoveryGuard::enter());
         if let Some(stream) = self.stream.take() {
-            let _ = stream.get_ref().shutdown(Shutdown::Both);
+            shutdown(&**stream.get_ref(), Shutdown::Both);
         }
         let mut pending = None;
         loop {
@@ -932,7 +928,7 @@ impl RemoteSource {
         let t = stream.get_mut();
         let sent = write_frame(t, &Frame::Ack { offset }).and_then(|()| Ok(t.flush()?));
         if sent.is_err() {
-            let _ = t.shutdown(Shutdown::Both);
+            shutdown(&**t, Shutdown::Both);
         }
         self.proto.ack_sent(sent.is_ok());
         sent.is_ok()
@@ -1047,7 +1043,7 @@ impl Source for RemoteSource {
         self.proto.close();
         self.acceptor.unregister(self.proto.token);
         if let Some(stream) = &self.stream {
-            let _ = stream.get_ref().shutdown(Shutdown::Both);
+            shutdown(&**stream.get_ref(), Shutdown::Both);
         }
     }
 }
@@ -1471,26 +1467,14 @@ mod tests {
     }
 
     impl Transport for CountedTransport {
-        fn shutdown(&self, how: Shutdown) -> io::Result<()> {
-            self.inner.shutdown(how)
-        }
-        fn peer_addr(&self) -> io::Result<SocketAddr> {
-            self.inner.peer_addr()
-        }
-        fn shutdown_handle(&self) -> Option<TcpStream> {
-            self.inner.shutdown_handle()
-        }
-        fn set_op_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        fn set_op_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
             self.inner.set_op_timeout(timeout)
         }
-        fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()> {
             self.inner.set_nonblocking(nonblocking)
         }
-        fn raw_fd(&self) -> Option<i32> {
-            self.inner.raw_fd()
-        }
-        fn retry_write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.inner.retry_write(buf)
+        fn socket(&self) -> Option<&TcpStream> {
+            self.inner.socket()
         }
     }
 
@@ -1739,20 +1723,14 @@ mod tests {
     }
 
     impl Transport for Scripted {
-        fn shutdown(&self, _how: Shutdown) -> io::Result<()> {
+        fn set_op_timeout(&mut self, _timeout: Option<Duration>) -> io::Result<()> {
             Ok(())
         }
-        fn peer_addr(&self) -> io::Result<SocketAddr> {
-            Err(io::ErrorKind::NotConnected.into())
+        fn set_nonblocking(&mut self, _nonblocking: bool) -> io::Result<()> {
+            Ok(())
         }
-        fn shutdown_handle(&self) -> Option<TcpStream> {
+        fn socket(&self) -> Option<&TcpStream> {
             None
-        }
-        fn set_op_timeout(&self, _timeout: Option<Duration>) -> io::Result<()> {
-            Ok(())
-        }
-        fn set_nonblocking(&self, _nonblocking: bool) -> io::Result<()> {
-            Ok(())
         }
     }
 
@@ -1870,17 +1848,21 @@ mod tests {
 
     /// The acks of a read: none covers bytes the caller had not been handed
     /// when it was written, and a resilient source that adopted the
-    /// writer's replacement resumed it at exactly what it delivered.
+    /// writer's replacement resumed it at exactly what it delivered, and
+    /// one that ended at a `Close` acked what it delivered and the marker.
     fn check_acks(read: &ReadThrough, resilient: bool) -> std::result::Result<(), String> {
         let (delivered, ended, acks) = read;
         if let Some((offset, units)) = acks.iter().find(|(offset, units)| offset > units) {
             return Err(format!("an ack at {offset} with {units} units delivered"));
         }
         let resumed = matches!(ended, Err(Error::Io(e)) if e.kind() == io::ErrorKind::Other);
+        let closed = ended.is_ok();
         let last = acks.last().map(|&(offset, _)| offset);
-        match resilient && resumed && last != Some(delivered.len() as u64) {
+        let want = delivered.len() as u64 + closed as u64;
+        match resilient && (resumed || closed) && last != Some(want) {
             true => Err(format!(
-                "resumed at {last:?} after {} bytes",
+                "{} at {last:?} after {} bytes",
+                if closed { "closed" } else { "resumed" },
                 delivered.len()
             )),
             false => Ok(()),

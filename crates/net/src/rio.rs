@@ -9,33 +9,36 @@
 //! thread on the thread executor, and no option, environment variable or
 //! config field takes part in the choice. A node's helpers are tasks of
 //! its executor and wait the same way: a control session's stream is
-//! wrapped like a data connection's ([`control_stream`]), and the accept
-//! loop waits on its listener and its unfinished preambles at once
+//! wrapped like a data connection's ([`wrap`]), and the accept loop waits
+//! on its listener and its unfinished preambles at once
 //! ([`wait_readable`]).
 //!
-//! [`ReactorIo`] is the transport wrapper that implements it. Every
-//! fd-backed transport is wrapped (on Linux x86_64, the one target with
-//! fibers). The wrapper starts out transparent: the fd stays in blocking
-//! mode and every operation is the inner transport's single syscall. The
-//! first time a *fiber* operates on it — even if the endpoint was
-//! connected on another thread and moved into a process later — or a
-//! process on an OS thread finds it not ready, the fd is switched to
-//! non-blocking for good and blocking semantics are emulated here
-//! instead: an operation that would block parks the fiber through the
-//! ordinary `Exec::park_token`/`park` protocol with interest registered on
-//! the pool's [`Reactor`](kpn_core::exec::reactor::Reactor), and retries
-//! when a worker drains the readiness queue and unparks it. An OS thread
-//! on a switched fd (a process of the thread executor, a sink watchdog
-//! pumping an idle sink or finishing a closed one) waits in `poll(2)`
-//! instead of parking.
+//! [`ReactorIo`] is the transport that implements it: every socket a
+//! factory hands out ([`TcpFactory`](crate::TcpFactory)), and every control
+//! session's, is one (on Linux x86_64, the one target with fibers). It owns
+//! its `TcpStream` and starts out transparent: the fd stays in blocking
+//! mode and every operation is the socket's single syscall. The first time
+//! a *fiber* operates on it — even if the endpoint was connected on
+//! another thread and moved into a process later — or a process on an OS
+//! thread finds it not ready, the fd is switched to non-blocking for good
+//! and blocking semantics are emulated here instead: an operation that
+//! would block parks the fiber through the ordinary
+//! `Exec::park_token`/`park` protocol with interest registered on the
+//! pool's [`Reactor`](kpn_core::exec::reactor::Reactor), and retries when a
+//! worker drains the readiness queue and unparks it. An OS thread on a
+//! switched fd (a process of the thread executor, a sink watchdog pumping
+//! an idle sink or finishing a closed one) waits in `poll(2)` instead of
+//! parking.
 //!
 //! Because blocking semantics are preserved at the [`Transport`] surface
 //! in both states (complete reads/writes or a `TimedOut`/`WouldBlock`
 //! after the op timeout, exactly what a kernel timeout yields), everything
 //! above — `BufReader`/`BufWriter` framing, the ack parser, the
-//! reconnection state machines, and
-//! [`FaultyTransport`](crate::transport::FaultyTransport) fault schedules
-//! wrapped *underneath* this layer — is the same code whoever waits.
+//! reconnection state machines, and a
+//! [`FaultyTransport`](crate::transport::FaultyTransport) wrapped around
+//! this layer, one fault step per operation asked of it — is the same code
+//! whoever waits. One endpoint owns the transport, so its state is plain
+//! fields and an operation takes no lock.
 //!
 //! ## The lost-wakeup ordering
 //!
@@ -65,7 +68,7 @@
 //! remote endpoint registers around its whole operation
 //! ([`around_operation`]), and local waits tick for it.
 
-use crate::transport::{TcpTransport, Transport};
+use crate::transport::Transport;
 use kpn_core::exec::reactor::Interest;
 use kpn_core::monitor::MONITOR_TICK;
 use kpn_core::{BlockGuard, BlockKind, Monitor, Result};
@@ -76,27 +79,20 @@ use std::time::Instant;
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 pub(crate) use imp::{forget, wait_readable};
 
-/// Wrap a socket-backed `t` in a [`ReactorIo`]; transports without an fd
-/// (and every transport off Linux x86_64, where no fiber exists to park)
-/// are returned unchanged. The wrapper goes *outside* any
-/// [`FaultyTransport`](crate::transport::FaultyTransport) so seeded chaos
-/// schedules keep stepping on every attempt whoever waits.
-pub(crate) fn wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
+/// `stream` as the transport of a data connection or a control session,
+/// on either end: a [`ReactorIo`], whose waits follow the caller — a
+/// session task of a pooled node parks while its client is quiet, and so
+/// does one that calls another node (`Node::redistribute`). Off Linux
+/// x86_64, where no fiber exists to park, the bare socket.
+pub(crate) fn wrap(stream: TcpStream) -> Box<dyn Transport> {
     #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
     {
-        imp::wrap(t)
+        Box::new(imp::ReactorIo::new(stream))
     }
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
     {
-        t
+        Box::new(stream)
     }
-}
-
-/// A control session's stream, on either end, with waits that follow the
-/// caller: a session task of a pooled node parks while its client is quiet,
-/// and so does one that calls another node (`Node::redistribute`).
-pub(crate) fn control_stream(stream: TcpStream) -> Box<dyn Transport> {
-    wrap(Box::new(TcpTransport(stream)))
 }
 
 /// Whether this target has fibers and the reactor (Linux x86_64, outside
@@ -178,12 +174,10 @@ mod imp {
     use kpn_core::exec::current_monitor;
     use kpn_core::exec::reactor::{poll_fds, Interest, Reactor};
     use kpn_core::Exec;
-    use parking_lot::Mutex;
     use std::cell::Cell;
-    use std::io::{Read, Write};
-    use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -228,75 +222,63 @@ mod imp {
         }
     }
 
-    /// How long a worker may run socket operations that do not wait, with
-    /// no socket wait in between, before the fiber making them lets its
-    /// pool's other tasks have the worker.
-    const SLICE: Duration = Duration::from_millis(2);
+    /// How many socket operations that do not wait a worker may run, with
+    /// no socket wait in between, before the fiber making the next one
+    /// lets its pool's other tasks have the worker. A count, not a time: a
+    /// worker the kernel kept off its CPU has run nothing. The end of a
+    /// relay whose peer is always ahead never waits either, and yields on
+    /// a reactor timer each time, so the slice is long against a relay's
+    /// round trip; it is short against the run of a streaming pipeline,
+    /// whose node must answer its control sessions meanwhile.
+    const SLICE: u32 = 1024;
 
     thread_local! {
-        /// When a fiber last came back to this worker from a socket wait
-        /// or a yield here. A fiber that waits on a socket now and then
-        /// (either end of a relay) keeps it fresh for whatever else runs
-        /// on its worker; only one that has streamed for [`SLICE`] with no
-        /// such wait on its worker yields.
-        static RESUMED: Cell<Instant> = Cell::new(Instant::now());
+        /// Socket operations this worker has run since a fiber last came
+        /// back to it from a socket wait or a yield here. A fiber that
+        /// waits on a socket now and then (either end of a relay) keeps it
+        /// low for whatever else runs on its worker; only one that has
+        /// streamed [`SLICE`] operations with no such wait on its worker
+        /// yields.
+        static RAN: Cell<u32> = const { Cell::new(0) };
     }
 
-    /// Restarts the calling worker's [`RESUMED`] clock. Never inlined, nor
-    /// is [`slice_used`]: a fiber may resume on another worker after any
+    /// Restarts the calling worker's [`RAN`] count. Never inlined, nor is
+    /// [`slice_spent`]: a fiber may resume on another worker after any
     /// park, and an inlined access may reuse the thread-local address it
-    /// computed before the park, which is the clock of the worker it left.
+    /// computed before the park, which is the count of the worker it left.
     #[inline(never)]
     fn restart_slice() {
-        RESUMED.set(Instant::now());
+        RAN.set(0);
     }
 
-    /// How long the calling worker has gone since its [`RESUMED`] clock
-    /// was restarted.
+    /// Counts one more operation on the calling worker, and answers
+    /// whether that spends its [`SLICE`].
     #[inline(never)]
-    fn slice_used() -> Duration {
-        RESUMED.get().elapsed()
+    fn slice_spent() -> bool {
+        let ran = RAN.get() + 1;
+        RAN.set(ran);
+        ran >= SLICE
     }
 
-    pub(super) fn wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
-        let Some(fd) = t.raw_fd() else {
-            return t;
-        };
-        Box::new(ReactorIo {
-            inner: t,
-            fd,
-            key: Box::new(0),
-            op_timeout: Mutex::new(None),
-            passthrough: AtomicBool::new(false),
-            parking: AtomicBool::new(false),
-            attached: Mutex::new(None),
-            tick_timer: None,
-        })
-    }
-
-    /// A transport whose waits follow the caller (see the module docs).
+    /// A socket whose waits follow the caller (see the module docs).
     /// Callers above see complete operations or a timeout — never a bare
     /// would-block, unless they opted into it via `set_nonblocking(true)`.
     pub(super) struct ReactorIo {
-        inner: Box<dyn Transport>,
-        fd: i32,
-        /// Stable heap address used as this endpoint's park key (the
-        /// `ReactorIo` itself moves when the owning endpoint does).
-        key: Box<u8>,
+        stream: TcpStream,
         /// Mirror of the endpoint's op timeout: a non-blocking fd never
         /// surfaces kernel timeouts, so once `parking` this layer
         /// synthesizes them.
-        op_timeout: Mutex<Option<Duration>>,
+        op_timeout: Option<Duration>,
         /// `set_nonblocking(true)` from above (ack draining): surface
         /// `WouldBlock` instead of waiting.
-        passthrough: AtomicBool,
+        passthrough: bool,
         /// Set by the first fiber that operates on this transport: the fd
         /// is non-blocking from then on and waits are emulated here.
-        /// Until then every operation is the inner transport's.
-        parking: AtomicBool,
+        /// Until then every operation is the socket's.
+        parking: bool,
         /// The reactor this fd last waited on, for moving the registration
         /// after an executor change and detach-before-close on drop.
-        attached: Mutex<Option<Arc<Reactor>>>,
+        attached: Option<Arc<Reactor>>,
         /// When the monitor tick timer this endpoint's key last armed
         /// fires: one is pending at a time ([`ReactorIo::park`]).
         tick_timer: Option<Instant>,
@@ -305,20 +287,36 @@ mod imp {
     type Parker = (Arc<dyn Exec>, Arc<Reactor>);
 
     impl ReactorIo {
+        pub(super) fn new(stream: TcpStream) -> Self {
+            ReactorIo {
+                stream,
+                op_timeout: None,
+                passthrough: false,
+                parking: false,
+                attached: None,
+                tick_timer: None,
+            }
+        }
+
+        /// This endpoint's park key: its own address, which is stable
+        /// while an operation borrows it, and `wrap` boxes it for good.
         fn key(&self) -> usize {
-            std::ptr::addr_of!(*self.key) as usize
+            std::ptr::from_ref(self) as usize
+        }
+
+        fn fd(&self) -> i32 {
+            self.stream.as_raw_fd()
         }
 
         /// Arms the fd on `reactor`, first moving its registration over if
         /// it last waited on another pool's.
-        fn arm(&self, reactor: &Arc<Reactor>, interest: Interest) -> std::io::Result<()> {
-            let mut att = self.attached.lock();
-            if !att.as_ref().is_some_and(|r| Arc::ptr_eq(r, reactor)) {
-                if let Some(old) = att.replace(reactor.clone()) {
-                    old.detach(self.fd);
+        fn arm(&mut self, reactor: &Arc<Reactor>, interest: Interest) -> std::io::Result<()> {
+            if !matches!(&self.attached, Some(r) if Arc::ptr_eq(r, reactor)) {
+                if let Some(old) = self.attached.replace(reactor.clone()) {
+                    old.detach(self.fd());
                 }
             }
-            reactor.arm(self.fd, self.key(), interest)
+            reactor.arm(self.fd(), self.key(), interest)
         }
 
         /// Wait until `fd` reports readiness for `interest`, `deadline`
@@ -343,7 +341,7 @@ mod imp {
                     Some(woke_early) => woke_early,
                     None => {
                         let timeout = until.map(|t| t.saturating_duration_since(Instant::now()));
-                        poll_fds([self.fd], interest, timeout)?
+                        poll_fds([self.fd()], interest, timeout)?
                     }
                 };
                 if ready || until == deadline {
@@ -383,40 +381,35 @@ mod imp {
             Some(until.is_none_or(|t| Instant::now() < t))
         }
 
-        /// Drives one *logical* operation to completion. `op` is invoked
-        /// with `retry = false` exactly once (the attempt that charges a
-        /// fault-injecting transport's schedule) and with `retry = true`
-        /// after each readiness wakeup — see [`Transport::retry_read`] for
-        /// why the distinction keeps chaos schedules identical whoever
-        /// waits.
+        /// Drives one operation to completion: `op` on the socket, again
+        /// after each readiness wakeup.
         fn run<T>(
             &mut self,
             interest: Interest,
-            mut op: impl FnMut(&mut Box<dyn Transport>, bool) -> std::io::Result<T>,
+            mut op: impl FnMut(&mut TcpStream) -> std::io::Result<T>,
         ) -> std::io::Result<T> {
             let parker = parking_context();
-            if !self.parking.load(Ordering::Relaxed) {
+            if !self.parking {
                 // An OS thread on a blocking fd: one plain syscall, unless
                 // a process finds its fd not ready (a non-blocking drain
                 // cannot wait). That wait must register and tick, which
                 // takes the emulated wait a fiber makes.
                 let plain = parker.is_none()
                     && (current_monitor().is_none()
-                        || self.passthrough.load(Ordering::Relaxed)
-                        || poll_fds([self.fd], interest, Some(Duration::ZERO))?);
+                        || self.passthrough
+                        || poll_fds([self.fd()], interest, Some(Duration::ZERO))?);
                 if plain {
-                    return op(&mut self.inner, false);
+                    return op(&mut self.stream);
                 }
                 // Non-blocking from here on.
-                self.inner.set_nonblocking(true)?;
-                self.parking.store(true, Ordering::Relaxed);
+                self.stream.set_nonblocking(true)?;
+                self.parking = true;
             }
-            let deadline = self.op_timeout.lock().map(|d| Instant::now() + d);
-            let mut retry = false;
+            let deadline = self.op_timeout.map(|d| Instant::now() + d);
             loop {
-                match op(&mut self.inner, std::mem::replace(&mut retry, true)) {
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if self.passthrough.load(Ordering::Relaxed) {
+                match op(&mut self.stream) {
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        if self.passthrough {
                             return Err(e);
                         }
                         // Readiness always outranks the deadline (retry
@@ -424,7 +417,7 @@ mod imp {
                         // still would-block past the deadline times out —
                         // the same precedence a kernel op timeout has.
                         if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                            return Err(std::io::Error::from(std::io::ErrorKind::TimedOut));
+                            return Err(ErrorKind::TimedOut.into());
                         }
                         self.wait_ready(&parker, interest, deadline)?;
                         restart_slice();
@@ -439,14 +432,15 @@ mod imp {
             }
         }
 
-        /// Once its worker has gone [`SLICE`] without a socket wait, parks
-        /// the calling fiber until its pool next polls its reactor: one
-        /// that streams through a socket that never fills would otherwise
-        /// hold its worker for as long as it streams, and with it whatever
-        /// else the pool runs — on a node, the accept loop and the control
-        /// sessions. A yield, not a wait: nothing registers with a monitor.
+        /// Once its worker has run [`SLICE`] socket operations without a
+        /// socket wait, parks the calling fiber until its pool next polls
+        /// its reactor: one that streams through a socket that never fills
+        /// would otherwise hold its worker for as long as it streams, and
+        /// with it whatever else the pool runs — on a node, the accept loop
+        /// and the control sessions. A yield, not a wait: nothing registers
+        /// with a monitor.
         fn share_worker(&self, exec: &Arc<dyn Exec>) {
-            if slice_used() < SLICE {
+            if !slice_spent() {
                 return;
             }
             let key = self.key();
@@ -458,71 +452,49 @@ mod imp {
 
     impl Read for ReactorIo {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.run(Interest::Read, |t, retry| {
-                if retry {
-                    t.retry_read(buf)
-                } else {
-                    t.read(buf)
-                }
-            })
+            self.run(Interest::Read, |s| s.read(buf))
         }
     }
 
     impl Write for ReactorIo {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.run(Interest::Write, |t, retry| {
-                if retry {
-                    t.retry_write(buf)
-                } else {
-                    t.write(buf)
-                }
-            })
+            self.run(Interest::Write, |s| s.write(buf))
         }
         fn flush(&mut self) -> std::io::Result<()> {
-            // Sockets have no userspace buffer below this layer: flushing
-            // never waits (and never advances a fault schedule).
-            self.inner.flush()
+            // A socket has no userspace buffer: flushing never waits.
+            Ok(())
         }
     }
 
     impl Transport for ReactorIo {
-        fn shutdown(&self, how: Shutdown) -> std::io::Result<()> {
-            self.inner.shutdown(how)
+        fn set_op_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+            self.op_timeout = timeout;
+            // Pushed down to the kernel as well, which enforces it while
+            // the fd still blocks.
+            self.stream.set_read_timeout(timeout)?;
+            self.stream.set_write_timeout(timeout)
         }
-        fn peer_addr(&self) -> std::io::Result<SocketAddr> {
-            self.inner.peer_addr()
-        }
-        fn shutdown_handle(&self) -> Option<TcpStream> {
-            self.inner.shutdown_handle()
-        }
-        fn set_op_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-            *self.op_timeout.lock() = timeout;
-            // Always pushed down as well: the kernel enforces it while the
-            // fd still blocks, and FaultyTransport mirrors it for its
-            // stall emulation.
-            self.inner.set_op_timeout(timeout)
-        }
-        fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-            self.passthrough.store(nonblocking, Ordering::Relaxed);
-            if self.parking.load(Ordering::Relaxed) {
+        fn set_nonblocking(&mut self, nonblocking: bool) -> std::io::Result<()> {
+            self.passthrough = nonblocking;
+            if self.parking {
                 // The fd never leaves non-blocking mode again; the flag
                 // alone decides whether WouldBlock surfaces.
                 Ok(())
             } else {
-                self.inner.set_nonblocking(nonblocking)
+                self.stream.set_nonblocking(nonblocking)
             }
         }
-        fn raw_fd(&self) -> Option<i32> {
-            Some(self.fd)
+        fn socket(&self) -> Option<&TcpStream> {
+            Some(&self.stream)
         }
     }
 
     impl Drop for ReactorIo {
         fn drop(&mut self) {
-            // Detach before `inner` drops and closes the fd: a closed fd
+            // Detach before `stream` drops and closes the fd: a closed fd
             // number can be reused by an unrelated socket immediately.
-            if let Some(r) = self.attached.lock().take() {
-                r.detach(self.fd);
+            if let Some(r) = self.attached.take() {
+                r.detach(self.fd());
             }
         }
     }

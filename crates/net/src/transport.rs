@@ -3,13 +3,19 @@
 //! [`RemoteSink`](crate::RemoteSink) / [`RemoteSource`](crate::RemoteSource)
 //! and the [`Acceptor`](crate::Acceptor) no longer talk to a raw
 //! `TcpStream`: they talk to a [`Transport`] produced by a
-//! [`TransportFactory`]. The default factory yields [`TcpTransport`]
-//! (exactly the old behaviour); tests and chaos drills use a
-//! [`FaultyFactory`] that wraps every connection in a [`FaultyTransport`]
-//! injecting **seeded, deterministic faults** — connection resets,
-//! read/write stalls, and connect-time refusals — from a schedule derived
-//! with a SplitMix64 generator, so a failure found under seed `s` replays
-//! under seed `s`.
+//! [`TransportFactory`]. The default factory, [`TcpFactory`], yields the
+//! socket with `rio`'s waits around it (waits that follow the caller); a
+//! [`FaultyFactory`] wraps that in a [`FaultyTransport`] injecting
+//! **seeded, deterministic faults** — connection resets, read/write
+//! stalls, and connect-time refusals — from a schedule derived with a
+//! SplitMix64 generator, so a failure found under seed `s` replays under
+//! seed `s`.
+//!
+//! A faulty connection is thus three layers, each built once by its
+//! factory: the endpoint's driver → [`FaultyTransport`] → `rio` → the
+//! socket. The fault layer sits above every wait, so one logical read or
+//! write is one step of its schedule, however many times `rio` parks and
+//! retries it underneath.
 //!
 //! The module also owns the [`ReconnectPolicy`] that governs how the
 //! endpoints react to a transport fault (see `remote.rs` for the
@@ -25,7 +31,7 @@ use kpn_core::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,94 +39,46 @@ use std::time::Duration;
 pub use kpn_core::sim::SplitMix64;
 
 // ---------------------------------------------------------------------------
-// Transport trait + TCP implementation
+// Transport trait
 // ---------------------------------------------------------------------------
 
-/// A bidirectional byte transport under one channel endpoint.
+/// A bidirectional byte transport under one channel endpoint, which owns
+/// it alone.
 ///
-/// `Read`/`Write` carry the framed channel traffic; the extra methods are
-/// the socket-control surface the endpoints need for interruption
-/// (out-of-band shutdown from an abort hook), reconnection handshakes
-/// (temporary read timeouts), and opportunistic ack draining (nonblocking
-/// reads on the write side).
+/// `Read`/`Write` carry the framed channel traffic. Beyond them an endpoint
+/// sets temporary read timeouts (reconnection handshakes) and nonblocking
+/// reads (draining acks without waiting for more), and reaches the socket
+/// underneath: to shut it, to read its peer's address, and to hand an
+/// *abort hook* a second handle that wakes blocked I/O from another thread.
 pub trait Transport: Read + Write + Send {
-    /// Shuts down the underlying connection (both directions or one).
-    fn shutdown(&self, how: Shutdown) -> std::io::Result<()>;
-    /// The remote peer's address.
-    fn peer_addr(&self) -> std::io::Result<SocketAddr>;
-    /// A second OS handle to the same connection that an *abort hook* can
-    /// use to shut it down from another thread, waking any blocked I/O.
-    fn shutdown_handle(&self) -> Option<TcpStream>;
     /// Applies a read+write timeout to subsequent blocking operations
     /// (`None` restores fully blocking I/O).
-    fn set_op_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
-    /// Toggles nonblocking mode (used to drain pending acks without
-    /// waiting for more).
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()>;
-    /// The raw OS file descriptor backing this transport, for readiness
-    /// registration with a pooled executor's reactor (see `rio`). `None`
-    /// when the transport is not socket-backed; it is then used as is and
-    /// every wait blocks the calling thread.
-    fn raw_fd(&self) -> Option<i32> {
-        None
+    fn set_op_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()>;
+    /// Toggles nonblocking mode.
+    fn set_nonblocking(&mut self, nonblocking: bool) -> std::io::Result<()>;
+    /// The socket underneath, if the transport has one.
+    fn socket(&self) -> Option<&TcpStream>;
+}
+
+/// A bare socket: what [`TcpFactory`] yields off Linux x86_64, where no
+/// fiber parks and `rio` has nothing to add.
+impl Transport for TcpStream {
+    fn set_op_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.set_read_timeout(timeout)?;
+        self.set_write_timeout(timeout)
     }
-    /// Re-attempts a read the caller has *already* started: identical to
-    /// a plain `read`, except fault-injecting transports do not advance
-    /// their schedule. The fiber-parking wrapper (`rio`) charges one fault
-    /// step on the first attempt of each logical operation and retries
-    /// through this after every readiness wakeup — so a blocking read (one
-    /// call, one step) and a park-and-retry read (one charged call plus
-    /// any number of retries) consume fault schedules at exactly the same
-    /// op counts, which the chaos determinacy oracle compares across
-    /// executors.
-    fn retry_read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.read(buf)
+    fn set_nonblocking(&mut self, nonblocking: bool) -> std::io::Result<()> {
+        TcpStream::set_nonblocking(self, nonblocking)
     }
-    /// Write-side counterpart of [`Transport::retry_read`].
-    fn retry_write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.write(buf)
+    fn socket(&self) -> Option<&TcpStream> {
+        Some(self)
     }
 }
 
-/// The production transport: a plain `TcpStream` with `TCP_NODELAY`.
-pub struct TcpTransport(pub(crate) TcpStream);
-
-impl Read for TcpTransport {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.0.read(buf)
-    }
-}
-
-impl Write for TcpTransport {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.write(buf)
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.0.flush()
-    }
-}
-
-impl Transport for TcpTransport {
-    fn shutdown(&self, how: Shutdown) -> std::io::Result<()> {
-        self.0.shutdown(how)
-    }
-    fn peer_addr(&self) -> std::io::Result<SocketAddr> {
-        self.0.peer_addr()
-    }
-    fn shutdown_handle(&self) -> Option<TcpStream> {
-        self.0.try_clone().ok()
-    }
-    fn set_op_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.0.set_read_timeout(timeout)?;
-        self.0.set_write_timeout(timeout)
-    }
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        self.0.set_nonblocking(nonblocking)
-    }
-    #[cfg(unix)]
-    fn raw_fd(&self) -> Option<i32> {
-        use std::os::fd::AsRawFd;
-        Some(self.0.as_raw_fd())
+/// Shuts the socket under `t`, if it has one, the `how` way.
+pub(crate) fn shutdown(t: &dyn Transport, how: Shutdown) {
+    if let Some(socket) = t.socket() {
+        let _ = socket.shutdown(how);
     }
 }
 
@@ -134,17 +92,18 @@ pub trait TransportFactory: Send + Sync {
     fn wrap_accepted(&self, stream: TcpStream, token: u64) -> Box<dyn Transport>;
 }
 
-/// The default factory: plain TCP.
+/// The default factory: plain TCP, `TCP_NODELAY`, with waits that follow
+/// the caller (`rio`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TcpFactory;
 
 impl TransportFactory for TcpFactory {
     fn connect(&self, addr: &str, token: u64) -> Result<Box<dyn Transport>> {
         let stream = crate::acceptor::connect_data(addr, token)?;
-        Ok(Box::new(TcpTransport(stream)))
+        Ok(crate::rio::wrap(stream))
     }
     fn wrap_accepted(&self, stream: TcpStream, _token: u64) -> Box<dyn Transport> {
-        Box::new(TcpTransport(stream))
+        crate::rio::wrap(stream)
     }
 }
 
@@ -256,7 +215,9 @@ impl FaultPlan {
     }
 }
 
-/// A transport that injects faults from its connection's schedule.
+/// A transport that injects faults from its connection's schedule: one
+/// step per read or write it is asked for, above the waits of the
+/// transport it wraps.
 pub struct FaultyTransport {
     inner: Box<dyn Transport>,
     plan: Arc<FaultPlan>,
@@ -265,7 +226,7 @@ pub struct FaultyTransport {
     next_fault: u64,
     /// Mirrors the endpoint's configured op timeout so a stall longer than
     /// it yields the `TimedOut` the endpoint would see from the kernel.
-    op_timeout: Mutex<Option<Duration>>,
+    op_timeout: Option<Duration>,
     dead: bool,
 }
 
@@ -280,7 +241,7 @@ impl FaultyTransport {
             rng,
             ops: 0,
             next_fault,
-            op_timeout: Mutex::new(None),
+            op_timeout: None,
             dead: false,
         }
     }
@@ -307,8 +268,7 @@ impl FaultyTransport {
         self.next_fault = self.ops + draw_gap(&mut self.rng, profile.mean_ops_between_faults);
         let stall = profile.stall_ratio > 0 && self.rng.below(profile.stall_ratio as u64) == 0;
         if stall {
-            let limit = *self.op_timeout.lock();
-            match limit {
+            match self.op_timeout {
                 Some(t) if t < profile.stall => {
                     // The endpoint's op timeout expires mid-stall: emulate
                     // the kernel surfacing a timeout.
@@ -322,7 +282,7 @@ impl FaultyTransport {
             }
         }
         self.dead = true;
-        let _ = self.inner.shutdown(Shutdown::Both);
+        shutdown(&*self.inner, Shutdown::Both);
         self.alive()
     }
 }
@@ -354,35 +314,15 @@ impl Write for FaultyTransport {
 }
 
 impl Transport for FaultyTransport {
-    fn shutdown(&self, how: Shutdown) -> std::io::Result<()> {
-        self.inner.shutdown(how)
-    }
-    fn peer_addr(&self) -> std::io::Result<SocketAddr> {
-        self.inner.peer_addr()
-    }
-    fn shutdown_handle(&self) -> Option<TcpStream> {
-        self.inner.shutdown_handle()
-    }
-    fn set_op_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        *self.op_timeout.lock() = timeout;
+    fn set_op_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.op_timeout = timeout;
         self.inner.set_op_timeout(timeout)
     }
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+    fn set_nonblocking(&mut self, nonblocking: bool) -> std::io::Result<()> {
         self.inner.set_nonblocking(nonblocking)
     }
-    fn raw_fd(&self) -> Option<i32> {
-        self.inner.raw_fd()
-    }
-    fn retry_read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        // A retry of a logical op that was charged on its first attempt:
-        // keep the dead-connection semantics but leave the fault schedule
-        // alone, so plans fire at the same op counts as blocking reads.
-        self.alive()?;
-        self.inner.retry_read(buf)
-    }
-    fn retry_write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.alive()?;
-        self.inner.retry_write(buf)
+    fn socket(&self) -> Option<&TcpStream> {
+        self.inner.socket()
     }
 }
 
@@ -615,6 +555,57 @@ mod tests {
         }
         assert_eq!(taken, 3);
         assert_eq!(plan.injected(), 3);
+    }
+
+    /// On an OS thread and on a pooled fiber, a read through a
+    /// [`FaultyTransport`] over `rio` that waits several monitor periods
+    /// for its data (one `poll` or one park each) is one step of the
+    /// fault schedule: the fault layer sits above every wait.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn a_read_that_waits_many_times_is_one_fault_step() {
+        use kpn_core::monitor::MONITOR_TICK;
+        use kpn_core::{Exec, Network, NetworkConfig, PooledExec, ThreadExec};
+        const PERIODS: u32 = 5;
+        let quiet = FaultProfile {
+            mean_ops_between_faults: 1 << 20,
+            max_faults: 0,
+            ..Default::default()
+        };
+        for pooled in [false, true] {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let socket = crate::rio::wrap(listener.accept().unwrap().0);
+            let mut faulty = FaultyTransport::new(socket, FaultPlan::new(1, quiet.clone()), 1, 0);
+            let pool = PooledExec::new(1);
+            let exec: Arc<dyn Exec> = match pooled {
+                true => pool.clone(),
+                false => ThreadExec::new(),
+            };
+            // A process of a network: its wait ticks the network's
+            // monitor, so it waits one period at a time.
+            let net = Network::with_exec(NetworkConfig::default(), exec);
+            let (tx, rx) = std::sync::mpsc::channel();
+            net.add_fn("reader", move |_| {
+                let mut byte = [0u8; 1];
+                faulty.read_exact(&mut byte)?;
+                tx.send(faulty.ops).unwrap();
+                Ok(())
+            });
+            let start = std::time::Instant::now();
+            net.start();
+            std::thread::sleep(MONITOR_TICK * PERIODS);
+            peer.write_all(&[7]).unwrap();
+            net.join().unwrap();
+            assert!(start.elapsed() >= MONITOR_TICK * PERIODS);
+            assert_eq!(rx.recv().unwrap(), 1, "pooled: {pooled}");
+            if pooled {
+                let reactor = pool.scheduler_stats().unwrap().reactor.unwrap();
+                let parks = reactor.timer_wakeups;
+                assert!(parks >= PERIODS as u64 - 2, "{parks} timed parks");
+            }
+            pool.shutdown();
+        }
     }
 
     #[test]

@@ -418,6 +418,10 @@ const DOT_CHARS: &[char] = &[
     '9', '_', 'é', '\0',
 ];
 
+/// Characters a quoted graph name is drawn from: `\` and `"` escaped or
+/// not, and two that are plain only inside quotes.
+const NAME_CHARS: &[char] = &['a', ' ', '{', '"', '\\'];
+
 /// Huge node ids: one past `u32`, one past `usize`.
 const HUGE_IDS: [&str; 2] = ["4294967296", "99999999999999999999999"];
 
@@ -425,18 +429,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Hostile DOT text: arbitrary strings, strings of DOT's own
-    /// characters, and `to_dot` output damaged token by token (an id
-    /// dropped, duplicated or made huge, a brace or an `--` removed). Each
-    /// parse is an `Ok` or an `Err`, never a panic, and a graph it does
-    /// accept round-trips like any other.
+    /// characters, and `to_dot` output under a hostile quoted name, as is
+    /// and damaged token by token (an id dropped, duplicated or made huge, a
+    /// brace or an `--` removed). Each parse is an `Ok` or an `Err`, never a
+    /// panic, and a graph it does accept round-trips like any other.
     #[test]
     fn dot_import_survives_hostile_text(
         g in topology_strategy(),
         chars in proptest::collection::vec(any::<char>(), 0..48),
         picks in proptest::collection::vec(0..DOT_CHARS.len(), 0..48),
+        name in proptest::collection::vec(0..NAME_CHARS.len(), 0..8),
         edits in proptest::collection::vec((0u8..4, any::<usize>()), 1..6),
     ) {
         let mut tokens: Vec<String> = g.to_dot().split_whitespace().map(String::from).collect();
+        tokens[1] = format!("\"{}\"", name.iter().map(|&i| NAME_CHARS[i]).collect::<String>());
+        let named = tokens.join(" ");
         for (edit, at) in edits {
             let i = at % tokens.len();
             let digit = |t: &String| t.starts_with(|c: char| c.is_ascii_digit());
@@ -456,6 +463,7 @@ proptest! {
         let texts = [
             chars.iter().collect::<String>(),
             picks.iter().map(|&i| DOT_CHARS[i]).collect(),
+            named,
             tokens.join(" "),
         ];
         for text in texts {

@@ -3,11 +3,9 @@
 //! reactor, one made from an OS thread blocks it), and Kahn determinacy
 //! says that must be invisible — under a pinned fault seed the channel
 //! histories have to come out bit-identical whichever executor ran the
-//! relay processes. The `Transport::retry_read`/`retry_write` cadence
-//! contract is what makes this hold with fault injection in the stack:
-//! one logical operation charges one fault-schedule step whether it is a
-//! single blocking syscall or a park-and-retry loop, so a pinned seed's
-//! faults land on the same operations.
+//! relay processes. The fault layer sits above `rio`'s waits, so one
+//! operation charges one fault-schedule step whether it is a single
+//! blocking syscall or a park-and-retry loop underneath.
 //!
 //! Each run builds its own relay — client → `Identity` on "server" 0 →
 //! `Identity` on "server" 1 → client, every hop a remote channel — out of
