@@ -504,10 +504,12 @@ impl Waiter {
             Who::Thread(t) => t.unpark(),
             // Its worker finds the slot empty and runs it again.
             Who::Switching => {}
-            Who::Fiber(f) => (exec as &dyn Any)
-                .downcast_ref::<PooledExec>()
-                .expect("a fiber waits in a slot of its own pool's channel")
-                .dispatch_unparked(std::iter::once(f)),
+            Who::Fiber(f) => {
+                (exec as &dyn Any)
+                    .downcast_ref::<PooledExec>()
+                    .expect("a fiber waits in a slot of its own pool's channel")
+                    .dispatch_unparked(std::iter::once(f), fiber::on_fiber());
+            }
             Who::Keyed(e) => e.unpark_all(key),
         }
     }
@@ -568,8 +570,12 @@ pub trait Exec: Any + Send + Sync {
     /// for it. Callable from any thread.
     fn unpark_all(&self, key: usize);
 
-    /// A voluntary scheduling point. No-op for preemptive executors; the
-    /// simulation uses it to interleave at every channel operation.
+    /// A voluntary scheduling point, passed by every channel operation and
+    /// by every socket operation of `kpn-net`'s `rio` that did not wait.
+    /// [`ThreadExec`] ignores it (the kernel preempts its threads); the
+    /// simulation may switch tasks at each one; a [`PooledExec`] fiber
+    /// counts it as a tick of its worker and, at a fair tick, yields if
+    /// work waits for that worker (see [`PooledExec`]'s scheduling).
     fn yield_point(&self);
 
     /// Release tasks held at a start barrier, if the executor has one.
@@ -795,6 +801,7 @@ pub(crate) fn set_current(locals: Option<Arc<TaskLocals>>) -> Option<Arc<TaskLoc
 /// Swap `locals` with the current task on this thread: a pooled worker
 /// moves a fiber's identity in before running it and back out after, and
 /// no reference count changes hands.
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 pub(crate) fn swap_current(locals: &mut Option<Arc<TaskLocals>>) {
     CURRENT.with(|c| std::mem::swap(&mut *c.borrow_mut(), locals));
 }

@@ -13,16 +13,38 @@
 //!    running on a worker unparks another fiber (a writer filling the
 //!    channel its reader is parked on), the woken fiber lands here and runs
 //!    *next* on the same worker: the channel state it is about to touch is
-//!    still in cache, and no lock is taken. A budget of [`HOT_BUDGET`]
-//!    consecutive hot dispatches bounds starvation of the other queues.
+//!    still in cache, and no lock is taken.
 //! 2. **Run queue** — a `VecDeque` under a lock of its own ([`RunQueue`]),
 //!    LIFO for the owner, stolen oldest half first by idle workers. It has
 //!    no capacity: it holds at most the pool's live fibers.
 //! 3. **Injector** — a global `VecDeque` under the central mutex, fed by
 //!    `spawn` and by unparks from threads that are not workers of this
-//!    pool. Workers poll it on a fair tick
-//!    (every [`FAIR_TICK`]-th dispatch, and before stealing) so injected
-//!    work cannot starve behind a busy local queue.
+//!    pool.
+//!
+//! ## One fair tick per worker
+//!
+//! A pool cannot preempt, so it builds fairness from one count per worker:
+//! its ticks, each dispatch and each [`Exec::yield_point`] a fiber passes
+//! on it (every channel operation, and every socket operation of
+//! `kpn-net`'s `rio` that did not wait). Every [`FAIR_TICK`]-th tick polls
+//! the reactor and looks at the injector:
+//! - *at a dispatch*, the worker then takes the injector and its run
+//!   queue before its hot slot, so neither a ready socket's fiber nor
+//!   injected work starves behind two fibers ping-ponging through the hot
+//!   slot;
+//! - *at a yield point*, the running fiber yields only if that found work
+//!   for this worker: the poll readied a fiber, or the injector or the run
+//!   queue holds one (injected work moves to the run queue). It goes
+//!   behind the newest entry of its run queue, the work the worker takes
+//!   next, and so resumes soon: sent behind every entry, a fiber of a
+//!   4 096-process gossip that yielded mid-round held its neighbours up
+//!   for the whole queue (`dist_gossip` read −23 %). A fiber that
+//!   streams through a socket that never fills therefore lets its node's
+//!   accept loop and control sessions run, and one that finds no work
+//!   waiting keeps its worker: no park, no timer.
+//!
+//! The tick after a fair one is never fair, so the dispatch that follows
+//! a yield runs the work the yield was for.
 //!
 //! An idle worker steals: it sweeps the other workers' run queues (taking
 //! the older half of the victim's queue on success), then their hot slots.
@@ -85,14 +107,10 @@ use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-/// Consecutive hot-slot dispatches allowed before the worker gives its
-/// run queue and the injector a turn. Bounds latency for cold work while
-/// keeping producer→consumer chains on the fast path.
-const HOT_BUDGET: u32 = 32;
-
-/// Every FAIR_TICK-th dispatch drains the reactor and the injector before
-/// local work, so a ready socket's fiber and globally submitted fibers make
-/// progress even on a saturated worker. Prime, so the fair tick does not
+/// Every FAIR_TICK-th tick of a worker (a dispatch or a fiber's yield
+/// point) polls the reactor and looks at the injector before local work,
+/// so a ready socket's fiber and globally submitted fibers make progress
+/// even on a saturated worker. Prime, so the fair tick does not
 /// phase-lock with request patterns.
 const FAIR_TICK: u64 = 61;
 
@@ -195,6 +213,15 @@ impl<T> RunQueue<T> {
         self.len.store(q.len(), Ordering::Relaxed);
     }
 
+    /// Owner only: queues `item` behind the newest item, to be popped
+    /// right after it.
+    fn push_behind_newest(&self, item: T) {
+        let mut q = self.queue.lock();
+        let at = q.len().saturating_sub(1);
+        q.insert(at, item);
+        self.len.store(q.len(), Ordering::Relaxed);
+    }
+
     /// Owner only: the newest item.
     fn pop(&self) -> Option<T> {
         if self.len() == 0 {
@@ -228,6 +255,9 @@ struct WorkerSlot {
     /// only by the owning worker; drained by the owner *or* by thieves
     /// (atomic swap either way, so ownership transfer is race-free).
     hot: AtomicPtr<fiber::Fiber>,
+    /// The worker's ticks: its dispatches and the yield points its fibers
+    /// pass. Written only by the worker, or by a fiber running on it.
+    ticks: AtomicU64,
     stats: WorkerCounters,
 }
 
@@ -236,6 +266,7 @@ impl WorkerSlot {
         WorkerSlot {
             queue: RunQueue::new(),
             hot: AtomicPtr::new(std::ptr::null_mut()),
+            ticks: AtomicU64::new(0),
             stats: WorkerCounters::default(),
         }
     }
@@ -262,6 +293,13 @@ impl WorkerSlot {
             // `put_hot` stored, and the swap handed it to this thread alone.
             Some(unsafe { Box::from_raw(old) })
         }
+    }
+
+    /// Counts one tick of this slot's worker, and answers whether it is a
+    /// fair one.
+    fn tick(&self) -> bool {
+        bump(&self.ticks);
+        self.ticks.load(Ordering::Relaxed).is_multiple_of(FAIR_TICK)
     }
 
     fn hot_occupied(&self) -> bool {
@@ -448,10 +486,8 @@ impl PooledExec {
         let mut worker_ctx: usize = 0;
         fiber::set_worker_ctx(&mut worker_ctx as *mut usize);
         WORKER_ID.with(|c| c.set(Some((Arc::as_ptr(&self) as usize, slot))));
-        let mut hot_streak: u32 = 0;
-        let mut tick: u64 = 0;
         loop {
-            if let Some(f) = self.find_work(slot, &mut hot_streak, &mut tick) {
+            if let Some(f) = self.find_work(slot) {
                 self.run_fiber(f, slot, &mut worker_ctx);
             } else if self.park_worker(slot) {
                 WORKER_ID.with(|c| c.set(None));
@@ -461,51 +497,30 @@ impl PooledExec {
     }
 
     /// Next fiber to run, in cache-warmth order: hot slot, run queue,
-    /// injector, steal. The fair tick and the hot budget invert the order
-    /// so no source starves.
-    fn find_work(
-        &self,
-        slot: usize,
-        hot_streak: &mut u32,
-        tick: &mut u64,
-    ) -> Option<Box<fiber::Fiber>> {
-        *tick += 1;
+    /// injector, steal. A fair tick polls the reactor and takes the
+    /// injector and the run queue before the hot slot, so no source starves.
+    fn find_work(&self, slot: usize) -> Option<Box<fiber::Fiber>> {
         let me = &self.slots[slot];
-        let fair = tick.is_multiple_of(FAIR_TICK);
-        if !fair && *hot_streak < HOT_BUDGET {
-            if let Some(f) = me.take_hot() {
-                *hot_streak += 1;
-                bump(&me.stats.hot_hits);
-                return Some(f);
-            }
-        } else if fair {
-            // Fair tick: reactor readiness and global work first, so a
-            // ready socket's fiber gets scheduled even on a worker that
-            // never goes idle.
+        if me.tick() {
             self.poll_reactor();
             if let Some(f) = self.pop_injector(slot) {
-                *hot_streak = 0;
                 return Some(f);
             }
+        } else if let Some(f) = me.take_hot() {
+            bump(&me.stats.hot_hits);
+            return Some(f);
         }
-        // Budget exhausted or hot slot empty: run queue, then injector,
-        // then the hot fiber after all (one bypass per HOT_BUDGET streak is
-        // enough to keep every queue draining).
         if let Some(f) = me.queue.pop() {
-            *hot_streak = 0;
             bump(&me.stats.local_pops);
             return Some(f);
         }
         if let Some(f) = self.pop_injector(slot) {
-            *hot_streak = 0;
             return Some(f);
         }
         if let Some(f) = me.take_hot() {
-            *hot_streak = 1;
             bump(&me.stats.hot_hits);
             return Some(f);
         }
-        *hot_streak = 0;
         self.steal_work(slot)
     }
 
@@ -620,23 +635,21 @@ impl PooledExec {
             self.busy.fetch_sub(1, Ordering::SeqCst);
             if let Some(f) = stale {
                 // This worker runs it next unless a hot fiber goes first.
-                self.enqueue_local(slot, f);
-                if self.slots[slot].hot_occupied() {
+                let me = &self.slots[slot];
+                me.queue.push([f]);
+                me.note_depth();
+                if me.hot_occupied() {
                     self.notify_work();
                 }
             }
             return;
         }
-        // Voluntary yield: requeue locally; this worker keeps running.
-        self.enqueue_local(slot, f);
-        self.busy.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Queue `f` on the caller's own run queue.
-    fn enqueue_local(&self, slot: usize, f: Box<fiber::Fiber>) {
+        // A yield (`yield_point`): behind the work its tick found, which
+        // this worker runs first.
         let me = &self.slots[slot];
-        me.queue.push([f]);
+        me.queue.push_behind_newest(f);
         me.note_depth();
+        self.busy.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Wake `whom` (see [`PoolState::wake_one`]) unless a worker is
@@ -762,9 +775,10 @@ impl PooledExec {
 
     /// Queue the fibers of park keys the reactor returned to this worker,
     /// as any unpark from a worker is: the first runs next here, the rest
-    /// are surplus.
-    fn take_ready(&self, keys: impl IntoIterator<Item = usize>) {
-        self.dispatch_unparked(keys.into_iter().flat_map(|k| self.waits.wake(k).fibers()));
+    /// are surplus. Answers whether there was a fiber.
+    fn take_ready(&self, keys: impl IntoIterator<Item = usize>) -> bool {
+        let fibers = keys.into_iter().flat_map(|k| self.waits.wake(k).fibers());
+        self.dispatch_unparked(fibers, false)
     }
 
     /// The reactor, if one has been instantiated (the net layer does that
@@ -774,13 +788,37 @@ impl PooledExec {
     }
 
     /// Drain socket readiness and expired timers into the run queues without
-    /// blocking. Runs at worker poll points (pre-sleep and the fair tick);
-    /// the pre-sleep call sits *before* the quiescence computation and the
-    /// Dekker rescan, so readiness observed here becomes visible queued
-    /// work and a ready socket can never fake an idle pool.
-    fn poll_reactor(&self) {
-        if let Some(r) = self.reactor_ref() {
-            self.take_ready(r.poll());
+    /// blocking, and answer whether that readied a fiber. Runs at worker
+    /// poll points (pre-sleep and the fair tick); the pre-sleep call sits
+    /// *before* the quiescence computation and the Dekker rescan, so
+    /// readiness observed here becomes visible queued work and a ready
+    /// socket can never fake an idle pool.
+    fn poll_reactor(&self) -> bool {
+        self.reactor_ref()
+            .is_some_and(|r| self.take_ready(r.poll()))
+    }
+
+    /// The slot of the calling worker, if it is a worker of this pool.
+    fn my_slot(&self) -> Option<usize> {
+        WORKER_ID
+            .with(|c| c.get())
+            .and_then(|(pool, i)| (pool == self as *const PooledExec as usize).then_some(i))
+    }
+
+    /// A fair tick at a yield point of a fiber on worker `slot`: polls the
+    /// reactor and moves injected work to the run queue, and if that found
+    /// work for this worker, the fiber yields to it (`run_fiber` queues it
+    /// behind). Out of line, so that the other ticks save no registers.
+    #[cold]
+    #[inline(never)]
+    fn fair_yield_point(&self, slot: usize) {
+        let me = &self.slots[slot];
+        let readied = self.poll_reactor();
+        if let Some(f) = self.pop_injector(slot) {
+            me.queue.push([f]);
+        }
+        if readied || me.queue.len() > 0 {
+            fiber::switch_to_worker();
         }
     }
 
@@ -789,27 +827,30 @@ impl PooledExec {
     /// consumer of data the waker just produced — the warmest possible
     /// dispatch) and the rest go to its run queue; a sleeper is woken only
     /// for that surplus, a displaced hot fiber or a second woken one. A fiber
-    /// that wakes a fiber while workers sleep and none of them sleeps
-    /// bounded makes the first surplus too: it may compute for as long as
-    /// it likes, and nobody would come for its hot slot meanwhile. Anything
+    /// that wakes a fiber and `goes_on` running while workers sleep and none
+    /// of them sleeps bounded makes the first surplus too: it may compute
+    /// for as long as it likes, and nobody would come for its hot slot
+    /// meanwhile. (A reactor poll does not go on: its worker dispatches
+    /// next, or its fiber yields to what it readied.) Anything
     /// else — foreign threads, other pools' fibers — goes through the
     /// injector and wakes one sleeper. No fiber, no work: nothing is locked
-    /// and nobody is woken.
-    pub(super) fn dispatch_unparked(&self, fibers: impl IntoIterator<Item = Box<fiber::Fiber>>) {
+    /// and nobody is woken. Answers whether there was a fiber.
+    pub(super) fn dispatch_unparked(
+        &self,
+        fibers: impl IntoIterator<Item = Box<fiber::Fiber>>,
+        goes_on: bool,
+    ) -> bool {
         let mut fibers = fibers.into_iter();
         let Some(first) = fibers.next() else {
-            return;
+            return false;
         };
-        let my_slot = WORKER_ID
-            .with(|c| c.get())
-            .and_then(|(pool, i)| (pool == self as *const PooledExec as usize).then_some(i));
-        match my_slot {
+        match self.my_slot() {
             Some(i) => {
                 let me = &self.slots[i];
                 // A fiber waker may compute for as long as it likes: with
                 // workers asleep and none of them bounded, nobody would
                 // come for its hot slot.
-                let unattended = fiber::on_fiber()
+                let unattended = goes_on
                     && self.parked_hint.load(Ordering::SeqCst) > 0
                     && self.bounded.load(Ordering::SeqCst) == 0;
                 let spare = if unattended {
@@ -841,6 +882,7 @@ impl PooledExec {
                 self.wake_unless_searching(wake);
             }
         }
+        true
     }
 }
 
@@ -908,12 +950,20 @@ impl Exec for PooledExec {
     }
 
     fn unpark_all(&self, key: usize) {
-        self.dispatch_unparked(self.waits.wake(key).fibers());
+        self.dispatch_unparked(self.waits.wake(key).fibers(), fiber::on_fiber());
     }
 
+    /// One tick of the worker a fiber of this pool runs on (module docs,
+    /// "One fair tick per worker"); anywhere else, nothing. Never inlined
+    /// (see `exec::park_fiber`): it reads which worker the fiber runs
+    /// on, which changes across a park.
+    #[inline(never)]
     fn yield_point(&self) {
-        // Kahn processes reschedule by blocking; forcing a fiber switch at
-        // every channel op would round-robin 10k fibers per op.
+        if let Some(slot) = self.my_slot() {
+            if self.slots[slot].tick() && fiber::on_fiber() {
+                self.fair_yield_point(slot);
+            }
+        }
     }
 
     fn shutdown(&self) {
@@ -998,6 +1048,14 @@ mod tests {
         assert_eq!(q.pop(), None);
         assert!(q.steal_half().is_empty());
         assert_eq!(checked_len(&q), 0);
+        q.push_behind_newest(8);
+        q.push([9, 10]);
+        q.push_behind_newest(11);
+        assert_eq!(checked_len(&q), 4);
+        assert_eq!(q.pop(), Some(10));
+        assert_eq!(q.pop(), Some(11), "pushed behind the newest, popped next");
+        assert_eq!(q.steal_half(), [8]);
+        assert_eq!(q.pop(), Some(9));
     }
 
     /// The owner pushes and pops while two thieves steal: every item is
@@ -1306,6 +1364,81 @@ mod tests {
         assert!(
             slept < Duration::from_millis(500),
             "a 10 ms sleep took {slept:?} while another worker was busy"
+        );
+        ex.shutdown();
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn a_looping_fiber_yields_only_to_work_waiting_for_its_worker() {
+        // One worker: a fiber that loops on yield points and never waits,
+        // beside one parked on a socket through the reactor. While nothing
+        // else wants the worker the looper keeps it, dispatched once; once
+        // the socket is readable, the parked fiber runs while the looper is
+        // still looping.
+        use std::io::{ErrorKind, Read, Write};
+        use std::os::fd::AsRawFd;
+        use std::os::unix::net::UnixStream;
+        use std::sync::atomic::AtomicBool;
+        let ex = PooledExec::new(1);
+        let reactor = ex.reactor().expect("a reactor where fibers exist");
+        let (mut tx, mut rx) = UnixStream::pair().unwrap();
+        rx.set_nonblocking(true).unwrap();
+        let armed = Arc::new(AtomicBool::new(false));
+        let looping = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (read_tx, read) = std::sync::mpsc::channel();
+        let (a, l, e) = (armed.clone(), looping.clone(), ex.clone());
+        ex.spawn(
+            "reader",
+            Box::new(move || {
+                let key = 0x9000;
+                loop {
+                    let token = e.park_token(key);
+                    match rx.read(&mut [0u8]) {
+                        Ok(1) => break,
+                        Err(err) if err.kind() == ErrorKind::WouldBlock => {}
+                        other => panic!("unexpected read: {other:?}"),
+                    }
+                    reactor
+                        .arm(rx.as_raw_fd(), key, reactor::Interest::Read)
+                        .unwrap();
+                    a.store(true, Ordering::SeqCst);
+                    e.park(key, token, None).unwrap();
+                }
+                reactor.detach(rx.as_raw_fd());
+                let _ = read_tx.send(l.load(Ordering::SeqCst));
+            }),
+        );
+        wait_until(30, "the reader waits on its socket", || {
+            armed.load(Ordering::SeqCst)
+        });
+        let passed = Arc::new(AtomicU64::new(0));
+        let (l, s, p, e) = (looping.clone(), stop.clone(), passed.clone(), ex.clone());
+        ex.spawn(
+            "looper",
+            Box::new(move || {
+                l.store(true, Ordering::SeqCst);
+                let cap = Instant::now() + Duration::from_secs(5);
+                while !s.load(Ordering::SeqCst) && Instant::now() < cap {
+                    e.yield_point();
+                    p.fetch_add(1, Ordering::Relaxed);
+                }
+                l.store(false, Ordering::SeqCst);
+            }),
+        );
+        wait_until(30, "the looper passes 100 fair ticks", || {
+            passed.load(Ordering::Relaxed) > 100 * FAIR_TICK
+        });
+        let switches = || ex.scheduler_stats().unwrap().totals().fiber_switches;
+        assert_eq!(switches(), 2, "with no work waiting, each fiber ran once");
+        tx.write_all(b"x").unwrap();
+        let looped_on = read.recv_timeout(Duration::from_secs(10));
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(
+            looped_on,
+            Ok(true),
+            "the reader ran while the looper was still looping"
         );
         ex.shutdown();
     }

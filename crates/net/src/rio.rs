@@ -54,6 +54,15 @@
 //! own: a pending connection is a slot woken through the waiter's
 //! executor, a back-off is `kpn_core::exec::sleep`.
 //!
+//! ## Where an operation meets the scheduler
+//!
+//! A pool cannot preempt a fiber that streams through a socket that never
+//! fills. So a fiber's socket operation that did not wait passes its
+//! executor's [`Exec::yield_point`](kpn_core::Exec::yield_point), as a
+//! channel operation does. Whether the fiber yields there is the pool's
+//! decision: it yields only when work waits for its worker. This module
+//! keeps no scheduling state.
+//!
 //! ## Where a wait meets the deadlock monitor
 //!
 //! This is also where a process's remote wait is registered with its
@@ -174,7 +183,6 @@ mod imp {
     use kpn_core::exec::current_monitor;
     use kpn_core::exec::reactor::{poll_fds, Interest, Reactor};
     use kpn_core::Exec;
-    use std::cell::Cell;
     use std::io::{ErrorKind, Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
@@ -220,44 +228,6 @@ mod imp {
         if let Some((_, reactor)) = parking_context() {
             reactor.detach(socket.as_raw_fd());
         }
-    }
-
-    /// How many socket operations that do not wait a worker may run, with
-    /// no socket wait in between, before the fiber making the next one
-    /// lets its pool's other tasks have the worker. A count, not a time: a
-    /// worker the kernel kept off its CPU has run nothing. The end of a
-    /// relay whose peer is always ahead never waits either, and yields on
-    /// a reactor timer each time, so the slice is long against a relay's
-    /// round trip; it is short against the run of a streaming pipeline,
-    /// whose node must answer its control sessions meanwhile.
-    const SLICE: u32 = 1024;
-
-    thread_local! {
-        /// Socket operations this worker has run since a fiber last came
-        /// back to it from a socket wait or a yield here. A fiber that
-        /// waits on a socket now and then (either end of a relay) keeps it
-        /// low for whatever else runs on its worker; only one that has
-        /// streamed [`SLICE`] operations with no such wait on its worker
-        /// yields.
-        static RAN: Cell<u32> = const { Cell::new(0) };
-    }
-
-    /// Restarts the calling worker's [`RAN`] count. Never inlined, nor is
-    /// [`slice_spent`]: a fiber may resume on another worker after any
-    /// park, and an inlined access may reuse the thread-local address it
-    /// computed before the park, which is the count of the worker it left.
-    #[inline(never)]
-    fn restart_slice() {
-        RAN.set(0);
-    }
-
-    /// Counts one more operation on the calling worker, and answers
-    /// whether that spends its [`SLICE`].
-    #[inline(never)]
-    fn slice_spent() -> bool {
-        let ran = RAN.get() + 1;
-        RAN.set(ran);
-        ran >= SLICE
     }
 
     /// A socket whose waits follow the caller (see the module docs).
@@ -406,6 +376,7 @@ mod imp {
                 self.parking = true;
             }
             let deadline = self.op_timeout.map(|d| Instant::now() + d);
+            let mut waited = false;
             loop {
                 match op(&mut self.stream) {
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -420,33 +391,22 @@ mod imp {
                             return Err(ErrorKind::TimedOut.into());
                         }
                         self.wait_ready(&parker, interest, deadline)?;
-                        restart_slice();
+                        waited = true;
                     }
                     r => {
-                        if let Some((exec, _)) = &parker {
-                            self.share_worker(exec);
+                        // An operation that did not wait is a yield point
+                        // of the fiber's pool, which may want the worker:
+                        // one streaming through a socket that never fills
+                        // would otherwise hold it for as long as it
+                        // streams, and with it, on a node, the accept loop
+                        // and the control sessions.
+                        if let (false, Some((exec, _))) = (waited, &parker) {
+                            exec.yield_point();
                         }
                         return r;
                     }
                 }
             }
-        }
-
-        /// Once its worker has run [`SLICE`] socket operations without a
-        /// socket wait, parks the calling fiber until its pool next polls
-        /// its reactor: one that streams through a socket that never fills
-        /// would otherwise hold its worker for as long as it streams, and
-        /// with it whatever else the pool runs — on a node, the accept loop
-        /// and the control sessions. A yield, not a wait: nothing registers
-        /// with a monitor.
-        fn share_worker(&self, exec: &Arc<dyn Exec>) {
-            if !slice_spent() {
-                return;
-            }
-            let key = self.key();
-            let token = exec.park_token(key);
-            let _ = exec.park(key, token, Some(Instant::now()));
-            restart_slice();
         }
     }
 

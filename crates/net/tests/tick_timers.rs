@@ -25,10 +25,10 @@ const ENDPOINTS: u64 = 4;
 /// Runs `ROUND_TRIPS` one-token round trips from a client through an
 /// `Identity` and back, over two loopback sockets, on a pool of `workers`,
 /// and checks the pool's reactor fired no more timers than one per
-/// endpoint per period, plus two. `rio`'s time slice adds few: it counts
-/// socket operations with no socket wait between them, so a relay end
-/// yields on a timer of its own only once per slice of 1 024, and only when
-/// its peer is always ahead and it never waits.
+/// endpoint per period, plus two. A relay end whose peer is always ahead
+/// never waits, and arms no timer either: its operations pass the pool's
+/// yield point, which yields the fiber only to work waiting for its worker,
+/// without a park on a timer.
 fn a_socket_relay_leaves_no_timer_per_hop(workers: usize, tokens: (u64, u64)) {
     let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let pool = PooledExec::new(workers);
