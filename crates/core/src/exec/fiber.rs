@@ -1,5 +1,6 @@
 //! Stackful fibers (Linux x86_64): the continuations behind
-//! [`super::PooledExec`], with a thread-per-task fallback shim elsewhere.
+//! [`super::PooledExec`] and the simulation's tasks, with a thread-backed
+//! fallback elsewhere that only the simulation uses.
 //!
 //! The gate is the readiness reactor's (`super::reactor`), not merely the
 //! context-switch assembly's: a fiber that waits on a socket must be able
@@ -258,36 +259,108 @@ mod imp {
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
 mod imp {
-    //! Fallback for targets without fibers: the pooled executor degrades
-    //! to thread-per-task (see
-    //! [`crate::exec::PooledExec`]), so no fiber is ever constructed.
+    //! Fallback for targets without fibers: a `Fiber` backed by an OS
+    //! thread of its own, with the same API. A baton passes between the
+    //! thread that runs the fiber and the fiber's thread, so exactly one of
+    //! them runs at a time, as with a stack switch. Only the simulation
+    //! constructs one; the pooled executor runs each task on a thread of
+    //! its own instead (see [`crate::exec::PooledExec`]).
 
-    use super::super::ParkRequest;
-    use std::cell::Cell;
+    use super::super::{set_current, ParkRequest, TaskLocals};
+    use std::cell::{Cell, RefCell};
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::Arc;
+
+    /// The baton coming back: the park request the fiber switched out with
+    /// (`PARK_REQUEST` crosses threads here), and whether it finished.
+    type Back = (Option<ParkRequest>, bool);
 
     pub(in crate::exec) struct Fiber {
+        resume: Sender<()>,
+        back: Receiver<Back>,
+        /// The task and the fiber's ends of the baton, until the first run
+        /// starts its thread.
+        start: Option<(
+            Arc<TaskLocals>,
+            Box<dyn FnOnce() + Send>,
+            Receiver<()>,
+            Sender<Back>,
+        )>,
         pub(in crate::exec) done: bool,
     }
 
     impl Fiber {
+        pub(in crate::exec) fn new(
+            locals: Arc<TaskLocals>,
+            entry: Box<dyn FnOnce() + Send>,
+        ) -> Box<Fiber> {
+            let (resume, resumed) = channel();
+            let (hand_back, back) = channel();
+            let start = Some((locals, entry, resumed, hand_back));
+            Box::new(Fiber {
+                resume,
+                back,
+                start,
+                done: false,
+            })
+        }
+
+        /// Runs the fiber until it parks, yields, or finishes; what it
+        /// asked for is left in this thread's `PARK_REQUEST`.
         pub(in crate::exec) fn run(&mut self, _worker_ctx: &mut usize) {
-            unreachable!("fibers are not constructed on this target")
+            if let Some((locals, entry, resumed, hand_back)) = self.start.take() {
+                std::thread::Builder::new()
+                    .name(format!("kpn:{}", locals.name))
+                    .spawn(move || {
+                        set_current(Some(locals));
+                        let _ = resumed.recv();
+                        let end = hand_back.clone();
+                        BATON.with(|b| *b.borrow_mut() = Some((resumed, hand_back)));
+                        // As on a real fiber: the network's spawn wrapper
+                        // records the panic, this is the backstop.
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(entry));
+                        let _ = end.send((None, true));
+                    })
+                    .expect("spawn a fiber's thread");
+            }
+            let _ = self.resume.send(());
+            let (request, done) = self
+                .back
+                .recv()
+                .expect("a fiber's thread hands the baton back");
+            PARK_REQUEST.with(|c| c.set(request));
+            self.done = done;
         }
     }
 
     thread_local! {
         pub(in crate::exec) static PARK_REQUEST: Cell<Option<ParkRequest>> =
             const { Cell::new(None) };
+        /// The fiber's ends of the baton, on the thread that backs it.
+        static BATON: RefCell<Option<(Receiver<()>, Sender<Back>)>> = const { RefCell::new(None) };
     }
 
     pub(in crate::exec) fn on_fiber() -> bool {
-        false
+        BATON.with(|b| b.borrow().is_some())
     }
 
     pub(in crate::exec) fn set_worker_ctx(_slot: *mut usize) {}
 
+    /// Hands the baton back, with the park request the caller set, and
+    /// waits until the fiber is resumed. A fiber dropped unfinished is
+    /// never resumed, and its thread waits here for good, as a switched-out
+    /// fiber's stack values leak.
     pub(in crate::exec) fn switch_to_worker() {
-        unreachable!("fibers are not constructed on this target")
+        BATON.with(|b| {
+            let b = b.borrow();
+            let (resumed, hand_back) = b.as_ref().expect("switch_to_worker outside a fiber");
+            let _ = hand_back.send((PARK_REQUEST.with(|c| c.take()), false));
+            if resumed.recv().is_err() {
+                loop {
+                    std::thread::park();
+                }
+            }
+        });
     }
 }
 

@@ -10,7 +10,8 @@
 //! * [`ThreadExec`] — the paper's shape: one OS thread per process, keyed
 //!   condvar parking;
 //! * `SimExec` (internal, built from a [`crate::sim::SimScheduler`]) — the
-//!   PR-3 deterministic scheduler, now just another executor;
+//!   PR-3 deterministic scheduler, now just another executor: its tasks
+//!   are fibers, switched in one at a time by one thread per run;
 //! * [`PooledExec`] — M:N execution: many processes multiplexed onto a
 //!   fixed worker pool with per-worker work-stealing run queues, blocked
 //!   channel operations converted into parked stackful continuations, so a
@@ -19,7 +20,8 @@
 //! The module splits by executor: [`mod@self`] holds the trait, task
 //! identity, and [`ExecMode`]; `thread.rs`, `sim.rs`, and `pooled.rs` hold
 //! the three implementations, the pooled scheduler's run queues among them;
-//! `fiber.rs` holds its stackful continuations.
+//! `fiber.rs` holds the stackful continuations that the pool and the
+//! simulator switch between.
 //!
 //! ## How a task waits
 //!
@@ -81,9 +83,8 @@
 //! thread-local by whichever worker is currently running it.
 
 // Fibers exist on Linux x86_64 only; elsewhere the pool runs each task on a
-// thread of its own and the scheduler behind these two modules is
-// compiled but unreachable.
-#[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64", not(miri))), allow(dead_code))]
+// thread of its own and its scheduler is compiled but unreachable (the
+// simulator's fibers are backed by threads there, see `fiber.rs`).
 pub(crate) mod fiber;
 #[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64", not(miri))), allow(dead_code))]
 mod pooled;
@@ -346,8 +347,8 @@ enum Who {
     Switching,
     /// That fiber, filed.
     Fiber(Box<fiber::Fiber>),
-    /// A task in this executor's keyed park: a simulation's task, whose
-    /// every park is a scheduling decision, or a fiber of another
+    /// A task in this executor's keyed park: a simulation's task (a fiber
+    /// whose every park is a scheduling decision), or a fiber of another
     /// executor, which parks only on its own.
     Keyed(Arc<dyn Exec>),
 }
@@ -372,20 +373,21 @@ enum Park {
 }
 
 /// The calling task about to wait on a side of a channel of `exec`, read
-/// once per wait. A fiber of `exec`'s pool parks in the slot; a fiber of
-/// another executor can park only on its own, by key; so does a task of a
-/// simulation, whose parks the scheduler decides (a foreign thread's wait
-/// on a simulation's channel is refused there); any other thread parks
-/// itself. Never inlined (see [`park_fiber`]).
+/// once per wait. A fiber of `exec`'s pool parks in the slot; any other
+/// fiber can park only on its own executor, by key: a fiber of another
+/// executor, and a task of a simulation, whose parks the scheduler decides
+/// (a foreign thread's wait on a simulation's channel is refused there);
+/// any other thread parks itself. Never inlined (see [`park_fiber`]).
 #[inline(never)]
 pub(crate) fn waiting_on(exec: &Arc<dyn Exec>) -> Waiting {
     let on_fiber = fiber::on_fiber();
+    let sim = || (&**exec as &dyn Any).is::<SimExec>();
     with_current(|l| {
         let own = std::ptr::addr_eq(l.exec.as_ptr(), Arc::as_ptr(exec));
         let park = match (on_fiber, own) {
-            (true, true) => Park::Fiber,
-            (true, false) => Park::Keyed(l.exec.upgrade().unwrap_or_else(|| exec.clone())),
-            _ if (&**exec as &dyn Any).is::<SimExec>() => Park::Keyed(exec.clone()),
+            (true, true) if !sim() => Park::Fiber,
+            (true, _) => Park::Keyed(l.exec.upgrade().unwrap_or_else(|| exec.clone())),
+            _ if sim() => Park::Keyed(exec.clone()),
             _ => Park::Thread,
         };
         Waiting {

@@ -302,15 +302,26 @@ impl NetworkHandle {
                     Ok(Ok(())) => {}
                     Ok(Err(e)) if e.is_graceful() => {}
                     Ok(Err(e)) => task_inner.errors.lock().push((task_name, e)),
-                    Err(_) => task_inner
-                        .errors
-                        .lock()
-                        .push((task_name, Error::Graph("process panicked".into()))),
+                    Err(panic) => {
+                        let text = panic
+                            .downcast_ref::<&str>()
+                            .copied()
+                            .or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+                        let why = match text {
+                            Some(text) => format!("process panicked: {text}"),
+                            None => "process panicked".into(),
+                        };
+                        task_inner
+                            .errors
+                            .lock()
+                            .push((task_name, Error::Graph(why)))
+                    }
                 }
                 // Finish bookkeeping before the task body returns: under sim
-                // the scheduler's run token is still held here, so the
-                // monitor's end-of-process deadlock check runs under the same
-                // serialization as everything else.
+                // this task is still the one the scheduler switched into, so
+                // the monitor's end-of-process deadlock check runs under the
+                // same serialization as everything else. A task unwound by
+                // an irreducible quiescence gets here too, one at a time.
                 task_inner.monitor.process_finished();
                 let joiners = {
                     let mut active = task_inner.active.lock();
@@ -764,6 +775,19 @@ mod tests {
         net.start();
         let err = net.join().unwrap_err();
         assert!(err.to_string().contains("panicker"));
+    }
+
+    #[test]
+    fn a_panicking_process_keeps_its_message() {
+        let marker = "the-panic-marker-7f3a";
+        let net = Network::new();
+        net.add_fn("literal", move |_| panic!("the-panic-marker-7f3a"));
+        net.add_fn("formatted", move |_| panic!("{marker}: {}", 42));
+        let err = net.run().unwrap_err().to_string();
+        let literal = format!("literal: graph error: process panicked: {marker}");
+        let formatted = format!("formatted: graph error: process panicked: {marker}: 42");
+        assert!(err.contains(&literal), "{err}");
+        assert!(err.contains(&formatted), "{err}");
     }
 
     #[test]

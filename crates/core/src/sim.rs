@@ -1,13 +1,13 @@
-//! Deterministic simulation: run a whole process network on one OS thread
-//! at a time under an explicit, replayable schedule.
+//! Deterministic simulation: run a whole process network as fibers on one
+//! OS thread under an explicit, replayable schedule.
 //!
 //! The paper's central claim (§2–3) is that blocking reads make every
 //! channel's history independent of *scheduling*. The regular runtime can
 //! only sample whatever interleavings the OS produces; this module makes
-//! the schedule an **input**. A [`SimScheduler`] serializes all process
-//! threads behind a single run token: exactly one task executes at any
-//! moment, and at every preemption point (channel operation entry, park,
-//! task exit) the scheduler picks which ready task runs next. The pick
+//! the schedule an **input**. Under a [`SimScheduler`] every process is a
+//! fiber, and one thread switches between them: exactly one task executes
+//! at any moment, and at every preemption point (channel operation entry,
+//! park, task exit) the scheduler picks which ready task runs next. The pick
 //! sequence — the *decision list* — fully determines the execution, so
 //!
 //! * a seeded random walk ([`SchedulePolicy::RandomWalk`]) explores many
@@ -56,10 +56,9 @@
 //! re-executes that schedule exactly; see `tests/sim_schedules.rs`.
 
 use crate::error::{Error, Result};
-use parking_lot::{Condvar, Mutex};
-use std::cell::RefCell;
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
 // RNG
@@ -164,57 +163,35 @@ impl std::fmt::Display for ScheduleTrace {
 // Scheduler
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TaskState {
-    /// Runnable, waiting to be granted the token.
-    Ready,
-    /// Holds the run token.
-    Running,
-    /// Waiting for an `unpark_all` on the given key.
-    Parked(usize),
-    Finished,
-}
-
-struct Task {
-    name: String,
-    state: TaskState,
-}
-
 struct SchedState {
-    tasks: Vec<Task>,
-    /// Task currently granted the run token.
-    current: Option<usize>,
+    /// Task names, by task id.
+    names: Vec<String>,
+    /// Ready task ids, ascending: a decision is an index into this list.
+    ready: Vec<usize>,
+    /// Parked task ids, by the key they wait on.
+    parked: HashMap<usize, Vec<usize>>,
     /// False until [`SimScheduler::release`]: tasks registered during graph
-    /// construction wait so the initial grant covers the whole batch.
+    /// construction wait so the first decision covers the whole batch.
     released: bool,
+    /// A thread is running the schedule (see `crate::exec::SimExec`).
+    running: bool,
     policy: SchedulePolicy,
     rng: SplitMix64,
     decisions: Vec<u32>,
     arities: Vec<u32>,
-    /// Set on irreducible quiescence; every waiter panics with this.
-    failed: Option<String>,
 }
 
 /// The deterministic cooperative scheduler. Create one per simulated run,
 /// pass it via [`crate::ExecMode::Sim`] in [`crate::NetworkConfig::mode`],
 /// and read the [`ScheduleTrace`] back after the run.
+///
+/// It only decides: which task runs next, from the ready set, per policy.
+/// Its executor runs the tasks as fibers on one thread and tells it how
+/// each switch back ended (a park, a yield, an exit).
 pub struct SimScheduler {
     state: Mutex<SchedState>,
-    cv: Condvar,
-}
-
-thread_local! {
-    /// The scheduler+task this OS thread is attached to, if any.
-    static CURRENT: RefCell<Option<(Arc<SimScheduler>, usize)>> = const { RefCell::new(None) };
-}
-
-enum Dispatch {
-    /// A task was granted the token (waiters must be notified).
-    Granted,
-    /// Nothing ready, nothing parked: the network has finished.
-    Done,
-    /// Nothing ready but tasks are parked: quiescent.
-    Idle,
+    /// Set on irreducible quiescence: every stuck task unwinds with this.
+    failed: OnceLock<String>,
 }
 
 impl SimScheduler {
@@ -226,210 +203,120 @@ impl SimScheduler {
         });
         Arc::new(SimScheduler {
             state: Mutex::new(SchedState {
-                tasks: Vec::new(),
-                current: None,
+                names: Vec::new(),
+                ready: Vec::new(),
+                parked: HashMap::new(),
                 released: false,
+                running: false,
                 policy,
                 rng,
                 decisions: Vec::new(),
                 arities: Vec::new(),
-                failed: None,
             }),
-            cv: Condvar::new(),
+            failed: OnceLock::new(),
         })
     }
 
-    /// Registers a task. Must be called on the *spawning* thread before the
-    /// task's OS thread is created, so task ids follow program order — the
-    /// property that makes ids stable across runs of the same schedule.
+    /// Registers a ready task. Called on the spawning thread, so task ids
+    /// follow program order — the property that makes ids stable across
+    /// runs of the same schedule.
     pub(crate) fn register_task(&self, name: &str) -> usize {
         let mut st = self.state.lock();
-        st.tasks.push(Task {
-            name: name.to_string(),
-            state: TaskState::Ready,
-        });
-        st.tasks.len() - 1
-    }
-
-    /// Binds the calling OS thread to task `tid` and blocks until the
-    /// scheduler grants it the token. First call a task's thread makes.
-    pub(crate) fn attach(self: &Arc<Self>, tid: usize) {
-        CURRENT.with(|c| *c.borrow_mut() = Some((self.clone(), tid)));
-        let mut st = self.state.lock();
-        self.wait_for_grant(&mut st, tid);
+        let tid = st.names.len();
+        st.names.push(name.to_string());
+        st.ready.push(tid);
+        tid
     }
 
     /// Opens scheduling: called once the initial batch of tasks is
-    /// registered ([`crate::Network::start`]). Idempotent.
-    pub(crate) fn release(self: &Arc<Self>) {
+    /// registered ([`crate::Network::start`]).
+    pub(crate) fn release(&self) {
+        self.state.lock().released = true;
+    }
+
+    /// True if the caller is to start the thread that runs the schedule:
+    /// it is open, a task is ready, and no thread runs it yet.
+    pub(crate) fn claim_thread(&self) -> bool {
         let mut st = self.state.lock();
-        if st.released {
-            return;
-        }
-        st.released = true;
-        if st.current.is_none() {
-            drop(st);
-            self.dispatch_and_notify();
-        }
+        let claim = st.released && !st.running && !st.ready.is_empty();
+        st.running |= claim;
+        claim
     }
 
-    /// Preemption point: the current task offers the token. The scheduler
-    /// may pick any ready task — including the caller — so every call is
-    /// one decision. No-op when called from a thread that is not this
-    /// scheduler's current task.
-    pub(crate) fn yield_now(self: &Arc<Self>) {
-        let Some(tid) = self.current_tid() else {
-            return;
-        };
-        {
-            let mut st = self.state.lock();
-            st.tasks[tid].state = TaskState::Ready;
-            st.current = None;
-        }
-        self.dispatch_and_notify();
-        let mut st = self.state.lock();
-        self.wait_for_grant(&mut st, tid);
-    }
-
-    /// Parks the current task on `key` until [`SimScheduler::unpark_all`]
-    /// with the same key, handing the token to another task.
-    pub(crate) fn park(self: &Arc<Self>, key: usize) {
-        let Some(tid) = self.current_tid() else {
-            return;
-        };
-        {
-            let mut st = self.state.lock();
-            st.tasks[tid].state = TaskState::Parked(key);
-            st.current = None;
-        }
-        self.dispatch_and_notify();
-        let mut st = self.state.lock();
-        self.wait_for_grant(&mut st, tid);
-    }
-
-    /// Makes every task parked on `key` ready. The caller keeps the token;
-    /// woken tasks run when a later decision picks them.
-    pub(crate) fn unpark_all(&self, key: usize) {
-        let mut st = self.state.lock();
-        for t in &mut st.tasks {
-            if t.state == TaskState::Parked(key) {
-                t.state = TaskState::Ready;
-            }
-        }
-    }
-
-    /// Marks the current task finished and hands the token on. Last thing a
-    /// task's thread does.
-    pub(crate) fn finish_current(self: &Arc<Self>) {
-        let Some(tid) = self.current_tid() else {
-            return;
-        };
-        CURRENT.with(|c| *c.borrow_mut() = None);
-        {
-            let mut st = self.state.lock();
-            st.tasks[tid].state = TaskState::Finished;
-            st.current = None;
-        }
-        self.dispatch_and_notify();
-    }
-
-    /// The task id bound to this thread, if the thread belongs to *this*
-    /// scheduler.
-    fn current_tid(self: &Arc<Self>) -> Option<usize> {
-        CURRENT.with(|c| match &*c.borrow() {
-            Some((sched, tid)) if Arc::ptr_eq(sched, self) => Some(*tid),
-            _ => None,
-        })
-    }
-
-    /// True when the calling thread is a task of this scheduler.
-    pub(crate) fn is_current(self: &Arc<Self>) -> bool {
-        self.current_tid().is_some()
-    }
-
-    /// Picks and grants the next task. A quiescence — some tasks parked,
+    /// The next task to switch into, or `None` once every task has finished
+    /// (its thread then leaves). A quiescence — some tasks parked,
     /// none ready — is irreducible: the monitor acts on the event that
     /// completes a deadlock picture (growing a channel or poisoning the
     /// network readies tasks through the channel wake paths), so none is
-    /// left for anyone to resolve.
-    fn dispatch_and_notify(self: &Arc<Self>) {
+    /// left for anyone to resolve. The run then fails: every parked task
+    /// becomes ready, to unwind from its park, and from then on the lowest
+    /// ready id runs, with no decision.
+    pub(crate) fn next(&self) -> Option<usize> {
         let mut st = self.state.lock();
-        if !matches!(self.dispatch_locked(&mut st), Dispatch::Idle) {
-            drop(st);
-            self.cv.notify_all();
-            return;
+        let st = &mut *st;
+        if st.ready.is_empty() && !st.parked.is_empty() {
+            st.ready = st.parked.drain().flat_map(|(_, tids)| tids).collect();
+            st.ready.sort_unstable();
+            let parked: Vec<&str> = st.ready.iter().map(|&t| st.names[t].as_str()).collect();
+            let trace = Self::trace_of(st);
+            let msg = format!(
+                "sim: irreducible quiescence (tasks {parked:?} parked, none ready) — schedule: {trace}"
+            );
+            let _ = self.failed.set(msg);
         }
-        let parked: Vec<String> = st
-            .tasks
-            .iter()
-            .filter(|t| matches!(t.state, TaskState::Parked(_)))
-            .map(|t| t.name.clone())
-            .collect();
-        let trace = Self::trace_locked(&st);
-        let msg = format!(
-            "sim: irreducible quiescence (tasks {parked:?} parked, none ready) — schedule: {trace}"
-        );
-        st.failed = Some(msg.clone());
-        drop(st);
-        self.cv.notify_all();
-        // The caller is one of the stuck tasks' threads (or release());
-        // propagate the failure there too.
-        panic!("{msg}");
-    }
-
-    /// Picks the next task per policy. Caller holds the state lock.
-    fn dispatch_locked(&self, st: &mut SchedState) -> Dispatch {
-        if !st.released || st.current.is_some() {
-            return Dispatch::Granted; // nothing to do yet / already granted
+        if st.ready.is_empty() {
+            st.running = false;
+            return None;
         }
-        let ready: Vec<usize> = st
-            .tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.state == TaskState::Ready)
-            .map(|(i, _)| i)
-            .collect();
-        if ready.is_empty() {
-            let any_parked = st
-                .tasks
-                .iter()
-                .any(|t| matches!(t.state, TaskState::Parked(_)));
-            return if any_parked {
-                Dispatch::Idle
-            } else {
-                Dispatch::Done
+        let choice = if self.failed.get().is_some() {
+            0
+        } else {
+            let arity = st.ready.len() as u32;
+            let pos = st.decisions.len();
+            let choice = match &st.policy {
+                SchedulePolicy::RandomWalk { .. } => st.rng.below(arity as u64) as u32,
+                SchedulePolicy::Replay(list) | SchedulePolicy::Prefix(list) => {
+                    list.get(pos).copied().unwrap_or(0).min(arity - 1)
+                }
             };
-        }
-        let arity = ready.len() as u32;
-        let pos = st.decisions.len();
-        let choice = match &st.policy {
-            SchedulePolicy::RandomWalk { .. } => st.rng.below(arity as u64) as u32,
-            SchedulePolicy::Replay(list) => list.get(pos).copied().unwrap_or(0).min(arity - 1),
-            SchedulePolicy::Prefix(list) => list.get(pos).copied().unwrap_or(0).min(arity - 1),
+            st.decisions.push(choice);
+            st.arities.push(arity);
+            choice
         };
-        st.decisions.push(choice);
-        st.arities.push(arity);
-        let tid = ready[choice as usize];
-        st.current = Some(tid);
-        Dispatch::Granted
+        Some(st.ready.remove(choice as usize))
     }
 
-    /// Blocks until `tid` holds the token (or the run failed).
-    fn wait_for_grant(&self, st: &mut parking_lot::MutexGuard<'_, SchedState>, tid: usize) {
-        loop {
-            if let Some(msg) = &st.failed {
-                let msg = msg.clone();
-                panic!("{msg}");
-            }
-            if st.current == Some(tid) {
-                st.tasks[tid].state = TaskState::Running;
-                return;
-            }
-            self.cv.wait(st);
+    /// The running task `tid` switched back parked on `key`.
+    pub(crate) fn parked(&self, tid: usize, key: usize) {
+        self.state.lock().parked.entry(key).or_default().push(tid);
+    }
+
+    /// The running task `tid` switched back at a preemption point: it is
+    /// ready again, and the next decision may pick it or any other.
+    pub(crate) fn yielded(&self, tid: usize) {
+        Self::make_ready(&mut self.state.lock(), tid);
+    }
+
+    /// Makes every task parked on `key` ready. Legal from any thread: the
+    /// caller keeps running, and woken tasks run when a decision picks them.
+    pub(crate) fn unpark_all(&self, key: usize) {
+        let mut st = self.state.lock();
+        for tid in st.parked.remove(&key).unwrap_or_default() {
+            Self::make_ready(&mut st, tid);
         }
     }
 
-    fn trace_locked(st: &SchedState) -> ScheduleTrace {
+    fn make_ready(st: &mut SchedState, tid: usize) {
+        let at = st.ready.binary_search(&tid).unwrap_or_else(|at| at);
+        st.ready.insert(at, tid);
+    }
+
+    /// The message a stuck task unwinds with, once the run has failed.
+    pub(crate) fn failure(&self) -> Option<&str> {
+        self.failed.get().map(String::as_str)
+    }
+
+    fn trace_of(st: &SchedState) -> ScheduleTrace {
         ScheduleTrace {
             seed: match &st.policy {
                 SchedulePolicy::RandomWalk { seed } => Some(*seed),
@@ -442,16 +329,15 @@ impl SimScheduler {
 
     /// The schedule executed so far (complete once the network has joined).
     pub fn trace(&self) -> ScheduleTrace {
-        Self::trace_locked(&self.state.lock())
+        Self::trace_of(&self.state.lock())
     }
-
 }
 
 impl std::fmt::Debug for SimScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.state.lock();
         f.debug_struct("SimScheduler")
-            .field("tasks", &st.tasks.len())
+            .field("tasks", &st.names.len())
             .field("decisions", &st.decisions.len())
             .field("released", &st.released)
             .finish()

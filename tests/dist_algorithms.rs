@@ -12,8 +12,9 @@ use kpn::core::{ExecMode, LintLevel, NetworkReport, SchedulePolicy, SimScheduler
 use kpn::dist::{
     check_cover, check_matching, effective_rounds, grid, path, random_bipartite_regular,
     random_regular, ring, run, simulate, Bmm, DistConfig, DistGraph, GossipMax, Mvc3,
-    NodeAlgorithm,
+    NodeAlgorithm, NodeInfo,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The executor matrix: the paper's thread model, the pool at one, two,
 /// and four workers, and one seeded simulation schedule.
@@ -219,6 +220,94 @@ fn dot_round_trip_preserves_outputs() {
     let a = simulate::<GossipMax>(&g, &ids, 4).unwrap();
     let b = simulate::<GossipMax>(&back, &ids, 4).unwrap();
     assert_eq!(a, b);
+}
+
+/// Threads of this process, as the kernel lists them.
+fn os_threads() -> usize {
+    std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
+}
+
+/// The most threads any node saw while it ran.
+static PEAK_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// [`GossipMax`], counting the process's threads as each node starts.
+struct CountingGossip(GossipMax);
+
+impl NodeAlgorithm for CountingGossip {
+    const NAME: &'static str = GossipMax::NAME;
+
+    fn new(info: NodeInfo) -> Self {
+        CountingGossip(GossipMax::new(info))
+    }
+
+    fn round_bound(max_degree: usize) -> Option<u64> {
+        GossipMax::round_bound(max_degree)
+    }
+
+    fn send(&mut self, round: u64, outbox: &mut [u64]) {
+        if round == 1 {
+            PEAK_THREADS.fetch_max(os_threads(), Ordering::Relaxed);
+        }
+        self.0.send(round, outbox)
+    }
+
+    fn receive(&mut self, round: u64, inbox: &[u64]) {
+        self.0.receive(round, inbox)
+    }
+
+    fn output(&self) -> u64 {
+        self.0.output()
+    }
+}
+
+/// The simulator runs all 4 096 processes of a 64×64 grid on one OS
+/// thread: the process's thread count, read inside its nodes, exceeds the
+/// count before the run by at most one. Other tests of this binary start
+/// threads of their own, so the count is taken in a child process that
+/// runs this test alone.
+#[test]
+fn a_4096_process_simulation_runs_on_one_thread() {
+    const TEST: &str = "a_4096_process_simulation_runs_on_one_thread";
+    if cfg!(target_os = "linux") && std::env::var_os("DIST_ONE_THREAD_CHILD").is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([TEST, "--exact", "--test-threads=1", "--nocapture"])
+            .env("DIST_ONE_THREAD_CHILD", "1")
+            .output()
+            .expect("run the test alone");
+        assert!(
+            out.status.success(),
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    let g = grid(64, 64).unwrap();
+    let ids: Vec<u64> = (0..g.n() as u64).collect();
+    let reference = simulate::<GossipMax>(&g, &ids, 4).unwrap();
+    let before = os_threads();
+    let sim = ExecMode::Sim(SimScheduler::new(SchedulePolicy::RandomWalk {
+        seed: seed_base(),
+    }));
+    let (out, report) = run::<CountingGossip>(&g, &ids, config(sim, 4)).expect("sim run");
+    assert_eq!(
+        out, reference,
+        "outputs diverged from the lockstep reference"
+    );
+    assert_eq!(report.processes_run, g.n());
+    let peak = PEAK_THREADS.load(Ordering::Relaxed);
+    println!(
+        "{} processes: {before} threads before the run, at most {peak} during it",
+        g.n()
+    );
+    if cfg!(target_os = "linux") {
+        assert!(
+            peak <= before + 1,
+            "{} sim processes ran on {} extra threads",
+            g.n(),
+            peak.saturating_sub(before)
+        );
+    }
 }
 
 /// 100k-node scaling on the pooled executor (release-mode CI job; run

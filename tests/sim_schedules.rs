@@ -19,11 +19,12 @@ use kpn::core::graphs::{
 };
 use kpn::core::stdlib::{Collect, Scale, Sequence};
 use kpn::core::{
-    check_determinacy, compare_histories, explore_dfs, run_sim, HistoryCheck, Network, Result,
-    SchedulePolicy, SimRun,
+    check_determinacy, compare_histories, exec, explore_dfs, run_sim, DataReader, HistoryCheck,
+    Network, Result, SchedulePolicy, SimRun,
 };
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Base seed for the random-walk matrices. CI pins a different
 /// `SIM_SEED_BASE` per matrix row, so rows explore different schedule sets
@@ -222,4 +223,79 @@ fn injected_race_is_caught_and_its_schedule_replays() {
     let replay =
         racy_run(SchedulePolicy::Replay(breaking.trace.decisions.clone())).expect("replay");
     assert_eq!(replay.histories, breaking.histories);
+}
+
+/// A stuck schedule is a function of its seed. One task parks on a key
+/// that nobody unparks while holding the writer of the channel a second
+/// task reads: the reader's wait is one the monitor sees, the park is not,
+/// so no event can resolve the quiescence. Every run of the seed must fail
+/// with the same error, down to the schedule it prints.
+#[test]
+fn a_stuck_schedule_fails_the_same_way_every_run() {
+    let stuck = || {
+        run_sim(SchedulePolicy::RandomWalk { seed: 5 }, |net| {
+            let (w, r) = net.channel();
+            net.add_fn("sleeper", move |_ctx| {
+                let _writer = w;
+                let exec = exec::current_exec().expect("a process runs on an executor");
+                let here = 0u8;
+                let key = std::ptr::addr_of!(here) as usize;
+                let token = exec.park_token(key);
+                exec.park(key, token, None)?;
+                Ok(())
+            });
+            net.add_fn("reader", move |_ctx| {
+                DataReader::new(r).read_i64()?;
+                Ok(())
+            });
+        })
+        .map(|run| run.trace)
+    };
+    let first = format!("{:?}", stuck());
+    assert!(
+        first.starts_with("Err("),
+        "a stuck schedule must fail: {first}"
+    );
+    for i in 1..20 {
+        let again = format!("{:?}", stuck());
+        assert_eq!(again, first, "run {i} of the same seed failed differently");
+    }
+}
+
+/// The simulator's decision rate on a Sequence -> Scale -> Collect
+/// pipeline whose channels hold half a token, so that nearly every hop
+/// waits: printed, not bounded (a wall-clock bound would measure the
+/// machine). Run with `--nocapture` in release to read it.
+#[test]
+fn sim_decision_rate_probe() {
+    const TOKENS: u64 = 20_000;
+    let mut baseline: Option<SimRun> = None;
+    for seed in 1..=3 {
+        let t0 = Instant::now();
+        let (run, out) = capture(SchedulePolicy::RandomWalk { seed }, |net| {
+            let (aw, ar) = net.channel_with_capacity(4);
+            let (bw, br) = net.channel_with_capacity(4);
+            let out = Arc::new(Mutex::new(Vec::new()));
+            net.add(Sequence::new(0, TOKENS, aw));
+            net.add(Scale::new(3, ar, bw));
+            net.add(Collect::new(br, out.clone()));
+            out
+        })
+        .expect("pipeline run");
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(out.len() as u64, TOKENS, "every token arrives");
+        let decisions = run.trace.decisions.len() as f64;
+        println!(
+            "sim rate probe seed {seed}: {decisions} decisions in {secs:.3} s: {:.0} decisions/s, \
+             {:.2} us/decision, {:.2} decisions/token",
+            decisions / secs,
+            secs * 1e6 / decisions,
+            decisions / TOKENS as f64
+        );
+        match &baseline {
+            None => baseline = Some(run),
+            Some(base) => compare_histories(&base.histories, &run.histories, HistoryCheck::Exact)
+                .expect("pipeline determinacy"),
+        }
+    }
 }
