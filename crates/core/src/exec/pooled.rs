@@ -295,9 +295,9 @@ impl WorkerSlot {
         }
     }
 
-    /// Counts one tick of this slot's worker, and answers whether it is a
-    /// fair one.
-    fn tick(&self) -> bool {
+    /// Counts one tick of this slot's worker — a dispatch, or a yield point
+    /// one of its fibers passed — and answers whether it is a fair one.
+    fn count_dispatch_or_yield(&self) -> bool {
         bump(&self.ticks);
         self.ticks.load(Ordering::Relaxed).is_multiple_of(FAIR_TICK)
     }
@@ -501,7 +501,7 @@ impl PooledExec {
     /// injector and the run queue before the hot slot, so no source starves.
     fn find_work(&self, slot: usize) -> Option<Box<fiber::Fiber>> {
         let me = &self.slots[slot];
-        if me.tick() {
+        if me.count_dispatch_or_yield() {
             self.poll_reactor();
             if let Some(f) = self.pop_injector(slot) {
                 return Some(f);
@@ -960,7 +960,7 @@ impl Exec for PooledExec {
     #[inline(never)]
     fn yield_point(&self) {
         if let Some(slot) = self.my_slot() {
-            if self.slots[slot].tick() && fiber::on_fiber() {
+            if self.slots[slot].count_dispatch_or_yield() && fiber::on_fiber() {
                 self.fair_yield_point(slot);
             }
         }

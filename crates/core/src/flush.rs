@@ -504,7 +504,7 @@ pub fn flush_before_block() {
 }
 
 /// The `Iterative` step boundary of one task, resolved once:
-/// [`crate::IterativeProcess::run`] holds one across its steps.
+/// [`crate::IterativeProcess`]'s `run` holds one across its steps.
 pub(crate) struct StepBoundary {
     locals: Arc<TaskLocals>,
     /// The task's registration count when `sinks` was taken.

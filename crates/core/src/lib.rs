@@ -74,6 +74,7 @@ pub mod graphs;
 pub mod monitor;
 pub mod network;
 pub mod process;
+pub mod sdf;
 pub mod sim;
 pub mod stdlib;
 pub mod stream;
@@ -100,7 +101,6 @@ pub use network::{Network, NetworkConfig, NetworkHandle, NetworkReport};
 pub use process::{CompositeProcess, FnProcess, Iterative, IterativeProcess, Process, ProcessCtx};
 pub use stream::{DataReader, DataWriter};
 pub use topology::{
-    check_builtin, register_lint_pass, run_lint, ChannelShape, DiagCode, Diagnostic,
-    EndpointShape, Fix, LintLevel, LintScope, ProcessShape, ProcessTag, SideState, StreamFraming,
-    TopologySnapshot,
+    run_lint, ChannelShape, DiagCode, Diagnostic, EndpointShape, Fix, LintLevel, LintScope,
+    ProcessShape, ProcessTag, SideState, StreamFraming, TopologySnapshot,
 };

@@ -511,9 +511,9 @@ impl Network {
         Ok(())
     }
 
-    /// Runs the full static lint (built-in checks plus registered extra
-    /// passes such as `kpn-lint`'s L005) over the current topology and
-    /// returns every finding, regardless of [`NetworkConfig::lint`].
+    /// Runs the whole static lint (L001–L006, [`crate::run_lint`]) over
+    /// the current topology and returns every finding, regardless of
+    /// [`NetworkConfig::lint`].
     pub fn lint_diagnostics(&self) -> Vec<Diagnostic> {
         self.handle.inner.lint(LintScope::Startup)
     }

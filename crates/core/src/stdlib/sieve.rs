@@ -1,5 +1,5 @@
 //! The Sieve of Eratosthenes processes (§3.3, Figures 7/8): the canonical
-//! *self-modifying* process network, treated by Kahn and MacQueen [11].
+//! *self-modifying* process network, treated by Kahn and MacQueen \[11\].
 //!
 //! `Sift` reads a prime from its input, emits it, then inserts a new
 //! `Modulo` filter **ahead of itself** in the running graph: the Modulo

@@ -1,4 +1,4 @@
-//! Static topology capture and the built-in network lints (L001–L004).
+//! Static topology capture and the network lint (L001–L006).
 //!
 //! The paper leaves every structural property of a process network to
 //! runtime discovery: a writer whose reader was never wired up simply
@@ -10,15 +10,16 @@
 //! ([`EndpointShape`]) and the network records its declared processes; a
 //! [`TopologySnapshot`] is one look at every live channel — found through
 //! the monitor's table, the only list of them — plus those processes, and
-//! a configurable lint pass checks it before [`crate::Network::start`] and
+//! [`run_lint`] checks it before [`crate::Network::start`] and
 //! incrementally after every dynamic reconfiguration.
 //!
-//! The checks that need only the core runtime live here (L001 dangling
+//! The lint is one pass over one graph model built per run: L001 dangling
 //! endpoint, L002 typed-stream contract mismatch, L003 undercapacitated
-//! cycle, L004 orphan process). The `kpn-lint` crate layers the
-//! SDF-delegating L005 on top by registering an extra pass through
-//! [`register_lint_pass`], and adds a CLI for checking distributed graph
-//! specs before deployment.
+//! cycle, L004 orphan process, and, over every rate-declared region, L005
+//! (the [`crate::sdf`] balance equations and initial tokens) and the
+//! advisory L006 with its synthesized capacity fixes. Every network runs
+//! all six; nothing is registered or installed. The `kpn-lint` crate adds
+//! a checker and CLI for distributed graph specs before deployment.
 //!
 //! Everything here is *advisory metadata*: declaring an endpoint's owner,
 //! stream framing, element type, or token rate never changes runtime
@@ -28,10 +29,13 @@
 
 use crate::monitor::Held;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+mod lint;
+pub use lint::run_lint;
 
 // ---------------------------------------------------------------------------
 // Lint configuration
@@ -62,7 +66,7 @@ impl LintLevel {
     }
 }
 
-/// Stable diagnostic codes emitted by the lint passes.
+/// Stable diagnostic codes emitted by the lint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiagCode {
     /// Dangling endpoint: a channel side that was never moved into a
@@ -76,8 +80,9 @@ pub enum DiagCode {
     L003,
     /// Orphan process: a declared process holding no channel endpoints.
     L004,
-    /// SDF-checkable subgraph: rate annotations are inconsistent or imply
-    /// larger buffers (delegated to `kpn-sdf` by the `kpn-lint` crate).
+    /// SDF-checkable subgraph: the declared rates of a region admit no
+    /// repetition vector, or its initial tokens cannot carry one period
+    /// (the [`crate::sdf`] analysis, run over every rate-declared region).
     L005,
     /// Static region running below synthesized capacity: the periodic SDF
     /// schedule proves a larger buffer is required, and the attached
@@ -110,7 +115,7 @@ impl fmt::Display for DiagCode {
     }
 }
 
-/// A machine-applicable edit synthesized by a lint pass. Fixes ride on
+/// A machine-applicable edit synthesized by the lint. Fixes ride on
 /// [`Diagnostic::fixes`]; consumers apply them to serialized `GraphSpec`
 /// partitions (`kpn-lint fix`) or to a live topology before start
 /// (`NetworkConfig::synthesize_capacities`).
@@ -267,7 +272,7 @@ pub enum SideState {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot types consumed by lint passes
+// Snapshot types the lint reads
 // ---------------------------------------------------------------------------
 
 /// What lint knows about one side of a channel.
@@ -336,8 +341,8 @@ pub struct ProcessShape {
     pub endpoints: usize,
 }
 
-/// A consistent copy of a network's topology metadata, handed to lint
-/// passes. Build one with [`crate::Network::topology_snapshot`].
+/// A consistent copy of a network's topology metadata, handed to
+/// [`run_lint`]. Build one with [`crate::Network::topology_snapshot`].
 #[derive(Debug, Clone)]
 pub struct TopologySnapshot {
     /// Live channels, in creation order.
@@ -348,16 +353,6 @@ pub struct TopologySnapshot {
     /// [`ProcessTag`]). L001 requires this: an opaque process could own any
     /// endpoint invisibly.
     pub fully_declared: bool,
-}
-
-impl TopologySnapshot {
-    /// Looks up a declared process name by tag id.
-    pub fn process_name(&self, id: u64) -> Option<&str> {
-        self.processes
-            .iter()
-            .find(|p| p.id == id)
-            .map(|p| p.name.as_str())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -456,7 +451,7 @@ pub(crate) fn apply_fixes(fixes: &[Fix], live: &Held) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Built-in checks (L001–L004)
+// The lint (L001–L006, in `lint.rs`)
 // ---------------------------------------------------------------------------
 
 /// What a lint run covers.
@@ -468,337 +463,6 @@ pub enum LintScope {
     /// float between processes mid-splice) and restricts L004 to the newly
     /// spawned process (`Some(tag id)`), if it is declared.
     Reconfigure(Option<u64>),
-}
-
-fn name_of(snap: &TopologySnapshot, id: Option<u64>) -> Option<String> {
-    id.and_then(|p| snap.process_name(p)).map(str::to_owned)
-}
-
-/// L001: a channel side that is still [`SideState::Open`] while the peer
-/// side is attached to a declared process — that process is guaranteed to
-/// stall (reader blocks forever on an unwritten channel; writer blocks
-/// forever once the undrained channel fills). Only meaningful when the
-/// graph is fully declared; endpoints intentionally driven from outside the
-/// network are exempted via `declare_external`.
-fn check_dangling(snap: &TopologySnapshot, out: &mut Vec<Diagnostic>) {
-    if !snap.fully_declared {
-        return;
-    }
-    for ch in &snap.channels {
-        if ch.writer.state == SideState::Open && ch.reader.state == SideState::Attached {
-            out.push(Diagnostic {
-                code: DiagCode::L001,
-                message: format!(
-                    "channel {} writer was never moved into a process; \
-                     its reader will block forever",
-                    ch.id
-                ),
-                process: name_of(snap, ch.reader.process),
-                channel: Some(ch.id),
-                fixes: Vec::new(),
-            });
-        }
-        if ch.reader.state == SideState::Open && ch.writer.state == SideState::Attached {
-            out.push(Diagnostic {
-                code: DiagCode::L001,
-                message: format!(
-                    "channel {} reader was never moved into a process; \
-                     its writer will stall once the channel fills",
-                    ch.id
-                ),
-                process: name_of(snap, ch.writer.process),
-                channel: Some(ch.id),
-                fixes: Vec::new(),
-            });
-        }
-    }
-}
-
-/// L002: both sides declared a stream contract and they disagree — framing
-/// (data vs. object) or element type. Raw byte processes declare nothing
-/// and are compatible with everything (§3.1's type-independence).
-fn check_contracts(snap: &TopologySnapshot, out: &mut Vec<Diagnostic>) {
-    for ch in &snap.channels {
-        if let (Some(wf), Some(rf)) = (ch.writer.framing, ch.reader.framing) {
-            if wf != rf {
-                out.push(Diagnostic {
-                    code: DiagCode::L002,
-                    message: format!(
-                        "channel {} framing mismatch: writer uses {wf}, reader expects {rf}",
-                        ch.id
-                    ),
-                    process: name_of(snap, ch.reader.process),
-                    channel: Some(ch.id),
-                    fixes: Vec::new(),
-                });
-                continue;
-            }
-        }
-        if let (Some(wt), Some(rt)) = (ch.writer.item_type, ch.reader.item_type) {
-            if wt != rt {
-                out.push(Diagnostic {
-                    code: DiagCode::L002,
-                    message: format!(
-                        "channel {} element type mismatch: writer produces `{wt}`, \
-                         reader expects `{rt}`",
-                        ch.id
-                    ),
-                    process: name_of(snap, ch.reader.process),
-                    channel: Some(ch.id),
-                    fixes: Vec::new(),
-                });
-            }
-        }
-    }
-}
-
-/// Strongly connected components of the process graph (iterative Tarjan).
-/// Nodes are declared-process tag ids; edges are channels attached on both
-/// sides. Returns a component id per node.
-fn sccs(nodes: &[u64], edges: &[(u64, u64)]) -> HashMap<u64, usize> {
-    let index_of: HashMap<u64, usize> = nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-    let n = nodes.len();
-    let mut adj = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        if let (Some(&ia), Some(&ib)) = (index_of.get(&a), index_of.get(&b)) {
-            adj[ia].push(ib);
-        }
-    }
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack = Vec::new();
-    let mut comp = vec![usize::MAX; n];
-    let mut next_index = 0usize;
-    let mut next_comp = 0usize;
-    // Iterative Tarjan: (node, next child position) frames.
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut ci)) = frames.last_mut() {
-            if *ci == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if *ci < adj[v].len() {
-                let w = adj[v][*ci];
-                *ci += 1;
-                if index[w] == usize::MAX {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        comp[w] = next_comp;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    next_comp += 1;
-                }
-                frames.pop();
-                if let Some(&mut (p, _)) = frames.last_mut() {
-                    low[p] = low[p].min(low[v]);
-                }
-            }
-        }
-    }
-    nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, comp[i]))
-        .collect()
-}
-
-/// The declared token size of a channel (1-byte tokens when neither side
-/// declared an element type — no false positives).
-fn token_size(ch: &ChannelShape) -> usize {
-    ch.writer
-        .item_size
-        .or(ch.reader.item_size)
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// L003: a channel on a directed cycle whose capacity (plus any initially
-/// buffered bytes) cannot hold even one declared token. Tokens must
-/// *circulate* through every channel of a cycle, so such a cycle can make
-/// no progress without the monitor growing it — the Hamming Figure 12
-/// failure, diagnosed before the network runs. Channels without a declared
-/// element type assume 1-byte tokens (no false positives).
-///
-/// The diagnostic is deterministic and actionable: the cycle's channels
-/// are reported in creation order, the message carries the cycle's
-/// minimum-capacity sum (one declared token per cycle channel — the least
-/// total buffering under which the cycle can circulate at all), and each
-/// finding attaches a [`Fix::SetCapacity`] suggesting that sum as the
-/// channel's capacity. Without rate declarations the cycle sum is the best
-/// static lower bound available; rate-declared regions get the exact
-/// schedule-derived bound from the L006 pass instead.
-fn check_cycles(snap: &TopologySnapshot, out: &mut Vec<Diagnostic>) {
-    // Nodes in first-seen order, so components (and diagnostics) come out
-    // in the same order whatever the hash.
-    let mut nodes: Vec<u64> = Vec::new();
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut edges: Vec<(u64, u64)> = Vec::new();
-    for ch in &snap.channels {
-        if let (Some(w), Some(r)) = (ch.writer.process, ch.reader.process) {
-            for p in [w, r] {
-                if seen.insert(p) {
-                    nodes.push(p);
-                }
-            }
-            edges.push((w, r));
-        }
-    }
-    if nodes.is_empty() {
-        return;
-    }
-    let comp = sccs(&nodes, &edges);
-    // A component is cyclic iff it has an internal edge (covers self-loops
-    // and multi-node cycles alike).
-    let cyclic: HashSet<usize> = edges
-        .iter()
-        .filter(|(a, b)| comp[a] == comp[b])
-        .map(|(a, _)| comp[a])
-        .collect();
-    // Per cyclic component: its channels in creation order (snapshot order
-    // is creation order) and the minimum-capacity sum across them.
-    let mut cycle_channels: HashMap<usize, Vec<u64>> = HashMap::new();
-    let mut cycle_min_sum: HashMap<usize, usize> = HashMap::new();
-    for ch in &snap.channels {
-        let (Some(w), Some(r)) = (ch.writer.process, ch.reader.process) else {
-            continue;
-        };
-        if comp[&w] != comp[&r] || !cyclic.contains(&comp[&w]) {
-            continue;
-        }
-        cycle_channels.entry(comp[&w]).or_default().push(ch.id);
-        *cycle_min_sum.entry(comp[&w]).or_default() += token_size(ch);
-    }
-    for ch in &snap.channels {
-        let (Some(w), Some(r)) = (ch.writer.process, ch.reader.process) else {
-            continue;
-        };
-        if comp[&w] != comp[&r] || !cyclic.contains(&comp[&w]) {
-            continue;
-        }
-        let token = token_size(ch);
-        if ch.capacity + ch.buffered < token {
-            let members = &cycle_channels[&comp[&w]];
-            let min_sum = cycle_min_sum[&comp[&w]];
-            let listed = members
-                .iter()
-                .map(|id| id.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push(Diagnostic {
-                code: DiagCode::L003,
-                message: format!(
-                    "channel {} lies on a cycle (channels {listed}) but its capacity \
-                     ({} bytes) cannot hold one {token}-byte token; the cycle needs at \
-                     least {min_sum} bytes of total capacity to circulate without \
-                     monitor growth",
-                    ch.id, ch.capacity
-                ),
-                process: name_of(snap, ch.writer.process),
-                channel: Some(ch.id),
-                fixes: vec![Fix::SetCapacity {
-                    channel: ch.id,
-                    current: ch.capacity,
-                    suggested: min_sum.max(token),
-                }],
-            });
-        }
-    }
-}
-
-/// L004: a declared process that never held a channel endpoint. A process
-/// in a Kahn network communicates *only* through channels (§1), so an
-/// endpoint-less process can neither produce nor consume anything.
-fn check_orphans(snap: &TopologySnapshot, only: Option<u64>, out: &mut Vec<Diagnostic>) {
-    for p in &snap.processes {
-        if let Some(id) = only {
-            if p.id != id {
-                continue;
-            }
-        }
-        if p.endpoints == 0 {
-            out.push(Diagnostic {
-                code: DiagCode::L004,
-                message: format!(
-                    "process `{}` holds no channel endpoints; it can neither \
-                     produce nor consume data",
-                    p.name
-                ),
-                process: Some(p.name.clone()),
-                channel: None,
-                fixes: Vec::new(),
-            });
-        }
-    }
-}
-
-/// Runs the built-in checks (L001–L004) over a snapshot.
-pub fn check_builtin(snap: &TopologySnapshot, scope: LintScope) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    match scope {
-        LintScope::Startup => {
-            check_dangling(snap, &mut out);
-            check_contracts(snap, &mut out);
-            check_cycles(snap, &mut out);
-            check_orphans(snap, None, &mut out);
-        }
-        LintScope::Reconfigure(new_process) => {
-            check_contracts(snap, &mut out);
-            check_cycles(snap, &mut out);
-            if new_process.is_some() {
-                check_orphans(snap, new_process, &mut out);
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Extra passes (kpn-lint's L005 hooks in here)
-// ---------------------------------------------------------------------------
-
-/// An additional lint pass over a topology snapshot.
-pub type LintPass = dyn Fn(&TopologySnapshot) -> Vec<Diagnostic> + Send + Sync;
-
-static EXTRA_PASSES: Mutex<Vec<Arc<LintPass>>> = Mutex::new(Vec::new());
-
-/// Registers an additional lint pass, run by every network's lint after
-/// the built-in checks. Used by `kpn-lint::install()` to add the
-/// SDF-delegating L005 without `kpn-core` depending on `kpn-sdf`.
-pub fn register_lint_pass(pass: Arc<LintPass>) {
-    EXTRA_PASSES.lock().push(pass);
-}
-
-/// Runs every registered extra pass.
-pub fn run_extra_passes(snap: &TopologySnapshot) -> Vec<Diagnostic> {
-    let passes: Vec<Arc<LintPass>> = EXTRA_PASSES.lock().clone();
-    let mut out = Vec::new();
-    for p in &passes {
-        out.extend(p(snap));
-    }
-    out
-}
-
-/// Runs the complete lint: built-in checks plus registered extra passes.
-pub fn run_lint(snap: &TopologySnapshot, scope: LintScope) -> Vec<Diagnostic> {
-    let mut out = check_builtin(snap, scope);
-    out.extend(run_extra_passes(snap));
-    out
 }
 
 #[cfg(test)]
@@ -845,10 +509,10 @@ mod tests {
             processes: vec![proc_shape(7, "sink", 1)],
             fully_declared: true,
         };
-        let diags = check_builtin(&snap, LintScope::Startup);
+        let diags = run_lint(&snap, LintScope::Startup);
         assert!(diags.iter().any(|d| d.code == DiagCode::L001));
         snap.fully_declared = false;
-        let diags = check_builtin(&snap, LintScope::Startup);
+        let diags = run_lint(&snap, LintScope::Startup);
         assert!(!diags.iter().any(|d| d.code == DiagCode::L001));
     }
 
@@ -864,7 +528,7 @@ mod tests {
                 processes: vec![proc_shape(7, "sink", 1)],
                 fully_declared: true,
             };
-            let diags = check_builtin(&snap, LintScope::Startup);
+            let diags = run_lint(&snap, LintScope::Startup);
             assert!(
                 !diags.iter().any(|d| d.code == DiagCode::L001),
                 "state {st:?} must not be dangling"
@@ -883,7 +547,7 @@ mod tests {
             processes: vec![proc_shape(7, "sink", 1)],
             fully_declared: true,
         };
-        let diags = check_builtin(&snap, LintScope::Reconfigure(None));
+        let diags = run_lint(&snap, LintScope::Reconfigure(None));
         assert!(diags.is_empty());
     }
 
@@ -900,7 +564,7 @@ mod tests {
             processes: vec![proc_shape(1, "a", 1), proc_shape(2, "b", 1)],
             fully_declared: true,
         };
-        let diags = check_builtin(&snap, LintScope::Startup);
+        let diags = run_lint(&snap, LintScope::Startup);
         assert!(diags.iter().any(|d| d.code == DiagCode::L002));
         // One-sided declaration: compatible.
         let snap = TopologySnapshot {
@@ -908,7 +572,7 @@ mod tests {
             processes: vec![proc_shape(1, "a", 1), proc_shape(2, "b", 1)],
             fully_declared: true,
         };
-        assert!(check_builtin(&snap, LintScope::Startup).is_empty());
+        assert!(run_lint(&snap, LintScope::Startup).is_empty());
     }
 
     #[test]
@@ -930,7 +594,7 @@ mod tests {
             processes: vec![proc_shape(1, "a", 2), proc_shape(2, "b", 2)],
             fully_declared: true,
         };
-        let diags = check_builtin(&snap, LintScope::Startup);
+        let diags = run_lint(&snap, LintScope::Startup);
         let l3: Vec<_> = diags.iter().filter(|d| d.code == DiagCode::L003).collect();
         assert_eq!(l3.len(), 1);
         assert_eq!(l3[0].channel, Some(10));
@@ -948,7 +612,7 @@ mod tests {
             processes: vec![proc_shape(1, "a", 1), proc_shape(2, "b", 1)],
             fully_declared: true,
         };
-        assert!(check_builtin(&snap, LintScope::Startup).is_empty());
+        assert!(run_lint(&snap, LintScope::Startup).is_empty());
     }
 
     #[test]
@@ -958,12 +622,12 @@ mod tests {
             processes: vec![proc_shape(1, "loner", 0)],
             fully_declared: true,
         };
-        let diags = check_builtin(&snap, LintScope::Startup);
+        let diags = run_lint(&snap, LintScope::Startup);
         assert!(diags.iter().any(|d| d.code == DiagCode::L004));
         // Reconfigure scope: only the new process is checked.
-        let diags = check_builtin(&snap, LintScope::Reconfigure(Some(2)));
+        let diags = run_lint(&snap, LintScope::Reconfigure(Some(2)));
         assert!(diags.is_empty());
-        let diags = check_builtin(&snap, LintScope::Reconfigure(Some(1)));
+        let diags = run_lint(&snap, LintScope::Reconfigure(Some(1)));
         assert!(diags.iter().any(|d| d.code == DiagCode::L004));
     }
 
@@ -979,7 +643,7 @@ mod tests {
             processes: vec![proc_shape(1, "loop", 2)],
             fully_declared: true,
         };
-        let diags = check_builtin(&snap, LintScope::Startup);
+        let diags = run_lint(&snap, LintScope::Startup);
         assert!(diags.iter().any(|d| d.code == DiagCode::L003));
     }
 
@@ -1038,7 +702,7 @@ mod tests {
             processes: vec![proc_shape(1, "a", 2), proc_shape(2, "b", 2)],
             fully_declared: true,
         };
-        let diags = check_builtin(&snap, LintScope::Startup);
+        let diags = run_lint(&snap, LintScope::Startup);
         let l3: Vec<_> = diags.iter().filter(|d| d.code == DiagCode::L003).collect();
         assert_eq!(l3.len(), 1);
         assert!(l3[0].message.contains("channels 11, 10"), "{}", l3[0].message);

@@ -157,7 +157,6 @@ fn run_verified<A: NodeAlgorithm>(
 }
 
 fn cmd_run(args: &[String]) -> Result<()> {
-    kpn_lint::install();
     let f = Flags { args };
     let g = load_dot(&f)?;
     let max_rounds: u64 = f.num("--rounds", kpn_dist::DEFAULT_MAX_ROUNDS)?;

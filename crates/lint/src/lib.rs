@@ -1,343 +1,25 @@
-//! Static network verification beyond the built-in topology checks.
+//! Pre-deployment verification of distributed graph specs.
 //!
 //! `kpn-core` captures advisory topology metadata as a network is wired
 //! (which process owns which endpoint, declared stream contracts, SDF
-//! rates) and runs the structural checks L001–L004 itself. This crate adds
-//! the analyses that need the rest of the workspace:
+//! rates) and runs the whole lint, L001–L006 with its capacity fixes,
+//! over every network it starts (`kpn_core::run_lint`). What no running
+//! network can check is a deployment that has not started yet: a set of
+//! serialized [`kpn_net::GraphSpec`] partitions, one per node. This crate
+//! checks those:
 //!
-//! * **L005** — SDF-checkable subgraphs. Channels whose endpoints both
-//!   declare per-firing token rates form synchronous-dataflow regions;
-//!   [`check_sdf`] hands each region to `kpn-sdf`'s balance equations and
-//!   reports inconsistent rates and insufficient initial tokens on
-//!   feedback edges. Call [`install`] once to hook this pass into every
-//!   network's lint run (startup and after each dynamic reconfiguration).
-//! * **L006 + capacity synthesis** — the [`synth`] module computes
-//!   minimal safe per-channel capacities for every statically-rated
-//!   region from the periodic schedule's per-edge bounds; channels whose
-//!   current size cannot carry one period report L006 (advisory) with a
-//!   machine-applicable [`kpn_core::Fix::SetCapacity`] attached.
-//!   `NetworkConfig::synthesize_capacities` applies those fixes at start;
-//!   `kpn-lint fix` writes them back into serialized partitions.
-//! * **Spec checking** — [`check_specs`] validates serialized
-//!   [`kpn_net::GraphSpec`] partitions *before* deployment: local
+//! * [`check_specs`] validates the partitions *before* deployment: local
 //!   channel wiring, zero capacities, and remote endpoint tokens that
-//!   dangle across partition files; [`apply_spec_fixes`] rewrites a
-//!   partition in place from the synthesized fixes. The `kpn-lint` binary
-//!   wraps both for use in build pipelines (`check` / `fix --check`).
+//!   dangle across partition files;
+//! * [`synthesize_spec_fixes`] and [`apply_spec_fixes`] rewrite a
+//!   partition in place with the capacity fixes structure alone proves.
 //!
-//! Everything here is static: no network is started, no process runs, and
-//! the advisory metadata never changes runtime behaviour.
+//! The `kpn-lint` binary wraps both for use in build pipelines (`check` /
+//! `fix --check`). Everything here is static: no network is started and
+//! no process runs.
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use kpn_core::{Diagnostic, TopologySnapshot};
-
 mod spec;
-pub mod synth;
 
 pub use spec::{apply_spec_fixes, check_specs, synthesize_spec_fixes};
-pub use synth::synthesize_capacities;
-
-/// A node of the derived process graph: one declared process.
-#[derive(Debug, Clone)]
-pub struct ModelNode {
-    /// Process tag id (as in [`TopologySnapshot`]).
-    pub id: u64,
-    /// Declared process name.
-    pub name: String,
-}
-
-/// An edge of the derived process graph: one channel attached to a
-/// declared process on both sides.
-#[derive(Debug, Clone)]
-pub struct ModelEdge {
-    /// Channel id (matches the monitor's channel report).
-    pub channel: u64,
-    /// Tag id of the producing process.
-    pub from: u64,
-    /// Tag id of the consuming process.
-    pub to: u64,
-    /// Channel capacity in bytes.
-    pub capacity: usize,
-    /// Bytes already buffered when the snapshot was taken — initial
-    /// tokens, in SDF terms.
-    pub buffered: usize,
-    /// Declared element size in bytes, if either side declared one.
-    pub item_size: Option<usize>,
-    /// Declared (producer, consumer) rates in tokens per firing, when
-    /// *both* sides declared one — the edge is then SDF-checkable.
-    pub rates: Option<(u64, u64)>,
-}
-
-/// A process-level view of a [`TopologySnapshot`]: declared processes as
-/// nodes, fully-attributed channels as edges. This is the graph the L005
-/// pass analyses; it is public so other tools can build passes on it.
-#[derive(Debug, Clone, Default)]
-pub struct GraphModel {
-    /// Declared processes.
-    pub nodes: Vec<ModelNode>,
-    /// Channels attached to declared processes on both sides.
-    pub edges: Vec<ModelEdge>,
-}
-
-impl GraphModel {
-    /// Derives the process graph from a topology snapshot. Channels whose
-    /// sides are not both attached to declared processes (external feeds,
-    /// mid-splice endpoints) are omitted — they cannot participate in a
-    /// static rate analysis.
-    pub fn from_snapshot(snap: &TopologySnapshot) -> Self {
-        let nodes = snap
-            .processes
-            .iter()
-            .map(|p| ModelNode {
-                id: p.id,
-                name: p.name.clone(),
-            })
-            .collect();
-        let mut edges = Vec::new();
-        for ch in &snap.channels {
-            let (Some(from), Some(to)) = (ch.writer.process, ch.reader.process) else {
-                continue;
-            };
-            edges.push(ModelEdge {
-                channel: ch.id,
-                from,
-                to,
-                capacity: ch.capacity,
-                buffered: ch.buffered,
-                item_size: ch.writer.item_size.or(ch.reader.item_size),
-                rates: match (ch.writer.rate, ch.reader.rate) {
-                    (Some(p), Some(c)) => Some((p, c)),
-                    _ => None,
-                },
-            });
-        }
-        GraphModel { nodes, edges }
-    }
-
-    /// The name of a node, when it is known.
-    pub fn node_name(&self, id: u64) -> Option<&str> {
-        self.nodes
-            .iter()
-            .find(|n| n.id == id)
-            .map(|n| n.name.as_str())
-    }
-}
-
-/// Connected components (undirected) of the SDF-checkable edge subset.
-/// Returns one vector of edge indices (into `model.edges`) per component.
-pub(crate) fn sdf_components(model: &GraphModel) -> Vec<Vec<usize>> {
-    // Union-find over process tag ids.
-    let mut parent: HashMap<u64, u64> = HashMap::new();
-    fn find(parent: &mut HashMap<u64, u64>, x: u64) -> u64 {
-        let p = *parent.entry(x).or_insert(x);
-        if p == x {
-            return x;
-        }
-        let root = find(parent, p);
-        parent.insert(x, root);
-        root
-    }
-    for e in &model.edges {
-        if e.rates.is_none() {
-            continue;
-        }
-        let (a, b) = (find(&mut parent, e.from), find(&mut parent, e.to));
-        if a != b {
-            parent.insert(a, b);
-        }
-    }
-    let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, e) in model.edges.iter().enumerate() {
-        if e.rates.is_none() {
-            continue;
-        }
-        let root = find(&mut parent, e.from);
-        groups.entry(root).or_default().push(i);
-    }
-    let mut out: Vec<Vec<usize>> = groups.into_values().collect();
-    out.sort_by_key(|g| g.first().copied());
-    out
-}
-
-/// Checks every SDF-checkable region of the graph against the balance
-/// equations (L005) and its current capacities against the synthesized
-/// schedule bounds (L006, with [`kpn_core::Fix::SetCapacity`] fixes
-/// attached). A region is the connected subgraph of channels whose
-/// endpoints *both* declared per-firing rates; processes with
-/// data-dependent consumption (`Modulo`, `Sift`, `Guard`, merges) declare
-/// no rates and transparently break regions apart, so only genuinely
-/// synchronous subgraphs are analysed.
-pub fn check_sdf(snap: &TopologySnapshot) -> Vec<Diagnostic> {
-    let model = GraphModel::from_snapshot(snap);
-    let mut out = Vec::new();
-    for component in sdf_components(&model) {
-        synth::check_component(&model, &component, &mut out);
-    }
-    out
-}
-
-/// Registers the SDF pass (L005 + the L006 capacity synthesis) with
-/// `kpn-core`'s lint so every network run — startup and each dynamic
-/// reconfiguration — includes the analysis, and
-/// `NetworkConfig::synthesize_capacities` sees the synthesized fixes.
-/// Idempotent: repeated calls install the pass once.
-pub fn install() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        kpn_core::register_lint_pass(Arc::new(|snap: &TopologySnapshot| check_sdf(snap)));
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use kpn_core::{ChannelShape, DiagCode, EndpointShape, Fix, ProcessShape, SideState};
-
-    fn endpoint(process: u64, rate: Option<u64>, size: Option<usize>) -> EndpointShape {
-        EndpointShape {
-            state: SideState::Attached,
-            process: Some(process),
-            framing: None,
-            item_type: None,
-            item_size: size,
-            rate,
-        }
-    }
-
-    fn process(id: u64, name: &str) -> ProcessShape {
-        ProcessShape {
-            id,
-            name: name.into(),
-            endpoints: 2,
-        }
-    }
-
-    fn channel(
-        id: u64,
-        capacity: usize,
-        from: (u64, Option<u64>),
-        to: (u64, Option<u64>),
-    ) -> ChannelShape {
-        ChannelShape {
-            id,
-            capacity,
-            buffered: 0,
-            writer: endpoint(from.0, from.1, Some(8)),
-            reader: endpoint(to.0, to.1, Some(8)),
-        }
-    }
-
-    #[test]
-    fn consistent_rates_pass() {
-        let snap = TopologySnapshot {
-            channels: vec![channel(0, 64, (1, Some(1)), (2, Some(1)))],
-            processes: vec![process(1, "src"), process(2, "sink")],
-            fully_declared: true,
-        };
-        assert!(check_sdf(&snap).is_empty());
-    }
-
-    #[test]
-    fn inconsistent_rates_flagged() {
-        // a -2-> b -2-> a with 1-token consumption forms an inconsistent
-        // loop: every firing of each actor doubles the tokens in flight.
-        let snap = TopologySnapshot {
-            channels: vec![
-                channel(0, 64, (1, Some(2)), (2, Some(1))),
-                channel(1, 64, (2, Some(2)), (1, Some(1))),
-            ],
-            processes: vec![process(1, "a"), process(2, "b")],
-            fully_declared: true,
-        };
-        let diags = check_sdf(&snap);
-        assert!(
-            diags.iter().any(|d| d.code == DiagCode::L005),
-            "expected L005, got {diags:?}"
-        );
-    }
-
-    #[test]
-    fn undeclared_rate_breaks_region() {
-        // The middle process declares no rates, so the two channels are
-        // independent single-edge regions and both check out.
-        let snap = TopologySnapshot {
-            channels: vec![
-                channel(0, 64, (1, Some(2)), (2, None)),
-                channel(1, 64, (2, None), (3, Some(1))),
-            ],
-            processes: vec![process(1, "a"), process(2, "merge"), process(3, "c")],
-            fully_declared: true,
-        };
-        assert!(check_sdf(&snap).is_empty());
-    }
-
-    #[test]
-    fn undersized_channel_reports_exact_capacity() {
-        // Producer emits 4 tokens per firing into a 8-byte channel: one
-        // period needs 4 × 8 = 32 bytes. The finding is the advisory L006
-        // with the synthesized size attached as a machine-applicable fix.
-        let snap = TopologySnapshot {
-            channels: vec![channel(0, 8, (1, Some(4)), (2, Some(4)))],
-            processes: vec![process(1, "burst"), process(2, "sink")],
-            fully_declared: true,
-        };
-        let diags = check_sdf(&snap);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, DiagCode::L006);
-        assert!(diags[0].message.contains("32"), "{}", diags[0].message);
-        assert_eq!(
-            diags[0].fixes,
-            vec![Fix::SetCapacity {
-                channel: 0,
-                current: 8,
-                suggested: 32,
-            }]
-        );
-    }
-
-    #[test]
-    fn adequately_sized_burst_region_is_clean() {
-        let snap = TopologySnapshot {
-            channels: vec![channel(0, 32, (1, Some(4)), (2, Some(4)))],
-            processes: vec![process(1, "burst"), process(2, "sink")],
-            fully_declared: true,
-        };
-        assert!(check_sdf(&snap).is_empty());
-    }
-
-    #[test]
-    fn feedback_without_initial_tokens_flagged() {
-        // A rate-consistent loop with no initial tokens cannot fire at all.
-        let snap = TopologySnapshot {
-            channels: vec![
-                channel(0, 64, (1, Some(1)), (2, Some(1))),
-                channel(1, 64, (2, Some(1)), (1, Some(1))),
-            ],
-            processes: vec![process(1, "a"), process(2, "b")],
-            fully_declared: true,
-        };
-        let diags = check_sdf(&snap);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.code == DiagCode::L005 && d.message.contains("initial tokens")),
-            "expected initial-token L005, got {diags:?}"
-        );
-    }
-
-    #[test]
-    fn feedback_with_initial_tokens_passes() {
-        let mut loop_back = channel(1, 64, (2, Some(1)), (1, Some(1)));
-        loop_back.buffered = 8; // one 8-byte token of delay
-        let snap = TopologySnapshot {
-            channels: vec![channel(0, 64, (1, Some(1)), (2, Some(1))), loop_back],
-            processes: vec![process(1, "a"), process(2, "b")],
-            fully_declared: true,
-        };
-        assert!(check_sdf(&snap).is_empty());
-    }
-}

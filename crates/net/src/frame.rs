@@ -1,6 +1,6 @@
 //! Wire protocol for channel data connections.
 //!
-//! A data connection starts with a [`Hello`] frame carrying the endpoint
+//! A data connection starts with a `Hello` frame carrying the endpoint
 //! token the connector wants to attach to, followed by a stream of
 //! [`Frame`]s. The `Close` frame is the graceful end-of-stream marker that
 //! carries the §3.4 termination cascade across machines; `Redirect` is the

@@ -18,7 +18,7 @@
 //! A cut channel does not keep the capacity its spec gives it: the cut
 //! drops it. What bounds the bytes in flight is the writer's 16 KiB
 //! `SINK_BUFFER`, the kernel's socket buffers on both ends and, on a
-//! resilient sink, the replay's [`ReconnectPolicy::replay_capacity`]. A
+//! resilient sink, the replay's [`ReconnectPolicy::replay_capacity`](crate::ReconnectPolicy::replay_capacity). A
 //! writer blocks when those are full, not when its reader is a channel's
 //! capacity behind.
 //!
@@ -30,7 +30,7 @@
 //!
 //! ## Fault tolerance (sequence-numbered reconnection)
 //!
-//! With a [`ReconnectPolicy`] enabled, endpoints survive transient link
+//! With a [`ReconnectPolicy`](crate::ReconnectPolicy) enabled, endpoints survive transient link
 //! failure without perturbing the Kahn semantics. Every frame carries the
 //! writer's byte offset into the logical stream; the writer retains the
 //! unacknowledged suffix of the stream, and the reader tracks the next

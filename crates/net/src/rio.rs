@@ -13,7 +13,7 @@
 //! on its listener and its unfinished preambles at once
 //! ([`wait_readable`]).
 //!
-//! [`ReactorIo`] is the transport that implements it: every socket a
+//! `ReactorIo` is the transport that implements it: every socket a
 //! factory hands out ([`TcpFactory`](crate::TcpFactory)), and every control
 //! session's, is one (on Linux x86_64, the one target with fibers). It owns
 //! its `TcpStream` and starts out transparent: the fd stays in blocking
@@ -89,7 +89,7 @@ use std::time::Instant;
 pub(crate) use imp::{forget, wait_readable};
 
 /// `stream` as the transport of a data connection or a control session,
-/// on either end: a [`ReactorIo`], whose waits follow the caller — a
+/// on either end: a `ReactorIo`, whose waits follow the caller — a
 /// session task of a pooled node parks while its client is quiet, and so
 /// does one that calls another node (`Node::redistribute`). Off Linux
 /// x86_64, where no fiber exists to park, the bare socket.
@@ -165,7 +165,7 @@ impl Ticker {
 
 /// The registration around a whole remote operation (a `RemoteSink` write,
 /// a `RemoteSource` read), for targets without fibers: with no
-/// [`ReactorIo`] and no readiness check there, the operation is taken for
+/// `ReactorIo` and no readiness check there, the operation is taken for
 /// a wait. Where `ReactorIo` exists it registers where the wait happens,
 /// and this is `None`.
 pub(crate) fn around_operation(interest: Interest) -> Result<Option<BlockGuard>> {

@@ -15,17 +15,18 @@
 //! 3. **exact buffer bounds** — the maximum occupancy per edge during the
 //!    schedule is the channel capacity that provably suffices forever.
 //!
-//! [`Schedule::channel_capacities`] feeds those bounds straight into the
-//! KPN runtime: an SDF graph executed through [`execute`] runs with
-//! bounded channels and **zero** deadlock-monitor interventions — the
-//! static counterpart of Parks' dynamic buffer growth, and the ablation
-//! DESIGN.md pairs with it.
+//! The analysis ([`graph`], [`schedule`]) lives in `kpn-core`, whose lint
+//! runs it over every network's rate-declared regions (L005/L006); this
+//! crate re-exports it unchanged. What it adds is [`execute`]:
+//! [`Schedule::channel_capacities`] feeds the bounds straight into the
+//! KPN runtime, so an SDF graph runs with bounded channels and **zero**
+//! deadlock-monitor interventions — the static counterpart of Parks'
+//! dynamic buffer growth, and the ablation DESIGN.md pairs with it.
 
 #![warn(missing_docs)]
 
-pub mod graph;
+pub use kpn_core::sdf::{graph, schedule};
 pub mod run;
-pub mod schedule;
 
 pub use graph::{ActorId, EdgeId, SdfError, SdfGraph};
 pub use run::{execute, SdfActor};

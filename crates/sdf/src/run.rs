@@ -104,8 +104,11 @@ pub fn execute(
     }
     let mut bodies: HashMap<usize, FireFn> = HashMap::new();
     for a in actors {
-        if bodies.insert(a.id.0, a.fire).is_some() {
-            return Err(Error::Graph(format!("duplicate body for actor {}", a.id.0)));
+        if bodies.insert(a.id.index(), a.fire).is_some() {
+            return Err(Error::Graph(format!(
+                "duplicate body for actor {}",
+                a.id.index()
+            )));
         }
     }
 
@@ -114,7 +117,7 @@ pub fn execute(
     // initial delay tokens (value 0, the SDF convention).
     let mut edge_writers: Vec<Option<ChannelWriter>> = Vec::new();
     let mut edge_readers: Vec<Option<ChannelReader>> = Vec::new();
-    for (i, e) in graph.edges.iter().enumerate() {
+    for (i, e) in graph.edges().iter().enumerate() {
         let capacity = (schedule.edge_bounds[i].max(1) as usize) * 8;
         let (mut w, r) = net.channel_with_capacity(capacity);
         for _ in 0..e.delays {
@@ -124,10 +127,11 @@ pub fn execute(
         edge_readers.push(Some(r));
     }
 
-    for a in 0..n {
+    for actor in graph.actors() {
+        let a = actor.index();
         let mut inputs = Vec::new();
         let mut outputs = Vec::new();
-        for (i, e) in graph.edges.iter().enumerate() {
+        for (i, e) in graph.edges().iter().enumerate() {
             if e.to == a {
                 inputs.push((
                     DataReader::new(edge_readers[i].take().expect("single consumer")),
@@ -135,7 +139,7 @@ pub fn execute(
                 ));
             }
         }
-        for (i, e) in graph.edges.iter().enumerate() {
+        for (i, e) in graph.edges().iter().enumerate() {
             if e.from == a {
                 outputs.push((
                     DataWriter::new(edge_writers[i].take().expect("single producer")),
@@ -146,7 +150,7 @@ pub fn execute(
         let in_buf = vec![Vec::new(); inputs.len()];
         let out_buf = vec![Vec::new(); outputs.len()];
         net.add(ActorProcess {
-            name: graph.name(ActorId(a)).to_string(),
+            name: graph.name(actor).to_string(),
             inputs,
             outputs,
             fire: bodies.remove(&a).expect("validated above"),

@@ -21,13 +21,12 @@
 //!   evaluation (CPU classes A–E, 34-CPU inventory, ideal speedup).
 //! * [`sdf`] — synchronous dataflow, the statically-schedulable special
 //!   case of process networks the paper references (§1): repetition
-//!   vectors, periodic schedules, and exact buffer bounds executed on the
-//!   KPN runtime.
-//! * [`lint`] — the static network verifier: the SDF-delegating L005 lint
-//!   pass (install with `kpn::lint::install()`) and the pre-deployment
-//!   graph-spec checker behind the `kpn-lint` binary. The structural
-//!   checks L001–L004 live in [`core`] and run on every network according
-//!   to `NetworkConfig::lint` / the `KPN_LINT` environment variable.
+//!   vectors, periodic schedules, and exact buffer bounds (the analysis
+//!   the lint's L005/L006 run, from [`core`]) executed on the KPN runtime.
+//! * [`lint`] — the pre-deployment graph-spec checker behind the
+//!   `kpn-lint` binary. The network lint itself, L001–L006, lives in
+//!   [`core`] and runs whole on every network according to
+//!   `NetworkConfig::lint` / the `KPN_LINT` environment variable.
 //! * [`dist`] — distributed-algorithm workloads: round-synchronous
 //!   execution of PN/LOCAL-model algorithms (bipartite maximal matching,
 //!   vertex-cover 3-approximation, gossip) on generated or Graphviz-DOT

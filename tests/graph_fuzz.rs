@@ -491,7 +491,6 @@ proptest! {
         count in 1u64..60,
         capacity in 1usize..24,
     ) {
-        kpn::lint::install();
         let modes: [&dyn Fn() -> ExecMode; 3] = [
             &|| ExecMode::Thread,
             &|| ExecMode::Pooled { workers: 2 },

@@ -245,7 +245,6 @@ impl Process for RateActor {
 
 #[test]
 fn l005_fires_on_inconsistent_rates() {
-    kpn::lint::install();
     let net = deny();
     // a -2/1-> b -2/1-> a: each firing doubles the tokens in flight — the
     // balance equations have no solution.
@@ -270,7 +269,6 @@ fn l005_fires_on_inconsistent_rates() {
 
 #[test]
 fn l005_silent_on_consistent_rates() {
-    kpn::lint::install();
     let net = deny();
     let (w, r) = net.channel();
     net.add_process(Box::new(RateActor::new("src", vec![], vec![(w, 1)])));
@@ -285,7 +283,6 @@ fn sieve_is_lint_clean_across_reconfigurations() {
     // The Sift process dynamically inserts a Modulo stage per prime
     // (Figures 7/8); lint re-checks after every insertion, so a full run
     // at Deny proves each intermediate topology is clean too.
-    kpn::lint::install();
     let net = deny();
     let out = graphs::primes_below(&net, 50, &GraphOptions::default());
     net.run().unwrap();
@@ -297,7 +294,6 @@ fn sieve_is_lint_clean_across_reconfigurations() {
 
 #[test]
 fn fibonacci_and_newton_are_lint_clean_at_deny() {
-    kpn::lint::install();
     let net = deny();
     let out = graphs::fibonacci(&net, 10, &GraphOptions::default());
     net.run().unwrap();
@@ -441,7 +437,6 @@ fn hamming_cap4_emits_setcapacity_fixes() {
     // The acceptance case from the synthesis work: Figure 12's graph at
     // capacity 4 must come with machine-applicable repairs, not just a
     // verdict.
-    kpn::lint::install();
     let net = Network::new();
     let opts = GraphOptions {
         channel_capacity: 4,
@@ -462,7 +457,6 @@ fn hamming_cap4_emits_setcapacity_fixes() {
 /// completion, and — the observable claim behind synthesis — never needs
 /// the monitor's runtime grow loop.
 fn hamming_cap4_synthesized_runs_without_growth(mode: ExecMode) {
-    kpn::lint::install();
     let net = Network::with_config(NetworkConfig {
         lint: LintLevel::Deny,
         synthesize_capacities: true,
@@ -507,7 +501,6 @@ fn sieve_synthesis_is_a_noop_and_never_grows() {
     // SDF region forms and synthesis has nothing to suggest: enabling it
     // must change nothing, and the default capacities already run the
     // graph without monitor growth.
-    kpn::lint::install();
     let net = Network::with_config(NetworkConfig {
         lint: LintLevel::Deny,
         synthesize_capacities: true,
